@@ -7,7 +7,7 @@ tier1: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -short -run 'Chaos' -count=1 ./internal/workload/
-	$(GO) test -race -short -run 'FaultStorm|COWBreak|StormRace' -count=1 ./internal/vm/ ./internal/workload/ ./internal/uspin/ ./internal/ipc/
+	$(GO) test -race -short -run 'FaultStorm|COWBreak|StormRace|Bulk|WriteBytesEdges|CopyFrameUnder|Decode|Allocs' -count=1 ./internal/hw/ ./internal/ckpt/ ./internal/vm/ ./internal/workload/ ./internal/uspin/ ./internal/ipc/
 
 # Chaos: the full seeded fault-injection soak (deterministic per seed).
 .PHONY: chaos
@@ -144,7 +144,7 @@ vet:
 # that drives them; slower than tier1 but catches sharding bugs.
 .PHONY: race
 race:
-	$(GO) test -race ./internal/hw/... ./internal/vm/... ./internal/klock/... ./internal/core/... ./internal/sched/... ./internal/trace/... ./internal/workload/... ./internal/kernel/... ./internal/uspin/... ./internal/ipc/... ./internal/fs/...
+	$(GO) test -race ./internal/hw/... ./internal/ckpt/... ./internal/vm/... ./internal/klock/... ./internal/core/... ./internal/sched/... ./internal/trace/... ./internal/workload/... ./internal/kernel/... ./internal/uspin/... ./internal/ipc/... ./internal/fs/...
 
 .PHONY: bench
 bench:

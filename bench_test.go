@@ -12,7 +12,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/ckpt"
+	"repro/internal/hw"
 	"repro/internal/kernel"
+	"repro/internal/proc"
 	"repro/internal/workload"
 )
 
@@ -235,4 +238,104 @@ func BenchmarkAblation(b *testing.B) {
 		c.EagerAttrSync = true
 		report(b, workload.AttrSync(c, 4, b.N))
 	})
+}
+
+// Host-side cost of the bulk data path every copied byte moves through
+// (COW copies, read/write transfers, checkpoint capture and write-back):
+// one page per op, so MB/s is directly comparable across the four.
+func BenchmarkMemBulk4K(b *testing.B) {
+	m := hw.NewMemory(4)
+	pfn, err := m.Alloc()
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, hw.PageSize)
+	run := func(name string, op func()) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(hw.PageSize)
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+	}
+	run("ReadBytes", func() { m.ReadBytes(pfn, 0, buf) })
+	run("WriteBytes/aligned", func() { m.WriteBytes(pfn, 0, buf) })
+	run("WriteBytes/off-by-one", func() { m.WriteBytes(pfn, 1, buf[:hw.PageSize-1]) })
+	run("CopyFrame", func() {
+		cp, err := m.CopyFrame(pfn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.DecRef(cp)
+	})
+}
+
+// Host-side cost of one whole checkpoint round trip — Ckpt, Encode, Decode,
+// Restore into a fresh system — of a 256-page group with two parked
+// members. simcyc/op is the two calls' simulated cost, which host-side
+// work on this path must not move.
+func BenchmarkCkptRoundTrip(b *testing.B) {
+	const pages = 256
+	b.ReportAllocs()
+	sys := kernel.NewSystem(cfg())
+	sys.Start("driver", func(c *kernel.Context) {
+		va, err := c.Mmap(pages)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		for pg := 0; pg < pages; pg++ {
+			c.Store32(va+hw.VAddr(pg*hw.PageSize), uint32(pg)+1)
+		}
+		var pids []int
+		for i := 0; i < 2; i++ {
+			pid, err := c.Sproc("parked", func(cc *kernel.Context, _ int64) { cc.Blockproc(0) }, proc.PRSALL, int64(i))
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			pids = append(pids, pid)
+		}
+		var simcyc int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			start := c.P.Cycles.Load()
+			img, info, err := c.Ckpt(kernel.CkptOpts{Passes: 1})
+			if err != nil {
+				b.Error(err)
+				break
+			}
+			simcyc += c.P.Cycles.Load() - start
+			b.SetBytes(int64(info.ImageBytes))
+			dec, err := ckpt.Decode(img.Encode())
+			if err != nil {
+				b.Error(err)
+				break
+			}
+			sys2 := kernel.NewSystem(cfg())
+			sys2.Start("adoptive", func(c2 *kernel.Context) {
+				start := c2.P.Cycles.Load()
+				n, err := c2.Restore(dec, func(*kernel.Context, int64) {})
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				simcyc += c2.P.Cycles.Load() - start
+				for ; n > 0; n-- {
+					c2.Wait()
+				}
+			})
+			sys2.WaitIdle()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(simcyc)/float64(b.N), "simcyc/op")
+		for _, pid := range pids {
+			c.Unblockproc(pid)
+		}
+		for range pids {
+			c.Wait()
+		}
+	})
+	sys.WaitIdle()
 }

@@ -2,6 +2,10 @@ package ckpt
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash/crc64"
 	"testing"
 )
 
@@ -147,5 +151,121 @@ func TestDeterministicEncoding(t *testing.T) {
 	b.Normalize()
 	if !bytes.Equal(a.Encode(), b.Encode()) {
 		t.Fatal("same logical image encoded to different bytes")
+	}
+}
+
+// bigImage is a hand-built image with npages resident pages in one region,
+// for the tests that check costs do not scale with the page count.
+func bigImage(npages int) *Image {
+	im := sampleImage()
+	im.PageSize = 4096
+	im.Regions = []RegionImage{{Base: 0x30000000, Pages: npages, Type: RShm}}
+	for i := 0; i < npages; i++ {
+		im.Regions[0].Resid = append(im.Regions[0].Resid, PageImage{Index: i, Data: samplePage(4096, byte(i))})
+	}
+	im.Members[1].PRDA = samplePage(4096, 8)
+	return im
+}
+
+func TestEncodedSizeMatchesEncode(t *testing.T) {
+	cases := map[string]*Image{
+		"sample (fds, PRDA, nil PRDA)": sampleImage(),
+		"256 pages":                    bigImage(256),
+		"empty":                        {Version: Version, PageSize: 64},
+	}
+	noResid := sampleImage()
+	for i := range noResid.Regions {
+		noResid.Regions[i].Resid = nil
+	}
+	cases["zero resident"] = noResid
+	noPRDA := sampleImage()
+	for i := range noPRDA.Members {
+		noPRDA.Members[i].PRDA = nil
+		noPRDA.Members[i].Fds = nil
+	}
+	cases["nil PRDA, no fds"] = noPRDA
+	for name, im := range cases {
+		if got, want := im.EncodedSize(), len(im.Encode()); got != want {
+			t.Errorf("%s: EncodedSize() = %d, len(Encode()) = %d", name, got, want)
+		}
+	}
+}
+
+// The format is pinned, not just self-consistent: this is the SHA-256 of
+// sampleImage's encoding as the byte-append encoder before EncodedSize
+// produced it. A change here is a format change and needs a Version bump.
+func TestEncodeGolden(t *testing.T) {
+	const want = "6a81ce2edbf32e330cdd2306af7316fbed49e1fb4a174e2311fd36614ee7097d"
+	if got := fmt.Sprintf("%x", sha256.Sum256(sampleImage().Encode())); got != want {
+		t.Fatalf("sampleImage encodes to %s, want %s", got, want)
+	}
+}
+
+// Encode is one allocation (the presized buffer) and Decode a handful (the
+// slab copy, the image, and one list per region and member) — neither may
+// grow with the number of pages.
+func TestEncodeDecodeAllocsDoNotScaleWithPages(t *testing.T) {
+	for _, npages := range []int{16, 256} {
+		im := bigImage(npages)
+		enc := im.Encode()
+		if n := testing.AllocsPerRun(10, func() { im.Encode() }); n > 1 {
+			t.Errorf("Encode of %d pages: %v allocations, want 1", npages, n)
+		}
+		n := testing.AllocsPerRun(10, func() {
+			if _, err := Decode(enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > 12 {
+			t.Errorf("Decode of %d pages: %v allocations, want at most 12", npages, n)
+		}
+	}
+}
+
+// Decode hands out slices of its own copy, never of the caller's buffer,
+// and clips each so that appending to one page cannot reach the next.
+func TestDecodeDoesNotAliasInput(t *testing.T) {
+	enc := bigImage(4).Encode()
+	im, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := im.Encode()
+	for i := range enc {
+		enc[i] = 0xFF
+	}
+	pg := im.Regions[0].Resid[0].Data
+	_ = append(pg, 0xAA) // must reallocate, not write into page 1's index
+	if !bytes.Equal(im.Encode(), ref) {
+		t.Fatal("decoded image changed when the input buffer or a page's spare capacity was written")
+	}
+}
+
+func TestDecodeRejectsOversizedCounts(t *testing.T) {
+	// A region count far beyond what the body can hold must be refused
+	// before anything is allocated for it. Re-seal the CRC so the count
+	// itself is what Decode trips on.
+	enc := sampleImage().Encode()
+	off := headerFixed + attrFixed
+	binary.LittleEndian.PutUint32(enc[off:], 1<<16)
+	body := enc[:len(enc)-8]
+	binary.LittleEndian.PutUint64(enc[len(enc)-8:], crc64.Checksum(body, crcTable))
+	if _, err := Decode(enc); err == nil {
+		t.Fatal("decode accepted a region count the image cannot hold")
+	}
+}
+
+func TestIsZero(t *testing.T) {
+	for _, n := range []int{0, 1, 64, 4096, 4097, 10000} {
+		p := make([]byte, n)
+		if !IsZero(p) {
+			t.Errorf("IsZero(%d zero bytes) = false", n)
+		}
+		if n > 0 {
+			p[n-1] = 1
+			if IsZero(p) {
+				t.Errorf("IsZero missed a set last byte of %d", n)
+			}
+		}
 	}
 }

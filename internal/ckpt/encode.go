@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
@@ -40,9 +41,39 @@ func (w *writer) bytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
+// Encoded sizes of the fixed-width parts of each record, shared by
+// EncodedSize and by Decode's does-the-list-fit checks.
+const (
+	headerFixed = 8 + 4 + 4                     // magic, version, page size
+	attrFixed   = 2 + 8 + 2 + 2 + 4 + 8 + 4 + 1 // GroupAttr
+	regionFixed = 8 + 4 + 1 + 4                 // base, pages, type, resident count
+	memberFixed = 4 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 4
+	fdFixed     = 4 + 4 + 4 + 1 + 8 + 1
+)
+
+// EncodedSize returns len(im.Encode()) by arithmetic over the same field
+// walk, without building the image.
+func (im *Image) EncodedSize() int {
+	n := headerFixed + attrFixed + 4 + 4 + 8 // both list counts, CRC trailer
+	for i := range im.Regions {
+		n += regionFixed
+		for _, pg := range im.Regions[i].Resid {
+			n += 4 + len(pg.Data)
+		}
+	}
+	for i := range im.Members {
+		m := &im.Members[i]
+		n += memberFixed + len(m.Name) + len(m.PRDA)
+		for _, fd := range m.Fds {
+			n += fdFixed + len(fd.Path)
+		}
+	}
+	return n
+}
+
 // Encode serializes the image to its canonical byte form.
 func (im *Image) Encode() []byte {
-	w := &writer{buf: make([]byte, 0, 4096)}
+	w := &writer{buf: make([]byte, 0, im.EncodedSize())}
 	w.buf = append(w.buf, magic[:]...)
 	w.u32(uint32(im.Version))
 	w.u32(uint32(im.PageSize))
@@ -99,6 +130,8 @@ type reader struct {
 	err error
 }
 
+// need returns the next n bytes, capacity-clipped so a caller appending to
+// one field cannot run into its neighbour.
 func (r *reader) need(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -107,9 +140,21 @@ func (r *reader) need(n int) []byte {
 		r.err = fmt.Errorf("ckpt: truncated image at offset %d", r.off)
 		return nil
 	}
-	b := r.buf[r.off : r.off+n]
+	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b
+}
+
+// list reads an element count and checks it against both the format's
+// ceiling and the bytes left (each element encodes to at least minSize), so
+// the caller can allocate the whole list up front.
+func (r *reader) list(limit, minSize int, what string) int {
+	n := r.count(limit, what)
+	if r.err == nil && n*minSize > len(r.buf)-r.off {
+		r.err = fmt.Errorf("ckpt: truncated image at offset %d (%d %ss do not fit)", r.off, n, what)
+		return 0
+	}
+	return n
 }
 
 func (r *reader) u8() uint8 {
@@ -163,16 +208,16 @@ func (r *reader) str() string {
 func (r *reader) bytes() []byte {
 	n := r.count(1<<24, "byte-slice byte")
 	b := r.need(n)
-	if b == nil || n == 0 {
+	if n == 0 {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	return b
 }
 
 // Decode parses a canonical image, verifying magic and checksum. The
-// result passes Validate when the encoder's input did.
+// result passes Validate when the encoder's input did. It does not alias
+// data: the body is copied once, and every page, PRDA and string of the
+// image is cut from that one slab.
 func Decode(data []byte) (*Image, error) {
 	if len(data) < len(magic)+8 {
 		return nil, fmt.Errorf("ckpt: image too short (%d bytes)", len(data))
@@ -187,7 +232,7 @@ func Decode(data []byte) (*Image, error) {
 		return nil, fmt.Errorf("ckpt: checksum mismatch (%#x != %#x)", got, want)
 	}
 
-	r := &reader{buf: body, off: len(magic)}
+	r := &reader{buf: bytes.Clone(body), off: len(magic)}
 	im := &Image{
 		Version:  int(r.u32()),
 		PageSize: int(r.u32()),
@@ -208,51 +253,40 @@ func Decode(data []byte) (*Image, error) {
 	im.Attr.MemberCap = int32(r.u32())
 	im.Attr.Gang = r.boolean()
 
-	nr := r.count(1<<16, "region")
-	for i := 0; i < nr && r.err == nil; i++ {
-		reg := RegionImage{
-			Base:  r.u64(),
-			Pages: int(r.u32()),
-			Type:  r.u8(),
+	im.Regions = make([]RegionImage, r.list(1<<16, regionFixed, "region"))
+	for i := range im.Regions {
+		reg := &im.Regions[i]
+		reg.Base = r.u64()
+		reg.Pages = int(r.u32())
+		reg.Type = r.u8()
+		reg.Resid = make([]PageImage, r.list(1<<24, 4+im.PageSize, "page"))
+		for j := range reg.Resid {
+			reg.Resid[j] = PageImage{Index: int(r.u32()), Data: r.need(im.PageSize)}
 		}
-		np := r.count(1<<24, "page")
-		for j := 0; j < np && r.err == nil; j++ {
-			idx := int(r.u32())
-			b := r.need(im.PageSize)
-			if b == nil {
-				break
-			}
-			data := make([]byte, im.PageSize)
-			copy(data, b)
-			reg.Resid = append(reg.Resid, PageImage{Index: idx, Data: data})
-		}
-		im.Regions = append(im.Regions, reg)
 	}
 
-	nm := r.count(1<<16, "member")
-	for i := 0; i < nm && r.err == nil; i++ {
-		m := MemberImage{
-			PID:  int(r.u32()),
-			Name: r.str(),
-			Mask: r.u32(),
-			Prio: int32(r.u32()),
-			Arg:  r.i64(),
-		}
+	im.Members = make([]MemberImage, r.list(1<<16, memberFixed, "member"))
+	for i := range im.Members {
+		m := &im.Members[i]
+		m.PID = int(r.u32())
+		m.Name = r.str()
+		m.Mask = r.u32()
+		m.Prio = int32(r.u32())
+		m.Arg = r.i64()
 		m.StackBase = r.u64()
 		m.StackPages = int(r.u32())
 		m.PRDA = r.bytes()
-		nf := r.count(1<<16, "descriptor")
-		for j := 0; j < nf && r.err == nil; j++ {
-			m.Fds = append(m.Fds, FdImage{
+		m.Fds = make([]FdImage, r.list(1<<16, fdFixed, "descriptor"))
+		for j := range m.Fds {
+			m.Fds[j] = FdImage{
 				Fd:      int(r.u32()),
 				Path:    r.str(),
 				Flags:   int(r.u32()),
 				FdFlags: r.u8(),
 				Offset:  r.i64(),
 				Stream:  r.boolean(),
-			})
+			}
 		}
-		im.Members = append(im.Members, m)
 	}
 	if r.err != nil {
 		return nil, r.err

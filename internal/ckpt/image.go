@@ -15,6 +15,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 )
@@ -236,12 +237,12 @@ func diffPages(ra, rb *RegionImage, pageSize int, miss func(string, ...any)) {
 	for ia < len(ra.Resid) || ib < len(rb.Resid) {
 		switch {
 		case ib >= len(rb.Resid) || (ia < len(ra.Resid) && ra.Resid[ia].Index < rb.Resid[ib].Index):
-			if !zeroPage(ra.Resid[ia].Data) {
+			if !IsZero(ra.Resid[ia].Data) {
 				miss("region %#x page %d present only in first image (non-zero)", ra.Base, ra.Resid[ia].Index)
 			}
 			ia++
 		case ia >= len(ra.Resid) || rb.Resid[ib].Index < ra.Resid[ia].Index:
-			if !zeroPage(rb.Resid[ib].Data) {
+			if !IsZero(rb.Resid[ib].Data) {
 				miss("region %#x page %d present only in second image (non-zero)", ra.Base, rb.Resid[ib].Index)
 			}
 			ib++
@@ -258,29 +259,26 @@ func diffPages(ra, rb *RegionImage, pageSize int, miss func(string, ...any)) {
 // pagesEqual compares two pages where nil means all-zero.
 func pagesEqual(a, b []byte) bool {
 	if a == nil {
-		return zeroPage(b)
+		return IsZero(b)
 	}
 	if b == nil {
-		return zeroPage(a)
+		return IsZero(a)
 	}
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(a, b)
 }
 
-func zeroPage(p []byte) bool {
-	for _, b := range p {
-		if b != 0 {
+// zeros is the shared read-only block IsZero compares against.
+var zeros [4096]byte
+
+// IsZero reports whether every byte of p is zero.
+func IsZero(p []byte) bool {
+	for len(p) > len(zeros) {
+		if !bytes.Equal(p[:len(zeros)], zeros[:]) {
 			return false
 		}
+		p = p[len(zeros):]
 	}
-	return true
+	return bytes.Equal(p, zeros[:len(p)])
 }
 
 // Normalize sorts regions by base and each region's pages by index —

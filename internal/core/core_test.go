@@ -402,8 +402,8 @@ func TestCarveStack(t *testing.T) {
 	sa := New(p)
 	c1 := r.newProc(2)
 	c2 := r.newProc(3)
-	s1 := sa.CarveStack(c1, r.mem, 64, true)
-	s2 := sa.CarveStack(c2, r.mem, 64, true)
+	s1 := sa.CarveStack(p, c1, r.mem, 64, true)
+	s2 := sa.CarveStack(p, c2, r.mem, 64, true)
 	if s1.Base == s2.Base {
 		t.Fatal("stacks overlap")
 	}
@@ -435,7 +435,7 @@ func TestCarveStackPrivate(t *testing.T) {
 	p := r.newProc(1)
 	sa := New(p)
 	c := r.newProc(2)
-	st := sa.CarveStack(c, r.mem, 32, false)
+	st := sa.CarveStack(p, c, r.mem, 32, false)
 	if sa.FindShared(p, st.Base) != nil {
 		t.Fatal("non-shared stack visible in shared space (paper: must not be)")
 	}

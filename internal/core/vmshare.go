@@ -213,9 +213,11 @@ func (sa *ShAddr) ShrinkShared(p *proc.Proc, pr *vm.PRegion, n int, shoot func()
 // for the child process ... visible to all other processes in the share
 // group, and will automatically grow in size as needed"). The stack is a
 // demand-zero region of maxPages; it is attached to the shared list when
-// shared is true (PR_SADDR child) and recorded so Leave can detach it.
-func (sa *ShAddr) CarveStack(child *proc.Proc, mem *hw.Memory, maxPages int, shared bool) *vm.PRegion {
-	sa.Acc.Lock(child)
+// shared is true (PR_SADDR child) and recorded so Leave can detach it. The
+// update lock is taken — and, behind faulting members, slept on — as caller,
+// the process whose thread is running; child has no thread yet.
+func (sa *ShAddr) CarveStack(caller, child *proc.Proc, mem *hw.Memory, maxPages int, shared bool) *vm.PRegion {
+	sa.Acc.Lock(caller)
 	defer sa.Acc.Unlock()
 	// Recycle the range of a departed member's stack when one fits;
 	// otherwise carve fresh address space.
@@ -246,8 +248,8 @@ func (sa *ShAddr) CarveStack(child *proc.Proc, mem *hw.Memory, maxPages int, sha
 // would land after free-list recycling. The range is overlap-checked
 // against the shared list, and the carve cursor is advanced past it so
 // later CarveStack calls cannot collide.
-func (sa *ShAddr) CarveStackAt(child *proc.Proc, mem *hw.Memory, base hw.VAddr, maxPages int, shared bool) (*vm.PRegion, error) {
-	sa.Acc.Lock(child)
+func (sa *ShAddr) CarveStackAt(caller, child *proc.Proc, mem *hw.Memory, base hw.VAddr, maxPages int, shared bool) (*vm.PRegion, error) {
+	sa.Acc.Lock(caller)
 	defer sa.Acc.Unlock()
 	end := base + hw.VAddr(maxPages*hw.PageSize)
 	sa.listLock.Lock()

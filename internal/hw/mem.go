@@ -10,6 +10,7 @@
 package hw
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -634,9 +635,13 @@ func (m *Memory) CopyFrameResv(src PFN, cpu int, acct *FrameAcct, resv *FrameRes
 	if err != nil {
 		return NoPFN, err
 	}
+	// The source is live (other mappings may be storing to it), so its
+	// words are loaded atomically; the destination is private until the
+	// caller publishes it through a PTE store, so plain stores suffice —
+	// the same ownership rule DecRefOn's clear() relies on for dead frames.
 	s, d := m.frame(src), m.frame(dst)
 	for i := range s {
-		atomic.StoreUint32(&d[i], atomic.LoadUint32(&s[i]))
+		d[i] = atomic.LoadUint32(&s[i])
 	}
 	m.Copies.Add(1)
 	return dst, nil
@@ -676,37 +681,75 @@ func (m *Memory) AddWord(pfn PFN, word uint32, delta uint32) uint32 {
 	return atomic.AddUint32(&m.frame(pfn)[word], delta)
 }
 
-// ReadBytes copies len(dst) bytes from pfn starting at byte offset off.
+// ReadBytes copies len(dst) bytes from pfn starting at byte offset off, one
+// atomic word load per word touched (bytes sit little-endian in their word).
 // The range must lie within one page.
 func (m *Memory) ReadBytes(pfn PFN, off uint32, dst []byte) {
 	if int(off)+len(dst) > PageSize {
 		panic("hw: ReadBytes crosses page boundary")
 	}
 	f := m.frame(pfn)
-	for i := range dst {
-		b := off + uint32(i)
-		w := atomic.LoadUint32(&f[b>>2])
-		dst[i] = byte(w >> ((b & 3) * 8))
+	w := off >> 2
+	if sub := off & 3; sub != 0 && len(dst) > 0 {
+		n := min(int(4-sub), len(dst))
+		putLowBytes(dst[:n], atomic.LoadUint32(&f[w])>>(sub*8))
+		dst = dst[n:]
+		w++
+	}
+	for ; len(dst) >= 4; dst = dst[4:] {
+		binary.LittleEndian.PutUint32(dst, atomic.LoadUint32(&f[w]))
+		w++
+	}
+	if len(dst) > 0 {
+		putLowBytes(dst, atomic.LoadUint32(&f[w]))
 	}
 }
 
-// WriteBytes copies src into pfn starting at byte offset off.
-// The range must lie within one page.
+// putLowBytes fills dst (shorter than a word) from v's low bytes upward.
+func putLowBytes(dst []byte, v uint32) {
+	for i := range dst {
+		dst[i] = byte(v >> (i * 8))
+	}
+}
+
+// WriteBytes copies src into pfn starting at byte offset off: one atomic
+// word store per fully covered word, and a CAS byte-merge for the partial
+// word at an unaligned head or tail, whose other bytes a concurrent writer
+// may own. The range must lie within one page.
 func (m *Memory) WriteBytes(pfn PFN, off uint32, src []byte) {
 	if int(off)+len(src) > PageSize {
 		panic("hw: WriteBytes crosses page boundary")
 	}
 	f := m.frame(pfn)
-	for i := range src {
-		b := off + uint32(i)
-		w := b >> 2
-		shift := (b & 3) * 8
-		for {
-			old := atomic.LoadUint32(&f[w])
-			new := old&^(0xff<<shift) | uint32(src[i])<<shift
-			if atomic.CompareAndSwapUint32(&f[w], old, new) {
-				break
-			}
+	w := off >> 2
+	if sub := off & 3; sub != 0 && len(src) > 0 {
+		n := min(int(4-sub), len(src))
+		mergeBytes(&f[w], sub, src[:n])
+		src = src[n:]
+		w++
+	}
+	for ; len(src) >= 4; src = src[4:] {
+		atomic.StoreUint32(&f[w], binary.LittleEndian.Uint32(src))
+		w++
+	}
+	if len(src) > 0 {
+		mergeBytes(&f[w], 0, src)
+	}
+}
+
+// mergeBytes atomically replaces the len(b) (< 4) bytes of *word starting at
+// byte sub, leaving the word's other bytes as whoever wrote them last.
+func mergeBytes(word *uint32, sub uint32, b []byte) {
+	var mask, val uint32
+	for i, c := range b {
+		shift := (sub + uint32(i)) * 8
+		mask |= 0xff << shift
+		val |= uint32(c) << shift
+	}
+	for {
+		old := atomic.LoadUint32(word)
+		if atomic.CompareAndSwapUint32(word, old, old&^mask|val) {
+			return
 		}
 	}
 }

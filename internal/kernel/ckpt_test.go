@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -416,5 +418,84 @@ func TestCkptStats(t *testing.T) {
 	if st.Ckpts != 1 || st.CkptPasses == 0 || st.CkptPrePages == 0 || st.CkptImageBytes == 0 {
 		t.Errorf("stats = ckpts=%d passes=%d prepages=%d bytes=%d; want all nonzero",
 			st.Ckpts, st.CkptPasses, st.CkptPrePages, st.CkptImageBytes)
+	}
+}
+
+// ckptGolden is the SHA-256 of the image runCkptWorkload(3 members) produced
+// at the commit before the capture pipeline was rebuilt around slabs and
+// EncodedSize (identical for 0, 1 and 2 pre-copy passes). "Byte-identical
+// images" is checked against it, not assumed.
+const ckptGolden = "bfb9f0ca471b0f087d8b63a2347d26eec99dbb03b6c4be1e9864921aae408a38"
+
+func TestCkptImageGolden(t *testing.T) {
+	for _, passes := range []int{0, 1, 2} {
+		enc, _, info := runCkptWorkload(t, 3, passes, false)
+		if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != ckptGolden {
+			t.Errorf("passes=%d: image hashes to %s, want %s", passes, got, ckptGolden)
+		}
+		if info.ImageBytes != len(enc) {
+			t.Errorf("passes=%d: ImageBytes = %d, encoded image is %d bytes", passes, info.ImageBytes, len(enc))
+		}
+		// The simulated cost of the capture is pinned with the bytes: three
+		// pages copied stopped at RegionDup each.
+		if passes == 0 && info.STWCycles != 48 {
+			t.Errorf("naive snapshot charged %d cycles inside the window, want 48", info.STWCycles)
+		}
+	}
+}
+
+// ckptAllocs boots a driver holding npages resident shared pages plus one
+// parked member, and returns the image's EncodedSize, its encoding, and the
+// heap allocations one quiescent Ckpt(Passes: 1) performs.
+func ckptAllocs(t *testing.T, npages int) (size int, enc []byte, allocs float64) {
+	t.Helper()
+	s := NewSystem(testConfig())
+	s.Start("driver", func(c *Context) {
+		va, err := c.Mmap(npages)
+		if err != nil {
+			t.Errorf("mmap: %v", err)
+			return
+		}
+		for pg := 0; pg < npages; pg++ {
+			c.Store32(va+hw.VAddr(pg*hw.PageSize), ckptPattern(1, pg&0xff))
+		}
+		pid, err := c.Sproc("parked", func(cc *Context, _ int64) { cc.Blockproc(0) }, proc.PRSALL, 0)
+		if err != nil {
+			t.Errorf("sproc: %v", err)
+			return
+		}
+		waitAsleep(c, []int{pid})
+		var img *ckpt.Image
+		allocs = testing.AllocsPerRun(5, func() {
+			if img, _, err = c.Ckpt(CkptOpts{Passes: 1}); err != nil {
+				t.Errorf("ckpt: %v", err)
+			}
+		})
+		if img != nil {
+			size, enc = img.EncodedSize(), img.Encode()
+		}
+		c.Unblockproc(pid)
+		c.Wait()
+	})
+	waitIdle(t, s)
+	return size, enc, allocs
+}
+
+// A checkpoint's allocations are per region and per pass (one slab, one
+// index, one page list), not per page: sixteen times the pages must cost
+// the same number of allocations, and EncodedSize must agree with Encode on
+// a kernel-produced image.
+func TestCkptAllocsDoNotScaleWithPages(t *testing.T) {
+	_, _, small := ckptAllocs(t, 16)
+	size, enc, big := ckptAllocs(t, 256)
+	if size != len(enc) || size < 256*hw.PageSize {
+		t.Errorf("EncodedSize() = %d, len(Encode()) = %d for a 256-page image", size, len(enc))
+	}
+	t.Logf("allocations: %v for 16 pages, %v for 256", small, big)
+	if big > small+4 {
+		t.Errorf("Ckpt of 256 pages made %v allocations, of 16 pages %v: allocations scale with page count", big, small)
+	}
+	if big > 100 {
+		t.Errorf("Ckpt of 256 pages made %v allocations, want at most 100", big)
 	}
 }

@@ -49,6 +49,10 @@ var (
 	ErrCkptQuiesce = errors.New("kernel: share group failed to quiesce")     // EAGAIN
 )
 
+// zeroPage is the shared read-only page restore writes over a frame that is
+// resident in the caller but demand-zero in the image.
+var zeroPage [hw.PageSize]byte
+
 // quiesceMaxIters bounds the freeze protocol's wait for every member to
 // reach a safepoint or a sleep; a group that stays runnable past it (a
 // member spinning without touching memory) fails the checkpoint with
@@ -118,10 +122,11 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 	cpuIdx := int(p.CPU.Load())
 	pl := c.S.faults
 
-	// pages accumulates the newest copy of every captured page, keyed by
-	// pregion so a region detached mid-flight simply drops out when the
-	// list is re-snapshotted at stop-the-world.
-	pages := map[*vm.PRegion]map[int][]byte{}
+	// pages accumulates the newest copy of every captured page, indexed by
+	// page within its pregion; keyed by pregion so a region detached
+	// mid-flight simply drops out when the list is re-snapshotted at
+	// stop-the-world.
+	pages := map[*vm.PRegion][][]byte{}
 	tracked := map[*vm.PRegion]bool{}
 	armed := map[*vm.Region]bool{}
 	frozen := map[*proc.Proc]bool{}
@@ -149,17 +154,26 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 		}
 	}()
 
+	// copyInto cuts a pass's copies of one region from one slab, sized by
+	// the region's resident count; only a region its members are still
+	// faulting into can outgrow that, and then gets a page at a time.
+	// idxs is ascending (allPages, TakeDirty).
 	copyInto := func(pr *vm.PRegion, idxs []int) int {
 		dst := pages[pr]
-		if dst == nil {
-			dst = map[int][]byte{}
+		if len(idxs) > 0 && idxs[len(idxs)-1] >= len(dst) {
+			dst = append(dst, make([][]byte, idxs[len(idxs)-1]+1-len(dst))...)
 			pages[pr] = dst
 		}
+		var slab []byte
 		n := 0
-		for _, idx := range idxs {
-			buf := make([]byte, hw.PageSize)
-			if pr.Reg.ReadPage(idx, buf) {
-				dst[idx] = buf
+		for k, idx := range idxs {
+			if len(slab) == 0 {
+				want := min(len(idxs)-k, pr.Reg.Resident()-n)
+				slab = make([]byte, max(want, 1)*hw.PageSize)
+			}
+			if pr.Reg.ReadPage(idx, slab[:hw.PageSize]) {
+				dst[idx] = slab[:hw.PageSize:hw.PageSize]
+				slab = slab[hw.PageSize:]
 				n++
 			}
 		}
@@ -318,8 +332,17 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 			Pages: pr.Reg.Pages(),
 			Type:  uint8(pr.Reg.Type),
 		}
-		for idx, data := range pages[pr] {
-			if idx < ri.Pages {
+		captured := pages[pr]
+		captured = captured[:min(len(captured), ri.Pages)]
+		nres := 0
+		for _, data := range captured {
+			if data != nil {
+				nres++
+			}
+		}
+		ri.Resid = make([]ckpt.PageImage, 0, nres)
+		for idx, data := range captured {
+			if data != nil {
 				ri.Resid = append(ri.Resid, ckpt.PageImage{Index: idx, Data: data})
 			}
 		}
@@ -346,8 +369,7 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 		return nil, info, err
 	}
 	info.STWCycles = p.Cycles.Load() - stwStart
-	enc := img.Encode()
-	info.ImageBytes = len(enc)
+	info.ImageBytes = img.EncodedSize()
 
 	c.S.ckpts.Add(1)
 	c.S.ckptSTWPages.Add(int64(info.STWPages))
@@ -528,7 +550,7 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 		child.Prio.Store(m.Prio)
 		child.StackMax = m.StackPages
 		child.ASID = sa.ASID
-		stack, err := sa.CarveStackAt(child, mach.Mem, hw.VAddr(m.StackBase), m.StackPages, true)
+		stack, err := sa.CarveStackAt(p, child, mach.Mem, hw.VAddr(m.StackBase), m.StackPages, true)
 		if err != nil {
 			return -1, err
 		}
@@ -584,19 +606,18 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 		if ri == nil {
 			continue
 		}
-		resid := map[int][]byte{}
-		for _, pg := range ri.Resid {
-			resid[pg.Index] = pg.Data
-		}
+		resid := ri.Resid // ascending by index (Validate), walked in step with idx
 		for idx := 0; idx < pr.Reg.Pages(); idx++ {
-			data := resid[idx]
-			if data == nil {
+			var data []byte
+			if len(resid) > 0 && resid[0].Index == idx {
+				data, resid = resid[0].Data, resid[1:]
+			} else {
 				if pr.Reg.Frame(idx) == hw.NoPFN || pr.Reg.Type == vm.RText {
 					continue
 				}
-				data = make([]byte, hw.PageSize) // zero out a resident ghost
+				data = zeroPage[:] // zero out a resident ghost
 			}
-			if pr.Reg.Type == vm.RText && zeroBytes(data) {
+			if pr.Reg.Type == vm.RText && ckpt.IsZero(data) {
 				continue
 			}
 			write := pr.Reg.Type != vm.RText
@@ -624,7 +645,7 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 			if pr.Reg.Frame(0) == hw.NoPFN {
 				continue
 			}
-			data = make([]byte, hw.PageSize)
+			data = zeroPage[:]
 		}
 		pfn, _, _, _, err := pr.Reg.FillAccounted(0, true, cpuIdx, acct, nil)
 		if err != nil {
@@ -690,13 +711,4 @@ func (c *Context) restoreFds(p *proc.Proc, fds []ckpt.FdImage) error {
 		p.Mu.Unlock()
 	}
 	return nil
-}
-
-func zeroBytes(p []byte) bool {
-	for _, b := range p {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -229,7 +229,7 @@ func (c *Context) sproc(name string, entry func(*Context, int64), shmask proc.Ma
 	cpu := c.cpu()
 	if shareVM {
 		child.ASID = sa.ASID
-		child.Stack = sa.CarveStack(child, mach.Mem, child.StackMax, true)
+		child.Stack = sa.CarveStack(p, child, mach.Mem, child.StackMax, true)
 		child.Private = []*vm.PRegion{
 			{Reg: vm.NewRegion(mach.Mem, vm.RPRDA, vm.PRDAPages), Base: vm.PRDABase},
 		}
@@ -251,7 +251,7 @@ func (c *Context) sproc(name string, entry func(*Context, int64), shmask proc.Ma
 			pr.Reg.Detach()
 		}
 		img = vm.Insert(img, &vm.PRegion{Reg: vm.NewRegion(mach.Mem, vm.RPRDA, vm.PRDAPages), Base: vm.PRDABase})
-		child.Stack = sa.CarveStack(child, mach.Mem, child.StackMax, false)
+		child.Stack = sa.CarveStack(p, child, mach.Mem, child.StackMax, false)
 		img = vm.Insert(img, child.Stack)
 		child.Private = img
 		c.charge(mach.Cost.ProcCreate)

@@ -120,12 +120,7 @@ func CkptSoak(cfg kernel.Config, members, rounds int) CkptSoakResult {
 						}
 						// Quiesce point: the initiator banks one unblock per
 						// round, injected EINTR notwithstanding.
-						for {
-							err := cc.Blockproc(0)
-							if err == nil || !errors.Is(err, kernel.ErrInterrupt) {
-								break
-							}
-						}
+						throughEINTR(func() error { return cc.Blockproc(0) })
 					}
 				}, proc.PRSALL, int64(i))
 				pid = id
@@ -154,12 +149,15 @@ func CkptSoak(cfg kernel.Config, members, rounds int) CkptSoakResult {
 				}
 			}
 
-			// Wait for every member to park, then run the stopped-world
-			// layers at a state no store can be racing.
+			// Wait for every member to park in blockproc, then run the
+			// stopped-world layers at a state no store can be racing. SSleep
+			// alone is not that state: a member the live checkpoint froze
+			// mid-churn stays SSleep from the thaw until its goroutine is
+			// rescheduled, and then goes on storing.
 			for _, pid := range pids {
 				for {
 					p, ok := sys.Lookup(pid)
-					if !ok || p.State() == proc.SSleep || p.State() == proc.SZomb {
+					if !ok || p.State() == proc.SZomb || (p.State() == proc.SSleep && p.BlockCnt() < 0) {
 						break
 					}
 					c.Getpid()
@@ -185,12 +183,7 @@ func CkptSoak(cfg kernel.Config, members, rounds int) CkptSoakResult {
 				}
 			}
 			for _, pid := range pids {
-				for {
-					err := c.Unblockproc(pid)
-					if err == nil || !errors.Is(err, kernel.ErrInterrupt) {
-						break
-					}
-				}
+				throughEINTR(func() error { return c.Unblockproc(pid) })
 			}
 			res.Rounds++
 		}
@@ -233,12 +226,7 @@ func ckptRoundTrip(cfg kernel.Config, orig *ckpt.Image) string {
 			c.Close(fd)
 		}
 		_, err := c.Restore(orig, func(cc *kernel.Context, _ int64) {
-			for {
-				err := cc.Blockproc(0)
-				if err == nil || !errors.Is(err, kernel.ErrInterrupt) {
-					return
-				}
-			}
+			throughEINTR(func() error { return cc.Blockproc(0) })
 		})
 		if err != nil {
 			if kernel.ErrnoOf(err) == kernel.ENOMEM || kernel.ErrnoOf(err) == kernel.EAGAIN {
@@ -279,6 +267,15 @@ func ckptRoundTrip(cfg kernel.Config, orig *ckpt.Image) string {
 	})
 	sys.WaitIdle()
 	return msg
+}
+
+// throughEINTR repeats op while it fails with EINTR. The test is on the
+// errno: an EINTR the fault plan injects at the gateway does not wrap
+// kernel.ErrInterrupt, and a blockproc loop that mistook it for a wakeup
+// would let its member run a round ahead (or, restored, exit).
+func throughEINTR(op func() error) {
+	for kernel.ErrnoOf(op()) == kernel.EINTR {
+	}
 }
 
 // persist retries op through injected transient failures (EINTR, EAGAIN,
