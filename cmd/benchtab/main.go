@@ -460,11 +460,13 @@ func s8() {
 // every time; what moves is where the copying happens — inside the
 // stop-the-world window with no passes, overlapped with execution as
 // passes are added — so the stopped delta shrinks monotonically toward
-// zero while the live page count grows by the re-dirtied tail.
+// zero while the live page count grows by the re-dirtied tail. The driver
+// time-slices the group on one simulated CPU, so the rows are the same on
+// every host.
 func s10() {
 	members := 4
 	pagesEach := n(64, 16)
-	table(fmt.Sprintf("S10 — checkpoint STW delta vs pre-copy passes (%d dirtiers, %d-page set, decaying churn)",
+	table(fmt.Sprintf("S10 — checkpoint STW delta vs pre-copy passes (%d dirtiers on one CPU, %d-page set, decaying churn)",
 		members, members*pagesEach),
 		"  run                      stw-pages   stw-simcyc    pre-pages    image-KB")
 	for _, p := range []int{0, 1, 2, 4, 8} {

@@ -261,11 +261,15 @@ func TestIsZero(t *testing.T) {
 		if !IsZero(p) {
 			t.Errorf("IsZero(%d zero bytes) = false", n)
 		}
-		if n > 0 {
-			p[n-1] = 1
-			if IsZero(p) {
-				t.Errorf("IsZero missed a set last byte of %d", n)
+		for _, at := range []int{0, n / 2, n - 1} {
+			if n == 0 {
+				break
 			}
+			p[at] = 1
+			if IsZero(p) {
+				t.Errorf("IsZero missed a set byte %d of %d", at, n)
+			}
+			p[at] = 0
 		}
 	}
 }

@@ -216,8 +216,8 @@ func (r *reader) bytes() []byte {
 
 // Decode parses a canonical image, verifying magic and checksum. The
 // result passes Validate when the encoder's input did. It does not alias
-// data: the body is copied once, and every page, PRDA and string of the
-// image is cut from that one slab.
+// data: the body is copied once, every page and PRDA of the image is cut
+// from that one slab, and strings are copied out of it.
 func Decode(data []byte) (*Image, error) {
 	if len(data) < len(magic)+8 {
 		return nil, fmt.Errorf("ckpt: image too short (%d bytes)", len(data))

@@ -267,18 +267,10 @@ func pagesEqual(a, b []byte) bool {
 	return bytes.Equal(a, b)
 }
 
-// zeros is the shared read-only block IsZero compares against.
-var zeros [4096]byte
-
-// IsZero reports whether every byte of p is zero.
+// IsZero reports whether every byte of p is zero: the first one is, and
+// each equals its successor.
 func IsZero(p []byte) bool {
-	for len(p) > len(zeros) {
-		if !bytes.Equal(p[:len(zeros)], zeros[:]) {
-			return false
-		}
-		p = p[len(zeros):]
-	}
-	return bytes.Equal(p, zeros[:len(p)])
+	return len(p) == 0 || p[0] == 0 && bytes.Equal(p[:len(p)-1], p[1:])
 }
 
 // Normalize sorts regions by base and each region's pages by index —

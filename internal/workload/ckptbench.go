@@ -9,6 +9,14 @@ package workload
 // only the still-cooling tail for the window, so the final STW delta
 // shrinks as passes grow and converges to zero once the passes outlast the
 // churn.
+//
+// That is a statement about simulated time, and simulated CPUs share no
+// clock: with the dirtiers on CPUs of their own, how far they get while the
+// initiator copies is the host scheduler's decision and the tail of one run
+// says nothing about the next. The driver therefore time-slices the group
+// on one simulated CPU, where the slice length in charged cycles is the
+// only thing that paces a dirtier against the initiator and the same pass
+// budget leaves the same tail on every run.
 
 import (
 	"errors"
@@ -24,10 +32,12 @@ import (
 // worth of re-dirtying.
 const ckptEpochCrossings = 512
 
-// CkptPrecopy boots cfg, runs members dirtiers over pagesEach pages each,
-// and checkpoints the group once with the given pre-copy pass budget while
-// the churn decays. Returns the checkpoint's cost report.
+// CkptPrecopy boots cfg as a uniprocessor, runs members dirtiers over
+// pagesEach pages each, and checkpoints the group once with the given
+// pre-copy pass budget while the churn decays. Returns the checkpoint's
+// cost report.
 func CkptPrecopy(cfg kernel.Config, members, pagesEach, passes int) (kernel.CkptInfo, error) {
+	cfg.NCPU = 1
 	sys := kernel.NewSystem(cfg)
 	var out kernel.CkptInfo
 	var outErr error

@@ -120,7 +120,12 @@ func CkptSoak(cfg kernel.Config, members, rounds int) CkptSoakResult {
 						}
 						// Quiesce point: the initiator banks one unblock per
 						// round, injected EINTR notwithstanding.
-						throughEINTR(func() error { return cc.Blockproc(0) })
+						for {
+							err := cc.Blockproc(0)
+							if err == nil || !errors.Is(err, kernel.ErrInterrupt) {
+								break
+							}
+						}
 					}
 				}, proc.PRSALL, int64(i))
 				pid = id
@@ -183,7 +188,12 @@ func CkptSoak(cfg kernel.Config, members, rounds int) CkptSoakResult {
 				}
 			}
 			for _, pid := range pids {
-				throughEINTR(func() error { return c.Unblockproc(pid) })
+				for {
+					err := c.Unblockproc(pid)
+					if err == nil || !errors.Is(err, kernel.ErrInterrupt) {
+						break
+					}
+				}
 			}
 			res.Rounds++
 		}
@@ -226,7 +236,12 @@ func ckptRoundTrip(cfg kernel.Config, orig *ckpt.Image) string {
 			c.Close(fd)
 		}
 		_, err := c.Restore(orig, func(cc *kernel.Context, _ int64) {
-			throughEINTR(func() error { return cc.Blockproc(0) })
+			for {
+				err := cc.Blockproc(0)
+				if err == nil || !errors.Is(err, kernel.ErrInterrupt) {
+					return
+				}
+			}
 		})
 		if err != nil {
 			if kernel.ErrnoOf(err) == kernel.ENOMEM || kernel.ErrnoOf(err) == kernel.EAGAIN {
@@ -267,15 +282,6 @@ func ckptRoundTrip(cfg kernel.Config, orig *ckpt.Image) string {
 	})
 	sys.WaitIdle()
 	return msg
-}
-
-// throughEINTR repeats op while it fails with EINTR. The test is on the
-// errno: an EINTR the fault plan injects at the gateway does not wrap
-// kernel.ErrInterrupt, and a blockproc loop that mistook it for a wakeup
-// would let its member run a round ahead (or, restored, exit).
-func throughEINTR(op func() error) {
-	for kernel.ErrnoOf(op()) == kernel.EINTR {
-	}
 }
 
 // persist retries op through injected transient failures (EINTR, EAGAIN,

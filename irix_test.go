@@ -34,16 +34,15 @@ func TestPublicAPIQuickstart(t *testing.T) {
 			t.Errorf("Mmap: %v", err)
 			return
 		}
-		lock := irix.Spinlock{VA: shm} // owns shm..shm+SyncBytes
+		lock := irix.Spinlock{VA: shm}
 		lock.Init(c)
-		counter := shm + irix.SyncBytes
 		const members, per = 3, 200
 		for i := 0; i < members; i++ {
 			c.Sproc("w", func(w *irix.Ctx, _ int64) {
 				for n := 0; n < per; n++ {
 					lock.Lock(w)
-					v, _ := w.Load32(counter)
-					w.Store32(counter, v+1)
+					v, _ := w.Load32(shm + 4)
+					w.Store32(shm+4, v+1)
 					lock.Unlock(w)
 				}
 			}, irix.PRSALL, int64(i))
@@ -51,7 +50,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		for i := 0; i < members; i++ {
 			c.Wait()
 		}
-		if v, _ := c.Load32(counter); v != members*per {
+		if v, _ := c.Load32(shm + 4); v != members*per {
 			t.Errorf("counter = %d", v)
 		}
 	})
