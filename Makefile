@@ -7,7 +7,7 @@ tier1: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -short -run 'Chaos' -count=1 ./internal/workload/
-	$(GO) test -race -short -run 'FaultStorm|COWBreak|StormRace|Bulk|WriteBytesEdges|CopyFrameUnder|Decode|Allocs' -count=1 ./internal/hw/ ./internal/ckpt/ ./internal/vm/ ./internal/workload/ ./internal/uspin/ ./internal/ipc/
+	$(GO) test -race -short -run 'FaultStorm|COWBreak|StormRace|Bulk|WriteBytesEdges|CopyFrameUnder|Decode|Allocs|Spawn|CreationCharges|RestoreFailure|ShareMaskTable|Carve' -count=1 ./internal/hw/ ./internal/ckpt/ ./internal/vm/ ./internal/workload/ ./internal/uspin/ ./internal/ipc/ ./internal/core/ ./internal/kernel/
 
 # Chaos: the full seeded fault-injection soak (deterministic per seed).
 .PHONY: chaos
@@ -21,7 +21,7 @@ chaos:
 # (panic is reserved for the exit/exec control-flow unwinds), and the
 # resident-fault fast path must stay lock-free.
 .PHONY: lint
-lint: lint-pregion lint-prctl lint-lazydup lint-ckpt
+lint: lint-pregion lint-lazydup lint-ckpt
 	$(GO) vet ./...
 	@if grep -nE '\.Lock\(\)|\.RLock\(\)|\.Unlock\(\)|\bsync\.' internal/vm/fillfast.go; then \
 		echo "lint: fillfast.go is the lock-free fault fast path — no mutex or sync primitive may appear there (slow cases belong in region.go)" >&2; \
@@ -123,18 +123,6 @@ lint-ckpt:
 			exit 1; \
 		fi; \
 	done
-
-# lint-prctl: the raw prctl(2) option/int64 surface is a compatibility
-# shim. Everything outside internal/kernel (where the typed wrappers —
-# MaxProcs, SetStackSize, SetGang, Setshares(GroupLimits), Getusage —
-# and the shim itself live) must use the typed calls, so the untyped
-# options cannot creep back into new code.
-.PHONY: lint-prctl
-lint-prctl:
-	@if grep -rnE '\.Prctl\(' --include='*.go' internal/ cmd/ examples/ *.go 2>/dev/null | grep -v '^internal/kernel/'; then \
-		echo "lint: raw Prctl call outside internal/kernel — use the typed wrappers (MaxProcs, SetStackSize, SetGang, SetGroupPrio, Setshares, Getusage)" >&2; \
-		exit 1; \
-	fi
 
 .PHONY: vet
 vet:

@@ -130,9 +130,9 @@ func TestAttrPropagationAndSync(t *testing.T) {
 	p.Ulimit = 12345
 	p.Uid, p.Gid = 7, 8
 	p.Mu.Unlock()
-	sa.PropagateUmask(p)
-	sa.PropagateUlimit(p)
-	sa.PropagateID(p)
+	sa.Publish(p, proc.PRSUMASK)
+	sa.Publish(p, proc.PRSULIMIT)
+	sa.Publish(p, proc.PRSID)
 
 	if q.Flag.Load()&proc.FSyncAny == 0 {
 		t.Fatal("no sync bits set on q")
@@ -166,8 +166,8 @@ func TestSyncHonoursMemberMask(t *testing.T) {
 	p.Umask = 0o007
 	p.Ulimit = 555
 	p.Mu.Unlock()
-	sa.PropagateUmask(p)
-	sa.PropagateUlimit(p) // q does not share ulimit: no bit set for it
+	sa.Publish(p, proc.PRSUMASK)
+	sa.Publish(p, proc.PRSULIMIT) // q does not share ulimit: no bit set for it
 
 	sa.SyncEntry(q)
 	q.Mu.Lock()
@@ -196,7 +196,7 @@ func TestDirPropagation(t *testing.T) {
 	p.Cdir = work.Hold()
 	p.Mu.Unlock()
 	old.Release()
-	sa.PropagateDir(p)
+	sa.Publish(p, proc.PRSDIR)
 
 	sa.SyncEntry(q)
 	q.Mu.Lock()
@@ -231,8 +231,8 @@ func TestFdPropagation(t *testing.T) {
 	q := r.newProc(2)
 	q.SetShMask(proc.PRSALL)
 	// Initialize q's table from the block (the sproc child path).
-	q.Fd, q.FdFlags = sa.ShadowFds(q)
 	sa.AddMember(q)
+	sa.Adopt(p, q, proc.PRSFDS)
 
 	// p opens a file; q must see the descriptor after sync.
 	file, _ := r.fs.Open(r.cred(), "/data", fs.ORead|fs.OWrite|fs.OCreat, 0o644)
@@ -282,8 +282,8 @@ func TestSecondUpdaterSyncsBeforeUpdate(t *testing.T) {
 	sa := New(p)
 	q := r.newProc(2)
 	q.SetShMask(proc.PRSALL)
-	q.Fd, q.FdFlags = sa.ShadowFds(q)
 	sa.AddMember(q)
+	sa.Adopt(p, q, proc.PRSFDS)
 
 	// p opens fd 0; q is now dirty. Without syncing first, q's own open
 	// would also pick slot 0 and the two tables would diverge.
@@ -402,8 +402,8 @@ func TestCarveStack(t *testing.T) {
 	sa := New(p)
 	c1 := r.newProc(2)
 	c2 := r.newProc(3)
-	s1 := sa.CarveStack(p, c1, r.mem, 64, true)
-	s2 := sa.CarveStack(p, c2, r.mem, 64, true)
+	s1, _ := sa.CarveStack(p, c1, r.mem, 0, 64, true)
+	s2, _ := sa.CarveStack(p, c2, r.mem, 0, 64, true)
 	if s1.Base == s2.Base {
 		t.Fatal("stacks overlap")
 	}
@@ -428,6 +428,21 @@ func TestCarveStack(t *testing.T) {
 	if r.mem.InUse() != used-1 {
 		t.Fatal("dead member's stack frames not freed")
 	}
+	// Exact placement (restore): a base inside a shared region is refused;
+	// one beyond the cursor lands there and moves the cursor past it, so
+	// the next fresh carve cannot collide.
+	if st, err := sa.CarveStack(p, r.newProc(4), r.mem, s2.Base+hw.PageSize, 64, true); err == nil {
+		t.Fatalf("exact carve inside a shared stack succeeded at %#x", st.Base)
+	}
+	far := s2.End() + hw.VAddr(1024*hw.PageSize)
+	s4, err := sa.CarveStack(p, r.newProc(5), r.mem, far, 64, true)
+	if err != nil || s4.Base != far || sa.FindShared(p, far) != s4 {
+		t.Fatalf("exact carve at %#x = (%v, %v)", far, s4, err)
+	}
+	s5, _ := sa.CarveStack(p, r.newProc(6), r.mem, 0, 96, true) // no 96-page range to recycle
+	if s5.Base < s4.End()+hw.VAddr(StackGapPages*hw.PageSize) {
+		t.Fatalf("fresh carve at %#x did not clear the exact one ending %#x", s5.Base, s4.End())
+	}
 }
 
 func TestCarveStackPrivate(t *testing.T) {
@@ -435,7 +450,7 @@ func TestCarveStackPrivate(t *testing.T) {
 	p := r.newProc(1)
 	sa := New(p)
 	c := r.newProc(2)
-	st := sa.CarveStack(p, c, r.mem, 32, false)
+	st, _ := sa.CarveStack(p, c, r.mem, 0, 32, false)
 	if sa.FindShared(p, st.Base) != nil {
 		t.Fatal("non-shared stack visible in shared space (paper: must not be)")
 	}

@@ -82,7 +82,7 @@ type ShAddr struct {
 	// Options (ablation and §8-extension switches).
 	opts Options
 
-	// gang is the per-group gang-scheduling request (§8, PR_SETGANG).
+	// gang is the per-group gang-scheduling request (§8, SetGang).
 	gang atomic.Bool
 
 	// Resource-principal state (setshares(2)/getusage(2)): the fair-share
@@ -145,7 +145,7 @@ type Options struct {
 // scheduling.
 func (sa *ShAddr) Gang() bool { return sa.gang.Load() }
 
-// SetGang records the group's gang-scheduling request (PR_SETGANG).
+// SetGang records the group's gang-scheduling request.
 func (sa *ShAddr) SetGang(on bool) { sa.gang.Store(on) }
 
 // CPUAcct implements proc.ShareGroup: the group's fair-share CPU account.
@@ -254,18 +254,7 @@ type memberStack struct {
 // so the detach follows the full shootdown protocol. The stack's address
 // range is recycled for future sproc children either way.
 func (sa *ShAddr) Leave(p *proc.Proc) {
-	if ms := sa.takeMemberStack(p); ms.pr != nil {
-		if ms.shared {
-			sa.Acc.Lock(p)
-			sa.regions = vm.Remove(sa.regions, ms.pr)
-			sa.touchRegions()
-			sa.Acc.Unlock()
-			ms.pr.Reg.Detach()
-		}
-		sa.listLock.Lock()
-		sa.stackFree[ms.pages] = append(sa.stackFree[ms.pages], ms.pr.Base)
-		sa.listLock.Unlock()
-	}
+	sa.ReleaseStack(p, p)
 
 	sa.listLock.Lock()
 	for i, m := range sa.members {
@@ -336,17 +325,18 @@ func (sa *ShAddr) Members() []*proc.Proc {
 	return out
 }
 
-// markOthers sets sync bits on every sharing member except the updater.
-// This is the p_flag update walk of §6.3. In the eager-sync ablation the
-// update is pushed into every member's user area immediately instead.
-func (sa *ShAddr) markOthers(updater *proc.Proc, mask proc.Mask, bits uint32) {
+// markOthers sets the sync bits of res on every member sharing it except
+// the updater. This is the p_flag update walk of §6.3. In the eager-sync
+// ablation the update is pushed into every member's user area immediately
+// instead.
+func (sa *ShAddr) markOthers(updater *proc.Proc, res proc.Mask) {
 	if sa.opts.EagerAttrSync {
-		sa.pushOthers(updater, mask, bits)
+		sa.pushOthers(updater, res)
 		return
 	}
 	sa.listLock.Lock()
 	for _, m := range sa.members {
-		if m != updater && m.ShMask()&mask != 0 {
+		if bits := uint32(m.ShMask() & res); m != updater && bits != 0 {
 			m.SetSyncBits(bits)
 		}
 	}
@@ -357,17 +347,16 @@ func (sa *ShAddr) markOthers(updater *proc.Proc, mask proc.Mask, bits uint32) {
 // pushOthers is the eager-sync ablation: apply the change to every member
 // now, while it may be running, sleeping, or waiting on a resource the
 // updater holds. For descriptor pushes the caller holds FupdSema.
-func (sa *ShAddr) pushOthers(updater *proc.Proc, mask proc.Mask, bits uint32) {
+func (sa *ShAddr) pushOthers(updater *proc.Proc, res proc.Mask) {
 	for _, m := range sa.Members() {
-		if m == updater || m.ShMask()&mask == 0 {
+		shared := m.ShMask() & res
+		if m == updater || shared == 0 {
 			continue
 		}
-		if bits&proc.FSyncFds != 0 {
+		if shared&proc.PRSFDS != 0 {
 			sa.syncFdsLocked(m)
 		}
-		if rest := bits &^ proc.FSyncFds; rest != 0 {
-			sa.syncAttrs(m, rest)
-		}
+		sa.copyAttrs(m, shared, false)
 		sa.Syncs.Add(1)
 	}
 	sa.Propagations.Add(1)

@@ -17,14 +17,7 @@ func (sa *ShAddr) SyncEntry(p *proc.Proc) {
 		return
 	}
 	sa.Syncs.Add(1)
-	if bits&proc.FSyncFds != 0 && p.ShMask()&proc.PRSFDS != 0 {
-		sa.FupdSema.P(p, "shaddr: fd table sync")
-		sa.syncFdsLocked(p)
-		sa.FupdSema.V()
-	}
-	if bits&(proc.FSyncDir|proc.FSyncUmask|proc.FSyncUlimit|proc.FSyncID) != 0 {
-		sa.syncAttrs(p, bits)
-	}
+	sa.Adopt(p, p, proc.Mask(bits))
 }
 
 // syncFdsLocked copies the block's descriptor table into p's, adjusting
@@ -52,38 +45,6 @@ func (sa *ShAddr) syncFdsLocked(p *proc.Proc) {
 	}
 	// The copy may have cleared slots below the allocation scan hint.
 	p.ResetFdHint()
-	p.Mu.Unlock()
-}
-
-// syncAttrs copies directory, umask, ulimit and identity shadows into p,
-// honouring p's share mask.
-func (sa *ShAddr) syncAttrs(p *proc.Proc, bits uint32) {
-	sa.rupdLock.Lock()
-	cdir, rdir := sa.cdir, sa.rdir
-	cmask, limit := sa.cmask, sa.limit
-	uid, gid := sa.uid, sa.gid
-	if bits&proc.FSyncDir != 0 && p.ShMask()&proc.PRSDIR != 0 {
-		cdir.Hold()
-		rdir.Hold()
-	}
-	sa.rupdLock.Unlock()
-
-	p.Mu.Lock()
-	if bits&proc.FSyncDir != 0 && p.ShMask()&proc.PRSDIR != 0 {
-		old, oldr := p.Cdir, p.Rdir
-		p.Cdir, p.Rdir = cdir, rdir
-		old.Release()
-		oldr.Release()
-	}
-	if bits&proc.FSyncUmask != 0 && p.ShMask()&proc.PRSUMASK != 0 {
-		p.Umask = cmask
-	}
-	if bits&proc.FSyncUlimit != 0 && p.ShMask()&proc.PRSULIMIT != 0 {
-		p.Ulimit = limit
-	}
-	if bits&proc.FSyncID != 0 && p.ShMask()&proc.PRSID != 0 {
-		p.Uid, p.Gid = uid, gid
-	}
 	p.Mu.Unlock()
 }
 
@@ -148,78 +109,84 @@ func (sa *ShAddr) EndFdUpdate(p *proc.Proc, fds ...int) {
 		}
 	}
 	p.Mu.Unlock()
-	sa.markOthers(p, proc.PRSFDS, proc.FSyncFds)
+	sa.markOthers(p, proc.PRSFDS)
 	sa.FupdSema.V()
 }
 
-// PropagateDir publishes p's current and root directory into the block and
-// marks sharing members dirty. p's own Cdir/Rdir are already updated.
-func (sa *ShAddr) PropagateDir(p *proc.Proc) {
-	p.Mu.Lock()
-	cdir, rdir := p.Cdir.Hold(), p.Rdir.Hold()
-	p.Mu.Unlock()
-	sa.rupdLock.Lock()
-	old, oldr := sa.cdir, sa.rdir
-	sa.cdir, sa.rdir = cdir, rdir
-	sa.rupdLock.Unlock()
-	old.Release()
-	oldr.Release()
-	sa.markOthers(p, proc.PRSDIR, proc.FSyncDir)
+// attrs locates one holder's copy of the attribute rows of the §5.1 table
+// (PR_SDIR, PR_SUMASK, PR_SULIMIT, PR_SID): a member's user-area fields or
+// the block's shadows. Descriptors are not here — their row moves slot by
+// slot under FupdSema (BeginFdUpdate/EndFdUpdate, syncFdsLocked).
+type attrs struct {
+	cdir, rdir **fs.Inode
+	umask      *uint16
+	ulimit     *int64
+	uid, gid   *uint16
 }
 
-// PropagateUmask publishes p's umask.
-func (sa *ShAddr) PropagateUmask(p *proc.Proc) {
+// copyAttrs copies the attribute rows res names between p's user area and
+// the block's shadows, under both their locks: member to block when publish
+// is set, block to member otherwise. Directories are reference-counted: the
+// destination takes its own references and drops the ones it held.
+func (sa *ShAddr) copyAttrs(p *proc.Proc, res proc.Mask, publish bool) {
+	if res&(proc.PRSDIR|proc.PRSUMASK|proc.PRSULIMIT|proc.PRSID) == 0 {
+		return
+	}
 	p.Mu.Lock()
-	v := p.Umask
-	p.Mu.Unlock()
+	defer p.Mu.Unlock()
 	sa.rupdLock.Lock()
-	sa.cmask = v
-	sa.rupdLock.Unlock()
-	sa.markOthers(p, proc.PRSUMASK, proc.FSyncUmask)
+	defer sa.rupdLock.Unlock()
+	dst := attrs{&p.Cdir, &p.Rdir, &p.Umask, &p.Ulimit, &p.Uid, &p.Gid}
+	src := attrs{&sa.cdir, &sa.rdir, &sa.cmask, &sa.limit, &sa.uid, &sa.gid}
+	if publish {
+		dst, src = src, dst
+	}
+	if res&proc.PRSDIR != 0 {
+		oldc, oldr := *dst.cdir, *dst.rdir
+		*dst.cdir, *dst.rdir = (*src.cdir).Hold(), (*src.rdir).Hold()
+		oldc.Release()
+		oldr.Release()
+	}
+	if res&proc.PRSUMASK != 0 {
+		*dst.umask = *src.umask
+	}
+	if res&proc.PRSULIMIT != 0 {
+		*dst.ulimit = *src.ulimit
+	}
+	if res&proc.PRSID != 0 {
+		*dst.uid, *dst.gid = *src.uid, *src.gid
+	}
 }
 
-// PropagateUlimit publishes p's ulimit.
-func (sa *ShAddr) PropagateUlimit(p *proc.Proc) {
-	p.Mu.Lock()
-	v := p.Ulimit
-	p.Mu.Unlock()
-	sa.rupdLock.Lock()
-	sa.limit = v
-	sa.rupdLock.Unlock()
-	sa.markOthers(p, proc.PRSULIMIT, proc.FSyncUlimit)
+// Publish copies p's own values of the attribute resources res into the
+// block and marks every other member sharing them out of date (the update
+// half of §6.3); p has already changed its user area. The caller has
+// checked that p shares res.
+func (sa *ShAddr) Publish(p *proc.Proc, res proc.Mask) {
+	sa.copyAttrs(p, res, true)
+	sa.markOthers(p, res)
 }
 
-// PropagateID publishes p's uid/gid.
-func (sa *ShAddr) PropagateID(p *proc.Proc) {
-	p.Mu.Lock()
-	uid, gid := p.Uid, p.Gid
-	p.Mu.Unlock()
-	sa.rupdLock.Lock()
-	sa.uid, sa.gid = uid, gid
-	sa.rupdLock.Unlock()
-	sa.markOthers(p, proc.PRSID, proc.FSyncID)
+// Adopt copies the block's values of the resources res into p, limited to
+// what p's share mask says it shares: the reconcile half of §6.3, and how
+// a new member — already on the member list, so no later update can miss
+// it — starts out with the group's view. The descriptor semaphore is slept
+// on as caller: p itself at kernel entry, the parent for a child that has
+// no thread yet.
+func (sa *ShAddr) Adopt(caller, p *proc.Proc, res proc.Mask) {
+	res &= p.ShMask()
+	if res&proc.PRSFDS != 0 {
+		sa.FupdSema.P(caller, "shaddr: fd table sync")
+		sa.syncFdsLocked(p)
+		sa.FupdSema.V()
+	}
+	sa.copyAttrs(p, res, false)
 }
 
 // ShadowEnv returns the block's current shadow attribute values (for
-// diagnostics and for initializing sproc children).
+// diagnostics and checkpoint capture).
 func (sa *ShAddr) ShadowEnv() (cdir, rdir *fs.Inode, umask uint16, ulimit int64, uid, gid uint16) {
 	sa.rupdLock.Lock()
 	defer sa.rupdLock.Unlock()
 	return sa.cdir, sa.rdir, sa.cmask, sa.limit, sa.uid, sa.gid
-}
-
-// ShadowFds returns a copy of the block's descriptor table with references
-// held for the caller (the sproc child initialization path).
-func (sa *ShAddr) ShadowFds(p *proc.Proc) ([]*fs.File, []uint8) {
-	sa.FupdSema.P(p, "shaddr: fd snapshot")
-	fds := make([]*fs.File, len(sa.ofile))
-	flags := make([]uint8, len(sa.pofile))
-	copy(flags, sa.pofile)
-	for i, f := range sa.ofile {
-		if f != nil {
-			fds[i] = f.Hold()
-		}
-	}
-	sa.FupdSema.V()
-	return fds, flags
 }

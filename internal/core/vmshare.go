@@ -92,22 +92,12 @@ func (sa *ShAddr) ReclaimQuota(p *proc.Proc, shoot func()) int {
 // shared list. The whole transition happens under the update lock with a
 // shootdown, exactly like a shrink.
 func (sa *ShAddr) UnshareVM(p *proc.Proc, shoot func()) []*vm.PRegion {
-	dup := vm.DupListFlush
-	if sa.opts.EagerDup {
-		dup = vm.DupListEager
-	}
 	sa.Acc.Lock(p)
-	priv, _ := dup(p.Private)
-	shared, _ := dup(sa.regions)
 	// The stack withdrawal below frees address space unconditionally, so
 	// the shootdown cannot be elided here whatever the dup reported.
-	img := vm.MergeLists(priv, shared)
+	img, _ := dupImage(sa.opts.EagerDup, p.Private, sa.regions)
 	// Withdraw p's own stack from the shared space; p keeps the COW dup.
-	sa.listLock.Lock()
-	ms := sa.memberStack[p]
-	delete(sa.memberStack, p)
-	sa.listLock.Unlock()
-	if ms.pr != nil && ms.shared {
+	if ms := sa.takeMemberStack(p); ms.pr != nil && ms.shared {
 		sa.regions = vm.Remove(sa.regions, ms.pr)
 		defer ms.pr.Reg.Detach()
 	}
@@ -213,52 +203,37 @@ func (sa *ShAddr) ShrinkShared(p *proc.Proc, pr *vm.PRegion, n int, shoot func()
 // for the child process ... visible to all other processes in the share
 // group, and will automatically grow in size as needed"). The stack is a
 // demand-zero region of maxPages; it is attached to the shared list when
-// shared is true (PR_SADDR child) and recorded so Leave can detach it. The
-// update lock is taken — and, behind faulting members, slept on — as caller,
-// the process whose thread is running; child has no thread yet.
-func (sa *ShAddr) CarveStack(caller, child *proc.Proc, mem *hw.Memory, maxPages int, shared bool) *vm.PRegion {
+// shared is true (PR_SADDR child) and recorded so ReleaseStack can detach
+// it. The update lock is taken — and, behind faulting members, slept on — as
+// caller, the process whose thread is running; child has no thread yet.
+//
+// at == 0 recycles the range of a departed member's stack when one fits and
+// carves fresh address space otherwise; it cannot fail. A non-zero at is
+// restore's fidelity requirement — a checkpointed member's stack reappears
+// at its recorded base, not wherever re-carving would land: the range is
+// overlap-checked against the shared list, and the carve cursor is moved
+// past it so later carves cannot collide.
+func (sa *ShAddr) CarveStack(caller, child *proc.Proc, mem *hw.Memory, at hw.VAddr, maxPages int, shared bool) (*vm.PRegion, error) {
 	sa.Acc.Lock(caller)
 	defer sa.Acc.Unlock()
-	// Recycle the range of a departed member's stack when one fits;
-	// otherwise carve fresh address space.
+	span := hw.VAddr((maxPages + StackGapPages) * hw.PageSize)
+	base := at
 	sa.listLock.Lock()
-	var base hw.VAddr
-	if free := sa.stackFree[maxPages]; len(free) > 0 {
+	switch free := sa.stackFree[maxPages]; {
+	case at != 0:
+		if vm.Overlaps(sa.regions, at, maxPages) {
+			sa.listLock.Unlock()
+			return nil, fmt.Errorf("core: stack range %#x..%#x collides with a shared region", at, at+hw.VAddr(maxPages*hw.PageSize))
+		}
+		if sa.nextStack < at+span {
+			sa.nextStack = at + span
+		}
+	case len(free) > 0:
 		base = free[len(free)-1]
 		sa.stackFree[maxPages] = free[:len(free)-1]
-	} else {
+	default:
 		base = sa.nextStack
-		sa.nextStack += hw.VAddr((maxPages + StackGapPages) * hw.PageSize)
-	}
-	sa.listLock.Unlock()
-	pr := &vm.PRegion{Reg: vm.NewRegion(mem, vm.RStack, maxPages), Base: base}
-	sa.listLock.Lock()
-	sa.memberStack[child] = memberStack{pr: pr, pages: maxPages, shared: shared}
-	sa.listLock.Unlock()
-	if shared {
-		sa.regions = vm.Insert(sa.regions, pr)
-		sa.touchRegions()
-	}
-	return pr
-}
-
-// CarveStackAt places a member stack at an exact base address — the
-// restore path's fidelity requirement: a checkpointed member's stack must
-// reappear at its recorded base, not wherever deterministic re-carving
-// would land after free-list recycling. The range is overlap-checked
-// against the shared list, and the carve cursor is advanced past it so
-// later CarveStack calls cannot collide.
-func (sa *ShAddr) CarveStackAt(caller, child *proc.Proc, mem *hw.Memory, base hw.VAddr, maxPages int, shared bool) (*vm.PRegion, error) {
-	sa.Acc.Lock(caller)
-	defer sa.Acc.Unlock()
-	end := base + hw.VAddr(maxPages*hw.PageSize)
-	sa.listLock.Lock()
-	if vm.Overlaps(sa.regions, base, maxPages) {
-		sa.listLock.Unlock()
-		return nil, fmt.Errorf("core: stack range %#x..%#x collides with a shared region", base, end)
-	}
-	if next := end + hw.VAddr(StackGapPages*hw.PageSize); sa.nextStack < next {
-		sa.nextStack = next
+		sa.nextStack += span
 	}
 	pr := &vm.PRegion{Reg: vm.NewRegion(mem, vm.RStack, maxPages), Base: base}
 	sa.memberStack[child] = memberStack{pr: pr, pages: maxPages, shared: shared}
@@ -268,6 +243,28 @@ func (sa *ShAddr) CarveStackAt(caller, child *proc.Proc, mem *hw.Memory, base hw
 		sa.touchRegions()
 	}
 	return pr, nil
+}
+
+// ReleaseStack withdraws the stack CarveStack recorded for member. A shared
+// one leaves the shared list under the update lock — slept on as caller,
+// like the carve — and its frames are freed; either way the address range is
+// recycled for future carves. Leave calls it for a departing member, the
+// kernel for a child it could not finish building.
+func (sa *ShAddr) ReleaseStack(caller, member *proc.Proc) {
+	ms := sa.takeMemberStack(member)
+	if ms.pr == nil {
+		return
+	}
+	if ms.shared {
+		sa.Acc.Lock(caller)
+		sa.regions = vm.Remove(sa.regions, ms.pr)
+		sa.touchRegions()
+		sa.Acc.Unlock()
+		ms.pr.Reg.Detach()
+	}
+	sa.listLock.Lock()
+	sa.stackFree[ms.pages] = append(sa.stackFree[ms.pages], ms.pr.Base)
+	sa.listLock.Unlock()
 }
 
 // AttachAnon carves a fresh range in the group's mapping arena and
@@ -310,24 +307,43 @@ func (sa *ShAddr) AttachPrivateRange(p *proc.Proc, npages int) hw.VAddr {
 // COWImage builds a copy-on-write private image of the group's address
 // space for a child that does not share VM (fork by a member, or sproc
 // without PR_SADDR): the parent's private pregions plus the whole shared
-// list are duplicated — lazily by default (DESIGN.md §16), eagerly under
-// the EagerDup ablation. When any duplicated region has ever held a
-// writable PTE, writable translations cached for the space may now be
-// stale, so shoot flushes every processor before the update lock is
-// released; a never-written image skips the flush entirely.
+// list are duplicated. When any duplicated region has ever held a writable
+// PTE, writable translations cached for the space may now be stale, so
+// shoot flushes every processor before the update lock is released; a
+// never-written image skips the flush entirely.
 func (sa *ShAddr) COWImage(parent *proc.Proc, shoot func()) []*vm.PRegion {
-	dup := vm.DupListFlush
-	if sa.opts.EagerDup {
-		dup = vm.DupListEager
-	}
 	sa.Acc.Lock(parent)
 	defer sa.Acc.Unlock()
-	priv, f1 := dup(parent.Private)
-	shared, f2 := dup(sa.regions)
-	img := vm.MergeLists(priv, shared)
-	if f1 || f2 {
+	img, flush := dupImage(sa.opts.EagerDup, parent.Private, sa.regions)
+	if flush {
 		shoot()
 		sa.Shootdowns.Add(1)
 	}
 	return img
+}
+
+// COWPrivate is COWImage for a parent outside any share group: all it sees
+// is its private list, and the caller flushes the parent's space when flush
+// is reported.
+func COWPrivate(parent *proc.Proc, eager bool) (img []*vm.PRegion, flush bool) {
+	return dupImage(eager, parent.Private, nil)
+}
+
+// dupImage duplicates a private and a shared pregion list into one child
+// image — lazily by default (O(1) per region, DESIGN.md §16), with the
+// spawn-time table walk under the EagerDup ablation; this is the one place
+// that choice is made. flush reports whether some duplicated region has
+// ever held a writable PTE. A caller passing a shared list holds the update
+// lock.
+func dupImage(eager bool, private, shared []*vm.PRegion) (img []*vm.PRegion, flush bool) {
+	dup := vm.DupListFlush
+	if eager {
+		dup = vm.DupListEager
+	}
+	img, flush = dup(private)
+	if len(shared) > 0 {
+		dupShared, f := dup(shared)
+		img, flush = vm.MergeLists(img, dupShared), flush || f
+	}
+	return img, flush
 }

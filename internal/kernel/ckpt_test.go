@@ -36,13 +36,15 @@ func shmBaseOf(t *testing.T, img *ckpt.Image) hw.VAddr {
 
 // waitAsleep spins the caller's clock until every listed pid is blocked
 // in blockproc (SSleep). Used by initiators to reach a known-quiescent
-// point before checkpointing.
+// point before checkpointing. The sleep reason is checked too: a member
+// asleep behind the share block's update lock has not got to its blockproc
+// yet, and stays SSleep until its goroutine is next scheduled.
 func waitAsleep(c *Context, pids []int) {
 	for {
 		asleep := true
 		for _, pid := range pids {
 			p, ok := c.S.Lookup(pid)
-			if !ok || p.State() != proc.SSleep {
+			if !ok || p.State() != proc.SSleep || p.LastSleep.Load() != blockprocReason {
 				asleep = false
 				break
 			}

@@ -81,12 +81,14 @@ func (e *SysError) Error() string {
 // Unwrap exposes the wrapped subsystem error to errors.Is/As.
 func (e *SysError) Unwrap() error { return e.Err }
 
-// Is matches bare Errno targets against the normalized code.
+// Is matches bare Errno targets against the normalized code, and the
+// ErrInterrupt sentinel against EINTR: a gateway-injected interrupt wraps
+// only the code, and every retry loop tests errors.Is(err, ErrInterrupt).
 func (e *SysError) Is(target error) bool {
 	if num, ok := target.(Errno); ok {
 		return e.Num == num
 	}
-	return false
+	return target == ErrInterrupt && e.Num == EINTR
 }
 
 // Errno returns the normalized code.

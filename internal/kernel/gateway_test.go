@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/fs"
 	"repro/internal/proc"
 	"repro/internal/trace"
@@ -46,6 +47,30 @@ func TestErrnoMapping(t *testing.T) {
 		}
 	})
 	s.WaitIdle()
+}
+
+// A gateway-injected EINTR wraps only the code, not the ErrInterrupt
+// sentinel a syscall body returns; the envelope must still satisfy both
+// spellings, because every retry loop tests errors.Is(err, ErrInterrupt).
+func TestInjectedEINTRMatchesErrInterrupt(t *testing.T) {
+	s := NewSystem(testConfig())
+	pl := faultinject.New(1, 0)
+	pl.SetRate(faultinject.SiteSyscallEnter, 1000)
+	s.ArmFaults(pl)
+	s.Start("p", func(c *Context) {
+		// wait(2) admits only EINTR injection and is never restarted.
+		_, _, err := c.Wait()
+		if !errors.Is(err, EINTR) || !errors.Is(err, ErrInterrupt) {
+			t.Errorf("injected wait error %v: Is(EINTR)=%v Is(ErrInterrupt)=%v, want both", err, errors.Is(err, EINTR), errors.Is(err, ErrInterrupt))
+		}
+		if errors.Is(err, ErrNoChildren) {
+			t.Errorf("injected wait error %v also matches ErrNoChildren", err)
+		}
+	})
+	waitIdle(t, s)
+	if pl.Injected(faultinject.SiteSyscallEnter) == 0 {
+		t.Fatal("plan injected nothing at rate 1000")
+	}
 }
 
 // TestSyscallAccountingConservation drives a share group and a forked

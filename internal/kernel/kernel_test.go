@@ -738,7 +738,7 @@ func TestPrctl(t *testing.T) {
 		if err := c.SetGroupPrio(3); err != nil {
 			t.Errorf("SetGroupPrio: %v", err)
 		}
-		if PRSetGang.String() != "PR_SETGANG" || PrctlOpt(99).String() != "PR_UNKNOWN(99)" {
+		if PRGetStackSize.String() != "PR_GETSTACKSIZE" || PrctlOpt(99).String() != "PR_UNKNOWN(99)" {
 			t.Error("PrctlOpt.String broken")
 		}
 	})

@@ -41,6 +41,10 @@ func (c *Context) blockPermission(target *proc.Proc) error {
 	return nil
 }
 
+// blockprocReason is the sleep reason a process parked in blockproc(2)
+// shows in LastSleep (diagnostics, and tests waiting for that park).
+const blockprocReason = "blockproc(2)"
+
 // Blockproc decrements the caller's block count and, if it went negative,
 // sleeps until banked unblocks bring it back to zero. pid must be 0 or
 // the caller's own pid. A banked unblock-before-block returns immediately
@@ -64,7 +68,7 @@ func (c *Context) Blockproc(pid int) error {
 				p.NotifyWake()
 			}
 		}
-		if !p.BlockprocSleep("blockproc(2)") {
+		if !p.BlockprocSleep(blockprocReason) {
 			return ErrInterrupt
 		}
 		return nil

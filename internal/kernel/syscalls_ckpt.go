@@ -6,7 +6,6 @@ import (
 	"runtime"
 
 	"repro/internal/ckpt"
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/fs"
 	"repro/internal/hw"
@@ -469,12 +468,7 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 		return -1, fmt.Errorf("kernel: restore caller stack at %#x, image creator stack at %#x (stack geometry must match)", stackBaseOf(p), creator.StackBase)
 	}
 
-	sa := core.NewWithOptions(p, core.Options{
-		ExclusiveVMLock: c.S.cfg.ExclusiveVMLock,
-		EagerAttrSync:   c.S.cfg.EagerAttrSync,
-		Topo:            mach.Topo,
-		EagerDup:        c.S.cfg.EagerDup,
-	})
+	sa := c.shareGroup()
 	p.SetShMask(proc.Mask(creator.Mask))
 
 	// Member stacks are carved per respawned member at their recorded
@@ -524,12 +518,12 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 	}
 
 	// Respawn members[1:]: proc-table identity from the restored caller,
-	// stack at the recorded base. They are registered and counted but not
-	// started — no restored member runs before the memory it expects is
-	// written back. If the restore fails after this point, the already
-	// registered children are started with a no-op body so they exit and
-	// the system can still drain: restore is not atomic, but it never
-	// strands an unstartable process.
+	// stack at the recorded base, descriptors from the block or reopened
+	// from the recorded paths. They are built and counted but not started —
+	// no restored member runs before the memory it expects is written back.
+	// If the restore fails from here on, the members already built are
+	// started with a no-op body so they exit and the caller can reap them:
+	// restore is not atomic, but it never strands an unstartable process.
 	var spawned []*proc.Proc
 	started := false
 	defer func() {
@@ -542,52 +536,16 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 	}()
 	for i := range img.Members[1:] {
 		m := &img.Members[1:][i]
-		if err := c.checkProcLimit(); err != nil {
-			return -1, err
-		}
-		child := c.newChild(m.Name)
-		child.Arg = m.Arg
-		child.Prio.Store(m.Prio)
-		child.StackMax = m.StackPages
-		child.ASID = sa.ASID
-		stack, err := sa.CarveStackAt(p, child, mach.Mem, hw.VAddr(m.StackBase), m.StackPages, true)
+		child, err := c.spawn(spawnSpec{
+			name: m.Name, arg: m.Arg, join: true, mask: proc.Mask(m.Mask),
+			stackAt: hw.VAddr(m.StackBase), stackPages: m.StackPages,
+			reopenFds: true, fdImage: m.Fds,
+			cost: mach.Cost.ProcCreate, kind: trace.CreateSproc,
+		})
 		if err != nil {
 			return -1, err
 		}
-		child.Stack = stack
-		child.Private = []*vm.PRegion{
-			{Reg: vm.NewRegion(mach.Mem, vm.RPRDA, vm.PRDAPages), Base: vm.PRDABase},
-		}
-		mask := proc.Mask(m.Mask)
-		cdir, rdir, umask, ulimit, uid, gid := sa.ShadowEnv()
-		if mask&proc.PRSFDS != 0 {
-			child.Fd, child.FdFlags = sa.ShadowFds(p)
-		} else if err := c.restoreFds(child, m.Fds); err != nil {
-			return -1, err
-		}
-		child.Mu.Lock()
-		child.Cdir, child.Rdir = cdir.Hold(), rdir.Hold()
-		if mask&proc.PRSUMASK != 0 {
-			child.Umask = umask
-		}
-		if mask&proc.PRSULIMIT != 0 {
-			child.Ulimit = ulimit
-		}
-		if mask&proc.PRSID != 0 {
-			child.Uid, child.Gid = uid, gid
-		}
-		child.Mu.Unlock()
-		child.SetShMask(mask)
-		sa.AddMember(child)
-		if n := int64(c.S.cfg.SpawnReserve); n > 0 {
-			if rv := sa.FrameAcct().Reserve(n); rv != nil {
-				child.Resv = rv
-				c.S.spawnReserved.Add(n)
-			}
-		}
-		c.charge(mach.Cost.ProcCreate)
-		mach.Trace.Record(trace.EvCreate, int32(p.PID), p.CPU.Load(), uint64(child.PID), trace.CreateSproc)
-		c.S.register(child)
+		child.Prio.Store(m.Prio)
 		spawned = append(spawned, child)
 	}
 

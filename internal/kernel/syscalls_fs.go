@@ -17,6 +17,17 @@ func (c *Context) propagated(sa interface{ Size() int }) {
 	}
 }
 
+// publish pushes an attribute resource the caller has just changed in its
+// own user area to the share block, when the caller shares it; the other
+// sharers pick it up at their next kernel entry (paper §6.3).
+func (c *Context) publish(res proc.Mask) {
+	if p := c.P; p.Shares(res) {
+		sa := groupOf(p)
+		sa.Publish(p, res)
+		c.propagated(sa)
+	}
+}
+
 // cred snapshots the identity and filter state filesystem operations run
 // under. Caller must not hold P.Mu.
 func (c *Context) cred() fs.Cred {
@@ -169,8 +180,10 @@ func (c *Context) Dup2(fd, target int) (int, error) {
 	})
 }
 
-// SetCloseOnExec marks fd to be closed across exec(2).
-func (c *Context) SetCloseOnExec(fd int, on bool) error {
+// setFdFlag sets or clears one per-descriptor flag bit (fcntl). The bit
+// lives in the fd-flag table, so it reaches descriptor-sharing members with
+// the descriptor update protocol.
+func (c *Context) setFdFlag(fd int, bit uint8, on bool) error {
 	return invoke0(c, sysFcntl, func() error {
 		p := c.P
 		p.Mu.Lock()
@@ -179,9 +192,9 @@ func (c *Context) SetCloseOnExec(fd int, on bool) error {
 			return err
 		}
 		if on {
-			p.FdFlags[fd] |= proc.FdCloseOnExec
+			p.FdFlags[fd] |= bit
 		} else {
-			p.FdFlags[fd] &^= proc.FdCloseOnExec
+			p.FdFlags[fd] &^= bit
 		}
 		p.Mu.Unlock()
 		if p.Shares(proc.PRSFDS) {
@@ -193,31 +206,16 @@ func (c *Context) SetCloseOnExec(fd int, on bool) error {
 	})
 }
 
+// SetCloseOnExec marks fd to be closed across exec(2).
+func (c *Context) SetCloseOnExec(fd int, on bool) error {
+	return c.setFdFlag(fd, proc.FdCloseOnExec, on)
+}
+
 // SetNonblock sets or clears per-descriptor non-blocking mode (fcntl
 // F_SETFL O_NDELAY): stream operations on fd that would sleep return
-// EAGAIN instead. Like close-on-exec the bit lives in the fd-flag table
-// and propagates to descriptor-sharing members.
+// EAGAIN instead.
 func (c *Context) SetNonblock(fd int, on bool) error {
-	return invoke0(c, sysFcntl, func() error {
-		p := c.P
-		p.Mu.Lock()
-		if _, err := p.GetFd(fd); err != nil {
-			p.Mu.Unlock()
-			return err
-		}
-		if on {
-			p.FdFlags[fd] |= proc.FdNonblock
-		} else {
-			p.FdFlags[fd] &^= proc.FdNonblock
-		}
-		p.Mu.Unlock()
-		if p.Shares(proc.PRSFDS) {
-			sa := groupOf(p)
-			sa.BeginFdUpdate(p)
-			sa.EndFdUpdate(p, fd)
-		}
-		return nil
-	})
+	return c.setFdFlag(fd, proc.FdNonblock, on)
 }
 
 // fdFile fetches the open file behind fd.
@@ -360,11 +358,7 @@ func (c *Context) Chdir(path string) error {
 		p.Cdir = dir.Hold()
 		p.Mu.Unlock()
 		old.Release()
-		if p.Shares(proc.PRSDIR) {
-			sa := groupOf(p)
-			sa.PropagateDir(p)
-			c.propagated(sa)
-		}
+		c.publish(proc.PRSDIR)
 		return nil
 	})
 }
@@ -390,11 +384,7 @@ func (c *Context) Chroot(path string) error {
 		p.Rdir = dir.Hold()
 		p.Mu.Unlock()
 		old.Release()
-		if p.Shares(proc.PRSDIR) {
-			sa := groupOf(p)
-			sa.PropagateDir(p)
-			c.propagated(sa)
-		}
+		c.publish(proc.PRSDIR)
 		return nil
 	})
 }
@@ -408,11 +398,7 @@ func (c *Context) Umask(mask uint16) uint16 {
 		old := p.Umask
 		p.Umask = mask & 0o777
 		p.Mu.Unlock()
-		if p.Shares(proc.PRSUMASK) {
-			sa := groupOf(p)
-			sa.PropagateUmask(p)
-			c.propagated(sa)
-		}
+		c.publish(proc.PRSUMASK)
 		return old
 	})
 }
@@ -437,11 +423,7 @@ func (c *Context) Ulimit(cmd int, newLimit int64) (int64, error) {
 			}
 			p.Ulimit = newLimit
 			p.Mu.Unlock()
-			if p.Shares(proc.PRSULIMIT) {
-				sa := groupOf(p)
-				sa.PropagateUlimit(p)
-				c.propagated(sa)
-			}
+			c.publish(proc.PRSULIMIT)
 			return newLimit, nil
 		default:
 			return -1, fs.ErrInval
@@ -461,11 +443,7 @@ func (c *Context) Setuid(uid uint16) error {
 		}
 		p.Uid = uid
 		p.Mu.Unlock()
-		if p.Shares(proc.PRSID) {
-			sa := groupOf(p)
-			sa.PropagateID(p)
-			c.propagated(sa)
-		}
+		c.publish(proc.PRSID)
 		return nil
 	})
 }
@@ -481,11 +459,7 @@ func (c *Context) Setgid(gid uint16) error {
 		}
 		p.Gid = gid
 		p.Mu.Unlock()
-		if p.Shares(proc.PRSID) {
-			sa := groupOf(p)
-			sa.PropagateID(p)
-			c.propagated(sa)
-		}
+		c.publish(proc.PRSID)
 		return nil
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/klock"
@@ -37,21 +38,73 @@ func (c *Context) Getppid() int {
 	})
 }
 
-// checkProcLimit enforces the PR_MAXPROCS per-user limit.
-func (c *Context) checkProcLimit() error {
-	if c.S.NProcs() >= c.S.cfg.MaxProcs {
-		return ErrTooMany
-	}
-	return nil
+// spawnSpec describes a new process as data about resources — the paper's
+// shmask-by-resource table (§5.1; DESIGN.md "The creation table") with the
+// placement and charges each creating call adds. It never says which call
+// is asking.
+type spawnSpec struct {
+	name string
+	arg  int64 // entry argument, recorded for checkpoints
+
+	// join makes the child a member of the caller's share group (created
+	// on first use) holding mask; without it the child stands alone and
+	// mask is unused. A member with PR_SADDR runs in the group's space on
+	// a stack carved from it; every other child gets a copy-on-write image
+	// of everything the caller sees, plus — inside a group — a fresh PRDA
+	// and a private carved stack.
+	join bool
+	mask proc.Mask
+
+	// Stack placement for a member: an exact base (0 = the next free
+	// range) and a size in pages (0 = the caller's PR_SETSTACKSIZE).
+	stackAt    hw.VAddr
+	stackPages int
+
+	// Descriptors: a member with PR_SFDS takes the block's table. Any other
+	// child gets a private one — reopened from a checkpoint image's recorded
+	// paths when reopenFds is set, else a duplicate of the caller's.
+	reopenFds bool
+	fdImage   []ckpt.FdImage
+
+	cost      int64  // fixed charge: Cost.ProcCreate or Cost.ThreadCreate
+	chargeFds bool   // also charge Cost.FDTableCopy per descriptor the caller holds
+	kind      uint32 // trace.Create* kind recorded with EvCreate
 }
 
-// newChild builds the common parts of a fork/sproc child: identity copy
-// and bookkeeping. VM and descriptor setup differ per call.
-func (c *Context) newChild(name string) *proc.Proc {
+// spawn builds a process from spec and enters it in the process table, its
+// parent's child list and, for a member, the share group — not yet
+// started; the caller hands it to startProc. It is the only creation path:
+// fork, sproc, thread_create and restore's respawn differ in the spec they
+// pass. The child is linked in only after the last step that can fail (a
+// stack collision, a vanished file, a kill landing on a charge); until then
+// everything it was given is taken back, so a failed spawn leaves nothing
+// for wait(2) to hang on.
+func (c *Context) spawn(spec spawnSpec) (*proc.Proc, error) {
 	p := c.P
-	child := proc.New(c.S.allocPID(), name)
+	mach := c.S.Machine
+	if c.S.NProcs() >= c.S.cfg.MaxProcs { // the PR_MAXPROCS per-user limit
+		return nil, ErrTooMany
+	}
+	var sa *core.ShAddr
+	if spec.join {
+		sa = c.shareGroup()
+		// The group's own member ceiling (setshares MemberCap) is enforced
+		// here, like the per-user limit above: EAGAIN, before the child
+		// exists, so the gateway's sfRetry backoff applies and attrition
+		// can admit the call on a later attempt.
+		if cap := sa.MemberCap(); cap > 0 && sa.Size() >= int(cap) {
+			return nil, ErrTooMany
+		}
+	}
+
+	// The child starts with the caller's identity, limits, signal state and
+	// held directories; what it shares it adopts from the block on joining.
+	child := proc.New(c.S.allocPID(), spec.name)
 	child.Sched = c.S.Sched
 	child.PPID = p.PID
+	child.Arg = spec.arg
+	ownFds := sa == nil || spec.mask&proc.PRSFDS == 0
+	nfds := 0
 	p.Mu.Lock()
 	child.Uid, child.Gid = p.Uid, p.Gid
 	child.Umask = p.Umask
@@ -62,9 +115,145 @@ func (c *Context) newChild(name string) *proc.Proc {
 	child.Prio.Store(p.Prio.Load())
 	child.SigMask = p.SigMask
 	child.Handlers = p.Handlers
+	child.Cdir, child.Rdir = p.Cdir.Hold(), p.Rdir.Hold()
+	if ownFds && !spec.reopenFds {
+		child.Fd, child.FdFlags = p.DupFdTable()
+	}
+	if spec.chargeFds {
+		nfds = p.OpenFdCount()
+	}
+	p.Mu.Unlock()
+	if spec.stackPages > 0 {
+		child.StackMax = spec.stackPages
+	}
+
+	linked := false
+	defer func() {
+		if !linked {
+			c.unbuild(child, sa)
+		}
+	}()
+
+	if ownFds && spec.reopenFds {
+		if err := c.restoreFds(child, spec.fdImage); err != nil {
+			return nil, err
+		}
+	}
+
+	// Virtual memory.
+	charge := spec.cost + int64(nfds)*mach.Cost.FDTableCopy
+	if sa != nil && spec.mask&proc.PRSADDR != 0 {
+		child.ASID = sa.ASID
+		stack, err := sa.CarveStack(p, child, mach.Mem, spec.stackAt, child.StackMax, true)
+		if err != nil {
+			return nil, err
+		}
+		child.Stack = stack
+		child.Private = []*vm.PRegion{c.S.freshPRDA()}
+	} else {
+		child.ASID = mach.AllocASID()
+		img := c.cowImage()
+		if sa == nil {
+			child.Stack = vm.Find(img, stackBaseOf(p))
+		} else {
+			// Replace the inherited PRDA copy with a fresh private one; the
+			// PRDA sits at its fixed base in every image, so the index finds
+			// it without a scan. The new stack is not visible in the share
+			// group (paper §5.1).
+			if pr := vm.Find(img, vm.PRDABase); pr != nil && pr.Reg.Type == vm.RPRDA {
+				img = vm.Remove(img, pr)
+				pr.Reg.Detach()
+			}
+			img = vm.Insert(img, c.S.freshPRDA())
+			child.Stack, _ = sa.CarveStack(p, child, mach.Mem, 0, child.StackMax, false)
+			img = vm.Insert(img, child.Stack)
+		}
+		child.Private = img
+		// The duplication is charged per page under the EagerDup ablation
+		// (the spawn walks every slot) and per region on the lazy path —
+		// where the per-page walk is charged to whichever CPU takes the
+		// first touch, by the fault handler.
+		if c.S.cfg.EagerDup {
+			charge += int64(vm.TotalPages(img)) * mach.Cost.RegionDup
+		} else {
+			charge += int64(len(img)) * mach.Cost.LazyDup
+		}
+	}
+	c.charge(charge)
+
+	p.Mu.Lock()
 	p.Children = append(p.Children, child)
 	p.Mu.Unlock()
-	return child
+	linked = true
+	if sa != nil {
+		child.SetShMask(spec.mask)
+		sa.AddMember(child)
+		sa.Adopt(p, child, spec.mask)
+		// Batched frame reservation: prepay the child's expected working
+		// set against the group's account with one CAS, so a creation storm
+		// of members does not serialize on per-page quota charges. A
+		// refusal (quota cannot absorb the batch) just falls back to
+		// per-fill charging; the reservation's remainder is returned at
+		// reap.
+		if n := int64(c.S.cfg.SpawnReserve); n > 0 {
+			if rv := sa.FrameAcct().Reserve(n); rv != nil {
+				child.Resv = rv
+				c.S.spawnReserved.Add(n)
+			}
+		}
+	}
+	mach.Trace.Record(trace.EvCreate, int32(p.PID), p.CPU.Load(), uint64(child.PID), spec.kind)
+	c.S.register(child)
+	return child, nil
+}
+
+// unbuild takes back what spawn gave a child that will never run: its
+// carved stack, its image, its descriptors and directories.
+func (c *Context) unbuild(child *proc.Proc, sa *core.ShAddr) {
+	if sa != nil {
+		sa.ReleaseStack(c.P, child)
+	}
+	// As in reap: a member that touched the unborn child's stack range may
+	// have cached a translation to a frame that is now free.
+	vm.DetachList(child.Private)
+	c.S.Machine.ShootdownSpace(nil, child.ASID)
+	child.CloseAllFds()
+	child.Cdir.Release()
+	child.Rdir.Release()
+}
+
+// shareGroup returns the caller's share block, making the caller the
+// creator of a new group when it has none.
+func (c *Context) shareGroup() *core.ShAddr {
+	if sa := groupOf(c.P); sa != nil {
+		return sa
+	}
+	return core.NewWithOptions(c.P, core.Options{
+		ExclusiveVMLock: c.S.cfg.ExclusiveVMLock,
+		EagerAttrSync:   c.S.cfg.EagerAttrSync,
+		Topo:            c.S.Machine.Topo,
+		EagerDup:        c.S.cfg.EagerDup,
+	})
+}
+
+// cowImage builds a copy-on-write image of everything the caller sees: its
+// private list and, for a group member, the whole shared list. Duplication
+// makes previously writable frames aliased, so the space's cached
+// translations are flushed on every CPU before the child can run — unless
+// no duplicated region ever held a writable PTE, in which case no stale
+// writable entry can exist and the flush is skipped.
+func (c *Context) cowImage() []*vm.PRegion {
+	p := c.P
+	mach := c.S.Machine
+	cpu := c.cpu()
+	if sa := groupOf(p); sa != nil {
+		return sa.COWImage(p, func() { mach.ShootdownSpace(cpu, sa.ASID) })
+	}
+	img, flush := core.COWPrivate(p, c.S.cfg.EagerDup)
+	if flush {
+		mach.ShootdownSpace(cpu, p.ASID)
+	}
+	return img
 }
 
 // Fork creates a new process executing childMain with a copy-on-write
@@ -78,76 +267,16 @@ func (c *Context) newChild(name string) *proc.Proc {
 // deliberate interface divergence from fork(2).
 func (c *Context) Fork(name string, childMain Main) (int, error) {
 	return invoke(c, sysFork, func() (int, error) {
-		if err := c.checkProcLimit(); err != nil {
+		child, err := c.spawn(spawnSpec{
+			name: name,
+			cost: c.S.Machine.Cost.ProcCreate, chargeFds: true, kind: trace.CreateFork,
+		})
+		if err != nil {
 			return -1, err
 		}
-		p := c.P
-		mach := c.S.Machine
-		child := c.newChild(name)
-		child.ASID = mach.AllocASID()
-
-		// Descriptor table, directories.
-		p.Mu.Lock()
-		child.Fd, child.FdFlags = p.DupFdTable()
-		child.Cdir = p.Cdir.Hold()
-		child.Rdir = p.Rdir.Hold()
-		nfds := p.OpenFdCount()
-		p.Mu.Unlock()
-
-		// Copy-on-write image. Duplication makes previously writable frames
-		// aliased, so the parent space's cached translations are flushed on
-		// every CPU before the child can run — unless no duplicated region
-		// ever held a writable PTE, in which case no stale writable entry
-		// can exist and the flush is skipped. The duplication itself is
-		// lazy by default (O(1) per region, DESIGN.md §16); the table walk
-		// is charged at first touch by the fault handler.
-		cpu := c.cpu()
-		if sa := groupOf(p); sa != nil {
-			child.Private = sa.COWImage(p, func() { mach.ShootdownSpace(cpu, sa.ASID) })
-		} else {
-			child.Private = c.dupPrivate(p)
-		}
-		child.Stack = vm.Find(child.Private, stackBaseOf(p))
-
-		// Charge what fork costs: proc setup plus image duplication plus
-		// descriptor duplication.
-		c.charge(mach.Cost.ProcCreate + int64(nfds)*mach.Cost.FDTableCopy)
-		c.chargeImageDup(child.Private)
-
-		c.S.Machine.Trace.Record(trace.EvCreate, int32(p.PID), c.P.CPU.Load(), uint64(child.PID), trace.CreateFork)
-		c.S.register(child)
 		c.S.startProc(child, childMain)
 		return child.PID, nil
 	})
-}
-
-// dupPrivate duplicates p's private pregion list for a child image,
-// honoring the EagerDup ablation, and flushes the parent's space only when
-// the duplication created stale writable translations (some duplicated
-// region has held a writable PTE).
-func (c *Context) dupPrivate(p *proc.Proc) []*vm.PRegion {
-	dup := vm.DupListFlush
-	if c.S.cfg.EagerDup {
-		dup = vm.DupListEager
-	}
-	img, flush := dup(p.Private)
-	if flush {
-		c.S.Machine.ShootdownSpace(c.cpu(), p.ASID)
-	}
-	return img
-}
-
-// chargeImageDup charges the creation-time duplication cost of a child
-// image: per page under the EagerDup ablation (the spawn walks every
-// slot), per region on the lazy path — where the per-page walk is charged
-// to whichever CPU takes the first touch, by the fault handler.
-func (c *Context) chargeImageDup(img []*vm.PRegion) {
-	mach := c.S.Machine
-	if c.S.cfg.EagerDup {
-		c.charge(int64(vm.TotalPages(img)) * mach.Cost.RegionDup)
-		return
-	}
-	c.charge(int64(len(img)) * mach.Cost.LazyDup)
 }
 
 // groupOf returns p's share block, if any.
@@ -170,158 +299,63 @@ func stackBaseOf(p *proc.Proc) hw.VAddr {
 	return 0
 }
 
+// inheritMask masks a requested share mask against the caller's own —
+// strict inheritance (paper §5.1). A caller not yet in a group is about to
+// hold PR_SALL as its creator.
+func (c *Context) inheritMask(shmask proc.Mask) proc.Mask {
+	if c.P.InGroup() {
+		shmask &= c.P.ShMask()
+	}
+	return shmask
+}
+
+// startMember spawns a member of the caller's group from spec and starts
+// it at entry with the spec's argument.
+func (c *Context) startMember(spec spawnSpec, entry func(*Context, int64)) (int, error) {
+	child, err := c.spawn(spec)
+	if err != nil {
+		return -1, err
+	}
+	c.S.startProc(child, func(cc *Context) { entry(cc, spec.arg) })
+	return child.PID, nil
+}
+
 // Sproc creates a new process within the caller's share group (creating
 // the group on first use), sharing the resources selected by shmask. The
 // child starts at entry with arg as its only argument, on a fresh stack
-// carved from the shared space. The child's share mask is masked against
-// the parent's — strict inheritance (paper §5.1).
+// carved from the shared space.
 func (c *Context) Sproc(name string, entry func(*Context, int64), shmask proc.Mask, arg int64) (int, error) {
 	return invoke(c, sysSproc, func() (int, error) {
-		return c.sproc(name, entry, shmask, arg, false)
+		shmask = c.inheritMask(shmask)
+		return c.startMember(spawnSpec{
+			name: name, arg: arg, join: true, mask: shmask,
+			cost: c.S.Machine.Cost.ProcCreate, chargeFds: shmask&proc.PRSFDS != 0, kind: trace.CreateSproc,
+		}, entry)
 	})
 }
 
 // ThreadCreate is the Mach-baseline creation path (paper §2, Figure 3): a
 // new execution context sharing everything in the task, paying only for a
-// kernel stack and thread context — no region or descriptor duplication.
-// It is implemented on the share-group machinery with a full share mask,
-// which is exactly the paper's argument: a thread is a process that shares
-// everything.
+// kernel stack and thread context — no region or descriptor duplication
+// (Mach threads reference the task's table directly). It is a spawn with a
+// full share mask, which is exactly the paper's argument: a thread is a
+// process that shares everything.
 func (c *Context) ThreadCreate(name string, entry func(*Context, int64), arg int64) (int, error) {
 	return invoke(c, sysThread, func() (int, error) {
-		return c.sproc(name, entry, proc.PRSALL, arg, true)
+		spec := spawnSpec{
+			name: name, arg: arg, join: true, mask: c.inheritMask(proc.PRSALL),
+			cost: c.S.Machine.Cost.ThreadCreate, kind: trace.CreateThread,
+		}
+		if spec.mask&proc.PRSADDR == 0 {
+			// No shared space to thread in: the child is built, and
+			// charged, as a process.
+			spec.cost = c.S.Machine.Cost.ProcCreate
+		}
+		return c.startMember(spec, entry)
 	})
 }
 
-// sproc is the shared creation path behind Sproc and ThreadCreate; the
-// caller dispatches it through the gateway under its own descriptor.
-func (c *Context) sproc(name string, entry func(*Context, int64), shmask proc.Mask, arg int64, asThread bool) (int, error) {
-	if err := c.checkProcLimit(); err != nil {
-		return -1, err
-	}
-	p := c.P
-	mach := c.S.Machine
-
-	// First sproc creates the share group.
-	sa := groupOf(p)
-	if sa == nil {
-		sa = core.NewWithOptions(p, core.Options{
-			ExclusiveVMLock: c.S.cfg.ExclusiveVMLock,
-			EagerAttrSync:   c.S.cfg.EagerAttrSync,
-			Topo:            mach.Topo,
-			EagerDup:        c.S.cfg.EagerDup,
-		})
-	}
-	// The group's own member ceiling (setshares MemberCap) is enforced
-	// here, like the per-user limit above: EAGAIN, before any side effect,
-	// so the gateway's sfRetry backoff applies and attrition can admit the
-	// call on a later attempt.
-	if cap := sa.MemberCap(); cap > 0 && sa.Size() >= int(cap) {
-		return -1, ErrTooMany
-	}
-	shmask &= p.ShMask() // strict inheritance
-
-	child := c.newChild(name)
-	child.Arg = arg
-	shareVM := shmask&proc.PRSADDR != 0
-
-	// Virtual memory.
-	cpu := c.cpu()
-	if shareVM {
-		child.ASID = sa.ASID
-		child.Stack = sa.CarveStack(p, child, mach.Mem, child.StackMax, true)
-		child.Private = []*vm.PRegion{
-			{Reg: vm.NewRegion(mach.Mem, vm.RPRDA, vm.PRDAPages), Base: vm.PRDABase},
-		}
-		if asThread {
-			c.charge(mach.Cost.ThreadCreate)
-		} else {
-			c.charge(mach.Cost.ProcCreate)
-		}
-	} else {
-		// Copy-on-write image of the group's space; the new stack is
-		// not visible in the share group (paper §5.1).
-		child.ASID = mach.AllocASID()
-		img := sa.COWImage(p, func() { mach.ShootdownSpace(cpu, sa.ASID) })
-		// Replace the inherited PRDA copy with a fresh private one; the
-		// PRDA sits at its fixed base in every image, so the index finds it
-		// without a scan.
-		if pr := vm.Find(img, vm.PRDABase); pr != nil && pr.Reg.Type == vm.RPRDA {
-			img = vm.Remove(img, pr)
-			pr.Reg.Detach()
-		}
-		img = vm.Insert(img, &vm.PRegion{Reg: vm.NewRegion(mach.Mem, vm.RPRDA, vm.PRDAPages), Base: vm.PRDABase})
-		child.Stack = sa.CarveStack(p, child, mach.Mem, child.StackMax, false)
-		img = vm.Insert(img, child.Stack)
-		child.Private = img
-		c.charge(mach.Cost.ProcCreate)
-		c.chargeImageDup(img)
-	}
-
-	// Descriptors and directories: from the block when shared, from the
-	// parent otherwise.
-	cdir, rdir, umask, ulimit, uid, gid := sa.ShadowEnv()
-	if shmask&proc.PRSFDS != 0 {
-		child.Fd, child.FdFlags = sa.ShadowFds(p)
-		if !asThread { // Mach threads reference the task's table directly
-			p.Mu.Lock()
-			nfds := p.OpenFdCount()
-			p.Mu.Unlock()
-			c.charge(int64(nfds) * mach.Cost.FDTableCopy)
-		}
-	} else {
-		p.Mu.Lock()
-		child.Fd, child.FdFlags = p.DupFdTable()
-		p.Mu.Unlock()
-	}
-	child.Mu.Lock()
-	if shmask&proc.PRSDIR != 0 {
-		child.Cdir, child.Rdir = cdir.Hold(), rdir.Hold()
-	} else {
-		p.Mu.Lock()
-		child.Cdir, child.Rdir = p.Cdir.Hold(), p.Rdir.Hold()
-		p.Mu.Unlock()
-	}
-	if shmask&proc.PRSUMASK != 0 {
-		child.Umask = umask
-	}
-	if shmask&proc.PRSULIMIT != 0 {
-		child.Ulimit = ulimit
-	}
-	if shmask&proc.PRSID != 0 {
-		child.Uid, child.Gid = uid, gid
-	}
-	child.Mu.Unlock()
-
-	child.SetShMask(shmask)
-	sa.AddMember(child)
-
-	// Batched frame reservation: prepay the child's expected working set
-	// against the group's account with one CAS, so a creation storm of
-	// members does not serialize on per-page quota charges. A refusal
-	// (quota cannot absorb the batch) just falls back to per-fill
-	// charging; the reservation's remainder is returned at reap.
-	if n := int64(c.S.cfg.SpawnReserve); n > 0 {
-		if rv := sa.FrameAcct().Reserve(n); rv != nil {
-			child.Resv = rv
-			c.S.spawnReserved.Add(n)
-		}
-	}
-
-	kind := trace.CreateSproc
-	if asThread {
-		kind = trace.CreateThread
-	}
-	c.S.Machine.Trace.Record(trace.EvCreate, int32(p.PID), c.P.CPU.Load(), uint64(child.PID), kind)
-	c.S.register(child)
-	c.S.startProc(child, func(cc *Context) { entry(cc, arg) })
-	return child.PID, nil
-}
-
-// PrctlOpt selects a prctl(2) operation. The first four options are the
-// paper's §5.2 set; the last two implement the §8 scheduling extensions
-// ("the shared address block ... provides a convenient handle for making
-// scheduling decisions about the process group as a whole").
+// PrctlOpt selects a prctl(2) operation: the paper's §5.2 set.
 type PrctlOpt int
 
 const (
@@ -329,18 +363,11 @@ const (
 	PRMaxPProcs    PrctlOpt = 2 // number of processes the system can run in parallel
 	PRSetStackSize PrctlOpt = 3 // set the maximum stack size (bytes)
 	PRGetStackSize PrctlOpt = 4 // get the maximum stack size (bytes)
-	// Deprecated: the raw int64-valued group options survive only as a
-	// compatibility surface. New code controls a group through the typed
-	// calls — SetGang/SetGroupPrio wrappers and Setshares(GroupLimits) —
-	// which the gateway dispatches under their own descriptors.
-	PRSetGang   PrctlOpt = 5 // value!=0: gang-schedule this share group (§8)
-	PRGroupPrio PrctlOpt = 6 // set the scheduling priority of the whole group (§8)
 )
 
 var prctlNames = map[PrctlOpt]string{
 	PRMaxProcs: "PR_MAXPROCS", PRMaxPProcs: "PR_MAXPPROCS",
 	PRSetStackSize: "PR_SETSTACKSIZE", PRGetStackSize: "PR_GETSTACKSIZE",
-	PRSetGang: "PR_SETGANG", PRGroupPrio: "PR_GROUPPRIO",
 }
 
 // String returns the symbolic option name (PR_MAXPROCS). Unknown options
@@ -374,22 +401,6 @@ func (c *Context) Prctl(option PrctlOpt, value int64) (int64, error) {
 			c.P.Mu.Lock()
 			defer c.P.Mu.Unlock()
 			return int64(c.P.StackMax) * hw.PageSize, nil
-		case PRSetGang:
-			sa := groupOf(c.P)
-			if sa == nil {
-				return -1, fmt.Errorf("kernel: prctl: PR_SETGANG outside a share group")
-			}
-			sa.SetGang(value != 0)
-			return value, nil
-		case PRGroupPrio:
-			sa := groupOf(c.P)
-			if sa == nil {
-				return -1, fmt.Errorf("kernel: prctl: PR_GROUPPRIO outside a share group")
-			}
-			for _, m := range sa.Members() {
-				m.Prio.Store(int32(value))
-			}
-			return value, nil
 		default:
 			return -1, fmt.Errorf("kernel: prctl: unknown option %v", option)
 		}
@@ -424,22 +435,34 @@ func (c *Context) GetStackSize() int64 {
 	return v
 }
 
-// SetGang turns gang scheduling for the caller's share group on or off
-// (PR_SETGANG). Fails outside a share group.
+// SetGang and SetGroupPrio are the §8 scheduling extensions ("the shared
+// address block ... provides a convenient handle for making scheduling
+// decisions about the process group as a whole"). Both dispatch as
+// prctl(2) and fail outside a share group.
+func (c *Context) groupPrctl(what string, apply func(*core.ShAddr)) error {
+	return invoke0(c, sysPrctl, func() error {
+		sa := groupOf(c.P)
+		if sa == nil {
+			return fmt.Errorf("kernel: prctl: %s outside a share group", what)
+		}
+		apply(sa)
+		return nil
+	})
+}
+
+// SetGang turns gang scheduling for the caller's share group on or off.
 func (c *Context) SetGang(on bool) error {
-	v := int64(0)
-	if on {
-		v = 1
-	}
-	_, err := c.Prctl(PRSetGang, v)
-	return err
+	return c.groupPrctl("setgang", func(sa *core.ShAddr) { sa.SetGang(on) })
 }
 
 // SetGroupPrio sets the scheduling priority of every member of the
-// caller's share group (PR_GROUPPRIO). Fails outside a share group.
+// caller's share group.
 func (c *Context) SetGroupPrio(prio int32) error {
-	_, err := c.Prctl(PRGroupPrio, int64(prio))
-	return err
+	return c.groupPrctl("setgroupprio", func(sa *core.ShAddr) {
+		for _, m := range sa.Members() {
+			m.Prio.Store(prio)
+		}
+	})
 }
 
 // Unshare implements the §8 "stop sharing" extension: the caller withdraws
@@ -471,19 +494,7 @@ func (c *Context) Unshare(mask proc.Mask) error {
 		p.SetShMask(p.ShMask() &^ mask)
 		// Synchronization bits for the withdrawn resources are now stale;
 		// clear exactly those, keeping any pending sync for what remains.
-		var stale uint32
-		for _, mb := range []struct {
-			m proc.Mask
-			b uint32
-		}{
-			{proc.PRSFDS, proc.FSyncFds}, {proc.PRSDIR, proc.FSyncDir},
-			{proc.PRSUMASK, proc.FSyncUmask}, {proc.PRSULIMIT, proc.FSyncUlimit},
-			{proc.PRSID, proc.FSyncID},
-		} {
-			if mask&mb.m != 0 {
-				stale |= mb.b
-			}
-		}
+		stale := uint32(mask) & proc.FSyncAny
 		for {
 			oldBits := p.Flag.Load()
 			if p.Flag.CompareAndSwap(oldBits, oldBits&^stale) {

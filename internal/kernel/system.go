@@ -311,9 +311,15 @@ func (s *System) newImage(p *proc.Proc) {
 		&vm.PRegion{Reg: vm.NewRegion(mem, vm.RText, s.cfg.TextPages), Base: vm.TextBase},
 		&vm.PRegion{Reg: vm.NewRegion(mem, vm.RData, s.cfg.DataPages), Base: vm.DataBase},
 		&vm.PRegion{Reg: vm.NewRegion(mem, vm.RStack, p.StackMax), Base: stackBase},
-		&vm.PRegion{Reg: vm.NewRegion(mem, vm.RPRDA, vm.PRDAPages), Base: vm.PRDABase},
+		s.freshPRDA(),
 	)
 	p.Stack = vm.Find(p.Private, stackBase)
+}
+
+// freshPRDA returns a new, untouched PRDA at its fixed base: every process
+// that is not a plain fork copy starts with its own.
+func (s *System) freshPRDA() *vm.PRegion {
+	return &vm.PRegion{Reg: vm.NewRegion(s.Machine.Mem, vm.RPRDA, vm.PRDAPages), Base: vm.PRDABase}
 }
 
 // Start launches a fresh top-level process executing main and returns its

@@ -81,15 +81,18 @@ func (m Mask) String() string {
 
 // Synchronization bits held in the p_flag word. When a member changes a
 // shared resource it sets the matching bit on every other sharing member;
-// the bits are checked in a single test on kernel entry (paper §6.3).
+// the bits are checked in a single test on kernel entry (paper §6.3). Each
+// resource's sync bit is its share-mask bit, so a set of resources and the
+// set of pending syncs convert by a cast; the address space has no bit —
+// it is shared by reference, never by copy.
 const (
-	FSyncFds uint32 = 1 << iota // descriptor table out of date
-	FSyncDir                    // cdir/rdir out of date
-	FSyncUmask
-	FSyncUlimit
-	FSyncID // uid/gid out of date
+	FSyncFds    = uint32(PRSFDS)    // descriptor table out of date
+	FSyncDir    = uint32(PRSDIR)    // cdir/rdir out of date
+	FSyncUmask  = uint32(PRSUMASK)  // umask out of date
+	FSyncUlimit = uint32(PRSULIMIT) // ulimit out of date
+	FSyncID     = uint32(PRSID)     // uid/gid out of date
 
-	FSyncAny = FSyncFds | FSyncDir | FSyncUmask | FSyncUlimit | FSyncID
+	FSyncAny = uint32(PRSALL &^ PRSADDR)
 )
 
 // ShareGroup is what the process layer needs from the shared address
@@ -106,7 +109,7 @@ type ShareGroup interface {
 	// Size returns the current number of members.
 	Size() int
 	// Gang reports whether the group asked to be gang-scheduled
-	// (prctl PR_SETGANG, the paper's §8 scheduling extension).
+	// (SetGang, the paper's §8 scheduling extension).
 	Gang() bool
 	// CPUAcct returns the group's fair-share CPU account (never nil):
 	// the scheduler charges it at quantum boundaries and orders run

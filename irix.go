@@ -148,16 +148,13 @@ const (
 	PRSALL    = proc.PRSALL    // share everything
 )
 
-// prctl options (paper §5.2 plus the §8 scheduling extensions). Typed as
-// PrctlOpt; Ctx also offers ergonomic wrappers (MaxProcs, SetStackSize,
-// SetGang, ...) over the raw Prctl call.
+// prctl options (paper §5.2). Typed as PrctlOpt; Ctx also offers ergonomic
+// wrappers (MaxProcs, SetStackSize, ...) over the raw Prctl call.
 const (
 	PRMaxProcs     = kernel.PRMaxProcs
 	PRMaxPProcs    = kernel.PRMaxPProcs
 	PRSetStackSize = kernel.PRSetStackSize
 	PRGetStackSize = kernel.PRGetStackSize
-	PRSetGang      = kernel.PRSetGang
-	PRGroupPrio    = kernel.PRGroupPrio
 )
 
 // Inode mode bits (Stat.Mode).

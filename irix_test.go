@@ -41,8 +41,8 @@ func TestPublicAPIQuickstart(t *testing.T) {
 			c.Sproc("w", func(w *irix.Ctx, _ int64) {
 				for n := 0; n < per; n++ {
 					lock.Lock(w)
-					v, _ := w.Load32(shm + 4)
-					w.Store32(shm+4, v+1)
+					v, _ := w.Load32(shm + irix.SyncBytes)
+					w.Store32(shm+irix.SyncBytes, v+1)
 					lock.Unlock(w)
 				}
 			}, irix.PRSALL, int64(i))
@@ -50,7 +50,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		for i := 0; i < members; i++ {
 			c.Wait()
 		}
-		if v, _ := c.Load32(shm + 4); v != members*per {
+		if v, _ := c.Load32(shm + irix.SyncBytes); v != members*per {
 			t.Errorf("counter = %d", v)
 		}
 	})
