@@ -339,3 +339,92 @@ func BenchmarkCkptRoundTrip(b *testing.B) {
 	})
 	sys.WaitIdle()
 }
+
+// Host-side cost of one poll(2) call over a C10k member's set — 1 024 idle
+// connections and, last in the set, the one that is or becomes ready: the
+// S7 hot spot. "ready-at-entry" returns from its first scan having
+// subscribed to the whole set; "one-sleep" scans, sleeps, is woken by a
+// writer's byte and scans again. One simulated CPU, so the writer runs
+// exactly while the poller sleeps and simcyc/op is the same every run.
+func BenchmarkPollScan(b *testing.B) {
+	const idle = 1024
+	conf := cfg()
+	conf.NCPU, conf.TimeSlice, conf.MaxFiles = 1, 1<<40, 2*(idle+1)+16
+	for _, sleeps := range []bool{false, true} {
+		name := "ready-at-entry"
+		if sleeps {
+			name = "one-sleep"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			sys := kernel.NewSystem(conf)
+			sys.Start("poller", func(c *kernel.Context) {
+				fail := func(what string, err error) bool {
+					if err != nil {
+						b.Errorf("%s: %v", what, err)
+					}
+					return err != nil
+				}
+				lfd, err := c.NetListen("pollscan")
+				if fail("listen", err) {
+					return
+				}
+				set := make([]kernel.PollFd, 0, idle+1)
+				var client int // far end of the last connection
+				for i := 0; i <= idle; i++ {
+					cfd, err := c.NetConnect("pollscan")
+					if fail("connect", err) {
+						return
+					}
+					sfd, err := c.NetAccept(lfd)
+					if fail("accept", err) {
+						return
+					}
+					set = append(set, kernel.PollFd{Fd: sfd, Events: kernel.PollIn})
+					client = cfd
+				}
+				goR, goW, err := c.Pipe()
+				if fail("pipe", err) {
+					return
+				}
+				if sleeps {
+					// The writer answers each byte on the go pipe with one
+					// on the connection, and leaves when the pipe closes.
+					c.Fork("writer", func(w *kernel.Context) {
+						w.Close(goW)
+						for {
+							if n, err := w.Read(goR, DataBase, 1); n != 1 || err != nil {
+								return
+							}
+							w.Write(client, DataBase, 1)
+						}
+					})
+				} else {
+					c.Write(client, DataBase, 1)
+				}
+				before, cyc := sys.Stats().PollSleeps, c.P.Cycles.Load()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if sleeps {
+						c.Write(goW, DataBase, 1)
+					}
+					if n, err := c.Poll(set, -1); n != 1 || err != nil {
+						b.Errorf("poll = (%d, %v), want one ready", n, err)
+						break
+					}
+					if sleeps {
+						c.Read(set[idle].Fd, DataBase, 1)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(c.P.Cycles.Load()-cyc)/float64(b.N), "simcyc/op")
+				b.ReportMetric(float64(sys.Stats().PollSleeps-before)/float64(b.N), "sleeps/op")
+				c.Close(goW)
+				if sleeps {
+					c.Wait()
+				}
+			})
+			sys.WaitIdle()
+		})
+	}
+}

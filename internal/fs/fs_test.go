@@ -2,8 +2,12 @@ package fs
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/klock"
 )
 
 type nopThread struct{ ch chan struct{} }
@@ -412,5 +416,89 @@ func TestOpenCreatDoesNotTruncateExisting(t *testing.T) {
 	st, _ := f.StatPath(c, "/keep")
 	if st.Size != int64(len("precious+more")) {
 		t.Fatalf("size = %d; O_CREAT truncated an existing file", st.Size)
+	}
+}
+
+// wordStream is a minimal Pollable: readiness in an atomic word, waiters
+// in a list, a transition notifying them after the word is stored.
+type wordStream struct {
+	ready   atomic.Uint32
+	mu      sync.Mutex
+	waiters []*PollWaiter
+}
+
+func (s *wordStream) Read(klock.Thread, []byte, bool) (int, error)  { return 0, ErrAgain }
+func (s *wordStream) Write(klock.Thread, []byte, bool) (int, error) { return 0, ErrAgain }
+func (s *wordStream) Close()                                        {}
+func (s *wordStream) Ready() uint16                                 { return uint16(s.ready.Load()) }
+func (s *wordStream) PollRegister(w *PollWaiter) {
+	s.mu.Lock()
+	s.waiters = append(s.waiters, w)
+	s.mu.Unlock()
+}
+func (s *wordStream) PollUnregister(w *PollWaiter) {
+	s.mu.Lock()
+	for i, x := range s.waiters {
+		if x == w {
+			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+			break
+		}
+	}
+	s.mu.Unlock()
+}
+func (s *wordStream) set(m uint16) {
+	s.mu.Lock()
+	s.ready.Store(uint32(m))
+	for _, w := range s.waiters {
+		w.Notify()
+	}
+	s.mu.Unlock()
+}
+
+// TestPollFileDelegation: an open file polls as its stream does, and a
+// regular file — storage never blocks — is always ready in both directions
+// and has no transitions to subscribe to.
+func TestPollFileDelegation(t *testing.T) {
+	f := New()
+	reg, err := f.Open(rootCred(f), "/plain", ORead|OWrite|OCreat, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Release()
+	th := newNopThread()
+	w := &PollWaiter{T: th}
+	if m := reg.PollReady(); m != PollIn|PollOut {
+		t.Errorf("regular file ready mask %#x, want PollIn|PollOut", m)
+	}
+	if reg.PollRegister(w) {
+		t.Error("regular file accepted a poll registration")
+	}
+	reg.PollUnregister(w) // never registered: must be harmless
+
+	s := &wordStream{}
+	file := NewFile(nil, s, ORead|OWrite)
+	defer file.Release()
+	if m := file.PollReady(); m != 0 {
+		t.Errorf("idle stream ready mask %#x, want 0", m)
+	}
+	if !file.PollRegister(w) {
+		t.Fatal("stream file refused a poll registration")
+	}
+	s.set(PollIn)
+	if m := file.PollReady(); m != PollIn {
+		t.Errorf("ready mask %#x after the transition, want PollIn", m)
+	}
+	if n := w.Notified.Load(); n != 1 {
+		t.Errorf("waiter notified %d times, want 1", n)
+	}
+	select {
+	case <-th.ch:
+	default:
+		t.Error("the transition deposited no wake for the waiter's thread")
+	}
+	file.PollUnregister(w)
+	s.set(PollIn | PollHup)
+	if n := w.Notified.Load(); n != 1 {
+		t.Errorf("withdrawn waiter notified again (%d)", n)
 	}
 }

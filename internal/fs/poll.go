@@ -30,10 +30,18 @@ const (
 // re-checks Ready after every notification; a notification whose condition
 // has already been consumed by someone else is a spurious wake the waiter
 // must tolerate.
+//
+// Ready takes no lock: a stream keeps its mask in an atomic word. The
+// stream's side of the contract is "mutate, publish, notify", all under
+// its mutex; the waiter's side is "register (under that same mutex), then
+// load". A transition whose critical section precedes the registration has
+// published before the load; one that follows it finds the waiter
+// registered and notifies it. Neither order loses a wakeup.
 type Pollable interface {
-	// Ready returns the current readiness mask.
+	// Ready returns the current readiness mask, without blocking.
 	Ready() uint16
-	// PollRegister subscribes w to readiness transitions on the stream.
+	// PollRegister subscribes w to readiness transitions on the stream,
+	// under the stream's mutex.
 	PollRegister(w *PollWaiter)
 	// PollUnregister withdraws a subscription. Safe to call after the
 	// stream closed, and for a waiter that was never registered.

@@ -29,12 +29,23 @@ const PipeCap = 10240
 
 // Pipe is a bounded kernel byte queue with blocking reads and writes.
 type Pipe struct {
-	mu      sync.Mutex
+	// mu guards buf, readers, writers and both queues. It points at the
+	// pipe's own lock, or — for the two pipes of a socket pair — at the
+	// first one's, so an endpoint's poller subscribes to and withdraws
+	// from both directions under one hold (socketPair).
+	mu      *sync.Mutex
+	lock    sync.Mutex
 	buf     []byte
 	readers int32
 	writers int32
 	rq      evQueue // reader-side events: data arrived, writers gone
 	wq      evQueue // writer-side events: space appeared, readers gone
+
+	// ready is the published readiness word: readyRead() in the low half,
+	// readyWrite() in the high half. publish recomputes it under mu after
+	// every change to buf, readers or writers and before the change is
+	// announced on a queue, so Ready() is a load (see fs.Pollable).
+	ready atomic.Uint32
 
 	// FI, when armed, injects spurious wakeups (SiteIPCSleep) and short
 	// reads/writes (SiteIPCData). The kernel sets it at pipe creation.
@@ -48,7 +59,10 @@ type Pipe struct {
 
 // NewPipe creates a pipe with one reader and one writer end open.
 func NewPipe() *Pipe {
-	return &Pipe{readers: 1, writers: 1}
+	p := &Pipe{readers: 1, writers: 1}
+	p.mu = &p.lock
+	p.publish()
+	return p
 }
 
 // WakeCounts returns the sleeper wakeups issued on the reader and writer
@@ -84,6 +98,11 @@ func (p *Pipe) readyWrite() uint16 {
 	return 0
 }
 
+// publish stores the readiness word. Caller holds p.mu.
+func (p *Pipe) publish() {
+	p.ready.Store(uint32(p.readyRead()) | uint32(p.readyWrite())<<16)
+}
+
 // read implements the reader end: block while empty (unless all writers
 // are gone: EOF), then drain up to len(b) bytes. A pending signal breaks
 // the sleep with ErrIntr; with nonblock an empty pipe returns ErrAgain
@@ -100,7 +119,7 @@ func (p *Pipe) read(t klock.Thread, b []byte, nonblock bool) (int, error) {
 			p.mu.Unlock()
 			return 0, fs.ErrAgain
 		}
-		if err := p.rq.waitOn(p.FI, &p.mu, t, "pipe read"); err != nil {
+		if err := p.rq.waitOn(p.FI, p.mu, t, "pipe read"); err != nil {
 			p.mu.Unlock()
 			return 0, err
 		}
@@ -113,7 +132,14 @@ func (p *Pipe) read(t klock.Thread, b []byte, nonblock bool) (int, error) {
 			p.FI.Note(faultinject.SiteIPCData, faultinject.FaultShortIO, uint32(n))
 		}
 	}
-	p.buf = p.buf[n:]
+	if n == len(p.buf) {
+		// Drained: rewind to the start of the backing array, so the next
+		// fill reuses it instead of allocating past its end.
+		p.buf = p.buf[:0]
+	} else {
+		p.buf = p.buf[n:]
+	}
+	p.publish()
 	p.BytesMoved.Add(int64(n))
 	if wasFull && n > 0 {
 		// Full→unfull transition: space appeared, release one writer.
@@ -156,7 +182,7 @@ func (p *Pipe) write(t klock.Thread, b []byte, nonblock bool) (int, error) {
 				}
 				return 0, fs.ErrAgain
 			}
-			if err := p.wq.waitOn(p.FI, &p.mu, t, "pipe write"); err != nil {
+			if err := p.wq.waitOn(p.FI, p.mu, t, "pipe write"); err != nil {
 				p.mu.Unlock()
 				if total > 0 {
 					return total, nil
@@ -171,6 +197,7 @@ func (p *Pipe) write(t klock.Thread, b []byte, nonblock bool) (int, error) {
 		}
 		wasEmpty := len(p.buf) == 0
 		p.buf = append(p.buf, b[:n]...)
+		p.publish()
 		b = b[n:]
 		total += n
 		if wasEmpty {
@@ -201,6 +228,7 @@ func (p *Pipe) closeEnd(read bool) {
 	} else {
 		p.writers--
 	}
+	p.publish()
 	p.rq.wake(p.PS, true)
 	p.wq.wake(p.PS, true)
 	p.mu.Unlock()
@@ -237,12 +265,11 @@ func (e *pipeEnd) Close() { e.p.closeEnd(e.read) }
 
 // Ready implements fs.Pollable for the end's own direction.
 func (e *pipeEnd) Ready() uint16 {
-	e.p.mu.Lock()
-	defer e.p.mu.Unlock()
+	r := e.p.ready.Load()
 	if e.read {
-		return e.p.readyRead()
+		return uint16(r)
 	}
-	return e.p.readyWrite()
+	return uint16(r >> 16)
 }
 
 // PollRegister implements fs.Pollable: subscribe on the end's queue.
@@ -293,33 +320,24 @@ func (d *duplexEnd) Close() {
 // Ready implements fs.Pollable: a duplex endpoint is readable by its
 // inbound pipe and writable by its outbound one.
 func (d *duplexEnd) Ready() uint16 {
-	d.in.mu.Lock()
-	m := d.in.readyRead()
-	d.in.mu.Unlock()
-	d.out.mu.Lock()
-	m |= d.out.readyWrite()
-	d.out.mu.Unlock()
-	return m
+	return uint16(d.in.ready.Load()) | uint16(d.out.ready.Load()>>16)
 }
 
-// PollRegister implements fs.Pollable: subscribe to both directions.
+// PollRegister implements fs.Pollable: subscribe to both directions,
+// under the pair's one mutex.
 func (d *duplexEnd) PollRegister(w *fs.PollWaiter) {
 	d.in.mu.Lock()
 	d.in.rq.register(w)
-	d.in.mu.Unlock()
-	d.out.mu.Lock()
 	d.out.wq.register(w)
-	d.out.mu.Unlock()
+	d.in.mu.Unlock()
 }
 
 // PollUnregister implements fs.Pollable.
 func (d *duplexEnd) PollUnregister(w *fs.PollWaiter) {
 	d.in.mu.Lock()
 	d.in.rq.unregister(w)
-	d.in.mu.Unlock()
-	d.out.mu.Lock()
 	d.out.wq.unregister(w)
-	d.out.mu.Unlock()
+	d.in.mu.Unlock()
 }
 
 // SocketPair creates a connected pair of duplex byte streams, modelling
@@ -330,6 +348,7 @@ func SocketPair() (a, b fs.Stream) { return socketPair(nil, nil) }
 // plan and poll-stats aggregator (Connect passes the namespace's through).
 func socketPair(fi *faultinject.Plan, ps *PollStats) (a, b fs.Stream) {
 	p1, p2 := NewPipe(), NewPipe()
+	p2.mu = p1.mu
 	p1.FI, p2.FI = fi, fi
 	p1.PS, p2.PS = ps, ps
 	return &duplexEnd{in: p1, out: p2}, &duplexEnd{in: p2, out: p1}

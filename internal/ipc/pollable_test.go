@@ -1,6 +1,8 @@
 package ipc
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,7 +61,7 @@ func TestPipeSingleWakePerTransition(t *testing.T) {
 			results <- n
 		}()
 	}
-	waitSleepers(t, &p.mu, &p.rq, nReaders)
+	waitSleepers(t, p.mu, &p.rq, nReaders)
 
 	th := newGoThread()
 	w.Write(th, []byte("x"), false)
@@ -70,7 +72,7 @@ func TestPipeSingleWakePerTransition(t *testing.T) {
 		t.Errorf("one write to %d sleepers issued %d reader wakes, want exactly 1", nReaders, rw)
 	}
 	// The other readers must still be asleep — no byte arrived for them.
-	waitSleepers(t, &p.mu, &p.rq, nReaders-1)
+	waitSleepers(t, p.mu, &p.rq, nReaders-1)
 
 	w.Write(th, []byte("y"), false)
 	<-results
@@ -100,7 +102,7 @@ func TestPipeReadBatonPassing(t *testing.T) {
 			results <- n
 		}()
 	}
-	waitSleepers(t, &p.mu, &p.rq, nReaders)
+	waitSleepers(t, p.mu, &p.rq, nReaders)
 
 	th := newGoThread()
 	if n, err := w.Write(th, []byte("abc"), false); n != 3 || err != nil {
@@ -134,7 +136,7 @@ func TestPipeCloseBroadcast(t *testing.T) {
 			results <- n
 		}()
 	}
-	waitSleepers(t, &p.mu, &p.rq, nReaders)
+	waitSleepers(t, p.mu, &p.rq, nReaders)
 	w.Close()
 	for i := 0; i < nReaders; i++ {
 		if n := <-results; n != 0 {
@@ -196,41 +198,124 @@ func TestListenerNonblockAndReadiness(t *testing.T) {
 	}
 }
 
+// pollWait is poll(2)'s protocol for one stream, as the kernel runs it:
+// subscribe, then load the mask, and sleep on the wake token while none of
+// want is set. asleep brackets each sleep, for the stall reports.
+func pollWait(p fs.Pollable, g *pollThread, w *fs.PollWaiter, want uint16, asleep *atomic.Bool) uint16 {
+	p.PollRegister(w)
+	defer p.PollUnregister(w)
+	for {
+		if m := p.Ready() & want; m != 0 {
+			return m
+		}
+		asleep.Store(true)
+		g.Block("poll")
+		asleep.Store(false)
+	}
+}
+
 // TestReadinessConservationStormRace hammers a socket pair with concurrent
-// writers, readers, and registered pollers (run under -race in tier 1) and
-// then audits the conservation laws of the readiness layer: every byte
-// written is read, every sleeper wake the queues issued is in the
-// aggregate counter, and every poller notification the queues published
-// was delivered to a registered waiter.
+// writers, readers, and pollers (run under -race in tier 1) at GOMAXPROCS
+// 1, 2 and NumCPU, and audits the readiness layer twice over. Conservation:
+// every byte written is read, every sleeper wake the queues issued is in
+// the aggregate counter, and every poller notification the queues published
+// was delivered to a registered waiter. Liveness: no poller is left asleep
+// while its stream is ready — in the storm, where the last transition (the
+// close) must reach every poller, and in a ping-pong where every single
+// transition is the only one that will ever come.
 func TestReadinessConservationStormRace(t *testing.T) {
+	levels := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		levels = append(levels, n)
+	}
+	for _, procs := range levels {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			readinessStorm(t)
+			readinessPingPong(t)
+		})
+	}
+}
+
+// readinessPingPong bounces one byte between two poll-driven endpoints.
+// Each side's write races the other side's subscribe-then-load, and nothing
+// else ever touches the pair, so one lost wakeup stops the exchange for
+// good with a ready stream and a sleeping poller.
+func readinessPingPong(t *testing.T) {
+	const rounds = 5000
+	a, b := socketPair(nil, nil)
+	if d := a.(*duplexEnd); d.in.mu != d.out.mu {
+		t.Fatal("the two pipes of a socket pair do not share one mutex; duplexEnd.PollRegister holds only one")
+	}
+	var asleep [2]atomic.Bool
+	side := func(s fs.Stream, serve bool, asleep *atomic.Bool) error {
+		g, th := newPollThread(), newGoThread()
+		w := &fs.PollWaiter{T: g}
+		one := []byte{0}
+		for i := 0; i < rounds; i++ {
+			if !serve {
+				if _, err := s.Write(th, one, true); err != nil {
+					return fmt.Errorf("round %d write: %v", i, err)
+				}
+			}
+			pollWait(s.(fs.Pollable), g, w, fs.PollIn, asleep)
+			if n, err := s.Read(th, one, true); n != 1 || err != nil {
+				return fmt.Errorf("round %d read after PollIn: (%d, %v)", i, n, err)
+			}
+			if serve {
+				if _, err := s.Write(th, one, true); err != nil {
+					return fmt.Errorf("round %d write: %v", i, err)
+				}
+			}
+		}
+		return nil
+	}
+	errs := make(chan error, 2)
+	go func() { errs <- side(a, false, &asleep[0]) }()
+	go func() { errs <- side(b, true, &asleep[1]) }()
+	deadline := time.After(60 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-deadline:
+			// The two goroutines stay parked; the pair is garbage to
+			// everyone else.
+			t.Fatalf("ping-pong stalled: client asleep=%v with mask %#x, server asleep=%v with mask %#x",
+				asleep[0].Load(), lockedMask(a), asleep[1].Load(), lockedMask(b))
+		}
+	}
+}
+
+// readinessStorm is the conservation audit: four writers and one reader
+// move 64 KiB across a socket pair while two pollers poll its read side.
+func readinessStorm(t *testing.T) {
 	ps := &PollStats{}
 	a, b := socketPair(nil, ps)
 	const nWriters = 4
 	const perWriter = 16 * 1024
 
-	// Pollers watch the b endpoint throughout the storm.
+	// Pollers call poll on the b endpoint for the whole storm — subscribe,
+	// load, sleep, withdraw, again — until they see the hang-up. Nothing
+	// stops them from outside.
 	const nPollers = 2
 	waiters := make([]*fs.PollWaiter, nPollers)
-	done := make(chan struct{})
+	asleep := make([]atomic.Bool, nPollers)
 	var pollerWG sync.WaitGroup
 	pb := b.(fs.Pollable)
 	for i := 0; i < nPollers; i++ {
 		g := newPollThread()
 		w := &fs.PollWaiter{T: g}
 		waiters[i] = w
-		pb.PollRegister(w)
 		pollerWG.Add(1)
-		go func() {
+		go func(asleep *atomic.Bool) {
 			defer pollerWG.Done()
-			for {
-				select {
-				case <-g.ch:
-					_ = pb.Ready() // level-triggered re-check
-				case <-done:
-					return
-				}
+			for pollWait(pb, g, w, fs.PollIn|fs.PollHup, asleep)&fs.PollHup == 0 {
+				runtime.Gosched() // readable: the reader's to consume
 			}
-		}()
+		}(&asleep[i])
 	}
 
 	var writerWG sync.WaitGroup
@@ -285,10 +370,15 @@ func TestReadinessConservationStormRace(t *testing.T) {
 	a.Close()
 	readerWG.Wait()
 
-	close(done)
-	pollerWG.Wait()
-	for _, w := range waiters {
-		pb.PollUnregister(w)
+	pollersDone := make(chan struct{})
+	go func() { pollerWG.Wait(); close(pollersDone) }()
+	select {
+	case <-pollersDone:
+	case <-time.After(60 * time.Second):
+		for i := range asleep {
+			t.Errorf("poller %d asleep=%v after the close; stream mask %#x", i, asleep[i].Load(), lockedMask(b))
+		}
+		t.FailNow()
 	}
 
 	if got := total.Load(); got != nWriters*perWriter {

@@ -3,6 +3,7 @@ package ipc
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/fs"
@@ -31,7 +32,29 @@ type Listener struct {
 	pending []fs.Stream
 	q       evQueue
 	closed  bool
+
+	// ready is the published readiness mask: publish recomputes it under
+	// mu after every change to pending or closed and before the change is
+	// announced on q, so Ready() is a load (see fs.Pollable).
+	ready atomic.Uint32
 }
+
+// readyMask returns the readiness mask: PollIn when a connection is
+// waiting in the backlog (the poll-driven accept loop's signal), PollHup
+// once closed. Caller holds l.mu.
+func (l *Listener) readyMask() uint16 {
+	var m uint16
+	if len(l.pending) > 0 {
+		m |= fs.PollIn
+	}
+	if l.closed {
+		m |= fs.PollIn | fs.PollHup
+	}
+	return m
+}
+
+// publish stores the readiness mask. Caller holds l.mu.
+func (l *Listener) publish() { l.ready.Store(uint32(l.readyMask())) }
 
 // Accept blocks until a client connects, returning the server-side stream.
 // A pending signal breaks the wait with ErrIntr; with nonblock an empty
@@ -42,6 +65,7 @@ func (l *Listener) Accept(t klock.Thread, nonblock bool) (fs.Stream, error) {
 		if len(l.pending) > 0 {
 			s := l.pending[0]
 			l.pending = l.pending[1:]
+			l.publish()
 			if len(l.pending) > 0 {
 				// Backlog left over: hand it to the next sleeping acceptor.
 				l.q.baton(l.ps)
@@ -69,6 +93,7 @@ func (l *Listener) Accept(t klock.Thread, nonblock bool) (fs.Stream, error) {
 func (l *Listener) Close() {
 	l.mu.Lock()
 	l.closed = true
+	l.publish()
 	l.q.wake(l.ps, true)
 	l.mu.Unlock()
 	l.net.mu.Lock()
@@ -86,20 +111,8 @@ func (l *Listener) Write(klock.Thread, []byte, bool) (int, error) {
 	return 0, fs.ErrBadFd
 }
 
-// Ready implements fs.Pollable: PollIn when a connection is waiting in the
-// backlog (the poll-driven accept loop's signal), PollHup once closed.
-func (l *Listener) Ready() uint16 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var m uint16
-	if len(l.pending) > 0 {
-		m |= fs.PollIn
-	}
-	if l.closed {
-		m |= fs.PollIn | fs.PollHup
-	}
-	return m
-}
+// Ready implements fs.Pollable.
+func (l *Listener) Ready() uint16 { return uint16(l.ready.Load()) }
 
 // PollRegister implements fs.Pollable.
 func (l *Listener) PollRegister(w *fs.PollWaiter) {
@@ -175,6 +188,7 @@ func (n *NetNames) Connect(t klock.Thread, name string) (fs.Stream, error) {
 		return nil, ErrNoListen
 	}
 	l.pending = append(l.pending, server)
+	l.publish()
 	l.q.wake(ps, false)
 	l.mu.Unlock()
 	return client, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/fs"
 	"repro/internal/hw"
 	"repro/internal/proc"
 	"repro/internal/trace"
@@ -18,6 +19,14 @@ import (
 type Context struct {
 	S *System
 	P *proc.Proc
+
+	// Scratch reused from call to call, so a serving loop's steady state
+	// allocates nothing per syscall: poll(2)'s snapshot of the files
+	// behind its set, and the kernel-side bounce buffer of read(2) and
+	// write(2) (every stream and inode copies out of or into it before
+	// the call returns).
+	pollFiles []*fs.File
+	xfer      []byte
 }
 
 // ErrFault is the base of address faults surfaced to programs that catch

@@ -237,6 +237,16 @@ func (c *Context) fdFileNb(fd int) (*fs.File, bool, error) {
 	return f, c.P.FdFlags[fd]&proc.FdNonblock != 0, nil
 }
 
+// xferBuf returns the context's bounce buffer sized to n bytes. Its
+// contents are whatever the last transfer left: callers fill it before
+// anyone reads it.
+func (c *Context) xferBuf(n int) []byte {
+	if cap(c.xfer) < n {
+		c.xfer = make([]byte, n)
+	}
+	return c.xfer[:n]
+}
+
 // Read reads up to n bytes from fd into the process's memory at va,
 // returning the count. The transfer faults pages in as needed.
 func (c *Context) Read(fd int, va hw.VAddr, n int) (int, error) {
@@ -245,7 +255,7 @@ func (c *Context) Read(fd int, va hw.VAddr, n int) (int, error) {
 		if err != nil {
 			return -1, err
 		}
-		buf := make([]byte, n)
+		buf := c.xferBuf(n)
 		got, err := f.Read(c.P, buf, nb)
 		if err != nil {
 			return -1, err
@@ -264,7 +274,7 @@ func (c *Context) Write(fd int, va hw.VAddr, n int) (int, error) {
 		if err != nil {
 			return -1, err
 		}
-		buf := make([]byte, n)
+		buf := c.xferBuf(n)
 		if err := c.LoadBytes(va, buf); err != nil {
 			return -1, err
 		}

@@ -10,11 +10,12 @@ import (
 
 // This file implements poll(2) and select(2) over the waitable-descriptor
 // abstraction (fs.Pollable): readiness is level-triggered state published
-// by the streams themselves, so poll is a pure consumer — register on
-// every descriptor's event queues, scan, and sleep until some stream
-// publishes a transition. One process watching ten thousand descriptors
-// replaces ten thousand processes blocked one-per-descriptor, which is
-// what lets a small share group serve the C10k workload (EXPERIMENTS S7).
+// by the streams themselves, so poll is a pure consumer — resolve the set
+// to open files once, subscribe to each file's event queues while scanning
+// it, and sleep until some stream publishes a transition. One process
+// watching ten thousand descriptors replaces ten thousand processes
+// blocked one-per-descriptor, which is what lets a small share group serve
+// the C10k workload (EXPERIMENTS S7).
 
 // Readiness bits re-exported at the syscall surface.
 const (
@@ -33,31 +34,56 @@ type PollFd struct {
 	Revents uint16
 }
 
+// pollResolve snapshots the open file behind every entry of the set, nil
+// for a descriptor that is not open, under one hold of the process lock.
+// The snapshot is what the whole call scans and what it unregisters from,
+// so a descriptor closed or reused while the caller sleeps cannot strand
+// its registration on the old file. It lives in the context's scratch
+// slice; Poll clears it on the way out.
+func (c *Context) pollResolve(fds []PollFd) []*fs.File {
+	files := c.pollFiles[:0]
+	p := c.P
+	p.Mu.Lock()
+	for i := range fds {
+		f, _ := p.GetFd(fds[i].Fd)
+		files = append(files, f)
+	}
+	p.Mu.Unlock()
+	c.pollFiles = files
+	return files
+}
+
 // pollScan fills in Revents for every entry and returns the number of
 // entries with a non-zero result. Error conditions (PollErr, PollHup,
 // PollNval) report regardless of Events, as in poll(2).
-func (c *Context) pollScan(fds []PollFd) int {
-	n := 0
+//
+// With reg set the scan also subscribes: it registers reg on each file
+// before reading that file's mask (the order fs.Pollable needs), and stops
+// registering at the first ready entry — the call will not sleep, so the
+// rest are only read. registered is the length of the subscribed prefix.
+func (c *Context) pollScan(fds []PollFd, files []*fs.File, reg *fs.PollWaiter) (n, registered int) {
 	// One table walk per scan: the classic kernel cost poll pays that a
 	// blocked read does not, charged per 8 descriptors like the bitmap
 	// word walks of the historical implementation.
 	c.charge(int64(len(fds)+7) / 8)
-	for i := range fds {
+	for i, f := range files {
 		fds[i].Revents = 0
-		f, err := c.fdFile(fds[i].Fd)
-		if err != nil {
+		if f == nil {
 			fds[i].Revents = fs.PollNval
 			n++
 			continue
 		}
-		mask := f.PollReady()
-		r := mask & (fds[i].Events | fs.PollErr | fs.PollHup | fs.PollNval)
+		if reg != nil && n == 0 {
+			f.PollRegister(reg)
+			registered = i + 1
+		}
+		r := f.PollReady() & (fds[i].Events | fs.PollErr | fs.PollHup | fs.PollNval)
 		if r != 0 {
 			fds[i].Revents = r
 			n++
 		}
 	}
-	return n
+	return n, registered
 }
 
 // Poll waits for readiness on a set of descriptors. timeout follows
@@ -73,17 +99,8 @@ func (c *Context) pollScan(fds []PollFd) int {
 func (c *Context) Poll(fds []PollFd, timeout int) (int, error) {
 	return invoke(c, sysPoll, func() (int, error) {
 		p := c.P
+		files := c.pollResolve(fds)
 		w := &fs.PollWaiter{T: p}
-		registered := false
-		defer func() {
-			if registered {
-				for i := range fds {
-					if f, err := c.fdFile(fds[i].Fd); err == nil {
-						f.PollUnregister(w)
-					}
-				}
-			}
-		}()
 		// A positive timeout arms a one-shot timer whose expiry notifies
 		// our own waiter registration: the same level-triggered deposit a
 		// stream transition makes, so the sleep below needs no second wake
@@ -98,22 +115,26 @@ func (c *Context) Poll(fds []PollFd, timeout int) (int, error) {
 			})
 			defer tm.Stop()
 		}
-		for {
-			// Register before scanning so a transition that lands between
-			// the scan and the sleep deposits a wake token instead of being
-			// lost. Stale tokens surface as spurious wakes; the loop
-			// re-scans and goes back down.
-			if timeout != 0 && !registered {
-				for i := range fds {
-					if f, err := c.fdFile(fds[i].Fd); err == nil {
-						f.PollRegister(w)
-					}
+		// The first scan of a call that may sleep subscribes as it goes, so
+		// a transition that lands between a file's scan and the sleep
+		// deposits a wake token instead of being lost. If that scan finds
+		// nothing, every file is subscribed and later scans only read.
+		// Stale tokens surface as spurious wakes; the loop re-scans and
+		// goes back down.
+		reg := w
+		if timeout == 0 {
+			reg = nil
+		}
+		n, registered := c.pollScan(fds, files, reg)
+		defer func() {
+			for _, f := range files[:registered] {
+				if f != nil {
+					f.PollUnregister(w)
 				}
-				registered = true
 			}
-			if n := c.pollScan(fds); n > 0 {
-				return n, nil
-			}
+			clear(files)
+		}()
+		for n == 0 {
 			if timeout == 0 || expired.Load() {
 				return 0, nil
 			}
@@ -130,10 +151,12 @@ func (c *Context) Poll(fds []PollFd, timeout int) (int, error) {
 			}
 			c.S.pollSleeps.Add(1)
 			p.Block("poll(2)")
-			// Loop: re-scan before looking at signals again, so a wake that
+			// Re-scan before looking at signals again, so a wake that
 			// carries both readiness and a signal (a child writing and then
 			// exiting) reports the events — EINTR only when nothing is ready.
+			n, _ = c.pollScan(fds, files, nil)
 		}
+		return n, nil
 	})
 }
 

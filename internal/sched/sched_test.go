@@ -22,13 +22,32 @@ func mkProc(s *Sched, pid int) *proc.Proc {
 	return p
 }
 
+// waitExited waits until every process is a zombie. A Spawn body returns —
+// which is where these tests signal completion — before the scheduler's
+// Exit gives the CPU back, so what is read straight after wg.Wait can
+// still show the last process on its CPU.
+func waitExited(t *testing.T, ps []*proc.Proc) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, p := range ps {
+		for p.State() != proc.SZomb {
+			if time.Now().After(deadline) {
+				t.Fatalf("process %d still %v after its body returned", p.PID, p.State())
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+}
+
 func TestParallelismCappedAtNCPU(t *testing.T) {
 	const ncpu = 2
 	s, _ := newSched(ncpu, 100)
 	var inside, maxSeen atomic.Int32
 	var wg sync.WaitGroup
+	var ps []*proc.Proc
 	for i := 0; i < 8; i++ {
 		p := mkProc(s, i+1)
+		ps = append(ps, p)
 		wg.Add(1)
 		s.Spawn(p, func() {
 			defer wg.Done()
@@ -49,6 +68,7 @@ func TestParallelismCappedAtNCPU(t *testing.T) {
 		})
 	}
 	wg.Wait()
+	waitExited(t, ps)
 	if m := maxSeen.Load(); m > ncpu {
 		t.Fatalf("observed %d simultaneous processes on %d CPUs", m, ncpu)
 	}

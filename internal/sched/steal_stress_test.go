@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/proc"
 )
 
 // TestStealingNeverLosesOrDuplicatesWork piles every process onto CPU 0's
@@ -18,8 +20,10 @@ func TestStealingNeverLosesOrDuplicatesWork(t *testing.T) {
 	s, _ := newSched(ncpu, 100)
 	var ran [procs]atomic.Int32
 	var wg sync.WaitGroup
+	var ps []*proc.Proc
 	for i := 0; i < procs; i++ {
 		p := mkProc(s, i+1)
+		ps = append(ps, p)
 		p.LastCPU.Store(0) // skew every enqueue onto CPU 0's queue
 		i := i
 		wg.Add(1)
@@ -36,6 +40,7 @@ func TestStealingNeverLosesOrDuplicatesWork(t *testing.T) {
 		})
 	}
 	wg.Wait()
+	waitExited(t, ps)
 
 	for i := range ran {
 		if n := ran[i].Load(); n != 1 {
