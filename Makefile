@@ -7,7 +7,7 @@ tier1: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -short -run 'Chaos' -count=1 ./internal/workload/
-	$(GO) test -race -short -run 'FaultStorm|COWBreak|StormRace|Bulk|WriteBytesEdges|CopyFrameUnder|Decode|Allocs|Spawn|CreationCharges|RestoreFailure|ShareMaskTable|Carve|Poll|PublishedReadiness' -count=1 ./internal/hw/ ./internal/ckpt/ ./internal/vm/ ./internal/workload/ ./internal/uspin/ ./internal/ipc/ ./internal/core/ ./internal/kernel/ ./internal/fs/
+	$(GO) test -race -short -run 'FaultStorm|COWBreak|StormRace|Bulk|WriteBytesEdges|CopyFrameUnder|Decode|Allocs|Spawn|CreationCharges|RestoreFailure|ShareMaskTable|Carve|Poll|PublishedReadiness|InterestSet|StandingWaiter|SelectSame|Netserver' -count=1 ./internal/hw/ ./internal/ckpt/ ./internal/vm/ ./internal/workload/ ./internal/uspin/ ./internal/ipc/ ./internal/core/ ./internal/kernel/ ./internal/fs/ ./examples/netserver/
 
 # Chaos: the full seeded fault-injection soak (deterministic per seed).
 .PHONY: chaos

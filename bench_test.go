@@ -342,8 +342,9 @@ func BenchmarkCkptRoundTrip(b *testing.B) {
 
 // Host-side cost of one poll(2) call over a C10k member's set — 1 024 idle
 // connections and, last in the set, the one that is or becomes ready: the
-// S7 hot spot. "ready-at-entry" returns from its first scan having
-// subscribed to the whole set; "one-sleep" scans, sleeps, is woken by a
+// S7 hot spot. The set is the same every call, so its registrations stand
+// and a call walks it once to reconcile; "ready-at-entry" finds the one
+// dirty entry in its first scan, "one-sleep" scans, sleeps, is woken by a
 // writer's byte and scans again. One simulated CPU, so the writer runs
 // exactly while the poller sleeps and simcyc/op is the same every run.
 func BenchmarkPollScan(b *testing.B) {

@@ -1,0 +1,48 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"os"
+	"testing"
+	"time"
+)
+
+// TestNetserverRuns runs the example end to end under a deadline: a
+// poll-driven dispatcher and two PR_SFDS workers serving twelve forked
+// clients, every wait of it inside poll(2). Each client prints the echo it
+// got back, so the output says whether every connection was served.
+func TestNetserverRuns(t *testing.T) {
+	stdout := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+
+	done := make(chan struct{})
+	go func() {
+		main()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("netserver did not finish within 10 s")
+	}
+	w.Close()
+	got := <-out
+	if n := bytes.Count(got, []byte(" echoes ")); n != clients {
+		t.Errorf("%d echoes printed, want one per client (%d):\n%s", n, clients, got)
+	}
+	if want := fmt.Sprintf("served %d clients with %d poll-driven", clients, workers); !bytes.Contains(got, []byte(want)) {
+		t.Errorf("no %q line in the output:\n%s", want, got)
+	}
+}

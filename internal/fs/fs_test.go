@@ -2,10 +2,12 @@ package fs
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/klock"
 )
@@ -424,22 +426,27 @@ func TestOpenCreatDoesNotTruncateExisting(t *testing.T) {
 type wordStream struct {
 	ready   atomic.Uint32
 	mu      sync.Mutex
-	waiters []*PollWaiter
+	waiters []wordReg
+}
+
+type wordReg struct {
+	w   *PollWaiter
+	tag uint32
 }
 
 func (s *wordStream) Read(klock.Thread, []byte, bool) (int, error)  { return 0, ErrAgain }
 func (s *wordStream) Write(klock.Thread, []byte, bool) (int, error) { return 0, ErrAgain }
 func (s *wordStream) Close()                                        {}
 func (s *wordStream) Ready() uint16                                 { return uint16(s.ready.Load()) }
-func (s *wordStream) PollRegister(w *PollWaiter) {
+func (s *wordStream) PollRegister(w *PollWaiter, tag uint32) {
 	s.mu.Lock()
-	s.waiters = append(s.waiters, w)
+	s.waiters = append(s.waiters, wordReg{w, tag})
 	s.mu.Unlock()
 }
-func (s *wordStream) PollUnregister(w *PollWaiter) {
+func (s *wordStream) PollUnregister(w *PollWaiter, tag uint32) {
 	s.mu.Lock()
 	for i, x := range s.waiters {
-		if x == w {
+		if x == (wordReg{w, tag}) {
 			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
 			break
 		}
@@ -449,8 +456,8 @@ func (s *wordStream) PollUnregister(w *PollWaiter) {
 func (s *wordStream) set(m uint16) {
 	s.mu.Lock()
 	s.ready.Store(uint32(m))
-	for _, w := range s.waiters {
-		w.Notify()
+	for _, r := range s.waiters {
+		r.w.Notify(r.tag)
 	}
 	s.mu.Unlock()
 }
@@ -470,10 +477,10 @@ func TestPollFileDelegation(t *testing.T) {
 	if m := reg.PollReady(); m != PollIn|PollOut {
 		t.Errorf("regular file ready mask %#x, want PollIn|PollOut", m)
 	}
-	if reg.PollRegister(w) {
+	if reg.PollRegister(w, 0) {
 		t.Error("regular file accepted a poll registration")
 	}
-	reg.PollUnregister(w) // never registered: must be harmless
+	reg.PollUnregister(w, 0) // never registered: must be harmless
 
 	s := &wordStream{}
 	file := NewFile(nil, s, ORead|OWrite)
@@ -481,7 +488,7 @@ func TestPollFileDelegation(t *testing.T) {
 	if m := file.PollReady(); m != 0 {
 		t.Errorf("idle stream ready mask %#x, want 0", m)
 	}
-	if !file.PollRegister(w) {
+	if !file.PollRegister(w, 0) {
 		t.Fatal("stream file refused a poll registration")
 	}
 	s.set(PollIn)
@@ -496,9 +503,156 @@ func TestPollFileDelegation(t *testing.T) {
 	default:
 		t.Error("the transition deposited no wake for the waiter's thread")
 	}
-	file.PollUnregister(w)
+	file.PollUnregister(w, 0)
 	s.set(PollIn | PollHup)
 	if n := w.Notified.Load(); n != 1 {
 		t.Errorf("withdrawn waiter notified again (%d)", n)
+	}
+}
+
+// TestStandingWaiterProtocol walks a standing waiter through each
+// interleaving of a stream's Notify with the poller's scan, Arm and Disarm,
+// one step at a time: where the mark goes, whether a wake token is
+// deposited, and whether the poller may sleep.
+func TestStandingWaiterProtocol(t *testing.T) {
+	th := newNopThread()
+	w := NewPollWaiter(th, 130)
+	if w.Words() != 3 {
+		t.Fatalf("130 tags in %d words, want 3", w.Words())
+	}
+	token := func() bool {
+		select {
+		case <-th.ch:
+			return true
+		default:
+			return false
+		}
+	}
+
+	// Not armed: a transition leaves its mark and no wake token.
+	w.BeginScan()
+	if w.Notify(70) {
+		t.Error("Notify on a disarmed waiter reports a delivered wake")
+	}
+	if token() || w.Notified.Load() != 0 {
+		t.Error("a disarmed waiter was sent a wake token")
+	}
+	// The mark landed after the scan began: the poller must not sleep.
+	if w.Arm() {
+		t.Error("Arm lets the thread sleep over a mark made since BeginScan")
+	}
+	w.Disarm()
+	// The next scan finds exactly that tag, once.
+	w.BeginScan()
+	if got := [3]uint64{w.TakeWord(0), w.TakeWord(1), w.TakeWord(2)}; got != [3]uint64{0, 1 << 6, 0} {
+		t.Errorf("dirty words %#x after Notify(70), want bit 6 of word 1", got)
+	}
+	if w.TakeWord(1) != 0 {
+		t.Error("TakeWord did not clear the word")
+	}
+	// The poller's own Mark (an entry still ready) does not stop a sleep:
+	// only a stream's transition does.
+	w.Mark(129)
+	if !w.Arm() {
+		t.Error("the poller's own mark kept it from sleeping")
+	}
+	// Armed: the first transition deposits the one token of this sleep,
+	// the second only marks.
+	if !w.Notify(3) || !token() {
+		t.Error("Notify on an armed waiter deposited no wake token")
+	}
+	if w.Notify(4) || token() {
+		t.Error("a second transition in one sleep deposited a second token")
+	}
+	if n := w.Notified.Load(); n != 1 {
+		t.Errorf("Notified = %d after one delivered wake, want 1", n)
+	}
+	w.Disarm()
+	if got := w.TakeWord(0); got != 1<<3|1<<4 {
+		t.Errorf("word 0 = %#x, want tags 3 and 4", got)
+	}
+	if got := w.TakeWord(2); got != 1<<1 {
+		t.Errorf("word 2 = %#x, want tag 129", got)
+	}
+	// A timeout's Wake ends an armed sleep and is nothing to a disarmed
+	// waiter.
+	w.Wake()
+	if token() {
+		t.Error("Wake sent a disarmed waiter a token")
+	}
+	w.BeginScan()
+	w.Arm()
+	w.Wake()
+	if !token() {
+		t.Error("Wake on an armed waiter deposited no token")
+	}
+
+	// A plain waiter keeps no marks and always delivers.
+	plain := &PollWaiter{T: th}
+	if !plain.Notify(9) || !token() || plain.Notified.Load() != 1 {
+		t.Error("a zero-value waiter did not deliver its notification")
+	}
+}
+
+// TestStandingWaiterStormRace races the two halves of the contract with
+// nothing in between: a stream that publishes and notifies the moment its
+// last transition was consumed, against a poller that takes the mark, loads,
+// arms and sleeps. The notification lands anywhere in the poller's
+// sequence — before the take, between the load and the Arm, after the Arm —
+// and every one must end with the poller awake and the transition seen.
+func TestStandingWaiterStormRace(t *testing.T) {
+	levels := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		levels = append(levels, n)
+	}
+	for _, procs := range levels {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const rounds = 200000
+			th := &tokenThread{ch: make(chan struct{}, 1)}
+			w := NewPollWaiter(th, 1)
+			var ready atomic.Uint32 // the stream's published mask
+			var seen atomic.Int64
+			done := make(chan struct{})
+			go func() { // the poller
+				defer close(done)
+				for seen.Load() < rounds {
+					w.BeginScan()
+					w.TakeWord(0)
+					if ready.Swap(0) != 0 {
+						seen.Add(1)
+						continue
+					}
+					if w.Arm() {
+						th.Block("poll")
+					}
+					w.Disarm()
+				}
+			}()
+			deadline := time.Now().Add(60 * time.Second)
+			for i := 0; i < rounds; i++ { // the stream
+				for spins := 1; ready.Load() != 0; spins++ {
+					runtime.Gosched()
+					if spins%4096 == 0 && time.Now().After(deadline) {
+						t.Fatalf("poller asleep with the stream ready after %d of %d transitions", seen.Load(), rounds)
+					}
+				}
+				ready.Store(1)
+				w.Notify(0)
+			}
+			<-done
+		})
+	}
+}
+
+// tokenThread is the process layer's coalescing wake token: Unblock never
+// blocks, and extra wakes collapse into one.
+type tokenThread struct{ ch chan struct{} }
+
+func (g *tokenThread) Block(string) { <-g.ch }
+func (g *tokenThread) Unblock() {
+	select {
+	case g.ch <- struct{}{}:
+	default:
 	}
 }

@@ -273,23 +273,23 @@ func (e *pipeEnd) Ready() uint16 {
 }
 
 // PollRegister implements fs.Pollable: subscribe on the end's queue.
-func (e *pipeEnd) PollRegister(w *fs.PollWaiter) {
+func (e *pipeEnd) PollRegister(w *fs.PollWaiter, tag uint32) {
 	e.p.mu.Lock()
 	if e.read {
-		e.p.rq.register(w)
+		e.p.rq.register(w, tag)
 	} else {
-		e.p.wq.register(w)
+		e.p.wq.register(w, tag)
 	}
 	e.p.mu.Unlock()
 }
 
 // PollUnregister implements fs.Pollable.
-func (e *pipeEnd) PollUnregister(w *fs.PollWaiter) {
+func (e *pipeEnd) PollUnregister(w *fs.PollWaiter, tag uint32) {
 	e.p.mu.Lock()
 	if e.read {
-		e.p.rq.unregister(w)
+		e.p.rq.unregister(w, tag)
 	} else {
-		e.p.wq.unregister(w)
+		e.p.wq.unregister(w, tag)
 	}
 	e.p.mu.Unlock()
 }
@@ -325,18 +325,18 @@ func (d *duplexEnd) Ready() uint16 {
 
 // PollRegister implements fs.Pollable: subscribe to both directions,
 // under the pair's one mutex.
-func (d *duplexEnd) PollRegister(w *fs.PollWaiter) {
+func (d *duplexEnd) PollRegister(w *fs.PollWaiter, tag uint32) {
 	d.in.mu.Lock()
-	d.in.rq.register(w)
-	d.out.wq.register(w)
+	d.in.rq.register(w, tag)
+	d.out.wq.register(w, tag)
 	d.in.mu.Unlock()
 }
 
 // PollUnregister implements fs.Pollable.
-func (d *duplexEnd) PollUnregister(w *fs.PollWaiter) {
+func (d *duplexEnd) PollUnregister(w *fs.PollWaiter, tag uint32) {
 	d.in.mu.Lock()
-	d.in.rq.unregister(w)
-	d.out.wq.unregister(w)
+	d.in.rq.unregister(w, tag)
+	d.out.wq.unregister(w, tag)
 	d.in.mu.Unlock()
 }
 

@@ -35,7 +35,7 @@ import (
 type PollStats struct {
 	Transitions  atomic.Int64 // readiness transitions published
 	SleeperWakes atomic.Int64 // blocked stream operations released
-	PollerWakes  atomic.Int64 // poll registrations notified
+	PollerWakes  atomic.Int64 // wake tokens deposited for pollers
 }
 
 // evQueue is one direction's event wait queue: the threads blocked in a
@@ -43,22 +43,31 @@ type PollStats struct {
 // it. Every field is guarded by the owning stream's mutex.
 type evQueue struct {
 	sleepers klock.WaitList
-	pollers  []*fs.PollWaiter
+	pollers  []poller
 	wakes    atomic.Int64 // sleeper wakeups issued (thundering-herd audit)
 }
 
-// register subscribes w. Owner's mutex held.
-func (q *evQueue) register(w *fs.PollWaiter) {
-	q.pollers = append(q.pollers, w)
+// poller is one poll(2) registration: the waiter and the tag it asked to
+// be notified with. The tag rides here, so a registration costs the waiter
+// no memory of its own.
+type poller struct {
+	w   *fs.PollWaiter
+	tag uint32
 }
 
-// unregister withdraws w (no-op if absent). Owner's mutex held.
-func (q *evQueue) unregister(w *fs.PollWaiter) {
+// register subscribes w under tag. Owner's mutex held.
+func (q *evQueue) register(w *fs.PollWaiter, tag uint32) {
+	q.pollers = append(q.pollers, poller{w, tag})
+}
+
+// unregister withdraws w's registration under tag (no-op if absent).
+// Owner's mutex held.
+func (q *evQueue) unregister(w *fs.PollWaiter, tag uint32) {
 	for i, x := range q.pollers {
-		if x == w {
+		if x == (poller{w, tag}) {
 			last := len(q.pollers) - 1
 			q.pollers[i] = q.pollers[last]
-			q.pollers[last] = nil
+			q.pollers[last] = poller{}
 			q.pollers = q.pollers[:last]
 			return
 		}
@@ -68,7 +77,9 @@ func (q *evQueue) unregister(w *fs.PollWaiter) {
 // wake publishes one readiness transition on the queue: release sleepers —
 // all of them when broadcast (terminal transitions: every sleeper's
 // condition holds), otherwise exactly one (the baton) — and notify every
-// registered poller. Owner's mutex held.
+// registered poller. PollerWakes counts the notifications that deposited a
+// wake token, not the registrations: a standing waiter whose thread is not
+// asleep in poll takes its mark and costs no wake. Owner's mutex held.
 func (q *evQueue) wake(ps *PollStats, broadcast bool) {
 	if ps != nil {
 		ps.Transitions.Add(1)
@@ -87,11 +98,14 @@ func (q *evQueue) wake(ps *PollStats, broadcast bool) {
 			ps.SleeperWakes.Add(int64(n))
 		}
 	}
-	for _, w := range q.pollers {
-		w.Notify()
+	woken := 0
+	for _, r := range q.pollers {
+		if r.w.Notify(r.tag) {
+			woken++
+		}
 	}
-	if ps != nil && len(q.pollers) > 0 {
-		ps.PollerWakes.Add(int64(len(q.pollers)))
+	if ps != nil && woken > 0 {
+		ps.PollerWakes.Add(int64(woken))
 	}
 }
 
@@ -115,6 +129,33 @@ func (q *evQueue) baton(ps *PollStats) {
 // the caller loops.
 func (q *evQueue) waitOn(fi *faultinject.Plan, mu *sync.Mutex, t klock.Thread, reason string) error {
 	return sleepOn(fi, mu, &q.sleepers, t, reason)
+}
+
+// PollRegistrations returns the number of poll(2) registrations standing
+// on the queues of stream s (0 for a stream that is not one of this
+// package's): what a process that has exited, exec'd or been killed must
+// have left behind on every stream it ever polled.
+func PollRegistrations(s fs.Stream) int {
+	count := func(mu *sync.Mutex, qs ...*evQueue) (n int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, q := range qs {
+			n += len(q.pollers)
+		}
+		return n
+	}
+	switch e := s.(type) {
+	case *pipeEnd:
+		if e.read {
+			return count(e.p.mu, &e.p.rq)
+		}
+		return count(e.p.mu, &e.p.wq)
+	case *duplexEnd:
+		return count(e.in.mu, &e.in.rq, &e.out.wq)
+	case *Listener:
+		return count(&e.mu, &e.q)
+	}
+	return 0
 }
 
 // SleeperWakes returns the number of sleeper wakeups the queue has issued

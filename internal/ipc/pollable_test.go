@@ -198,19 +198,25 @@ func TestListenerNonblockAndReadiness(t *testing.T) {
 	}
 }
 
-// pollWait is poll(2)'s protocol for one stream, as the kernel runs it:
-// subscribe, then load the mask, and sleep on the wake token while none of
-// want is set. asleep brackets each sleep, for the stall reports.
+// pollWait is poll(2)'s protocol for one stream, as the kernel runs it on a
+// standing registration (w registered on p under tag 0 by the caller): take
+// the mark, then load the mask; while none of want is set, arm, look for a
+// mark made meanwhile, and only then sleep on the wake token. asleep
+// brackets each sleep, for the stall reports.
 func pollWait(p fs.Pollable, g *pollThread, w *fs.PollWaiter, want uint16, asleep *atomic.Bool) uint16 {
-	p.PollRegister(w)
-	defer p.PollUnregister(w)
 	for {
+		w.BeginScan()
+		w.TakeWord(0)
 		if m := p.Ready() & want; m != 0 {
+			w.Mark(0) // level-triggered: ready stays dirty
 			return m
 		}
-		asleep.Store(true)
-		g.Block("poll")
-		asleep.Store(false)
+		if w.Arm() {
+			asleep.Store(true)
+			g.Block("poll")
+			asleep.Store(false)
+		}
+		w.Disarm()
 	}
 }
 
@@ -238,7 +244,7 @@ func TestReadinessConservationStormRace(t *testing.T) {
 }
 
 // readinessPingPong bounces one byte between two poll-driven endpoints.
-// Each side's write races the other side's subscribe-then-load, and nothing
+// Each side's write races the other side's take-load-arm-sleep, and nothing
 // else ever touches the pair, so one lost wakeup stops the exchange for
 // good with a ready stream and a sleeping poller.
 func readinessPingPong(t *testing.T) {
@@ -250,7 +256,9 @@ func readinessPingPong(t *testing.T) {
 	var asleep [2]atomic.Bool
 	side := func(s fs.Stream, serve bool, asleep *atomic.Bool) error {
 		g, th := newPollThread(), newGoThread()
-		w := &fs.PollWaiter{T: g}
+		w := fs.NewPollWaiter(g, 1)
+		s.(fs.Pollable).PollRegister(w, 0)
+		defer s.(fs.Pollable).PollUnregister(w, 0)
 		one := []byte{0}
 		for i := 0; i < rounds; i++ {
 			if !serve {
@@ -297,9 +305,9 @@ func readinessStorm(t *testing.T) {
 	const nWriters = 4
 	const perWriter = 16 * 1024
 
-	// Pollers call poll on the b endpoint for the whole storm — subscribe,
-	// load, sleep, withdraw, again — until they see the hang-up. Nothing
-	// stops them from outside.
+	// Pollers call poll on the b endpoint for the whole storm, on one
+	// standing registration each, until they see the hang-up. Nothing stops
+	// them from outside.
 	const nPollers = 2
 	waiters := make([]*fs.PollWaiter, nPollers)
 	asleep := make([]atomic.Bool, nPollers)
@@ -307,11 +315,13 @@ func readinessStorm(t *testing.T) {
 	pb := b.(fs.Pollable)
 	for i := 0; i < nPollers; i++ {
 		g := newPollThread()
-		w := &fs.PollWaiter{T: g}
+		w := fs.NewPollWaiter(g, 1)
 		waiters[i] = w
 		pollerWG.Add(1)
 		go func(asleep *atomic.Bool) {
 			defer pollerWG.Done()
+			pb.PollRegister(w, 0)
+			defer pb.PollUnregister(w, 0)
 			for pollWait(pb, g, w, fs.PollIn|fs.PollHup, asleep)&fs.PollHup == 0 {
 				runtime.Gosched() // readable: the reader's to consume
 			}

@@ -81,7 +81,7 @@ func TestPublishedReadinessMatchesLockedState(t *testing.T) {
 			all = append(all, s)
 			pr := &notifyProbe{s: s}
 			probes = append(probes, pr)
-			s.(fs.Pollable).PollRegister(&fs.PollWaiter{T: pr})
+			s.(fs.Pollable).PollRegister(&fs.PollWaiter{T: pr}, 0)
 		}
 		add := func(ss ...fs.Stream) {
 			for _, s := range ss {

@@ -115,16 +115,16 @@ func (l *Listener) Write(klock.Thread, []byte, bool) (int, error) {
 func (l *Listener) Ready() uint16 { return uint16(l.ready.Load()) }
 
 // PollRegister implements fs.Pollable.
-func (l *Listener) PollRegister(w *fs.PollWaiter) {
+func (l *Listener) PollRegister(w *fs.PollWaiter, tag uint32) {
 	l.mu.Lock()
-	l.q.register(w)
+	l.q.register(w, tag)
 	l.mu.Unlock()
 }
 
 // PollUnregister implements fs.Pollable.
-func (l *Listener) PollUnregister(w *fs.PollWaiter) {
+func (l *Listener) PollUnregister(w *fs.PollWaiter, tag uint32) {
 	l.mu.Lock()
-	l.q.unregister(w)
+	l.q.unregister(w, tag)
 	l.mu.Unlock()
 }
 

@@ -169,7 +169,9 @@ func TestBlockprocFatalSignalKillsSleeper(t *testing.T) {
 // TestBlockprocSpuriousWake arms the SiteBlockSleep fault site at 100%:
 // every blockproc sleep receives a stale wake token before going down.
 // The sleep loop must absorb it — re-check the count, go back to sleep —
-// and still wake correctly on the real unblock.
+// and still wake correctly on the real unblock. The parent unblocks only
+// once the sleeper is asleep in blockproc: an unblock banked before the
+// block pays for it without a sleep, and the site is never reached.
 func TestBlockprocSpuriousWake(t *testing.T) {
 	s := NewSystem(testConfig())
 	plan := faultinject.New(7, 0)
@@ -187,6 +189,7 @@ func TestBlockprocSpuriousWake(t *testing.T) {
 			woke.Store(true)
 		}, proc.PRSALL, 0)
 		c.SpinWait32(gateVA, func(v uint32) bool { return v == 1 })
+		waitAsleep(c, []int{pid})
 		c.Unblockproc(pid)
 		c.Wait()
 	})

@@ -77,6 +77,11 @@ func TestSprocWhileMembersFaultDrains(t *testing.T) {
 			case <-time.After(20 * time.Second):
 				t.Fatalf("system wedged: %d of %d CPUs idle, %d processes left", s.Sched.IdleCPUs(), cfg.NCPU, s.NProcs())
 			}
+			// WaitIdle returns when the last process body has; that process
+			// gives its CPU back just after, so allow it the moment.
+			for deadline := time.Now().Add(2 * time.Second); s.Sched.IdleCPUs() != cfg.NCPU && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
 			if idle := s.Sched.IdleCPUs(); idle != cfg.NCPU {
 				t.Errorf("drained with %d of %d CPUs idle: a CPU slot leaked", idle, cfg.NCPU)
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/fs"
 	"repro/internal/hw"
 	"repro/internal/proc"
 	"repro/internal/trace"
@@ -20,13 +19,14 @@ type Context struct {
 	S *System
 	P *proc.Proc
 
-	// Scratch reused from call to call, so a serving loop's steady state
-	// allocates nothing per syscall: poll(2)'s snapshot of the files
-	// behind its set, and the kernel-side bounce buffer of read(2) and
-	// write(2) (every stream and inode copies out of or into it before
-	// the call returns).
-	pollFiles []*fs.File
-	xfer      []byte
+	// State kept from call to call, so a serving loop's steady state
+	// allocates nothing per syscall: poll(2)'s standing interest set
+	// (syscalls_poll.go; made by the first poll, withdrawn when the image
+	// ends), and the kernel-side bounce buffer of read(2) and write(2)
+	// (every stream and inode copies out of or into it before the call
+	// returns).
+	poll *pollSet
+	xfer []byte
 }
 
 // ErrFault is the base of address faults surfaced to programs that catch

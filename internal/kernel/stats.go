@@ -89,7 +89,7 @@ type Stats struct {
 	PollSleeps        int64 // poll(2) waits that actually slept
 	ReadyTransitions  int64 // readiness transitions published by streams
 	ReadySleeperWakes int64 // blocked stream operations released by transitions
-	ReadyPollerWakes  int64 // poll registrations notified by transitions
+	ReadyPollerWakes  int64 // wake tokens transitions deposited for sleeping pollers
 
 	// Fair-share scheduling and group resource control. FairShareOn
 	// latches once any group is given a CPU entitlement; until then

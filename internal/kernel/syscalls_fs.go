@@ -91,6 +91,7 @@ func (c *Context) Creat(path string, mode uint16) (int, error) {
 func (c *Context) Close(fd int) error {
 	return invoke0(c, sysClose, func() error {
 		p := c.P
+		c.pollForget(fd)
 		if p.Shares(proc.PRSFDS) {
 			sa := groupOf(p)
 			sa.BeginFdUpdate(p)

@@ -368,8 +368,10 @@ func (s *System) startProc(p *proc.Proc, main Main) {
 // into control flow. It returns the next image to run (exec) or nil (exit)
 // with the exit status.
 func (s *System) runImage(p *proc.Proc, img Main) (next Main, status int) {
+	c := &Context{S: s, P: p}
 	defer func() {
 		r := recover()
+		c.pollEnd()
 		switch e := r.(type) {
 		case nil:
 		case processExit:
@@ -381,7 +383,7 @@ func (s *System) runImage(p *proc.Proc, img Main) (next Main, status int) {
 			panic(r)
 		}
 	}()
-	img(&Context{S: s, P: p})
+	img(c)
 	return nil, 0
 }
 
