@@ -1,15 +1,12 @@
-// Benchmarks regenerating the paper's evaluation (DESIGN.md E1..E10).
-// Each bench boots a fresh simulated system and performs b.N unit
-// operations inside it; wall-clock ns/op is the host cost, and the
-// "simcyc/op" metric is the simulated machine's cycle cost — the number
-// that corresponds to what the paper measured on the MIPS R2000. Shapes
-// (orderings, ratios, crossovers), not absolute values, are the
-// reproduction target; cmd/benchtab renders the same drivers as the
-// EXPERIMENTS.md tables.
+// Host micro-benchmarks of three paths nothing else times in isolation:
+// the hw.Memory bulk data path, one checkpoint round trip, and one poll(2)
+// over a C10k member's set. Wall-clock ns/op is the host cost; where a
+// bench reports "simcyc/op" it is the simulated cycle cost, which
+// host-side work must not move. The paper's evaluation tables (DESIGN.md
+// E1..E10) are rendered by cmd/benchtab and gated by bench/.
 package irix
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -20,225 +17,6 @@ import (
 )
 
 func cfg() kernel.Config { return workload.DefaultConfig() }
-
-func report(b *testing.B, m workload.Metrics) {
-	b.ReportMetric(m.CyclesPerOp(), "simcyc/op")
-	if m.Shootdowns > 0 {
-		b.ReportMetric(float64(m.Shootdowns)/float64(m.Ops), "shootdowns/op")
-	}
-}
-
-// E1/E4 — process creation: sproc() vs fork() (§7: "the time for a sproc()
-// system call is slightly less than a regular fork()"), plus the Mach
-// thread baseline (§3: threads create ~10x faster than fork) and the
-// non-VM-sharing sproc that pays fork-style copy-on-write setup.
-func BenchmarkCreate(b *testing.B) {
-	for _, kind := range []workload.CreateKind{
-		workload.CreateFork, workload.CreateSproc,
-		workload.CreateSprocNVM, workload.CreateThread,
-	} {
-		for _, pages := range []int{0, 32} {
-			b.Run(fmt.Sprintf("%s/dirty=%dpages", kind, pages), func(b *testing.B) {
-				report(b, workload.Creation(cfg(), kind, pages, b.N))
-			})
-		}
-	}
-}
-
-// E2 (hot path) — demand-fault cost under the shared read lock as group
-// size grows; "solo" is a plain process on its private pregion list.
-func BenchmarkFault(b *testing.B) {
-	for _, members := range []int{0, 1, 2, 4} {
-		name := "solo"
-		if members > 0 {
-			name = fmt.Sprintf("group=%d", members)
-		}
-		b.Run(name, func(b *testing.B) {
-			per := b.N
-			if members > 0 {
-				per = b.N/members + 1
-			}
-			report(b, workload.FaultScaling(cfg(), members, per))
-		})
-	}
-}
-
-// E2 (slow path) — region shrink with the synchronous machine-wide TLB
-// shootdown (§6.2/§7: "the overhead for synchronizing virtual memory is
-// negligible except when detaching or shrinking regions"), against the
-// shootdown-free grow path.
-func BenchmarkShrinkShootdown(b *testing.B) {
-	b.Run("grow-only", func(b *testing.B) {
-		report(b, workload.GrowOnly(cfg(), b.N))
-	})
-	for _, spinners := range []int{0, 3} {
-		b.Run(fmt.Sprintf("shrink/spinners=%d", spinners), func(b *testing.B) {
-			report(b, workload.ShrinkShootdown(cfg(), spinners, b.N))
-		})
-	}
-}
-
-// E3 — no penalty for normal processes (§7: "normal UNIX processes
-// experience no penalty for the addition of share group support"): null
-// syscall and open/close for a plain process vs a clean group member.
-func BenchmarkSyscallOverhead(b *testing.B) {
-	b.Run("getpid/plain", func(b *testing.B) {
-		report(b, workload.SyscallNull(cfg(), false, b.N))
-	})
-	b.Run("getpid/member", func(b *testing.B) {
-		report(b, workload.SyscallNull(cfg(), true, b.N))
-	})
-	b.Run("openclose/plain", func(b *testing.B) {
-		report(b, workload.SyscallOpenClose(cfg(), false, false, b.N))
-	})
-	b.Run("openclose/member", func(b *testing.B) {
-		report(b, workload.SyscallOpenClose(cfg(), true, false, b.N))
-	})
-}
-
-// E8 — deferred attribute synchronization (§6.3): open/close while a
-// sibling dirties the descriptor table every iteration, and full umask
-// propagate-reconcile rounds across group sizes.
-func BenchmarkAttrSync(b *testing.B) {
-	b.Run("openclose/storm", func(b *testing.B) {
-		report(b, workload.SyscallOpenClose(cfg(), true, true, b.N))
-	})
-	for _, members := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("umask-roundtrip/members=%d", members), func(b *testing.B) {
-			m := workload.AttrSync(cfg(), members, b.N)
-			report(b, m)
-			b.ReportMetric(float64(m.Syncs)/float64(m.Ops), "syncs/op")
-		})
-	}
-}
-
-// E5 — data-passing bandwidth (§3): shared memory vs the queueing
-// mechanisms, 4 KiB chunks.
-func BenchmarkIPCBandwidth(b *testing.B) {
-	for _, mech := range []workload.Mech{
-		workload.MechShm, workload.MechPipe, workload.MechMsgq, workload.MechSocket,
-	} {
-		for _, chunk := range []int{256, 4096} {
-			b.Run(fmt.Sprintf("%s/chunk=%d", mech, chunk), func(b *testing.B) {
-				m := workload.IPCBandwidth(cfg(), mech, chunk, chunk*b.N)
-				report(b, m)
-				b.SetBytes(int64(chunk))
-			})
-		}
-	}
-}
-
-// E6 — synchronization latency (§3): busy-wait vs kernel mechanisms,
-// round-trip between two processes.
-func BenchmarkSyncLatency(b *testing.B) {
-	for _, mech := range []workload.SyncMech{
-		workload.SyncSpin, workload.SyncSemop, workload.SyncPipe, workload.SyncSignal,
-	} {
-		b.Run(string(mech), func(b *testing.B) {
-			report(b, workload.SyncLatency(cfg(), mech, b.N))
-		})
-	}
-}
-
-// E7 — the self-scheduling pool (§3): preallocated share-group workers
-// against dynamic creation and pipe-fed workers, and the worker-count
-// scaling curve on 4 CPUs.
-func BenchmarkSelfSchedulingPool(b *testing.B) {
-	const grain = 2000
-	for _, mode := range []workload.PoolMode{
-		workload.PoolSproc, workload.PoolForkPerTask, workload.PoolPipeWorkers,
-	} {
-		b.Run(string(mode)+"/workers=4", func(b *testing.B) {
-			report(b, workload.Pool(cfg(), mode, 4, b.N, grain))
-		})
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("sproc-pool/workers=%d", w), func(b *testing.B) {
-			report(b, workload.Pool(cfg(), workload.PoolSproc, w, b.N, grain))
-		})
-	}
-}
-
-// E10 — the §8 gang-scheduling extension (ablation): overcommitted
-// spin-barrier groups with and without gang dispatch.
-func BenchmarkGangScheduling(b *testing.B) {
-	for _, gang := range []bool{false, true} {
-		b.Run(fmt.Sprintf("gang=%v", gang), func(b *testing.B) {
-			report(b, workload.GangBarrier(cfg(), gang, 4, 4, b.N, 600))
-		})
-	}
-}
-
-// MP hot-path scaling — the de-serialized substrate (per-CPU frame caches,
-// per-CPU trace shards, per-CPU run queues with stealing) under storms that
-// hammer exactly one substrate from 1..8 processors. The total operation
-// count is fixed at b.N and split across the workers, so ns/op falling (or
-// holding) as NCPU grows is the de-serialization paying off; a global-lock
-// substrate shows ns/op rising with NCPU instead.
-func BenchmarkHotPathScaling(b *testing.B) {
-	ncpus := []int{1, 2, 4, 8}
-	mpCfg := func(ncpu int) kernel.Config {
-		c := cfg()
-		c.NCPU = ncpu
-		return c
-	}
-	for _, ncpu := range ncpus {
-		b.Run(fmt.Sprintf("fault-storm/ncpu=%d", ncpu), func(b *testing.B) {
-			per := b.N/ncpu + 1
-			report(b, workload.FaultStorm(mpCfg(ncpu), ncpu, per))
-		})
-	}
-	for _, ncpu := range ncpus {
-		b.Run(fmt.Sprintf("resident-fault-storm/ncpu=%d", ncpu), func(b *testing.B) {
-			per := b.N/ncpu + 1
-			report(b, workload.ResidentFaultStorm(mpCfg(ncpu), ncpu, per))
-		})
-	}
-	for _, ncpu := range ncpus {
-		b.Run(fmt.Sprintf("create-storm/ncpu=%d", ncpu), func(b *testing.B) {
-			per := b.N/ncpu + 1
-			report(b, workload.CreateStorm(mpCfg(ncpu), ncpu, per))
-		})
-	}
-	for _, ncpu := range ncpus {
-		b.Run(fmt.Sprintf("trace-storm/ncpu=%d", ncpu), func(b *testing.B) {
-			c := mpCfg(ncpu)
-			c.TraceEvents = 4096
-			per := b.N/ncpu + 1
-			report(b, workload.TraceStorm(c, ncpu, per))
-		})
-	}
-	for _, ncpu := range ncpus {
-		b.Run(fmt.Sprintf("dispatch-storm/ncpu=%d", ncpu), func(b *testing.B) {
-			procs := 2 * ncpu
-			per := b.N/procs + 1
-			report(b, workload.DispatchStorm(mpCfg(ncpu), procs, per))
-		})
-	}
-}
-
-// Ablations (DESIGN.md §6) — the designs the paper rejected, measured:
-// an exclusive lock on the shared pregion list serializes every member's
-// page fault; eager attribute pushing moves the whole propagation cost
-// onto the updater's critical path.
-func BenchmarkAblation(b *testing.B) {
-	b.Run("fault-lock/shared-read", func(b *testing.B) {
-		report(b, workload.FaultScaling(cfg(), 4, b.N/4+1))
-	})
-	b.Run("fault-lock/exclusive", func(b *testing.B) {
-		c := cfg()
-		c.ExclusiveVMLock = true
-		report(b, workload.FaultScaling(c, 4, b.N/4+1))
-	})
-	b.Run("attr-sync/deferred", func(b *testing.B) {
-		report(b, workload.AttrSync(cfg(), 4, b.N))
-	})
-	b.Run("attr-sync/eager", func(b *testing.B) {
-		c := cfg()
-		c.EagerAttrSync = true
-		report(b, workload.AttrSync(c, 4, b.N))
-	})
-}
 
 // Host-side cost of the bulk data path every copied byte moves through
 // (COW copies, read/write transfers, checkpoint capture and write-back):

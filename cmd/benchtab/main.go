@@ -576,8 +576,8 @@ func e1c() {
 // rowPrefork is row() for prefork pool runs: latency distribution plus the
 // lazy-creation counters the churn exercises.
 func rowPrefork(name string, m workload.PreforkMetrics) {
-	row(name, m.Metrics, fmt.Sprintf("  p50=%d p99=%d creations=%d lazydups=%d breaks=%d drops=%d reserved=%d",
-		m.P50, m.P99, m.Creations, m.LazyDups, m.LazyBreaks, m.LazyDrops, m.SpawnReserved))
+	row(name, m.Metrics, fmt.Sprintf("  p50=%d p99=%d creations=%d lazydups=%d breaks=%d drops=%d",
+		m.P50, m.P99, m.Creations, m.LazyDups, m.LazyBreaks, m.LazyDrops))
 	results[len(results)-1].P50Simcyc = m.P50
 	results[len(results)-1].P99Simcyc = m.P99
 }
@@ -586,8 +586,8 @@ func rowPrefork(name string, m workload.PreforkMetrics) {
 // holds a fixed pool of COW-imaged workers, each exiting after a fixed
 // request count (max-requests-per-child), so the run's creation rate is
 // conns/lifespan regardless of pool size. O(1) creation is what makes the
-// organization viable: each generation is one lazy duplication and one
-// batched reservation, not an image walk.
+// organization viable: each generation is one lazy duplication, not an
+// image walk.
 func prefork() {
 	conns := n(2048, 256)
 	table(fmt.Sprintf("E1c-prefork — prefork serving pool, %d connections, worker lifespan 8 requests", conns),

@@ -180,9 +180,9 @@ func dump(c *irix.Ctx) {
 	fmt.Printf("    fast-fills=%d slow-fills=%d vmcache-hits=%d vmcache-misses=%d page-shootdowns=%d space-shootdowns=%d\n",
 		st.FastFills, st.SlowFills, st.VMCacheHits, st.VMCacheMisses,
 		st.PageShootdowns, st.SpaceShootdowns)
-	fmt.Println("  lazy creation (O(1) COW clones, batched spawn reservation):")
-	fmt.Printf("    lazy-dups=%d lazy-breaks=%d lazy-drops=%d break-pages=%d spawn-reserved=%d\n",
-		st.LazyDups, st.LazyBreaks, st.LazyDrops, st.LazyBreakPages, st.SpawnReserved)
+	fmt.Println("  lazy creation (O(1) COW clones):")
+	fmt.Printf("    lazy-dups=%d lazy-breaks=%d lazy-drops=%d break-pages=%d\n",
+		st.LazyDups, st.LazyBreaks, st.LazyDrops, st.LazyBreakPages)
 	fmt.Println("  sleep-wake (blockproc/unblockproc, hybrid uspin):")
 	fmt.Printf("    blocks=%d wakes=%d banked-wakes=%d spin-to-blocks=%d\n",
 		st.ProcBlocks, st.ProcWakes, st.BankedWakes, st.SpinToBlocks)
@@ -194,11 +194,6 @@ func dump(c *irix.Ctx) {
 		fmt.Printf("    ckpts=%d passes=%d pre-pages=%d stw-pages=%d stw-simcyc=%d image-bytes=%d restores=%d\n",
 			st.Ckpts, st.CkptPasses, st.CkptPrePages, st.CkptSTWPages,
 			st.CkptSTWCycles, st.CkptImageBytes, st.Restores)
-	}
-	if st.ResvReserved > 0 {
-		fmt.Println("  spawn reservation ledger (reserved+refunds must equal consumed+released):")
-		fmt.Printf("    reserved=%d consumed=%d refunds=%d released=%d\n",
-			st.ResvReserved, st.ResvConsumed, st.ResvRefunds, st.ResvReleased)
 	}
 	fmt.Println("  fault injection and degradation:")
 	fmt.Printf("    checks=%d injected=%d restarts=%d retries=%d reclaims=%d reclaimed-frames=%d\n",

@@ -26,11 +26,10 @@ func (sa *ShAddr) ResolveShared(p *proc.Proc, va hw.VAddr, write bool) (pfn hw.P
 	return pfn, writable, res, found, err
 }
 
-// ResolveSharedAccounted is ResolveShared additionally drawing the fill's
-// quota charge from the member's spawn-time frame reservation (when it has
-// one) and reporting the page-table slots a lazy-dup materialization
-// walked on this fault, so the kernel charges the deferred duplication
-// cost to the CPU that took the first touch.
+// ResolveSharedAccounted is ResolveShared additionally reporting the
+// page-table slots a lazy-dup materialization walked on this fault, so the
+// kernel charges the deferred duplication cost to the CPU that took the
+// first touch.
 func (sa *ShAddr) ResolveSharedAccounted(p *proc.Proc, va hw.VAddr, write bool) (pfn hw.PFN, writable bool, res vm.FillResult, lazyPages int, found bool, err error) {
 	cpu := int(p.CPU.Load())
 	if sa.opts.ExclusiveVMLock {
@@ -41,7 +40,7 @@ func (sa *ShAddr) ResolveSharedAccounted(p *proc.Proc, va hw.VAddr, write bool) 
 		if pr == nil {
 			return hw.NoPFN, false, vm.FillCached, 0, false, nil
 		}
-		pfn, writable, res, lazyPages, err = pr.Reg.FillAccounted(pr.PageIndex(va), write, cpu, &sa.frameAcct, p.Resv)
+		pfn, writable, res, lazyPages, err = pr.Reg.FillAccounted(pr.PageIndex(va), write, cpu, &sa.frameAcct)
 		return pfn, writable, res, lazyPages, true, err
 	}
 	slot := sa.Acc.RLockOn(p, cpu)
@@ -58,7 +57,7 @@ func (sa *ShAddr) ResolveSharedAccounted(p *proc.Proc, va hw.VAddr, write bool) 
 		sa.CacheMisses.Add(1)
 		p.VMC.Put(gen, pr)
 	}
-	pfn, writable, res, lazyPages, err = pr.Reg.FillAccounted(pr.PageIndex(va), write, cpu, &sa.frameAcct, p.Resv)
+	pfn, writable, res, lazyPages, err = pr.Reg.FillAccounted(pr.PageIndex(va), write, cpu, &sa.frameAcct)
 	sa.Acc.RUnlockOn(slot)
 	return pfn, writable, res, lazyPages, true, err
 }

@@ -29,20 +29,6 @@ type FrameAcct struct {
 	Charges   atomic.Int64 // total grants charged
 	Uncharges atomic.Int64 // total releases uncharged
 	QuotaHits atomic.Int64 // allocations refused at the quota
-
-	// Reservation flow counters. Every prepaid frame unit enters the
-	// reservation pool through Reserve or refund and leaves through consume
-	// or Release (a refund that arrives after Release counts as released:
-	// the quota goes straight back to the account). At quiescence — every
-	// reservation dead, left == 0 — the conservation law is
-	//
-	//	ResvReserved + ResvRefunds == ResvConsumed + ResvReleased
-	//
-	// and the -race failed-spawn storm asserts it.
-	ResvReserved atomic.Int64 // frames prepaid by Reserve
-	ResvConsumed atomic.Int64 // prepaid frames taken by fills
-	ResvRefunds  atomic.Int64 // consumed frames returned (failed alloc)
-	ResvReleased atomic.Int64 // frames returned to the account
 }
 
 // Quota returns the account's frame ceiling (0 = unlimited).
@@ -82,135 +68,4 @@ func (a *FrameAcct) uncharge() {
 		panic("hw: FrameAcct uncharge below zero")
 	}
 	a.Uncharges.Add(1)
-}
-
-// FrameResv is a batched charge against a frame account: n frames paid for
-// with a single compare-and-swap at spawn time, then handed out one by one
-// to the owner's page fills without touching the account again. It exists
-// so a creation storm of members does not serialize on the shared
-// account's quota CAS — the per-spawn reservation is the only contended
-// operation, and it happens once per member instead of once per page.
-//
-// Frames granted through a reservation are still tagged with the owning
-// account, so the release at the frame's final DecRef uncharges the
-// account exactly as a directly charged frame would; the reservation only
-// prepays the charge side. Whatever is left unconsumed when the member
-// exits must be returned with Release, and the storm tests assert that no
-// reservation outlives its process (zero leaked reservations).
-type FrameResv struct {
-	acct   *FrameAcct
-	left   atomic.Int64 // prepaid frames not yet consumed by a fill
-	closed atomic.Bool  // Release ran; stragglers settle with the account
-}
-
-// Reserve charges n frames to the account in one CAS and returns the
-// reservation, or nil when the quota cannot absorb the whole batch — the
-// caller then falls back to per-fill charging, which degrades page by page
-// instead of refusing the spawn. n <= 0 returns nil.
-func (a *FrameAcct) Reserve(n int64) *FrameResv {
-	if n <= 0 {
-		return nil
-	}
-	for {
-		u := a.used.Load()
-		if q := a.quota.Load(); q > 0 && u+n > q {
-			return nil
-		}
-		if a.used.CompareAndSwap(u, u+n) {
-			a.Charges.Add(n)
-			a.ResvReserved.Add(n)
-			rv := &FrameResv{acct: a}
-			rv.left.Store(n)
-			return rv
-		}
-	}
-}
-
-// Acct returns the account the reservation was charged to.
-func (rv *FrameResv) Acct() *FrameAcct {
-	if rv == nil {
-		return nil
-	}
-	return rv.acct
-}
-
-// Left returns the prepaid frames not yet consumed.
-func (rv *FrameResv) Left() int64 {
-	if rv == nil {
-		return 0
-	}
-	return rv.left.Load()
-}
-
-// consume takes one prepaid frame from the reservation, reporting false
-// when it has run dry or been released (the caller then charges the
-// account directly).
-func (rv *FrameResv) consume() bool {
-	if rv.closed.Load() {
-		return false
-	}
-	for {
-		n := rv.left.Load()
-		if n <= 0 {
-			return false
-		}
-		if rv.left.CompareAndSwap(n, n-1) {
-			rv.acct.ResvConsumed.Add(1)
-			return true
-		}
-	}
-}
-
-// take pulls one frame back out of the pool on the late-refund settle
-// path; false means a concurrent Release already swept it.
-func (rv *FrameResv) take() bool {
-	for {
-		n := rv.left.Load()
-		if n <= 0 {
-			return false
-		}
-		if rv.left.CompareAndSwap(n, n-1) {
-			return true
-		}
-	}
-}
-
-// refund returns one consumed frame to the reservation (an allocation that
-// failed after the prepaid frame was taken). A refund that lands after the
-// reservation was released must not deposit into the dead pool — the
-// sweep already ran, so the frame's worth of quota would stay charged to
-// the account forever. Instead it settles with the account directly,
-// exactly once: deposit, re-check closed, and if the release beat us take
-// the deposit back out and uncharge. Sequentially consistent atomics make
-// the check decisive — if Release's sweep preceded our deposit, its
-// closed store is visible here; if we read closed == false, the sweep is
-// still to come and will return the deposit itself.
-func (rv *FrameResv) refund() {
-	rv.acct.ResvRefunds.Add(1)
-	rv.left.Add(1)
-	if rv.closed.Load() && rv.take() {
-		rv.acct.ResvReleased.Add(1)
-		rv.acct.uncharge()
-	}
-}
-
-// Release returns the unconsumed remainder to the account and closes the
-// reservation; it is idempotent and reports how many frames it returned.
-// Every spawn-time reservation must be released when its process is
-// reaped, or the account leaks quota. After Release, late refunds settle
-// with the account directly and further consumes fail.
-func (rv *FrameResv) Release() int64 {
-	if rv == nil {
-		return 0
-	}
-	rv.closed.Store(true)
-	n := rv.left.Swap(0)
-	if n > 0 {
-		if rv.acct.used.Add(-n) < 0 {
-			panic("hw: FrameResv release below zero")
-		}
-		rv.acct.Uncharges.Add(n)
-		rv.acct.ResvReleased.Add(n)
-	}
-	return n
 }

@@ -307,24 +307,11 @@ func (m *Memory) AllocOn(cpu int) (PFN, error) { return m.AllocFor(cpu, nil) }
 // pools. Frames are zeroed when freed, so no zeroing happens here and no
 // lock is held while a frame's contents are cleared.
 func (m *Memory) AllocFor(cpu int, acct *FrameAcct) (PFN, error) {
-	return m.AllocResv(cpu, acct, nil)
-}
-
-// AllocResv is AllocFor drawing the quota charge from a spawn-time
-// reservation when one is supplied for the same account and still has
-// prepaid frames left; only when the reservation is absent, mismatched, or
-// dry does the allocation fall back to the account's per-frame CAS. The
-// granted frame is tagged with acct either way, so release accounting is
-// identical.
-func (m *Memory) AllocResv(cpu int, acct *FrameAcct, resv *FrameResv) (PFN, error) {
-	prepaid := resv != nil && acct != nil && resv.acct == acct && resv.consume()
-	if !prepaid && acct != nil && !acct.tryCharge() {
+	if acct != nil && !acct.tryCharge() {
 		return NoPFN, ErrNoQuota
 	}
 	uncharge := func() {
-		if prepaid {
-			resv.refund()
-		} else if acct != nil {
+		if acct != nil {
 			acct.uncharge()
 		}
 	}
@@ -625,13 +612,7 @@ func (m *Memory) CopyFrameOn(src PFN, cpu int) (PFN, error) {
 
 // CopyFrameFor is CopyFrameOn charging the new frame to acct.
 func (m *Memory) CopyFrameFor(src PFN, cpu int, acct *FrameAcct) (PFN, error) {
-	return m.CopyFrameResv(src, cpu, acct, nil)
-}
-
-// CopyFrameResv is CopyFrameFor drawing the charge from a spawn-time
-// reservation when possible (see AllocResv).
-func (m *Memory) CopyFrameResv(src PFN, cpu int, acct *FrameAcct, resv *FrameResv) (PFN, error) {
-	dst, err := m.AllocResv(cpu, acct, resv)
+	dst, err := m.AllocFor(cpu, acct)
 	if err != nil {
 		return NoPFN, err
 	}

@@ -154,7 +154,7 @@ func (c *Context) translatePRDA(va hw.VAddr, write bool) (hw.PFN, error) {
 	if pr == nil {
 		return hw.NoPFN, c.segv(va, write, fmt.Errorf("no PRDA"))
 	}
-	pfn, _, res, _, err := pr.Reg.FillAccounted(pr.PageIndex(va), write, c.cpu().ID, c.frameAcct(), c.P.Resv)
+	pfn, _, res, _, err := pr.Reg.FillAccounted(pr.PageIndex(va), write, c.cpu().ID, c.frameAcct())
 	if err != nil {
 		return hw.NoPFN, c.segv(va, write, err)
 	}
@@ -200,7 +200,7 @@ func (c *Context) fault(va hw.VAddr, write bool) (hw.PFN, error) {
 		found := false
 		var lazy int
 		if pr := vm.Find(c.P.Private, va); pr != nil {
-			pfn, writable, res, lazy, err = pr.Reg.FillAccounted(pr.PageIndex(va), write, cpu.ID, acct, c.P.Resv)
+			pfn, writable, res, lazy, err = pr.Reg.FillAccounted(pr.PageIndex(va), write, cpu.ID, acct)
 			found = true
 		} else if sa != nil {
 			pfn, writable, res, lazy, found, err = sa.ResolveSharedAccounted(c.P, va, write)

@@ -57,7 +57,6 @@ type Stats struct {
 	LazyBreaks     int64 // clones materialized by a first touch
 	LazyDrops      int64 // clones that exited untouched (walk never happened)
 	LazyBreakPages int64 // page-table slots walked by materializations
-	SpawnReserved  int64 // frames prepaid to sproc children (SpawnReserve)
 
 	// Trace ring.
 	TraceEvents  int      // events currently buffered across all shards
@@ -110,14 +109,6 @@ type Stats struct {
 	CkptSTWCycles  int64 // simulated cycles initiators spent stopped
 	CkptImageBytes int64 // encoded image bytes produced
 	Restores       int64 // groups rebuilt from an image
-
-	// Spawn-reservation flow, summed over live groups (hw.FrameAcct). At
-	// quiescence the conservation law holds:
-	// ResvReserved + ResvRefunds == ResvConsumed + ResvReleased.
-	ResvReserved int64 // frames prepaid by batched reservations
-	ResvConsumed int64 // prepaid frames taken by page fills
-	ResvRefunds  int64 // consumed frames returned by failed allocations
-	ResvReleased int64 // frames returned to the group account
 }
 
 // FaultSiteStat is one injection site's counters.
@@ -179,7 +170,6 @@ func (s *System) Stats() Stats {
 		LazyBreaks:     mem.LazyBreaks.Load(),
 		LazyDrops:      mem.LazyDrops.Load(),
 		LazyBreakPages: mem.LazyBreakPages.Load(),
-		SpawnReserved:  s.spawnReserved.Load(),
 	}
 	if !s.Machine.Topo.Flat() {
 		st.NUMANodes = s.Machine.Topo.Nodes
@@ -202,11 +192,6 @@ func (s *System) Stats() Stats {
 			st.VMCacheHits += sa.CacheHits.Load()
 			st.VMCacheMisses += sa.CacheMisses.Load()
 			st.Groups = append(st.Groups, s.groupUsage(sa))
-			acct := sa.FrameAcct()
-			st.ResvReserved += acct.ResvReserved.Load()
-			st.ResvConsumed += acct.ResvConsumed.Load()
-			st.ResvRefunds += acct.ResvRefunds.Load()
-			st.ResvReleased += acct.ResvReleased.Load()
 		}
 	}
 	if r := s.Machine.Trace; r != nil {

@@ -193,7 +193,7 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 		if !pr.Reg.Lazy() {
 			return nil
 		}
-		_, _, _, lazyPages, err := pr.Reg.FillAccounted(0, false, cpuIdx, sa.FrameAcct(), nil)
+		_, _, _, lazyPages, err := pr.Reg.FillAccounted(0, false, cpuIdx, sa.FrameAcct())
 		c.charge(int64(lazyPages) * mach.Cost.RegionDup)
 		return err
 	}
@@ -579,7 +579,7 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 				continue
 			}
 			write := pr.Reg.Type != vm.RText
-			pfn, _, _, lazyPages, err := pr.Reg.FillAccounted(idx, write, cpuIdx, acct, nil)
+			pfn, _, _, lazyPages, err := pr.Reg.FillAccounted(idx, write, cpuIdx, acct)
 			if err != nil {
 				return -1, err
 			}
@@ -605,7 +605,7 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 			}
 			data = zeroPage[:]
 		}
-		pfn, _, _, _, err := pr.Reg.FillAccounted(0, true, cpuIdx, acct, nil)
+		pfn, _, _, _, err := pr.Reg.FillAccounted(0, true, cpuIdx, acct)
 		if err != nil {
 			return -1, err
 		}

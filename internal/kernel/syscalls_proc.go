@@ -189,18 +189,6 @@ func (c *Context) spawn(spec spawnSpec) (*proc.Proc, error) {
 		child.SetShMask(spec.mask)
 		sa.AddMember(child)
 		sa.Adopt(p, child, spec.mask)
-		// Batched frame reservation: prepay the child's expected working
-		// set against the group's account with one CAS, so a creation storm
-		// of members does not serialize on per-page quota charges. A
-		// refusal (quota cannot absorb the batch) just falls back to
-		// per-fill charging; the reservation's remainder is returned at
-		// reap.
-		if n := int64(c.S.cfg.SpawnReserve); n > 0 {
-			if rv := sa.FrameAcct().Reserve(n); rv != nil {
-				child.Resv = rv
-				c.S.spawnReserved.Add(n)
-			}
-		}
 	}
 	mach.Trace.Record(trace.EvCreate, int32(p.PID), p.CPU.Load(), uint64(child.PID), spec.kind)
 	c.S.register(child)
@@ -517,12 +505,6 @@ func (c *Context) Exec(name string, main Main) error {
 
 		// Leave the share group before overlaying (paper §5.1). Leave detaches
 		// the member's sproc stack from the shared space with a shootdown.
-		// The spawn-time frame reservation goes back with the membership:
-		// the new image no longer charges the group.
-		if rv := p.Resv; rv != nil {
-			p.Resv = nil
-			rv.Release()
-		}
 		if sa := groupOf(p); sa != nil {
 			sa.Leave(p)
 		}

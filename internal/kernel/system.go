@@ -36,7 +36,6 @@ type Config struct {
 	TimeSlice int64 // charge units per slice (default sched.DefaultSlice)
 	MaxProcs  int   // per-user process limit, PR_MAXPROCS (default 256)
 	MaxFiles  int   // per-process descriptor ceiling (default proc.NOFILE)
-	Gang      bool  // gang-schedule share groups (paper §8 extension)
 
 	// NUMANodes splits the CPUs and physical memory into that many
 	// locality domains (default 1 = the flat SMP the paper measured).
@@ -47,20 +46,13 @@ type Config struct {
 	// the S6 ablation that shows what node-aware placement buys.
 	NodeBlindAlloc bool
 
-	// Image geometry for fresh processes.
-	TextPages int // default 16
+	// Image geometry for fresh processes (text is textPages, fixed).
 	DataPages int // default 64
 
 	// Ablation switches (DESIGN.md §6): the designs the paper rejected.
 	ExclusiveVMLock bool // exclusive lock on the shared pregion list
 	EagerAttrSync   bool // push attribute updates instead of deferring
 	EagerDup        bool // spawn-time region table walks (pre-lazy fork)
-
-	// SpawnReserve prepays that many frames of group quota to each sproc
-	// child with a single CAS at creation (DESIGN.md §16); the child's
-	// fills consume the batch before touching the shared account, and the
-	// remainder is returned at reap. 0 (the default) charges per fill.
-	SpawnReserve int
 
 	// TraceEvents enables the kernel event ring with the given capacity
 	// (0 disables tracing entirely).
@@ -83,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxProcs == 0 {
 		c.MaxProcs = 256
-	}
-	if c.TextPages == 0 {
-		c.TextPages = 16
 	}
 	if c.DataPages == 0 {
 		c.DataPages = 64
@@ -110,12 +99,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("kernel: Config.MaxFiles must be >= 0 (0 = default), got %d", c.MaxFiles)
 	case c.NUMANodes < 0:
 		return fmt.Errorf("kernel: Config.NUMANodes must be >= 0 (0 = flat), got %d", c.NUMANodes)
-	case c.TextPages < 0:
-		return fmt.Errorf("kernel: Config.TextPages must be >= 0 (0 = default), got %d", c.TextPages)
 	case c.DataPages < 0:
 		return fmt.Errorf("kernel: Config.DataPages must be >= 0 (0 = default), got %d", c.DataPages)
-	case c.SpawnReserve < 0:
-		return fmt.Errorf("kernel: Config.SpawnReserve must be >= 0 (0 = off), got %d", c.SpawnReserve)
 	case c.TraceEvents < 0:
 		return fmt.Errorf("kernel: Config.TraceEvents must be >= 0 (0 = off), got %d", c.TraceEvents)
 	case c.FaultRate < 0 || c.FaultRate > 1000:
@@ -149,8 +134,6 @@ type System struct {
 	faults   *faultinject.Plan
 	restarts atomic.Int64 // EINTR auto-restarts performed by the gateway
 	retries  atomic.Int64 // EAGAIN retries performed by the gateway
-
-	spawnReserved atomic.Int64 // frames prepaid to sproc children (SpawnReserve)
 
 	// Blockproc sleep-wake counters (syscalls_block.go).
 	blocks      atomic.Int64 // blockproc calls that actually slept
@@ -211,7 +194,6 @@ func NewSystemChecked(cfg Config) (*System, error) {
 		procs:   map[int]*proc.Proc{},
 		mains:   map[int]Main{},
 	}
-	s.Sched.SetGang(cfg.Gang)
 	s.pollStats = &ipc.PollStats{}
 	s.Net.SetPollStats(s.pollStats)
 	s.sysacct = make([]*sysAcct, cfg.NCPU+1)
@@ -302,13 +284,16 @@ func (s *System) Procs() []*proc.Proc {
 	return out
 }
 
+// textPages is the text region of every fresh image.
+const textPages = 16
+
 // newImage builds a standard fresh address space: text, data, stack at the
 // top of the space, and a private PRDA at its fixed location.
 func (s *System) newImage(p *proc.Proc) {
 	mem := s.Machine.Mem
 	stackBase := vm.MainStackTop - hw.VAddr(p.StackMax*hw.PageSize)
 	p.Private = vm.BuildList(
-		&vm.PRegion{Reg: vm.NewRegion(mem, vm.RText, s.cfg.TextPages), Base: vm.TextBase},
+		&vm.PRegion{Reg: vm.NewRegion(mem, vm.RText, textPages), Base: vm.TextBase},
 		&vm.PRegion{Reg: vm.NewRegion(mem, vm.RData, s.cfg.DataPages), Base: vm.DataBase},
 		&vm.PRegion{Reg: vm.NewRegion(mem, vm.RStack, p.StackMax), Base: stackBase},
 		s.freshPRDA(),
@@ -352,8 +337,11 @@ type processExec struct {
 // exits, then reap.
 func (s *System) startProc(p *proc.Proc, main Main) {
 	s.wg.Add(1)
-	s.Sched.Spawn(p, func() {
+	go func() {
+		// Done follows Exit, so WaitIdle returns only after the last
+		// process has given its CPU back.
 		defer s.wg.Done()
+		<-p.RunGate
 		status := 0
 		img := main
 		for img != nil {
@@ -361,7 +349,9 @@ func (s *System) startProc(p *proc.Proc, main Main) {
 			img, status = next, st
 		}
 		s.reap(p, status)
-	})
+		s.Sched.Exit(p)
+	}()
+	s.Sched.Ready(p)
 }
 
 // runImage executes one program image, converting the exit/exec panics
@@ -392,14 +382,6 @@ func (s *System) runImage(p *proc.Proc, img Main) (next Main, status int) {
 // parent. The proc-table entry survives as a zombie until the parent waits
 // (or is removed immediately if no one can wait).
 func (s *System) reap(p *proc.Proc, status int) {
-	// Return the unconsumed remainder of the spawn-time frame reservation
-	// before anything else: the group account must not carry a dead
-	// member's prepaid quota (the storm tests assert zero leaked
-	// reservations once a creation storm drains).
-	if rv := p.Resv; rv != nil {
-		p.Resv = nil
-		rv.Release()
-	}
 	// Leave the share group first: the group must survive member exit,
 	// and the member's sproc stack is detached under the update lock
 	// with a full shootdown (paper §6.2).
@@ -460,8 +442,21 @@ func (s *System) reap(p *proc.Proc, status int) {
 }
 
 // WaitIdle blocks until every process has exited (test and example
-// teardown).
-func (s *System) WaitIdle() { s.wg.Wait() }
+// teardown). With no process left every CPU must be idle and every run
+// queue empty; anything else is a scheduler bug and panics here, naming
+// what is still on a CPU.
+func (s *System) WaitIdle() {
+	s.wg.Wait()
+	if idle, queued := s.Sched.IdleCPUs(), s.Sched.RunqLen(); idle != len(s.Machine.CPUs) || queued != 0 {
+		msg := fmt.Sprintf("kernel: WaitIdle with every process exited: %d of %d CPUs idle, %d queued", idle, len(s.Machine.CPUs), queued)
+		for cpu, p := range s.Sched.Running() {
+			if p != nil {
+				msg += fmt.Sprintf("; CPU %d runs pid %d (%s)", cpu, p.PID, p.Name)
+			}
+		}
+		panic(msg)
+	}
+}
 
 // String summarizes the system.
 func (s *System) String() string {

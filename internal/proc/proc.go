@@ -168,13 +168,6 @@ type Proc struct {
 	NextShm  hw.VAddr           // next free address in the mmap/shm arena
 	ShmFree  map[int][]hw.VAddr // recycled arena ranges by size in pages
 
-	// Resv is the spawn-time frame reservation against the share group's
-	// account: a batch of quota prepaid by one CAS at sproc time and
-	// consumed by this process's page fills. Set before the child first
-	// runs, released (remainder returned) when it is reaped or execs out
-	// of the group; nil when the group ran without SpawnReserve.
-	Resv *hw.FrameResv
-
 	// Share group state (nil / zero outside a group). The share-group
 	// pointer is read by the scheduler while exit clears it, and the
 	// share mask is read by other members' propagation walks while

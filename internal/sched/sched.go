@@ -23,6 +23,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
@@ -76,8 +77,7 @@ type Sched struct {
 	machine *hw.Machine
 	slice   int64
 	topo    hw.Topology // the machine's NUMA shape (flat when Nodes <= 1)
-	gang    atomic.Bool // global gang-mode switch
-	sawGang atomic.Bool // a per-group gang flag has been seen (sticky)
+	sawGang atomic.Bool // a group has asked for gang mode (sticky; SetGang)
 	fair    atomic.Bool // fair-share banding armed (sticky; setshares(2))
 
 	// scanOrder[cpu] lists every other CPU in locality order: node-mates
@@ -162,9 +162,6 @@ func New(machine *hw.Machine, slice int64) *Sched {
 	return s
 }
 
-// SetGang enables or disables gang-mode dispatch.
-func (s *Sched) SetGang(on bool) { s.gang.Store(on) }
-
 // SetFairShare arms fair-share banding. The switch is sticky and one-way:
 // it flips the first time any group sets a CPU-share entitlement
 // (setshares(2)), so a system that never uses entitlements dispatches
@@ -176,10 +173,6 @@ func (s *Sched) FairActive() bool { return s.fair.Load() }
 
 // Slice returns the configured time-slice length.
 func (s *Sched) Slice() int64 { return s.slice }
-
-// gangActive reports whether gang affinity can influence dispatch at all:
-// either the global switch is on or some group has asked for it.
-func (s *Sched) gangActive() bool { return s.gang.Load() || s.sawGang.Load() }
 
 // ─── idle-CPU mask ───────────────────────────────────────────────────────
 
@@ -222,6 +215,33 @@ func (s *Sched) claimThis(cpu int) bool {
 		if s.idle[w].CompareAndSwap(v, v&^(1<<b)) {
 			return true
 		}
+	}
+}
+
+// ─── self-checks ─────────────────────────────────────────────────────────
+//
+// Always on, a few atomic loads each: a broken dispatch invariant panics
+// where it is broken, naming the process and CPU, instead of surfacing
+// later as a wedge.
+
+// mustHoldCPU panics unless p is the process on p.CPU: a process gives up
+// only its own CPU, and only while it is running.
+func (s *Sched) mustHoldCPU(p *proc.Proc, op string) int {
+	cpu := int(p.CPU.Load())
+	if cpu < 0 || s.cpuProc[cpu].Load() != p {
+		panic(fmt.Sprintf("sched: %s of pid %d (%s), which is not the process on CPU %d", op, p.PID, p.Name, cpu))
+	}
+	return cpu
+}
+
+// mustBeOffCPU panics if p still holds a CPU or a CPU slot: a process is
+// queued or dispatched only after it has given its last CPU away.
+func (s *Sched) mustBeOffCPU(p *proc.Proc, op string) {
+	if cpu := p.CPU.Load(); cpu >= 0 {
+		panic(fmt.Sprintf("sched: %s of pid %d (%s), which is still on CPU %d", op, p.PID, p.Name, cpu))
+	}
+	if last := int(p.LastCPU.Load()); last >= 0 && last < len(s.cpuProc) && s.cpuProc[last].Load() == p {
+		panic(fmt.Sprintf("sched: %s of pid %d (%s), which still owns the slot of CPU %d", op, p.PID, p.Name, last))
 	}
 }
 
@@ -303,6 +323,7 @@ func (s *Sched) claimIdleOn(node int) int {
 // process with no dispatch history spreads round-robin — within its home
 // node's block when a group-mate pins one.
 func (s *Sched) enqueue(p *proc.Proc) {
+	s.mustBeOffCPU(p, "enqueue")
 	cpu := int(p.LastCPU.Load())
 	if cpu < 0 || cpu >= len(s.queues) {
 		if node := s.homeNode(p); node >= 0 && !s.topo.Flat() {
@@ -354,7 +375,10 @@ func (s *Sched) kickIdle() {
 // dispatch hands cpu to p. The caller must own cpu exclusively (it claimed
 // the idle bit or is vacating the CPU itself).
 func (s *Sched) dispatch(p *proc.Proc, cpu int) {
-	s.cpuProc[cpu].Store(p)
+	s.mustBeOffCPU(p, "dispatch")
+	if r := s.cpuProc[cpu].Swap(p); r != nil {
+		panic(fmt.Sprintf("sched: dispatch of pid %d (%s) onto CPU %d, which pid %d (%s) owns", p.PID, p.Name, cpu, r.PID, r.Name))
+	}
 	p.SetState(proc.SRun)
 	p.CPU.Store(int32(cpu))
 	p.LastCPU.Store(int32(cpu))
@@ -420,7 +444,7 @@ func (s *Sched) ageSlack() uint64 { return uint64(4 * len(s.queues)) }
 // candidate can beat (or is aged enough to displace) the local best; only
 // when a hint says otherwise does the slow steal scan run.
 func (s *Sched) pickNext(cpu int) *proc.Proc {
-	gangScan := s.gangActive()
+	gangScan := s.sawGang.Load() // gang affinity can influence dispatch at all
 	fair := s.fair.Load()
 	if fair {
 		s.FairPasses.Add(1)
@@ -663,7 +687,7 @@ func (s *Sched) flushUsage(p *proc.Proc) {
 func (s *Sched) score(p *proc.Proc) int {
 	sc := int(p.Prio.Load()) * 2
 	grp := p.ShareGrp()
-	if grp != nil && (s.gang.Load() || grp.Gang()) {
+	if grp != nil && grp.Gang() {
 		for i := range s.cpuProc {
 			if r := s.cpuProc[i].Load(); r != nil && r.ShareGrp() == grp {
 				sc++
@@ -681,14 +705,12 @@ func (s *Sched) score(p *proc.Proc) int {
 // process is off every run queue — it costs the dispatcher nothing until
 // its wake token arrives.
 func (s *Sched) Block(p *proc.Proc, reason string) {
+	cpu := s.mustHoldCPU(p, "Block")
 	s.flushUsage(p)
 	p.LastSleep.Store(reason)
-	cpu := p.CPU.Load()
-	if c := s.cpuOf(p); c != nil {
-		c.Charge(s.machine.Cost.SemaSleep)
-	}
+	s.machine.CPUs[cpu].Charge(s.machine.Cost.SemaSleep)
 	s.Sleeps.Add(1)
-	s.machine.Trace.Record(trace.EvBlock, int32(p.PID), cpu, 0, 0)
+	s.machine.Trace.Record(trace.EvBlock, int32(p.PID), int32(cpu), 0, 0)
 	s.releaseCPU(p)
 	p.SetState(proc.SSleep)
 	p.WaitWake()
@@ -703,11 +725,11 @@ func (s *Sched) Block(p *proc.Proc, reason string) {
 // banked token here would lose a wakeup another subsystem deposited for
 // the sleep the member returns to after the thaw.
 func (s *Sched) Park(p *proc.Proc, gate <-chan struct{}) {
+	cpu := s.mustHoldCPU(p, "Park")
 	s.flushUsage(p)
 	p.LastSleep.Store("ckpt-freeze")
-	cpu := p.CPU.Load()
 	s.Sleeps.Add(1)
-	s.machine.Trace.Record(trace.EvBlock, int32(p.PID), cpu, 0, 0)
+	s.machine.Trace.Record(trace.EvBlock, int32(p.PID), int32(cpu), 0, 0)
 	s.releaseCPU(p)
 	p.SetState(proc.SSleep)
 	<-gate
@@ -731,7 +753,7 @@ func (s *Sched) Unblock(p *proc.Proc) {
 // against a descheduled peer.
 func (s *Sched) gangSticky(p *proc.Proc) bool {
 	grp := p.ShareGrp()
-	if grp == nil || !(s.gang.Load() || grp.Gang()) {
+	if grp == nil || !grp.Gang() {
 		return false
 	}
 	mateRunning := false
@@ -795,6 +817,7 @@ func (s *Sched) Yield(p *proc.Proc) {
 		return
 	}
 	p.CPU.Store(-1)
+	s.cpuProc[cpu].Store(nil)
 	p.SetState(proc.SReady)
 	s.enqueue(p)
 	s.Preemptions.Add(1)
@@ -812,21 +835,13 @@ func (s *Sched) Exit(p *proc.Proc) {
 	p.SetState(proc.SZomb)
 }
 
-// cpuOf returns the hw.CPU p is running on, or nil.
-func (s *Sched) cpuOf(p *proc.Proc) *hw.CPU {
-	if cpu := p.CPU.Load(); cpu >= 0 {
-		return s.machine.CPUs[cpu]
-	}
-	return nil
-}
-
 // CurrentCPU returns the hw.CPU p occupies; it panics if p is not running
 // (kernel code must be entered from the process itself).
 func (s *Sched) CurrentCPU(p *proc.Proc) *hw.CPU {
-	if c := s.cpuOf(p); c != nil {
-		return c
+	if cpu := p.CPU.Load(); cpu >= 0 {
+		return s.machine.CPUs[cpu]
 	}
-	panic("sched: process not on a CPU")
+	panic(fmt.Sprintf("sched: pid %d (%s) is not on a CPU", p.PID, p.Name))
 }
 
 // RunqLen returns the number of ready, undispatched processes.

@@ -200,7 +200,6 @@ func TestGangAffinity(t *testing.T) {
 	// with both a group-B process and A's other member queued, gang
 	// mode must pick the group-mate even though B queued first.
 	s, _ := newSched(2, 1000)
-	s.SetGang(true)
 
 	// The id field keeps the struct non-zero-sized so the two groups get
 	// distinct addresses.
@@ -256,7 +255,7 @@ type fakeShare struct{}
 func (*fakeShare) SyncEntry(*proc.Proc) {}
 func (*fakeShare) Leave(*proc.Proc)     {}
 func (*fakeShare) Size() int            { return 2 }
-func (*fakeShare) Gang() bool           { return false }
+func (*fakeShare) Gang() bool           { return true }
 
 var fakeShareAcct = proc.NewCPUAcct()
 

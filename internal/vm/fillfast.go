@@ -37,24 +37,19 @@ import "repro/internal/hw"
 // yet been shot down — and is excluded the same way, by the share group's
 // update-lock + shootdown protocol, before any frame is freed.
 func (r *Region) FillOn(idx int, write bool, cpu int) (pfn hw.PFN, writable bool, res FillResult, err error) {
-	return r.FillFor(idx, write, cpu, nil)
-}
-
-// FillFor is FillOn charging any frame the fill allocates (zero fill, COW
-// copy) to acct, the faulting process's resource principal. The fast path
-// is unchanged — a resident fault allocates nothing and costs no quota.
-func (r *Region) FillFor(idx int, write bool, cpu int, acct *hw.FrameAcct) (pfn hw.PFN, writable bool, res FillResult, err error) {
-	pfn, writable, res, _, err = r.FillAccounted(idx, write, cpu, acct, nil)
+	pfn, writable, res, _, err = r.FillAccounted(idx, write, cpu, nil)
 	return pfn, writable, res, err
 }
 
-// FillAccounted is the full fill entry point: FillFor drawing quota from a
-// spawn-time frame reservation when one is supplied, and additionally
-// reporting how many page-table slots a lazy-dup materialization walked on
-// this call (zero on the fast path and on already-materialized slow
-// fills), so the kernel can charge the deferred duplication cost to the
-// faulting CPU instead of pretending first touch is free.
-func (r *Region) FillAccounted(idx int, write bool, cpu int, acct *hw.FrameAcct, resv *hw.FrameResv) (pfn hw.PFN, writable bool, res FillResult, lazyPages int, err error) {
+// FillAccounted is the full fill entry point: FillOn charging any frame the
+// fill allocates (zero fill, COW copy) to acct, the faulting process's
+// resource principal — the fast path is unchanged, a resident fault
+// allocates nothing and costs no quota — and additionally reporting how
+// many page-table slots a lazy-dup materialization walked on this call
+// (zero on the fast path and on already-materialized slow fills), so the
+// kernel can charge the deferred duplication cost to the faulting CPU
+// instead of pretending first touch is free.
+func (r *Region) FillAccounted(idx int, write bool, cpu int, acct *hw.FrameAcct) (pfn hw.PFN, writable bool, res FillResult, lazyPages int, err error) {
 	t := r.table.Load()
 	if idx < 0 || idx >= len(t.slots) {
 		return hw.NoPFN, false, FillCached, 0, outOfRange(r, idx, len(t.slots))
@@ -80,5 +75,5 @@ func (r *Region) FillAccounted(idx int, write bool, cpu int, acct *hw.FrameAcct,
 		}
 	}
 	r.mem.SlowFills.Add(1)
-	return r.fillSlow(idx, write, cpu, acct, resv)
+	return r.fillSlow(idx, write, cpu, acct)
 }

@@ -276,7 +276,7 @@ func (r *Region) Fill(idx int, write bool) (pfn hw.PFN, writable bool, res FillR
 // lock. lazyPages reports the page-table slots a materialization walked on
 // this call, so the kernel can charge the deferred duplication cost to the
 // faulting CPU.
-func (r *Region) fillSlow(idx int, write bool, cpu int, acct *hw.FrameAcct, resv *hw.FrameResv) (pfn hw.PFN, writable bool, res FillResult, lazyPages int, err error) {
+func (r *Region) fillSlow(idx int, write bool, cpu int, acct *hw.FrameAcct) (pfn hw.PFN, writable bool, res FillResult, lazyPages int, err error) {
 	stripe := &r.stripes[idx&(regionStripes-1)]
 	for {
 		stripe.Lock()
@@ -303,9 +303,8 @@ func (r *Region) fillSlow(idx int, write bool, cpu int, acct *hw.FrameAcct, resv
 	slot := &t.slots[idx]
 	w := slot.Load()
 	if w&ptePresent == 0 {
-		// Demand zero fill, charged to the faulting principal (drawing on
-		// its spawn-time reservation first, when it has one).
-		pfn, err = r.mem.AllocResv(cpu, acct, resv)
+		// Demand zero fill, charged to the faulting principal.
+		pfn, err = r.mem.AllocFor(cpu, acct)
 		if err != nil {
 			return hw.NoPFN, false, FillCached, lazyPages, err
 		}
@@ -346,7 +345,7 @@ func (r *Region) fillSlow(idx int, write bool, cpu int, acct *hw.FrameAcct, resv
 		return pfn, false, FillCached, lazyPages, nil
 	}
 	// Copy-on-write: break the alias; the copy is the faulter's charge.
-	cp, err := r.mem.CopyFrameResv(pfn, cpu, acct, resv)
+	cp, err := r.mem.CopyFrameFor(pfn, cpu, acct)
 	if err != nil {
 		return hw.NoPFN, false, FillCached, lazyPages, err
 	}

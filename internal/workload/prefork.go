@@ -29,10 +29,9 @@ type PreforkMetrics struct {
 	P50       int64 // median request→response latency, simcyc
 	P99       int64 // 99th-percentile latency, simcyc
 
-	LazyDups      int64 // O(1) region clones created at spawn
-	LazyBreaks    int64 // clones materialized by a first touch
-	LazyDrops     int64 // clones that exited untouched
-	SpawnReserved int64 // frames prepaid to workers at spawn
+	LazyDups   int64 // O(1) region clones created at spawn
+	LazyBreaks int64 // clones materialized by a first touch
+	LazyDrops  int64 // clones that exited untouched
 }
 
 // String renders the prefork metrics compactly.
@@ -49,10 +48,9 @@ func (m PreforkMetrics) String() string {
 // until pc.Conns connections have been answered. It is the classic
 // prefork/max-requests-per-child server organization, and the creation
 // churn is the point: every worker generation is one lazy image
-// duplication (most regions never touched before exit — LazyDrops), and
-// every reap returns a spawn reservation. Latency is measured exactly as
-// in Serve, so prefork rows compare directly against the poll and
-// blocking organizations.
+// duplication (most regions never touched before exit — LazyDrops).
+// Latency is measured exactly as in Serve, so prefork rows compare
+// directly against the poll and blocking organizations.
 func Prefork(cfg kernel.Config, pc PreforkConfig) PreforkMetrics {
 	if pc.Workers <= 0 {
 		pc.Workers = 4
@@ -74,11 +72,6 @@ func Prefork(cfg kernel.Config, pc PreforkConfig) PreforkMetrics {
 	}
 	if pc.Pages > cfg.DataPages {
 		pc.Pages = cfg.DataPages
-	}
-	// The pool churn is what this driver measures, so the batched spawn
-	// reservation is on unless the caller chose a size.
-	if cfg.SpawnReserve == 0 {
-		cfg.SpawnReserve = 8
 	}
 	if cfg.MaxFiles < pc.Conns+pc.Workers+16 {
 		cfg.MaxFiles = pc.Conns + pc.Workers + 16
@@ -182,6 +175,5 @@ func Prefork(cfg kernel.Config, pc PreforkConfig) PreforkMetrics {
 	m.LazyDups = st.LazyDups
 	m.LazyBreaks = st.LazyBreaks
 	m.LazyDrops = st.LazyDrops
-	m.SpawnReserved = st.SpawnReserved
 	return m
 }

@@ -30,19 +30,16 @@ func TestPrefork(t *testing.T) {
 		t.Errorf("lazy conservation violated: dups=%d breaks=%d drops=%d",
 			m.LazyDups, m.LazyBreaks, m.LazyDrops)
 	}
-	if m.SpawnReserved == 0 {
-		t.Error("pool churn never took a spawn reservation")
-	}
 }
 
 // TestPreforkCreationStormRace is the -race conservation check for O(1)
 // member creation (DESIGN.md §16): several share-group members churn
 // COW-imaged children concurrently — half touch their image (materializing
 // the pending duplication and COW-breaking against the group's pages,
-// racing the members' own stores), half exit untouched — every child
-// carrying a batched spawn reservation. Once the storm drains, the books
-// must balance exactly: every lazy clone materialized or dropped, every
-// reserved frame returned to the group account, every frame freed.
+// racing the members' own stores), half exit untouched. Once the storm
+// drains, the books must balance exactly: every lazy clone materialized or
+// dropped, every charged frame returned to the group account, every frame
+// freed.
 func TestPreforkCreationStormRace(t *testing.T) {
 	const (
 		members = 4
@@ -52,9 +49,7 @@ func TestPreforkCreationStormRace(t *testing.T) {
 	if testing.Short() {
 		kidsPer = 10
 	}
-	cfg := small()
-	cfg.SpawnReserve = 8
-	s := newSession(cfg)
+	s := newSession(small())
 	var acct *hw.FrameAcct
 	s.Sys.Start("driver", func(c *kernel.Context) {
 		for i := 0; i < touched; i++ {
@@ -117,11 +112,11 @@ func TestPreforkCreationStormRace(t *testing.T) {
 	if st.LazyDrops == 0 {
 		t.Error("no clone ever exited untouched (quiet-tail kids should drop)")
 	}
-	if st.SpawnReserved == 0 {
-		t.Error("no kid ever took a spawn reservation")
+	if ch, un := acct.Charges.Load(), acct.Uncharges.Load(); ch-un != acct.Used() {
+		t.Errorf("account law broken: charges %d - uncharges %d != used %d", ch, un, acct.Used())
 	}
 	if used := acct.Used(); used != 0 {
-		t.Errorf("group account leaked: %d frames still charged after teardown (reservation not returned?)", used)
+		t.Errorf("group account leaked: %d frames still charged after teardown", used)
 	}
 	if mem := s.Sys.Machine.Mem; mem.InUse() != 0 {
 		t.Errorf("frames leaked: %d still in use after full teardown", mem.InUse())

@@ -9,18 +9,15 @@ import (
 	"repro/internal/proc"
 )
 
-// TestFailedSpawnStormRace is the FrameResv conservation storm: spawn
-// members with batched reservations under a tight member cap, a frame
-// quota, and an armed fault plan, so every failure path fires — member-cap
-// EAGAIN before any side effect, quota refusals of the batch, injected
-// hard ENOMEMs that refund prepaid frames after consume, and reaps that
-// release remainders while fills are still failing. Run under -race (the
-// tier1 StormRace line). The assertions are the reservation flow law
-//
-//	ResvReserved + ResvRefunds == ResvConsumed + ResvReleased
-//
-// at quiescence, plus the usual drains: the group account back to zero
-// and no machine frame leaked.
+// TestFailedSpawnStormRace is the failed-creation conservation storm:
+// spawn members under a tight member cap, a frame quota, and an armed
+// fault plan, so every failure path fires — member-cap EAGAIN before any
+// side effect, quota refusals, injected hard ENOMEMs that kill a member
+// mid-fill, and reaps that run while fills are still failing. Run under
+// -race (the tier1 StormRace line). Every charge is one granted frame, so
+// the assertions are the account law Charges - Uncharges == Used at
+// quiescence, plus the usual drains: the group account back to zero and
+// no machine frame leaked.
 func TestFailedSpawnStormRace(t *testing.T) {
 	rounds := 48
 	if testing.Short() {
@@ -28,7 +25,6 @@ func TestFailedSpawnStormRace(t *testing.T) {
 	}
 	cfg := small()
 	cfg.MaxProcs = 64
-	cfg.SpawnReserve = 8
 	cfg.FaultSeed = 0xC0FFEE
 	cfg.FaultRate = 150
 
@@ -62,10 +58,9 @@ func TestFailedSpawnStormRace(t *testing.T) {
 			// EAGAIN path (possibly after the gateway's retry backoff).
 			for m := 0; m < 6; m++ {
 				_, err := c.Sproc("stormer", func(cc *kernel.Context, arg int64) {
-					// Touch enough private pages to outrun the prepaid
-					// batch; injected hard ENOMEMs kill the member
-					// mid-fill, leaving consumed-then-refunded frames
-					// and a remainder for the reap to release.
+					// Touch a run of private pages; injected hard ENOMEMs
+					// kill the member mid-fill, leaving the pages already
+					// charged for the reap to release.
 					va, err := cc.MmapPrivate(12)
 					if err != nil {
 						return
@@ -98,14 +93,12 @@ func TestFailedSpawnStormRace(t *testing.T) {
 	if !sawEAGAIN {
 		t.Log("note: member-cap EAGAIN path never fired this seed")
 	}
-	res, cons, ref, rel := acct.ResvReserved.Load(), acct.ResvConsumed.Load(),
-		acct.ResvRefunds.Load(), acct.ResvReleased.Load()
-	if res == 0 {
-		t.Fatal("storm never took a spawn reservation")
+	ch, un := acct.Charges.Load(), acct.Uncharges.Load()
+	if ch == 0 {
+		t.Fatal("storm never charged a frame to the group")
 	}
-	if res+ref != cons+rel {
-		t.Fatalf("reservation flow broken: reserved %d + refunds %d != consumed %d + released %d",
-			res, ref, cons, rel)
+	if ch-un != acct.Used() {
+		t.Fatalf("account law broken: charges %d - uncharges %d != used %d", ch, un, acct.Used())
 	}
 	if u := acct.Used(); u != 0 {
 		t.Fatalf("group account leaked %d frames after drain", u)
