@@ -7,7 +7,7 @@ tier1: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -short -run 'Chaos' -count=1 ./internal/workload/
-	$(GO) test -race -short -run 'FaultStorm|COWBreak|StormRace|Bulk|WriteBytesEdges|CopyFrameUnder|Decode|Allocs|Spawn|CreationCharges|RestoreFailure|ShareMaskTable|Carve|Poll|PublishedReadiness|InterestSet|StandingWaiter|SelectSame|Netserver|SelfCheck|SgtopRuns|BenchtabPreforkRuns' -count=1 ./internal/hw/ ./internal/ckpt/ ./internal/vm/ ./internal/workload/ ./internal/uspin/ ./internal/ipc/ ./internal/core/ ./internal/kernel/ ./internal/fs/ ./internal/sched/ ./examples/netserver/ ./cmd/sgtop/ ./cmd/benchtab/
+	$(GO) test -race -short -run 'FaultStorm|COWBreak|StormRace|Bulk|WriteBytesEdges|CopyFrameUnder|Decode|Allocs|Spawn|CreationCharges|RestoreFailure|ShareMaskTable|Carve|Poll|PublishedReadiness|InterestSet|StandingWaiter|SelectSame|Netserver|SelfCheck|SgtopRuns|BenchtabPreforkRuns|SleepProtocolModel|PostInterruptsSleep|SemaStaleWake|EnvdiagRuns|KtraceRuns|SgdumpRuns|VshRuns' -count=1 ./internal/hw/ ./internal/ckpt/ ./internal/vm/ ./internal/workload/ ./internal/uspin/ ./internal/ipc/ ./internal/core/ ./internal/kernel/ ./internal/fs/ ./internal/sched/ ./internal/klock/ ./internal/proc/ ./examples/netserver/ ./cmd/sgtop/ ./cmd/benchtab/ ./cmd/envdiag/ ./cmd/ktrace/ ./cmd/sgdump/ ./cmd/vsh/
 
 # Chaos: the full seeded fault-injection soak (deterministic per seed).
 .PHONY: chaos
@@ -45,10 +45,6 @@ lint: lint-pregion lint-lazydup lint-ckpt
 			exit 1; \
 		fi; \
 	done
-	@if grep -rnE '\bsleepOn\(|\bevQueue\b|\.sleepers\b' --include='*.go' internal/ cmd/ examples/ *.go | grep -v '^internal/ipc/'; then \
-		echo "lint: stream sleep-wake outside internal/ipc — blocking and readiness go through the evQueue protocol (waitOn/wake/baton); other layers consume fs.Pollable or the poll(2) syscall" >&2; \
-		exit 1; \
-	fi
 
 # lint-pregion: pregion lists are an ordered interval index maintained by
 # internal/vm (sorted by base, binary-searched). Kernel-side code must go

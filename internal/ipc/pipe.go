@@ -234,13 +234,6 @@ func (p *Pipe) closeEnd(read bool) {
 	p.mu.Unlock()
 }
 
-// Buffered returns the number of bytes queued in the pipe.
-func (p *Pipe) Buffered() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.buf)
-}
-
 // pipeEnd adapts one end of a pipe to fs.Stream and fs.Pollable.
 type pipeEnd struct {
 	p    *Pipe

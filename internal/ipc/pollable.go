@@ -6,8 +6,8 @@ package ipc
 // publishes every readiness transition — write makes readable, read makes
 // writable, close makes EOF/EPIPE, a connection joins the backlog — to the
 // sleepers and the poll(2) registrations on that queue. Streams no longer
-// touch their wait lists directly (a make-lint rule holds the line); the
-// queue is the single place wake policy lives:
+// touch their wait lists directly; the queue is the single place wake
+// policy lives:
 //
 //   - Sleepers are woken one at a time on an ordinary transition (the
 //     FIFO baton: the woken thread re-wakes the next sleeper if any of the

@@ -7,7 +7,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/klock"
 	"repro/internal/proc"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -570,14 +569,13 @@ func (c *Context) Wait() (int, int, error) {
 			p.Mu.Unlock()
 			// SIGCLD must not abort wait(2): it is the very signal that
 			// announces the event being waited for. Any other deliverable
-			// signal interrupts the call.
-			abort := func() bool { return p.UnmaskedPending(1 << proc.SIGCLD) }
-			if !p.SleepInterruptibleIf(p.DeadSema, "wait(2) for child exit", abort) {
-				if p.UnmaskedPending(1 << proc.SIGCLD) {
-					return [2]int{-1, 0}, ErrInterrupt
-				}
-				// Woken by SIGCLD (or a stale token): rescan children.
+			// signal interrupts the call. A child that exits after the scan
+			// above has posted SIGCLD, whose wake token stays banked, so
+			// Block returns at once and the loop rescans.
+			if p.UnmaskedPending(1 << proc.SIGCLD) {
+				return [2]int{-1, 0}, ErrInterrupt
 			}
+			p.Block("wait(2) for child exit")
 		}
 	})
 	return r[0], r[1], err
@@ -625,12 +623,13 @@ func (c *Context) Sigmask(mask uint32) uint32 {
 }
 
 // Pause sleeps until a signal is delivered. A signal already pending on
-// entry returns immediately — the check and the sleep are atomic, closing
-// the classic pause(2) race.
+// entry returns immediately, and one posted between the check and the
+// sleep leaves its wake token banked — the classic pause(2) race is closed.
 func (c *Context) Pause() error {
 	return invoke0(c, sysPause, func() error {
-		s := klock.NewSema(0)
-		c.P.SleepInterruptibleIf(s, "pause(2)", func() bool { return c.P.UnmaskedPending(0) })
+		for !c.P.SignalPending() {
+			c.P.Block("pause(2)")
+		}
 		return ErrInterrupt
 	})
 }

@@ -12,9 +12,7 @@ import (
 // scheduling decisions about the process group as a whole", extended from
 // scheduling to every resource the group consumes). setshares(2) writes a
 // group's entitlements; getusage(2) reads back what the group has actually
-// been delivered. Both replace the raw int64-valued prctl(2) group options
-// as the supported control interface — Prctl remains as a compatibility
-// shim over the same state.
+// been delivered.
 
 // GroupLimits is the settable entitlement record of one share group — the
 // argument of setshares(2). Fields follow a leave-unchanged convention so

@@ -429,7 +429,6 @@ func (s *System) reap(p *proc.Proc, status int) {
 	s.mu.Unlock()
 	if parent != nil {
 		parent.Post(proc.SIGCLD)
-		parent.DeadSema.V()
 	} else {
 		// Orphan: no one will wait; drop the table entry now. A signal
 		// death with nobody to observe it is reported like a shell

@@ -140,9 +140,8 @@ func (w *WaitList) Len() int { return len(w.ts) }
 
 // waiter is one thread sleeping on a semaphore.
 type waiter struct {
-	t           Thread
-	interrupted bool
-	granted     bool
+	t       Thread
+	granted bool
 }
 
 // Sema is a counting sleep/wakeup semaphore (sema_t). P may block; V wakes
@@ -177,106 +176,28 @@ func (s *Sema) P(t Thread, reason string) {
 	for {
 		t.Block(reason)
 		s.mu.Lock()
-		if w.granted || w.interrupted {
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
-	}
-}
-
-// PInterruptible is P, but the sleep can be broken by Interrupt (signal
-// delivery to a process sleeping in the kernel). It reports whether the
-// semaphore was actually acquired (false means interrupted).
-func (s *Sema) PInterruptible(t Thread, reason string) bool {
-	s.mu.Lock()
-	if s.count > 0 {
-		s.count--
-		s.mu.Unlock()
-		return true
-	}
-	w := &waiter{t: t}
-	s.waiters = append(s.waiters, w)
-	s.mu.Unlock()
-	s.Sleeps.Add(1)
-	return s.sleep(t, reason, w)
-}
-
-// sleep blocks until the waiter is granted or interrupted, absorbing
-// spurious wakes from stale level-triggered tokens. It reports whether the
-// semaphore was acquired.
-func (s *Sema) sleep(t Thread, reason string, w *waiter) bool {
-	for {
-		t.Block(reason)
-		s.mu.Lock()
-		granted, interrupted := w.granted, w.interrupted
+		granted := w.granted
 		s.mu.Unlock()
 		if granted {
-			return true
-		}
-		if interrupted {
-			return false
+			return
 		}
 	}
-}
-
-// PInterruptibleIf is PInterruptible with an atomic pre-sleep abort check:
-// abort is evaluated under the semaphore's lock before the caller is added
-// to the wait list, so an Interrupt-triggering event that happens before
-// the sleep is never lost (the pause(2) race). It returns false without
-// sleeping when abort() is true.
-func (s *Sema) PInterruptibleIf(t Thread, reason string, abort func() bool) bool {
-	s.mu.Lock()
-	if abort != nil && abort() {
-		s.mu.Unlock()
-		return false
-	}
-	if s.count > 0 {
-		s.count--
-		s.mu.Unlock()
-		return true
-	}
-	w := &waiter{t: t}
-	s.waiters = append(s.waiters, w)
-	s.mu.Unlock()
-	s.Sleeps.Add(1)
-	return s.sleep(t, reason, w)
 }
 
 // V increments the semaphore, waking the oldest sleeper if any.
 func (s *Sema) V() {
 	s.mu.Lock()
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		if w.interrupted {
-			continue // already woken by Interrupt; grant to next
-		}
-		w.granted = true
+	if len(s.waiters) == 0 {
+		s.count++
 		s.mu.Unlock()
-		s.Wakeups.Add(1)
-		w.t.Unblock()
 		return
 	}
-	s.count++
+	w := s.waiters[0]
+	s.waiters = s.waiters[1:]
+	w.granted = true
 	s.mu.Unlock()
-}
-
-// Interrupt breaks t's sleep on the semaphore, if it is sleeping here.
-// It reports whether a sleep was broken.
-func (s *Sema) Interrupt(t Thread) bool {
-	s.mu.Lock()
-	for i, w := range s.waiters {
-		if w.t == t && !w.interrupted {
-			w.interrupted = true
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			s.mu.Unlock()
-			t.Unblock()
-			return true
-		}
-	}
-	s.mu.Unlock()
-	return false
+	s.Wakeups.Add(1)
+	w.t.Unblock()
 }
 
 // Count returns the current count (for tests and diagnostics).

@@ -133,63 +133,33 @@ func TestSemaFIFO(t *testing.T) {
 	}
 }
 
-func TestSemaInterrupt(t *testing.T) {
+// A signal poke deposits the sleeper's wake token without granting the
+// semaphore: P must sleep again, and only V ends it.
+func TestSemaStaleWakeIsNotAGrant(t *testing.T) {
 	s := NewSema(0)
 	th := newGoThread()
-	got := make(chan bool, 1)
-	go func() {
-		got <- s.PInterruptible(th, "interruptible")
-	}()
-	for s.Waiting() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	if !s.Interrupt(th) {
-		t.Fatal("Interrupt found no sleeper")
-	}
-	select {
-	case ok := <-got:
-		if ok {
-			t.Fatal("PInterruptible reported acquisition after interrupt")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("interrupted sleeper never returned")
-	}
-	// A V after the interrupt must not be consumed by the dead waiter.
-	s.V()
-	if s.Count() != 1 {
-		t.Fatalf("Count = %d, want 1", s.Count())
-	}
-	// Interrupting a thread that is not sleeping reports false.
-	if s.Interrupt(th) {
-		t.Fatal("Interrupt of non-sleeper returned true")
-	}
-}
-
-func TestSemaInterruptThenPSucceedsForOthers(t *testing.T) {
-	s := NewSema(0)
-	a, b := newGoThread(), newGoThread()
-	resA := make(chan bool, 1)
-	go func() { resA <- s.PInterruptible(a, "a") }()
-	for s.Waiting() == 0 {
-		time.Sleep(time.Millisecond)
-	}
 	done := make(chan struct{})
 	go func() {
-		s.P(b, "b")
+		s.P(th, "p")
 		close(done)
 	}()
-	for s.Waiting() != 2 {
+	for s.Waiting() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	s.Interrupt(a)
-	if ok := <-resA; ok {
-		t.Fatal("a acquired despite interrupt")
+	th.Unblock()
+	select {
+	case <-done:
+		t.Fatal("P returned on a wake that was not a V")
+	case <-time.After(20 * time.Millisecond):
 	}
-	s.V() // must wake b, not be swallowed
+	s.V()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("b never woke after V")
+		t.Fatal("P never returned after V")
+	}
+	if s.Count() != 0 || s.Waiting() != 0 {
+		t.Fatalf("Count = %d, Waiting = %d, want 0, 0", s.Count(), s.Waiting())
 	}
 }
 

@@ -155,16 +155,9 @@ func (l *MRLock) RLockOn(t Thread, cpu int) int {
 		l.waitcnt++
 		l.acclck.Unlock()
 		l.RSleeps.Add(1)
-		for {
-			t.Block("mrlock: wait for update to finish")
-			l.acclck.Lock()
-			granted := w.granted
-			l.acclck.Unlock()
-			if granted {
-				// The releasing updater registered our hold on slot 0.
-				return 0
-			}
-		}
+		l.sleep(t, w, "mrlock: wait for update to finish")
+		// The releasing updater registered our hold on slot 0.
+		return 0
 	}
 }
 

@@ -55,7 +55,7 @@ func (p *Proc) BlockprocSleep(reason string) bool {
 		p.blockSleep = true
 		p.blockMu.Unlock()
 		// A signal posted between the check above and this Block is not
-		// lost: Post's interruptSleep deposits the wake token, so Block
+		// lost: Post deposits the wake token, so Block
 		// returns immediately and the loop re-checks SignalPending.
 		p.Block(reason)
 	}

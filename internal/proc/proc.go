@@ -119,10 +119,9 @@ type ShareGroup interface {
 
 // Scheduler is the dispatch interface the process layer blocks through.
 type Scheduler interface {
-	// Block releases p's CPU and sleeps until Unblock; called by p itself.
+	// Block releases p's CPU and sleeps until p's wake token arrives
+	// (WaitWake); called by p itself.
 	Block(p *Proc, reason string)
-	// Unblock makes a blocked p runnable again.
-	Unblock(p *Proc)
 }
 
 // DefaultStackPages is the default maximum stack size (1 MiB), adjustable
@@ -217,8 +216,6 @@ type Proc struct {
 	SigMask    uint32
 	Handlers   [NSig]Handler
 	Killed     atomic.Bool // SIGKILL latched
-	sleepMu    sync.Mutex
-	sleepSema  *klock.Sema // interruptible kernel sleep in progress
 
 	// LastSleep records the reason of the most recent scheduler block
 	// (diagnostics only).
@@ -227,7 +224,6 @@ type Proc struct {
 	// Exit/wait.
 	Children   []*Proc
 	ExitStatus int
-	DeadSema   *klock.Sema // parent sleeps here for dying children
 	Exited     chan struct{}
 }
 
@@ -246,7 +242,6 @@ func New(pid int, name string) *Proc {
 		FdFlags:  make([]uint8, NFdInit),
 		wake:     make(chan struct{}, 1),
 		RunGate:  make(chan int, 1),
-		DeadSema: klock.NewSema(0),
 		Exited:   make(chan struct{}),
 	}
 	p.CPU.Store(-1)
@@ -293,14 +288,9 @@ func (p *Proc) Block(reason string) {
 	<-p.wake
 }
 
-// Unblock implements klock.Thread.
-func (p *Proc) Unblock() {
-	if p.Sched != nil {
-		p.Sched.Unblock(p)
-		return
-	}
-	p.NotifyWake()
-}
+// Unblock implements klock.Thread: it is the wake. The sleeper re-enters
+// the run queue itself once Block consumes the token.
+func (p *Proc) Unblock() { p.NotifyWake() }
 
 // WaitWake consumes the wakeup token; the scheduler's Block uses it so an
 // Unblock that raced ahead is not lost.

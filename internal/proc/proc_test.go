@@ -3,9 +3,9 @@ package proc
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/fs"
-	"repro/internal/klock"
 )
 
 func TestMaskString(t *testing.T) {
@@ -207,19 +207,33 @@ func TestSignalActions(t *testing.T) {
 	}
 }
 
+// Every kernel sleep is a Block loop on its condition and SignalPending;
+// Post's poke of the wake token is what ends it.
 func TestPostInterruptsSleep(t *testing.T) {
 	p := New(8, "t")
-	s := klock.NewSema(0)
-	res := make(chan bool, 1)
-	go func() { res <- p.SleepInterruptible(s, "pause") }()
-	for s.Waiting() == 0 {
+	done := make(chan struct{})
+	go func() {
+		for !p.SignalPending() {
+			p.Block("pause")
+		}
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("sleep ended with no signal posted")
+	case <-time.After(20 * time.Millisecond):
 	}
 	p.Post(SIGINT)
-	if ok := <-res; ok {
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
 		t.Fatal("sleep not interrupted by signal")
 	}
-	// After the sleep, Post with no sleeper is a no-op.
+	// With no sleeper the poke stays banked, and a second one is dropped
+	// rather than blocking the poster.
 	p.Post(SIGINT)
+	p.Post(SIGINT)
+	p.Block("banked")
 }
 
 func TestBlockUnblockStandalone(t *testing.T) {

@@ -1,9 +1,5 @@
 package proc
 
-import (
-	"repro/internal/klock"
-)
-
 // Signal numbers (the System V set we model).
 const (
 	SIGHUP  = 1
@@ -28,10 +24,6 @@ const (
 // way").
 type Handler func(sig int)
 
-// Disposition constants: a nil entry in Handlers means default action;
-// Ignore discards the signal.
-func Ignore(int) {}
-
 // defaultFatal reports whether sig's default action terminates.
 func defaultFatal(sig int) bool {
 	switch sig {
@@ -42,9 +34,12 @@ func defaultFatal(sig int) bool {
 	}
 }
 
-// Post marks sig pending on p and interrupts an interruptible kernel sleep
-// so the signal is noticed promptly (read on a pty, pause, wait — the slow
-// operations of paper §6).
+// Post marks sig pending on p and pokes p's wake token so a kernel sleep
+// in progress notices it promptly (read on a pty, pause, wait — the slow
+// operations of paper §6). Every kernel sleep is a loop around Block: the
+// poke makes it wake, re-check its condition and SignalPending, and return
+// EINTR or sleep again. A stale token costs at most one tolerated spurious
+// wake.
 func (p *Proc) Post(sig int) {
 	if sig <= 0 || sig >= NSig {
 		return
@@ -58,49 +53,12 @@ func (p *Proc) Post(sig int) {
 			break
 		}
 	}
-	p.interruptSleep()
-}
-
-// interruptSleep breaks the interruptible kernel sleep in progress, if any.
-// A process blocked on a WaitList (pipe, message queue, semaphore set,
-// accept) has no registered sleepSema; poking its wake token makes the
-// sleep loop wake, re-check its condition, and notice SignalPending — the
-// EINTR path. A stale token costs at most one tolerated spurious wake.
-func (p *Proc) interruptSleep() {
-	p.sleepMu.Lock()
-	s := p.sleepSema
-	p.sleepMu.Unlock()
-	if s != nil {
-		s.Interrupt(p)
-		return
-	}
 	p.NotifyWake()
 }
 
 // SignalPending implements klock.Interruptible: it reports whether any
 // deliverable signal is pending.
 func (p *Proc) SignalPending() bool { return p.UnmaskedPending(0) }
-
-// SleepInterruptible performs an interruptible P on s, registering the
-// sleep so Post can break it. It reports whether the semaphore was
-// acquired (false: interrupted by a signal).
-func (p *Proc) SleepInterruptible(s *klock.Sema, reason string) bool {
-	return p.SleepInterruptibleIf(s, reason, nil)
-}
-
-// SleepInterruptibleIf is SleepInterruptible with an atomic pre-sleep
-// abort check (see klock.Sema.PInterruptibleIf): a signal posted before
-// the sleep registers is caught by abort instead of being lost.
-func (p *Proc) SleepInterruptibleIf(s *klock.Sema, reason string, abort func() bool) bool {
-	p.sleepMu.Lock()
-	p.sleepSema = s
-	p.sleepMu.Unlock()
-	ok := s.PInterruptibleIf(p, reason, abort)
-	p.sleepMu.Lock()
-	p.sleepSema = nil
-	p.sleepMu.Unlock()
-	return ok
-}
 
 // UnmaskedPending reports whether any deliverable signal is pending,
 // optionally ignoring the signals in ignore (a bitmask).

@@ -247,18 +247,6 @@ func (s *Sched) mustBeOffCPU(p *proc.Proc, op string) {
 
 // ─── ready / dispatch ────────────────────────────────────────────────────
 
-// Spawn runs body as the process p: the goroutine waits for its first
-// dispatch, runs, and releases its CPU on return. The caller must have set
-// p.Sched to this scheduler.
-func (s *Sched) Spawn(p *proc.Proc, body func()) {
-	go func() {
-		<-p.RunGate
-		body()
-		s.Exit(p)
-	}()
-	s.Ready(p)
-}
-
 // Ready makes p runnable, dispatching it immediately if a CPU is idle.
 // On a NUMA machine the idle claim prefers p's home node — where it last
 // ran, or for a never-dispatched group member, where a group-mate is
@@ -700,49 +688,39 @@ func (s *Sched) score(p *proc.Proc) int {
 
 // ─── blocking, preemption, exit ──────────────────────────────────────────
 
-// Block implements proc.Scheduler: release the CPU, sleep until Unblock,
-// then contend for a CPU again. Called by p's own goroutine. A blocked
-// process is off every run queue — it costs the dispatcher nothing until
-// its wake token arrives.
+// Block implements proc.Scheduler: release the CPU, sleep until the wake
+// token arrives, then contend for a CPU again. Called by p's own goroutine.
+// A blocked process is off every run queue — it costs the dispatcher
+// nothing until its wake token arrives.
 func (s *Sched) Block(p *proc.Proc, reason string) {
-	cpu := s.mustHoldCPU(p, "Block")
-	s.flushUsage(p)
-	p.LastSleep.Store(reason)
-	s.machine.CPUs[cpu].Charge(s.machine.Cost.SemaSleep)
-	s.Sleeps.Add(1)
-	s.machine.Trace.Record(trace.EvBlock, int32(p.PID), int32(cpu), 0, 0)
-	s.releaseCPU(p)
-	p.SetState(proc.SSleep)
-	p.WaitWake()
-	s.machine.Trace.Record(trace.EvUnblock, int32(p.PID), -1, 0, 0)
-	s.Ready(p)
-	<-p.RunGate
+	s.sleep(p, "Block", reason, s.machine.Cost.SemaSleep, p.WaitWake)
 }
 
 // Park is the checkpoint-freeze sleep: release the CPU and wait until the
 // gate channel closes. Unlike Block it must not touch the wake-token
 // channel — a parked member is not waiting for an Unblock, and consuming a
 // banked token here would lose a wakeup another subsystem deposited for
-// the sleep the member returns to after the thaw.
+// the sleep the member returns to after the thaw. It charges nothing.
 func (s *Sched) Park(p *proc.Proc, gate <-chan struct{}) {
-	cpu := s.mustHoldCPU(p, "Park")
+	s.sleep(p, "Park", "ckpt-freeze", 0, func() { <-gate })
+}
+
+// sleep is the one way a process gives up its CPU to wait: settle the
+// quantum, charge cost, release the CPU, wait, and queue for a CPU again.
+// op names the caller for the self-check.
+func (s *Sched) sleep(p *proc.Proc, op, reason string, cost int64, wait func()) {
+	cpu := s.mustHoldCPU(p, op)
 	s.flushUsage(p)
-	p.LastSleep.Store("ckpt-freeze")
+	p.LastSleep.Store(reason)
+	s.machine.CPUs[cpu].Charge(cost)
 	s.Sleeps.Add(1)
 	s.machine.Trace.Record(trace.EvBlock, int32(p.PID), int32(cpu), 0, 0)
 	s.releaseCPU(p)
 	p.SetState(proc.SSleep)
-	<-gate
+	wait()
 	s.machine.Trace.Record(trace.EvUnblock, int32(p.PID), -1, 0, 0)
 	s.Ready(p)
 	<-p.RunGate
-}
-
-// Unblock implements proc.Scheduler: deposit the wakeup token. The sleeping
-// goroutine re-enters the run queue itself — wake is the non-blocking
-// NotifyWake edge, safe to call from a waker holding arbitrary locks.
-func (s *Sched) Unblock(p *proc.Proc) {
-	p.NotifyWake()
 }
 
 // gangSticky reports whether p should keep its CPU at a preemption point:
@@ -846,17 +824,6 @@ func (s *Sched) CurrentCPU(p *proc.Proc) *hw.CPU {
 
 // RunqLen returns the number of ready, undispatched processes.
 func (s *Sched) RunqLen() int { return int(s.queued.Load()) }
-
-// QueueLens returns the per-CPU run-queue lengths (diagnostics).
-func (s *Sched) QueueLens() []int {
-	out := make([]int, len(s.queues))
-	for i, q := range s.queues {
-		q.mu.Lock()
-		out[i] = len(q.q)
-		q.mu.Unlock()
-	}
-	return out
-}
 
 // IdleCPUs returns the number of idle processors.
 func (s *Sched) IdleCPUs() int {

@@ -22,6 +22,18 @@ func mkProc(s *Sched, pid int) *proc.Proc {
 	return p
 }
 
+// Spawn runs body as the process p: the goroutine waits for its first
+// dispatch, runs, and releases its CPU on return (the kernel's spawn does
+// the same around a process image). p.Sched must already be s.
+func (s *Sched) Spawn(p *proc.Proc, body func()) {
+	go func() {
+		<-p.RunGate
+		body()
+		s.Exit(p)
+	}()
+	s.Ready(p)
+}
+
 // waitExited waits until every process is a zombie. A Spawn body returns —
 // which is where these tests signal completion — before the scheduler's
 // Exit gives the CPU back, so what is read straight after wg.Wait can

@@ -158,14 +158,6 @@ func (r *Ring) SetEnabled(on bool) {
 // Enabled reports whether the ring records.
 func (r *Ring) Enabled() bool { return r != nil && r.enabled.Load() }
 
-// Shards returns the number of shards (CPU shards plus the overflow shard).
-func (r *Ring) Shards() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.shards)
-}
-
 // Record appends an event to the shard of the CPU it happened on. Safe on a
 // nil or disabled ring.
 func (r *Ring) Record(kind Kind, pid int32, cpu int32, arg uint64, aux uint32) {

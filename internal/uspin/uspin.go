@@ -670,11 +670,6 @@ func (w Word) Add(c *kernel.Context, delta uint32) (uint32, error) {
 	return c.Add32(w.VA, delta)
 }
 
-// Await spins until pred holds of the word, returning the observed value.
-func (w Word) Await(c *kernel.Context, pred func(uint32) bool) (uint32, error) {
-	return c.SpinWait32(w.VA, pred)
-}
-
 // AwaitEq spins until the word equals v.
 func (w Word) AwaitEq(c *kernel.Context, v uint32) error {
 	_, err := c.SpinWait32(w.VA, func(x uint32) bool { return x == v })

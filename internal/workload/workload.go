@@ -1,9 +1,8 @@
 // Package workload implements the paper's experiments (DESIGN.md E1..E10)
 // as reusable drivers: each boots a fresh simulated system, runs a
 // workload inside it, and reports wall-clock time, simulated cycles, and
-// event counts. The root package's benchmarks and cmd/benchtab both build
-// on these drivers, so the numbers in EXPERIMENTS.md are regenerable from
-// either.
+// event counts. cmd/benchtab builds on these drivers, so the numbers in
+// EXPERIMENTS.md are regenerable from it.
 package workload
 
 import (
