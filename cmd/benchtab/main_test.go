@@ -3,10 +3,9 @@ package main
 import (
 	"bytes"
 	"flag"
-	"io"
-	"os"
 	"testing"
-	"time"
+
+	"repro/internal/cmdtest"
 )
 
 // TestBenchtabPreforkRuns runs `benchtab -quick -work prefork` end to end
@@ -17,31 +16,7 @@ func TestBenchtabPreforkRuns(t *testing.T) {
 	flag.Set("quick", "true")
 	flag.Set("work", "prefork")
 
-	stdout := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	defer func() { os.Stdout = stdout }()
-	out := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- b
-	}()
-
-	done := make(chan struct{})
-	go func() {
-		main()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("benchtab -quick -work prefork did not finish within 10 s")
-	}
-	w.Close()
-	got := <-out
+	got := cmdtest.Run(t, main)
 	for _, want := range []string{
 		"E1c-prefork — prefork serving pool, 256 connections",
 		"  pool                     simcyc/op         wall  shootdn   faults",

@@ -2,41 +2,16 @@ package main
 
 import (
 	"bytes"
-	"io"
-	"os"
 	"testing"
-	"time"
+
+	"repro/internal/cmdtest"
 )
 
 // TestEnvdiagRuns runs all five process models end to end under a deadline
 // and checks each figure's heading and the result it demonstrates: what
 // crossed a pipe, a segment, a socket, a task, and a share mask.
 func TestEnvdiagRuns(t *testing.T) {
-	stdout := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	defer func() { os.Stdout = stdout }()
-	out := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- b
-	}()
-
-	done := make(chan struct{})
-	go func() {
-		main()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("envdiag did not finish within 10 s")
-	}
-	w.Close()
-	got := <-out
+	got := cmdtest.Run(t, main)
 	for _, want := range []string{
 		"Figure 1 — Version 7 process environment",
 		`got "hello through the kernel queue" via pipe`,

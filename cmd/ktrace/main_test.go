@@ -2,10 +2,9 @@ package main
 
 import (
 	"bytes"
-	"io"
-	"os"
 	"testing"
-	"time"
+
+	"repro/internal/cmdtest"
 )
 
 // TestKtraceRuns runs the traced workload and the fault-injection demo end
@@ -13,31 +12,7 @@ import (
 // the event stream the kill that breaks the victim's pause(2) and the
 // wait(2) that reaps it.
 func TestKtraceRuns(t *testing.T) {
-	stdout := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	defer func() { os.Stdout = stdout }()
-	out := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- b
-	}()
-
-	done := make(chan struct{})
-	go func() {
-		main()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("ktrace did not finish within 10 s")
-	}
-	w.Close()
-	got := <-out
+	got := cmdtest.Run(t, main)
 	for _, want := range []string{
 		"kernel trace: ",
 		"(0 dropped)",

@@ -3,10 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
-	"io"
 	"os"
 	"testing"
-	"time"
+
+	"repro/internal/cmdtest"
 )
 
 // TestSgdumpRuns checkpoints the demo group and renders the image end to
@@ -20,31 +20,7 @@ func TestSgdumpRuns(t *testing.T) {
 	os.Args, flag.CommandLine = args[:1], flag.NewFlagSet(args[0], flag.ExitOnError)
 	defer func() { os.Args, flag.CommandLine = args, cmdline }()
 
-	stdout := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	defer func() { os.Stdout = stdout }()
-	out := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- b
-	}()
-
-	done := make(chan struct{})
-	go func() {
-		main()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("sgdump did not finish within 10 s")
-	}
-	w.Close()
-	got := <-out
+	got := cmdtest.Run(t, main)
 	for _, want := range []string{
 		"checkpoint image: version=1 page-size=4096 encoded=",
 		"umask=0022 ulimit=1073741824 uid=0 gid=0 cpu-shares=4 frame-quota=512 member-cap=8 gang=false",

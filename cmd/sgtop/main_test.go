@@ -2,41 +2,16 @@ package main
 
 import (
 	"bytes"
-	"io"
-	"os"
 	"testing"
-	"time"
+
+	"repro/internal/cmdtest"
 )
 
 // TestSgtopRuns runs the dump end to end under a deadline and checks the
 // headings of the share block, the machine section and each counter
 // group, so a section cannot disappear (or the demo group wedge) unseen.
 func TestSgtopRuns(t *testing.T) {
-	stdout := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	defer func() { os.Stdout = stdout }()
-	out := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- b
-	}()
-
-	done := make(chan struct{})
-	go func() {
-		main()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("sgtop did not finish within 10 s")
-	}
-	w.Close()
-	got := <-out
+	got := cmdtest.Run(t, main)
 	for _, want := range []string{
 		"shared address block (shaddr_t)",
 		"s_refcnt   4 members",

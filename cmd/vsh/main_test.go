@@ -2,10 +2,10 @@ package main
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"testing"
-	"time"
+
+	"repro/internal/cmdtest"
 )
 
 // TestVshRuns runs the built-in demo script end to end under a deadline —
@@ -18,31 +18,7 @@ func TestVshRuns(t *testing.T) {
 	os.Args = args[:1]
 	defer func() { os.Args = args }()
 
-	stdout := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	defer func() { os.Stdout = stdout }()
-	out := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- b
-	}()
-
-	done := make(chan struct{})
-	go func() {
-		main()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("vsh did not finish within 10 s")
-	}
-	w.Close()
-	got := <-out
+	got := cmdtest.Run(t, main)
 	for _, want := range []string{
 		"Enhanced Resource Sharing in UNIX\nby J. M. Barton and J. C. Wagner\n",
 		"  -640     67  csrd.txt\n  -640     67  paper.txt\n",

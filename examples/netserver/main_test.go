@@ -3,10 +3,9 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"os"
 	"testing"
-	"time"
+
+	"repro/internal/cmdtest"
 )
 
 // TestNetserverRuns runs the example end to end under a deadline: a
@@ -14,31 +13,7 @@ import (
 // clients, every wait of it inside poll(2). Each client prints the echo it
 // got back, so the output says whether every connection was served.
 func TestNetserverRuns(t *testing.T) {
-	stdout := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	defer func() { os.Stdout = stdout }()
-	out := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- b
-	}()
-
-	done := make(chan struct{})
-	go func() {
-		main()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("netserver did not finish within 10 s")
-	}
-	w.Close()
-	got := <-out
+	got := cmdtest.Run(t, main)
 	if n := bytes.Count(got, []byte(" echoes ")); n != clients {
 		t.Errorf("%d echoes printed, want one per client (%d):\n%s", n, clients, got)
 	}

@@ -236,11 +236,7 @@ func TestFdPropagation(t *testing.T) {
 
 	// p opens a file; q must see the descriptor after sync.
 	file, _ := r.fs.Open(r.cred(), "/data", fs.ORead|fs.OWrite|fs.OCreat, 0o644)
-	sa.BeginFdUpdate(p)
-	p.Mu.Lock()
-	fd, _ := p.AllocFd(file)
-	p.Mu.Unlock()
-	sa.EndFdUpdate(p, fd)
+	fd, _, _ := sa.UpdateFds(p, func() (int, error) { return p.AllocFd(file) })
 
 	if q.Flag.Load()&proc.FSyncFds == 0 {
 		t.Fatal("q not marked for fd sync")
@@ -258,12 +254,11 @@ func TestFdPropagation(t *testing.T) {
 	}
 
 	// p closes: q must lose the descriptor after sync.
-	sa.BeginFdUpdate(p)
-	p.Mu.Lock()
-	f, _ := p.ClearFd(fd)
-	p.Mu.Unlock()
-	f.Release()
-	sa.EndFdUpdate(p, fd)
+	sa.UpdateFds(p, func() (int, error) {
+		f, err := p.ClearFd(fd)
+		f.Release()
+		return fd, err
+	})
 	sa.SyncEntry(q)
 	q.Mu.Lock()
 	_, err = q.GetFd(fd)
@@ -288,18 +283,11 @@ func TestSecondUpdaterSyncsBeforeUpdate(t *testing.T) {
 	// p opens fd 0; q is now dirty. Without syncing first, q's own open
 	// would also pick slot 0 and the two tables would diverge.
 	fileA, _ := r.fs.Open(r.cred(), "/a", fs.OWrite|fs.OCreat, 0o644)
-	sa.BeginFdUpdate(p)
-	p.Mu.Lock()
-	fdA, _ := p.AllocFd(fileA)
-	p.Mu.Unlock()
-	sa.EndFdUpdate(p, fdA)
+	fdA, _, _ := sa.UpdateFds(p, func() (int, error) { return p.AllocFd(fileA) })
 
 	fileB, _ := r.fs.Open(r.cred(), "/b", fs.OWrite|fs.OCreat, 0o644)
-	sa.BeginFdUpdate(q) // must reconcile q with p's open first
-	q.Mu.Lock()
-	fdB, _ := q.AllocFd(fileB)
-	q.Mu.Unlock()
-	sa.EndFdUpdate(q, fdB)
+	// Must reconcile q with p's open first.
+	fdB, _, _ := sa.UpdateFds(q, func() (int, error) { return q.AllocFd(fileB) })
 
 	if fdA == fdB {
 		t.Fatalf("descriptor collision: both opens landed on fd %d", fdA)
@@ -309,6 +297,73 @@ func TestSecondUpdaterSyncsBeforeUpdate(t *testing.T) {
 	q.Mu.Unlock()
 	if gotA != fileA {
 		t.Fatal("q lost p's descriptor during its own update")
+	}
+}
+
+// TestFdFlagSurvivesSiblingUpdate: a sibling's update that lands after a
+// member's kernel-entry test of p_flag and before it holds the semaphore
+// leaves the member flagged (markOthers' SetSyncBits) and its table stale.
+// Its own change — an fcntl flag — must be made to the resynchronized
+// table, not before the resync overwrites it, and is what gets published.
+func TestFdFlagSurvivesSiblingUpdate(t *testing.T) {
+	r := newRig()
+	p := r.newProc(1)
+	sa := New(p)
+	q := r.newProc(2)
+	q.SetShMask(proc.PRSALL)
+	sa.AddMember(q)
+	file, _ := r.fs.Open(r.cred(), "/data", fs.ORead|fs.OCreat, 0o644)
+	fd, _, _ := sa.UpdateFds(p, func() (int, error) { return p.AllocFd(file) })
+	sa.SyncEntry(q) // q enters the kernel up to date
+
+	setFlag := func(m *proc.Proc, bit uint8) {
+		sa.UpdateFds(m, func() (int, error) {
+			m.FdFlags[fd] |= bit
+			return fd, nil
+		})
+	}
+	setFlag(p, proc.FdCloseOnExec)
+	if q.Flag.Load()&proc.FSyncFds == 0 {
+		t.Fatal("the sibling's update did not flag q")
+	}
+	setFlag(q, proc.FdNonblock)
+	const both = proc.FdCloseOnExec | proc.FdNonblock
+	if q.FdFlags[fd] != both {
+		t.Errorf("q's flags after its fcntl = %#x, want its bit on top of the sibling's (%#x)", q.FdFlags[fd], both)
+	}
+	if q.Flag.Load()&proc.FSyncFds != 0 {
+		t.Error("q still flagged after updating under the semaphore")
+	}
+	sa.SyncEntry(p)
+	if p.FdFlags[fd] != both {
+		t.Errorf("published flags, as p adopts them = %#x, want %#x", p.FdFlags[fd], both)
+	}
+}
+
+// TestFailedFdUpdatePublishesNothing: a change that fails releases the
+// semaphore, tells nobody and leaves the block alone.
+func TestFailedFdUpdatePublishesNothing(t *testing.T) {
+	r := newRig()
+	p := r.newProc(1)
+	sa := New(p)
+	q := r.newProc(2)
+	q.SetShMask(proc.PRSALL)
+	sa.AddMember(q)
+	before := sa.Propagations.Load()
+	fd, pushed, err := sa.UpdateFds(p, func() (int, error) {
+		_, err := p.ClearFd(5)
+		return -1, err
+	})
+	if err != fs.ErrBadFd || fd != -1 || pushed != 0 {
+		t.Fatalf("failed update = (%d, %d, %v), want (-1, 0, ErrBadFd)", fd, pushed, err)
+	}
+	if sa.Propagations.Load() != before || q.Flag.Load()&proc.FSyncFds != 0 {
+		t.Error("a failed update propagated")
+	}
+	// The semaphore is free again: this would sleep forever otherwise.
+	file, _ := r.fs.Open(r.cred(), "/data", fs.ORead|fs.OCreat, 0o644)
+	if _, _, err := sa.UpdateFds(q, func() (int, error) { return q.AllocFd(file) }); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -55,7 +55,7 @@ type ShAddr struct {
 	refcnt   int          // s_refcnt
 
 	// Single-threaded open-file updating.
-	FupdSema *klock.Sema // s_fupdsema (initialized to 1: a sleeping mutex)
+	fupdSema *klock.Sema // s_fupdsema (initialized to 1: a sleeping mutex)
 	ofile    []*fs.File  // s_ofile: block's copy of the descriptor table
 	pofile   []uint8     // s_pofile: copy of the descriptor flags
 
@@ -68,16 +68,14 @@ type ShAddr struct {
 	uid      uint16     // s_uid
 	gid      uint16     // s_gid
 
-	// Stack and mapping arenas, guarded by the Acc update lock.
-	nextStack hw.VAddr
-	nextShm   hw.VAddr
-
-	// memberStack remembers the stack sproc carved for each member so the
-	// range can be recycled (and, for VM-sharing members, the pregion
-	// detached from the shared list) when the member exits.
+	// The group's mapping arena, guarded by the Acc update lock, and its
+	// stack arena, guarded by listLock. memberStack remembers the stack
+	// sproc carved for each member so the range can be recycled (and, for
+	// VM-sharing members, the pregion detached from the shared list) when
+	// the member exits.
+	shm         vm.Arena
+	stacks      vm.Arena
 	memberStack map[*proc.Proc]memberStack
-	stackFree   map[int][]hw.VAddr // free stack ranges by size in pages
-	shmFree     map[int][]hw.VAddr // free mapping ranges by size in pages
 
 	// Options (ablation and §8-extension switches).
 	opts Options
@@ -181,14 +179,12 @@ func New(creator *proc.Proc) *ShAddr { return NewWithOptions(creator, Options{})
 // are shared").
 func NewWithOptions(creator *proc.Proc, opts Options) *ShAddr {
 	sa := &ShAddr{
-		FupdSema:    klock.NewSema(1),
+		fupdSema:    klock.NewSema(1),
 		cpuAcct:     proc.NewCPUAcct(),
 		ASID:        creator.ASID,
-		nextStack:   vm.SprocStackBase,
-		nextShm:     creator.NextShm,
+		shm:         creator.Shm.Inherit(),
+		stacks:      vm.NewArena(vm.SprocStackBase, StackGapPages),
 		memberStack: map[*proc.Proc]memberStack{},
-		stackFree:   map[int][]hw.VAddr{},
-		shmFree:     map[int][]hw.VAddr{},
 		opts:        opts,
 	}
 
@@ -325,14 +321,29 @@ func (sa *ShAddr) Members() []*proc.Proc {
 	return out
 }
 
-// markOthers sets the sync bits of res on every member sharing it except
-// the updater. This is the p_flag update walk of §6.3. In the eager-sync
-// ablation the update is pushed into every member's user area immediately
-// instead.
-func (sa *ShAddr) markOthers(updater *proc.Proc, res proc.Mask) {
+// markOthers tells every member sharing res, except the updater, that its
+// copy is out of date: the p_flag update walk of §6.3, which sets the sync
+// bits each member tests on its next kernel entry and returns 0. Under the
+// eager-sync ablation the walk instead applies the change to each member
+// now — while it may be running, sleeping, or waiting on a resource the
+// updater holds — and returns how many it pushed, the work the updater did
+// inline and is charged for. For descriptors the caller holds fupdSema.
+func (sa *ShAddr) markOthers(updater *proc.Proc, res proc.Mask) (pushed int) {
+	sa.Propagations.Add(1)
 	if sa.opts.EagerAttrSync {
-		sa.pushOthers(updater, res)
-		return
+		for _, m := range sa.Members() {
+			shared := m.ShMask() & res
+			if m == updater || shared == 0 {
+				continue
+			}
+			if shared&proc.PRSFDS != 0 {
+				sa.syncFdsLocked(m)
+			}
+			sa.copyAttrs(m, shared, false)
+			sa.Syncs.Add(1)
+			pushed++
+		}
+		return pushed
 	}
 	sa.listLock.Lock()
 	for _, m := range sa.members {
@@ -341,25 +352,7 @@ func (sa *ShAddr) markOthers(updater *proc.Proc, res proc.Mask) {
 		}
 	}
 	sa.listLock.Unlock()
-	sa.Propagations.Add(1)
-}
-
-// pushOthers is the eager-sync ablation: apply the change to every member
-// now, while it may be running, sleeping, or waiting on a resource the
-// updater holds. For descriptor pushes the caller holds FupdSema.
-func (sa *ShAddr) pushOthers(updater *proc.Proc, res proc.Mask) {
-	for _, m := range sa.Members() {
-		shared := m.ShMask() & res
-		if m == updater || shared == 0 {
-			continue
-		}
-		if shared&proc.PRSFDS != 0 {
-			sa.syncFdsLocked(m)
-		}
-		sa.copyAttrs(m, shared, false)
-		sa.Syncs.Add(1)
-	}
-	sa.Propagations.Add(1)
+	return 0
 }
 
 func (sa *ShAddr) String() string {

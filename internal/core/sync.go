@@ -23,7 +23,7 @@ func (sa *ShAddr) SyncEntry(p *proc.Proc) {
 // syncFdsLocked copies the block's descriptor table into p's, adjusting
 // reference counts. Another member may have opened a descriptor past the
 // end of p's table, so the table is grown to the block's length first —
-// truncating would silently drop those descriptors. Caller holds FupdSema.
+// truncating would silently drop those descriptors. Caller holds fupdSema.
 func (sa *ShAddr) syncFdsLocked(p *proc.Proc) {
 	p.Mu.Lock()
 	p.GrowFd(len(sa.ofile))
@@ -48,75 +48,75 @@ func (sa *ShAddr) syncFdsLocked(p *proc.Proc) {
 	p.Mu.Unlock()
 }
 
-// BeginFdUpdate single-threads a descriptor-table change (paper: "semaphore
-// for single threading open file updating"). After acquiring the semaphore
-// it re-synchronizes the caller if another member updated in the meantime
-// — "it is important that the second process be synchronized prior to
-// being allowed to update the resource. This is handled by also checking
-// the synchronization bits after acquiring the lock."
-func (sa *ShAddr) BeginFdUpdate(p *proc.Proc) {
-	sa.FupdSema.P(p, "shaddr: fd update")
+// UpdateFds runs one change to p's descriptor table under the §6.3 update
+// protocol, all of it here so no caller can hold part of it: take the
+// update semaphore ("semaphore for single threading open file updating");
+// re-check p's descriptor sync bit *after* acquiring it and bring p's table
+// up to date if another member updated in the meantime ("it is important
+// that the second process be synchronized prior to being allowed to update
+// the resource. This is handled by also checking the synchronization bits
+// after acquiring the lock"); run change under p.Mu; publish the slot it
+// returns into the block, which takes its own reference; tell the other
+// sharers; release. A change that fails is released without publishing or
+// telling anyone — it must leave p's table as it found it. The caller has
+// checked that p shares PR_SFDS. pushed is markOthers' count.
+func (sa *ShAddr) UpdateFds(p *proc.Proc, change func() (fd int, err error)) (fd, pushed int, err error) {
+	sa.fupdSema.P(p, "shaddr: fd update")
+	defer sa.fupdSema.V()
 	// Clear only the fd bit; other dirty resources are reconciled at the
 	// next kernel entry as usual.
 	for {
 		old := p.Flag.Load()
 		if old&proc.FSyncFds == 0 {
-			return
+			break
 		}
 		if p.Flag.CompareAndSwap(old, old&^proc.FSyncFds) {
+			sa.syncFdsLocked(p)
 			break
 		}
 	}
-	sa.syncFdsLocked(p)
-}
-
-// EndFdUpdate publishes p's descriptor slot fd into the block (the block
-// takes its own reference) and marks every other sharing member dirty.
-// Caller holds the update semaphore via BeginFdUpdate; EndFdUpdate
-// releases it.
-func (sa *ShAddr) EndFdUpdate(p *proc.Proc, fds ...int) {
 	p.Mu.Lock()
-	for _, fd := range fds {
-		if fd < 0 || fd >= p.FdCeiling() {
-			continue
-		}
-		if fd >= len(sa.ofile) {
-			// The updater's table grew past the block's shadow copy;
-			// grow the shadow so the new slot is published, not dropped.
-			ofile := make([]*fs.File, fd+1)
-			pofile := make([]uint8, fd+1)
-			copy(ofile, sa.ofile)
-			copy(pofile, sa.pofile)
-			sa.ofile, sa.pofile = ofile, pofile
-		}
-		old := sa.ofile[fd]
-		var now *fs.File
-		if fd < len(p.Fd) && p.Fd[fd] != nil {
-			now = p.Fd[fd]
-		}
-		if old != now {
-			if now != nil {
-				sa.ofile[fd] = now.Hold()
-			} else {
-				sa.ofile[fd] = nil
-			}
-			if old != nil {
-				old.Release()
-			}
-		}
-		if fd < len(p.FdFlags) {
-			sa.pofile[fd] = p.FdFlags[fd]
-		}
+	if fd, err = change(); err == nil {
+		sa.publishFdLocked(p, fd)
 	}
 	p.Mu.Unlock()
-	sa.markOthers(p, proc.PRSFDS)
-	sa.FupdSema.V()
+	if err != nil {
+		return fd, 0, err
+	}
+	return fd, sa.markOthers(p, proc.PRSFDS), nil
+}
+
+// publishFdLocked copies p's descriptor slot fd into the block's shadow
+// table, the block taking its own reference. Caller holds fupdSema and p.Mu.
+func (sa *ShAddr) publishFdLocked(p *proc.Proc, fd int) {
+	if fd >= len(sa.ofile) {
+		// The updater's table grew past the block's shadow copy; grow the
+		// shadow so the new slot is published, not dropped.
+		ofile := make([]*fs.File, fd+1)
+		pofile := make([]uint8, fd+1)
+		copy(ofile, sa.ofile)
+		copy(pofile, sa.pofile)
+		sa.ofile, sa.pofile = ofile, pofile
+	}
+	old := sa.ofile[fd]
+	var now *fs.File
+	if fd < len(p.Fd) {
+		now = p.Fd[fd]
+		sa.pofile[fd] = p.FdFlags[fd]
+	}
+	if old != now {
+		sa.ofile[fd] = nil
+		if now != nil {
+			sa.ofile[fd] = now.Hold()
+		}
+		old.Release()
+	}
 }
 
 // attrs locates one holder's copy of the attribute rows of the §5.1 table
 // (PR_SDIR, PR_SUMASK, PR_SULIMIT, PR_SID): a member's user-area fields or
 // the block's shadows. Descriptors are not here — their row moves slot by
-// slot under FupdSema (BeginFdUpdate/EndFdUpdate, syncFdsLocked).
+// slot under fupdSema (UpdateFds, syncFdsLocked).
 type attrs struct {
 	cdir, rdir **fs.Inode
 	umask      *uint16
@@ -161,10 +161,10 @@ func (sa *ShAddr) copyAttrs(p *proc.Proc, res proc.Mask, publish bool) {
 // Publish copies p's own values of the attribute resources res into the
 // block and marks every other member sharing them out of date (the update
 // half of §6.3); p has already changed its user area. The caller has
-// checked that p shares res.
-func (sa *ShAddr) Publish(p *proc.Proc, res proc.Mask) {
+// checked that p shares res. pushed is markOthers' count.
+func (sa *ShAddr) Publish(p *proc.Proc, res proc.Mask) (pushed int) {
 	sa.copyAttrs(p, res, true)
-	sa.markOthers(p, res)
+	return sa.markOthers(p, res)
 }
 
 // Adopt copies the block's values of the resources res into p, limited to
@@ -176,9 +176,9 @@ func (sa *ShAddr) Publish(p *proc.Proc, res proc.Mask) {
 func (sa *ShAddr) Adopt(caller, p *proc.Proc, res proc.Mask) {
 	res &= p.ShMask()
 	if res&proc.PRSFDS != 0 {
-		sa.FupdSema.P(caller, "shaddr: fd table sync")
+		sa.fupdSema.P(caller, "shaddr: fd table sync")
 		sa.syncFdsLocked(p)
-		sa.FupdSema.V()
+		sa.fupdSema.V()
 	}
 	sa.copyAttrs(p, res, false)
 }

@@ -160,9 +160,7 @@ func (sa *ShAddr) DetachShared(p *proc.Proc, pr *vm.PRegion, shoot func()) error
 	sa.touchRegions()
 	shoot()
 	sa.Shootdowns.Add(1)
-	if pr.Reg.Type == vm.RShm && pr.Base >= vm.ShmBase && pr.Base < vm.SprocStackBase {
-		sa.shmFree[pr.Reg.Pages()] = append(sa.shmFree[pr.Reg.Pages()], pr.Base)
-	}
+	sa.shm.FreeMapping(pr)
 	pr.Reg.Detach()
 	return nil
 }
@@ -215,24 +213,15 @@ func (sa *ShAddr) ShrinkShared(p *proc.Proc, pr *vm.PRegion, n int, shoot func()
 func (sa *ShAddr) CarveStack(caller, child *proc.Proc, mem *hw.Memory, at hw.VAddr, maxPages int, shared bool) (*vm.PRegion, error) {
 	sa.Acc.Lock(caller)
 	defer sa.Acc.Unlock()
-	span := hw.VAddr((maxPages + StackGapPages) * hw.PageSize)
+	if at != 0 && vm.Overlaps(sa.regions, at, maxPages) {
+		return nil, fmt.Errorf("core: stack range %#x..%#x collides with a shared region", at, at+hw.VAddr(maxPages*hw.PageSize))
+	}
 	base := at
 	sa.listLock.Lock()
-	switch free := sa.stackFree[maxPages]; {
-	case at != 0:
-		if vm.Overlaps(sa.regions, at, maxPages) {
-			sa.listLock.Unlock()
-			return nil, fmt.Errorf("core: stack range %#x..%#x collides with a shared region", at, at+hw.VAddr(maxPages*hw.PageSize))
-		}
-		if sa.nextStack < at+span {
-			sa.nextStack = at + span
-		}
-	case len(free) > 0:
-		base = free[len(free)-1]
-		sa.stackFree[maxPages] = free[:len(free)-1]
-	default:
-		base = sa.nextStack
-		sa.nextStack += span
+	if at != 0 {
+		sa.stacks.Reserve(at, maxPages)
+	} else {
+		base = sa.stacks.Alloc(maxPages)
 	}
 	pr := &vm.PRegion{Reg: vm.NewRegion(mem, vm.RStack, maxPages), Base: base}
 	sa.memberStack[child] = memberStack{pr: pr, pages: maxPages, shared: shared}
@@ -262,7 +251,7 @@ func (sa *ShAddr) ReleaseStack(caller, member *proc.Proc) {
 		ms.pr.Reg.Detach()
 	}
 	sa.listLock.Lock()
-	sa.stackFree[ms.pages] = append(sa.stackFree[ms.pages], ms.pr.Base)
+	sa.stacks.Free(ms.pr.Base, ms.pages)
 	sa.listLock.Unlock()
 }
 
@@ -272,23 +261,9 @@ func (sa *ShAddr) ReleaseStack(caller, member *proc.Proc) {
 func (sa *ShAddr) AttachAnon(p *proc.Proc, reg *vm.Region) hw.VAddr {
 	sa.Acc.Lock(p)
 	defer sa.Acc.Unlock()
-	base := sa.carveShmLocked(reg.Pages())
+	base := sa.shm.Alloc(reg.Pages())
 	sa.regions = vm.Insert(sa.regions, &vm.PRegion{Reg: reg, Base: base})
 	sa.touchRegions()
-	return base
-}
-
-// carveShmLocked hands out an arena range, recycling released ranges so
-// long-running map/unmap churn cannot exhaust the 32-bit space. Caller
-// holds the update lock.
-func (sa *ShAddr) carveShmLocked(npages int) hw.VAddr {
-	if free := sa.shmFree[npages]; len(free) > 0 {
-		base := free[len(free)-1]
-		sa.shmFree[npages] = free[:len(free)-1]
-		return base
-	}
-	base := sa.nextShm
-	sa.nextShm += hw.VAddr((npages + 1) * hw.PageSize)
 	return base
 }
 
@@ -300,7 +275,7 @@ func (sa *ShAddr) carveShmLocked(npages int) hw.VAddr {
 func (sa *ShAddr) AttachPrivateRange(p *proc.Proc, npages int) hw.VAddr {
 	sa.Acc.Lock(p)
 	defer sa.Acc.Unlock()
-	return sa.carveShmLocked(npages)
+	return sa.shm.Alloc(npages)
 }
 
 // COWImage builds a copy-on-write private image of the group's address

@@ -473,7 +473,7 @@ func TestPollFileDelegation(t *testing.T) {
 	}
 	defer reg.Release()
 	th := newNopThread()
-	w := &PollWaiter{T: th}
+	w := NewPollWaiter(th, 1)
 	if m := reg.PollReady(); m != PollIn|PollOut {
 		t.Errorf("regular file ready mask %#x, want PollIn|PollOut", m)
 	}
@@ -491,6 +491,7 @@ func TestPollFileDelegation(t *testing.T) {
 	if !file.PollRegister(w, 0) {
 		t.Fatal("stream file refused a poll registration")
 	}
+	w.Arm()
 	s.set(PollIn)
 	if m := file.PollReady(); m != PollIn {
 		t.Errorf("ready mask %#x after the transition, want PollIn", m)
@@ -504,6 +505,7 @@ func TestPollFileDelegation(t *testing.T) {
 		t.Error("the transition deposited no wake for the waiter's thread")
 	}
 	file.PollUnregister(w, 0)
+	w.Arm()
 	s.set(PollIn | PollHup)
 	if n := w.Notified.Load(); n != 1 {
 		t.Errorf("withdrawn waiter notified again (%d)", n)
@@ -585,12 +587,6 @@ func TestStandingWaiterProtocol(t *testing.T) {
 	w.Wake()
 	if !token() {
 		t.Error("Wake on an armed waiter deposited no token")
-	}
-
-	// A plain waiter keeps no marks and always delivers.
-	plain := &PollWaiter{T: th}
-	if !plain.Notify(9) || !token() || plain.Notified.Load() != 1 {
-		t.Error("a zero-value waiter did not deliver its notification")
 	}
 }
 

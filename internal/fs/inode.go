@@ -38,6 +38,7 @@ var (
 	ErrNotEmpty  = errors.New("fs: directory not empty")              // ENOTEMPTY
 	ErrFileLimit = errors.New("fs: file size limit exceeded")         // EFBIG (ulimit)
 	ErrBadFd     = errors.New("fs: bad file descriptor")              // EBADF
+	ErrFdFull    = errors.New("fs: descriptor table full")            // EMFILE
 	ErrInval     = errors.New("fs: invalid argument")                 // EINVAL
 	ErrPipe      = errors.New("fs: broken pipe")                      // EPIPE
 	ErrAgain     = errors.New("fs: resource temporarily unavailable") // EAGAIN

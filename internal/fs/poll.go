@@ -65,22 +65,20 @@ type Pollable interface {
 	PollUnregister(w *PollWaiter, tag uint32)
 }
 
-// PollWaiter is one poller's end of its registrations: the thread to poke,
-// and — in a standing waiter, built by NewPollWaiter — one dirty bit per
-// tag plus the armed flag that says the thread is about to sleep. The zero
-// value with T set is a plain waiter: it keeps no marks and every
-// notification wakes its thread.
+// PollWaiter is one poller's end of its standing registrations: the thread
+// to poke, one dirty bit per tag, and the armed flag that says the thread is
+// about to sleep. Build one with NewPollWaiter.
 type PollWaiter struct {
 	T        klock.Thread
 	Notified atomic.Int64 // wake tokens Notify deposited
 
-	dirty  []atomic.Uint64 // one bit per tag; nil in a plain waiter
+	dirty  []atomic.Uint64 // one bit per tag
 	marked atomic.Bool     // a stream marked some tag since BeginScan
 	armed  atomic.Bool     // the thread will block unless marked
 }
 
-// NewPollWaiter returns a standing waiter for t with room for tags
-// 0..tags-1, disarmed and clean.
+// NewPollWaiter returns a waiter for t with room for tags 0..tags-1,
+// disarmed and clean.
 func NewPollWaiter(t klock.Thread, tags int) *PollWaiter {
 	return &PollWaiter{T: t, dirty: make([]atomic.Uint64, (tags+63)/64)}
 }
@@ -88,16 +86,14 @@ func NewPollWaiter(t klock.Thread, tags int) *PollWaiter {
 // Notify delivers one readiness transition on the registration tagged tag
 // and reports whether it deposited a wake token for the thread. Unblock
 // never blocks (it coalesces into the thread's wake token), so a stream
-// may notify from under its own mutex. A standing waiter that is not
-// armed only takes the mark: its thread is not asleep in poll, and will
-// look at the marks before it next sleeps.
+// may notify from under its own mutex. A waiter that is not armed only
+// takes the mark: its thread is not asleep in poll, and will look at the
+// marks before it next sleeps.
 func (w *PollWaiter) Notify(tag uint32) bool {
-	if w.dirty != nil {
-		w.Mark(tag)
-		w.marked.Store(true)
-		if !w.Disarm() {
-			return false
-		}
+	w.Mark(tag)
+	w.marked.Store(true)
+	if !w.Disarm() {
+		return false
 	}
 	w.Notified.Add(1)
 	w.T.Unblock()

@@ -93,21 +93,15 @@ type Machine struct {
 	RemoteIPIs      atomic.Int64 // shootdown IPIs that crossed a node boundary
 	RemoteFills     atomic.Int64 // page fills backed by a remote-node frame
 
-	// PageShootdownMax is the largest freed range (in pages) that
-	// ShootdownRange invalidates page-by-page; anything larger falls back
-	// to a full space flush. Per-page flushes leave the members' unrelated
-	// TLB entries warm and cost one IPI per remote CPU either way; past a
-	// few entries the per-page bookkeeping stops paying for itself.
-	PageShootdownMax int
-
 	nextASID atomic.Uint32
 }
 
-// DefaultPageShootdownMax is the default ShootdownRange threshold: ranges
-// of up to this many pages are invalidated page-by-page, larger ones flush
-// the whole space. The break-even point is where per-page TLB bookkeeping
-// on every member outgrows the cost of refilling the unrelated entries a
-// space flush discards — with a 64-entry R2000-style TLB and a ~20-cycle
+// DefaultPageShootdownMax is the ShootdownRange threshold: ranges of up to
+// this many pages are invalidated page-by-page, which leaves the members'
+// unrelated TLB entries warm; larger ones flush the whole space. The
+// break-even point is where per-page TLB bookkeeping on every member
+// outgrows the cost of refilling the unrelated entries a space flush
+// discards — with a 64-entry R2000-style TLB and a ~20-cycle
 // software refill that crossover sits at around 8 pages. The IPI count is
 // the same either way (one per remote CPU, the initiator names the pages
 // in the request), and on a NUMA machine each IPI that crosses a node
@@ -133,11 +127,10 @@ func NewMachineNUMA(ncpu, memFrames, nodes int) *Machine {
 	}
 	topo := NewTopology(ncpu, nodes)
 	m := &Machine{
-		CPUs:             make([]*CPU, ncpu),
-		Mem:              NewMemory(memFrames),
-		Cost:             DefaultCosts(),
-		Topo:             topo,
-		PageShootdownMax: DefaultPageShootdownMax,
+		CPUs: make([]*CPU, ncpu),
+		Mem:  NewMemory(memFrames),
+		Cost: DefaultCosts(),
+		Topo: topo,
 	}
 	m.Mem.AttachTopology(topo)
 	for i := range m.CPUs {
@@ -182,6 +175,27 @@ func (m *Machine) AllocASID() ASID {
 	return ASID(m.nextASID.Add(1))
 }
 
+// shootdown is the body of every shootdown: one operation, recorded with
+// the trace arguments given, that runs flush on every CPU's TLB and charges
+// the initiating CPU one IPI per remote processor.
+func (m *Machine) shootdown(initiator *CPU, space ASID, npages int, vpn uint32, flush func(*TLB)) {
+	m.ShootdownOps.Add(1)
+	cpu := int32(-1)
+	if initiator != nil {
+		cpu = int32(initiator.ID)
+	}
+	m.Trace.Record(trace.EvShootdown, int32(npages), cpu, uint64(space), vpn)
+	for _, c := range m.CPUs {
+		flush(&c.TLB)
+		if c != initiator {
+			c.TLB.Shootdowns.Add(1)
+			if initiator != nil {
+				m.chargeIPI(initiator, c)
+			}
+		}
+	}
+}
+
 // ShootdownSpace synchronously flushes every CPU's TLB entries for the
 // given address space, charging the initiating CPU one IPI per remote
 // processor. This is the paper's §6.2 protocol: because the R2000 TLB is
@@ -190,68 +204,28 @@ func (m *Machine) AllocASID() ASID {
 // exceptions, attempt the shared read lock, and sleep until the update is
 // complete.
 func (m *Machine) ShootdownSpace(initiator *CPU, space ASID) {
-	m.ShootdownOps.Add(1)
 	m.SpaceShootdowns.Add(1)
-	cpu := int32(-1)
-	if initiator != nil {
-		cpu = int32(initiator.ID)
-	}
-	m.Trace.Record(trace.EvShootdown, 0, cpu, uint64(space), 0)
-	for _, c := range m.CPUs {
-		c.TLB.FlushSpace(space)
-		if c != initiator {
-			c.TLB.Shootdowns.Add(1)
-			if initiator != nil {
-				m.chargeIPI(initiator, c)
-			}
-		}
-	}
-}
-
-// ShootdownPage flushes one page of one space on every CPU.
-func (m *Machine) ShootdownPage(initiator *CPU, vpn uint32, space ASID) {
-	m.ShootdownOps.Add(1)
-	for _, c := range m.CPUs {
-		c.TLB.FlushPage(vpn, space)
-		if c != initiator {
-			c.TLB.Shootdowns.Add(1)
-			if initiator != nil {
-				m.chargeIPI(initiator, c)
-			}
-		}
-	}
+	m.shootdown(initiator, space, 0, 0, func(t *TLB) { t.FlushSpace(space) })
 }
 
 // ShootdownRange invalidates npages pages starting at vpn on every CPU.
-// A small range (≤ PageShootdownMax) is flushed page-by-page in a single
-// batch: one IPI per remote processor covers all the pages (the initiator
-// names them in the request), so members keep the rest of their cached
-// translations — the common stack-recycle and small-unmap case. A large
-// range falls back to a full space flush, which is cheaper than walking
-// the TLB once per page.
+// A small range (≤ DefaultPageShootdownMax) is flushed page-by-page in a
+// single batch: one IPI per remote processor covers all the pages (the
+// initiator names them in the request), so members keep the rest of their
+// cached translations — the common stack-recycle and small-unmap case. A
+// large range falls back to a full space flush, which is cheaper than
+// walking the TLB once per page.
 func (m *Machine) ShootdownRange(initiator *CPU, vpn uint32, npages int, space ASID) {
-	if max := m.PageShootdownMax; max <= 0 || npages > max {
+	if npages > DefaultPageShootdownMax {
 		m.ShootdownSpace(initiator, space)
 		return
 	}
-	m.ShootdownOps.Add(1)
 	m.PageShootdowns.Add(1)
-	cpu := int32(-1)
-	if initiator != nil {
-		cpu = int32(initiator.ID)
-	}
-	m.Trace.Record(trace.EvShootdown, int32(npages), cpu, uint64(space), vpn)
-	for _, c := range m.CPUs {
+	m.shootdown(initiator, space, npages, vpn, func(t *TLB) {
 		for i := 0; i < npages; i++ {
-			c.TLB.FlushPage(vpn+uint32(i), space)
+			t.FlushPage(vpn+uint32(i), space)
 		}
-		if c != initiator {
-			c.TLB.Shootdowns.Add(1)
-			if initiator != nil {
-				m.chargeIPI(initiator, c)
-			}
-		}
-	}
+	})
 }
 
 // TotalCycles sums the cycle counters of all CPUs.

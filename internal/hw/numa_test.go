@@ -237,7 +237,7 @@ func TestRemoteIPIAndNodePenalty(t *testing.T) {
 	m := NewMachineNUMA(8, 256, 4)
 	init := m.CPUs[0] // node 0
 	before := init.Cycles.Load()
-	m.ShootdownPage(init, 5, ASID(1))
+	m.ShootdownRange(init, 5, 1, ASID(1))
 	// 7 remote CPUs: 1 same-node (cpu 1), 6 on other nodes.
 	wantIPI := 7*m.Cost.IPI + 6*m.Cost.RemoteAccess
 	if got := init.Cycles.Load() - before; got != wantIPI {

@@ -47,8 +47,10 @@ func lockedMask(s fs.Stream) uint16 {
 // stream notifies from inside its critical section, so Unblock runs with
 // the announced state in place and checks the order fs.Pollable promises:
 // the word Ready() loads was published before the notification went out.
+// It arms its waiter again each time, so every transition reaches it.
 type notifyProbe struct {
 	s        fs.Stream
+	w        *fs.PollWaiter
 	notified int
 	stale    string
 }
@@ -59,6 +61,7 @@ func (p *notifyProbe) Unblock() {
 	if got, want := p.s.(fs.Pollable).Ready(), stateMask(p.s); got != want && p.stale == "" {
 		p.stale = fmt.Sprintf("notification %d went out with %#x published, state %#x", p.notified, got, want)
 	}
+	p.w.Arm()
 }
 
 // TestPublishedReadinessMatchesLockedState drives seeded random sequences
@@ -81,7 +84,9 @@ func TestPublishedReadinessMatchesLockedState(t *testing.T) {
 			all = append(all, s)
 			pr := &notifyProbe{s: s}
 			probes = append(probes, pr)
-			s.(fs.Pollable).PollRegister(&fs.PollWaiter{T: pr}, 0)
+			pr.w = fs.NewPollWaiter(pr, 1)
+			pr.w.Arm()
+			s.(fs.Pollable).PollRegister(pr.w, 0)
 		}
 		add := func(ss ...fs.Stream) {
 			for _, s := range ss {
@@ -150,6 +155,13 @@ func TestPublishedReadinessMatchesLockedState(t *testing.T) {
 					t.Fatalf("seed %d step %d (%s): stream %d (%T): %s", seed, step, op, i, s, probes[i].stale)
 				}
 			}
+		}
+		seen := 0
+		for _, pr := range probes {
+			seen += pr.notified
+		}
+		if seen < 500 {
+			t.Fatalf("seed %d: the probes saw %d notifications in 2500 steps; they are not being re-armed", seed, seen)
 		}
 	}
 }

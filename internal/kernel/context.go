@@ -184,10 +184,12 @@ func (c *Context) fault(va hw.VAddr, write bool) (hw.PFN, error) {
 	cpu.Faults.Add(1)
 	c.S.Machine.Trace.Record(trace.EvFault, int32(c.P.PID), int32(cpu.ID), uint64(va), 0)
 
-	sa := groupOf(c.P)
+	// The frame account and its quota reclaim belong to every member of a
+	// group; the shared pregion list only to those sharing PR_SADDR.
+	grp, sa := groupOf(c.P), c.vmGroup()
 	var acct *hw.FrameAcct
-	if sa != nil {
-		acct = sa.FrameAcct()
+	if grp != nil {
+		acct = grp.FrameAcct()
 	}
 
 	var pfn hw.PFN
@@ -212,8 +214,8 @@ func (c *Context) fault(va hw.VAddr, write bool) (hw.PFN, error) {
 		if err == nil {
 			break
 		}
-		if sa != nil && attempt < 2 && errors.Is(err, hw.ErrNoQuota) &&
-			sa.ReclaimQuota(c.P, func() { c.S.Machine.ShootdownSpace(cpu, sa.ASID) }) > 0 {
+		if grp != nil && attempt < 2 && errors.Is(err, hw.ErrNoQuota) &&
+			grp.ReclaimQuota(c.P, func() { c.S.Machine.ShootdownSpace(cpu, grp.ASID) }) > 0 {
 			continue
 		}
 		return hw.NoPFN, c.segv(va, write, err)

@@ -103,7 +103,7 @@ var errnoTable = []struct {
 	{fs.ErrNotExist, ENOENT}, {fs.ErrExist, EEXIST}, {fs.ErrNotDir, ENOTDIR},
 	{fs.ErrIsDir, EISDIR}, {fs.ErrPerm, EACCES}, {fs.ErrNotEmpty, ENOTEMPTY},
 	{fs.ErrFileLimit, EFBIG}, {fs.ErrBadFd, EBADF}, {fs.ErrInval, EINVAL},
-	{fs.ErrPipe, EPIPE}, {fs.ErrAgain, EAGAIN},
+	{fs.ErrPipe, EPIPE}, {fs.ErrAgain, EAGAIN}, {fs.ErrFdFull, EMFILE},
 	{ErrNoChildren, ECHILD}, {ErrInterrupt, EINTR}, {ErrNoProc, ESRCH},
 	{ErrTooMany, EAGAIN}, {ErrPerm, EPERM}, {ErrBadBlockPid, EINVAL},
 	{ErrCkptBusy, EAGAIN}, {ErrCkptQuiesce, EAGAIN},

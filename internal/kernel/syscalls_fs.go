@@ -8,12 +8,13 @@ import (
 	"repro/internal/proc"
 )
 
-// propagated charges the eager-push ablation's inline cost: the updater
-// pays one attribute-sync per sharing member at update time. The deferred
-// design charges each member at its own next kernel entry instead.
-func (c *Context) propagated(sa interface{ Size() int }) {
-	if c.S.cfg.EagerAttrSync {
-		c.charge(int64(sa.Size()-1) * c.S.Machine.Cost.AttrSync)
+// chargePushed charges the caller for the members a share-block update
+// brought up to date inline — the eager-push ablation, in which the updater
+// pays one attribute sync per sharer at update time. The deferred design
+// pushes nobody: each member pays at its own next kernel entry.
+func (c *Context) chargePushed(pushed int) {
+	if pushed > 0 {
+		c.charge(int64(pushed) * c.S.Machine.Cost.AttrSync)
 	}
 }
 
@@ -22,9 +23,7 @@ func (c *Context) propagated(sa interface{ Size() int }) {
 // sharers pick it up at their next kernel entry (paper §6.3).
 func (c *Context) publish(res proc.Mask) {
 	if p := c.P; p.Shares(res) {
-		sa := groupOf(p)
-		sa.Publish(p, res)
-		c.propagated(sa)
+		c.chargePushed(groupOf(p).Publish(p, res))
 	}
 }
 
@@ -37,29 +36,43 @@ func (c *Context) cred() fs.Cred {
 	return fs.Cred{Uid: p.Uid, Gid: p.Gid, Umask: p.Umask, Cwd: p.Cdir, Root: p.Rdir}
 }
 
-// installFd places f in the caller's descriptor table and, when the caller
-// shares descriptors with its group, publishes the new slot. On V.3 the
-// descriptor table lives in the user area; the share block's shadow copy
-// (s_ofile) is what other members synchronize from (paper §6.3).
-func (c *Context) installFd(f *fs.File) (int, error) {
+// updateFds runs change, which edits one slot of the caller's descriptor
+// table under P.Mu and returns it. It is the one place that asks whether
+// the table is shared: for a member sharing PR_SFDS the change runs inside
+// the share block's update protocol (core.UpdateFds, paper §6.3), which
+// publishes the slot to the block's shadow table (s_ofile) for the other
+// sharers to synchronize from; a change that fails publishes nothing and
+// must leave the table as it found it.
+func (c *Context) updateFds(change func() (int, error)) (int, error) {
 	p := c.P
-	if p.Shares(proc.PRSFDS) {
-		sa := groupOf(p)
-		sa.BeginFdUpdate(p)
+	if !p.Shares(proc.PRSFDS) {
 		p.Mu.Lock()
-		fd, err := p.AllocFd(f)
-		p.Mu.Unlock()
+		defer p.Mu.Unlock()
+		return change()
+	}
+	fd, pushed, err := groupOf(p).UpdateFds(p, change)
+	c.chargePushed(pushed)
+	return fd, err
+}
+
+// installFd places f in the lowest free slot of the caller's descriptor
+// table.
+func (c *Context) installFd(f *fs.File) (int, error) {
+	return c.updateFds(func() (int, error) { return c.P.AllocFd(f) })
+}
+
+// closeFd empties descriptor slot fd and drops its reference to the open
+// file.
+func (c *Context) closeFd(fd int) error {
+	_, err := c.updateFds(func() (int, error) {
+		f, err := c.P.ClearFd(fd)
 		if err != nil {
-			sa.FupdSema.V()
 			return -1, err
 		}
-		sa.EndFdUpdate(p, fd)
-		c.propagated(sa)
+		f.Release()
 		return fd, nil
-	}
-	p.Mu.Lock()
-	defer p.Mu.Unlock()
-	return p.AllocFd(f)
+	})
+	return err
 }
 
 // Open opens (or with fs.OCreat creates) the file at path, returning a
@@ -90,30 +103,8 @@ func (c *Context) Creat(path string, mode uint16) (int, error) {
 // members.
 func (c *Context) Close(fd int) error {
 	return invoke0(c, sysClose, func() error {
-		p := c.P
 		c.pollForget(fd)
-		if p.Shares(proc.PRSFDS) {
-			sa := groupOf(p)
-			sa.BeginFdUpdate(p)
-			p.Mu.Lock()
-			f, err := p.ClearFd(fd)
-			p.Mu.Unlock()
-			if err != nil {
-				sa.FupdSema.V()
-				return err
-			}
-			f.Release()
-			sa.EndFdUpdate(p, fd)
-			return nil
-		}
-		p.Mu.Lock()
-		f, err := p.ClearFd(fd)
-		p.Mu.Unlock()
-		if err != nil {
-			return err
-		}
-		f.Release()
-		return nil
+		return c.closeFd(fd)
 	})
 }
 
@@ -146,15 +137,13 @@ func (c *Context) Dup2(fd, target int) (int, error) {
 		if target < 0 || target >= p.FdCeiling() {
 			return -1, fs.ErrBadFd
 		}
-		apply := func() error {
-			p.Mu.Lock()
-			defer p.Mu.Unlock()
+		return c.updateFds(func() (int, error) {
 			f, err := p.GetFd(fd)
 			if err != nil {
-				return err
+				return -1, err
 			}
 			if fd == target {
-				return nil
+				return target, nil
 			}
 			p.GrowFd(target + 1)
 			if old := p.Fd[target]; old != nil {
@@ -162,22 +151,8 @@ func (c *Context) Dup2(fd, target int) (int, error) {
 			}
 			p.SetFd(target, f.Hold())
 			p.FdFlags[target] = 0
-			return nil
-		}
-		if p.Shares(proc.PRSFDS) {
-			sa := groupOf(p)
-			sa.BeginFdUpdate(p)
-			if err := apply(); err != nil {
-				sa.FupdSema.V()
-				return -1, err
-			}
-			sa.EndFdUpdate(p, target)
 			return target, nil
-		}
-		if err := apply(); err != nil {
-			return -1, err
-		}
-		return target, nil
+		})
 	})
 }
 
@@ -187,23 +162,18 @@ func (c *Context) Dup2(fd, target int) (int, error) {
 func (c *Context) setFdFlag(fd int, bit uint8, on bool) error {
 	return invoke0(c, sysFcntl, func() error {
 		p := c.P
-		p.Mu.Lock()
-		if _, err := p.GetFd(fd); err != nil {
-			p.Mu.Unlock()
-			return err
-		}
-		if on {
-			p.FdFlags[fd] |= bit
-		} else {
-			p.FdFlags[fd] &^= bit
-		}
-		p.Mu.Unlock()
-		if p.Shares(proc.PRSFDS) {
-			sa := groupOf(p)
-			sa.BeginFdUpdate(p)
-			sa.EndFdUpdate(p, fd)
-		}
-		return nil
+		_, err := c.updateFds(func() (int, error) {
+			if _, err := p.GetFd(fd); err != nil {
+				return -1, err
+			}
+			if on {
+				p.FdFlags[fd] |= bit
+			} else {
+				p.FdFlags[fd] &^= bit
+			}
+			return fd, nil
+		})
+		return err
 	})
 }
 

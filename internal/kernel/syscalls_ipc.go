@@ -4,7 +4,6 @@ import (
 	"repro/internal/fs"
 	"repro/internal/hw"
 	"repro/internal/ipc"
-	"repro/internal/proc"
 	"repro/internal/vm"
 )
 
@@ -28,23 +27,13 @@ func (c *Context) Pipe() (int, int, error) {
 		}
 		wfd, err := c.installFd(wf)
 		if err != nil {
-			c.closeQuiet(rfd)
+			c.closeFd(rfd) // just installed: cannot fail
 			wf.Release()
 			return [2]int{-1, -1}, err
 		}
 		return [2]int{rfd, wfd}, nil
 	})
 	return fds[0], fds[1], err
-}
-
-// closeQuiet releases a descriptor ignoring errors (error-path cleanup).
-func (c *Context) closeQuiet(fd int) {
-	c.P.Mu.Lock()
-	f, err := c.P.ClearFd(fd)
-	c.P.Mu.Unlock()
-	if err == nil {
-		f.Release()
-	}
 }
 
 // Msgget returns the message queue id for key, creating the queue if
@@ -152,13 +141,7 @@ func (c *Context) Shmat(id int) (hw.VAddr, error) {
 		}
 		seg.Reg.Attach()
 		seg.Att.Add(1)
-		p := c.P
-		if sa := groupOf(p); sa != nil && p.ShMask()&proc.PRSADDR != 0 {
-			return sa.AttachAnon(p, seg.Reg), nil
-		}
-		base := p.AllocShmRange(seg.Reg.Pages())
-		p.Private = vm.Insert(p.Private, &vm.PRegion{Reg: seg.Reg, Base: base})
-		return base, nil
+		return c.attach(seg.Reg), nil
 	})
 }
 

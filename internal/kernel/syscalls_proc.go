@@ -110,7 +110,7 @@ func (c *Context) spawn(spec spawnSpec) (*proc.Proc, error) {
 	child.Ulimit = p.Ulimit
 	child.StackMax = p.StackMax
 	child.FdMax = p.FdMax
-	child.NextShm = p.NextShm
+	child.Shm = p.Shm.Inherit()
 	child.Prio.Store(p.Prio.Load())
 	child.SigMask = p.SigMask
 	child.Handlers = p.Handlers

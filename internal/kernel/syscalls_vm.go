@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/proc"
 	"repro/internal/vm"
@@ -15,21 +16,33 @@ var (
 	ErrNoMem    = errors.New("kernel: out of memory")      // ENOMEM
 )
 
-// dataRegion finds the caller's data region — on the shared list for a
-// VM-sharing member, in the private list otherwise.
-func (c *Context) dataRegion() *vm.PRegion {
-	p := c.P
-	if p.Shares(proc.PRSADDR) {
-		return groupOf(p).FindShared(p, vm.DataBase)
+// vmGroup returns the share block whose shared pregion list is part of the
+// caller's address space — the caller's block iff it is a member sharing
+// PR_SADDR — and nil for a process that resolves every address from its
+// private list. It is the one place that asks: a member created without
+// PR_SADDR holds a copy-on-write image of the group's space and neither
+// sees nor touches what the sharers map, grow or unmap afterwards (§5.1).
+func (c *Context) vmGroup() *core.ShAddr {
+	if sa := groupOf(c.P); sa != nil && c.P.ShMask()&proc.PRSADDR != 0 {
+		return sa
 	}
-	return vm.Find(p.Private, vm.DataBase)
+	return nil
+}
+
+// dataRegion finds the caller's data region — on the shared list of sa for
+// a VM-sharing member, in the private list (sa nil) otherwise.
+func (c *Context) dataRegion() (d *vm.PRegion, sa *core.ShAddr) {
+	if sa = c.vmGroup(); sa != nil {
+		return sa.FindShared(c.P, vm.DataBase), sa
+	}
+	return vm.Find(c.P.Private, vm.DataBase), nil
 }
 
 // Brk returns the current program break (first address past the data
 // region).
 func (c *Context) Brk() hw.VAddr {
 	return invoke1(c, sysBrk, func() hw.VAddr {
-		if d := c.dataRegion(); d != nil {
+		if d, _ := c.dataRegion(); d != nil {
 			return d.End()
 		}
 		return 0
@@ -44,7 +57,7 @@ func (c *Context) Brk() hw.VAddr {
 // freeing pages (paper §6.2).
 func (c *Context) Sbrk(delta int64) (hw.VAddr, error) {
 	return invoke(c, sysSbrk, func() (hw.VAddr, error) {
-		d := c.dataRegion()
+		d, sa := c.dataRegion()
 		if d == nil {
 			return 0, ErrNoRegion
 		}
@@ -55,7 +68,7 @@ func (c *Context) Sbrk(delta int64) (hw.VAddr, error) {
 		pages := int((absI64(delta) + hw.PageSize - 1) / hw.PageSize)
 		p := c.P
 		mach := c.S.Machine
-		if sa := groupOf(p); sa != nil && p.ShMask()&proc.PRSADDR != 0 {
+		if sa != nil {
 			if delta > 0 {
 				sa.GrowShared(p, d, pages)
 			} else {
@@ -98,23 +111,28 @@ func absI64(v int64) int64 {
 	return v
 }
 
+// attach maps reg at a fresh range of the caller's mapping arena and
+// returns its base. For a VM-sharing member the mapping lands on the shared
+// pregion list, so "all other share group members will immediately see that
+// new virtual region" (paper §6.2).
+func (c *Context) attach(reg *vm.Region) hw.VAddr {
+	p := c.P
+	if sa := c.vmGroup(); sa != nil {
+		return sa.AttachAnon(p, reg)
+	}
+	base := p.Shm.Alloc(reg.Pages())
+	p.Private = vm.Insert(p.Private, &vm.PRegion{Reg: reg, Base: base})
+	return base
+}
+
 // Mmap creates an anonymous demand-zero mapping of npages pages and
-// returns its base address. For a VM-sharing member the mapping lands on
-// the shared pregion list, so "all other share group members will
-// immediately see that new virtual region" (paper §6.2).
+// returns its base address.
 func (c *Context) Mmap(npages int) (hw.VAddr, error) {
 	return invoke(c, sysMmap, func() (hw.VAddr, error) {
 		if npages <= 0 {
 			return 0, fmt.Errorf("kernel: mmap of %d pages", npages)
 		}
-		p := c.P
-		reg := vm.NewRegion(c.S.Machine.Mem, vm.RShm, npages)
-		if sa := groupOf(p); sa != nil && p.ShMask()&proc.PRSADDR != 0 {
-			return sa.AttachAnon(p, reg), nil
-		}
-		base := p.AllocShmRange(npages)
-		p.Private = vm.Insert(p.Private, &vm.PRegion{Reg: reg, Base: base})
-		return base, nil
+		return c.attach(vm.NewRegion(c.S.Machine.Mem, vm.RShm, npages)), nil
 	})
 }
 
@@ -131,15 +149,15 @@ func (c *Context) MmapPrivate(npages int) (hw.VAddr, error) {
 			return 0, fmt.Errorf("kernel: mmap of %d pages", npages)
 		}
 		p := c.P
-		reg := vm.NewRegion(c.S.Machine.Mem, vm.RShm, npages)
 		var base hw.VAddr
-		if sa := groupOf(p); sa != nil && p.ShMask()&proc.PRSADDR != 0 {
+		if sa := c.vmGroup(); sa != nil {
 			// Carve the range from the shared arena so it cannot collide
 			// with group mappings, but attach the region privately.
 			base = sa.AttachPrivateRange(p, npages)
 		} else {
-			base = p.AllocShmRange(npages)
+			base = p.Shm.Alloc(npages)
 		}
+		reg := vm.NewRegion(c.S.Machine.Mem, vm.RShm, npages)
 		p.Private = vm.Insert(p.Private, &vm.PRegion{Reg: reg, Base: base})
 		return base, nil
 	})
@@ -152,7 +170,7 @@ func (c *Context) Munmap(va hw.VAddr) error {
 	return invoke0(c, sysMunmap, func() error {
 		p := c.P
 		mach := c.S.Machine
-		if sa := groupOf(p); sa != nil && p.ShMask()&proc.PRSADDR != 0 {
+		if sa := c.vmGroup(); sa != nil {
 			pr := sa.FindShared(p, va)
 			if pr == nil || pr.Base != va {
 				return ErrNoRegion
@@ -171,9 +189,7 @@ func (c *Context) Munmap(va hw.VAddr) error {
 		}
 		p.Private = vm.Remove(p.Private, pr)
 		mach.ShootdownRange(c.cpu(), uint32(pr.Base>>hw.PageShift), pr.Reg.Pages(), p.ASID)
-		if pr.Reg.Type == vm.RShm && pr.Base >= vm.ShmBase && pr.Base < vm.SprocStackBase {
-			p.FreeShmRange(pr.Base, pr.Reg.Pages())
-		}
+		p.Shm.FreeMapping(pr)
 		pr.Reg.Detach()
 		return nil
 	})
@@ -184,7 +200,7 @@ func (c *Context) Munmap(va hw.VAddr) error {
 func (c *Context) ResidentPages() int {
 	return invoke1(c, sysResident, func() int {
 		n := vm.ResidentPages(c.P.Private)
-		if sa := groupOf(c.P); sa != nil && c.P.ShMask()&proc.PRSADDR != 0 {
+		if sa := c.vmGroup(); sa != nil {
 			n += vm.ResidentPages(sa.RegionList(c.P))
 		}
 		return n

@@ -27,7 +27,7 @@ func (p *Proc) FdCeiling() int {
 // AllocFd installs f in the lowest free descriptor slot, growing the table
 // up to the ceiling only (V.3 has a fixed table; the small start just
 // avoids committing every slot to every process). It returns the
-// descriptor or an error when the table is full. The caller holds p.Mu.
+// descriptor, or fs.ErrFdFull when the table is full. The caller holds p.Mu.
 func (p *Proc) AllocFd(f *fs.File) (int, error) {
 	// Resume the lowest-free scan where the last one left off when the
 	// table below is known dense — the C10k accept loop would otherwise
@@ -52,7 +52,7 @@ func (p *Proc) AllocFd(f *fs.File) (int, error) {
 		p.fdHint = fd + 1
 		return fd, nil
 	}
-	return -1, fs.ErrBadFd
+	return -1, fs.ErrFdFull
 }
 
 // GrowFd extends the descriptor table to hold at least n slots, capped at

@@ -160,12 +160,11 @@ type Proc struct {
 
 	// Virtual memory.
 	ASID     hw.ASID
-	VMC      vm.LookupCache     // last-hit shared-pregion cache (fault fast path)
-	Private  []*vm.PRegion      // private pregion list (scanned first on fault)
-	Stack    *vm.PRegion        // this process's stack (may live on the shared list)
-	StackMax int                // max stack pages (PR_SETSTACKSIZE), inherited
-	NextShm  hw.VAddr           // next free address in the mmap/shm arena
-	ShmFree  map[int][]hw.VAddr // recycled arena ranges by size in pages
+	VMC      vm.LookupCache // last-hit shared-pregion cache (fault fast path)
+	Private  []*vm.PRegion  // private pregion list (scanned first on fault)
+	Stack    *vm.PRegion    // this process's stack (may live on the shared list)
+	StackMax int            // max stack pages (PR_SETSTACKSIZE), inherited
+	Shm      vm.Arena       // private mmap/shm arena (a VM-sharing member maps from the group's)
 
 	// Share group state (nil / zero outside a group). The share-group
 	// pointer is read by the scheduler while exit clears it, and the
@@ -236,8 +235,7 @@ func New(pid int, name string) *Proc {
 		Ulimit:   1 << 30,
 		Umask:    0o022,
 		StackMax: DefaultStackPages,
-		NextShm:  vm.ShmBase,
-		ShmFree:  map[int][]hw.VAddr{},
+		Shm:      vm.NewArena(vm.ShmBase, 1),
 		Fd:       make([]*fs.File, NFdInit),
 		FdFlags:  make([]uint8, NFdInit),
 		wake:     make(chan struct{}, 1),
@@ -248,28 +246,6 @@ func New(pid int, name string) *Proc {
 	p.LastCPU.Store(-1)
 	p.state.Store(int32(SIdle))
 	return p
-}
-
-// AllocShmRange returns a base address for an npages mapping in the
-// process's private arena, recycling a previously released range when one
-// fits.
-func (p *Proc) AllocShmRange(npages int) hw.VAddr {
-	if free := p.ShmFree[npages]; len(free) > 0 {
-		base := free[len(free)-1]
-		p.ShmFree[npages] = free[:len(free)-1]
-		return base
-	}
-	base := p.NextShm
-	p.NextShm += hw.VAddr((npages + 1) * hw.PageSize)
-	return base
-}
-
-// FreeShmRange returns a released mapping's range to the arena.
-func (p *Proc) FreeShmRange(base hw.VAddr, npages int) {
-	if p.ShmFree == nil {
-		p.ShmFree = map[int][]hw.VAddr{}
-	}
-	p.ShmFree[npages] = append(p.ShmFree[npages], base)
 }
 
 // State returns the current process state.

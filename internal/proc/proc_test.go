@@ -129,8 +129,8 @@ func TestFdTableFull(t *testing.T) {
 			t.Fatalf("alloc %d: %v", i, err)
 		}
 	}
-	if _, err := p.AllocFd(file); err != fs.ErrBadFd {
-		t.Fatalf("overfull table: %v", err)
+	if _, err := p.AllocFd(file); err != fs.ErrFdFull {
+		t.Fatalf("overfull table: %v, want fs.ErrFdFull (EMFILE)", err)
 	}
 	p.CloseAllFds()
 }

@@ -23,11 +23,11 @@ import (
 	"repro/internal/kernel"
 )
 
-// SpinRounds is the bounded-spin budget of the hybrid primitives: how
+// spinRounds is the bounded-spin budget of the hybrid primitives: how
 // many kernel.SpinPollBatch-sized rounds Mutex.Lock and Barrier.Enter
-// burn before converting the wait to a blockproc sleep. A variable so
-// experiments can tune the spin/block tradeoff.
-var SpinRounds = 2
+// burn before converting the wait to a blockproc sleep. A variable only so
+// a test can force every waiter down the sleep path.
+var spinRounds = 2
 
 // Memory footprints. A Mutex or Barrier owns this many bytes at its VA:
 // the lock words plus a small waiter-pid table the blocking slow path
@@ -214,7 +214,7 @@ func (m Mutex) Init(c *kernel.Context) error {
 
 // Lock acquires the mutex adaptively (paper §3: busy-waiting is only the
 // fast path): an interlocked fast path, a bounded test-and-test-and-set
-// spin of SpinRounds rounds, then conversion to a blockproc sleep. It
+// spin of spinRounds rounds, then conversion to a blockproc sleep. It
 // returns ErrIntr (EINTR) when a caught signal interrupts the wait, with
 // any waiter registration withdrawn.
 func (m Mutex) Lock(c *kernel.Context) error {
@@ -223,7 +223,7 @@ func (m Mutex) Lock(c *kernel.Context) error {
 		return err
 	}
 	free := func(v uint32) bool { return v&lockHeld == 0 }
-	for r := 0; r < SpinRounds; r++ {
+	for r := 0; r < spinRounds; r++ {
 		v, hit, err := c.SpinWaitBounded(m.VA, free, 1)
 		if err != nil {
 			return err
@@ -535,7 +535,7 @@ func (b Barrier) enter(c *kernel.Context, hybrid bool) error {
 		_, err := c.SpinWait32(b.VA+4, advanced)
 		return err
 	}
-	_, done, err := c.SpinWaitBounded(b.VA+4, advanced, SpinRounds)
+	_, done, err := c.SpinWaitBounded(b.VA+4, advanced, spinRounds)
 	if err != nil || done {
 		return err
 	}

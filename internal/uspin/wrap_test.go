@@ -66,9 +66,9 @@ func TestBarrierGenerationWraparound(t *testing.T) {
 // sleep path and the wrap is exercised against the sleeper-table re-check
 // in Barrier.sleep (the g != gen comparison under the table guard).
 func TestBarrierWraparoundHybridSleepers(t *testing.T) {
-	old := SpinRounds
-	SpinRounds = 0
-	defer func() { SpinRounds = old }()
+	old := spinRounds
+	spinRounds = 0
+	defer func() { spinRounds = old }()
 
 	const workers = 3
 	const rounds = 4
