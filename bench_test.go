@@ -13,6 +13,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/proc"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -20,7 +21,7 @@ func cfg() kernel.Config { return workload.DefaultConfig() }
 
 // Host-side cost of the bulk data path every copied byte moves through
 // (COW copies, read/write transfers, checkpoint capture and write-back):
-// one page per op, so MB/s is directly comparable across the four.
+// one page per op, so MB/s is directly comparable across the five.
 func BenchmarkMemBulk4K(b *testing.B) {
 	m := hw.NewMemory(4)
 	pfn, err := m.Alloc()
@@ -46,6 +47,27 @@ func BenchmarkMemBulk4K(b *testing.B) {
 			b.Fatal(err)
 		}
 		m.DecRef(cp)
+	})
+	// The restore write-back: a page into a slot with no frame yet, so
+	// every op allocates, fills and publishes. The region is replaced,
+	// off the clock, each time its slots run out.
+	b.Run("WritePage", func(b *testing.B) {
+		const slots = 256
+		wm := hw.NewMemory(slots)
+		b.ReportAllocs()
+		b.SetBytes(hw.PageSize)
+		reg := vm.NewRegion(wm, vm.RShm, slots)
+		for i := 0; i < b.N; i++ {
+			if i%slots == 0 && i > 0 {
+				b.StopTimer()
+				reg.Detach()
+				reg = vm.NewRegion(wm, vm.RShm, slots)
+				b.StartTimer()
+			}
+			if _, err := reg.WritePage(i%slots, buf, -1, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 

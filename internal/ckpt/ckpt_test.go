@@ -6,6 +6,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -252,6 +255,51 @@ func TestDecodeRejectsOversizedCounts(t *testing.T) {
 	binary.LittleEndian.PutUint64(enc[len(enc)-8:], crc64.Checksum(body, crcTable))
 	if _, err := Decode(enc); err == nil {
 		t.Fatal("decode accepted a region count the image cannot hold")
+	}
+}
+
+// The trailer is crc64.Checksum's value however the body was cut: every
+// chunk count the splitter can pick, at the lengths where its choice
+// changes, and with one P (the serial call).
+func TestChecksumMatchesSerial(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1988))
+	for _, n := range []int{0, 1, 2*sumChunkMin - 1, 2 * sumChunkMin, 2*sumChunkMin + 1, 3<<20 + 17} {
+		body := make([]byte, n)
+		rnd.Read(body)
+		want := crc64.Checksum(body, crcTable)
+		for chunks := 1; chunks <= sumChunks; chunks++ {
+			if got := checksumChunks(body, chunks); got != want {
+				t.Errorf("%d bytes in %d chunks: checksum %#x, crc64.Checksum %#x", n, chunks, got, want)
+			}
+		}
+		for _, procs := range []int{1, 2, 4} {
+			old := runtime.GOMAXPROCS(procs)
+			got := checksum(body)
+			runtime.GOMAXPROCS(old)
+			if got != want {
+				t.Errorf("%d bytes, GOMAXPROCS %d: checksum %#x, crc64.Checksum %#x", n, procs, got, want)
+			}
+		}
+	}
+}
+
+// A damaged byte fails Decode with the checksum error wherever in a
+// chunked body it sits — first byte, either side of every chunk boundary,
+// last byte.
+func TestDecodeRejectsCorruptionInAnyChunk(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	enc := bigImage(768).Encode() // 3 MiB: four chunks
+	body := len(enc) - 8
+	if _, err := Decode(enc); err != nil {
+		t.Fatal(err)
+	}
+	size := (body + 3) / 4
+	for _, at := range []int{len(magic), size - 1, size, 2*size - 1, 2 * size, 3*size - 1, 3 * size, body - 1} {
+		enc[at] ^= 0x10
+		if _, err := Decode(enc); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Errorf("byte %d of %d flipped: Decode = %v, want the checksum error", at, body, err)
+		}
+		enc[at] ^= 0x10
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
+	"runtime"
+	"sync"
 )
 
 // Binary image format: little-endian, fixed-width integers, length-
@@ -17,6 +19,77 @@ import (
 var magic = [8]byte{'S', 'G', 'C', 'K', 'P', 'T', 0, '\n'}
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
+
+// The trailer is crc64.Checksum(body, crcTable), whichever way it is
+// computed. A body of two chunks or more is summed a chunk per goroutine —
+// one per P, at most sumChunks — and the parts folded with crcCombine; a
+// smaller body, or a single P, takes the serial call.
+const (
+	sumChunkMin = 256 << 10 // bytes; below two of these a body is summed serially
+	sumChunks   = 8
+)
+
+func checksum(body []byte) uint64 {
+	return checksumChunks(body, min(runtime.GOMAXPROCS(0), len(body)/sumChunkMin, sumChunks))
+}
+
+// checksumChunks sums body as n (at most sumChunks) near-equal chunks.
+func checksumChunks(body []byte, n int) uint64 {
+	if n < 2 {
+		return crc64.Checksum(body, crcTable)
+	}
+	size := (len(body) + n - 1) / n
+	chunk := func(i int) []byte {
+		return body[min(i*size, len(body)):min((i+1)*size, len(body))]
+	}
+	var sums [sumChunks]uint64
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			sums[i] = crc64.Checksum(chunk(i), crcTable)
+		}(i)
+	}
+	crc := crc64.Checksum(chunk(0), crcTable)
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		crc = crcCombine(crc, sums[i], len(chunk(i)))
+	}
+	return crc
+}
+
+// crcCombine returns the checksum of A‖B from those of A and B and B's
+// length: appending len(B) bytes multiplies A's remainder by x^(8·len(B))
+// mod P, and the all-ones conditioning at both ends cancels between the
+// two, as in zlib's crc32_combine. Polynomials are in the table's reflected
+// bit order: bit 63 is x^0, and multiplying by x shifts right.
+func crcCombine(crcA, crcB uint64, lenB int) uint64 {
+	xn := uint64(1) << 63 // x^0, squared-and-multiplied up to x^(8·lenB)
+	for sq, n := uint64(1)<<62, uint64(lenB)*8; n != 0; n >>= 1 {
+		if n&1 != 0 {
+			xn = mulModP(sq, xn)
+		}
+		sq = mulModP(sq, sq)
+	}
+	return mulModP(xn, crcA) ^ crcB
+}
+
+// mulModP returns a·b mod P over GF(2).
+func mulModP(a, b uint64) uint64 {
+	var prod uint64
+	for ; a != 0; a <<= 1 { // a's terms, x^0 first; b is multiplied by x each turn
+		if a>>63 != 0 {
+			prod ^= b
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crc64.ECMA
+		} else {
+			b >>= 1
+		}
+	}
+	return prod
+}
 
 type writer struct{ buf []byte }
 
@@ -120,7 +193,7 @@ func (im *Image) Encode() []byte {
 		}
 	}
 
-	w.u64(crc64.Checksum(w.buf, crcTable))
+	w.u64(checksum(w.buf))
 	return w.buf
 }
 
@@ -228,7 +301,7 @@ func Decode(data []byte) (*Image, error) {
 		}
 	}
 	body, trailer := data[:len(data)-8], data[len(data)-8:]
-	if got, want := binary.LittleEndian.Uint64(trailer), crc64.Checksum(body, crcTable); got != want {
+	if got, want := binary.LittleEndian.Uint64(trailer), checksum(body); got != want {
 		return nil, fmt.Errorf("ckpt: checksum mismatch (%#x != %#x)", got, want)
 	}
 

@@ -367,6 +367,112 @@ func TestFailedFdUpdatePublishesNothing(t *testing.T) {
 	}
 }
 
+// TestFdUpdateShadowGrowsGeometrically: a group that opens its 4 096th
+// descriptor has reallocated the block's shadow table a handful of times,
+// not once per descriptor — and the shadow stays exactly as long as the
+// highest published slot, which is what every sync walks.
+func TestFdUpdateShadowGrowsGeometrically(t *testing.T) {
+	const nfds = 4096
+	r := newRig()
+	p := r.newProc(1)
+	p.FdMax = nfds
+	sa := New(p)
+	file, _ := r.fs.Open(r.cred(), "/data", fs.ORead|fs.OCreat, 0o644)
+	defer file.Release()
+	reallocs, backing := 0, &sa.ofile[:1][0]
+	for i := 0; i < nfds; i++ {
+		fd, _, err := sa.UpdateFds(p, func() (int, error) { return p.AllocFd(file.Hold()) })
+		if err != nil || fd != i {
+			t.Fatalf("open %d = (%d, %v)", i, fd, err)
+		}
+		if now := &sa.ofile[0]; now != backing {
+			reallocs, backing = reallocs+1, now
+		}
+		if want := max(i+1, proc.NFdInit); len(sa.ofile) != want || len(sa.pofile) != want {
+			t.Fatalf("after fd %d the shadow is %d/%d slots long, want %d", i, len(sa.ofile), len(sa.pofile), want)
+		}
+	}
+	if reallocs > 16 {
+		t.Errorf("%d shadow-table reallocations for %d descriptors, want at most 16", reallocs, nfds)
+	}
+	if cap(sa.ofile) > nfds {
+		t.Errorf("shadow capacity %d exceeds the descriptor ceiling %d", cap(sa.ofile), nfds)
+	}
+	if _, _, err := sa.UpdateFds(p, func() (int, error) { return p.AllocFd(file) }); err != fs.ErrFdFull {
+		t.Errorf("open past the ceiling = %v, want ErrFdFull", err)
+	}
+	// A late joiner adopts every one of them from the shadow.
+	q := r.newProc(2)
+	q.FdMax = nfds
+	q.SetShMask(proc.PRSALL)
+	sa.AddMember(q)
+	sa.Adopt(p, q, proc.PRSFDS)
+	if got := q.OpenFdCount(); got != nfds {
+		t.Errorf("joiner holds %d descriptors, want %d", got, nfds)
+	}
+}
+
+// TestFdUpdateSyncKeepsScanHint: a sync lowers the lowest-free-slot scan
+// hint to the lowest slot it emptied, so the next open still lands there,
+// and leaves the hint alone when it emptied nothing. The hint is private to
+// proc, so the second half looks at it the only way it shows: a slot
+// emptied behind its back (here, by hand, in member and shadow alike, so
+// the sync has nothing to reconcile) is not found by a scan that did not
+// restart from zero.
+func TestFdUpdateSyncKeepsScanHint(t *testing.T) {
+	r := newRig()
+	p := r.newProc(1)
+	sa := New(p)
+	q := r.newProc(2)
+	q.SetShMask(proc.PRSALL)
+	sa.AddMember(q)
+	file, _ := r.fs.Open(r.cred(), "/data", fs.ORead|fs.OCreat, 0o644)
+	defer file.Release()
+	open := func(m *proc.Proc) int {
+		fd, _, err := sa.UpdateFds(m, func() (int, error) { return m.AllocFd(file.Hold()) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fd
+	}
+	closeFd := func(m *proc.Proc, fd int) {
+		sa.UpdateFds(m, func() (int, error) {
+			f, err := m.ClearFd(fd)
+			f.Release()
+			return fd, err
+		})
+	}
+	for i := 0; i < 8; i++ {
+		open(q) // q's hint is 8, p is flagged
+	}
+	closeFd(p, 5) // syncs p first; q is flagged
+	closeFd(p, 3)
+	if fd := open(q); fd != 3 { // q syncs under the semaphore: slots 3 and 5 emptied
+		t.Errorf("open after a sync that emptied slots 3 and 5 landed on %d, want 3", fd)
+	}
+	if fd := open(q); fd != 5 {
+		t.Errorf("next open landed on %d, want 5", fd)
+	}
+	if fd := open(q); fd != 8 {
+		t.Errorf("next open landed on %d, want 8", fd)
+	}
+
+	// q's hint is 9. Empty slot 2 by hand everywhere, then make q sync a
+	// change that empties nothing (p sets a descriptor flag).
+	sa.SyncEntry(p)
+	for _, tab := range [][]*fs.File{p.Fd, q.Fd, sa.ofile} {
+		tab[2].Release()
+		tab[2] = nil
+	}
+	sa.UpdateFds(p, func() (int, error) {
+		p.FdFlags[0] |= proc.FdCloseOnExec
+		return 0, nil
+	})
+	if fd := open(q); fd != 9 || q.FdFlags[0] != proc.FdCloseOnExec {
+		t.Errorf("open after a sync that emptied nothing landed on %d (fd 0 flags %#x), want 9 with p's flag adopted: the scan restarted from zero", fd, q.FdFlags[0])
+	}
+}
+
 func TestResolveShared(t *testing.T) {
 	r := newRig()
 	p := r.newProc(1)

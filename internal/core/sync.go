@@ -40,11 +40,10 @@ func (sa *ShAddr) syncFdsLocked(p *proc.Proc) {
 			p.Fd[i] = blk.Hold()
 		} else {
 			p.Fd[i] = nil
+			p.LowerFdHint(i)
 		}
 		p.FdFlags[i] = sa.pofile[i]
 	}
-	// The copy may have cleared slots below the allocation scan hint.
-	p.ResetFdHint()
 	p.Mu.Unlock()
 }
 
@@ -90,13 +89,21 @@ func (sa *ShAddr) UpdateFds(p *proc.Proc, change func() (fd int, err error)) (fd
 // table, the block taking its own reference. Caller holds fupdSema and p.Mu.
 func (sa *ShAddr) publishFdLocked(p *proc.Proc, fd int) {
 	if fd >= len(sa.ofile) {
-		// The updater's table grew past the block's shadow copy; grow the
-		// shadow so the new slot is published, not dropped.
-		ofile := make([]*fs.File, fd+1)
-		pofile := make([]uint8, fd+1)
-		copy(ofile, sa.ofile)
-		copy(pofile, sa.pofile)
-		sa.ofile, sa.pofile = ofile, pofile
+		// The updater's table grew past the block's shadow copy; extend the
+		// shadow so the new slot is published, not dropped. Its length stays
+		// the highest published slot plus one (what every sync walks), its
+		// capacity doubles up to the ceiling like proc.GrowFd's, so a group
+		// opening its n-th descriptor does not copy n slots each time. The
+		// shadow never shrinks, so the slots past its length are empty.
+		if fd >= cap(sa.ofile) {
+			n := max(fd+1, min(2*cap(sa.ofile), p.FdCeiling()))
+			ofile := make([]*fs.File, len(sa.ofile), n)
+			pofile := make([]uint8, len(sa.pofile), n)
+			copy(ofile, sa.ofile)
+			copy(pofile, sa.pofile)
+			sa.ofile, sa.pofile = ofile, pofile
+		}
+		sa.ofile, sa.pofile = sa.ofile[:fd+1], sa.pofile[:fd+1]
 	}
 	old := sa.ofile[fd]
 	var now *fs.File

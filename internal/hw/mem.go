@@ -628,6 +628,30 @@ func (m *Memory) CopyFrameFor(src PFN, cpu int, acct *FrameAcct) (PFN, error) {
 	return dst, nil
 }
 
+// FillFrame stores src (at most one page) into pfn from byte 0 with plain
+// word stores, under the ownership rule above: the caller allocated pfn and
+// has not yet stored it into a PTE, so no other CPU can name the frame and
+// the PTE store that follows is what publishes the bytes. A published
+// frame is written with WriteBytes. Bytes past len(src) keep their value.
+func (m *Memory) FillFrame(pfn PFN, src []byte) {
+	if len(src) > PageSize {
+		panic("hw: FillFrame crosses page boundary")
+	}
+	// Two words a turn, both sides cut to the pair count, so the body runs
+	// without bounds checks; at most seven bytes are left for the tail.
+	f := m.frame(pfn)
+	n := len(src) >> 3
+	tail := src[n<<3:]
+	for d := f[:2*n]; len(d) >= 2 && len(src) >= 8; d, src = d[2:], src[8:] {
+		v := binary.LittleEndian.Uint64(src)
+		d[0], d[1] = uint32(v), uint32(v>>32)
+	}
+	for i, c := range tail {
+		w, shift := 2*n+i>>2, uint(i&3)*8
+		f[w] = f[w]&^(0xff<<shift) | uint32(c)<<shift
+	}
+}
+
 // FrameZero reports whether every word of pfn is currently zero (the
 // quota-reclaim scan uses it to find pages that can be dropped losslessly).
 func (m *Memory) FrameZero(pfn PFN) bool {
@@ -677,12 +701,20 @@ func (m *Memory) ReadBytes(pfn PFN, off uint32, dst []byte) {
 		dst = dst[n:]
 		w++
 	}
-	for ; len(dst) >= 4; dst = dst[4:] {
-		binary.LittleEndian.PutUint32(dst, atomic.LoadUint32(&f[w]))
-		w++
+	// The frame is cut to the word count once and the body moves two words
+	// a turn, so it runs without a bounds check per word.
+	n := uint32(len(dst) >> 2)
+	s := f[w : w+n]
+	for ; len(s) >= 2 && len(dst) >= 8; s, dst = s[2:], dst[8:] {
+		binary.LittleEndian.PutUint32(dst, atomic.LoadUint32(&s[0]))
+		binary.LittleEndian.PutUint32(dst[4:], atomic.LoadUint32(&s[1]))
+	}
+	if len(s) > 0 && len(dst) >= 4 {
+		binary.LittleEndian.PutUint32(dst, atomic.LoadUint32(&s[0]))
+		dst = dst[4:]
 	}
 	if len(dst) > 0 {
-		putLowBytes(dst, atomic.LoadUint32(&f[w]))
+		putLowBytes(dst, atomic.LoadUint32(&f[w+n]))
 	}
 }
 

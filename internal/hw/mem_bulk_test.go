@@ -97,6 +97,38 @@ func TestBulkBytesMatchByteReference(t *testing.T) {
 	}
 }
 
+// FillFrame is WriteBytes at offset 0 for a frame nobody else can name yet:
+// every length's bytes land where WriteBytes puts them and the bytes past
+// the range keep their value.
+func TestBulkFillFrameMatchesWriteBytes(t *testing.T) {
+	m := NewMemory(2)
+	got, _ := m.Alloc()
+	want, _ := m.Alloc()
+	src := make([]byte, PageSize)
+	for i := range src {
+		src[i] = byte(i*7 + i>>8 + 1)
+	}
+	lens := []int{PageSize / 2, PageSize/2 + 3}
+	for n := 0; n <= 19; n++ {
+		lens = append(lens, n, PageSize-n)
+	}
+	a, b := make([]byte, PageSize), make([]byte, PageSize)
+	for _, n := range lens {
+		for w := uint32(0); w < WordsPerPage; w++ {
+			bg := 0xA5A5A5A5 ^ w*0x01010101
+			m.StoreWord(got, w, bg)
+			m.StoreWord(want, w, bg)
+		}
+		m.FillFrame(got, src[:n])
+		m.WriteBytes(want, 0, src[:n])
+		m.ReadBytes(got, 0, a)
+		m.ReadBytes(want, 0, b)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("FillFrame(len=%d) differs from WriteBytes at offset 0", n)
+		}
+	}
+}
+
 // The bytes of an edge word that lie outside an unaligned WriteBytes range
 // belong to someone else. A concurrent writer that owns them (and updates
 // them with a word CAS, as a user-level lock or counter would) must never

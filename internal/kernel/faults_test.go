@@ -7,11 +7,14 @@ package kernel
 
 import (
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
 	"repro/internal/fs"
 	"repro/internal/hw"
+	"repro/internal/proc"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -168,6 +171,7 @@ func TestConfigValidate(t *testing.T) {
 		{MemFrames: -5},
 		{TimeSlice: -1},
 		{MaxProcs: -2},
+		{MaxFiles: proc.NFdInit - 1},
 		{FaultRate: -1},
 		{FaultRate: 1001},
 	}
@@ -181,6 +185,13 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("Validate(zero) = %v, want nil", err)
+	}
+	if err := (Config{MaxFiles: proc.NFdInit}).Validate(); err != nil {
+		t.Errorf("Validate(MaxFiles = NFdInit) = %v, want nil", err)
+	}
+	// A ceiling below the initial table names both numbers.
+	if err := (Config{MaxFiles: 7}).Validate(); err == nil || !strings.Contains(err.Error(), " 7 ") || !strings.Contains(err.Error(), strconv.Itoa(proc.NFdInit)) {
+		t.Errorf("Validate(MaxFiles = 7) = %v, want an error naming 7 and %d", err, proc.NFdInit)
 	}
 	func() {
 		defer func() {

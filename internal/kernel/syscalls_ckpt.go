@@ -32,8 +32,8 @@ import (
 // restore(2) is the inverse: a group-less caller adopts the image's
 // creator role (identity, descriptor table, PRDA, stack geometry), a fresh
 // share block is built around it, the shared regions are reconciled to the
-// image's geometry, page contents are written back through the vm fill
-// path (never through raw PTE words — the lint-ckpt boundary), and the
+// image's geometry, page contents are written back through vm.WritePage
+// (never through raw PTE words — the lint-ckpt boundary), and the
 // remaining members are respawned at their recorded stack addresses with
 // their recorded entry arguments. Respawned members begin their entry
 // functions from the top: the simulation checkpoints memory and kernel
@@ -549,13 +549,15 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 		spawned = append(spawned, child)
 	}
 
-	// Write page contents back through the fill path: write-mode fills
-	// break any COW aliasing the caller's history left, so the bytes land
-	// in frames this group owns. Text pages are filled read-only (text is
-	// immutable) and only written when the image actually recorded
-	// non-zero contents. Pages resident in a matched region but absent
-	// from the image are demand-zero in the image's world — zero them, or
-	// the restore-and-diff layer sees ghosts of the caller's past.
+	// Write page contents back through vm.WritePage, so the bytes land in
+	// frames this group owns: a new frame, filled before its PTE names it,
+	// where the slot was empty or aliased the caller's copy-on-write past;
+	// in place where the caller already owns the page. Text pages are only
+	// written when the image actually recorded non-zero contents (text is
+	// immutable and never made writable). Pages resident in a matched
+	// region but absent from the image are demand-zero in the image's
+	// world — zero them, or the restore-and-diff layer sees ghosts of the
+	// caller's past.
 	acct := sa.FrameAcct()
 	written := 0
 	restored := sa.RegionList(p)
@@ -578,13 +580,11 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 			if pr.Reg.Type == vm.RText && ckpt.IsZero(data) {
 				continue
 			}
-			write := pr.Reg.Type != vm.RText
-			pfn, _, _, lazyPages, err := pr.Reg.FillAccounted(idx, write, cpuIdx, acct)
+			lazyPages, err := pr.Reg.WritePage(idx, data, cpuIdx, acct)
 			if err != nil {
 				return -1, err
 			}
 			c.charge(int64(lazyPages) * mach.Cost.RegionDup)
-			mach.Mem.WriteBytes(pfn, 0, data)
 			written++
 		}
 	}
@@ -605,11 +605,9 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 			}
 			data = zeroPage[:]
 		}
-		pfn, _, _, _, err := pr.Reg.FillAccounted(0, true, cpuIdx, acct)
-		if err != nil {
+		if _, err := pr.Reg.WritePage(0, data, cpuIdx, acct); err != nil {
 			return -1, err
 		}
-		mach.Mem.WriteBytes(pfn, 0, data)
 		written++
 	}
 	c.charge(int64(written) * mach.Cost.RegionDup)
@@ -665,7 +663,6 @@ func (c *Context) restoreFds(p *proc.Proc, fds []ckpt.FdImage) error {
 		p.Mu.Lock()
 		p.SetFd(fi.Fd, f)
 		p.FdFlags[fi.Fd] = fi.FdFlags
-		p.ResetFdHint()
 		p.Mu.Unlock()
 	}
 	return nil

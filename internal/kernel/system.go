@@ -35,7 +35,7 @@ type Config struct {
 	MemFrames int   // physical page frames (default 16384 = 64 MiB)
 	TimeSlice int64 // charge units per slice (default sched.DefaultSlice)
 	MaxProcs  int   // per-user process limit, PR_MAXPROCS (default 256)
-	MaxFiles  int   // per-process descriptor ceiling (default proc.NOFILE)
+	MaxFiles  int   // per-process descriptor ceiling (default proc.NOFILE; at least proc.NFdInit)
 
 	// NUMANodes splits the CPUs and physical memory into that many
 	// locality domains (default 1 = the flat SMP the paper measured).
@@ -97,6 +97,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("kernel: Config.MaxProcs must be >= 0 (0 = default), got %d", c.MaxProcs)
 	case c.MaxFiles < 0:
 		return fmt.Errorf("kernel: Config.MaxFiles must be >= 0 (0 = default), got %d", c.MaxFiles)
+	case c.MaxFiles > 0 && c.MaxFiles < proc.NFdInit:
+		// Every table starts NFdInit slots long, so a lower ceiling would
+		// be accepted and never enforced.
+		return fmt.Errorf("kernel: Config.MaxFiles %d is below the %d slots every descriptor table starts with (proc.NFdInit)", c.MaxFiles, proc.NFdInit)
 	case c.NUMANodes < 0:
 		return fmt.Errorf("kernel: Config.NUMANodes must be >= 0 (0 = flat), got %d", c.NUMANodes)
 	case c.DataPages < 0:

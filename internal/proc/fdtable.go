@@ -31,8 +31,8 @@ func (p *Proc) FdCeiling() int {
 func (p *Proc) AllocFd(f *fs.File) (int, error) {
 	// Resume the lowest-free scan where the last one left off when the
 	// table below is known dense — the C10k accept loop would otherwise
-	// rescan thousands of occupied slots per connection. Any ClearFd
-	// resets the hint, preserving the lowest-free-slot contract.
+	// rescan thousands of occupied slots per connection. Emptying a slot
+	// lowers the hint to it, preserving the lowest-free-slot contract.
 	start := p.fdHint
 	if start >= len(p.Fd) {
 		start = 0
@@ -97,17 +97,20 @@ func (p *Proc) ClearFd(fd int) (*fs.File, error) {
 	}
 	p.Fd[fd] = nil
 	p.FdFlags[fd] = 0
-	if fd < p.fdHint {
-		p.fdHint = fd
-	}
+	p.LowerFdHint(fd)
 	return f, nil
 }
 
-// ResetFdHint invalidates the lowest-free-slot scan hint. Code that edits
-// the table without going through AllocFd/ClearFd (the share-block fd
-// sync) must call it so AllocFd keeps returning the lowest free slot. The
-// caller holds p.Mu.
-func (p *Proc) ResetFdHint() { p.fdHint = 0 }
+// LowerFdHint tells the lowest-free-slot scan that slot fd was emptied.
+// Code that empties a slot without going through ClearFd (the share-block
+// fd sync) must call it so AllocFd keeps returning the lowest free slot;
+// a slot that was filled or left alone needs no call, every slot below the
+// hint is still occupied. The caller holds p.Mu.
+func (p *Proc) LowerFdHint(fd int) {
+	if fd < p.fdHint {
+		p.fdHint = fd
+	}
+}
 
 // DupFdTable returns a copy of the descriptor table with every open file's
 // reference count bumped — the fork(2) path. The caller holds p.Mu.

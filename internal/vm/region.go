@@ -268,20 +268,15 @@ func (r *Region) Fill(idx int, write bool) (pfn hw.PFN, writable bool, res FillR
 	return r.FillOn(idx, write, -1)
 }
 
-// fillSlow is the locked half of FillOn: lazy-dup materialization, zero
-// fill, copy-on-write break, and writable upgrade, serialized per page on
-// the slot's stripe. The caller (the lock-free fast path in fillfast.go)
-// has already failed the unlocked check; everything is re-checked here
-// because another CPU may have filled the slot between the check and the
-// lock. lazyPages reports the page-table slots a materialization walked on
-// this call, so the kernel can charge the deferred duplication cost to the
-// faulting CPU.
-func (r *Region) fillSlow(idx int, write bool, cpu int, acct *hw.FrameAcct) (pfn hw.PFN, writable bool, res FillResult, lazyPages int, err error) {
-	stripe := &r.stripes[idx&(regionStripes-1)]
+// lockStripeResolved takes page idx's stripe with no lazy duplication
+// pending on the region, and returns it with the page-table slots it had
+// to walk to get there.
+func (r *Region) lockStripeResolved(idx int) (stripe *sync.Mutex, lazyPages int) {
+	stripe = &r.stripes[idx&(regionStripes-1)]
 	for {
 		stripe.Lock()
 		if r.lazyPend.Load() == 0 {
-			break
+			return stripe, lazyPages
 		}
 		// A lazy duplication is pending on this region (it is an untouched
 		// clone, or clones of it are). The stripe cannot be held across the
@@ -292,6 +287,18 @@ func (r *Region) fillSlow(idx int, write bool, cpu int, acct *hw.FrameAcct) (pfn
 		stripe.Unlock()
 		lazyPages += r.materialize()
 	}
+}
+
+// fillSlow is the locked half of FillOn: lazy-dup materialization, zero
+// fill, copy-on-write break, and writable upgrade, serialized per page on
+// the slot's stripe. The caller (the lock-free fast path in fillfast.go)
+// has already failed the unlocked check; everything is re-checked here
+// because another CPU may have filled the slot between the check and the
+// lock. lazyPages reports the page-table slots a materialization walked on
+// this call, so the kernel can charge the deferred duplication cost to the
+// faulting CPU.
+func (r *Region) fillSlow(idx int, write bool, cpu int, acct *hw.FrameAcct) (pfn hw.PFN, writable bool, res FillResult, lazyPages int, err error) {
+	stripe, lazyPages := r.lockStripeResolved(idx)
 	defer stripe.Unlock()
 	// Re-load the table under the stripe: holding any stripe excludes the
 	// structural operations, so this snapshot cannot be swapped out from
@@ -354,6 +361,71 @@ func (r *Region) fillSlow(idx int, write bool, cpu int, acct *hw.FrameAcct) (pfn
 	r.noteDirty(idx)
 	slot.Store(pteEncode(cp, true))
 	return cp, true, FillCopied, lazyPages, nil
+}
+
+// WritePage makes page idx hold data (at most one page, from byte 0; bytes
+// past len(data) keep their value) — ReadPage's counterpart, the surface
+// restore writes a checkpoint image back through. A page that needs a new
+// frame anyway — an absent slot, or a copy-on-write alias that a whole page
+// of data would overwrite entirely — gets one allocated, filled with plain
+// stores while no PTE names it (hw.FillFrame) and only then published, so
+// nothing about who else may be running has to be argued. Any other page is
+// resolved as a store fault would (text: a load fault, text is never
+// writable) and written in place with atomic word stores. Frames are
+// charged to acct; lazyPages is the deferred duplication walked on the way,
+// for the caller to charge as FillAccounted's.
+func (r *Region) WritePage(idx int, data []byte, cpu int, acct *hw.FrameAcct) (lazyPages int, err error) {
+	if len(data) > hw.PageSize {
+		data = data[:hw.PageSize]
+	}
+	if n := r.Pages(); idx < 0 || idx >= n {
+		return 0, outOfRange(r, idx, n)
+	}
+	stripe, lazyPages := r.lockStripeResolved(idx)
+	fresh, err := r.writeFresh(idx, data, cpu, acct)
+	stripe.Unlock()
+	if fresh || err != nil {
+		return lazyPages, err
+	}
+	pfn, _, _, walked, err := r.FillAccounted(idx, r.Type != RText, cpu, acct)
+	if err == nil {
+		r.mem.WriteBytes(pfn, 0, data)
+	}
+	return lazyPages + walked, err
+}
+
+// writeFresh is WritePage's new-frame case, called with idx's stripe held
+// and no lazy duplication pending. It reports false, having done nothing,
+// when the slot holds a frame data can be written into in place.
+func (r *Region) writeFresh(idx int, data []byte, cpu int, acct *hw.FrameAcct) (bool, error) {
+	t := r.table.Load()
+	if idx >= len(t.slots) {
+		return false, outOfRange(r, idx, len(t.slots))
+	}
+	slot := &t.slots[idx]
+	w := slot.Load()
+	old := hw.PFN(w & ptePFNMask)
+	if w&ptePresent != 0 && (r.Type == RText || len(data) < hw.PageSize || w&pteWritable != 0 || r.mem.Ref(old) == 1) {
+		return false, nil
+	}
+	r.mem.SlowFills.Add(1)
+	pfn, err := r.mem.AllocFor(cpu, acct)
+	if err != nil {
+		return false, err
+	}
+	r.mem.FillFrame(pfn, data)
+	writable := r.Type != RText
+	if writable {
+		r.everWritable.Store(true)
+		r.noteDirty(idx)
+	}
+	slot.Store(pteEncode(pfn, writable))
+	if w&ptePresent != 0 {
+		r.mem.DecRefOn(old, cpu)
+	} else {
+		r.resident.Add(1)
+	}
+	return true, nil
 }
 
 // ReclaimZero frees the region's resident, sole-referenced, all-zero
