@@ -12,6 +12,7 @@ package hw
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,6 +48,12 @@ func (va VAddr) PageBase() VAddr { return va &^ VAddr(PageMask) }
 
 // frameArray is the word storage of one page frame.
 type frameArray [WordsPerPage]uint32
+
+// The line map divides a frame into 64 lines of 64 bytes, one bit each.
+const (
+	lineShift      = 6 // log2 of a line's bytes
+	lineWordsShift = lineShift - 2
+)
 
 // Frame-cache geometry: a CPU refills its cache with refillBatch frames at a
 // time and gives half back to the global pool when it accumulates more than
@@ -90,10 +97,16 @@ type framePool struct {
 // only when the home node is dry. Only the batch refill/drain path takes a
 // pool lock, and dead frames always drain back to the pool of the node
 // that owns them, so locality is self-restoring.
+//
+// Zeroing and copying cost what was written, not the page: every writer of
+// frame storage marks the lines it covers in the frame's line map before it
+// stores, so an unmarked line is all zero, and a free frame is all zero with
+// an empty map.
 type Memory struct {
 	capacity int
 	frames   []atomic.Pointer[frameArray] // frame storage, published once per frame
 	refs     []atomic.Int32               // per-frame reference counts
+	lines    []atomic.Uint64              // per-frame line map: bit i = line i may hold a non-zero word
 	owners   []atomic.Pointer[FrameAcct]  // charging principal per frame (nil = unowned)
 	inUse    atomic.Int64                 // referenced frames (reservation counter)
 
@@ -162,6 +175,7 @@ func NewMemory(capacity int) *Memory {
 		capacity: capacity,
 		frames:   make([]atomic.Pointer[frameArray], capacity),
 		refs:     make([]atomic.Int32, capacity),
+		lines:    make([]atomic.Uint64, capacity),
 		owners:   make([]atomic.Pointer[FrameAcct], capacity),
 	}
 	m.setTopology(Topology{NCPU: 0, Nodes: 1})
@@ -562,12 +576,19 @@ func (m *Memory) DecRefOn(pfn PFN, cpu int) int32 {
 		return n
 	}
 	// Frame is dead: uncharge its owning account (whoever releases it),
-	// then zero it now, outside every lock, so the next Alloc pays nothing
-	// and no other CPU stalls behind the clear.
+	// then zero what was written to it now, outside every lock, so the next
+	// Alloc pays nothing and no other CPU stalls behind the clear. Nobody
+	// can name a dead frame, so nobody marks it between the swap and the
+	// clear: it goes back all zero with an empty map.
 	if acct := m.owners[pfn].Swap(nil); acct != nil {
 		acct.uncharge()
 	}
-	clear(m.frames[pfn].Load()[:])
+	f := m.frame(pfn)
+	for lm := m.lines[pfn].Swap(0); lm != 0; {
+		var lo, hi int
+		lo, hi, lm = nextRun(lm)
+		clear(f[lo:hi])
+	}
 	m.Frees.Add(1)
 	m.inUse.Add(-1)
 
@@ -601,6 +622,39 @@ func (m *Memory) frame(pfn PFN) []uint32 {
 	return m.frames[pfn].Load()[:]
 }
 
+// mark sets mask's bits in pfn's line map. Every writer of frame storage
+// calls it before its first store, so whoever can see a written word can
+// see its line's mark. A line stays marked until the frame dies, so the
+// steady state is the load and the test.
+func (m *Memory) mark(pfn PFN, mask uint64) {
+	l := &m.lines[pfn]
+	for {
+		old := l.Load()
+		if old&mask == mask || l.CompareAndSwap(old, old|mask) {
+			return
+		}
+	}
+}
+
+// wordLine is the line-map bit of the line holding the given word.
+func wordLine(word uint32) uint64 { return 1 << (word >> lineWordsShift) }
+
+// byteLines is the line-map bits of the lines bytes [off, off+n) touch,
+// for a non-empty range inside one page.
+func byteLines(off, n uint32) uint64 {
+	first, last := off>>lineShift, (off+n-1)>>lineShift
+	return ^uint64(0) >> (63 - (last - first)) << first
+}
+
+// nextRun splits the lowest run of adjacent marked lines off a non-empty
+// line map and returns the word range [lo, hi) it covers, so a fully
+// written frame is one run.
+func nextRun(lm uint64) (lo, hi int, rest uint64) {
+	first := bits.TrailingZeros64(lm)
+	n := bits.TrailingZeros64(^(lm >> first))
+	return first << lineWordsShift, (first + n) << lineWordsShift, lm &^ ((1<<n - 1) << first)
+}
+
 // CopyFrame allocates a new frame holding a copy of src (the copy-on-write
 // copy path) and returns it with reference count one.
 func (m *Memory) CopyFrame(src PFN) (PFN, error) { return m.CopyFrameOn(src, -1) }
@@ -620,9 +674,19 @@ func (m *Memory) CopyFrameFor(src PFN, cpu int, acct *FrameAcct) (PFN, error) {
 	// words are loaded atomically; the destination is private until the
 	// caller publishes it through a PTE store, so plain stores suffice —
 	// the same ownership rule DecRefOn's clear() relies on for dead frames.
+	// Only the lines marked in the source can differ from the all-zero
+	// frame just granted. A line first marked after the snapshot is a store
+	// ordered after the copy, as one that lands behind the cursor is.
+	lm := m.lines[src].Load()
+	m.lines[dst].Store(lm)
 	s, d := m.frame(src), m.frame(dst)
-	for i := range s {
-		d[i] = atomic.LoadUint32(&s[i])
+	for lm != 0 {
+		var lo, hi int
+		lo, hi, lm = nextRun(lm)
+		sw, dw := s[lo:hi], d[lo:hi]
+		for i := range sw {
+			dw[i] = atomic.LoadUint32(&sw[i])
+		}
 	}
 	m.Copies.Add(1)
 	return dst, nil
@@ -637,6 +701,10 @@ func (m *Memory) FillFrame(pfn PFN, src []byte) {
 	if len(src) > PageSize {
 		panic("hw: FillFrame crosses page boundary")
 	}
+	if len(src) == 0 {
+		return
+	}
+	m.mark(pfn, byteLines(0, uint32(len(src))))
 	// Two words a turn, both sides cut to the pair count, so the body runs
 	// without bounds checks; at most seven bytes are left for the tail.
 	f := m.frame(pfn)
@@ -654,11 +722,16 @@ func (m *Memory) FillFrame(pfn PFN, src []byte) {
 
 // FrameZero reports whether every word of pfn is currently zero (the
 // quota-reclaim scan uses it to find pages that can be dropped losslessly).
+// Only marked lines can hold anything else.
 func (m *Memory) FrameZero(pfn PFN) bool {
 	f := m.frame(pfn)
-	for i := range f {
-		if atomic.LoadUint32(&f[i]) != 0 {
-			return false
+	for lm := m.lines[pfn].Load(); lm != 0; {
+		var lo, hi int
+		lo, hi, lm = nextRun(lm)
+		for i := lo; i < hi; i++ {
+			if atomic.LoadUint32(&f[i]) != 0 {
+				return false
+			}
 		}
 	}
 	return true
@@ -671,6 +744,7 @@ func (m *Memory) LoadWord(pfn PFN, word uint32) uint32 {
 
 // StoreWord atomically stores v at the given word offset of pfn.
 func (m *Memory) StoreWord(pfn PFN, word uint32, v uint32) {
+	m.mark(pfn, wordLine(word))
 	atomic.StoreUint32(&m.frame(pfn)[word], v)
 }
 
@@ -678,11 +752,13 @@ func (m *Memory) StoreWord(pfn PFN, word uint32, v uint32) {
 // the hardware interlocked operation that user-level spinlocks are built on
 // (paper §3: "some form of hardware supported lock is usually best").
 func (m *Memory) CASWord(pfn PFN, word uint32, old, new uint32) bool {
+	m.mark(pfn, wordLine(word))
 	return atomic.CompareAndSwapUint32(&m.frame(pfn)[word], old, new)
 }
 
 // AddWord atomically adds delta to a word of pfn and returns the new value.
 func (m *Memory) AddWord(pfn PFN, word uint32, delta uint32) uint32 {
+	m.mark(pfn, wordLine(word))
 	return atomic.AddUint32(&m.frame(pfn)[word], delta)
 }
 
@@ -733,9 +809,13 @@ func (m *Memory) WriteBytes(pfn PFN, off uint32, src []byte) {
 	if int(off)+len(src) > PageSize {
 		panic("hw: WriteBytes crosses page boundary")
 	}
+	if len(src) == 0 {
+		return
+	}
+	m.mark(pfn, byteLines(off, uint32(len(src))))
 	f := m.frame(pfn)
 	w := off >> 2
-	if sub := off & 3; sub != 0 && len(src) > 0 {
+	if sub := off & 3; sub != 0 {
 		n := min(int(4-sub), len(src))
 		mergeBytes(&f[w], sub, src[:n])
 		src = src[n:]

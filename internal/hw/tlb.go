@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -28,17 +29,24 @@ type TLBEntry struct {
 	Space    ASID
 	Frame    PFN
 	Writable bool
-	Valid    bool
 }
 
 // TLB is a CPU's translation lookaside buffer. It is software managed: the
 // kernel inserts entries on miss and the kernel flushes entries when
 // translations die. Lookups and flushes may race (another CPU shooting this
 // one down), so the structure is locked.
+//
+// The machine is the R2000's: 64 entries, fully associative, a new
+// translation takes the lowest invalid slot, else the round-robin victim.
+// Only the search is the host's: a valid entry is found through an
+// open-addressed index of its slot keyed by (vpn, space), not by comparing
+// all 64, and an invalid slot is not in the index at all.
 type TLB struct {
 	mu      sync.Mutex
 	entries [TLBSize]TLBEntry
-	next    int // round-robin replacement victim
+	valid   uint64     // bit i: entries[i] holds a translation
+	index   [256]uint8 // linear probing from hashKey: slot+1, 0 = empty; at most a quarter full
+	next    int        // round-robin replacement victim
 
 	Hits       atomic.Int64
 	Misses     atomic.Int64
@@ -46,18 +54,54 @@ type TLB struct {
 	Shootdowns atomic.Int64 // flushes initiated by another CPU
 }
 
+// hashKey is the index position at which the probe for (vpn, space) starts.
+// The index has 256 positions, so uint8 arithmetic wraps around it.
+func hashKey(vpn uint32, space ASID) uint8 {
+	return uint8((vpn*0x9E3779B1 ^ uint32(space)*0x85EBCA6B) >> 24)
+}
+
+// find returns the slot holding (vpn, space), or -1, and the index position
+// where the probe ended: the entry's own, or the empty one a new entry for
+// the key would take. At most 64 of the 256 positions are in use, so the
+// probe always ends.
+func (t *TLB) find(vpn uint32, space ASID) (slot int, pos uint8) {
+	for pos = hashKey(vpn, space); ; pos++ {
+		s := t.index[pos]
+		if s == 0 {
+			return -1, pos
+		}
+		if e := &t.entries[s-1]; e.VPN == vpn && e.Space == space {
+			return int(s - 1), pos
+		}
+	}
+}
+
+// drop invalidates the entry in slot, found at index position pos, and
+// closes the gap it leaves: each later entry of the probe run moves back
+// into the gap unless its own probe starts after it, so no probe ever
+// crosses an empty position on the way to a live entry.
+func (t *TLB) drop(slot int, pos uint8) {
+	t.valid &^= 1 << slot
+	for q := pos + 1; t.index[q] != 0; q++ {
+		e := &t.entries[t.index[q]-1]
+		if q-hashKey(e.VPN, e.Space) >= q-pos {
+			t.index[pos] = t.index[q]
+			pos = q
+		}
+	}
+	t.index[pos] = 0
+}
+
 // Lookup probes the TLB for (vpn, space). On a hit it returns the frame and
 // writability of the mapping.
 func (t *TLB) Lookup(vpn uint32, space ASID) (pfn PFN, writable, ok bool) {
 	t.mu.Lock()
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.Valid && e.VPN == vpn && e.Space == space {
-			pfn, writable = e.Frame, e.Writable
-			t.mu.Unlock()
-			t.Hits.Add(1)
-			return pfn, writable, true
-		}
+	if slot, _ := t.find(vpn, space); slot >= 0 {
+		e := &t.entries[slot]
+		pfn, writable = e.Frame, e.Writable
+		t.mu.Unlock()
+		t.Hits.Add(1)
+		return pfn, writable, true
 	}
 	t.mu.Unlock()
 	t.Misses.Add(1)
@@ -70,40 +114,32 @@ func (t *TLB) Lookup(vpn uint32, space ASID) (pfn PFN, writable, ok bool) {
 func (t *TLB) Insert(vpn uint32, space ASID, pfn PFN, writable bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	slot := -1
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.Valid && e.VPN == vpn && e.Space == space {
-			slot = i
-			break
-		}
-		if !e.Valid && slot < 0 {
-			slot = i
-		}
-	}
+	slot, pos := t.find(vpn, space)
 	if slot < 0 {
-		slot = t.next
-		t.next = (t.next + 1) % TLBSize
+		if t.valid != ^uint64(0) {
+			slot = bits.TrailingZeros64(^t.valid)
+		} else {
+			slot = t.next
+			t.next = (t.next + 1) % TLBSize
+			v := &t.entries[slot]
+			_, vpos := t.find(v.VPN, v.Space)
+			t.drop(slot, vpos)
+			_, pos = t.find(vpn, space) // closing the gap may have moved the end of this key's probe
+		}
+		t.valid |= 1 << slot
+		t.index[pos] = uint8(slot + 1)
 	}
-	t.entries[slot] = TLBEntry{VPN: vpn, Space: space, Frame: pfn, Writable: writable, Valid: true}
-}
-
-// FlushAll invalidates every entry.
-func (t *TLB) FlushAll() {
-	t.mu.Lock()
-	for i := range t.entries {
-		t.entries[i].Valid = false
-	}
-	t.mu.Unlock()
-	t.Flushes.Add(1)
+	t.entries[slot] = TLBEntry{VPN: vpn, Space: space, Frame: pfn, Writable: writable}
 }
 
 // FlushSpace invalidates every entry belonging to the given address space.
 func (t *TLB) FlushSpace(space ASID) {
 	t.mu.Lock()
-	for i := range t.entries {
-		if t.entries[i].Space == space {
-			t.entries[i].Valid = false
+	for v := t.valid; v != 0; v &= v - 1 {
+		slot := bits.TrailingZeros64(v)
+		if e := &t.entries[slot]; e.Space == space {
+			_, pos := t.find(e.VPN, space)
+			t.drop(slot, pos)
 		}
 	}
 	t.mu.Unlock()
@@ -113,11 +149,8 @@ func (t *TLB) FlushSpace(space ASID) {
 // FlushPage invalidates the entry for (vpn, space) if present.
 func (t *TLB) FlushPage(vpn uint32, space ASID) {
 	t.mu.Lock()
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.Valid && e.VPN == vpn && e.Space == space {
-			e.Valid = false
-		}
+	if slot, pos := t.find(vpn, space); slot >= 0 {
+		t.drop(slot, pos)
 	}
 	t.mu.Unlock()
 }
@@ -126,24 +159,13 @@ func (t *TLB) FlushPage(vpn uint32, space ASID) {
 func (t *TLB) Resident(vpn uint32, space ASID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.Valid && e.VPN == vpn && e.Space == space {
-			return true
-		}
-	}
-	return false
+	slot, _ := t.find(vpn, space)
+	return slot >= 0
 }
 
 // ValidCount returns the number of valid entries (for tests and sgtop).
 func (t *TLB) ValidCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for i := range t.entries {
-		if t.entries[i].Valid {
-			n++
-		}
-	}
-	return n
+	return bits.OnesCount64(t.valid)
 }

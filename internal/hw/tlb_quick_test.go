@@ -1,69 +1,192 @@
 package hw
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-// Property: the TLB behaves like a bounded cache over a model map — a hit
-// must return exactly what the model holds; a flush must remove precisely
-// the targeted entries. (Misses are always allowed: the TLB may evict.)
+// refEntry is a slot of refTLB: an invalidated one keeps its stale
+// translation, as the hardware's does.
+type refEntry struct {
+	TLBEntry
+	Valid bool
+}
+
+// refTLB is the linear-scan TLB the indexed one replaced, kept as the
+// reference of the differential test: every operation compares all 64
+// entries.
+type refTLB struct {
+	entries      [TLBSize]refEntry
+	next         int
+	hits, misses int64
+}
+
+func (t *refTLB) Lookup(vpn uint32, space ASID) (pfn PFN, writable, ok bool) {
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.Valid && e.VPN == vpn && e.Space == space {
+			t.hits++
+			return e.Frame, e.Writable, true
+		}
+	}
+	t.misses++
+	return NoPFN, false, false
+}
+
+func (t *refTLB) Insert(vpn uint32, space ASID, pfn PFN, writable bool) {
+	slot := -1
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.Valid && e.VPN == vpn && e.Space == space {
+			slot = i
+			break
+		}
+		if !e.Valid && slot < 0 {
+			slot = i
+		}
+	}
+	if slot < 0 {
+		slot = t.next
+		t.next = (t.next + 1) % TLBSize
+	}
+	t.entries[slot] = refEntry{TLBEntry{VPN: vpn, Space: space, Frame: pfn, Writable: writable}, true}
+}
+
+func (t *refTLB) FlushSpace(space ASID) {
+	for i := range t.entries {
+		if t.entries[i].Space == space {
+			t.entries[i].Valid = false
+		}
+	}
+}
+
+func (t *refTLB) FlushPage(vpn uint32, space ASID) {
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.Valid && e.VPN == vpn && e.Space == space {
+			e.Valid = false
+		}
+	}
+}
+
+func (t *refTLB) Resident(vpn uint32, space ASID) bool {
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.Valid && e.VPN == vpn && e.Space == space {
+			return true
+		}
+	}
+	return false
+}
+
+func (t *refTLB) ValidCount() int {
+	n := 0
+	for i := range t.entries {
+		if t.entries[i].Valid {
+			n++
+		}
+	}
+	return n
+}
+
+// The indexed TLB is the linear one slot for slot: after every operation
+// the same entry sits in the same slot (so the same victim was chosen on
+// every eviction), the replacement cursor, ValidCount and Hits/Misses
+// agree, every Lookup and Resident answered alike, and the index holds
+// exactly the valid slots, each where its key's probe finds it. 256 pages
+// in 3 spaces against 64 entries keep the TLB full and evicting; a hot
+// subset keeps replacements-in-place and hits frequent.
 func TestQuickTLBAgainstModel(t *testing.T) {
-	type key struct {
-		vpn   uint32
-		space ASID
-	}
-	type val struct {
-		pfn      PFN
-		writable bool
-	}
-	f := func(seed int64, ops []byte) bool {
+	const ops = 20000
+	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var tlb TLB
-		model := map[key]val{}
-		for _, op := range ops {
-			vpn := uint32(rng.Intn(8))
+		var ref refTLB
+		evictions := 0
+		for n := 0; n < ops; n++ {
+			vpn := uint32(rng.Intn(256))
+			if rng.Intn(2) == 0 {
+				vpn = uint32(rng.Intn(40)) * 0x1001 // hot pages, spread over the hash
+			}
 			space := ASID(1 + rng.Intn(3))
-			switch op % 5 {
-			case 0, 1: // insert
-				v := val{pfn: PFN(rng.Intn(64)), writable: rng.Intn(2) == 0}
-				tlb.Insert(vpn, space, v.pfn, v.writable)
-				model[key{vpn, space}] = v
-			case 2: // lookup: hit must match the model exactly
-				pfn, w, ok := tlb.Lookup(vpn, space)
-				if ok {
-					mv, in := model[key{vpn, space}]
-					if !in || mv.pfn != pfn || mv.writable != w {
-						return false
-					}
+			var desc string
+			switch op := rng.Intn(100); {
+			case op < 45:
+				desc = "Insert"
+				if ref.ValidCount() == TLBSize && !ref.Resident(vpn, space) {
+					evictions++
 				}
-			case 3: // flush one space
-				tlb.FlushSpace(space)
-				for k := range model {
-					if k.space == space {
-						delete(model, k)
-					}
+				pfn, w := PFN(rng.Intn(1<<20)), rng.Intn(2) == 0
+				tlb.Insert(vpn, space, pfn, w)
+				ref.Insert(vpn, space, pfn, w)
+			case op < 75:
+				desc = "Lookup"
+				gp, gw, gok := tlb.Lookup(vpn, space)
+				wp, ww, wok := ref.Lookup(vpn, space)
+				if gp != wp || gw != ww || gok != wok {
+					t.Fatalf("seed %d op %d: Lookup(%#x, %d) = (%d, %v, %v), linear scan says (%d, %v, %v)",
+						seed, n, vpn, space, gp, gw, gok, wp, ww, wok)
 				}
-			case 4: // flush one page
+			case op < 83:
+				desc = "Resident"
+				if got, want := tlb.Resident(vpn, space), ref.Resident(vpn, space); got != want {
+					t.Fatalf("seed %d op %d: Resident(%#x, %d) = %v, linear scan says %v", seed, n, vpn, space, got, want)
+				}
+			case op < 99:
+				desc = "FlushPage"
 				tlb.FlushPage(vpn, space)
-				delete(model, key{vpn, space})
+				ref.FlushPage(vpn, space)
+			default:
+				desc = "FlushSpace"
+				tlb.FlushSpace(space)
+				ref.FlushSpace(space)
 			}
-			// Global invariant: no resident entry disagrees with the model.
-			for k, mv := range model {
-				if pfn, w, ok := tlb.Lookup(k.vpn, k.space); ok {
-					if pfn != mv.pfn || w != mv.writable {
-						return false
-					}
-				}
-			}
-			if tlb.ValidCount() > TLBSize {
-				return false
+			if msg := tlbDiff(&tlb, &ref); msg != "" {
+				t.Fatalf("seed %d op %d, after %s(%#x, %d): %s", seed, n, desc, vpn, space, msg)
 			}
 		}
-		return true
+		if evictions < ops/20 {
+			t.Fatalf("seed %d: %d evictions in %d ops — the key space no longer keeps the TLB full", seed, evictions, ops)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+}
+
+// tlbDiff describes the first difference between the indexed TLB and the
+// reference, or a broken index invariant; "" when there is none.
+func tlbDiff(tlb *TLB, ref *refTLB) string {
+	used := 0
+	for _, s := range tlb.index {
+		if s != 0 {
+			used++
+		}
 	}
+	if used != bits.OnesCount64(tlb.valid) {
+		return fmt.Sprintf("%d index positions in use for %d valid slots", used, bits.OnesCount64(tlb.valid))
+	}
+	for i := range ref.entries {
+		r, valid := ref.entries[i], tlb.valid>>i&1 != 0
+		if r.Valid != valid {
+			return fmt.Sprintf("slot %d valid = %v, linear scan says %v", i, valid, r.Valid)
+		}
+		if valid && tlb.entries[i] != r.TLBEntry {
+			return fmt.Sprintf("slot %d holds %+v, linear scan says %+v", i, tlb.entries[i], r.TLBEntry)
+		}
+		if valid {
+			if slot, _ := tlb.find(r.VPN, r.Space); slot != i {
+				return fmt.Sprintf("the index finds slot %d's key in slot %d", i, slot)
+			}
+		}
+	}
+	if tlb.next != ref.next {
+		return fmt.Sprintf("replacement cursor = %d, linear scan says %d", tlb.next, ref.next)
+	}
+	if got, want := tlb.ValidCount(), ref.ValidCount(); got != want {
+		return fmt.Sprintf("ValidCount = %d, linear scan says %d", got, want)
+	}
+	if h, m := tlb.Hits.Load(), tlb.Misses.Load(); h != ref.hits || m != ref.misses {
+		return fmt.Sprintf("Hits/Misses = %d/%d, linear scan says %d/%d", h, m, ref.hits, ref.misses)
+	}
+	return ""
 }

@@ -61,9 +61,16 @@ func TestTLBFlushSpace(t *testing.T) {
 	if !tlb.Resident(3, 2) {
 		t.Fatal("space 2 entry wrongly flushed")
 	}
+	tlb.FlushSpace(2)
+	if tlb.ValidCount() != 0 {
+		t.Fatal("entries survived flushing every space")
+	}
+	if tlb.Flushes.Load() != 2 {
+		t.Fatalf("Flushes = %d, want 2", tlb.Flushes.Load())
+	}
 }
 
-func TestTLBFlushPageAndAll(t *testing.T) {
+func TestTLBFlushPage(t *testing.T) {
 	var tlb TLB
 	tlb.Insert(1, 1, 10, false)
 	tlb.Insert(2, 1, 11, false)
@@ -73,10 +80,6 @@ func TestTLBFlushPageAndAll(t *testing.T) {
 	}
 	if !tlb.Resident(2, 1) {
 		t.Fatal("unrelated page flushed")
-	}
-	tlb.FlushAll()
-	if tlb.ValidCount() != 0 {
-		t.Fatal("entries survived FlushAll")
 	}
 }
 
