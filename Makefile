@@ -8,7 +8,7 @@ tier1: lint
 	$(GO) test ./...
 	$(GO) test -short -run 'Chaos' -count=1 ./internal/workload/
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/hw/
-	$(GO) test -race -short -run 'FaultStorm|COWBreak|StormRace|WritePage|ChecksumMatches|Bulk|WriteBytesEdges|CopyFrameUnder|Decode|Allocs|Spawn|CreationCharges|RestoreFailure|ShareMaskTable|Carve|Poll|PublishedReadiness|InterestSet|StandingWaiter|SelectSame|Netserver|SelfCheck|SgtopRuns|BenchtabPreforkRuns|SleepProtocolModel|PostInterruptsSleep|SemaStaleWake|EnvdiagRuns|KtraceRuns|SgdumpRuns|VshRuns|QuickstartRuns|ParallelRuns|AsyncioRuns|MakeparRuns|NonVMMember|FailedPipe|EagerSyncCharges|FdUpdate|FdFlagSurvives|Arena' -count=1 ./internal/hw/ ./internal/ckpt/ ./internal/vm/ ./internal/workload/ ./internal/uspin/ ./internal/ipc/ ./internal/core/ ./internal/kernel/ ./internal/fs/ ./internal/sched/ ./internal/klock/ ./internal/proc/ ./examples/netserver/ ./examples/asyncio/ ./examples/makepar/ ./examples/parallel/ ./examples/quickstart/ ./cmd/sgtop/ ./cmd/benchtab/ ./cmd/envdiag/ ./cmd/ktrace/ ./cmd/sgdump/ ./cmd/vsh/
+	$(GO) test -race -short -run 'FaultStorm|COWBreak|StormRace|WritePage|ChecksumMatches|Bulk|WriteBytesEdges|CopyFrameUnder|Decode|Allocs|Spawn|CreationCharges|RestoreFailure|ShareMaskTable|Carve|Poll|PublishedReadiness|InterestSet|StandingWaiter|SelectSame|Netserver|SelfCheck|SgtopRuns|BenchtabPreforkRuns|SleepProtocolModel|PostInterruptsSleep|SemaStaleWake|EnvdiagRuns|KtraceRuns|SgdumpRuns|VshRuns|QuickstartRuns|ParallelRuns|AsyncioRuns|MakeparRuns|NonVMMember|FailedPipe|EagerSyncCharges|FdUpdate|FdFlagSurvives|Space' -count=1 ./internal/hw/ ./internal/ckpt/ ./internal/vm/ ./internal/workload/ ./internal/uspin/ ./internal/ipc/ ./internal/core/ ./internal/kernel/ ./internal/fs/ ./internal/sched/ ./internal/klock/ ./internal/proc/ ./examples/netserver/ ./examples/asyncio/ ./examples/makepar/ ./examples/parallel/ ./examples/quickstart/ ./cmd/sgtop/ ./cmd/benchtab/ ./cmd/envdiag/ ./cmd/ktrace/ ./cmd/sgdump/ ./cmd/vsh/
 
 # Chaos: the full seeded fault-injection soak (deterministic per seed).
 .PHONY: chaos
@@ -43,33 +43,28 @@ lint: lint-pregion lint-lazydup lint-ckpt
 		fi; \
 	done
 
-# lint-pregion: pregion lists are an ordered interval index maintained by
-# internal/vm (sorted by base, binary-searched). Kernel-side code must go
-# through the vm API — Find/Overlaps/Insert/Remove/DupList/MergeLists/
-# Partition/TotalPages — never walk a pregion slice linearly, or the O(n)
-# scan the index removed silently comes back. Display tools under cmd/ may
-# enumerate for output; lookup paths live in internal/.
+# lint-pregion: a pregion list is an ordered interval index (sorted by
+# base, binary-searched) that only vm.Space holds — the field is unexported,
+# so the compiler keeps kernel-side code from walking or editing one. What
+# is left to check is inside internal/vm: the child image of a Dup is built
+# through MapAt (ordered insert, overlap check), never appended to.
 .PHONY: lint-pregion
 lint-pregion:
-	@if grep -rnE 'range [a-zA-Z_.]*(Private\b|\.regions\b|RegionList\()' --include='*.go' internal/ | grep -v '^internal/vm/' | grep -v '_test.go'; then \
-		echo "lint: linear scan over a pregion slice outside internal/vm — use the vm index API (Find/Overlaps/Insert/Remove/DupList/MergeLists/Partition/TotalPages)" >&2; \
-		exit 1; \
-	fi
-	@if awk '/^func dupList/,/^}/' internal/vm/pregion.go | grep -nE '\bappend\('; then \
-		echo "lint: bare append in the dupList body — the child image index is rebuilt through Insert so it stays ordered" >&2; \
+	@if awk '/^func \(img \*Space\) dupFrom/,/^}/' internal/vm/space.go | grep -nE '\bappend\('; then \
+		echo "lint: bare append in the dupFrom body — the child image index is rebuilt through MapAt so it stays ordered" >&2; \
 		exit 1; \
 	fi
 
 # lint-lazydup: the O(1) creation protocol (DESIGN.md §16) keeps its
 # moving part in a fixed place. The deferred duplication walk lives in
-# internal/vm — kernel code clones whole images through DupListFlush /
-# DupListEager, never region-by-region with DupLazy. (That the
+# internal/vm — kernel code clones whole images through Space.Dup, never
+# region-by-region with DupLazy. (That the
 # lazy-creation and checkpoint counters stay in the Stats snapshot is held
 # by the compiler: cmd/sgtop prints every one.)
 .PHONY: lint-lazydup
 lint-lazydup:
 	@if grep -rnE '\.DupLazy\(' --include='*.go' internal/ cmd/ examples/ *.go 2>/dev/null | grep -v '^internal/vm/'; then \
-		echo "lint: DupLazy outside internal/vm — kernel code duplicates images through vm.DupListFlush/DupListEager" >&2; \
+		echo "lint: DupLazy outside internal/vm — kernel code duplicates images through vm.Space.Dup" >&2; \
 		exit 1; \
 	fi
 

@@ -9,6 +9,7 @@ import (
 
 	irix "repro"
 	"repro/internal/kernel"
+	"repro/internal/vm"
 )
 
 func main() {
@@ -89,10 +90,12 @@ func dump(c *irix.Ctx) {
 			m.PID, m.Name, m.State(), m.ShMask(), m.Flag.Load())
 	}
 	fmt.Println("  s_region (shared pregion list, under the shared read lock):")
-	for _, pr := range sa.RegionList(c.P) {
-		fmt.Printf("    %-5s base=%#08x pages=%-4d resident=%-4d refs=%d\n",
-			pr.Reg.Type, uint32(pr.Base), pr.Reg.Pages(), pr.Reg.Resident(), pr.Reg.Refs())
-	}
+	sa.ViewVM(c.P, func(sp *vm.Space) {
+		for _, pr := range sp.Regions() {
+			fmt.Printf("    %-5s base=%#08x pages=%-4d resident=%-4d refs=%d\n",
+				pr.Reg.Type, uint32(pr.Base), pr.Reg.Pages(), pr.Reg.Resident(), pr.Reg.Refs())
+		}
+	})
 	cdir, rdir, umask, ulimit, uid, gid := sa.ShadowEnv()
 	fmt.Println("  shadow resources:")
 	fmt.Printf("    s_cdir=inode#%d(ref %d)  s_rdir=inode#%d  s_cmask=%04o  s_limit=%d  s_uid=%d  s_gid=%d\n",

@@ -25,12 +25,37 @@ func (r *rig) newProc(pid int) *proc.Proc {
 	p.ASID = hw.ASID(pid)
 	p.Cdir = r.fs.Root().Hold()
 	p.Rdir = r.fs.Root().Hold()
-	p.Private = []*vm.PRegion{
-		{Reg: vm.NewRegion(r.mem, vm.RText, 4), Base: vm.TextBase},
-		{Reg: vm.NewRegion(r.mem, vm.RData, 8), Base: vm.DataBase},
-		{Reg: vm.NewRegion(r.mem, vm.RPRDA, vm.PRDAPages), Base: vm.PRDABase},
-	}
+	p.Private = vm.NewSpace(
+		&vm.PRegion{Reg: vm.NewRegion(r.mem, vm.RText, 4), Base: vm.TextBase},
+		&vm.PRegion{Reg: vm.NewRegion(r.mem, vm.RData, 8), Base: vm.DataBase},
+		&vm.PRegion{Reg: vm.NewRegion(r.mem, vm.RPRDA, vm.PRDAPages), Base: vm.PRDABase},
+	)
 	return p
+}
+
+// regions snapshots sa's shared pregion list through the read side.
+func regions(sa *ShAddr, p *proc.Proc) (regs []*vm.PRegion) {
+	sa.ViewVM(p, func(sp *vm.Space) { regs = sp.Regions() })
+	return regs
+}
+
+// findShared locates the shared pregion containing va through the read side.
+func findShared(sa *ShAddr, p *proc.Proc, va hw.VAddr) (pr *vm.PRegion) {
+	sa.ViewVM(p, func(sp *vm.Space) { pr = sp.Find(va) })
+	return pr
+}
+
+// carve runs CarveStack inside the update bracket, as the kernel does.
+func carve(sa *ShAddr, p, child *proc.Proc, mem *hw.Memory, at hw.VAddr, pages int, shared bool) (st *vm.PRegion, err error) {
+	sa.UpdateVM(p, func(sp *vm.Space, _ vm.Shoot) error {
+		into := sp
+		if !shared {
+			into = &child.Private // a member outside the space maps its stack in its own image
+		}
+		st, err = sa.CarveStack(sp, into, child, mem, at, pages)
+		return err
+	})
+	return st, err
 }
 
 func (r *rig) cred() fs.Cred {
@@ -41,10 +66,10 @@ func TestNewGroupMovesSharablePregions(t *testing.T) {
 	r := newRig()
 	p := r.newProc(1)
 	sa := New(p)
-	if len(p.Private) != 1 || p.Private[0].Reg.Type != vm.RPRDA {
-		t.Fatalf("private list after group creation: %v", p.Private)
+	if priv := p.Private.Regions(); len(priv) != 1 || priv[0].Reg.Type != vm.RPRDA {
+		t.Fatalf("private list after group creation: %v", priv)
 	}
-	regs := sa.RegionList(p)
+	regs := regions(sa, p)
 	if len(regs) != 2 {
 		t.Fatalf("shared list has %d regions, want 2", len(regs))
 	}
@@ -477,11 +502,11 @@ func TestResolveShared(t *testing.T) {
 	r := newRig()
 	p := r.newProc(1)
 	sa := New(p)
-	pfn, w, res, found, err := sa.ResolveShared(p, vm.DataBase+hw.PageSize, true)
+	pfn, w, res, _, found, err := sa.ResolveShared(p, vm.DataBase+hw.PageSize, true)
 	if err != nil || !found || !w || pfn == hw.NoPFN || res != vm.FillZeroed {
 		t.Fatalf("ResolveShared = (%v,%v,%v,%v,%v)", pfn, w, res, found, err)
 	}
-	if _, _, _, found, _ := sa.ResolveShared(p, vm.ShmBase, false); found {
+	if _, _, _, _, found, _ := sa.ResolveShared(p, vm.ShmBase, false); found {
 		t.Fatal("resolved an unmapped address")
 	}
 	if sa.Acc.Readers() != 0 {
@@ -494,29 +519,37 @@ func TestAttachDetachShared(t *testing.T) {
 	p := r.newProc(1)
 	sa := New(p)
 	seg := &vm.PRegion{Reg: vm.NewRegion(r.mem, vm.RShm, 4), Base: vm.ShmBase}
-	if err := sa.AttachShared(p, seg); err != nil {
+	mapAt := func(pr *vm.PRegion) error {
+		return sa.UpdateVM(p, func(sp *vm.Space, _ vm.Shoot) error { return sp.MapAt(pr) })
+	}
+	unmap := func(pr *vm.PRegion) error {
+		return sa.UpdateVM(p, func(sp *vm.Space, shoot vm.Shoot) error { return sp.Unmap(pr, shoot) })
+	}
+	if err := mapAt(seg); err != nil {
 		t.Fatal(err)
 	}
-	if err := sa.AttachShared(p, &vm.PRegion{Reg: vm.NewRegion(r.mem, vm.RShm, 1), Base: vm.ShmBase + hw.PageSize}); err == nil {
+	if err := mapAt(&vm.PRegion{Reg: vm.NewRegion(r.mem, vm.RShm, 1), Base: vm.ShmBase + hw.PageSize}); err == nil {
 		t.Fatal("overlapping attach accepted")
 	}
 	// Touch a page so detach has something to free.
-	if _, _, _, found, err := sa.ResolveShared(p, vm.ShmBase, true); !found || err != nil {
+	if _, _, _, _, found, err := sa.ResolveShared(p, vm.ShmBase, true); !found || err != nil {
 		t.Fatal("attached region not faultable")
 	}
 	used := r.mem.InUse()
-	shot := 0
-	if err := sa.DetachShared(p, seg, func() { shot++ }); err != nil {
+	if err := unmap(seg); err != nil {
 		t.Fatal(err)
 	}
-	if shot != 1 {
+	if shot := sa.Shootdowns.Load(); shot != 1 {
 		t.Fatalf("shootdowns = %d, want 1", shot)
 	}
 	if r.mem.InUse() != used-1 {
 		t.Fatal("detached frames not freed")
 	}
-	if err := sa.DetachShared(p, seg, func() { shot++ }); err == nil {
+	if err := unmap(seg); err == nil {
 		t.Fatal("double detach accepted")
+	}
+	if shot := sa.Shootdowns.Load(); shot != 1 {
+		t.Fatalf("rejected detach still shot down: shootdowns = %d", shot)
 	}
 }
 
@@ -524,35 +557,43 @@ func TestGrowShrinkShared(t *testing.T) {
 	r := newRig()
 	p := r.newProc(1)
 	sa := New(p)
-	data := sa.RegionList(p)[1] // the data region
+	data := regions(sa, p)[1] // the data region
 	if data.Reg.Type != vm.RData {
 		t.Fatalf("expected data region, got %v", data.Reg.Type)
 	}
-	sa.GrowShared(p, data, 4)
+	shrink := func(n int) (freed int, err error) {
+		err = sa.UpdateVM(p, func(sp *vm.Space, shoot vm.Shoot) error {
+			freed, err = sp.Shrink(data, n, shoot)
+			return err
+		})
+		return freed, err
+	}
+	if err := sa.UpdateVM(p, func(sp *vm.Space, _ vm.Shoot) error { return sp.Grow(data, 4) }); err != nil {
+		t.Fatal(err)
+	}
 	if data.Reg.Pages() != 12 {
 		t.Fatalf("pages after grow = %d", data.Reg.Pages())
 	}
 	// Touch the new pages; then shrink them away.
 	va := vm.DataBase + hw.VAddr(10*hw.PageSize)
-	if _, _, _, found, err := sa.ResolveShared(p, va, true); !found || err != nil {
+	if _, _, _, _, found, err := sa.ResolveShared(p, va, true); !found || err != nil {
 		t.Fatal("grown page not faultable")
 	}
-	shot := 0
-	freed, err := sa.ShrinkShared(p, data, 4, func() { shot++ })
+	freed, err := shrink(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if freed != 1 || shot != 1 {
+	if shot := sa.Shootdowns.Load(); freed != 1 || shot != 1 {
 		t.Fatalf("shrink freed=%d shot=%d", freed, shot)
 	}
 	// Over-shrinking is rejected under the update lock, without a shootdown.
-	if _, err := sa.ShrinkShared(p, data, data.Reg.Pages()+1, func() { shot++ }); err == nil {
+	if _, err := shrink(data.Reg.Pages() + 1); err == nil {
 		t.Fatal("shrink past the region's extent succeeded")
 	}
-	if shot != 1 {
+	if shot := sa.Shootdowns.Load(); shot != 1 {
 		t.Fatalf("rejected shrink still shot down: shot=%d", shot)
 	}
-	if _, _, _, found, _ := sa.ResolveShared(p, va, false); found {
+	if _, _, _, _, found, _ := sa.ResolveShared(p, va, false); found {
 		t.Fatal("shrunk page still resolvable")
 	}
 }
@@ -563,8 +604,8 @@ func TestCarveStack(t *testing.T) {
 	sa := New(p)
 	c1 := r.newProc(2)
 	c2 := r.newProc(3)
-	s1, _ := sa.CarveStack(p, c1, r.mem, 0, 64, true)
-	s2, _ := sa.CarveStack(p, c2, r.mem, 0, 64, true)
+	s1, _ := carve(sa, p, c1, r.mem, 0, 64, true)
+	s2, _ := carve(sa, p, c2, r.mem, 0, 64, true)
 	if s1.Base == s2.Base {
 		t.Fatal("stacks overlap")
 	}
@@ -572,7 +613,7 @@ func TestCarveStack(t *testing.T) {
 		t.Fatal("no guard gap between stacks")
 	}
 	// Both stacks are visible in the shared space.
-	if sa.FindShared(p, s1.Base) != s1 || sa.FindShared(p, s2.Base+hw.PageSize) != s2 {
+	if findShared(sa, p, s1.Base) != s1 || findShared(sa, p, s2.Base+hw.PageSize) != s2 {
 		t.Fatal("stacks not on shared list")
 	}
 	// Member exit detaches its stack.
@@ -583,7 +624,7 @@ func TestCarveStack(t *testing.T) {
 	sa.ResolveShared(c1, s1.Base, true) // make a page resident
 	used := r.mem.InUse()
 	sa.Leave(c1)
-	if sa.FindShared(p, s1.Base) != nil {
+	if findShared(sa, p, s1.Base) != nil {
 		t.Fatal("dead member's stack still shared")
 	}
 	if r.mem.InUse() != used-1 {
@@ -592,15 +633,15 @@ func TestCarveStack(t *testing.T) {
 	// Exact placement (restore): a base inside a shared region is refused;
 	// one beyond the cursor lands there and moves the cursor past it, so
 	// the next fresh carve cannot collide.
-	if st, err := sa.CarveStack(p, r.newProc(4), r.mem, s2.Base+hw.PageSize, 64, true); err == nil {
+	if st, err := carve(sa, p, r.newProc(4), r.mem, s2.Base+hw.PageSize, 64, true); err == nil {
 		t.Fatalf("exact carve inside a shared stack succeeded at %#x", st.Base)
 	}
 	far := s2.End() + hw.VAddr(1024*hw.PageSize)
-	s4, err := sa.CarveStack(p, r.newProc(5), r.mem, far, 64, true)
-	if err != nil || s4.Base != far || sa.FindShared(p, far) != s4 {
+	s4, err := carve(sa, p, r.newProc(5), r.mem, far, 64, true)
+	if err != nil || s4.Base != far || findShared(sa, p, far) != s4 {
 		t.Fatalf("exact carve at %#x = (%v, %v)", far, s4, err)
 	}
-	s5, _ := sa.CarveStack(p, r.newProc(6), r.mem, 0, 96, true) // no 96-page range to recycle
+	s5, _ := carve(sa, p, r.newProc(6), r.mem, 0, 96, true) // no 96-page range to recycle
 	if s5.Base < s4.End()+hw.VAddr(StackGapPages*hw.PageSize) {
 		t.Fatalf("fresh carve at %#x did not clear the exact one ending %#x", s5.Base, s4.End())
 	}
@@ -611,8 +652,8 @@ func TestCarveStackPrivate(t *testing.T) {
 	p := r.newProc(1)
 	sa := New(p)
 	c := r.newProc(2)
-	st, _ := sa.CarveStack(p, c, r.mem, 0, 32, false)
-	if sa.FindShared(p, st.Base) != nil {
+	st, _ := carve(sa, p, c, r.mem, 0, 32, false)
+	if findShared(sa, p, st.Base) != nil {
 		t.Fatal("non-shared stack visible in shared space (paper: must not be)")
 	}
 }
@@ -623,20 +664,25 @@ func TestCOWImageIsolation(t *testing.T) {
 	sa := New(p)
 	// Write a value into the shared data region.
 	va := vm.DataBase
-	pfn, _, _, _, err := sa.ResolveShared(p, va, true)
+	pfn, _, _, _, _, err := sa.ResolveShared(p, va, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.mem.StoreWord(pfn, 0, 41)
 
-	shot := 0
-	img := vm.Find(nil, 0) // keep vm import honest
-	_ = img
-	image := sa.COWImage(p, func() { shot++ })
-	if shot != 1 {
-		t.Fatal("COWImage did not shoot down stale translations")
+	// The image a forking member gets: its private list and the shared one.
+	var image vm.Space
+	sa.UpdateVM(p, func(sp *vm.Space, shoot vm.Shoot) error {
+		var flush bool
+		if image, flush = p.Private.Dup(false, sp); flush {
+			shoot(0, vm.WholeSpace)
+		}
+		return nil
+	})
+	if sa.Shootdowns.Load() != 1 {
+		t.Fatal("duplicating a written space did not shoot down stale translations")
 	}
-	child := vm.Find(image, va)
+	child := image.Find(va)
 	if child == nil {
 		t.Fatal("image misses data region")
 	}
@@ -648,18 +694,18 @@ func TestCOWImageIsolation(t *testing.T) {
 	if r.mem.LoadWord(cpfn, 0) != 41 {
 		t.Fatal("image lost data")
 	}
-	gp, _, _, _, _ := sa.ResolveShared(p, va, true) // group write: breaks alias
+	gp, _, _, _, _, _ := sa.ResolveShared(p, va, true) // group write: breaks alias
 	r.mem.StoreWord(gp, 0, 99)
 	cpfn2, _, _, _ := child.Reg.Fill(child.PageIndex(va), false)
 	if r.mem.LoadWord(cpfn2, 0) != 41 {
 		t.Fatal("group write leaked into COW image")
 	}
 	// And the group still sees its own update.
-	gp2, _, _, _, _ := sa.ResolveShared(p, va, false)
+	gp2, _, _, _, _, _ := sa.ResolveShared(p, va, false)
 	if r.mem.LoadWord(gp2, 0) != 99 {
 		t.Fatal("group lost its own write")
 	}
-	vm.DetachList(image)
+	image.Clear()
 }
 
 func TestShadowEnv(t *testing.T) {

@@ -36,16 +36,20 @@ const StackGapPages = 16
 
 // ShAddr is the shared address block: one per share group.
 type ShAddr struct {
-	// Shared pregion handling.
-	Acc     klock.MRLock  // s_acclck / s_acccnt / s_waitcnt / s_updwait
-	regions []*vm.PRegion // s_region: the shared pregion list
-	ASID    hw.ASID       // the shared virtual space's identifier
+	// Shared pregion handling. space is edited only inside UpdateVM and
+	// read only under the Acc read lock (ResolveShared, ViewVM).
+	Acc   klock.MRLock // s_acclck / s_acccnt / s_waitcnt / s_updwait
+	space vm.Space     // s_region: the shared pregion list, and the group's mapping arena
+	ASID  hw.ASID      // the shared virtual space's identifier
 
-	// gen is the shared-list generation: bumped (under the Acc update
-	// lock) by every mutation of the list or of a listed region's extent,
-	// it validates the members' last-hit pregion caches — a fault whose
+	// updater is the process inside UpdateVM, whose CPU pays for the
+	// bracket's shootdowns.
+	updater *proc.Proc
+
+	// gen is the shared-list generation: bumped by every UpdateVM, it
+	// validates the members' last-hit pregion caches — a fault whose
 	// cached generation still matches may skip the list scan. nregions
-	// mirrors len(regions) for lock-free diagnostics (String, sgtop).
+	// mirrors the list's length for lock-free diagnostics (String, sgtop).
 	gen      atomic.Uint64
 	nregions atomic.Int32
 
@@ -68,12 +72,11 @@ type ShAddr struct {
 	uid      uint16     // s_uid
 	gid      uint16     // s_gid
 
-	// The group's mapping arena, guarded by the Acc update lock, and its
-	// stack arena, guarded by listLock. memberStack remembers the stack
-	// sproc carved for each member so the range can be recycled (and, for
-	// VM-sharing members, the pregion detached from the shared list) when
-	// the member exits.
-	shm         vm.Arena
+	// The group's stack arena, and the stack sproc carved for each member,
+	// so the range can be recycled (and, for VM-sharing members, the
+	// pregion unmapped from the shared space) when the member exits. Both
+	// are guarded by the Acc update lock: CarveStack and ReleaseStack run
+	// inside UpdateVM.
 	stacks      vm.Arena
 	memberStack map[*proc.Proc]memberStack
 
@@ -109,7 +112,7 @@ type ShAddr struct {
 // holds the Acc update lock (or is the teardown's last member).
 func (sa *ShAddr) touchRegions() {
 	sa.gen.Add(1)
-	sa.nregions.Store(int32(len(sa.regions)))
+	sa.nregions.Store(int32(sa.space.Len()))
 }
 
 // Generation returns the shared-list generation (tests, diagnostics).
@@ -128,14 +131,15 @@ type Options struct {
 	// not be available ("it could even be waiting for a resource that
 	// the examining process controls").
 	EagerAttrSync bool
-	// Topo shapes the shared read lock's distributed reader slots to the
-	// machine's NUMA topology, so member CPUs that share a slot are always
-	// node-mates. The zero value leaves the flat slot hash.
-	Topo hw.Topology
-	// EagerDup makes COWImage/UnshareVM duplicate regions with the
-	// spawn-time table walk (vm.DupListEager) instead of the lazy O(1)
-	// clone — the pre-lazy fork path, kept so benchtab E1c can measure
-	// the O(pages) cost the lazy protocol removes.
+	// Machine is the machine the group runs on: its TLBs are what UpdateVM
+	// shoots, and its NUMA topology shapes the shared read lock's
+	// distributed reader slots, so member CPUs that share a slot are always
+	// node-mates. Nil (unit tests) flushes nothing and leaves the flat slot
+	// hash.
+	Machine *hw.Machine
+	// EagerDup makes UnshareVM duplicate regions with the spawn-time table
+	// walk instead of the lazy O(1) clone — the pre-lazy fork path, kept so
+	// benchtab E1c can measure the O(pages) cost the lazy protocol removes.
 	EagerDup bool
 }
 
@@ -182,20 +186,24 @@ func NewWithOptions(creator *proc.Proc, opts Options) *ShAddr {
 		fupdSema:    klock.NewSema(1),
 		cpuAcct:     proc.NewCPUAcct(),
 		ASID:        creator.ASID,
-		shm:         creator.Shm.Inherit(),
 		stacks:      vm.NewArena(vm.SprocStackBase, StackGapPages),
 		memberStack: map[*proc.Proc]memberStack{},
 		opts:        opts,
 	}
 
 	// Move sharable pregions to the shared list; only the PRDA stays
-	// private. Both halves of the partition keep the index's sort order.
-	shared, private := vm.Partition(creator.Private, func(pr *vm.PRegion) bool {
-		return pr.Reg.Type != vm.RPRDA
-	})
-	sa.regions = shared
-	creator.Private = private
-	sa.Acc.ConfigureTopology(opts.Topo.NCPU, opts.Topo.Nodes)
+	// private, and the creator's mapping arena becomes the group's.
+	sa.space = creator.Private.Split(func(pr *vm.PRegion) bool { return pr.Reg.Type == vm.RPRDA })
+	// A creator forked from a member of another group holds copies of that
+	// group's sproc stacks: carve past them.
+	for _, pr := range sa.space.Regions() {
+		if pr.Base >= vm.SprocStackBase && pr.End() < vm.MainStackTop {
+			sa.stacks.Reserve(pr.Base, pr.Reg.Pages())
+		}
+	}
+	if m := opts.Machine; m != nil {
+		sa.Acc.ConfigureTopology(m.Topo.NCPU, m.Topo.Nodes)
+	}
 	sa.touchRegions()
 
 	// Shadow the environment, bumping reference counts for the block.
@@ -244,13 +252,25 @@ type memberStack struct {
 }
 
 // Leave removes p from the group (exit or exec). The last member out
-// tears the block down, releasing the block's own references. If p shares
-// the address space, the stack sproc carved for it is detached from the
-// shared list under the update lock — other members may still be running,
-// so the detach follows the full shootdown protocol. The stack's address
-// range is recycled for future sproc children either way.
+// tears the block down, releasing the block's own references. The stack
+// sproc carved for p is withdrawn — unmapped from the shared space if p
+// shares it — and its range recycled for future sproc children. A member
+// sharing PR_SADDR leaves behind translations other members may hold (its
+// stack) and ones only it could make (its private list, under the group's
+// ASID), so its departure flushes the whole space here, inside the bracket:
+// no member can refill a translation while the update lock is held, so the
+// flush has emptied the stack's range before it is unlisted and freed. The
+// flush is the machine's, like reap's of a process that shares no space,
+// and is charged to nobody.
 func (sa *ShAddr) Leave(p *proc.Proc) {
-	sa.ReleaseStack(p, p)
+	sa.UpdateVM(p, func(sp *vm.Space, shoot vm.Shoot) error {
+		if p.ShMask()&proc.PRSADDR != 0 {
+			sa.updater = nil
+			shoot(0, vm.WholeSpace)
+		}
+		sa.ReleaseStack(sp, p, vm.NoShoot)
+		return nil
+	})
 
 	sa.listLock.Lock()
 	for i, m := range sa.members {
@@ -274,19 +294,10 @@ func (sa *ShAddr) Leave(p *proc.Proc) {
 	}
 }
 
-func (sa *ShAddr) takeMemberStack(p *proc.Proc) memberStack {
-	sa.listLock.Lock()
-	defer sa.listLock.Unlock()
-	ms := sa.memberStack[p]
-	delete(sa.memberStack, p)
-	return ms
-}
-
 // teardown releases everything the block holds. Only the last leaving
 // member calls it, so no locks are needed.
 func (sa *ShAddr) teardown() {
-	vm.DetachList(sa.regions)
-	sa.regions = nil
+	sa.space.Clear()
 	sa.touchRegions()
 	for i, f := range sa.ofile {
 		if f != nil {
@@ -359,7 +370,7 @@ func (sa *ShAddr) String() string {
 	sa.listLock.Lock()
 	n := sa.refcnt
 	sa.listLock.Unlock()
-	// nregions mirrors len(sa.regions) atomically: reading the slice here
-	// would race with list mutations made under the Acc update lock.
+	// nregions mirrors the shared list's length atomically: reading the
+	// space here would race with UpdateVM.
 	return fmt.Sprintf("shaddr{members=%d, regions=%d, asid=%d}", n, sa.nregions.Load(), sa.ASID)
 }

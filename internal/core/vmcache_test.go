@@ -12,7 +12,7 @@ import (
 // shared pregion covers it.
 func resolve(t *testing.T, sa *ShAddr, p *proc.Proc, va hw.VAddr) {
 	t.Helper()
-	if _, _, _, found, err := sa.ResolveShared(p, va, false); err != nil || !found {
+	if _, _, _, _, found, err := sa.ResolveShared(p, va, false); err != nil || !found {
 		t.Fatalf("ResolveShared(%#x) = found=%v err=%v", uint32(va), found, err)
 	}
 }
@@ -20,7 +20,7 @@ func resolve(t *testing.T, sa *ShAddr, p *proc.Proc, va hw.VAddr) {
 // TestLookupCacheHitsAndInvalidation drives the per-process last-hit
 // pregion cache through its whole protocol: a first fault misses and
 // seeds the cache, a repeat fault in the same pregion hits, and every
-// list/extent mutation (attach, grow, shrink, detach, member leave) bumps
+// list/extent mutation (map, grow, shrink, unmap, member leave) bumps
 // the generation so the next fault re-scans instead of trusting a stale
 // hit.
 func TestLookupCacheHitsAndInvalidation(t *testing.T) {
@@ -30,6 +30,17 @@ func TestLookupCacheHitsAndInvalidation(t *testing.T) {
 
 	hits := func() int64 { return sa.CacheHits.Load() }
 	misses := func() int64 { return sa.CacheMisses.Load() }
+	// update runs one change in the bracket and checks it moved the generation.
+	update := func(what string, change func(sp *vm.Space, shoot vm.Shoot) error) {
+		t.Helper()
+		gen := sa.Generation()
+		if err := sa.UpdateVM(p, change); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if sa.Generation() == gen {
+			t.Fatalf("%s did not bump the generation", what)
+		}
+	}
 
 	resolve(t, sa, p, vm.DataBase)
 	if hits() != 0 || misses() != 1 {
@@ -41,30 +52,23 @@ func TestLookupCacheHitsAndInvalidation(t *testing.T) {
 	}
 
 	// Attach invalidates: the generation moves, the cached hit is stale.
-	gen := sa.Generation()
-	base := sa.AttachAnon(p, vm.NewRegion(r.mem, vm.RShm, 2))
-	if sa.Generation() == gen {
-		t.Fatal("AttachAnon did not bump the generation")
-	}
+	var base hw.VAddr
+	update("Map", func(sp *vm.Space, _ vm.Shoot) error {
+		base = sp.Map(vm.NewRegion(r.mem, vm.RShm, 2))
+		return nil
+	})
 	resolve(t, sa, p, vm.DataBase)
 	if hits() != 1 || misses() != 2 {
 		t.Fatalf("post-attach fault: hits=%d misses=%d, want 1/2", hits(), misses())
 	}
 
 	// Extent changes invalidate too: grow, then shrink.
-	data := sa.FindShared(p, vm.DataBase)
-	gen = sa.Generation()
-	sa.GrowShared(p, data, 2)
-	if sa.Generation() == gen {
-		t.Fatal("GrowShared did not bump the generation")
-	}
-	gen = sa.Generation()
-	if _, err := sa.ShrinkShared(p, data, 2, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if sa.Generation() == gen {
-		t.Fatal("ShrinkShared did not bump the generation")
-	}
+	data := findShared(sa, p, vm.DataBase)
+	update("Grow", func(sp *vm.Space, _ vm.Shoot) error { return sp.Grow(data, 2) })
+	update("Shrink", func(sp *vm.Space, shoot vm.Shoot) error {
+		_, err := sp.Shrink(data, 2, shoot)
+		return err
+	})
 	resolve(t, sa, p, vm.DataBase)
 	if hits() != 1 || misses() != 3 {
 		t.Fatalf("post-resize fault: hits=%d misses=%d, want 1/3", hits(), misses())
@@ -73,14 +77,8 @@ func TestLookupCacheHitsAndInvalidation(t *testing.T) {
 	// Cache the mapped pregion, detach it, and fault elsewhere: the evicted
 	// entry must not resurface as a hit.
 	resolve(t, sa, p, base) // miss 4, caches the anon pregion
-	pr := sa.FindShared(p, base)
-	gen = sa.Generation()
-	if err := sa.DetachShared(p, pr, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if sa.Generation() == gen {
-		t.Fatal("DetachShared did not bump the generation")
-	}
+	pr := findShared(sa, p, base)
+	update("Unmap", func(sp *vm.Space, shoot vm.Shoot) error { return sp.Unmap(pr, shoot) })
 	resolve(t, sa, p, vm.DataBase)
 	if hits() != 1 || misses() != 5 {
 		t.Fatalf("post-detach fault: hits=%d misses=%d, want 1/5", hits(), misses())
@@ -122,14 +120,14 @@ func TestLookupCacheClearedOnUnshareVM(t *testing.T) {
 		t.Fatal("fault did not seed the cache")
 	}
 	gen := sa.Generation()
-	img := sa.UnshareVM(p, func() {})
-	if len(img) == 0 {
+	img := sa.UnshareVM(p)
+	if img.Len() == 0 {
 		t.Fatal("UnshareVM returned no image")
 	}
 	if p.VMC.Get(gen) != nil || p.VMC.Get(sa.Generation()) != nil {
 		t.Fatal("UnshareVM left a cached shared pregion behind")
 	}
-	vm.DetachList(img)
+	img.Clear()
 }
 
 // TestLookupCacheStaleGenerationMisses checks the cache object itself: a

@@ -162,7 +162,6 @@ type ShmSeg struct {
 	ID  int
 	Key int
 	Reg *vm.Region
-	Att atomic.Int32 // live attachments
 }
 
 // Registry is the kernel's System V IPC namespace.

@@ -150,7 +150,7 @@ func (c *Context) translate(va hw.VAddr, write bool) (hw.PFN, error) {
 // reloaded on context switch, modelled here as a fixed-cost lookup that
 // bypasses the shared TLB.
 func (c *Context) translatePRDA(va hw.VAddr, write bool) (hw.PFN, error) {
-	pr := vm.Find(c.P.Private, va)
+	pr := c.P.Private.Find(va)
 	if pr == nil {
 		return hw.NoPFN, c.segv(va, write, fmt.Errorf("no PRDA"))
 	}
@@ -201,11 +201,11 @@ func (c *Context) fault(va hw.VAddr, write bool) (hw.PFN, error) {
 	for attempt := 0; ; attempt++ {
 		found := false
 		var lazy int
-		if pr := vm.Find(c.P.Private, va); pr != nil {
+		if pr := c.P.Private.Find(va); pr != nil {
 			pfn, writable, res, lazy, err = pr.Reg.FillAccounted(pr.PageIndex(va), write, cpu.ID, acct)
 			found = true
 		} else if sa != nil {
-			pfn, writable, res, lazy, found, err = sa.ResolveSharedAccounted(c.P, va, write)
+			pfn, writable, res, lazy, found, err = sa.ResolveShared(c.P, va, write)
 		}
 		lazyPages += lazy
 		if !found {
@@ -215,7 +215,7 @@ func (c *Context) fault(va hw.VAddr, write bool) (hw.PFN, error) {
 			break
 		}
 		if grp != nil && attempt < 2 && errors.Is(err, hw.ErrNoQuota) &&
-			grp.ReclaimQuota(c.P, func() { c.S.Machine.ShootdownSpace(cpu, grp.ASID) }) > 0 {
+			grp.ReclaimQuota(c.P) > 0 {
 			continue
 		}
 		return hw.NoPFN, c.segv(va, write, err)

@@ -201,7 +201,7 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 	// Pre-copy: arm dirty tracking on the current region list, flush so
 	// the cleared writable bits take effect, then copy pass by pass while
 	// the members keep running.
-	regs := sa.RegionList(p)
+	regs := sharedRegions(sa, p)
 	if opts.Passes > 0 {
 		for _, pr := range regs {
 			if err := materialize(pr); err != nil {
@@ -301,7 +301,7 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 	// drop out), harvest the final delta, and capture the member and
 	// attribute state no store can now be racing.
 	stwStart := p.Cycles.Load()
-	regsNow := sa.RegionList(p)
+	regsNow := sharedRegions(sa, p)
 	for _, pr := range regsNow {
 		if err := materialize(pr); err != nil {
 			return nil, info, err
@@ -381,7 +381,7 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 // capturePRDA copies a member's PRDA page contents, nil when the page was
 // never touched (demand-zero, restored as such).
 func capturePRDA(m *proc.Proc) []byte {
-	pr := vm.Find(m.Private, vm.PRDABase)
+	pr := m.Private.Find(vm.PRDABase)
 	if pr == nil {
 		return nil
 	}
@@ -479,42 +479,48 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 		memberStack[m.StackBase] = true
 	}
 	inImage := map[uint64]*ckpt.RegionImage{}
-	shoot := func() { mach.ShootdownSpace(cpu, sa.ASID) }
-	for i := range img.Regions {
-		ri := &img.Regions[i]
-		inImage[ri.Base] = ri
-		if memberStack[ri.Base] {
-			continue
-		}
-		pr := sa.FindShared(p, hw.VAddr(ri.Base))
-		if pr == nil || uint64(pr.Base) != ri.Base {
-			pr = &vm.PRegion{Reg: vm.NewRegion(mach.Mem, vm.RegionType(ri.Type), ri.Pages), Base: hw.VAddr(ri.Base)}
-			if err := sa.AttachShared(p, pr); err != nil {
-				return -1, err
+	err := sa.UpdateVM(p, func(sp *vm.Space, shoot vm.Shoot) error {
+		for i := range img.Regions {
+			ri := &img.Regions[i]
+			inImage[ri.Base] = ri
+			if memberStack[ri.Base] {
+				continue
 			}
-			continue
-		}
-		if uint8(pr.Reg.Type) != ri.Type {
-			return -1, fmt.Errorf("kernel: region at %#x is %v, image says %v", ri.Base, pr.Reg.Type, vm.RegionType(ri.Type))
-		}
-		if n := pr.Reg.Pages(); n < ri.Pages {
-			sa.GrowShared(p, pr, ri.Pages-n)
-		} else if n > ri.Pages {
-			if _, err := sa.ShrinkShared(p, pr, n-ri.Pages, shoot); err != nil {
-				return -1, err
+			pr := sp.Find(hw.VAddr(ri.Base))
+			if pr == nil || uint64(pr.Base) != ri.Base {
+				pr = &vm.PRegion{Reg: vm.NewRegion(mach.Mem, vm.RegionType(ri.Type), ri.Pages), Base: hw.VAddr(ri.Base)}
+				if err := sp.MapAt(pr); err != nil {
+					return err
+				}
+				continue
 			}
-		}
-	}
-	// Regions the caller brought in that the image does not know (beyond
-	// its own stack, which was geometry-checked above) would reappear in a
-	// re-checkpoint and break the restore-and-diff layer; detach them.
-	rebuilt := sa.RegionList(p)
-	for _, pr := range rebuilt {
-		if inImage[uint64(pr.Base)] == nil && pr != p.Stack {
-			if err := sa.DetachShared(p, pr, shoot); err != nil {
-				return -1, err
+			if uint8(pr.Reg.Type) != ri.Type {
+				return fmt.Errorf("kernel: region at %#x is %v, image says %v", ri.Base, pr.Reg.Type, vm.RegionType(ri.Type))
+			}
+			if n := pr.Reg.Pages(); n < ri.Pages {
+				if err := sp.Grow(pr, ri.Pages-n); err != nil {
+					return err
+				}
+			} else if n > ri.Pages {
+				if _, err := sp.Shrink(pr, n-ri.Pages, shoot); err != nil {
+					return err
+				}
 			}
 		}
+		// Regions the caller brought in that the image does not know (beyond
+		// its own stack, which was geometry-checked above) would reappear in
+		// a re-checkpoint and break the restore-and-diff layer; unmap them.
+		for _, pr := range sp.Regions() {
+			if inImage[uint64(pr.Base)] == nil && pr != p.Stack {
+				if err := sp.Unmap(pr, shoot); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return -1, err
 	}
 
 	// Respawn members[1:]: proc-table identity from the restored caller,
@@ -560,7 +566,7 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 	// caller's past.
 	acct := sa.FrameAcct()
 	written := 0
-	restored := sa.RegionList(p)
+	restored := sharedRegions(sa, p)
 	for _, pr := range restored {
 		ri := inImage[uint64(pr.Base)]
 		if ri == nil {
@@ -595,7 +601,7 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 			break
 		}
 		data := img.Members[i].PRDA
-		pr := vm.Find(mp.Private, vm.PRDABase)
+		pr := mp.Private.Find(vm.PRDABase)
 		if pr == nil {
 			continue
 		}

@@ -140,7 +140,6 @@ func (c *Context) Shmat(id int) (hw.VAddr, error) {
 			return 0, err
 		}
 		seg.Reg.Attach()
-		seg.Att.Add(1)
 		return c.attach(seg.Reg), nil
 	})
 }

@@ -110,7 +110,6 @@ func (c *Context) spawn(spec spawnSpec) (*proc.Proc, error) {
 	child.Ulimit = p.Ulimit
 	child.StackMax = p.StackMax
 	child.FdMax = p.FdMax
-	child.Shm = p.Shm.Inherit()
 	child.Prio.Store(p.Prio.Load())
 	child.SigMask = p.SigMask
 	child.Handlers = p.Handlers
@@ -139,43 +138,52 @@ func (c *Context) spawn(spec spawnSpec) (*proc.Proc, error) {
 		}
 	}
 
-	// Virtual memory.
+	// Virtual memory. A member with PR_SADDR runs in the group's space: its
+	// stack is carved from it and its private list (the PRDA) maps from its
+	// arena. Any other child gets an image of everything the caller sees.
 	charge := spec.cost + int64(nfds)*mach.Cost.FDTableCopy
 	if sa != nil && spec.mask&proc.PRSADDR != 0 {
 		child.ASID = sa.ASID
-		stack, err := sa.CarveStack(p, child, mach.Mem, spec.stackAt, child.StackMax, true)
-		if err != nil {
+		if err := sa.UpdateVM(p, func(sp *vm.Space, _ vm.Shoot) (err error) {
+			child.Private = sp.Annex(c.S.freshPRDA())
+			child.Stack, err = sa.CarveStack(sp, sp, child, mach.Mem, spec.stackAt, child.StackMax)
+			return err
+		}); err != nil {
 			return nil, err
 		}
-		child.Stack = stack
-		child.Private = []*vm.PRegion{c.S.freshPRDA()}
 	} else {
 		child.ASID = mach.AllocASID()
-		img := c.cowImage()
+		img := &child.Private
+		*img = c.cowImage()
 		if sa == nil {
-			child.Stack = vm.Find(img, stackBaseOf(p))
+			child.Stack = img.Find(stackBaseOf(p))
 		} else {
 			// Replace the inherited PRDA copy with a fresh private one; the
 			// PRDA sits at its fixed base in every image, so the index finds
-			// it without a scan. The new stack is not visible in the share
-			// group (paper §5.1).
-			if pr := vm.Find(img, vm.PRDABase); pr != nil && pr.Reg.Type == vm.RPRDA {
-				img = vm.Remove(img, pr)
-				pr.Reg.Detach()
+			// it without a scan. The new stack is carved from the group's
+			// range but mapped in the image only: it is not visible in the
+			// share group (paper §5.1).
+			if pr := img.Find(vm.PRDABase); pr != nil && pr.Reg.Type == vm.RPRDA {
+				_ = img.Unmap(pr, vm.NoShoot) // cannot fail: img lists pr
 			}
-			img = vm.Insert(img, c.S.freshPRDA())
-			child.Stack, _ = sa.CarveStack(p, child, mach.Mem, 0, child.StackMax, false)
-			img = vm.Insert(img, child.Stack)
+			if err := img.MapAt(c.S.freshPRDA()); err != nil {
+				return nil, err
+			}
+			if err := sa.UpdateVM(p, func(sp *vm.Space, _ vm.Shoot) (err error) {
+				child.Stack, err = sa.CarveStack(sp, img, child, mach.Mem, 0, child.StackMax)
+				return err
+			}); err != nil {
+				return nil, err
+			}
 		}
-		child.Private = img
 		// The duplication is charged per page under the EagerDup ablation
 		// (the spawn walks every slot) and per region on the lazy path —
 		// where the per-page walk is charged to whichever CPU takes the
 		// first touch, by the fault handler.
 		if c.S.cfg.EagerDup {
-			charge += int64(vm.TotalPages(img)) * mach.Cost.RegionDup
+			charge += int64(img.Pages()) * mach.Cost.RegionDup
 		} else {
-			charge += int64(len(img)) * mach.Cost.LazyDup
+			charge += int64(img.Len()) * mach.Cost.LazyDup
 		}
 	}
 	c.charge(charge)
@@ -198,11 +206,12 @@ func (c *Context) spawn(spec spawnSpec) (*proc.Proc, error) {
 // carved stack, its image, its descriptors and directories.
 func (c *Context) unbuild(child *proc.Proc, sa *core.ShAddr) {
 	if sa != nil {
-		sa.ReleaseStack(c.P, child)
+		sa.UpdateVM(c.P, func(sp *vm.Space, shoot vm.Shoot) error {
+			sa.ReleaseStack(sp, child, shoot)
+			return nil
+		})
 	}
-	// As in reap: a member that touched the unborn child's stack range may
-	// have cached a translation to a frame that is now free.
-	vm.DetachList(child.Private)
+	child.Private.Clear()
 	c.S.Machine.ShootdownSpace(nil, child.ASID)
 	child.CloseAllFds()
 	child.Cdir.Release()
@@ -218,28 +227,26 @@ func (c *Context) shareGroup() *core.ShAddr {
 	return core.NewWithOptions(c.P, core.Options{
 		ExclusiveVMLock: c.S.cfg.ExclusiveVMLock,
 		EagerAttrSync:   c.S.cfg.EagerAttrSync,
-		Topo:            c.S.Machine.Topo,
+		Machine:         c.S.Machine,
 		EagerDup:        c.S.cfg.EagerDup,
 	})
 }
 
 // cowImage builds a copy-on-write image of everything the caller sees: its
-// private list and, for a group member, the whole shared list. Duplication
-// makes previously writable frames aliased, so the space's cached
-// translations are flushed on every CPU before the child can run — unless
-// no duplicated region ever held a writable PTE, in which case no stale
-// writable entry can exist and the flush is skipped.
-func (c *Context) cowImage() []*vm.PRegion {
-	p := c.P
-	mach := c.S.Machine
-	cpu := c.cpu()
-	if sa := groupOf(p); sa != nil {
-		return sa.COWImage(p, func() { mach.ShootdownSpace(cpu, sa.ASID) })
-	}
-	img, flush := core.COWPrivate(p, c.S.cfg.EagerDup)
-	if flush {
-		mach.ShootdownSpace(cpu, p.ASID)
-	}
+// private list and, for a member sharing PR_SADDR, the group's shared list.
+// Duplication makes previously writable frames aliased, so the space's
+// cached translations are flushed on every CPU before the child can run —
+// unless no duplicated region ever held a writable PTE, in which case no
+// stale writable entry can exist and the flush is skipped.
+func (c *Context) cowImage() (img vm.Space) {
+	c.updateVM(func(sp *vm.Space, shoot vm.Shoot) error {
+		spaces := c.spaces(sp)
+		var flush bool
+		if img, flush = spaces[0].Dup(c.S.cfg.EagerDup, spaces[1:]...); flush {
+			shoot(0, vm.WholeSpace)
+		}
+		return nil
+	})
 	return img
 }
 
@@ -272,6 +279,13 @@ func groupOf(p *proc.Proc) *core.ShAddr {
 		return sa
 	}
 	return nil
+}
+
+// sharedRegions snapshots the group's shared pregion list under the read
+// lock, taken as p.
+func sharedRegions(sa *core.ShAddr, p *proc.Proc) (regs []*vm.PRegion) {
+	sa.ViewVM(p, func(sp *vm.Space) { regs = sp.Regions() })
+	return regs
 }
 
 // GroupOf exposes a process's shared address block for diagnostics and
@@ -467,15 +481,12 @@ func (c *Context) Unshare(mask proc.Mask) error {
 		}
 		mask &= p.ShMask()
 		if mask&proc.PRSADDR != 0 {
-			mach := c.S.Machine
-			cpu := c.cpu()
 			old := p.Private
-			img := sa.UnshareVM(p, func() { mach.ShootdownSpace(cpu, sa.ASID) })
-			p.Private = img
-			vm.DetachList(old)
-			p.ASID = mach.AllocASID()
+			p.Private = sa.UnshareVM(p)
+			old.Clear()
+			p.ASID = c.S.Machine.AllocASID()
 			if p.Stack != nil {
-				p.Stack = vm.Find(img, p.Stack.Base)
+				p.Stack = p.Private.Find(p.Stack.Base)
 			}
 		}
 		p.SetShMask(p.ShMask() &^ mask)
@@ -502,17 +513,17 @@ func (c *Context) Exec(name string, main Main) error {
 	return invoke0(c, sysExec, func() error {
 		p := c.P
 
-		// Leave the share group before overlaying (paper §5.1). Leave detaches
-		// the member's sproc stack from the shared space with a shootdown.
+		// Leave the share group before overlaying (paper §5.1). Leave flushes
+		// the shared space a member ran in and withdraws its sproc stack.
 		if sa := groupOf(p); sa != nil {
 			sa.Leave(p)
 		}
 
 		// Tear down the old private image and take a fresh address space
-		// identifier; ASIDs are never reused, so stale TLB entries for the
-		// old identifier can never match again and need no flush.
-		vm.DetachList(p.Private)
-		p.Private = nil
+		// identifier; ASIDs are never reused, so stale TLB entries for an
+		// identifier only this process used can never match again and need
+		// no flush.
+		p.Private.Clear()
 		p.ASID = c.S.Machine.AllocASID()
 
 		p.Mu.Lock()

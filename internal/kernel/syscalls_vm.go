@@ -29,23 +29,55 @@ func (c *Context) vmGroup() *core.ShAddr {
 	return nil
 }
 
-// dataRegion finds the caller's data region — on the shared list of sa for
-// a VM-sharing member, in the private list (sa nil) otherwise.
-func (c *Context) dataRegion() (d *vm.PRegion, sa *core.ShAddr) {
-	if sa = c.vmGroup(); sa != nil {
-		return sa.FindShared(c.P, vm.DataBase), sa
+// updateVM runs one change to the caller's address space inside §6.2's
+// update bracket, with the Shoot that flushes the space from every
+// processor. It is the one place that asks "private or group space?": sp is
+// where the caller's mappings live and what it resizes — the share block's
+// space, under its update lock (core.UpdateVM), for a member sharing
+// PR_SADDR; the caller's own otherwise. A member's private list maps from
+// the group's arena, so it too is edited only inside the bracket.
+func (c *Context) updateVM(change func(sp *vm.Space, shoot vm.Shoot) error) error {
+	if sa := c.vmGroup(); sa != nil {
+		return sa.UpdateVM(c.P, change)
 	}
-	return vm.Find(c.P.Private, vm.DataBase), nil
+	return change(&c.P.Private, c.shoot)
+}
+
+// shoot is the vm.Shoot of a space only the caller runs in.
+func (c *Context) shoot(vpn uint32, npages int) {
+	c.S.Machine.ShootdownRange(c.cpu(), vpn, npages, c.P.ASID)
+}
+
+// viewVM is updateVM's read side: view sees sp under the group's read lock
+// and must not change it.
+func (c *Context) viewVM(view func(sp *vm.Space)) {
+	if sa := c.vmGroup(); sa != nil {
+		sa.ViewVM(c.P, view)
+		return
+	}
+	view(&c.P.Private)
+}
+
+// spaces lists what the caller's address space is made of given sp, the
+// space updateVM or viewVM handed out, in the order a fault searches it:
+// the private list, then — for a VM-sharing member — the group's.
+func (c *Context) spaces(sp *vm.Space) []*vm.Space {
+	if sp == &c.P.Private {
+		return []*vm.Space{sp}
+	}
+	return []*vm.Space{&c.P.Private, sp}
 }
 
 // Brk returns the current program break (first address past the data
 // region).
 func (c *Context) Brk() hw.VAddr {
-	return invoke1(c, sysBrk, func() hw.VAddr {
-		if d, _ := c.dataRegion(); d != nil {
-			return d.End()
-		}
-		return 0
+	return invoke1(c, sysBrk, func() (end hw.VAddr) {
+		c.viewVM(func(sp *vm.Space) {
+			if d := sp.Find(vm.DataBase); d != nil {
+				end = d.End()
+			}
+		})
+		return end
 	})
 }
 
@@ -53,75 +85,47 @@ func (c *Context) Brk() hw.VAddr {
 // bytes, rounded up to whole pages, returning the previous break. For a
 // VM-sharing member the change happens under the group's update lock: by
 // the time Sbrk returns, every member sees the new size (paper §5.1); a
-// shrink performs the synchronous machine-wide TLB shootdown before
-// freeing pages (paper §6.2).
+// shrink flushes the freed tail from every TLB before its pages are freed
+// (paper §6.2) — only the tail, so a small shrink leaves the members' other
+// cached translations alone.
 func (c *Context) Sbrk(delta int64) (hw.VAddr, error) {
-	return invoke(c, sysSbrk, func() (hw.VAddr, error) {
-		d, sa := c.dataRegion()
-		if d == nil {
-			return 0, ErrNoRegion
-		}
-		old := d.End()
-		if delta == 0 {
-			return old, nil
-		}
-		pages := int((absI64(delta) + hw.PageSize - 1) / hw.PageSize)
-		p := c.P
-		mach := c.S.Machine
-		if sa != nil {
-			if delta > 0 {
-				sa.GrowShared(p, d, pages)
-			} else {
-				cpu := c.cpu()
-				// Only the freed tail needs to leave the TLBs: a small
-				// shrink is shot down page-by-page so members keep their
-				// other cached translations. The tail is computed inside
-				// the closure, which ShrinkShared runs under the group's
-				// update lock: another member may grow or shrink the
-				// region between our size check and the lock, and a range
-				// captured early would flush the wrong pages while the
-				// ones actually freed kept stale TLB entries.
-				if _, err := sa.ShrinkShared(p, d, pages, func() {
-					vpn := uint32(d.Base>>hw.PageShift) + uint32(d.Reg.Pages()-pages)
-					mach.ShootdownRange(cpu, vpn, pages, sa.ASID)
-				}); err != nil {
-					return 0, ErrNoRegion
+	return invoke(c, sysSbrk, func() (old hw.VAddr, err error) {
+		pages := int((max(delta, -delta) + hw.PageSize - 1) / hw.PageSize)
+		err = c.updateVM(func(sp *vm.Space, shoot vm.Shoot) error {
+			d := sp.Find(vm.DataBase)
+			if d == nil {
+				return ErrNoRegion
+			}
+			// The break and the tail are read here, inside the bracket:
+			// another member may have moved them since the call began.
+			old = d.End()
+			if delta >= 0 {
+				if pages > 0 && sp.Grow(d, pages) != nil {
+					return ErrNoMem
 				}
+				return nil
 			}
-			return old, nil
-		}
-		if delta > 0 {
-			d.Reg.Grow(pages)
-		} else {
-			if pages > d.Reg.Pages() {
-				return 0, ErrNoRegion
+			if _, err := sp.Shrink(d, pages, shoot); err != nil {
+				return ErrNoRegion
 			}
-			vpn := uint32(d.Base>>hw.PageShift) + uint32(d.Reg.Pages()-pages)
-			mach.ShootdownRange(c.cpu(), vpn, pages, p.ASID)
-			d.Reg.Shrink(pages)
+			return nil
+		})
+		if err != nil {
+			return 0, err
 		}
 		return old, nil
 	})
 }
 
-func absI64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// attach maps reg at a fresh range of the caller's mapping arena and
+// attach maps reg at a fresh range of the caller's address space and
 // returns its base. For a VM-sharing member the mapping lands on the shared
 // pregion list, so "all other share group members will immediately see that
 // new virtual region" (paper §6.2).
-func (c *Context) attach(reg *vm.Region) hw.VAddr {
-	p := c.P
-	if sa := c.vmGroup(); sa != nil {
-		return sa.AttachAnon(p, reg)
-	}
-	base := p.Shm.Alloc(reg.Pages())
-	p.Private = vm.Insert(p.Private, &vm.PRegion{Reg: reg, Base: base})
+func (c *Context) attach(reg *vm.Region) (base hw.VAddr) {
+	c.updateVM(func(sp *vm.Space, _ vm.Shoot) error {
+		base = sp.Map(reg)
+		return nil
+	})
 	return base
 }
 
@@ -142,67 +146,48 @@ func (c *Context) Mmap(npages int) (hw.VAddr, error) {
 // copy-on-write access to other parts ... it only requires proper
 // management of the private pregion list and the shared pregion list").
 // The mapping lands on the caller's private pregion list, which the fault
-// handler scans before the shared list.
+// handler scans before the shared list, at a range of the group's arena, so
+// no group mapping can collide with it.
 func (c *Context) MmapPrivate(npages int) (hw.VAddr, error) {
-	return invoke(c, sysMmapPrivate, func() (hw.VAddr, error) {
+	return invoke(c, sysMmapPrivate, func() (base hw.VAddr, err error) {
 		if npages <= 0 {
 			return 0, fmt.Errorf("kernel: mmap of %d pages", npages)
 		}
-		p := c.P
-		var base hw.VAddr
-		if sa := c.vmGroup(); sa != nil {
-			// Carve the range from the shared arena so it cannot collide
-			// with group mappings, but attach the region privately.
-			base = sa.AttachPrivateRange(p, npages)
-		} else {
-			base = p.Shm.Alloc(npages)
-		}
 		reg := vm.NewRegion(c.S.Machine.Mem, vm.RShm, npages)
-		p.Private = vm.Insert(p.Private, &vm.PRegion{Reg: reg, Base: base})
+		c.updateVM(func(*vm.Space, vm.Shoot) error {
+			base = c.P.Private.Map(reg)
+			return nil
+		})
 		return base, nil
 	})
 }
 
-// Munmap removes the mapping based at va, following the detach protocol:
-// for a shared mapping the group's update lock is taken, every CPU's TLB
-// is flushed, and only then are the physical pages freed.
+// Munmap removes the mapping based at va — looked up as a fault would, on
+// the private list first — in §6.2's order: inside the update bracket the
+// pregion is unlisted, every CPU's TLB is flushed, and only then are the
+// physical pages freed.
 func (c *Context) Munmap(va hw.VAddr) error {
 	return invoke0(c, sysMunmap, func() error {
-		p := c.P
-		mach := c.S.Machine
-		if sa := c.vmGroup(); sa != nil {
-			pr := sa.FindShared(p, va)
-			if pr == nil || pr.Base != va {
-				return ErrNoRegion
+		return c.updateVM(func(sp *vm.Space, shoot vm.Shoot) error {
+			for _, s := range c.spaces(sp) {
+				if pr := s.Find(va); pr != nil && pr.Base == va {
+					return s.Unmap(pr, shoot)
+				}
 			}
-			cpu := c.cpu()
-			// The range is read inside the closure — under DetachShared's
-			// update lock — so a concurrent resize of the region cannot
-			// leave the shootdown covering a stale extent.
-			return sa.DetachShared(p, pr, func() {
-				mach.ShootdownRange(cpu, uint32(pr.Base>>hw.PageShift), pr.Reg.Pages(), sa.ASID)
-			})
-		}
-		pr := vm.Find(p.Private, va)
-		if pr == nil || pr.Base != va {
 			return ErrNoRegion
-		}
-		p.Private = vm.Remove(p.Private, pr)
-		mach.ShootdownRange(c.cpu(), uint32(pr.Base>>hw.PageShift), pr.Reg.Pages(), p.ASID)
-		p.Shm.FreeMapping(pr)
-		pr.Reg.Detach()
-		return nil
+		})
 	})
 }
 
 // ResidentPages reports the number of resident pages in the caller's
 // visible image (diagnostics).
 func (c *Context) ResidentPages() int {
-	return invoke1(c, sysResident, func() int {
-		n := vm.ResidentPages(c.P.Private)
-		if sa := c.vmGroup(); sa != nil {
-			n += vm.ResidentPages(sa.RegionList(c.P))
-		}
+	return invoke1(c, sysResident, func() (n int) {
+		c.viewVM(func(sp *vm.Space) {
+			for _, s := range c.spaces(sp) {
+				n += s.Resident()
+			}
+		})
 		return n
 	})
 }

@@ -292,17 +292,17 @@ func (s *System) Procs() []*proc.Proc {
 const textPages = 16
 
 // newImage builds a standard fresh address space: text, data, stack at the
-// top of the space, and a private PRDA at its fixed location.
+// top of the space, a private PRDA at its fixed location, and an untouched
+// mapping arena.
 func (s *System) newImage(p *proc.Proc) {
 	mem := s.Machine.Mem
-	stackBase := vm.MainStackTop - hw.VAddr(p.StackMax*hw.PageSize)
-	p.Private = vm.BuildList(
+	p.Stack = &vm.PRegion{Reg: vm.NewRegion(mem, vm.RStack, p.StackMax), Base: vm.MainStackTop - hw.VAddr(p.StackMax*hw.PageSize)}
+	p.Private = vm.NewSpace(
 		&vm.PRegion{Reg: vm.NewRegion(mem, vm.RText, textPages), Base: vm.TextBase},
 		&vm.PRegion{Reg: vm.NewRegion(mem, vm.RData, s.cfg.DataPages), Base: vm.DataBase},
-		&vm.PRegion{Reg: vm.NewRegion(mem, vm.RStack, p.StackMax), Base: stackBase},
+		p.Stack,
 		s.freshPRDA(),
 	)
-	p.Stack = vm.Find(p.Private, stackBase)
 }
 
 // freshPRDA returns a new, untouched PRDA at its fixed base: every process
@@ -386,9 +386,11 @@ func (s *System) runImage(p *proc.Proc, img Main) (next Main, status int) {
 // parent. The proc-table entry survives as a zombie until the parent waits
 // (or is removed immediately if no one can wait).
 func (s *System) reap(p *proc.Proc, status int) {
-	// Leave the share group first: the group must survive member exit,
-	// and the member's sproc stack is detached under the update lock
-	// with a full shootdown (paper §6.2).
+	// Leave the share group first: the group must survive member exit. A
+	// member that ran in the group's space has it flushed there, under the
+	// update lock, before its stack is freed (paper §6.2); any other process
+	// has its own space flushed below.
+	sharedVM := p.Shares(proc.PRSADDR)
 	if sa := p.ShareGrp(); sa != nil {
 		sa.Leave(p)
 	}
@@ -402,9 +404,10 @@ func (s *System) reap(p *proc.Proc, status int) {
 	cdir.Release()
 	rdir.Release()
 
-	vm.DetachList(p.Private)
-	p.Private = nil
-	s.Machine.ShootdownSpace(nil, p.ASID)
+	p.Private.Clear()
+	if !sharedVM {
+		s.Machine.ShootdownSpace(nil, p.ASID)
+	}
 
 	// Reparent children: orphans that are already zombies are discarded;
 	// live orphans will be discarded when they exit.

@@ -161,10 +161,9 @@ type Proc struct {
 	// Virtual memory.
 	ASID     hw.ASID
 	VMC      vm.LookupCache // last-hit shared-pregion cache (fault fast path)
-	Private  []*vm.PRegion  // private pregion list (scanned first on fault)
+	Private  vm.Space       // private pregion list (scanned first on fault) and its arena — the group's for a VM-sharing member
 	Stack    *vm.PRegion    // this process's stack (may live on the shared list)
 	StackMax int            // max stack pages (PR_SETSTACKSIZE), inherited
-	Shm      vm.Arena       // private mmap/shm arena (a VM-sharing member maps from the group's)
 
 	// Share group state (nil / zero outside a group). The share-group
 	// pointer is read by the scheduler while exit clears it, and the
@@ -235,7 +234,6 @@ func New(pid int, name string) *Proc {
 		Ulimit:   1 << 30,
 		Umask:    0o022,
 		StackMax: DefaultStackPages,
-		Shm:      vm.NewArena(vm.ShmBase, 1),
 		Fd:       make([]*fs.File, NFdInit),
 		FdFlags:  make([]uint8, NFdInit),
 		wake:     make(chan struct{}, 1),

@@ -32,14 +32,18 @@ func TestArena(t *testing.T) {
 	if got := a.Alloc(1); got != far+9*page {
 		t.Errorf("after reserving %#x+8 the next range is %#x, want %#x", far, got, far+9*page)
 	}
-	// A child continues from the cursor and recycles nothing of its parent's.
+	// Reserve also withdraws a released range it touches: the 2-page range
+	// is on hand until a placement lands inside it.
 	a.Free(b2, 2)
-	c := a.Inherit()
-	if got, want := c.Alloc(2), a.Alloc(1); got != want {
-		t.Errorf("inherited arena allocates at %#x, want the parent's cursor %#x", got, want)
+	a.Reserve(b2+page, 1)
+	if got := a.Alloc(2); got == b2 {
+		t.Errorf("a 2-page request got %#x back after a placement reserved part of it", got)
 	}
 
-	// FreeMapping takes back only what the mapping arena handed out.
+	// A space recycles only what its mapping arena placed: munmap(2) takes
+	// any region's base — the data region, a stack — and only a range
+	// between ShmBase and SprocStackBase may come back as a later mmap
+	// address.
 	m := hw.NewMemory(16)
 	for _, tc := range []struct {
 		typ  RegionType
@@ -49,11 +53,14 @@ func TestArena(t *testing.T) {
 		{RShm, ShmBase + 64*page, true},
 		{RData, DataBase, false},
 		{RShm, SprocStackBase, false},
-		{RStack, ShmBase + 128*page, false},
+		{RStack, ShmBase + 128*page, true},
 	} {
-		f := NewArena(ShmBase, 1)
-		f.FreeMapping(&PRegion{Reg: NewRegion(m, tc.typ, 3), Base: tc.base})
-		if got := f.Alloc(3) == tc.base; got != tc.back {
+		pr := &PRegion{Reg: NewRegion(m, tc.typ, 3), Base: tc.base}
+		sp := NewSpace(pr)
+		if err := sp.Unmap(pr, NoShoot); err != nil {
+			t.Fatal(err)
+		}
+		if got := sp.Map(NewRegion(m, RShm, 3)) == tc.base; got != tc.back {
 			t.Errorf("%v region at %#x: recycled = %v, want %v", tc.typ, tc.base, got, tc.back)
 		}
 	}

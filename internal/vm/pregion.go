@@ -25,9 +25,10 @@ const (
 // memory (typically less than a page in size)" — one page here.
 const PRDAPages = 1
 
-// PRegion attaches a Region to an address space at a base virtual address.
-// Private pregions hang off the proc; shared pregions hang off the share
-// group's shared address block and are protected by its shared read lock.
+// PRegion attaches a Region to an address space (a Space) at a base virtual
+// address. Private pregions hang off the proc; shared pregions hang off the
+// share group's shared address block and are protected by its shared read
+// lock.
 type PRegion struct {
 	Reg  *Region
 	Base hw.VAddr
@@ -54,8 +55,9 @@ func (p *PRegion) String() string {
 }
 
 // Pregion lists are an ordered interval index: every list handled by the
-// functions below is sorted by Base, and attachments never overlap (Insert
-// callers check Overlaps first). Find and Overlaps are therefore binary
+// functions below is sorted by Base, and attachments never overlap (Space,
+// the only holder of a list outside tests and probes, checks Overlaps
+// before every Insert). Find and Overlaps are therefore binary
 // searches — O(log n) where the paper's linear pregion scan was O(n) —
 // which is what keeps the fault path flat when a share group maps tens of
 // thousands of regions. The one wrinkle is zero-page pregions (a region
@@ -138,127 +140,4 @@ func Remove(list []*PRegion, pr *PRegion) []*PRegion {
 		}
 	}
 	return list
-}
-
-// DupList copy-on-write-duplicates a pregion list (the fork path). Text
-// regions are shared rather than duplicated — System V shares text on fork
-// — and shm regions stay attached to the same segment, matching System V
-// shared-memory semantics (a segment remains shared across fork). The
-// duplication is lazy (Region.DupLazy): O(1) per region, with the table
-// walk deferred to first touch.
-func DupList(list []*PRegion) []*PRegion {
-	out, _ := DupListFlush(list)
-	return out
-}
-
-// DupListFlush is DupList additionally reporting whether the source
-// address space needs a TLB flush before either side runs: true exactly
-// when some duplicated region has ever held a writable PTE, so the space
-// may cache a writable TLB entry that would let an unfaulted store leak
-// into the clone's snapshot. A never-written image (and the shared text
-// and shm attachments, which are not duplicated at all) forks with no
-// flush. The child's interval index is rebuilt through the ordered-insert
-// API rather than trusted to append order (lint-pregion checks the dup
-// path stays that way).
-func DupListFlush(list []*PRegion) ([]*PRegion, bool) {
-	return dupList(list, false)
-}
-
-// DupListEager is DupListFlush with the spawn-time table walk of the
-// pre-lazy fork path (Region.Dup). It is kept as the measured ablation —
-// Config.EagerDup, benchtab E1c — so the O(pages) cost the lazy path
-// removes stays visible on the same workload.
-func DupListEager(list []*PRegion) ([]*PRegion, bool) {
-	return dupList(list, true)
-}
-
-func dupList(list []*PRegion, eager bool) ([]*PRegion, bool) {
-	out := make([]*PRegion, 0, len(list))
-	flush := false
-	for _, pr := range list {
-		nr := pr.Reg
-		switch {
-		case nr.Type == RText || nr.Type == RShm:
-			nr.Attach()
-		default:
-			if nr.EverWritable() {
-				flush = true
-			}
-			if eager {
-				nr = nr.Dup()
-			} else {
-				nr = nr.DupLazy()
-			}
-		}
-		out = Insert(out, &PRegion{Reg: nr, Base: pr.Base})
-	}
-	return out, flush
-}
-
-// MergeLists combines two sorted pregion lists into one sorted list (the
-// unshare path joining a proc's private list with its group's shared
-// list). The inputs must be address-disjoint, as private and shared
-// attachments always are.
-func MergeLists(a, b []*PRegion) []*PRegion {
-	out := make([]*PRegion, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Base <= b[j].Base {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// Partition splits a sorted list into the pregions satisfying keep and the
-// rest, both still sorted (the share-group creation path separating what
-// moves to the shared block from what stays private).
-func Partition(list []*PRegion, keep func(*PRegion) bool) (kept, rest []*PRegion) {
-	for _, pr := range list {
-		if keep(pr) {
-			kept = append(kept, pr)
-		} else {
-			rest = append(rest, pr)
-		}
-	}
-	return kept, rest
-}
-
-// BuildList sorts prs by base and returns it as a valid index (address-
-// space construction, where the natural build order — text, data, stack,
-// PRDA — is not address order).
-func BuildList(prs ...*PRegion) []*PRegion {
-	sort.Slice(prs, func(i, j int) bool { return prs[i].Base < prs[j].Base })
-	return prs
-}
-
-// DetachList detaches every region in the list.
-func DetachList(list []*PRegion) {
-	for _, pr := range list {
-		pr.Reg.Detach()
-	}
-}
-
-// TotalPages sums the mapped pages across a list.
-func TotalPages(list []*PRegion) int {
-	n := 0
-	for _, pr := range list {
-		n += pr.Reg.Pages()
-	}
-	return n
-}
-
-// ResidentPages sums the demand-filled pages across a list.
-func ResidentPages(list []*PRegion) int {
-	n := 0
-	for _, pr := range list {
-		n += pr.Reg.Resident()
-	}
-	return n
 }

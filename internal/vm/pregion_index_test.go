@@ -18,6 +18,14 @@ func newPR(m *hw.Memory, base hw.VAddr, pages int) *PRegion {
 	return &PRegion{Reg: NewRegion(m, RData, pages), Base: base}
 }
 
+// buildList returns prs as a valid index, whatever order they come in.
+func buildList(prs ...*PRegion) (list []*PRegion) {
+	for _, pr := range prs {
+		list = Insert(list, pr)
+	}
+	return list
+}
+
 func checkSorted(t *testing.T, list []*PRegion) {
 	t.Helper()
 	for i := 1; i < len(list); i++ {
@@ -51,7 +59,7 @@ func TestFindExactBoundaries(t *testing.T) {
 	m := mem(256)
 	a := newPR(m, 0x4000, 4) // [0x4000, 0x8000)
 	b := newPR(m, 0x8000, 2) // adjacent, not overlapping: [0x8000, 0xa000)
-	list := BuildList(b, a)
+	list := buildList(b, a)
 	checkSorted(t, list)
 
 	// Exact base is inside; exact end is outside (and here, inside b).
@@ -77,7 +85,7 @@ func TestFindExactBoundaries(t *testing.T) {
 
 func TestOverlapsAdjacentAndBoundaries(t *testing.T) {
 	m := mem(256)
-	list := BuildList(newPR(m, 0x4000, 4)) // [0x4000, 0x8000)
+	list := buildList(newPR(m, 0x4000, 4)) // [0x4000, 0x8000)
 
 	// Adjacent on both sides: no overlap.
 	if Overlaps(list, 0x2000, 2) || Overlaps(list, 0x8000, 4) {
@@ -103,7 +111,7 @@ func TestZeroPageRegions(t *testing.T) {
 	z := newPR(m, 0x6000, 2)
 	z.Reg.Shrink(2) // now zero pages, based inside big's span
 	small := newPR(m, 0xc000, 1)
-	list := BuildList(big, z, small)
+	list := buildList(big, z, small)
 	checkSorted(t, list)
 
 	// Find must step over the empty entry and land on the spanning region.
@@ -132,7 +140,7 @@ func TestZeroPageRegions(t *testing.T) {
 // the detached pregion (the PR 6 leak fix).
 func TestRemoveClearsTailSlot(t *testing.T) {
 	m := mem(256)
-	list := BuildList(newPR(m, 0x1000, 1), newPR(m, 0x3000, 1), newPR(m, 0x5000, 1))
+	list := buildList(newPR(m, 0x1000, 1), newPR(m, 0x3000, 1), newPR(m, 0x5000, 1))
 	victim := list[1]
 	shorter := Remove(list, victim)
 	if len(shorter) != 2 {
@@ -149,26 +157,32 @@ func TestRemoveClearsTailSlot(t *testing.T) {
 
 func TestMergeAndPartition(t *testing.T) {
 	m := mem(256)
-	a := BuildList(newPR(m, 0x1000, 1), newPR(m, 0x5000, 1), newPR(m, 0x9000, 1))
-	b := BuildList(newPR(m, 0x3000, 1), newPR(m, 0x7000, 1))
-	merged := MergeLists(a, b)
-	if len(merged) != 5 {
-		t.Fatalf("merged len = %d", len(merged))
+	a := NewSpace(newPR(m, 0x1000, 1), newPR(m, 0x5000, 1), newPR(m, 0x9000, 1))
+	b := NewSpace(newPR(m, 0x3000, 1), newPR(m, 0x7000, 1))
+	merged, _ := a.Dup(false, &b)
+	if merged.Len() != 5 {
+		t.Fatalf("merged len = %d", merged.Len())
 	}
-	checkSorted(t, merged)
+	checkSorted(t, merged.list)
+	if merged.Pages() != 5 {
+		t.Fatalf("Pages = %d, want 5", merged.Pages())
+	}
 
-	kept, rest := Partition(merged, func(pr *PRegion) bool { return pr.Base < 0x6000 })
-	checkSorted(t, kept)
-	checkSorted(t, rest)
-	if len(kept) != 3 || len(rest) != 2 {
-		t.Fatalf("partition sizes %d/%d", len(kept), len(rest))
+	rest := merged.Split(func(pr *PRegion) bool { return pr.Base < 0x6000 })
+	checkSorted(t, merged.list)
+	checkSorted(t, rest.list)
+	if merged.Len() != 3 || rest.Len() != 2 {
+		t.Fatalf("split sizes %d/%d", merged.Len(), rest.Len())
 	}
-	if TotalPages(merged) != 5 {
-		t.Fatalf("TotalPages = %d, want 5", TotalPages(merged))
+	for _, sp := range []*Space{&a, &b, &merged, &rest} {
+		sp.Clear()
+	}
+	if m.InUse() != 0 {
+		t.Fatalf("InUse = %d", m.InUse())
 	}
 }
 
-// TestPregionIndexStorm interleaves Find, DupList, Insert and Remove the
+// TestPregionIndexStorm interleaves Find, Dup, MapAt and Unmap the
 // way the fault and fork paths do — readers under a share-group read lock,
 // writers under the update lock — and checks conservation: after every
 // duplicate is detached and the list drained, no frame remains in use.
@@ -182,7 +196,7 @@ func TestPregionIndexStorm(t *testing.T) {
 	m.AttachCaches(readers)
 
 	var mu sync.RWMutex
-	list := BuildList(
+	sp := NewSpace(
 		newPR(m, 0x10_0000, 4),
 		newPR(m, 0x20_0000, 4),
 		newPR(m, 0x30_0000, 4),
@@ -202,17 +216,17 @@ func TestPregionIndexStorm(t *testing.T) {
 				default:
 				}
 				mu.RLock()
-				if pr := Find(list, va); pr != nil {
+				if pr := sp.Find(va); pr != nil {
 					if _, _, _, err := pr.Reg.FillOn(pr.PageIndex(va), i%2 == 0, cpu); err != nil {
 						t.Errorf("FillOn: %v", err)
 						mu.RUnlock()
 						return
 					}
 				}
-				dup := DupList(list)
+				dup, _ := sp.Dup(false)
 				mu.RUnlock()
-				checkSorted(t, dup)
-				DetachList(dup)
+				checkSorted(t, dup.list)
+				dup.Clear()
 				va = hw.VAddr(0x10_0000 + uint32(i%3)*0x10_0000 + uint32(i%4)*pg)
 			}
 		}(r)
@@ -223,28 +237,27 @@ func TestPregionIndexStorm(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		pr := newPR(m, base, 2)
 		mu.Lock()
-		if Overlaps(list, pr.Base, 2) {
-			t.Fatalf("carved range overlapped")
+		if err := sp.MapAt(pr); err != nil {
+			t.Fatalf("carved range overlapped: %v", err)
 		}
-		list = Insert(list, pr)
-		checkSorted(t, list)
+		checkSorted(t, sp.list)
 		mu.Unlock()
 		base += 4 * pg
 
 		if i%2 == 1 {
 			mu.Lock()
-			victim := list[len(list)-1]
-			list = Remove(list, victim)
+			err := sp.Unmap(sp.list[sp.Len()-1], NoShoot)
 			mu.Unlock()
-			victim.Reg.Detach()
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	close(stop)
 	wg.Wait()
 
 	mu.Lock()
-	DetachList(list)
-	list = nil
+	sp.Clear()
 	mu.Unlock()
 	if m.InUse() != 0 {
 		t.Fatalf("InUse = %d after the storm drained", m.InUse())

@@ -467,17 +467,6 @@ func (r *Region) ReclaimZero(acct *hw.FrameAcct, cpu int) int {
 	return freed
 }
 
-// ReclaimZeroList runs ReclaimZero over every region of a pregion list,
-// returning the total frames released. The caller holds the list's update
-// lock and owes a TLB shootdown before the frames are unreachable.
-func ReclaimZeroList(list []*PRegion, acct *hw.FrameAcct, cpu int) int {
-	freed := 0
-	for _, pr := range list {
-		freed += pr.Reg.ReclaimZero(acct, cpu)
-	}
-	return freed
-}
-
 // Dup creates an eager copy-on-write duplicate of the region: a new
 // Region whose page table aliases the same frames with incremented frame
 // reference counts, built with a full table walk at spawn time. Subsequent

@@ -209,18 +209,18 @@ func TestDupListSharesTextCopiesData(t *testing.T) {
 	m := mem(16)
 	text := NewRegion(m, RText, 2)
 	data := NewRegion(m, RData, 2)
-	list := []*PRegion{{Reg: text, Base: TextBase}, {Reg: data, Base: DataBase}}
-	dup := DupList(list)
-	if dup[0].Reg != text {
+	sp := NewSpace(&PRegion{Reg: text, Base: TextBase}, &PRegion{Reg: data, Base: DataBase})
+	dup, _ := sp.Dup(false)
+	if dup.list[0].Reg != text {
 		t.Fatal("text must be shared, not duplicated")
 	}
 	if text.Refs() != 2 {
 		t.Fatalf("text refs = %d, want 2", text.Refs())
 	}
-	if dup[1].Reg == data {
+	if dup.list[1].Reg == data {
 		t.Fatal("data must be duplicated")
 	}
-	DetachList(dup)
+	dup.Clear()
 	if text.Refs() != 1 {
 		t.Fatal("detach did not release text")
 	}
