@@ -1,9 +1,10 @@
-// Host micro-benchmarks of three paths nothing else times in isolation:
-// the hw.Memory bulk data path, one checkpoint round trip, and one poll(2)
-// over a C10k member's set. Wall-clock ns/op is the host cost; where a
-// bench reports "simcyc/op" it is the simulated cycle cost, which
-// host-side work must not move. The paper's evaluation tables (DESIGN.md
-// E1..E10) are rendered by cmd/benchtab and gated by bench/.
+// Host micro-benchmarks of four paths nothing else times in isolation:
+// the hw.Memory bulk data path, one checkpoint round trip, one poll(2)
+// over a C10k member's set, and one process creation joined. Wall-clock
+// ns/op is the host cost; where a bench reports "simcyc/op" it is the
+// simulated cycle cost, which host-side work must not move. The paper's
+// evaluation tables (DESIGN.md E1..E10) are rendered by cmd/benchtab and
+// gated by bench/.
 package irix
 
 import (
@@ -224,6 +225,46 @@ func BenchmarkPollScan(b *testing.B) {
 				if sleeps {
 					c.Wait()
 				}
+			})
+			sys.WaitIdle()
+		})
+	}
+}
+
+// Host-side cost of one creation joined — the call, the child's dispatch on
+// its carrier, its exit, and the parent's wait(2) — for the three ways the
+// paper's §7 compares. The child stores one word (its first fault) and
+// exits, so what is timed is the kernel's creation path and the host's
+// cost of giving a process a goroutine to live on.
+func BenchmarkCreateJoin(b *testing.B) {
+	child := func(c *kernel.Context) { c.Store32(DataBase, 1) }
+	entry := func(c *kernel.Context, _ int64) { child(c) }
+	for _, kind := range []struct {
+		name   string
+		create func(c *kernel.Context) (int, error)
+	}{
+		{"fork", func(c *kernel.Context) (int, error) { return c.Fork("f", child) }},
+		{"sproc(PR_SALL)", func(c *kernel.Context) (int, error) { return c.Sproc("s", entry, proc.PRSALL, 0) }},
+		{"thread", func(c *kernel.Context) (int, error) { return c.ThreadCreate("t", entry, 0) }},
+	} {
+		b.Run(kind.name, func(b *testing.B) {
+			b.ReportAllocs()
+			sys := kernel.NewSystem(cfg())
+			sys.Start("parent", func(c *kernel.Context) {
+				cyc := sys.Machine.TotalCycles()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := kind.create(c); err != nil {
+						b.Errorf("create: %v", err)
+						break
+					}
+					if _, _, err := c.Wait(); err != nil {
+						b.Errorf("wait: %v", err)
+						break
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(sys.Machine.TotalCycles()-cyc)/float64(b.N), "simcyc/op")
 			})
 			sys.WaitIdle()
 		})

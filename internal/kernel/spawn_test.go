@@ -5,13 +5,21 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"regexp"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/fs"
+	"repro/internal/hw"
 	"repro/internal/proc"
+	"repro/internal/vm"
 )
 
 // sysSimCyc returns the simulated cycles Stats() attributes to one syscall.
@@ -287,5 +295,234 @@ func TestRestoreFailureLeavesCallerWaitable(t *testing.T) {
 				t.Fatal("caller's wait(2) loop never saw ECHILD: the failed restore stranded an unstarted child")
 			}
 		})
+	}
+}
+
+// goid names the calling goroutine, as a goroutine dump does.
+func goid() string {
+	var b [64]byte
+	return strings.Fields(string(b[:runtime.Stack(b[:], false)]))[1]
+}
+
+// TestSpawnCarrierReuse: processes are handed to parked carriers, not born
+// on new goroutines — sequential creations start a handful, an exec chain
+// never leaves its carrier, and a carrier whose process was killed
+// mid-image parks again and runs the next process correctly.
+func TestSpawnCarrierReuse(t *testing.T) {
+	noop := func(*Context, int64) {}
+	s := NewSystem(testConfig())
+	s.Start("driver", func(c *Context) {
+		started := carriersStarted.Load()
+		creators := []func() (int, error){
+			func() (int, error) { return c.Fork("f", func(*Context) {}) },
+			func() (int, error) { return c.Sproc("s", noop, proc.PRSALL, 0) },
+			func() (int, error) { return c.ThreadCreate("t", noop, 0) },
+		}
+		for i := 0; i < 1000; i++ {
+			for _, create := range creators {
+				_, err := create()
+				if err == nil {
+					_, _, err = c.Wait()
+				}
+				if err != nil {
+					t.Errorf("create+wait %d: %v", i, err)
+					return
+				}
+			}
+		}
+		// A creation finds no carrier parked only when it beats its
+		// predecessor's to the channel, which adds one to the pool each time.
+		if n := carriersStarted.Load() - started; n > 8 {
+			t.Errorf("3000 sequential create+wait started %d goroutines, want a handful", n)
+		}
+
+		var chain [3]string
+		c.Fork("exec chain", func(a *Context) {
+			chain[0] = goid()
+			a.Exec("b", func(b *Context) {
+				chain[1] = goid()
+				b.Exec("c", func(*Context) { chain[2] = goid() })
+			})
+		})
+		c.Wait()
+		if chain[0] != chain[1] || chain[1] != chain[2] {
+			t.Errorf("exec chain ran on goroutines %v, want one carrier", chain)
+		}
+
+		var killed string
+		pid, _ := c.Fork("sleeper", func(cc *Context) {
+			killed = goid()
+			cc.Pause()
+			cc.Getpid() // SIGKILL is latched: this crossing does not return
+			t.Error("sleeper survived SIGKILL")
+		})
+		for i := 0; i < 50; i++ {
+			c.Getpid()
+		}
+		c.Kill(pid, proc.SIGKILL)
+		if _, status, _ := c.Wait(); status != 128+proc.SIGKILL {
+			t.Errorf("killed sleeper's status = %d", status)
+		}
+		// Parked carriers are taken first-in first-out (the channel's receive
+		// queue) and there are at most maxIdleCarriers of them, so the
+		// sleeper's comes round within that many creations.
+		c.Store32(vm.DataBase, 7)
+		for i := 1; ; i++ {
+			var on string
+			c.Fork("next", func(cc *Context) {
+				on = goid()
+				v, err := cc.Load32(vm.DataBase)
+				cc.Store32(vm.DataBase, v+uint32(i))
+				if w, _ := cc.Load32(vm.DataBase); err != nil || v != 7 || w != 7+uint32(i) {
+					t.Errorf("child %d on carrier %s: data word reads %d then %d (%v)", i, on, v, w, err)
+				}
+				cc.Exit(i & 0x7f)
+			})
+			if _, status, err := c.Wait(); err != nil || status != i&0x7f {
+				t.Errorf("child %d: wait = status %d, %v", i, status, err)
+			}
+			if on == killed {
+				break
+			}
+			if i > maxIdleCarriers+2 {
+				t.Errorf("the killed process's carrier (goroutine %s) never ran another process", killed)
+				break
+			}
+		}
+	})
+	waitIdle(t, s)
+}
+
+// TestSpawnCarrierDropsSystem: a parked carrier must not pin the last System
+// it ran — one that kept hold of the life it last ran would keep a finished
+// System's simulated memory live until its next process.
+func TestSpawnCarrierDropsSystem(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		s := NewSystem(testConfig())
+		runtime.SetFinalizer(s.Machine, func(*hw.Machine) { close(collected) })
+		s.Start("parent", func(c *Context) {
+			for i := 0; i < 4; i++ {
+				c.Sproc("s", func(cc *Context, _ int64) { cc.Store32(vm.DataBase, 1) }, proc.PRSALL, 0)
+				c.Fork("f", func(cc *Context) { cc.Store32(vm.DataBase, 2) })
+			}
+			for i := 0; i < 8; i++ {
+				c.Wait()
+			}
+		})
+		waitIdle(t, s)
+	}()
+	// WaitIdle returns at the carrier's wg.Done, a moment before it parks.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		runtime.GC()
+		runtime.GC()
+		select {
+		case <-collected:
+			if idleCarriers.Load() == 0 {
+				t.Error("no carrier is parked: the test did not see an idle carrier let go of its System")
+			}
+			// A dump names them: a function of their own, not a closure of
+			// startProc's, parked in a receive and not in Sched.sleep.
+			dump := make([]byte, 1<<20)
+			dump = dump[:runtime.Stack(dump, true)]
+			if !regexp.MustCompile(`\[chan receive[^\]]*\]:\nrepro/internal/kernel\.carrier\(`).Match(dump) {
+				t.Errorf("no goroutine parked in kernel.carrier in the dump:\n%s", dump)
+			}
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("System's machine still reachable with %d carriers parked and no process anywhere", idleCarriers.Load())
+		}
+	}
+}
+
+// TestSpawnCarrierStormRace: four Systems churn every way a process is born
+// and dies — fork, sproc, thread_create, exec, SIGKILL — at once against the
+// one pool of carriers, at several host parallelism levels. Every System drains,
+// with no process left, every frame free and every lazy clone accounted for.
+func TestSpawnCarrierStormRace(t *testing.T) {
+	levels := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		levels = append(levels, n)
+	}
+	for _, procs := range levels {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const systems, drivers, steps = 4, 3, 60
+			var wg sync.WaitGroup
+			for n := 0; n < systems; n++ {
+				wg.Add(1)
+				go func(n int) {
+					defer wg.Done()
+					cfg := testConfig()
+					cfg.MaxProcs = 64
+					s := NewSystem(cfg)
+					base := s.Machine.Mem.InUse()
+					for d := 0; d < drivers; d++ {
+						rng := rand.New(rand.NewSource(int64(n*drivers + d + 1)))
+						s.Start("driver", func(c *Context) { spawnStorm(t, c, rng, steps) })
+					}
+					waitIdle(t, s)
+					if left := s.NProcs(); left != 0 {
+						t.Errorf("system %d: %d processes left", n, left)
+					}
+					if used := s.Machine.Mem.InUse(); used != base {
+						t.Errorf("system %d: %d frames in use after the storm, %d before", n, used, base)
+					}
+					if st := s.Stats(); st.LazyDups != st.LazyBreaks+st.LazyDrops {
+						t.Errorf("system %d: LazyDups %d != LazyBreaks %d + LazyDrops %d", n, st.LazyDups, st.LazyBreaks, st.LazyDrops)
+					}
+				}(n)
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// spawnStorm is one driver's share: each step creates a child one way, and
+// the child stores, execs, or sleeps until the driver kills it.
+func spawnStorm(t *testing.T, c *Context, rng *rand.Rand, steps int) {
+	for step := 0; step < steps; step++ {
+		stamp := uint32(step + 1)
+		body := func(cc *Context) {
+			cc.Store32(vm.DataBase+hw.VAddr(int(stamp%8)*hw.PageSize), stamp)
+		}
+		entry := func(cc *Context, _ int64) { body(cc) }
+		kill := false
+		var pid int
+		var err error
+		switch rng.Intn(6) {
+		case 0:
+			pid, err = c.Fork("f", body)
+		case 1:
+			pid, err = c.Sproc("s", entry, proc.PRSALL, 0)
+		case 2:
+			pid, err = c.Sproc("s", entry, proc.PRSALL&^proc.PRSADDR, 0)
+		case 3:
+			pid, err = c.ThreadCreate("t", entry, 0)
+		case 4:
+			pid, err = c.Sproc("execer", func(cc *Context, _ int64) { cc.Exec("image", body) }, proc.PRSALL, 0)
+		case 5:
+			kill = true
+			pid, err = c.Fork("sleeper", func(cc *Context) {
+				for {
+					cc.Pause()
+				}
+			})
+		}
+		if err != nil {
+			t.Errorf("step %d: create: %v", step, err)
+			return
+		}
+		want := 0
+		if kill {
+			c.Kill(pid, proc.SIGKILL)
+			want = 128 + proc.SIGKILL
+		}
+		if got, status, err := c.Wait(); err != nil || got != pid || status != want {
+			t.Errorf("step %d: wait = pid %d status %d (%v), want pid %d status %d", step, got, status, err, pid, want)
+			return
+		}
 	}
 }

@@ -337,11 +337,11 @@ type processExec struct {
 	main Main
 }
 
-// startProc launches p's goroutine: dispatch, run images until the process
-// exits, then reap.
+// startProc hands p's life to a carrier, an idle one if there is one: wait
+// for dispatch, run images until the process exits, then reap.
 func (s *System) startProc(p *proc.Proc, main Main) {
 	s.wg.Add(1)
-	go func() {
+	life := func() {
 		// Done follows Exit, so WaitIdle returns only after the last
 		// process has given its CPU back.
 		defer s.wg.Done()
@@ -354,8 +354,44 @@ func (s *System) startProc(p *proc.Proc, main Main) {
 		}
 		s.reap(p, status)
 		s.Sched.Exit(p)
-	}()
+	}
+	select {
+	case lives <- life: // a parked carrier takes it
+	default:
+		carriersStarted.Add(1)
+		go carrier(life)
+	}
 	s.Sched.Ready(p)
+}
+
+// maxIdleCarriers bounds the goroutines (and their grown stacks) kept parked
+// between processes; a carrier that would be one more ends.
+const maxIdleCarriers = 64
+
+var (
+	lives           = make(chan func()) // startProc's hand-off to a parked carrier, any System's
+	idleCarriers    atomic.Int32        // carriers parked on lives, or about to
+	carriersStarted atomic.Int64        // goroutines ever started by startProc
+)
+
+// carrier is the goroutine a simulated process lives on. A goroutine born
+// per process would grow its stack from the runtime's starting size on
+// every creation, as often as the runtime's per-GC guess at that size
+// decides; a carrier keeps its grown stack, parks on the hand-off channel
+// and is given the next process's life. It recovers nothing, and parked it
+// holds no reference to the process or System it last ran: life is cleared
+// before it parks.
+func carrier(life func()) {
+	for {
+		life()
+		life = nil
+		if idleCarriers.Add(1) > maxIdleCarriers {
+			idleCarriers.Add(-1)
+			return
+		}
+		life = <-lives
+		idleCarriers.Add(-1)
+	}
 }
 
 // runImage executes one program image, converting the exit/exec panics

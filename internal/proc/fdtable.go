@@ -55,21 +55,24 @@ func (p *Proc) AllocFd(f *fs.File) (int, error) {
 	return -1, fs.ErrFdFull
 }
 
-// GrowFd extends the descriptor table to hold at least n slots, capped at
-// the ceiling. Existing entries keep their indices; new slots are empty.
-// The caller holds p.Mu.
+// GrowFd extends the descriptor table to n slots, capped at the ceiling; new
+// slots are empty. Capacity doubles (the table never shrinks, so the slack
+// is empty): a member syncing to a table its group extends a slot at a time
+// — one sync per accept, when the host interleaves them so — copies it
+// O(log n) times, not n. The caller holds p.Mu.
 func (p *Proc) GrowFd(n int) {
-	if max := p.FdCeiling(); n > max {
-		n = max
-	}
+	n = min(n, p.FdCeiling())
 	if n <= len(p.Fd) {
 		return
 	}
-	fds := make([]*fs.File, n)
-	flags := make([]uint8, n)
-	copy(fds, p.Fd)
-	copy(flags, p.FdFlags)
-	p.Fd, p.FdFlags = fds, flags
+	if n > cap(p.Fd) {
+		fds := make([]*fs.File, len(p.Fd), max(n, min(2*cap(p.Fd), p.FdCeiling())))
+		flags := make([]uint8, len(p.Fd), cap(fds))
+		copy(fds, p.Fd)
+		copy(flags, p.FdFlags)
+		p.Fd, p.FdFlags = fds, flags
+	}
+	p.Fd, p.FdFlags = p.Fd[:n], p.FdFlags[:n]
 }
 
 // GetFd returns the open file at descriptor fd. The caller holds p.Mu.

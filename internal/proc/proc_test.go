@@ -282,3 +282,34 @@ func TestStateTransitions(t *testing.T) {
 		t.Fatal("state names")
 	}
 }
+
+// A PR_SFDS member that syncs once per descriptor its group opens grows its
+// table a slot at a time; that must not copy the table each time (it was
+// 157 MB of a 176 MB serve_poll rep when the host interleaved accepts and
+// syncs that finely).
+func TestGrowFdAmortized(t *testing.T) {
+	p := New(5, "t")
+	p.FdMax = 10020
+	p.Mu.Lock()
+	defer p.Mu.Unlock()
+	moves := 0
+	for n := len(p.Fd) + 1; n <= p.FdMax+5; n++ {
+		was := &p.Fd[0]
+		p.GrowFd(n)
+		if want := min(n, p.FdMax); len(p.Fd) != want || len(p.FdFlags) != want {
+			t.Fatalf("GrowFd(%d): %d slots, %d flags, want %d", n, len(p.Fd), len(p.FdFlags), want)
+		}
+		if p.Fd[len(p.Fd)-1] != nil || p.FdFlags[len(p.Fd)-1] != 0 {
+			t.Fatalf("GrowFd(%d): new slot not empty", n)
+		}
+		if &p.Fd[0] != was {
+			moves++
+		}
+	}
+	if cap(p.Fd) > p.FdMax || cap(p.FdFlags) != cap(p.Fd) {
+		t.Fatalf("capacity %d / %d past the ceiling %d", cap(p.Fd), cap(p.FdFlags), p.FdMax)
+	}
+	if moves > 10 {
+		t.Fatalf("table copied %d times growing a slot at a time to %d", moves, p.FdMax)
+	}
+}

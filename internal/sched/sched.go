@@ -762,11 +762,12 @@ func (s *Sched) gangSticky(p *proc.Proc) bool {
 //
 // Every keep-the-CPU exit still yields the host thread: a woken process
 // is runnable (its wake token is deposited) for a window before its
-// goroutine re-enters a run queue, and a compute-bound process that never
-// cedes the host during that window starves it indefinitely when
-// GOMAXPROCS is low — the run queue stays empty, so no preemption ever
-// fires and the group serializes. One Gosched per simulated quantum
-// bounds that wake-to-runnable latency without measurable cost.
+// goroutine re-enters a run queue, and when GOMAXPROCS is low a
+// compute-bound process that never cedes the host holds it there until
+// the Go runtime's async preemption steps in (≈ 10 ms) — all that time the
+// run queue stays empty, so no simulated preemption fires and the group
+// serializes. One Gosched per simulated quantum bounds that
+// wake-to-runnable latency (not liveness) without measurable cost.
 func (s *Sched) Yield(p *proc.Proc) {
 	// Every exit from Yield — preempted or keeping the CPU — re-arms the
 	// slice, so this is a quantum boundary either way: flush the quantum's
