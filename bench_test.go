@@ -1,6 +1,7 @@
-// Host micro-benchmarks of four paths nothing else times in isolation:
+// Host micro-benchmarks of five paths nothing else times in isolation:
 // the hw.Memory bulk data path, one checkpoint round trip, one poll(2)
-// over a C10k member's set, and one process creation joined. Wall-clock
+// over a C10k member's set, one process creation joined, and one memory
+// access that hits the TLB. Wall-clock
 // ns/op is the host cost; where a bench reports "simcyc/op" it is the
 // simulated cycle cost, which host-side work must not move. The paper's
 // evaluation tables (DESIGN.md E1..E10) are rendered by cmd/benchtab and
@@ -265,6 +266,37 @@ func BenchmarkCreateJoin(b *testing.B) {
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(sys.Machine.TotalCycles()-cyc)/float64(b.N), "simcyc/op")
+			})
+			sys.WaitIdle()
+		})
+	}
+}
+
+// BenchmarkAccessHit is one user-mode memory access whose translation is in
+// the TLB: the safepoint, the charge, and the load, store or add run on the
+// frame under the TLB's lock (Context.access). One CPU and a slice that never
+// ends, so no op yields.
+func BenchmarkAccessHit(b *testing.B) {
+	conf := cfg()
+	conf.NCPU, conf.TimeSlice = 1, 1<<40
+	for _, kind := range []struct {
+		name string
+		op   func(c *kernel.Context, i int)
+	}{
+		{"load", func(c *kernel.Context, _ int) { c.Load32(DataBase) }},
+		{"store", func(c *kernel.Context, i int) { c.Store32(DataBase, uint32(i)) }},
+		{"add", func(c *kernel.Context, _ int) { c.Add32(DataBase, 1) }},
+	} {
+		b.Run(kind.name, func(b *testing.B) {
+			b.ReportAllocs()
+			sys := kernel.NewSystem(conf)
+			sys.Start("toucher", func(c *kernel.Context) {
+				c.Store32(DataBase, 0) // fill the page and the TLB
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					kind.op(c, i)
+				}
+				b.StopTimer()
 			})
 			sys.WaitIdle()
 		})

@@ -147,3 +147,25 @@ func TestLookupCacheStaleGenerationMisses(t *testing.T) {
 		t.Fatal("cache hit across a generation change")
 	}
 }
+
+// A fault installs its translation only if the generation has not moved
+// since before it resolved the page (kernel.Context.fault), and the update's
+// flush must find that translation or the install must see the move: so the
+// generation already differs inside change, before anything is unlisted or
+// flushed, not only once the update is over.
+func TestUpdateBumpsGenerationOnEntry(t *testing.T) {
+	r := newRig()
+	p := r.newProc(1)
+	sa := New(p)
+	before := sa.Generation()
+	var inside uint64
+	if err := sa.UpdateVM(p, func(*vm.Space, vm.Shoot) error {
+		inside = sa.Generation()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if inside == before {
+		t.Fatalf("generation is still %d inside the update: a fill resolved before it could be installed after its flush", before)
+	}
+}

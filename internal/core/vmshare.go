@@ -23,6 +23,7 @@ var ErrTextWrite = vm.ErrTextWrite
 func (sa *ShAddr) UpdateVM(p *proc.Proc, change func(sp *vm.Space, shoot vm.Shoot) error) error {
 	sa.Acc.Lock(p)
 	defer sa.Acc.Unlock()
+	sa.gen.Add(1) // on entry too: a translation resolved before now is not installed after change's flush
 	sa.updater = p
 	err := change(&sa.space, sa.shoot)
 	sa.touchRegions()
@@ -99,21 +100,18 @@ func (sa *ShAddr) ResolveShared(p *proc.Proc, va hw.VAddr, write bool) (pfn hw.P
 }
 
 // ReclaimQuota is the over-quota degradation pass: inside the update
-// bracket, walk the shared pregion list freeing resident, sole-referenced,
-// all-zero frames charged to the group, then shoot down every TLB so no
-// member can reach a freed frame. Dropping all-zero pages is semantically
-// lossless (the next touch refaults an identical zero fill), so this runs
-// before a member's over-quota fault is allowed to surface ENOMEM — the same
-// reclaim-before-failure contract the frame allocator's cache drain
-// provides for machine-wide exhaustion. Returns the frames released.
+// bracket, vm.Space.ReclaimZero finds the shared list's resident,
+// sole-referenced, all-zero frames charged to the group, shoots down every
+// TLB and frees those no store reached first. Dropping all-zero pages is
+// semantically lossless (the next touch refaults an identical zero fill), so
+// this runs before a member's over-quota fault may surface ENOMEM — the
+// allocator's reclaim-before-failure contract, scoped to one group. Returns
+// the frames released.
 func (sa *ShAddr) ReclaimQuota(p *proc.Proc) (freed int) {
 	sa.UpdateVM(p, func(sp *vm.Space, shoot vm.Shoot) error {
-		freed = sp.ReclaimZero(&sa.frameAcct, int(p.CPU.Load()))
+		freed = sp.ReclaimZero(&sa.frameAcct, int(p.CPU.Load()), shoot)
 		sa.QuotaReclaims.Add(1)
-		if freed > 0 {
-			sa.ReclaimedZeros.Add(int64(freed))
-			shoot(0, vm.WholeSpace)
-		}
+		sa.ReclaimedZeros.Add(int64(freed))
 		return nil
 	})
 	return freed

@@ -27,8 +27,7 @@ func BenchmarkFaultCycle(b *testing.B) {
 		m.StoreWord(pfn, 7, uint32(i))
 		vpn := uint32(0x1000 + i%TLBSize)
 		tlb.Insert(vpn, 1, pfn, true)
-		got, _, _ := tlb.Lookup(vpn, 1)
-		benchSink += uint32(got)
+		tlb.Access(vpn, 1, true, func(got PFN) { benchSink += uint32(got) })
 		m.DecRefOn(pfn, 0)
 	}
 }
@@ -43,7 +42,7 @@ func BenchmarkTLBMissInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vpn := uint32(TLBSize + i)
-		if _, _, ok := tlb.Lookup(vpn, 1); ok {
+		if tlb.Access(vpn, 1, true, func(PFN) {}) {
 			b.Fatal("cold key hit")
 		}
 		tlb.Insert(vpn, 1, PFN(i), true)

@@ -408,8 +408,12 @@ func (m *Memory) AllocFor(cpu int, acct *FrameAcct) (PFN, error) {
 	}
 }
 
-// grant finalizes an allocation: reference count one, ownership tag.
+// grant finalizes an allocation: reference count one, ownership tag. A mark
+// on a free frame is a store through a translation that outlived its flush.
 func (m *Memory) grant(pfn PFN, acct *FrameAcct) PFN {
+	if m.lines[pfn].Load() != 0 {
+		panic(fmt.Sprintf("hw: frame %d was written while it was free", pfn))
+	}
 	m.refs[pfn].Store(1)
 	m.owners[pfn].Store(acct)
 	return pfn

@@ -33,7 +33,7 @@ type TLBEntry struct {
 
 // TLB is a CPU's translation lookaside buffer. It is software managed: the
 // kernel inserts entries on miss and the kernel flushes entries when
-// translations die. Lookups and flushes may race (another CPU shooting this
+// translations die. Accesses and flushes may race (another CPU shooting this
 // one down), so the structure is locked.
 //
 // The machine is the R2000's: 64 entries, fully associative, a new
@@ -92,20 +92,26 @@ func (t *TLB) drop(slot int, pos uint8) {
 	t.index[pos] = 0
 }
 
-// Lookup probes the TLB for (vpn, space). On a hit it returns the frame and
-// writability of the mapping.
-func (t *TLB) Lookup(vpn uint32, space ASID) (pfn PFN, writable, ok bool) {
+// Access probes the TLB for (vpn, space) and, when the entry is there and
+// allows the access, runs op on its frame before the lock is dropped; it
+// reports whether op ran. A frame number leaves the TLB no other way, so a
+// flush waits out a touch in flight and no later touch finds the entry: the
+// shootdown is synchronous (paper §6.2). A store that finds a write-protected
+// entry is a hit that traps. op must not use this TLB.
+func (t *TLB) Access(vpn uint32, space ASID, write bool, op func(PFN)) bool {
 	t.mu.Lock()
-	if slot, _ := t.find(vpn, space); slot >= 0 {
-		e := &t.entries[slot]
-		pfn, writable = e.Frame, e.Writable
-		t.mu.Unlock()
-		t.Hits.Add(1)
-		return pfn, writable, true
+	slot, _ := t.find(vpn, space)
+	ok := slot >= 0 && (!write || t.entries[slot].Writable)
+	if ok {
+		op(t.entries[slot].Frame)
 	}
 	t.mu.Unlock()
-	t.Misses.Add(1)
-	return NoPFN, false, false
+	if slot >= 0 {
+		t.Hits.Add(1)
+	} else {
+		t.Misses.Add(1)
+	}
+	return ok
 }
 
 // Insert adds a translation, evicting the round-robin victim if needed. Any

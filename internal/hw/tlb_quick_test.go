@@ -94,7 +94,7 @@ func (t *refTLB) ValidCount() int {
 // The indexed TLB is the linear one slot for slot: after every operation
 // the same entry sits in the same slot (so the same victim was chosen on
 // every eviction), the replacement cursor, ValidCount and Hits/Misses
-// agree, every Lookup and Resident answered alike, and the index holds
+// agree, every Access and Resident answered alike, and the index holds
 // exactly the valid slots, each where its key's probe finds it. 256 pages
 // in 3 spaces against 64 entries keep the TLB full and evicting; a hot
 // subset keeps replacements-in-place and hits frequent.
@@ -122,12 +122,13 @@ func TestQuickTLBAgainstModel(t *testing.T) {
 				tlb.Insert(vpn, space, pfn, w)
 				ref.Insert(vpn, space, pfn, w)
 			case op < 75:
-				desc = "Lookup"
-				gp, gw, gok := tlb.Lookup(vpn, space)
+				desc = "Access"
+				write, gp := rng.Intn(2) == 0, NoPFN
+				ran := tlb.Access(vpn, space, write, func(p PFN) { gp = p })
 				wp, ww, wok := ref.Lookup(vpn, space)
-				if gp != wp || gw != ww || gok != wok {
-					t.Fatalf("seed %d op %d: Lookup(%#x, %d) = (%d, %v, %v), linear scan says (%d, %v, %v)",
-						seed, n, vpn, space, gp, gw, gok, wp, ww, wok)
+				if want := wok && (ww || !write); ran != want || ran && gp != wp {
+					t.Fatalf("seed %d op %d: Access(%#x, %d, write %v) ran %v on frame %d, linear scan says (%d, %v, %v)",
+						seed, n, vpn, space, write, ran, gp, wp, ww, wok)
 				}
 			case op < 83:
 				desc = "Resident"

@@ -2,19 +2,21 @@ package hw
 
 import (
 	"testing"
+	"time"
 )
 
 func TestTLBInsertLookup(t *testing.T) {
 	var tlb TLB
 	tlb.Insert(10, 1, 42, true)
-	pfn, w, ok := tlb.Lookup(10, 1)
-	if !ok || pfn != 42 || !w {
-		t.Fatalf("Lookup = (%d,%v,%v)", pfn, w, ok)
+	pfn := NoPFN
+	got := func(p PFN) { pfn = p }
+	if !tlb.Access(10, 1, true, got) || pfn != 42 {
+		t.Fatalf("store through a writable entry: op saw frame %d", pfn)
 	}
-	if _, _, ok := tlb.Lookup(10, 2); ok {
+	if tlb.Access(10, 2, false, got) {
 		t.Fatal("ASID 2 must not hit ASID 1's entry")
 	}
-	if _, _, ok := tlb.Lookup(11, 1); ok {
+	if tlb.Access(11, 1, false, got) {
 		t.Fatal("VPN 11 must miss")
 	}
 	if tlb.Hits.Load() != 1 || tlb.Misses.Load() != 2 {
@@ -25,13 +27,57 @@ func TestTLBInsertLookup(t *testing.T) {
 func TestTLBReplaceUpgradesWritable(t *testing.T) {
 	var tlb TLB
 	tlb.Insert(7, 1, 5, false)
+	pfn := NoPFN
+	got := func(p PFN) { pfn = p }
+	if tlb.Access(7, 1, true, got) {
+		t.Fatalf("store through a write-protected entry ran on frame %d", pfn)
+	}
+	if tlb.Hits.Load() != 1 {
+		t.Fatalf("a protection trap is a hit: hits=%d misses=%d", tlb.Hits.Load(), tlb.Misses.Load())
+	}
 	tlb.Insert(7, 1, 9, true) // COW copy installed a new writable frame
-	pfn, w, ok := tlb.Lookup(7, 1)
-	if !ok || pfn != 9 || !w {
-		t.Fatalf("Lookup after replace = (%d,%v,%v)", pfn, w, ok)
+	if !tlb.Access(7, 1, true, got) || pfn != 9 {
+		t.Fatalf("store after replace: op saw frame %d", pfn)
 	}
 	if tlb.ValidCount() != 1 {
 		t.Fatalf("ValidCount = %d, want 1 (replacement, not duplicate)", tlb.ValidCount())
+	}
+}
+
+// A flush issued while an access is in flight returns only after it: the
+// frame number op was handed cannot outlive the entry that named it.
+func TestTLBFlushWaitsOutAccess(t *testing.T) {
+	for name, flush := range map[string]func(*TLB){
+		"FlushPage":  func(tlb *TLB) { tlb.FlushPage(3, 1) },
+		"FlushSpace": func(tlb *TLB) { tlb.FlushSpace(1) },
+	} {
+		var tlb TLB
+		tlb.Insert(3, 1, 8, true)
+		inOp, release, flushed := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		touched := false
+		go tlb.Access(3, 1, true, func(PFN) {
+			close(inOp)
+			<-release
+			touched = true
+		})
+		<-inOp
+		go func() {
+			flush(&tlb)
+			close(flushed)
+		}()
+		select {
+		case <-flushed:
+			t.Fatalf("%s returned while op was still running", name)
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(release)
+		<-flushed
+		if !touched {
+			t.Fatalf("%s returned before op finished", name)
+		}
+		if tlb.Access(3, 1, false, func(PFN) {}) {
+			t.Fatalf("entry survived %s", name)
+		}
 	}
 }
 

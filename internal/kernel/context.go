@@ -103,9 +103,9 @@ func (c *Context) deliverPending() bool {
 // pending freeze gate, so park on it until the initiator thaws the group.
 // The loop re-checks after waking — a new checkpoint may have installed a
 // fresh gate while this one was opening. Both safepoints that call this
-// (the top of translate and the kernel entry) precede any lock
+// (the top of access and the kernel entry) precede any lock
 // acquisition, so a parked member never holds a kernel lock, and every
-// user-visible store passes through translate first, so no store is in
+// user-visible store passes through access first, so no store is in
 // flight past a safepoint the member already crossed.
 func (c *Context) freezePark() {
 	p := c.P
@@ -120,27 +120,48 @@ func (c *Context) freezePark() {
 	}
 }
 
-// translate resolves va for the given access kind, consulting the TLB
-// first and falling back to the fault path. The private pregion list is
-// scanned first, then the share group's shared list under the shared read
-// lock (paper §6.2). The freeze check on entry is the memory-access
-// checkpoint safepoint: it runs before the access is charged or resolved,
-// so a member observed parked here has not yet landed the store it was
-// about to make.
-func (c *Context) translate(va hw.VAddr, write bool) (hw.PFN, error) {
+// access is the bracket every user-mode memory access runs in: op runs on
+// va's frame while the CPU's TLB lock pins the translation (hw.TLB.Access), so
+// no frame number outlives the entry that named it and a shootdown that has
+// returned has waited out every touch. A miss takes the fault path — the
+// private pregion list, then the group's shared list under the shared read
+// lock (paper §6.2) — and probes again. The freeze check on entry is the
+// memory-access checkpoint safepoint: it runs before the access is charged or
+// resolved, so a member parked here has not yet landed its store.
+func (c *Context) access(va hw.VAddr, write bool, op func(hw.PFN)) error {
 	if c.P.FreezePending() {
 		c.freezePark()
 	}
-	cpu := c.cpu()
 	c.charge(c.S.Machine.Cost.MemAccess)
-	if va >= vm.PRDABase && va < vm.PRDABase+hw.VAddr(vm.PRDAPages*hw.PageSize) {
-		return c.translatePRDA(va, write)
+	if inPRDA(va) {
+		pfn, err := c.translatePRDA(va, write)
+		if err == nil {
+			op(pfn)
+		}
+		return err
 	}
-	vpn := va.VPN()
-	if pfn, w, ok := cpu.TLB.Lookup(vpn, c.P.ASID); ok && (!write || w) {
-		return pfn, nil
+	for ok := c.cpu().TLB.Access(va.VPN(), c.P.ASID, write, op); !ok; ok = c.reprobe(va, write, op) {
+		if err := c.fault(va, write); err != nil {
+			return err
+		}
 	}
-	return c.fault(va, write)
+	return nil
+}
+
+// reprobe is a further TLB.Access for an access whose first probe was already
+// counted — after a fill, or to confirm a spin's hint: its hit is not a second.
+func (c *Context) reprobe(va hw.VAddr, write bool, op func(hw.PFN)) bool {
+	tlb := &c.cpu().TLB
+	ok := tlb.Access(va.VPN(), c.P.ASID, write, op)
+	if ok {
+		tlb.Hits.Add(-1)
+	}
+	return ok
+}
+
+// inPRDA reports whether va lies in the process data area.
+func inPRDA(va hw.VAddr) bool {
+	return va >= vm.PRDABase && va < vm.PRDABase+hw.VAddr(vm.PRDAPages*hw.PageSize)
 }
 
 // translatePRDA resolves the process data area. Every VM-sharing member
@@ -148,7 +169,8 @@ func (c *Context) translate(va hw.VAddr, write bool) (hw.PFN, error) {
 // virtual address (paper §5.1), so the translation can never be cached in
 // the ordinary TLB — IRIX wires it into a reserved, per-process TLB slot
 // reloaded on context switch, modelled here as a fixed-cost lookup that
-// bypasses the shared TLB.
+// bypasses the shared TLB. Only its owner can reach the page and it lives as
+// long as the owner's image, so its frame number may leave unpinned.
 func (c *Context) translatePRDA(va hw.VAddr, write bool) (hw.PFN, error) {
 	pr := c.P.Private.Find(va)
 	if pr == nil {
@@ -173,16 +195,23 @@ func (c *Context) frameAcct() *hw.FrameAcct {
 	return nil
 }
 
-// fault is the TLB-miss / protection-fault handler. A fill refused by the
-// group's frame quota does not surface immediately: the group's own
-// all-zero pages are reclaimed first and the fill retried, so a group
-// running against its cap degrades (refault + rezero) before it fails —
-// the same reclaim-before-ENOMEM contract the allocator's cache drain
-// gives machine-wide exhaustion, scoped to one group.
-func (c *Context) fault(va hw.VAddr, write bool) (hw.PFN, error) {
-	cpu := c.cpu()
-	cpu.Faults.Add(1)
-	c.S.Machine.Trace.Record(trace.EvFault, int32(c.P.PID), int32(cpu.ID), uint64(va), 0)
+// fault is the TLB-miss / protection-fault handler: it resolves va and
+// installs the translation in the TLB of the CPU the process is on after the
+// fill (the read lock can sleep and the process resume elsewhere), for access
+// to probe again. A shared fill is installed against the update generation,
+// read before ResolveShared: core.UpdateVM bumps it on entry and its flush
+// takes this TLB's lock, so an entry installed behind the flush sees the
+// generation moved and is dropped — nothing resolved before an update is
+// installed after it — and access faults once more, behind the update.
+//
+// A fill refused by the group's frame quota does not surface immediately: the
+// group's own all-zero pages are reclaimed first and the fill retried, so a
+// group running against its cap degrades (refault + rezero) before it fails —
+// the same reclaim-before-ENOMEM contract the allocator's cache drain gives
+// machine-wide exhaustion, scoped to one group.
+func (c *Context) fault(va hw.VAddr, write bool) error {
+	c.cpu().Faults.Add(1)
+	c.S.Machine.Trace.Record(trace.EvFault, int32(c.P.PID), c.P.CPU.Load(), uint64(va), 0)
 
 	// The frame account and its quota reclaim belong to every member of a
 	// group; the shared pregion list only to those sharing PR_SADDR.
@@ -196,20 +225,23 @@ func (c *Context) fault(va hw.VAddr, write bool) (hw.PFN, error) {
 	var writable bool
 	var res vm.FillResult
 	var lazyPages int
+	var gen uint64
 	var err error
 
 	for attempt := 0; ; attempt++ {
 		found := false
 		var lazy int
 		if pr := c.P.Private.Find(va); pr != nil {
-			pfn, writable, res, lazy, err = pr.Reg.FillAccounted(pr.PageIndex(va), write, cpu.ID, acct)
+			sa = nil // only the process itself edits its private list
+			pfn, writable, res, lazy, err = pr.Reg.FillAccounted(pr.PageIndex(va), write, c.cpu().ID, acct)
 			found = true
 		} else if sa != nil {
+			gen = sa.Generation()
 			pfn, writable, res, lazy, found, err = sa.ResolveShared(c.P, va, write)
 		}
 		lazyPages += lazy
 		if !found {
-			return hw.NoPFN, c.segv(va, write, nil)
+			return c.segv(va, write, nil)
 		}
 		if err == nil {
 			break
@@ -218,9 +250,10 @@ func (c *Context) fault(va hw.VAddr, write bool) (hw.PFN, error) {
 			grp.ReclaimQuota(c.P) > 0 {
 			continue
 		}
-		return hw.NoPFN, c.segv(va, write, err)
+		return c.segv(va, write, err)
 	}
 
+	cpu := c.cpu() // nothing below sleeps or yields
 	switch res {
 	case vm.FillCached:
 		cpu.Charge(c.S.Machine.Cost.TLBRefill)
@@ -243,7 +276,10 @@ func (c *Context) fault(va hw.VAddr, write bool) (hw.PFN, error) {
 		cpu.Charge(penalty)
 	}
 	cpu.TLB.Insert(va.VPN(), c.P.ASID, pfn, writable)
-	return pfn, nil
+	if sa != nil && sa.Generation() != gen {
+		cpu.TLB.FlushPage(va.VPN(), c.P.ASID)
+	}
+	return nil
 }
 
 // segv delivers the address fault: a process with a SIGSEGV handler gets
@@ -258,15 +294,12 @@ func (c *Context) segv(va hw.VAddr, write bool, cause error) error {
 }
 
 // Load32 loads the 32-bit word at va (va must be word aligned).
-func (c *Context) Load32(va hw.VAddr) (uint32, error) {
+func (c *Context) Load32(va hw.VAddr) (v uint32, err error) {
 	if va&3 != 0 {
 		return 0, c.segv(va, false, fmt.Errorf("unaligned load"))
 	}
-	pfn, err := c.translate(va, false)
-	if err != nil {
-		return 0, err
-	}
-	return c.S.Machine.Mem.LoadWord(pfn, va.Offset()>>2), nil
+	err = c.access(va, false, func(pfn hw.PFN) { v = c.S.Machine.Mem.LoadWord(pfn, va.Offset()>>2) })
+	return v, err
 }
 
 // Store32 stores v at word-aligned va.
@@ -274,51 +307,35 @@ func (c *Context) Store32(va hw.VAddr, v uint32) error {
 	if va&3 != 0 {
 		return c.segv(va, true, fmt.Errorf("unaligned store"))
 	}
-	pfn, err := c.translate(va, true)
-	if err != nil {
-		return err
-	}
-	c.S.Machine.Mem.StoreWord(pfn, va.Offset()>>2, v)
-	return nil
+	return c.access(va, true, func(pfn hw.PFN) { c.S.Machine.Mem.StoreWord(pfn, va.Offset()>>2, v) })
 }
 
 // CAS32 performs the hardware interlocked compare-and-swap at va — the
 // primitive user-level busy-wait locks are built on (paper §3).
-func (c *Context) CAS32(va hw.VAddr, old, new uint32) (bool, error) {
+func (c *Context) CAS32(va hw.VAddr, old, new uint32) (swapped bool, err error) {
 	if va&3 != 0 {
 		return false, c.segv(va, true, fmt.Errorf("unaligned CAS"))
 	}
-	pfn, err := c.translate(va, true)
-	if err != nil {
-		return false, err
-	}
-	return c.S.Machine.Mem.CASWord(pfn, va.Offset()>>2, old, new), nil
+	err = c.access(va, true, func(pfn hw.PFN) { swapped = c.S.Machine.Mem.CASWord(pfn, va.Offset()>>2, old, new) })
+	return swapped, err
 }
 
 // Add32 atomically adds delta at va, returning the new value.
-func (c *Context) Add32(va hw.VAddr, delta uint32) (uint32, error) {
+func (c *Context) Add32(va hw.VAddr, delta uint32) (v uint32, err error) {
 	if va&3 != 0 {
 		return 0, c.segv(va, true, fmt.Errorf("unaligned add"))
 	}
-	pfn, err := c.translate(va, true)
-	if err != nil {
-		return 0, err
-	}
-	return c.S.Machine.Mem.AddWord(pfn, va.Offset()>>2, delta), nil
+	err = c.access(va, true, func(pfn hw.PFN) { v = c.S.Machine.Mem.AddWord(pfn, va.Offset()>>2, delta) })
+	return v, err
 }
 
 // LoadBytes copies len(dst) bytes from va, crossing pages as needed.
 func (c *Context) LoadBytes(va hw.VAddr, dst []byte) error {
 	for len(dst) > 0 {
-		pfn, err := c.translate(va, false)
-		if err != nil {
+		n := min(hw.PageSize-int(va.Offset()), len(dst))
+		if err := c.access(va, false, func(pfn hw.PFN) { c.S.Machine.Mem.ReadBytes(pfn, va.Offset(), dst[:n]) }); err != nil {
 			return err
 		}
-		n := hw.PageSize - int(va.Offset())
-		if n > len(dst) {
-			n = len(dst)
-		}
-		c.S.Machine.Mem.ReadBytes(pfn, va.Offset(), dst[:n])
 		c.charge(int64(n / 64)) // bulk transfer cost beyond the first access
 		dst = dst[n:]
 		va += hw.VAddr(n)
@@ -329,15 +346,10 @@ func (c *Context) LoadBytes(va hw.VAddr, dst []byte) error {
 // StoreBytes copies src to va, crossing pages as needed.
 func (c *Context) StoreBytes(va hw.VAddr, src []byte) error {
 	for len(src) > 0 {
-		pfn, err := c.translate(va, true)
-		if err != nil {
+		n := min(hw.PageSize-int(va.Offset()), len(src))
+		if err := c.access(va, true, func(pfn hw.PFN) { c.S.Machine.Mem.WriteBytes(pfn, va.Offset(), src[:n]) }); err != nil {
 			return err
 		}
-		n := hw.PageSize - int(va.Offset())
-		if n > len(src) {
-			n = len(src)
-		}
-		c.S.Machine.Mem.WriteBytes(pfn, va.Offset(), src[:n])
 		c.charge(int64(n / 64))
 		src = src[n:]
 		va += hw.VAddr(n)
@@ -403,15 +415,24 @@ func (c *Context) spinBatch(va hw.VAddr, pred func(uint32) bool) (uint32, bool, 
 	if pred(v) {
 		return v, true, nil
 	}
-	pfn, err := c.translate(va, false)
-	if err != nil {
+	// The polls load from the frame the translation named, unpinned: a load
+	// cannot hurt a frame a remap has freed, but what it saw there is only a
+	// hint, so load runs again under the TLB lock before the value is returned,
+	// and a flushed entry ends the round. The PRDA is in no TLB (translatePRDA).
+	var frame hw.PFN
+	word, prda := va.Offset()>>2, inPRDA(va)
+	load := func(pfn hw.PFN) { frame, v = pfn, c.S.Machine.Mem.LoadWord(pfn, word) }
+	if err := c.access(va, false, load); err != nil {
 		return 0, false, err
 	}
-	word := va.Offset() >> 2
 	for i := 0; i < SpinPollBatch; i++ {
-		v = c.S.Machine.Mem.LoadWord(pfn, word)
-		if pred(v) {
-			return v, true, nil
+		if load(frame); pred(v) {
+			if !prda && !c.reprobe(va, false, load) {
+				return v, false, nil
+			}
+			if pred(v) {
+				return v, true, nil
+			}
 		}
 		if i&7 == 7 {
 			// Cache spin: near-zero cost per poll, but enough drip

@@ -102,10 +102,12 @@ const regionStripes = 8
 // Concurrency: Fill/FillOn may be called from any number of CPUs at once
 // with no external lock. Structural mutations (Grow, Shrink, Dup, the
 // final Detach) exclude the fill slow paths by taking every stripe, but
-// the lock-free fast path can still be concurrently reading the old table;
-// the share group's update-lock + TLB-shootdown protocol (paper §6.2) is
-// what keeps a racing fault from resurrecting a freed frame, exactly as it
-// keeps a racing hardware TLB from doing the same.
+// the lock-free fast path can still be concurrently reading the old table.
+// What it returns reaches memory only through a TLB entry, and the kernel
+// installs that entry against the share group's update generation and
+// touches under the TLB's lock (kernel.Context.fault and access), so the
+// update-lock + TLB-shootdown protocol (paper §6.2) flushes it, or refuses
+// it, before a frame it names is freed.
 type Region struct {
 	Type     RegionType
 	table    atomic.Pointer[pteTable]
@@ -428,22 +430,21 @@ func (r *Region) writeFresh(idx int, data []byte, cpu int, acct *hw.FrameAcct) (
 	return true, nil
 }
 
-// ReclaimZero frees the region's resident, sole-referenced, all-zero
-// frames charged to acct (every frame when acct is nil), returning how
-// many it released. Dropping an all-zero page is semantically lossless —
+// ReclaimZero counts the region's resident, sole-referenced, all-zero
+// frames charged to acct (every frame when acct is nil) and, when free is
+// set, releases them. Dropping an all-zero page is semantically lossless —
 // the next touch demand-zero-fills an identical frame — which makes this
 // the cheapest way for an over-quota principal to get back under its
-// ceiling before the allocator has to report ENOMEM. Like Shrink, the
-// caller must hold the share group's update lock and complete a TLB
-// shootdown before relying on the frames being unreachable (paper §6.2).
-func (r *Region) ReclaimZero(acct *hw.FrameAcct, cpu int) int {
+// ceiling before the allocator has to report ENOMEM. A page is zero for
+// good only once no processor can store to it: see Space.ReclaimZero.
+func (r *Region) ReclaimZero(acct *hw.FrameAcct, cpu int, free bool) int {
 	if r.Type == RText {
 		return 0 // text never holds zero garbage worth refaulting
 	}
 	r.lockAllResolved()
 	defer r.unlockAll()
 	t := r.table.Load()
-	freed := 0
+	n := 0
 	for i := range t.slots {
 		w := t.slots[i].Load()
 		if w&ptePresent == 0 {
@@ -459,12 +460,14 @@ func (r *Region) ReclaimZero(acct *hw.FrameAcct, cpu int) int {
 		if !r.mem.FrameZero(pfn) {
 			continue
 		}
-		r.mem.DecRefOn(pfn, cpu)
-		t.slots[i].Store(0)
-		freed++
+		n++
+		if free {
+			t.slots[i].Store(0)
+			r.mem.DecRefOn(pfn, cpu)
+			r.resident.Add(-1)
+		}
 	}
-	r.resident.Add(int64(-freed))
-	return freed
+	return n
 }
 
 // Dup creates an eager copy-on-write duplicate of the region: a new

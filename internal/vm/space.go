@@ -216,15 +216,22 @@ func (img *Space) dupFrom(src *Space, eager bool) (flush bool) {
 	return flush
 }
 
-// ReclaimZero runs Region.ReclaimZero over the space, returning the frames
-// released. The caller holds the space's update lock and owes a flush
-// before the frames are unreachable.
-func (s *Space) ReclaimZero(acct *hw.FrameAcct, cpu int) int {
-	freed := 0
-	for _, pr := range s.list {
-		freed += pr.Reg.ReclaimZero(acct, cpu)
+// ReclaimZero releases the space's all-zero frames (Region.ReclaimZero) in
+// §6.2's order — find the candidates, flush every translation, free those
+// still all zero now that no store can reach them — and returns how many.
+// Nothing is flushed when nothing qualifies. The caller holds the update lock.
+func (s *Space) ReclaimZero(acct *hw.FrameAcct, cpu int, shoot Shoot) int {
+	scan := func(free bool) (n int) {
+		for _, pr := range s.list {
+			n += pr.Reg.ReclaimZero(acct, cpu, free)
+		}
+		return n
 	}
-	return freed
+	if scan(false) == 0 {
+		return 0
+	}
+	shoot(0, WholeSpace)
+	return scan(true)
 }
 
 // Clear detaches every region and empties the list: the end of an image.
