@@ -1,7 +1,8 @@
-// Host micro-benchmarks of five paths nothing else times in isolation:
+// Host micro-benchmarks of six paths nothing else times in isolation:
 // the hw.Memory bulk data path, one checkpoint round trip, one poll(2)
-// over a C10k member's set, one process creation joined, and one memory
-// access that hits the TLB. Wall-clock
+// over a C10k member's set, one process creation joined, a token hand-off
+// among more spinners than CPUs, and one memory access that hits the TLB.
+// Wall-clock
 // ns/op is the host cost; where a bench reports "simcyc/op" it is the
 // simulated cycle cost, which host-side work must not move. The paper's
 // evaluation tables (DESIGN.md E1..E10) are rendered by cmd/benchtab and
@@ -15,6 +16,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/proc"
+	"repro/internal/uspin"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -270,6 +272,41 @@ func BenchmarkCreateJoin(b *testing.B) {
 			sys.WaitIdle()
 		})
 	}
+}
+
+// Host cost of simulated time while every CPU spins: five members pass a
+// token round a ring through uspin.Word.AwaitEq on four CPUs, so whenever
+// the next holder is the queued one, all four wait out their slices (op =
+// one hand-off). ns/simcyc is wall time over every cycle the machine was
+// charged — the host's price of a spun-out slice.
+func BenchmarkQuiescentSpin(b *testing.B) {
+	const ring = 5
+	sys := kernel.NewSystem(cfg())
+	token := uspin.Word{VA: DataBase}
+	sys.Start("driver", func(c *kernel.Context) {
+		token.Store(c, 0)
+		cyc := sys.Machine.TotalCycles()
+		b.ResetTimer()
+		for m := 0; m < ring; m++ {
+			c.Sproc("spinner", func(cc *kernel.Context, m int64) {
+				for v := int(m); v < b.N; v += ring {
+					if err := token.AwaitEq(cc, uint32(v)); err != nil {
+						b.Errorf("await %d: %v", v, err)
+						return
+					}
+					token.Store(cc, uint32(v+1))
+				}
+			}, proc.PRSALL, int64(m))
+		}
+		for m := 0; m < ring; m++ {
+			c.Wait()
+		}
+		b.StopTimer()
+		simcyc := sys.Machine.TotalCycles() - cyc
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simcyc), "ns/simcyc")
+		b.ReportMetric(float64(simcyc)/float64(b.N), "simcyc/op")
+	})
+	sys.WaitIdle()
 }
 
 // BenchmarkAccessHit is one user-mode memory access whose translation is in

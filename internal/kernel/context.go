@@ -425,7 +425,11 @@ func (c *Context) spinBatch(va hw.VAddr, pred func(uint32) bool) (uint32, bool, 
 	if err := c.access(va, false, load); err != nil {
 		return 0, false, err
 	}
-	for i := 0; i < SpinPollBatch; i++ {
+	// Flagged only here, where nothing faults or sleeps; a preemption
+	// inside charge keeps the flag, and the defer clears it on every exit.
+	c.P.Spinning.Store(true)
+	defer c.P.Spinning.Store(false)
+	for i := 0; i < SpinPollBatch; {
 		if load(frame); pred(v) {
 			if !prda && !c.reprobe(va, false, load) {
 				return v, false, nil
@@ -434,15 +438,32 @@ func (c *Context) spinBatch(va hw.VAddr, pred func(uint32) bool) (uint32, bool, 
 				return v, true, nil
 			}
 		}
-		if i&7 == 7 {
+		next, drips := spinAdvance(i, c.S.Sched.SpinQuiescent())
+		if drips > 0 {
 			// Cache spin: near-zero cost per poll, but enough drip
 			// charge that a spinner exhausts its slice and can be
 			// preempted in reasonable time when CPUs are overcommitted.
-			c.charge(1)
+			c.charge(drips)
 		}
+		i = next
 		runtime.Gosched()
 	}
 	return v, false, nil
+}
+
+// spinPollsPerCycle is how many cached polls one drip cycle pays for.
+const spinPollsPerCycle = 8
+
+// spinAdvance returns the virtual poll count after the real poll at i and the
+// drip cycles crossed. While Sched.SpinQuiescent holds nothing can change
+// before a slice ends, so one yield stands for a drip cycle's polls, clipped
+// to the batch: refreshes and SpinWaitBounded's rounds fall where they did.
+func spinAdvance(i int, quiescent bool) (next int, drips int64) {
+	next = i + 1
+	if quiescent {
+		next = min(i+spinPollsPerCycle, SpinPollBatch)
+	}
+	return next, int64(next/spinPollsPerCycle - i/spinPollsPerCycle)
 }
 
 // StackBase returns the lowest address of this process's stack region.

@@ -200,6 +200,7 @@ type Proc struct {
 	RunGate    chan int      // dispatch channel: scheduler sends the CPU id
 	SliceLeft  atomic.Int64  // remaining charge units in this time slice
 	RunStamp   atomic.Int64  // p.Cycles at dispatch: quantum usage = Cycles - RunStamp
+	Spinning   atomic.Bool   // in a spin's cached-poll loop, where it stores nothing (Sched.SpinQuiescent)
 
 	// Blockproc sleep-wake state (blockproc(2)/unblockproc(2), paper §3):
 	// blockCnt is the saturating count of banked unblocks, driven negative

@@ -823,6 +823,23 @@ func (s *Sched) CurrentCPU(p *proc.Proc) *hw.CPU {
 	panic(fmt.Sprintf("sched: pid %d (%s) is not on a CPU", p.PID, p.Name))
 }
 
+// SpinQuiescent reports whether a process is queued and every CPU holds a
+// process in a spin's cached-poll loop. While it holds, no process on a CPU
+// can store before some slice ends, so a spinner's polls can see nothing
+// new. The flag is read through the CPU slots: a spinner preempted mid-loop
+// keeps its flag but holds no CPU, and whoever took its CPU counts instead.
+func (s *Sched) SpinQuiescent() bool {
+	if s.queued.Load() == 0 {
+		return false
+	}
+	for i := range s.cpuProc {
+		if r := s.cpuProc[i].Load(); r == nil || !r.Spinning.Load() {
+			return false
+		}
+	}
+	return true
+}
+
 // RunqLen returns the number of ready, undispatched processes.
 func (s *Sched) RunqLen() int { return int(s.queued.Load()) }
 

@@ -79,3 +79,61 @@ func TestSelfCheckEnqueueDispatch(t *testing.T) {
 		mustPanic(t, func() { s.dispatch(mkProc(s, 8), 0) }, "dispatch of pid 8", "CPU 0", "pid 7")
 	})
 }
+
+// TestSpinQuiescentSelfCheck: a spin may skip polls only when no process on
+// a CPU can store — something is queued and every CPU's holder is flagged.
+// The preempted cases put a flagged spinner back on the queue and a queued
+// process on its CPU, the way Yield does; the flag must be read through the
+// slot, so the spinner's own flag never counts for a CPU it left.
+func TestSpinQuiescentSelfCheck(t *testing.T) {
+	const ncpu = 4
+	for _, tc := range []struct {
+		name        string
+		idle, plain int  // CPUs left idle; holders (from CPU 0) not spinning
+		queued      int  // processes queued behind the holders
+		queuedSpin  bool // the queued processes carry the flag
+		preempt     bool // CPU 0's holder is preempted for the first queued
+		want        bool
+	}{
+		{name: "every CPU spins, one queued", queued: 1, want: true},
+		{name: "empty queue"},
+		{name: "an idle CPU", idle: 1, queued: 1},
+		{name: "a holder not spinning", plain: 1, queued: 1},
+		{name: "preempted spinner, a non-spinner on its CPU", queued: 1, preempt: true},
+		{name: "preempted spinner, a spinner on its CPU", queued: 1, queuedSpin: true, preempt: true, want: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := newSched(ncpu, 1000)
+			pid := 0
+			mk := func(spinning bool) *proc.Proc {
+				pid++
+				p := mkProc(s, pid)
+				p.Spinning.Store(spinning)
+				return p
+			}
+			for cpu := 0; cpu < ncpu-tc.idle; cpu++ {
+				p := mk(cpu >= tc.plain)
+				s.Ready(p)
+				<-p.RunGate
+			}
+			for i := 0; i < tc.queued; i++ {
+				s.enqueue(mk(tc.queuedSpin)) // not Ready: that would take the idle CPU
+			}
+			if tc.preempt {
+				// Yield's preemption, without a goroutine parked on RunGate.
+				p, next := s.cpuProc[0].Load(), s.pickNext(0)
+				p.CPU.Store(-1)
+				s.cpuProc[0].Store(nil)
+				s.enqueue(p)
+				s.dispatch(next, 0)
+				<-next.RunGate
+				if !p.Spinning.Load() || s.RunqLen() != tc.queued {
+					t.Fatalf("setup: preempted spinner flagged=%v, %d queued", p.Spinning.Load(), s.RunqLen())
+				}
+			}
+			if got := s.SpinQuiescent(); got != tc.want {
+				t.Fatalf("SpinQuiescent() = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
