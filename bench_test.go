@@ -1,7 +1,8 @@
-// Host micro-benchmarks of six paths nothing else times in isolation:
-// the hw.Memory bulk data path, one checkpoint round trip, one poll(2)
-// over a C10k member's set, one process creation joined, a token hand-off
-// among more spinners than CPUs, and one memory access that hits the TLB.
+// Host micro-benchmarks of seven paths nothing else times in isolation:
+// the hw.Memory bulk data path, one checkpoint round trip, the image
+// checksum, one poll(2) over a C10k member's set, one process creation
+// joined, a token hand-off among more spinners than CPUs, and one memory
+// access that hits the TLB.
 // Wall-clock
 // ns/op is the host cost; where a bench reports "simcyc/op" it is the
 // simulated cycle cost, which host-side work must not move. The paper's
@@ -10,6 +11,8 @@
 package irix
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -142,6 +145,42 @@ func BenchmarkCkptRoundTrip(b *testing.B) {
 		}
 	})
 	sys.WaitIdle()
+}
+
+// Host-side cost of the image checksum per KiB of a 768-page image, for the
+// two shapes of traffic: "sparse" is ckpt_restore's, one written word a
+// page, and "dense" is a page of data in every page. Decode checks the
+// trailer before it parses anything, so decoding an image whose trailer is
+// spoiled times the checksum alone.
+func BenchmarkCkptChecksum(b *testing.B) {
+	const pages = 768
+	rng := rand.New(rand.NewSource(1988))
+	for _, shape := range []struct {
+		name string
+		fill func(pg []byte, i int)
+	}{
+		{"sparse", func(pg []byte, i int) { binary.LittleEndian.PutUint32(pg, uint32(i)<<8|1) }},
+		{"dense", func(pg []byte, _ int) { rng.Read(pg) }},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			reg := ckpt.RegionImage{Base: 0x30000000, Pages: pages, Type: ckpt.RShm}
+			for i := 0; i < pages; i++ {
+				pg := make([]byte, hw.PageSize)
+				shape.fill(pg, i)
+				reg.Resid = append(reg.Resid, ckpt.PageImage{Index: i, Data: pg})
+			}
+			im := &ckpt.Image{Version: ckpt.Version, PageSize: hw.PageSize, Regions: []ckpt.RegionImage{reg}}
+			enc := im.Encode()
+			enc[len(enc)-1] ^= 1
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ckpt.Decode(enc); err == nil {
+					b.Fatal("Decode accepted a spoiled trailer")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(float64(len(enc))/1024), "ns/KiB")
+		})
+	}
 }
 
 // Host-side cost of one poll(2) call over a C10k member's set — 1 024 idle

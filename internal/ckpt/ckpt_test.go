@@ -258,26 +258,93 @@ func TestDecodeRejectsOversizedCounts(t *testing.T) {
 	}
 }
 
-// The trailer is crc64.Checksum's value however the body was cut: every
-// chunk count the splitter can pick, at the lengths where its choice
-// changes, and with one P (the serial call).
+// sparseImage is bigImage with one written word a page: the shape of a
+// group whose members each touched a word of every page.
+func sparseImage(npages int) *Image {
+	im := bigImage(npages)
+	for _, pg := range im.Regions[0].Resid {
+		clear(pg.Data[4:])
+	}
+	return im
+}
+
+// pageData is the body offset of page j's bytes in a bigImage or
+// sparseImage encoding: the header, the one region's record, j pages before
+// it, and its own index.
+func pageData(j int) int {
+	return headerFixed + attrFixed + 4 + regionFixed + j*(4+4096) + 4
+}
+
+// The trailer is crc64.Checksum's value however the body was cut and
+// whatever runs of zeros it holds: every chunk count the splitter can pick,
+// at the lengths where its choice changes, and with one P (the serial
+// call); over dense bodies, sparse ones with zero runs of random length and
+// offset, runs shorter than a grain, runs across every chunk boundary, an
+// all-zero body, bodies shorter than a grain, and a sparse image's body.
+//
+// Mutations, each of which fails this test (checked by hand when written):
+// the zero-grain fold applied one time more or fewer than the run's grains;
+// the grain tables built for x^(8·(sumGrain-1)) or x^(8·2·sumGrain); the
+// fold applied to the checksum instead of the raw register (without the ^
+// on both sides).
 func TestChecksumMatchesSerial(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1988))
+	dense := func(n int) []byte {
+		b := make([]byte, n)
+		rnd.Read(b)
+		return b
+	}
+	// zeroRuns clears runs of 1..maxLen bytes at random offsets.
+	zeroRuns := func(b []byte, runs, maxLen int) []byte {
+		for ; runs > 0; runs-- {
+			at := rnd.Intn(len(b))
+			clear(b[at:min(at+1+rnd.Intn(maxLen), len(b))])
+		}
+		return b
+	}
+	// acrossBoundaries clears a run a grain and a half either side of every
+	// boundary any chunk count puts in b.
+	acrossBoundaries := func(b []byte) []byte {
+		for n := 2; n <= sumChunks; n++ {
+			size := (len(b) + n - 1) / n
+			for i := 1; i < n; i++ {
+				clear(b[i*size-3*sumGrain/2 : i*size+3*sumGrain/2+7])
+			}
+		}
+		return b
+	}
+	type body struct {
+		name string
+		b    []byte
+	}
+	var bodies []body
 	for _, n := range []int{0, 1, 2*sumChunkMin - 1, 2 * sumChunkMin, 2*sumChunkMin + 1, 3<<20 + 17} {
-		body := make([]byte, n)
-		rnd.Read(body)
-		want := crc64.Checksum(body, crcTable)
+		bodies = append(bodies, body{fmt.Sprintf("dense %d bytes", n), dense(n)})
+	}
+	sparse := sparseImage(768).Encode()
+	bodies = append(bodies,
+		body{"dense, shorter than a grain", dense(sumGrain - 1)},
+		body{"zero, shorter than a grain", make([]byte, sumGrain-1)},
+		body{"zero, one grain", make([]byte, sumGrain)},
+		body{"all zero", make([]byte, 2*sumChunkMin+5)},
+		body{"random zero runs", zeroRuns(dense(2*sumChunkMin+5), 300, 8*sumGrain)},
+		body{"zero runs shorter than a grain", zeroRuns(dense(2*sumChunkMin+5), 3000, sumGrain-1)},
+		body{"zero runs across chunk boundaries", acrossBoundaries(dense(2*sumChunkMin + 5))},
+		body{"one word a page", sparse[:len(sparse)-8]},
+	)
+	for _, bd := range bodies {
+		want := crc64.Checksum(bd.b, crcTable)
 		for chunks := 1; chunks <= sumChunks; chunks++ {
-			if got := checksumChunks(body, chunks); got != want {
-				t.Errorf("%d bytes in %d chunks: checksum %#x, crc64.Checksum %#x", n, chunks, got, want)
+			if got := checksumChunks(bd.b, chunks); got != want {
+				t.Errorf("%s, %d chunks: checksum %#x, crc64.Checksum %#x", bd.name, chunks, got, want)
 			}
 		}
 		for _, procs := range []int{1, 2, 4} {
 			old := runtime.GOMAXPROCS(procs)
-			got := checksum(body)
+			got := checksum(bd.b)
 			runtime.GOMAXPROCS(old)
 			if got != want {
-				t.Errorf("%d bytes, GOMAXPROCS %d: checksum %#x, crc64.Checksum %#x", n, procs, got, want)
+				t.Errorf("%s, GOMAXPROCS %d: checksum %#x, crc64.Checksum %#x", bd.name, procs, got, want)
 			}
 		}
 	}
@@ -285,21 +352,28 @@ func TestChecksumMatchesSerial(t *testing.T) {
 
 // A damaged byte fails Decode with the checksum error wherever in a
 // chunked body it sits — first byte, either side of every chunk boundary,
-// last byte.
+// last byte — and, in a sparse image, inside a run of zeros the checksum
+// folds rather than reads.
 func TestDecodeRejectsCorruptionInAnyChunk(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	enc := bigImage(768).Encode() // 3 MiB: four chunks
-	body := len(enc) - 8
-	if _, err := Decode(enc); err != nil {
-		t.Fatal(err)
-	}
-	size := (body + 3) / 4
-	for _, at := range []int{len(magic), size - 1, size, 2*size - 1, 2 * size, 3*size - 1, 3 * size, body - 1} {
-		enc[at] ^= 0x10
-		if _, err := Decode(enc); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-			t.Errorf("byte %d of %d flipped: Decode = %v, want the checksum error", at, body, err)
+	for i, im := range []*Image{bigImage(768), sparseImage(768)} { // 3 MiB: four chunks
+		enc := im.Encode()
+		body := len(enc) - 8
+		if _, err := Decode(enc); err != nil {
+			t.Fatal(err)
 		}
-		enc[at] ^= 0x10
+		if mid := pageData(383); i == 1 && !IsZero(enc[mid+4:mid+4096]) {
+			t.Fatal("sparse page 383 holds more than its first word: pageData is off")
+		}
+		size := (body + 3) / 4
+		for _, at := range []int{len(magic), size - 1, size, 2*size - 1, 2 * size, 3*size - 1, 3 * size, body - 1,
+			pageData(0) + 2048, pageData(383) + 2048, pageData(767) + 2048} {
+			enc[at] ^= 0x10
+			if _, err := Decode(enc); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Errorf("byte %d of %d flipped: Decode = %v, want the checksum error", at, body, err)
+			}
+			enc[at] ^= 0x10
+		}
 	}
 }
 

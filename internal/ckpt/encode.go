@@ -23,10 +23,13 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // The trailer is crc64.Checksum(body, crcTable), whichever way it is
 // computed. A body of two chunks or more is summed a chunk per goroutine —
 // one per P, at most sumChunks — and the parts folded with crcCombine; a
-// smaller body, or a single P, takes the serial call.
+// smaller body, or a single P, is summed in one piece. Either way a piece
+// is walked in sumGrain-byte grains, and a run of all-zero grains is folded
+// into the register by multiplication instead of fed through the table.
 const (
 	sumChunkMin = 256 << 10 // bytes; below two of these a body is summed serially
 	sumChunks   = 8
+	sumGrain    = 256 // bytes tested for zero at a time
 )
 
 func checksum(body []byte) uint64 {
@@ -36,7 +39,7 @@ func checksum(body []byte) uint64 {
 // checksumChunks sums body as n (at most sumChunks) near-equal chunks.
 func checksumChunks(body []byte, n int) uint64 {
 	if n < 2 {
-		return crc64.Checksum(body, crcTable)
+		return sum(body)
 	}
 	size := (len(body) + n - 1) / n
 	chunk := func(i int) []byte {
@@ -48,10 +51,10 @@ func checksumChunks(body []byte, n int) uint64 {
 	for i := 1; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			sums[i] = crc64.Checksum(chunk(i), crcTable)
+			sums[i] = sum(chunk(i))
 		}(i)
 	}
-	crc := crc64.Checksum(chunk(0), crcTable)
+	crc := sum(chunk(0))
 	wg.Wait()
 	for i := 1; i < n; i++ {
 		crc = crcCombine(crc, sums[i], len(chunk(i)))
@@ -59,20 +62,79 @@ func checksumChunks(body []byte, n int) uint64 {
 	return crc
 }
 
+// sum is crc64.Checksum(p, crcTable). A zero byte multiplies the raw
+// register (the checksum before its final complement) by x^8 mod P and adds
+// nothing, so a run of k zero grains multiplies it by x^(8·sumGrain), k
+// times; every other byte goes through crc64.Update. A damaged byte makes
+// its grain non-zero, so nothing is skipped that was not zero.
+func sum(p []byte) uint64 {
+	var crc uint64
+	for len(p) > 0 {
+		dense, zeros := 0, 0 // p[:dense] holds no zero grain; p[dense:dense+zeros] only zero grains
+		for dense+sumGrain <= len(p) && !IsZero(p[dense:dense+sumGrain]) {
+			dense += sumGrain
+		}
+		for dense+zeros+sumGrain <= len(p) && IsZero(p[dense+zeros:][:sumGrain]) {
+			zeros += sumGrain
+		}
+		if zeros == 0 {
+			dense = len(p) // what is left is shorter than a grain
+		}
+		crc = crc64.Update(crc, crcTable, p[:dense])
+		crc = ^foldZeroGrains(^crc, zeros/sumGrain)
+		p = p[dense+zeros:]
+	}
+	return crc
+}
+
+// foldZeroGrains multiplies the raw register r by x^(8·sumGrain) mod P k
+// times, a byte of r per table.
+func foldZeroGrains(r uint64, k int) uint64 {
+	if k == 0 {
+		return r
+	}
+	t := grainTables()
+	for ; k > 0; k-- {
+		r = t[0][byte(r)] ^ t[1][byte(r>>8)] ^ t[2][byte(r>>16)] ^ t[3][byte(r>>24)] ^
+			t[4][byte(r>>32)] ^ t[5][byte(r>>40)] ^ t[6][byte(r>>48)] ^ t[7][byte(r>>56)]
+	}
+	return r
+}
+
+// grainTables holds x^(8·sumGrain) mod P split by the byte it multiplies:
+// the product is linear in r, so it is the XOR of one entry per byte of r.
+// 16 KiB, built on the first zero grain.
+var grainTables = sync.OnceValue(func() *[8][256]uint64 {
+	shift := xPow8n(sumGrain)
+	t := new([8][256]uint64)
+	for k := range t {
+		for b := range t[k] {
+			t[k][b] = mulModP(uint64(b)<<(8*k), shift)
+		}
+	}
+	return t
+})
+
 // crcCombine returns the checksum of A‖B from those of A and B and B's
 // length: appending len(B) bytes multiplies A's remainder by x^(8·len(B))
 // mod P, and the all-ones conditioning at both ends cancels between the
-// two, as in zlib's crc32_combine. Polynomials are in the table's reflected
-// bit order: bit 63 is x^0, and multiplying by x shifts right.
+// two, as in zlib's crc32_combine.
 func crcCombine(crcA, crcB uint64, lenB int) uint64 {
-	xn := uint64(1) << 63 // x^0, squared-and-multiplied up to x^(8·lenB)
-	for sq, n := uint64(1)<<62, uint64(lenB)*8; n != 0; n >>= 1 {
-		if n&1 != 0 {
+	return mulModP(xPow8n(lenB), crcA) ^ crcB
+}
+
+// xPow8n returns x^(8n) mod P, by square-and-multiply. Polynomials are in
+// the table's reflected bit order: bit 63 is x^0, and multiplying by x
+// shifts right.
+func xPow8n(n int) uint64 {
+	xn := uint64(1) << 63 // x^0
+	for sq, e := uint64(1)<<62, uint64(n)*8; e != 0; e >>= 1 {
+		if e&1 != 0 {
 			xn = mulModP(sq, xn)
 		}
 		sq = mulModP(sq, sq)
 	}
-	return mulModP(xn, crcA) ^ crcB
+	return xn
 }
 
 // mulModP returns a·b mod P over GF(2).

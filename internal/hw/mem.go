@@ -798,6 +798,26 @@ func (m *Memory) ReadBytes(pfn PFN, off uint32, dst []byte) {
 	}
 }
 
+// ReadFrame copies all of pfn into dst, which must be one page long: the
+// read-side twin of CopyFrameFor's line walk. Marked runs are copied with
+// ReadBytes's atomic word loads, and the bytes of unmarked lines, which are
+// all zero, are cleared in dst. A line first marked after the map is loaded
+// is a store ordered after the read, as in CopyFrameFor.
+func (m *Memory) ReadFrame(pfn PFN, dst []byte) {
+	if len(dst) != PageSize {
+		panic("hw: ReadFrame wants a whole page")
+	}
+	done := 0 // dst[:done] is written
+	for lm := m.lines[pfn].Load(); lm != 0; {
+		var lo, hi int
+		lo, hi, lm = nextRun(lm)
+		clear(dst[done : lo<<2])
+		m.ReadBytes(pfn, uint32(lo<<2), dst[lo<<2:hi<<2])
+		done = hi << 2
+	}
+	clear(dst[done:])
+}
+
 // putLowBytes fills dst (shorter than a word) from v's low bytes upward.
 func putLowBytes(dst []byte, v uint32) {
 	for i := range dst {

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -327,6 +328,169 @@ func TestLineMapStormRace(t *testing.T) {
 			wg.Wait()
 			if got := m.InUse(); got != 0 && !t.Failed() {
 				t.Errorf("InUse = %d after the storm, want 0", got)
+			}
+		})
+	}
+}
+
+// ReadFrame against ReadBytes of the whole page over the line-map states a
+// frame passes through: never written, one line, several runs (the first
+// and last line among them), every line, and freed and granted again. The
+// destination holds garbage before each read, so a line ReadFrame neither
+// copies nor clears shows as a difference.
+func TestReadFrameMatchesReadBytes(t *testing.T) {
+	m := NewMemory(2)
+	m.AttachCaches(1)
+	pfn, err := m.AllocOn(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := make([]byte, PageSize), make([]byte, PageSize)
+	check := func(state string) {
+		t.Helper()
+		m.ReadBytes(pfn, 0, want)
+		for i := range got {
+			got[i] = 0xa5
+		}
+		m.ReadFrame(pfn, got)
+		if !bytes.Equal(got, want) {
+			i := 0
+			for got[i] == want[i] {
+				i++
+			}
+			t.Errorf("%s (line map %#x): ReadFrame byte %d = %#x, ReadBytes %#x", state, m.lines[pfn].Load(), i, got[i], want[i])
+		}
+	}
+	check("never written")
+	m.StoreWord(pfn, 17<<lineWordsShift+3, 0xdeadbeef)
+	check("one line")
+	rng := rand.New(rand.NewSource(1988))
+	page := make([]byte, PageSize)
+	rng.Read(page)
+	for _, span := range [][2]int{{0, 64}, {64*5 - 3, 140}, {64 * 30, 64}, {64*40 + 60, 8}, {PageSize - 1, 1}} {
+		m.WriteBytes(pfn, uint32(span[0]), page[span[0]:span[0]+span[1]])
+	}
+	check("several runs")
+	m.WriteBytes(pfn, 0, page)
+	check("every line")
+	m.DecRefOn(pfn, 0)
+	if again, err := m.AllocOn(0); err != nil || again != pfn {
+		t.Fatalf("AllocOn after the free = %d, %v; want frame %d back from the cache", again, err, pfn)
+	}
+	check("granted again")
+	m.AddWord(pfn, WordsPerPage-1, 7)
+	check("granted again, last line written")
+}
+
+// ReadFrame while writers mark and store lines nobody has written yet. Each
+// round grants a frame, and writers fill it a line at a time, each line by
+// one writer, in a random line order, while a reader copies it over and
+// over into a buffer of garbage: every word of every copy must hold its
+// value before the round (zero) or the round's. Once the writers are done a
+// copy must hold every value. The RWMutex stands in for the shootdown that
+// precedes the free, as in TestLineMapStormRace.
+func TestReadFrameStormRace(t *testing.T) {
+	const writers = 3
+	rounds := 400
+	if testing.Short() {
+		rounds = 100
+	}
+	value := func(round, w int) uint32 { return 1<<31 | uint32(round*WordsPerPage+w) }
+	for _, procs := range []int{1, 2, runtime.NumCPU()} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			type mapping struct {
+				pfn   PFN
+				round int
+			}
+			m := NewMemory(2)
+			var pte atomic.Pointer[mapping]
+			var tlb sync.RWMutex
+			var stop atomic.Bool
+			var reads atomic.Int64
+			fail := func(format string, args ...any) {
+				if !stop.Swap(true) {
+					t.Errorf(format, args...)
+				}
+			}
+			// words checks a copy: each word is its round's value, or zero
+			// while zero is allowed.
+			words := func(buf []byte, round int, zeroOK bool) {
+				for w := 0; w < WordsPerPage; w++ {
+					if got, v := binary.LittleEndian.Uint32(buf[4*w:]), value(round, w); got != v && (got != 0 || !zeroOK) {
+						fail("round %d word %d reads %#x, want %#x or, before its store, 0 (allowed: %v)", round, w, got, v, zeroOK)
+						return
+					}
+				}
+			}
+
+			var rwg sync.WaitGroup
+			rwg.Add(1)
+			go func() { // the reader
+				defer rwg.Done()
+				buf := make([]byte, PageSize)
+				for !stop.Load() {
+					tlb.RLock()
+					if mp := pte.Load(); mp != nil {
+						for i := range buf {
+							buf[i] = 0xff
+						}
+						m.ReadFrame(mp.pfn, buf)
+						words(buf, mp.round, true)
+						reads.Add(1)
+					}
+					tlb.RUnlock()
+					runtime.Gosched()
+				}
+			}()
+
+			rng := rand.New(rand.NewSource(int64(procs)))
+			final := make([]byte, PageSize)
+			for r := 0; r < rounds && !stop.Load(); r++ {
+				pfn, err := m.Alloc()
+				if err != nil {
+					fail("Alloc: %v", err)
+					break
+				}
+				pte.Store(&mapping{pfn, r})
+				order := rng.Perm(64)
+				var wg sync.WaitGroup
+				for g := 0; g < writers; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						var le [4]byte
+						for k := g; k < len(order); k += writers {
+							for i := 0; i < 1<<lineWordsShift; i++ {
+								w := uint32(order[k]<<lineWordsShift + i)
+								switch i % 3 {
+								case 0:
+									m.StoreWord(pfn, w, value(r, int(w)))
+								case 1:
+									if !m.CASWord(pfn, w, 0, value(r, int(w))) {
+										fail("writer %d lost a CAS on a word only it writes", g)
+									}
+								case 2:
+									binary.LittleEndian.PutUint32(le[:], value(r, int(w)))
+									m.WriteBytes(pfn, 4*w, le[:])
+								}
+							}
+							runtime.Gosched()
+						}
+					}(g)
+				}
+				wg.Wait()
+				m.ReadFrame(pfn, final)
+				words(final, r, false)
+				tlb.Lock() // shoot down, then free
+				pte.Store(nil)
+				tlb.Unlock()
+				m.DecRef(pfn)
+			}
+			stop.Store(true)
+			rwg.Wait()
+			if reads.Load() == 0 && !t.Failed() {
+				t.Error("the reader never copied a published frame")
 			}
 		})
 	}

@@ -132,19 +132,17 @@ func (r *Region) UntrackDirty() {
 	r.dirty.Store(nil)
 }
 
-// ReadPage copies the contents of page idx into buf (at most one page) and
-// reports whether the page was resident. This is the serialization surface
-// of the checkpoint image builder: contents flow out through the region,
-// never through raw PTE words, so the image layer stays independent of the
-// PTE encoding.
+// ReadPage copies the contents of page idx into buf, which is one page long,
+// and reports whether the page was resident. This is the serialization
+// surface of the checkpoint image builder: contents flow out through the
+// region, never through raw PTE words, so the image layer stays independent
+// of the PTE encoding. Only the lines the frame's line map marks are copied;
+// the rest of buf is cleared.
 func (r *Region) ReadPage(idx int, buf []byte) bool {
 	pfn := r.Frame(idx)
 	if pfn == hw.NoPFN {
 		return false
 	}
-	if len(buf) > hw.PageSize {
-		buf = buf[:hw.PageSize]
-	}
-	r.mem.ReadBytes(pfn, 0, buf)
+	r.mem.ReadFrame(pfn, buf)
 	return true
 }

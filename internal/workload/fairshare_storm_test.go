@@ -118,27 +118,27 @@ func TestFairShareStormRace(t *testing.T) {
 // TestFairShareEntitlement is the S8 acceptance run: three groups with
 // shares 4:2:1 on an overcommitted machine. Delivered CPU per group must
 // land within 5 points of entitlement, and turning fair-share on must not
-// cost aggregate throughput (within 5% of the share-blind baseline).
+// cost aggregate throughput (within 5% of the share-blind baseline). The
+// machine has one simulated CPU, as S10's driver does: with several, how
+// far each burner gets follows the host scheduler, not the fair-share one,
+// and a loaded host skews delivery by up to 10 points; on one, time slices
+// alone pace the groups against each other. The price: on one CPU the
+// throughput check cannot catch a fair-share dispatcher that leaves CPUs
+// idle. The four-CPU run returns with a deterministic clock (ROADMAP 1(c)).
 func TestFairShareEntitlement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("S8 acceptance run is long")
 	}
 	cfg := DefaultConfig()
+	cfg.NCPU = 1
 	fc := FairShareConfig{
 		Shares:  []int32{4, 2, 1},
-		Members: cfg.NCPU,  // 3 groups x 4 burners on 4 CPUs: 3x overcommit
+		Members: 3,         // 3 groups x 3 burners on 1 CPU: 9x overcommit
 		Horizon: 6_000_000, // long enough for the decayed bands to settle
 	}
 
 	fc.Fair = true
 	fair := FairShare(cfg, fc)
-	if err := fair.MaxShareError(); err > 0.05 {
-		// Simulated cycle delivery rides on the host scheduler; a loaded
-		// host can skew one run. One retry before declaring the scheduler
-		// itself unfair (typical error is ~0.02, ceiling 0.05).
-		t.Logf("fair run missed entitlement (err %.3f), retrying once for host jitter", err)
-		fair = FairShare(cfg, fc)
-	}
 	if err := fair.MaxShareError(); err > 0.05 {
 		t.Errorf("fair run: delivered %v off entitlement %v by %.3f, want <= 0.05",
 			fair.DeliveredFrac(), fair.EntitledFrac(), err)
