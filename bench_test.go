@@ -1,8 +1,9 @@
-// Host micro-benchmarks of seven paths nothing else times in isolation:
+// Host micro-benchmarks of eight paths nothing else times in isolation:
 // the hw.Memory bulk data path, one checkpoint round trip, the image
 // checksum, one poll(2) over a C10k member's set, one process creation
-// joined, a token hand-off among more spinners than CPUs, and one memory
-// access that hits the TLB.
+// joined, a token hand-off among more spinners than CPUs, one memory
+// access that hits the TLB, and descriptor updates contending for one
+// share block's s_fupdsema.
 // Wall-clock
 // ns/op is the host cost; where a bench reports "simcyc/op" it is the
 // simulated cycle cost, which host-side work must not move. The paper's
@@ -377,4 +378,49 @@ func BenchmarkAccessHit(b *testing.B) {
 			sys.WaitIdle()
 		})
 	}
+}
+
+// Host cost of the §6.3 descriptor protocol under contention: four PR_SFDS
+// members each open and close a file, then make a null call whose entry
+// sync copies in what the others changed, so every step of every member
+// takes the group's s_fupdsema (op = one open/close pair and one sync).
+// fdsleeps/op counts the sleeps on it (Stats.FdSemaSleeps) and
+// dispatches/op what those sleeps cost the scheduler: a grant that leaves
+// the new owner off its CPU shows as a convoy in both.
+func BenchmarkFdUpdateConvoy(b *testing.B) {
+	const members, tableFds = 4, 1024
+	conf := cfg()
+	conf.MaxFiles = tableFds + 2*members + 16
+	sys := kernel.NewSystem(conf)
+	sys.Start("leader", func(c *kernel.Context) {
+		for i := 0; i < tableFds; i++ {
+			if _, err := c.Open("/convoy", ORead|OCreat, 0o644); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+		st0 := sys.Stats()
+		b.ResetTimer()
+		for m := 0; m < members; m++ {
+			c.Sproc("member", func(cc *kernel.Context, m int64) {
+				for i := int(m); i < b.N; i += members {
+					fd, err := cc.Open("/convoy", ORead, 0)
+					if err != nil {
+						b.Errorf("open: %v", err)
+						return
+					}
+					cc.Close(fd)
+					cc.Getpid()
+				}
+			}, proc.PRSFDS, int64(m))
+		}
+		for m := 0; m < members; m++ {
+			c.Wait()
+		}
+		b.StopTimer()
+		st := sys.Stats()
+		b.ReportMetric(float64(st.FdSemaSleeps-st0.FdSemaSleeps)/float64(b.N), "fdsleeps/op")
+		b.ReportMetric(float64(st.Dispatches-st0.Dispatches)/float64(b.N), "dispatches/op")
+	})
+	sys.WaitIdle()
 }

@@ -189,6 +189,8 @@ func dump(c *irix.Ctx) {
 	fmt.Println("  sleep-wake (blockproc/unblockproc, hybrid uspin):")
 	fmt.Printf("    blocks=%d wakes=%d banked-wakes=%d spin-to-blocks=%d\n",
 		st.ProcBlocks, st.ProcWakes, st.BankedWakes, st.SpinToBlocks)
+	fmt.Println("  descriptor updates (every group's s_fupdsema):")
+	fmt.Printf("    fd-sema-sleeps=%d\n", st.FdSemaSleeps)
 	fmt.Println("  readiness (poll(2) over the stream event queues):")
 	fmt.Printf("    poll-sleeps=%d transitions=%d sleeper-wakes=%d poller-wakes=%d\n",
 		st.PollSleeps, st.ReadyTransitions, st.ReadySleeperWakes, st.ReadyPollerWakes)

@@ -59,9 +59,10 @@ type ShAddr struct {
 	refcnt   int          // s_refcnt
 
 	// Single-threaded open-file updating.
-	fupdSema *klock.Sema // s_fupdsema (initialized to 1: a sleeping mutex)
-	ofile    []*fs.File  // s_ofile: block's copy of the descriptor table
-	pofile   []uint8     // s_pofile: copy of the descriptor flags
+	fupdSema *klock.Sema   // s_fupdsema (initialized to 1: a sleeping mutex)
+	fdSleeps *atomic.Int64 // counts sleeps on fupdSema (CountFdSleeps)
+	ofile    []*fs.File    // s_ofile: block's copy of the descriptor table
+	pofile   []uint8       // s_pofile: copy of the descriptor flags
 
 	// Misc shared attributes, guarded by rupdLock.
 	rupdLock klock.Spin // s_rupdlock
@@ -155,6 +156,11 @@ func (sa *ShAddr) CPUAcct() *proc.CPUAcct { return sa.cpuAcct }
 
 // FrameAcct returns the group's frame account; member page fills charge it.
 func (sa *ShAddr) FrameAcct() *hw.FrameAcct { return &sa.frameAcct }
+
+// CountFdSleeps makes every later sleep on the group's descriptor
+// semaphore add one to n. The kernel passes its machine-wide counter
+// (Stats.FdSemaSleeps) when it creates the group.
+func (sa *ShAddr) CountFdSleeps(n *atomic.Int64) { sa.fdSleeps = n }
 
 // MemberCap returns the group's member ceiling (0 = unlimited).
 func (sa *ShAddr) MemberCap() int32 { return sa.memberCap.Load() }

@@ -20,6 +20,13 @@ func (sa *ShAddr) SyncEntry(p *proc.Proc) {
 	sa.Adopt(p, p, proc.Mask(bits))
 }
 
+// lockFds takes fupdSema for caller, counting a sleep (CountFdSleeps).
+func (sa *ShAddr) lockFds(caller *proc.Proc, reason string) {
+	if sa.fupdSema.P(caller, reason) && sa.fdSleeps != nil {
+		sa.fdSleeps.Add(1)
+	}
+}
+
 // syncFdsLocked copies the block's descriptor table into p's, adjusting
 // reference counts. Another member may have opened a descriptor past the
 // end of p's table, so the table is grown to the block's length first —
@@ -60,7 +67,7 @@ func (sa *ShAddr) syncFdsLocked(p *proc.Proc) {
 // telling anyone — it must leave p's table as it found it. The caller has
 // checked that p shares PR_SFDS. pushed is markOthers' count.
 func (sa *ShAddr) UpdateFds(p *proc.Proc, change func() (fd int, err error)) (fd, pushed int, err error) {
-	sa.fupdSema.P(p, "shaddr: fd update")
+	sa.lockFds(p, "shaddr: fd update")
 	defer sa.fupdSema.V()
 	// Clear only the fd bit; other dirty resources are reconciled at the
 	// next kernel entry as usual.
@@ -183,7 +190,7 @@ func (sa *ShAddr) Publish(p *proc.Proc, res proc.Mask) (pushed int) {
 func (sa *ShAddr) Adopt(caller, p *proc.Proc, res proc.Mask) {
 	res &= p.ShMask()
 	if res&proc.PRSFDS != 0 {
-		sa.fupdSema.P(caller, "shaddr: fd table sync")
+		sa.lockFds(caller, "shaddr: fd table sync")
 		sa.syncFdsLocked(p)
 		sa.fupdSema.V()
 	}

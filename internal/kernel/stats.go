@@ -84,6 +84,10 @@ type Stats struct {
 	BankedWakes  int64 // unblocks banked with no sleeper to release (wasted wakes)
 	SpinToBlocks int64 // uspin bounded spins converted to blockproc sleeps
 
+	// Share-group descriptor updates (§6.3): sleeps on the groups'
+	// s_fupdsema, summed over every group since boot.
+	FdSemaSleeps int64
+
 	// Readiness layer (poll(2) and the stream event queues).
 	PollSleeps        int64 // poll(2) waits that actually slept
 	ReadyTransitions  int64 // readiness transitions published by streams
@@ -219,6 +223,7 @@ func (s *System) Stats() Stats {
 	st.ProcWakes = s.blockWakes.Load()
 	st.BankedWakes = s.bankedWakes.Load()
 	st.SpinToBlocks = s.spinBlocks.Load()
+	st.FdSemaSleeps = s.fdSemaSleeps.Load()
 	st.Ckpts = s.ckpts.Load()
 	st.CkptPasses = s.ckptPasses.Load()
 	st.CkptPrePages = s.ckptPrePages.Load()

@@ -224,12 +224,14 @@ func (c *Context) shareGroup() *core.ShAddr {
 	if sa := groupOf(c.P); sa != nil {
 		return sa
 	}
-	return core.NewWithOptions(c.P, core.Options{
+	sa := core.NewWithOptions(c.P, core.Options{
 		ExclusiveVMLock: c.S.cfg.ExclusiveVMLock,
 		EagerAttrSync:   c.S.cfg.EagerAttrSync,
 		Machine:         c.S.Machine,
 		EagerDup:        c.S.cfg.EagerDup,
 	})
+	sa.CountFdSleeps(&c.S.fdSemaSleeps)
+	return sa
 }
 
 // cowImage builds a copy-on-write image of everything the caller sees: its

@@ -145,6 +145,10 @@ type System struct {
 	bankedWakes atomic.Int64 // unblocks banked with no sleeper to release
 	spinBlocks  atomic.Int64 // uspin bounded spins converted to blockproc
 
+	// Sleeps on every share block's descriptor update semaphore
+	// (core.ShAddr.CountFdSleeps).
+	fdSemaSleeps atomic.Int64
+
 	// Readiness-notification aggregation (syscalls_poll.go, ipc/pollable.go).
 	pollStats  *ipc.PollStats
 	pollSleeps atomic.Int64 // poll(2) calls that actually slept (per wait)

@@ -158,13 +158,14 @@ type Sema struct {
 // NewSema returns a semaphore with the given initial count.
 func NewSema(n int) *Sema { return &Sema{count: n} }
 
-// P decrements the semaphore, sleeping while the count is zero.
-func (s *Sema) P(t Thread, reason string) {
+// P decrements the semaphore, sleeping while the count is zero, and
+// reports whether it slept.
+func (s *Sema) P(t Thread, reason string) (slept bool) {
 	s.mu.Lock()
 	if s.count > 0 {
 		s.count--
 		s.mu.Unlock()
-		return
+		return false
 	}
 	w := &waiter{t: t}
 	s.waiters = append(s.waiters, w)
@@ -179,12 +180,17 @@ func (s *Sema) P(t Thread, reason string) {
 		granted := w.granted
 		s.mu.Unlock()
 		if granted {
-			return
+			return true
 		}
 	}
 }
 
-// V increments the semaphore, waking the oldest sleeper if any.
+// V increments the semaphore, or, when a thread sleeps on it, hands it to
+// the oldest sleeper (the IRIX vsema hand-off) and yields the host once.
+// Unblock only makes the grantee's goroutine runnable (in the releaser's
+// runnext slot): until the host runs it, the owner is neither on a
+// simulated CPU nor in a run queue, and every thread that comes back for
+// the semaphore sleeps behind an owner that cannot run (DESIGN §16).
 func (s *Sema) V() {
 	s.mu.Lock()
 	if len(s.waiters) == 0 {
@@ -198,6 +204,7 @@ func (s *Sema) V() {
 	s.mu.Unlock()
 	s.Wakeups.Add(1)
 	w.t.Unblock()
+	runtime.Gosched()
 }
 
 // Count returns the current count (for tests and diagnostics).

@@ -767,7 +767,10 @@ func (s *Sched) gangSticky(p *proc.Proc) bool {
 // the Go runtime's async preemption steps in (≈ 10 ms) — all that time the
 // run queue stays empty, so no simulated preemption fires and the group
 // serializes. One Gosched per simulated quantum bounds that
-// wake-to-runnable latency (not liveness) without measurable cost.
+// wake-to-runnable latency (not liveness) without measurable cost. A
+// klock.Sema.V that hands the semaphore to a sleeper closes the same
+// window with one Gosched of its own (DESIGN §16, "A grant runs its
+// grantee").
 func (s *Sched) Yield(p *proc.Proc) {
 	// Every exit from Yield — preempted or keeping the CPU — re-arms the
 	// slice, so this is a quantum boundary either way: flush the quantum's
