@@ -26,6 +26,7 @@ import (
 	"repro/internal/fs"
 	"repro/internal/hw"
 	"repro/internal/klock"
+	"repro/internal/percpu"
 	"repro/internal/proc"
 	"repro/internal/vm"
 )
@@ -100,11 +101,11 @@ type ShAddr struct {
 	ReclaimedZeros atomic.Int64 // all-zero frames the passes released
 
 	// Statistics.
-	Propagations atomic.Int64 // shared-resource updates pushed to the block
-	Syncs        atomic.Int64 // member entry synchronizations performed
-	Shootdowns   atomic.Int64 // region shrink/detach shootdowns
-	CacheHits    atomic.Int64 // faults resolved from a member's pregion cache
-	CacheMisses  atomic.Int64 // faults that scanned the shared list
+	Propagations atomic.Int64   // shared-resource updates pushed to the block
+	Syncs        atomic.Int64   // member entry synchronizations performed
+	Shootdowns   atomic.Int64   // region shrink/detach shootdowns
+	CacheHits    percpu.Counter // faults resolved from a member's pregion cache
+	CacheMisses  percpu.Counter // faults that scanned the shared list
 }
 
 // touchRegions records a mutation of the shared pregion list (or of a

@@ -84,14 +84,14 @@ func (sa *ShAddr) ResolveShared(p *proc.Proc, va hw.VAddr, write bool) (pfn hw.P
 	gen := sa.gen.Load()
 	pr := p.VMC.Get(gen)
 	if pr != nil && pr.Contains(va) {
-		sa.CacheHits.Add(1)
+		sa.CacheHits.AddOn(cpu, 1)
 	} else {
 		pr = sa.space.Find(va)
 		if pr == nil {
 			sa.Acc.RUnlockOn(slot)
 			return hw.NoPFN, false, vm.FillCached, 0, false, nil
 		}
-		sa.CacheMisses.Add(1)
+		sa.CacheMisses.AddOn(cpu, 1)
 		p.VMC.Put(gen, pr)
 	}
 	pfn, writable, res, lazyPages, err = pr.Reg.FillAccounted(pr.PageIndex(va), write, cpu, &sa.frameAcct)

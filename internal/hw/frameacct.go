@@ -3,6 +3,8 @@ package hw
 import (
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/percpu"
 )
 
 // ErrNoQuota is returned when an allocation would push a resource
@@ -19,16 +21,18 @@ var ErrNoQuota = fmt.Errorf("hw: frame quota exceeded")
 // process performs it. COW aliasing (IncRef) does not charge — the
 // charge stays with the principal that allocated the frame.
 //
-// The conservation invariants, checked by the -race storm tests:
-// Used == Charges - Uncharges at all times, and Used == 0 once every
-// frame the principal allocated has been released.
+// The conservation invariants, checked by the -race storm tests once the
+// principal's members have been joined: Used == Charges - Uncharges, and
+// Used == 0 once every frame the principal allocated has been released.
+// used is the reservation every grant and release must agree on, so it is
+// one word; Charges and Uncharges are statistics, sharded per CPU.
 type FrameAcct struct {
 	quota atomic.Int64 // frame ceiling; 0 = unlimited
 	used  atomic.Int64 // frames currently charged
 
-	Charges   atomic.Int64 // total grants charged
-	Uncharges atomic.Int64 // total releases uncharged
-	QuotaHits atomic.Int64 // allocations refused at the quota
+	Charges   percpu.Counter // total grants charged
+	Uncharges percpu.Counter // total releases uncharged
+	QuotaHits atomic.Int64   // allocations refused at the quota
 }
 
 // Quota returns the account's frame ceiling (0 = unlimited).
@@ -46,9 +50,9 @@ func (a *FrameAcct) SetQuota(n int64) {
 // Used returns the number of frames currently charged to the account.
 func (a *FrameAcct) Used() int64 { return a.used.Load() }
 
-// tryCharge reserves one frame against the quota, failing without side
-// effects when the account is full.
-func (a *FrameAcct) tryCharge() bool {
+// tryCharge reserves one frame against the quota for an allocation on cpu,
+// failing without side effects when the account is full.
+func (a *FrameAcct) tryCharge(cpu int) bool {
 	for {
 		u := a.used.Load()
 		if q := a.quota.Load(); q > 0 && u >= q {
@@ -56,16 +60,16 @@ func (a *FrameAcct) tryCharge() bool {
 			return false
 		}
 		if a.used.CompareAndSwap(u, u+1) {
-			a.Charges.Add(1)
+			a.Charges.AddOn(cpu, 1)
 			return true
 		}
 	}
 }
 
-// uncharge releases one frame's worth of quota.
-func (a *FrameAcct) uncharge() {
+// uncharge releases one frame's worth of quota, for a release on cpu.
+func (a *FrameAcct) uncharge(cpu int) {
 	if a.used.Add(-1) < 0 {
 		panic("hw: FrameAcct uncharge below zero")
 	}
-	a.Uncharges.Add(1)
+	a.Uncharges.AddOn(cpu, 1)
 }

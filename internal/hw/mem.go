@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/faultinject"
+	"repro/internal/percpu"
 )
 
 // Page geometry. 4 KiB pages, 32-bit virtual addresses, matching the R2000.
@@ -102,13 +103,22 @@ type framePool struct {
 // frame storage marks the lines it covers in the frame's line map before it
 // stores, so an unmarked line is all zero, and a free frame is all zero with
 // an empty map.
+//
+// Besides the frame's own words (count, line map, owner), an allocation or
+// a free writes only its CPU's words and the reservations, inUse and the
+// charged account's used: the statistics are per-CPU counters, and inUse,
+// which every grant and release must agree on, has a cache line to itself,
+// so its bouncing does not evict the table headers every access reads.
 type Memory struct {
 	capacity int
 	frames   []atomic.Pointer[frameArray] // frame storage, published once per frame
 	refs     []atomic.Int32               // per-frame reference counts
 	lines    []atomic.Uint64              // per-frame line map: bit i = line i may hold a non-zero word
 	owners   []atomic.Pointer[FrameAcct]  // charging principal per frame (nil = unowned)
-	inUse    atomic.Int64                 // referenced frames (reservation counter)
+
+	_     [64]byte
+	inUse atomic.Int64 // referenced frames (reservation counter)
+	_     [64]byte
 
 	topo      Topology
 	pools     []framePool  // one per node (always at least one)
@@ -123,15 +133,17 @@ type Memory struct {
 	NodeBlind bool
 	blindNext atomic.Uint32 // round-robin cursor for node-blind refills
 
-	// Statistics.
-	Allocs     atomic.Int64
-	Frees      atomic.Int64
-	Copies     atomic.Int64
-	CacheHits  atomic.Int64 // allocations served from a per-CPU cache
-	Refills    atomic.Int64 // batch refills of a per-CPU cache from a pool
-	Drains     atomic.Int64 // batch give-backs from a cache to the pools
-	Scavenges  atomic.Int64 // frames reclaimed from other CPUs' caches
-	PoolAllocs atomic.Int64 // allocations that went straight to a pool
+	// Statistics. Those an allocation, a free or a copy writes every time
+	// are per-CPU counters; the ones below them are written once per batch,
+	// or on paths that have no CPU, and stay single words.
+	Allocs     percpu.Counter
+	Frees      percpu.Counter
+	Copies     percpu.Counter
+	CacheHits  percpu.Counter // allocations served from a per-CPU cache
+	Refills    atomic.Int64   // batch refills of a per-CPU cache from a pool
+	Drains     atomic.Int64   // batch give-backs from a cache to the pools
+	Scavenges  atomic.Int64   // frames reclaimed from other CPUs' caches
+	PoolAllocs atomic.Int64   // allocations that went straight to a pool
 
 	// Locality statistics: frames taken from the caller's home-node pool
 	// versus a remote node's pool (the nearest-first fallback).
@@ -140,8 +152,8 @@ type Memory struct {
 
 	// Fault-path fill statistics (maintained by vm.FillOn; they live here
 	// because Memory is the one object every region shares).
-	FastFills atomic.Int64 // resident faults resolved lock-free
-	SlowFills atomic.Int64 // faults that took a fill stripe (zero fill, COW, upgrade)
+	FastFills percpu.Counter // resident faults resolved lock-free
+	SlowFills percpu.Counter // faults that took a fill stripe (zero fill, COW, upgrade)
 
 	// Lazy-duplication statistics (maintained by vm.DupLazy and the
 	// first-touch materialization; here for the same reason as the fill
@@ -321,12 +333,12 @@ func (m *Memory) AllocOn(cpu int) (PFN, error) { return m.AllocFor(cpu, nil) }
 // pools. Frames are zeroed when freed, so no zeroing happens here and no
 // lock is held while a frame's contents are cleared.
 func (m *Memory) AllocFor(cpu int, acct *FrameAcct) (PFN, error) {
-	if acct != nil && !acct.tryCharge() {
+	if acct != nil && !acct.tryCharge(cpu) {
 		return NoPFN, ErrNoQuota
 	}
 	uncharge := func() {
 		if acct != nil {
-			acct.uncharge()
+			acct.uncharge(cpu)
 		}
 	}
 	// Deterministic exhaustion, before the reservation so an injected
@@ -358,7 +370,7 @@ func (m *Memory) AllocFor(cpu int, acct *FrameAcct) (PFN, error) {
 			break
 		}
 	}
-	m.Allocs.Add(1)
+	m.Allocs.AddOn(cpu, 1)
 	node := m.topo.NodeOf(cpu)
 
 	if c := m.cache(cpu); c != nil {
@@ -367,7 +379,7 @@ func (m *Memory) AllocFor(cpu int, acct *FrameAcct) (PFN, error) {
 			pfn := c.free[n-1]
 			c.free = c.free[:n-1]
 			c.mu.Unlock()
-			m.CacheHits.Add(1)
+			m.CacheHits.AddOn(cpu, 1)
 			return m.grant(pfn, acct), nil
 		}
 		c.mu.Unlock()
@@ -585,7 +597,7 @@ func (m *Memory) DecRefOn(pfn PFN, cpu int) int32 {
 	// can name a dead frame, so nobody marks it between the swap and the
 	// clear: it goes back all zero with an empty map.
 	if acct := m.owners[pfn].Swap(nil); acct != nil {
-		acct.uncharge()
+		acct.uncharge(cpu)
 	}
 	f := m.frame(pfn)
 	for lm := m.lines[pfn].Swap(0); lm != 0; {
@@ -593,7 +605,7 @@ func (m *Memory) DecRefOn(pfn PFN, cpu int) int32 {
 		lo, hi, lm = nextRun(lm)
 		clear(f[lo:hi])
 	}
-	m.Frees.Add(1)
+	m.Frees.AddOn(cpu, 1)
 	m.inUse.Add(-1)
 
 	if c := m.cache(cpu); c != nil {
@@ -692,7 +704,7 @@ func (m *Memory) CopyFrameFor(src PFN, cpu int, acct *FrameAcct) (PFN, error) {
 			dw[i] = atomic.LoadUint32(&sw[i])
 		}
 	}
-	m.Copies.Add(1)
+	m.Copies.AddOn(cpu, 1)
 	return dst, nil
 }
 

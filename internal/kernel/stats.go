@@ -141,7 +141,11 @@ func (st SyscallStat) CyclesPerCall() float64 {
 	return float64(st.SimCyc) / float64(st.Count)
 }
 
-// Stats snapshots the hot-path counters.
+// Stats snapshots the hot-path counters. The fault-path ones (frame
+// allocs, frees, copies and cache hits, fast and slow fills, the VM cache
+// hits and misses) are per-CPU counters summed here, so a sum is exact only
+// at quiescence: an identity between fields holds in a snapshot taken after
+// WaitIdle or after the processes that add to them have been joined.
 func (s *System) Stats() Stats {
 	mem := s.Machine.Mem
 	st := Stats{

@@ -1,6 +1,10 @@
 package klock
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/percpu"
+)
 
 // MRLock is the shared read lock of paper §6.2, protecting the share
 // group's pregion list. Any number of processes may scan the list (page
@@ -14,9 +18,12 @@ import "sync/atomic"
 // between CPU caches, each CPU increments its own padded slot and checks
 // for a pending update afterwards (increment-then-check). An updater
 // announces itself (wDrain), sums the slots, and sleeps until the last
-// reader's decrement finds the sum at zero. Fault-path readers on
-// different CPUs therefore never write the same cache line, which is what
-// lets the resident-fault storm scale.
+// reader's decrement finds the sum at zero. The acquisition count is a
+// per-CPU counter too, so a fast-path RLockOn/RUnlockOn pair writes two
+// words, the CPU's slot and its RLocks shard. Fault-path readers on
+// different CPUs therefore write different cache lines (past the
+// counter's shard count, two CPUs share a shard), which is what lets the
+// resident-fault storm scale.
 //
 // Updates are preferred over new readers so an updater is not starved by a
 // stream of page faults; the paper notes updates (fork, exec, mmap, sbrk)
@@ -40,10 +47,10 @@ type MRLock struct {
 	rwait   []*mrWaiter
 	wwait   []*mrWaiter
 
-	RLocks  atomic.Int64 // read acquisitions
-	WLocks  atomic.Int64 // update acquisitions
-	RSleeps atomic.Int64 // read acquisitions that had to sleep
-	WSleeps atomic.Int64 // update acquisitions that had to sleep
+	RLocks  percpu.Counter // read acquisitions
+	WLocks  atomic.Int64   // update acquisitions
+	RSleeps atomic.Int64   // read acquisitions that had to sleep
+	WSleeps atomic.Int64   // update acquisitions that had to sleep
 }
 
 // mrSlots is the number of distributed reader slots. By default CPU c uses
@@ -120,7 +127,7 @@ func (l *MRLock) RUnlock() { l.RUnlockOn(0) }
 // no update pending — is one increment of a CPU-private word and one load:
 // no spin lock, no shared store. cpu < 0 uses slot 0.
 func (l *MRLock) RLockOn(t Thread, cpu int) int {
-	l.RLocks.Add(1)
+	l.RLocks.AddOn(cpu, 1)
 	slot := l.slotOf(cpu)
 	if l.wstate.Load() == wNone {
 		// Increment-then-check: publish the hold first, then re-examine.

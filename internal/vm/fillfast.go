@@ -2,8 +2,9 @@
 // region fault handler and is kept separate so the build can enforce its
 // one structural invariant mechanically: `make lint` rejects any mutex
 // acquisition in this file. The common fault — page already resident,
-// permission adequate — must complete with three atomic loads and no lock
-// (paper §6.2's hot path; the slow cases live in region.go).
+// permission adequate — must complete with three atomic loads, no lock, and
+// no store but its own CPU's FastFills shard (paper §6.2's hot path; the
+// slow cases live in region.go).
 package vm
 
 import "repro/internal/hw"
@@ -16,7 +17,7 @@ import "repro/internal/hw"
 // Fast path: load the page table pointer, check that no lazy duplication
 // is pending, load the PTE. If the page is present and the access is
 // permitted by the cached writable bit, the fault is resolved with no lock
-// and no store. Everything else — absent page, write to a non-writable
+// and no shared store. Everything else — absent page, write to a non-writable
 // PTE, a pending lazy dup — falls to the striped slow path, which
 // re-checks under the slot's stripe (the state may have changed between
 // the unlocked check and the lock).
@@ -60,11 +61,11 @@ func (r *Region) FillAccounted(idx int, write bool, cpu int, acct *hw.FrameAcct)
 	if r.lazyPend.Load() == 0 {
 		if w := t.slots[idx].Load(); w&ptePresent != 0 {
 			if w&pteWritable != 0 {
-				r.mem.FastFills.Add(1)
+				r.mem.FastFills.AddOn(cpu, 1)
 				return hw.PFN(w & ptePFNMask), true, FillCached, 0, nil
 			}
 			if !write && r.Type == RText {
-				r.mem.FastFills.Add(1)
+				r.mem.FastFills.AddOn(cpu, 1)
 				return hw.PFN(w & ptePFNMask), false, FillCached, 0, nil
 			}
 			// Non-writable data page: a read could be served here, but the
@@ -74,6 +75,6 @@ func (r *Region) FillAccounted(idx int, write bool, cpu int, acct *hw.FrameAcct)
 			// than pinning the page read-only forever.
 		}
 	}
-	r.mem.SlowFills.Add(1)
+	r.mem.SlowFills.AddOn(cpu, 1)
 	return r.fillSlow(idx, write, cpu, acct)
 }

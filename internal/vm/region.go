@@ -108,13 +108,16 @@ const regionStripes = 8
 // touches under the TLB's lock (kernel.Context.fault and access), so the
 // update-lock + TLB-shootdown protocol (paper §6.2) flushes it, or refuses
 // it, before a frame it names is freed.
+//
+// Layout: the header every fault reads comes first, then one line of
+// padding, then what the fill slow path writes (resident, everWritable, the
+// stripe mutexes), so a zero fill on one CPU does not evict the header from
+// another CPU's resident fault.
 type Region struct {
-	Type     RegionType
-	table    atomic.Pointer[pteTable]
-	refs     atomic.Int32 // pregion attachments
-	resident atomic.Int64 // filled slots, maintained so Resident is O(1)
-	mem      *hw.Memory
-	stripes  [regionStripes]sync.Mutex
+	Type  RegionType
+	table atomic.Pointer[pteTable]
+	refs  atomic.Int32 // pregion attachments
+	mem   *hw.Memory
 
 	// Lazy-duplication state (DESIGN.md §16). A region created by DupLazy
 	// starts with an empty table and a pointer back to its source; the
@@ -130,6 +133,15 @@ type Region struct {
 	lazyKids []*Region // pending clones; guarded by lockAll
 	lazyPend atomic.Int32
 
+	// dirty, when non-nil, is the armed checkpoint dirty bitmap (dirty.go):
+	// the fill slow path records every writable install in it so iterative
+	// pre-copy can harvest the pages re-dirtied between passes.
+	dirty atomic.Pointer[dirtyMap]
+
+	_ [64]byte // the header above is read by every fault; below is written by fills
+
+	resident atomic.Int64 // filled slots, maintained so Resident is O(1)
+
 	// everWritable latches when the region first installs a writable PTE.
 	// A region that never held one (text, never-stored data) has no
 	// writable bits to clear at duplication time and its address space
@@ -137,10 +149,7 @@ type Region struct {
 	// flush entirely.
 	everWritable atomic.Bool
 
-	// dirty, when non-nil, is the armed checkpoint dirty bitmap (dirty.go):
-	// the fill slow path records every writable install in it so iterative
-	// pre-copy can harvest the pages re-dirtied between passes.
-	dirty atomic.Pointer[dirtyMap]
+	stripes [regionStripes]sync.Mutex
 }
 
 // NewRegion creates a region of npages demand-zero pages.
@@ -410,7 +419,7 @@ func (r *Region) writeFresh(idx int, data []byte, cpu int, acct *hw.FrameAcct) (
 	if w&ptePresent != 0 && (r.Type == RText || len(data) < hw.PageSize || w&pteWritable != 0 || r.mem.Ref(old) == 1) {
 		return false, nil
 	}
-	r.mem.SlowFills.Add(1)
+	r.mem.SlowFills.AddOn(cpu, 1)
 	pfn, err := r.mem.AllocFor(cpu, acct)
 	if err != nil {
 		return false, err
