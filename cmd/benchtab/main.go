@@ -20,7 +20,7 @@ import (
 var (
 	quick   = flag.Bool("quick", false, "smaller parameters for a fast run")
 	jsonOut = flag.Bool("json", false, "also write BENCH_<runstamp>.json with per-row numbers")
-	work    = flag.String("work", "", "run only the named experiment (e1c, prefork, serve, creation, vm, syscall, ipc, sync, pool, sched, numa, fairshare, ckpt, ablations); empty = all")
+	work    = flag.String("work", "", "run only the named experiment (e1c, prefork, serve, creation, vm, syscall, ipc, sync, pool, sched, pregion, fairshare, ckpt, ablations); empty = all")
 )
 
 func cfg() kernel.Config { return workload.DefaultConfig() }
@@ -126,7 +126,7 @@ var experiments = []struct {
 	{"sync", func() { e6(); s5() }},
 	{"pool", e7},
 	{"sched", func() { e10(); scaling(); s4() }},
-	{"numa", s6},
+	{"pregion", s6pregion},
 	{"serve", s7},
 	{"fairshare", s8},
 	{"ckpt", s10},
@@ -168,7 +168,7 @@ func main() {
 	s5()
 	scaling()
 	s4()
-	s6()
+	s6pregion()
 	s7()
 	s8()
 	s10()
@@ -244,64 +244,6 @@ func s4() {
 	fmt.Println("  the pregion cache skips the list scan and the PTE read is one atomic load")
 }
 
-// s6 — NUMA locality domains at scale: the S1 fault storm and an S4-style
-// private re-fault storm re-run at 8/64/256 CPUs with the machine split
-// into nodes of 8 CPUs each (nodes = ncpu/8), weak scaling — per-worker
-// work held constant so per-op cost should stay flat as the machine grows.
-// Each topology runs twice on the same machine shape: node-blind
-// (round-robin frame placement, the old single-pool behaviour) versus
-// locality-aware (home-node pool first, nearest-first fallback). The
-// per-hop RemoteAccess penalty is charged in both, so the gap is pure
-// placement quality. Then the pregion interval index microbenchmark:
-// ordered binary-search lookup versus the linear scan it replaced, at
-// 1k/10k/100k attached regions.
-func s6() {
-	numaCfg := func(ncpu int, blind bool) kernel.Config {
-		c := cfg()
-		c.NCPU = ncpu
-		c.NUMANodes = ncpu / 8
-		c.NodeBlindAlloc = blind
-		c.MaxProcs = 2 * ncpu
-		if ncpu > 8 {
-			c.MemFrames = 65536
-		}
-		return c
-	}
-	pol := func(blind bool) string {
-		if blind {
-			return "node-blind"
-		}
-		return "locality"
-	}
-	pagesEach := n(64, 16)
-	table("S6a — NUMA fault storm (nodes = ncpu/8, constant per-worker work, 1 worker/CPU)",
-		"  storm/policy             simcyc/op         wall  shootdn   faults")
-	for _, ncpu := range []int{8, 64, 256} {
-		for _, blind := range []bool{true, false} {
-			row(fmt.Sprintf("fault ncpu=%d %s", ncpu, pol(blind)),
-				workload.FaultStorm(numaCfg(ncpu, blind), ncpu, pagesEach), "")
-		}
-	}
-	fmt.Println("  shape: locality stays below node-blind at every multi-node point and the gap")
-	fmt.Println("  widens with the node count; the common rise is the munmap shootdown, whose")
-	fmt.Println("  IPI fan-out is machine-wide by design (see DefaultPageShootdownMax)")
-	touchesEach := n(1024, 256)
-	table("S6b — NUMA private re-fault storm (single-owner resident pages, 1 worker/CPU)",
-		"  storm/policy             simcyc/op         wall  shootdn   faults")
-	for _, ncpu := range []int{8, 64, 256} {
-		for _, blind := range []bool{true, false} {
-			m := workload.PrivateRefaultStorm(numaCfg(ncpu, blind), ncpu, touchesEach)
-			row(fmt.Sprintf("refault ncpu=%d %s", ncpu, pol(blind)), m,
-				fmt.Sprintf("  fast-fills=%d", m.FastFills))
-		}
-	}
-	fmt.Println("  shape: locality-aware rows near-flat as the machine grows while node-blind")
-	fmt.Println("  rows degrade — home-node frame pools keep the RemoteAccess penalty off the")
-	fmt.Println("  re-fault path; at ncpu=8 there is one node, so the two policies coincide")
-
-	s6pregion()
-}
-
 // linearFind is the pre-index pregion lookup: walk the whole list. It lives
 // here (not in internal/vm) purely as the measured baseline.
 func linearFind(list []*vm.PRegion, va hw.VAddr) *vm.PRegion {
@@ -313,6 +255,8 @@ func linearFind(list []*vm.PRegion, va hw.VAddr) *vm.PRegion {
 	return nil
 }
 
+// s6pregion — the pregion interval index: ordered binary-search lookup
+// versus the linear scan it replaced, at 1k/10k/100k attached regions.
 func s6pregion() {
 	table("S6c — pregion lookup: ordered interval index vs linear scan (host ns/lookup)",
 		"  regions                  linear-ns     index-ns    speedup")

@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	sys := irix.New(irix.Config{NCPU: 4, NUMANodes: 2})
+	sys := irix.New(irix.Config{NCPU: 4})
 	sys.Start("creator", func(c *irix.Ctx) {
 		// Put the group through its paces: shared fds, a shared mapping,
 		// chdir propagation, spinlock traffic.
@@ -70,14 +70,6 @@ func main() {
 		}
 	})
 	sys.WaitIdle()
-}
-
-// pct formats part/whole as a percentage, dodging the zero divide.
-func pct(part, whole int64) string {
-	if whole == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.0f%%", 100*float64(part)/float64(whole))
 }
 
 func dump(c *irix.Ctx) {
@@ -166,19 +158,6 @@ func dump(c *irix.Ctx) {
 	fmt.Printf("    allocs=%d frees=%d cow-copies=%d cache-hits=%d refills=%d drains=%d scavenges=%d pool-allocs=%d cached=%d\n",
 		st.FrameAllocs, st.FrameFrees, st.FrameCopies, st.CacheHits,
 		st.CacheRefills, st.CacheDrains, st.CacheScavenges, st.PoolAllocs, st.FramesCached)
-	if st.NUMANodes > 1 {
-		fmt.Printf("  numa locality (%d nodes):\n", st.NUMANodes)
-		for _, np := range st.NodePools {
-			used := np.Capacity - np.Free - np.Fresh
-			fmt.Printf("    node%d: %5d/%5d frames in use, %5d pooled, %5d fresh\n",
-				np.Node, used, np.Capacity, np.Free, np.Fresh)
-		}
-		fmt.Printf("    alloc locality: local-takes=%d remote-takes=%d (%s local)\n",
-			st.LocalTakes, st.RemoteTakes, pct(st.LocalTakes, st.LocalTakes+st.RemoteTakes))
-		fmt.Printf("    steal locality: local=%d remote=%d (%s local)\n",
-			st.LocalSteals, st.RemoteSteals, pct(st.LocalSteals, st.LocalSteals+st.RemoteSteals))
-		fmt.Printf("    remote-fills=%d remote-ipis=%d\n", st.RemoteFills, st.RemoteIPIs)
-	}
 	fmt.Println("  fault fast path (lock-free fills, pregion caches, batched shootdowns):")
 	fmt.Printf("    fast-fills=%d slow-fills=%d vmcache-hits=%d vmcache-misses=%d page-shootdowns=%d space-shootdowns=%d\n",
 		st.FastFills, st.SlowFills, st.VMCacheHits, st.VMCacheMisses,

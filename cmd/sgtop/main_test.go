@@ -34,4 +34,7 @@ func TestSgtopRuns(t *testing.T) {
 	if bytes.Contains(bytes.ToLower(got), []byte("reserv")) {
 		t.Errorf("the spawn-reservation ledger is gone, yet the output mentions it:\n%s", got)
 	}
+	if lower := bytes.ToLower(got); bytes.Contains(lower, []byte("numa")) || bytes.Contains(lower, []byte("node0")) {
+		t.Errorf("the machine is flat, yet the output has a numa or node section:\n%s", got)
+	}
 }

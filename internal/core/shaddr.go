@@ -134,10 +134,7 @@ type Options struct {
 	// the examining process controls").
 	EagerAttrSync bool
 	// Machine is the machine the group runs on: its TLBs are what UpdateVM
-	// shoots, and its NUMA topology shapes the shared read lock's
-	// distributed reader slots, so member CPUs that share a slot are always
-	// node-mates. Nil (unit tests) flushes nothing and leaves the flat slot
-	// hash.
+	// shoots. Nil (unit tests) flushes nothing.
 	Machine *hw.Machine
 	// EagerDup makes UnshareVM duplicate regions with the spawn-time table
 	// walk instead of the lazy O(1) clone — the pre-lazy fork path, kept so
@@ -207,9 +204,6 @@ func NewWithOptions(creator *proc.Proc, opts Options) *ShAddr {
 		if pr.Base >= vm.SprocStackBase && pr.End() < vm.MainStackTop {
 			sa.stacks.Reserve(pr.Base, pr.Reg.Pages())
 		}
-	}
-	if m := opts.Machine; m != nil {
-		sa.Acc.ConfigureTopology(m.Topo.NCPU, m.Topo.Nodes)
 	}
 	sa.touchRegions()
 

@@ -7,8 +7,10 @@ import (
 
 // TestHotFieldsOwnCacheLine: inUse, the reservation every allocation and
 // free writes, is at least a cache line away from the frame-table headers
-// every memory access reads before it and from the topology, pool and
-// cache headers every allocation reads after it. Deleting either pad fails.
+// every memory access reads before it and from the caches header every
+// allocation reads after it; the pool, which every refill and drain writes,
+// is a line past the caches header and FI, which every allocation reads.
+// Deleting any of the three pads fails.
 func TestHotFieldsOwnCacheLine(t *testing.T) {
 	const line = 64
 	var m Memory
@@ -24,14 +26,17 @@ func TestHotFieldsOwnCacheLine(t *testing.T) {
 			t.Errorf("inUse at byte %d, %d bytes after the %s header ends; want >= %d", use, int(use)-int(end), name, line)
 		}
 	}
-	after := map[string]uintptr{
-		"topo":   unsafe.Offsetof(m.topo),
-		"pools":  unsafe.Offsetof(m.pools),
-		"caches": unsafe.Offsetof(m.caches),
+	if start := unsafe.Offsetof(m.caches); start < useEnd+line {
+		t.Errorf("caches at byte %d, %d bytes after inUse ends; want >= %d", start, int(start)-int(useEnd), line)
 	}
-	for name, start := range after {
-		if start < useEnd+line {
-			t.Errorf("%s at byte %d, %d bytes after inUse ends; want >= %d", name, start, int(start)-int(useEnd), line)
+	pool := unsafe.Offsetof(m.pool)
+	read := map[string]uintptr{
+		"caches": unsafe.Offsetof(m.caches) + unsafe.Sizeof(m.caches),
+		"FI":     unsafe.Offsetof(m.FI) + unsafe.Sizeof(m.FI),
+	}
+	for name, end := range read {
+		if pool < end+line {
+			t.Errorf("pool at byte %d, %d bytes after the %s header ends; want >= %d", pool, int(pool)-int(end), name, line)
 		}
 	}
 }

@@ -30,7 +30,6 @@ type Costs struct {
 	LazyDup       int64 // per-region cost of a lazy COW clone at spawn
 	FDTableCopy   int64 // per-descriptor cost of copying the fd table
 	AttrSync      int64 // reconciling one dirty shared attribute on entry
-	RemoteAccess  int64 // extra cycles when a memory op crosses a node boundary
 }
 
 // DefaultCosts returns the standard cost table.
@@ -53,7 +52,6 @@ func DefaultCosts() Costs {
 		LazyDup:       64,
 		FDTableCopy:   8,
 		AttrSync:      150,
-		RemoteAccess:  100,
 	}
 }
 
@@ -78,11 +76,6 @@ type Machine struct {
 	Mem  *Memory
 	Cost Costs
 
-	// Topo is the machine's NUMA shape. A flat machine (Nodes <= 1) never
-	// pays RemoteAccess; NodePenalty and the shootdown remote surcharge are
-	// both derived from it.
-	Topo Topology
-
 	// Trace is the kernel event ring; nil disables tracing (the zero
 	// cost path — every Record on a nil ring is a no-op).
 	Trace *trace.Ring
@@ -90,8 +83,6 @@ type Machine struct {
 	ShootdownOps    atomic.Int64 // machine-wide shootdown operations
 	PageShootdowns  atomic.Int64 // shootdowns served page-by-page (small ranges)
 	SpaceShootdowns atomic.Int64 // shootdowns that flushed a whole space
-	RemoteIPIs      atomic.Int64 // shootdown IPIs that crossed a node boundary
-	RemoteFills     atomic.Int64 // page fills backed by a remote-node frame
 
 	nextASID atomic.Uint32
 }
@@ -104,67 +95,26 @@ type Machine struct {
 // discards — with a 64-entry R2000-style TLB and a ~20-cycle
 // software refill that crossover sits at around 8 pages. The IPI count is
 // the same either way (one per remote CPU, the initiator names the pages
-// in the request), and on a NUMA machine each IPI that crosses a node
-// boundary additionally pays Costs.RemoteAccess — the interconnect round
-// trip — so batching matters more, not less, as the machine grows: the
-// threshold bounds how much per-page work each of those expensive remote
-// interrupts carries.
+// in the request).
 const DefaultPageShootdownMax = 8
 
-// NewMachine builds a flat (single-node) machine with ncpu processors and
-// memFrames page frames of physical memory.
+// NewMachine builds a machine with ncpu processors and memFrames page
+// frames of physical memory.
 func NewMachine(ncpu, memFrames int) *Machine {
-	return NewMachineNUMA(ncpu, memFrames, 1)
-}
-
-// NewMachineNUMA builds a machine of ncpu processors split into nodes
-// locality domains, each owning an equal slice of the memFrames physical
-// frames. nodes is clamped to [1, ncpu]; nodes=1 is the flat machine the
-// paper measured.
-func NewMachineNUMA(ncpu, memFrames, nodes int) *Machine {
 	if ncpu <= 0 {
 		panic("hw: machine needs at least one CPU")
 	}
-	topo := NewTopology(ncpu, nodes)
 	m := &Machine{
 		CPUs: make([]*CPU, ncpu),
 		Mem:  NewMemory(memFrames),
 		Cost: DefaultCosts(),
-		Topo: topo,
 	}
-	m.Mem.AttachTopology(topo)
+	m.Mem.AttachCaches(ncpu)
 	for i := range m.CPUs {
 		m.CPUs[i] = &CPU{ID: i}
 	}
 	m.nextASID.Store(uint32(NoASID))
 	return m
-}
-
-// NodePenalty returns the extra cycles cpu pays to touch the frame pfn: 0
-// when the frame is homed on cpu's node (or the machine is flat), one
-// RemoteAccess charge per hop otherwise. It also maintains the RemoteFills
-// counter so experiments can report what fraction of fills went remote.
-func (m *Machine) NodePenalty(cpuID int, pfn PFN) int64 {
-	if m.Topo.Flat() {
-		return 0
-	}
-	d := m.Topo.Distance(m.Topo.NodeOf(cpuID), m.Mem.NodeOfPFN(pfn))
-	if d == 0 {
-		return 0
-	}
-	m.RemoteFills.Add(1)
-	return int64(d) * m.Cost.RemoteAccess
-}
-
-// chargeIPI charges initiator for one shootdown IPI to remote CPU c,
-// adding the interconnect surcharge when c sits on another node.
-func (m *Machine) chargeIPI(initiator, c *CPU) {
-	cost := m.Cost.IPI
-	if !m.Topo.Flat() && m.Topo.NodeOf(c.ID) != m.Topo.NodeOf(initiator.ID) {
-		cost += m.Cost.RemoteAccess
-		m.RemoteIPIs.Add(1)
-	}
-	initiator.Charge(cost)
 }
 
 // NCPU returns the number of processors.
@@ -190,7 +140,7 @@ func (m *Machine) shootdown(initiator *CPU, space ASID, npages int, vpn uint32, 
 		if c != initiator {
 			c.TLB.Shootdowns.Add(1)
 			if initiator != nil {
-				m.chargeIPI(initiator, c)
+				initiator.Charge(m.Cost.IPI)
 			}
 		}
 	}

@@ -57,7 +57,7 @@ const (
 )
 
 // Frame-cache geometry: a CPU refills its cache with refillBatch frames at a
-// time and gives half back to the global pool when it accumulates more than
+// time and gives half back to the pool when it accumulates more than
 // cacheMax, so frames circulate instead of pooling on one processor.
 const (
 	refillBatch = 16
@@ -66,38 +66,32 @@ const (
 
 // frameCache is one CPU's private stock of free frames. Its lock is
 // effectively uncontended — only that CPU's allocations and frees touch it,
-// except for the rare scavenge pass when the node's pools run dry.
+// except for the rare scavenge pass when the pool runs dry.
 type frameCache struct {
 	mu   sync.Mutex
 	free []PFN
 	_    [64]byte // keep neighbouring caches off the same cache line
 }
 
-// framePool is one NUMA node's slice of physical memory: a recycled free
-// list plus a never-used fresh range [fresh, end). A flat machine has one
-// pool covering everything.
+// framePool is the free stock behind the caches: a recycled free list plus
+// the never-used frames [fresh, capacity).
 type framePool struct {
 	mu    sync.Mutex
-	free  []PFN // recycled frames homed on this node, already zeroed
+	free  []PFN // recycled frames, already zeroed
 	fresh int   // next never-used frame index
-	lo    int   // first frame this node owns
-	end   int   // one past the last frame this node owns
 }
 
 // Memory is the machine's physical memory: page frames with per-frame
-// reference counts, partitioned into per-node pools by the NUMA topology.
-// Reference counts above one arise from copy-on-write duplication (paper
-// §6.2): a frame is writable through a mapping only while its count is
-// exactly one.
+// reference counts. Reference counts above one arise from copy-on-write
+// duplication (paper §6.2): a frame is writable through a mapping only
+// while its count is exactly one.
 //
 // The hot paths are deliberately lock-free or per-CPU: the frame and
 // refcount tables are preallocated at NewMemory so word access and
 // IncRef/DecRef/Ref never take a lock, and allocation is served from
-// per-CPU free-frame caches (AttachTopology) that refill from the caller's
-// home-node pool in batches, falling back nearest-first to remote nodes
-// only when the home node is dry. Only the batch refill/drain path takes a
-// pool lock, and dead frames always drain back to the pool of the node
-// that owns them, so locality is self-restoring.
+// per-CPU free-frame caches (AttachCaches) that refill from and drain to
+// the one pool in batches. Only the batch refill/drain path takes the pool
+// lock.
 //
 // Zeroing and copying cost what was written, not the page: every writer of
 // frame storage marks the lines it covers in the frame's line map before it
@@ -108,7 +102,9 @@ type framePool struct {
 // a free writes only its CPU's words and the reservations, inUse and the
 // charged account's used: the statistics are per-CPU counters, and inUse,
 // which every grant and release must agree on, has a cache line to itself,
-// so its bouncing does not evict the table headers every access reads.
+// so its bouncing does not evict the table headers every access reads. The
+// pool, which every refill and drain writes, sits last, a line past the
+// caches header and FI that every allocation reads.
 type Memory struct {
 	capacity int
 	frames   []atomic.Pointer[frameArray] // frame storage, published once per frame
@@ -120,18 +116,7 @@ type Memory struct {
 	inUse atomic.Int64 // referenced frames (reservation counter)
 	_     [64]byte
 
-	topo      Topology
-	pools     []framePool  // one per node (always at least one)
-	nodeBase  int          // frames per node, small nodes
-	nodeExtra int          // first nodeExtra nodes own nodeBase+1 frames
-	caches    []frameCache // per-CPU free-frame caches (nil before AttachTopology)
-
-	// NodeBlind, when set, makes refills ignore the caller's home node and
-	// rotate round-robin over every pool — the flat allocator a pre-NUMA
-	// kernel would use, kept as the S6 ablation so the locality win is
-	// measurable on the same topology.
-	NodeBlind bool
-	blindNext atomic.Uint32 // round-robin cursor for node-blind refills
+	caches []frameCache // per-CPU free-frame caches (nil before AttachCaches)
 
 	// Statistics. Those an allocation, a free or a copy writes every time
 	// are per-CPU counters; the ones below them are written once per batch,
@@ -140,15 +125,10 @@ type Memory struct {
 	Frees      percpu.Counter
 	Copies     percpu.Counter
 	CacheHits  percpu.Counter // allocations served from a per-CPU cache
-	Refills    atomic.Int64   // batch refills of a per-CPU cache from a pool
-	Drains     atomic.Int64   // batch give-backs from a cache to the pools
+	Refills    atomic.Int64   // batch refills of a per-CPU cache from the pool
+	Drains     atomic.Int64   // batch give-backs from a cache to the pool
 	Scavenges  atomic.Int64   // frames reclaimed from other CPUs' caches
-	PoolAllocs atomic.Int64   // allocations that went straight to a pool
-
-	// Locality statistics: frames taken from the caller's home-node pool
-	// versus a remote node's pool (the nearest-first fallback).
-	LocalTakes  atomic.Int64
-	RemoteTakes atomic.Int64
+	PoolAllocs atomic.Int64   // allocations that went straight to the pool
 
 	// Fault-path fill statistics (maintained by vm.FillOn; they live here
 	// because Memory is the one object every region shares).
@@ -166,125 +146,44 @@ type Memory struct {
 
 	// Reclaim statistics (exhaustion degradation).
 	Reclaims        atomic.Int64 // cache-drain-and-reclaim passes
-	ReclaimedFrames atomic.Int64 // frames returned to the pools by reclaims
+	ReclaimedFrames atomic.Int64 // frames returned to the pool by reclaims
 
 	// FI, when armed at SiteFrameAlloc, makes AllocOn exercise the
 	// exhaustion path deterministically: a hit first drains the per-CPU
-	// caches back to the pools (the reclaim fallback a real pageout daemon
+	// caches back to the pool (the reclaim fallback a real pageout daemon
 	// would provide), and a fraction of hits still fail with ErrNoMemory.
 	FI *faultinject.Plan
+
+	_    [64]byte
+	pool framePool
 }
 
-// NewMemory creates a physical memory of capacity page frames with a flat
-// (single-node) topology. Frame storage itself is still allocated on
-// demand, but the frame and refcount tables are preallocated so lookups
-// never need a pool lock.
+// NewMemory creates a physical memory of capacity page frames. Frame
+// storage itself is allocated on demand, but the frame and refcount tables
+// are preallocated so lookups never need the pool lock.
 func NewMemory(capacity int) *Memory {
 	if capacity <= 0 {
 		panic("hw: memory capacity must be positive")
 	}
-	m := &Memory{
+	return &Memory{
 		capacity: capacity,
 		frames:   make([]atomic.Pointer[frameArray], capacity),
 		refs:     make([]atomic.Int32, capacity),
 		lines:    make([]atomic.Uint64, capacity),
 		owners:   make([]atomic.Pointer[FrameAcct], capacity),
 	}
-	m.setTopology(Topology{NCPU: 0, Nodes: 1})
-	return m
 }
 
-// AttachCaches equips the memory with ncpu per-CPU free-frame caches on a
-// flat topology. AllocOn/DecRefOn calls with a CPU id in range are then
-// served from the caller's cache; out-of-range ids (and the plain
-// Alloc/DecRef forms) use the pools directly.
+// AttachCaches equips the memory with ncpu per-CPU free-frame caches.
+// AllocOn/DecRefOn calls with a CPU id in range are then served from the
+// caller's cache; out-of-range ids (and the plain Alloc/DecRef forms) use
+// the pool directly. It must be called before the first allocation, and
+// panics after one: a frame already parked in a cache would be lost.
 func (m *Memory) AttachCaches(ncpu int) {
-	m.AttachTopology(NewTopology(ncpu, 1))
-}
-
-// AttachTopology equips the memory with t.NCPU per-CPU caches and
-// partitions the frame space into t.Nodes per-node pools (node i owns a
-// contiguous ~capacity/nodes block). Must be called before the first
-// allocation; it panics once frames are in flight, because repartitioning
-// would re-home live frames.
-func (m *Memory) AttachTopology(t Topology) {
-	if m.inUse.Load() > 0 {
-		panic("hw: AttachTopology after allocation")
+	if m.pool.fresh > 0 {
+		panic("hw: AttachCaches after allocation")
 	}
-	for i := range m.pools {
-		p := &m.pools[i]
-		if p.fresh != p.lo || len(p.free) > 0 {
-			panic("hw: AttachTopology after allocation")
-		}
-	}
-	if t.NCPU > 0 {
-		m.caches = make([]frameCache, t.NCPU)
-	}
-	m.setTopology(t)
-}
-
-// setTopology partitions [0, capacity) into per-node pools.
-func (m *Memory) setTopology(t Topology) {
-	nodes := t.Nodes
-	if nodes < 1 {
-		nodes = 1
-	}
-	if nodes > m.capacity {
-		nodes = m.capacity
-	}
-	t.Nodes = nodes
-	m.topo = t
-	m.nodeBase = m.capacity / nodes
-	m.nodeExtra = m.capacity % nodes
-	m.pools = make([]framePool, nodes)
-	lo := 0
-	for i := range m.pools {
-		size := m.nodeBase
-		if i < m.nodeExtra {
-			size++
-		}
-		m.pools[i] = framePool{lo: lo, fresh: lo, end: lo + size}
-		lo += size
-	}
-}
-
-// Topo returns the memory's NUMA topology.
-func (m *Memory) Topo() Topology { return m.topo }
-
-// Nodes returns the number of per-node frame pools.
-func (m *Memory) Nodes() int { return len(m.pools) }
-
-// NodeOfPFN returns the node that owns pfn's frame (its home pool).
-func (m *Memory) NodeOfPFN(pfn PFN) int {
-	if len(m.pools) <= 1 {
-		return 0
-	}
-	f := int(pfn)
-	split := m.nodeExtra * (m.nodeBase + 1)
-	if f < split {
-		return f / (m.nodeBase + 1)
-	}
-	return m.nodeExtra + (f-split)/m.nodeBase
-}
-
-// NodePoolStat is one node pool's occupancy snapshot.
-type NodePoolStat struct {
-	Node     int
-	Capacity int // frames the node owns
-	Free     int // recycled frames parked in the node's pool
-	Fresh    int // never-used frames remaining
-}
-
-// NodeOccupancy snapshots every node pool (sgtop's per-node display).
-func (m *Memory) NodeOccupancy() []NodePoolStat {
-	out := make([]NodePoolStat, len(m.pools))
-	for i := range m.pools {
-		p := &m.pools[i]
-		p.mu.Lock()
-		out[i] = NodePoolStat{Node: i, Capacity: p.end - p.lo, Free: len(p.free), Fresh: p.end - p.fresh}
-		p.mu.Unlock()
-	}
-	return out
+	m.caches = make([]frameCache, ncpu)
 }
 
 // Capacity returns the total number of frames the memory can hold.
@@ -317,13 +216,13 @@ func (m *Memory) cache(cpu int) *frameCache {
 	return &m.caches[cpu]
 }
 
-// Alloc allocates a zeroed frame with reference count one from the node-0
-// pool chain (no CPU affinity).
+// Alloc allocates a zeroed frame with reference count one from the pool
+// (no CPU affinity).
 func (m *Memory) Alloc() (PFN, error) { return m.AllocOn(-1) }
 
 // AllocOn allocates a zeroed frame with reference count one, preferring
-// cpu's free-frame cache and refilling it from cpu's home-node pool, then
-// from remote nodes nearest-first, without charging any frame account.
+// cpu's free-frame cache and refilling it from the pool, without charging
+// any frame account.
 func (m *Memory) AllocOn(cpu int) (PFN, error) { return m.AllocFor(cpu, nil) }
 
 // AllocFor is AllocOn charging the grant to acct (nil = unaccounted): the
@@ -358,8 +257,8 @@ func (m *Memory) AllocFor(cpu int, acct *FrameAcct) (PFN, error) {
 	}
 	// Reserve one frame against capacity. The counter includes in-flight
 	// reservations, so once the CAS succeeds a free frame is guaranteed to
-	// exist somewhere (a pool, a fresh range, or a cache) for every
-	// reserver.
+	// exist somewhere (the pool's free list or fresh range, or a cache) for
+	// every reserver.
 	for {
 		n := m.inUse.Load()
 		if int(n) >= m.capacity {
@@ -371,7 +270,6 @@ func (m *Memory) AllocFor(cpu int, acct *FrameAcct) (PFN, error) {
 		}
 	}
 	m.Allocs.AddOn(cpu, 1)
-	node := m.topo.NodeOf(cpu)
 
 	if c := m.cache(cpu); c != nil {
 		c.mu.Lock()
@@ -383,12 +281,12 @@ func (m *Memory) AllocFor(cpu int, acct *FrameAcct) (PFN, error) {
 			return m.grant(pfn, acct), nil
 		}
 		c.mu.Unlock()
-		// Cache empty: refill a batch from the pools (keeping one frame for
-		// the caller). No cache lock is held while a pool lock is taken.
+		// Cache empty: refill a batch from the pool (keeping one frame for
+		// the caller). No cache lock is held while the pool lock is taken.
 		for {
-			batch := m.takeFromPools(node, refillBatch)
+			batch := m.take(refillBatch)
 			if len(batch) == 0 {
-				batch = m.scavenge(cpu, node, refillBatch/2)
+				batch = m.scavenge(cpu, refillBatch/2)
 			}
 			if len(batch) > 0 {
 				pfn := batch[0]
@@ -406,11 +304,11 @@ func (m *Memory) AllocFor(cpu int, acct *FrameAcct) (PFN, error) {
 		}
 	}
 
-	// No cache: serve one frame straight from the pools.
+	// No cache: serve one frame straight from the pool.
 	for {
-		batch := m.takeFromPools(node, 1)
+		batch := m.take(1)
 		if len(batch) == 0 {
-			batch = m.scavenge(-1, node, 1)
+			batch = m.scavenge(-1, 1)
 		}
 		if len(batch) > 0 {
 			m.PoolAllocs.Add(1)
@@ -434,53 +332,19 @@ func (m *Memory) grant(pfn PFN, acct *FrameAcct) PFN {
 // OwnerOf returns the frame account charged for pfn, or nil.
 func (m *Memory) OwnerOf(pfn PFN) *FrameAcct { return m.owners[pfn].Load() }
 
-// takeFromPools removes up to want free frames, walking the node pools
-// nearest-first from the caller's home node (or round-robin over every
-// node in the NodeBlind ablation). A batch is taken from a single pool, so
-// a refill never mixes nodes; the remote fallback only triggers when the
-// home pool is completely dry.
-func (m *Memory) takeFromPools(node, want int) []PFN {
-	if m.NodeBlind && len(m.pools) > 1 {
-		node = int(m.blindNext.Add(1)) % len(m.pools)
-		for i := 0; i < len(m.pools); i++ {
-			if out := m.takeFromNode((node+i)%len(m.pools), want); len(out) > 0 {
-				return out
-			}
-		}
-		return nil
-	}
-	if len(m.pools) == 1 {
-		return m.takeFromNode(0, want)
-	}
-	for _, n := range m.topo.NodeOrder(node) {
-		if out := m.takeFromNode(n, want); len(out) > 0 {
-			if n == node {
-				m.LocalTakes.Add(int64(len(out)))
-			} else {
-				m.RemoteTakes.Add(int64(len(out)))
-			}
-			return out
-		}
-	}
-	return nil
-}
-
-// takeFromNode removes up to want free frames from one node's pool,
-// minting storage for never-used frames when the recycled list runs out.
-func (m *Memory) takeFromNode(node, want int) []PFN {
-	p := &m.pools[node]
+// take removes up to want free frames from the pool, minting storage for
+// never-used frames when the recycled list runs out.
+func (m *Memory) take(want int) []PFN {
+	p := &m.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []PFN
 	if n := len(p.free); n > 0 {
-		take := want
-		if take > n {
-			take = n
-		}
-		out = append(out, p.free[n-take:]...)
-		p.free = p.free[:n-take]
+		k := min(want, n)
+		out = append(out, p.free[n-k:]...)
+		p.free = p.free[:n-k]
 	}
-	for len(out) < want && p.fresh < p.end {
+	for len(out) < want && p.fresh < m.capacity {
 		pfn := PFN(p.fresh)
 		p.fresh++
 		m.frames[pfn].Store(new(frameArray))
@@ -489,50 +353,34 @@ func (m *Memory) takeFromNode(node, want int) []PFN {
 	return out
 }
 
-// scavenge pulls up to want free frames out of other CPUs' caches — the
-// path of last resort when every pool is dry but cached frames exist.
-// Same-node caches are raided before remote ones, and it never holds a
-// pool lock or more than one cache lock at a time.
-func (m *Memory) scavenge(cpu, node, want int) []PFN {
-	raid := func(i int) []PFN {
+// scavenge pulls up to want free frames out of another CPU's cache — the
+// path of last resort when the pool is dry but cached frames exist. It
+// never holds the pool lock or more than one cache lock at a time.
+func (m *Memory) scavenge(cpu, want int) []PFN {
+	for i := range m.caches {
+		if i == cpu {
+			continue
+		}
 		c := &m.caches[i]
 		c.mu.Lock()
-		defer c.mu.Unlock()
-		if n := len(c.free); n > 0 {
-			take := want
-			if take > n {
-				take = n
-			}
-			out := append([]PFN(nil), c.free[n-take:]...)
-			c.free = c.free[:n-take]
-			m.Scavenges.Add(int64(len(out)))
+		n := len(c.free)
+		k := min(want, n)
+		out := append([]PFN(nil), c.free[n-k:]...)
+		c.free = c.free[:n-k]
+		c.mu.Unlock()
+		if k > 0 {
+			m.Scavenges.Add(int64(k))
 			return out
-		}
-		return nil
-	}
-	for pass := 0; pass < 2; pass++ {
-		for i := range m.caches {
-			if i == cpu {
-				continue
-			}
-			local := m.topo.NodeOf(i) == node
-			if (pass == 0) != local {
-				continue
-			}
-			if out := raid(i); out != nil {
-				return out
-			}
 		}
 	}
 	return nil
 }
 
-// ReclaimCaches drains every per-CPU free-frame cache back into the node
-// pools (each frame to the node that owns it), returning how many frames
-// moved. This is the memory-pressure degradation step: before the
-// allocator reports ENOMEM it repatriates frames parked on idle CPUs so a
-// genuinely free frame is never stranded. One cache lock is held at a
-// time, then each affected pool lock once.
+// ReclaimCaches drains every per-CPU free-frame cache back into the pool,
+// returning how many frames moved. This is the memory-pressure degradation
+// step: before the allocator reports ENOMEM it repatriates frames parked
+// on idle CPUs so a genuinely free frame is never stranded. One cache lock
+// is held at a time, then the pool lock once.
 func (m *Memory) ReclaimCaches() int {
 	var drained []PFN
 	for i := range m.caches {
@@ -545,28 +393,18 @@ func (m *Memory) ReclaimCaches() int {
 		c.mu.Unlock()
 	}
 	if len(drained) > 0 {
-		m.releaseToPools(drained)
+		m.releaseToPool(drained)
 		m.ReclaimedFrames.Add(int64(len(drained)))
 	}
 	m.Reclaims.Add(1)
 	return len(drained)
 }
 
-// releaseToPools returns each frame to its home node's pool.
-func (m *Memory) releaseToPools(frames []PFN) {
-	if len(m.pools) == 1 {
-		p := &m.pools[0]
-		p.mu.Lock()
-		p.free = append(p.free, frames...)
-		p.mu.Unlock()
-		return
-	}
-	for _, pfn := range frames {
-		p := &m.pools[m.NodeOfPFN(pfn)]
-		p.mu.Lock()
-		p.free = append(p.free, pfn)
-		p.mu.Unlock()
-	}
+// releaseToPool returns frames to the pool.
+func (m *Memory) releaseToPool(frames []PFN) {
+	m.pool.mu.Lock()
+	m.pool.free = append(m.pool.free, frames...)
+	m.pool.mu.Unlock()
 }
 
 // IncRef increments the reference count of pfn (copy-on-write duplication).
@@ -576,13 +414,13 @@ func (m *Memory) IncRef(pfn PFN) {
 	}
 }
 
-// DecRef decrements the reference count of pfn, releasing the frame to its
-// home pool when it reaches zero. It returns the remaining count.
+// DecRef decrements the reference count of pfn, releasing the frame to the
+// pool when it reaches zero. It returns the remaining count.
 func (m *Memory) DecRef(pfn PFN) int32 { return m.DecRefOn(pfn, -1) }
 
 // DecRefOn is DecRef with CPU affinity: a frame that dies is zeroed outside
 // any lock and parked in cpu's cache for reuse, draining a batch back to
-// the home pools when the cache overfills.
+// the pool when the cache overfills.
 func (m *Memory) DecRefOn(pfn PFN, cpu int) int32 {
 	n := m.refs[pfn].Add(-1)
 	if n < 0 {
@@ -619,12 +457,12 @@ func (m *Memory) DecRefOn(pfn PFN, cpu int) int32 {
 		}
 		c.mu.Unlock()
 		if spill != nil {
-			m.releaseToPools(spill)
+			m.releaseToPool(spill)
 			m.Drains.Add(1)
 		}
 		return 0
 	}
-	m.releaseToPools([]PFN{pfn})
+	m.releaseToPool([]PFN{pfn})
 	return 0
 }
 

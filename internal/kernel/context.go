@@ -269,12 +269,6 @@ func (c *Context) fault(va hw.VAddr, write bool) error {
 		cpu.Charge(int64(lazyPages) * c.S.Machine.Cost.RegionDup)
 		c.S.Machine.Trace.Record(trace.EvLazyBreak, int32(c.P.PID), int32(cpu.ID), uint64(va), uint32(lazyPages))
 	}
-	// On a NUMA machine a fill backed by a remote node's frame pays the
-	// interconnect round trip (per hop). Locality-aware allocation makes
-	// this rare; the node-blind ablation makes it the norm.
-	if penalty := c.S.Machine.NodePenalty(cpu.ID, pfn); penalty > 0 {
-		cpu.Charge(penalty)
-	}
 	cpu.TLB.Insert(va.VPN(), c.P.ASID, pfn, writable)
 	if sa != nil && sa.Generation() != gen {
 		cpu.TLB.FlushPage(va.VPN(), c.P.ASID)

@@ -1,9 +1,6 @@
 package kernel
 
-import (
-	"repro/internal/core"
-	"repro/internal/hw"
-)
+import "repro/internal/core"
 
 // Stats is a point-in-time snapshot of the kernel's hot-path counters: the
 // per-CPU dispatch, frame-cache, and trace-ring instrumentation added for
@@ -18,16 +15,6 @@ type Stats struct {
 	StealScans  int64 // slow-path scans over all run queues
 	RunqLen     int   // ready, undispatched processes right now
 	IdleCPUs    int   // processors with nothing to run right now
-
-	// NUMA locality (all zero on a flat machine).
-	NUMANodes    int               // locality domains
-	LocalSteals  int64             // steals from a queue on the thief's own node
-	RemoteSteals int64             // steals that crossed a node boundary
-	LocalTakes   int64             // frames refilled from the home-node pool
-	RemoteTakes  int64             // frames refilled from a remote node's pool
-	RemoteFills  int64             // page fills backed by a remote-node frame
-	RemoteIPIs   int64             // shootdown IPIs that crossed a node boundary
-	NodePools    []hw.NodePoolStat // per-node frame-pool occupancy right now
 
 	// Frame allocator.
 	FrameAllocs    int64 // frames handed out
@@ -178,16 +165,6 @@ func (s *System) Stats() Stats {
 		LazyBreaks:     mem.LazyBreaks.Load(),
 		LazyDrops:      mem.LazyDrops.Load(),
 		LazyBreakPages: mem.LazyBreakPages.Load(),
-	}
-	if !s.Machine.Topo.Flat() {
-		st.NUMANodes = s.Machine.Topo.Nodes
-		st.LocalSteals = s.Sched.LocalSteals.Load()
-		st.RemoteSteals = s.Sched.RemoteSteals.Load()
-		st.LocalTakes = mem.LocalTakes.Load()
-		st.RemoteTakes = mem.RemoteTakes.Load()
-		st.RemoteFills = s.Machine.RemoteFills.Load()
-		st.RemoteIPIs = s.Machine.RemoteIPIs.Load()
-		st.NodePools = mem.NodeOccupancy()
 	}
 	st.FairShareOn = s.Sched.FairActive()
 	st.FairPasses = s.Sched.FairPasses.Load()

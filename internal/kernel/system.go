@@ -37,15 +37,6 @@ type Config struct {
 	MaxProcs  int   // per-user process limit, PR_MAXPROCS (default 256)
 	MaxFiles  int   // per-process descriptor ceiling (default proc.NOFILE; at least proc.NFdInit)
 
-	// NUMANodes splits the CPUs and physical memory into that many
-	// locality domains (default 1 = the flat SMP the paper measured).
-	// Values above NCPU are clamped by the topology.
-	NUMANodes int
-	// NodeBlindAlloc disables locality in the frame allocator (round-robin
-	// over the node pools) while keeping the cost model's remote penalty —
-	// the S6 ablation that shows what node-aware placement buys.
-	NodeBlindAlloc bool
-
 	// Image geometry for fresh processes (text is textPages, fixed).
 	DataPages int // default 64
 
@@ -101,8 +92,6 @@ func (c Config) Validate() error {
 		// Every table starts NFdInit slots long, so a lower ceiling would
 		// be accepted and never enforced.
 		return fmt.Errorf("kernel: Config.MaxFiles %d is below the %d slots every descriptor table starts with (proc.NFdInit)", c.MaxFiles, proc.NFdInit)
-	case c.NUMANodes < 0:
-		return fmt.Errorf("kernel: Config.NUMANodes must be >= 0 (0 = flat), got %d", c.NUMANodes)
 	case c.DataPages < 0:
 		return fmt.Errorf("kernel: Config.DataPages must be >= 0 (0 = default), got %d", c.DataPages)
 	case c.TraceEvents < 0:
@@ -186,12 +175,7 @@ func NewSystemChecked(cfg Config) (*System, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	nodes := cfg.NUMANodes
-	if nodes < 1 {
-		nodes = 1
-	}
-	m := hw.NewMachineNUMA(cfg.NCPU, cfg.MemFrames, nodes)
-	m.Mem.NodeBlind = cfg.NodeBlindAlloc
+	m := hw.NewMachine(cfg.NCPU, cfg.MemFrames)
 	s := &System{
 		Machine: m,
 		FS:      fs.New(),

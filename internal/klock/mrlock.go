@@ -32,15 +32,6 @@ type MRLock struct {
 	slots  [mrSlots]mrSlot // distributed reader counts, one per CPU
 	wstate atomic.Int32    // wNone, wDrain (update waiting), wActive (update holds)
 
-	// Topology shaping (ConfigureTopology): when set, slotOf groups the
-	// slot space by NUMA node so CPUs that share a slot — inevitable once
-	// the machine outgrows mrSlots — are always node-mates, and a reader's
-	// slot cache line never ping-pongs across the interconnect. Written
-	// once at group creation, before the lock is shared, so plain ints are
-	// safe.
-	cpusPerNode  int
-	slotsPerNode int
-
 	acclck  Spin // guards the queues, waitcnt, and wstate transitions
 	waitcnt int  // threads sleeping on the lock
 	drainer *mrWaiter
@@ -53,12 +44,10 @@ type MRLock struct {
 	WSleeps atomic.Int64   // update acquisitions that had to sleep
 }
 
-// mrSlots is the number of distributed reader slots. By default CPU c uses
-// slot c&(mrSlots-1); after ConfigureTopology the slot space is carved into
-// per-node groups. The queue-granted path and the no-affinity entry points
-// use slot 0. 64 slots keeps the fault path write-private up to a 64-CPU
-// machine; at 256 CPUs four node-mates share each slot, which is cheap
-// sharing (same node) rather than interconnect traffic.
+// mrSlots is the number of distributed reader slots: CPU c uses slot
+// c&(mrSlots-1), and the queue-granted path and the no-affinity entry
+// points use slot 0. 64 slots keep the fault path write-private up to a
+// 64-CPU machine.
 const mrSlots = 64
 
 // mrSlot is one padded reader count: the padding keeps neighbouring
@@ -82,37 +71,12 @@ type mrWaiter struct {
 	granted bool
 }
 
-// ConfigureTopology shapes the reader-slot mapping for a machine of ncpu
-// CPUs over nodes locality domains: node i's CPUs are confined to the slot
-// block [i*slotsPerNode, (i+1)*slotsPerNode). Must be called before the
-// lock is shared (group creation), since the fields are unsynchronized.
-func (l *MRLock) ConfigureTopology(ncpu, nodes int) {
-	if ncpu < 1 || nodes <= 1 {
-		l.cpusPerNode, l.slotsPerNode = 0, 0
-		return
-	}
-	if nodes > ncpu {
-		nodes = ncpu
-	}
-	l.cpusPerNode = (ncpu + nodes - 1) / nodes
-	l.slotsPerNode = mrSlots / nodes
-	if l.slotsPerNode < 1 {
-		l.slotsPerNode = 1
-	}
-}
-
-// slotOf maps a CPU to its reader slot. Unshaped: a plain modulo hash.
-// Shaped: the node picks a block of slots and the CPU's intra-node index
-// picks within it, so slot-sharing CPUs are always on the same node.
+// slotOf maps a CPU to its reader slot.
 func (l *MRLock) slotOf(cpu int) int {
 	if cpu <= 0 {
 		return 0
 	}
-	if l.slotsPerNode == 0 {
-		return cpu & (mrSlots - 1)
-	}
-	node := cpu / l.cpusPerNode
-	return (node*l.slotsPerNode + (cpu%l.cpusPerNode)%l.slotsPerNode) % mrSlots
+	return cpu & (mrSlots - 1)
 }
 
 // RLock acquires the lock for scanning with no CPU affinity (slot 0).

@@ -76,15 +76,8 @@ type runQueue struct {
 type Sched struct {
 	machine *hw.Machine
 	slice   int64
-	topo    hw.Topology // the machine's NUMA shape (flat when Nodes <= 1)
 	sawGang atomic.Bool // a group has asked for gang mode (sticky; SetGang)
 	fair    atomic.Bool // fair-share banding armed (sticky; setshares(2))
-
-	// scanOrder[cpu] lists every other CPU in locality order: node-mates
-	// first, then remote nodes nearest-first. Steal scans and hint checks
-	// walk this order so same-node work is found (and taken) before the
-	// scan ever crosses the interconnect. Built once in New.
-	scanOrder [][]int
 
 	queues   []*runQueue
 	cpuProc  []atomic.Pointer[proc.Proc] // what each CPU runs (nil = idle)
@@ -100,8 +93,6 @@ type Sched struct {
 	UngroupedCyc atomic.Int64 // flushed cycles with no group to charge
 	FairPasses   atomic.Int64 // dispatch decisions made with banding active
 	Steals       atomic.Int64 // picks taken from another CPU's queue
-	LocalSteals  atomic.Int64 // steals from a queue on the thief's own node
-	RemoteSteals atomic.Int64 // steals that crossed a node boundary
 	LocalPicks   atomic.Int64 // picks served from the CPU's own queue
 	StealScans   atomic.Int64 // full steal scans (the slow pick path)
 	Sleeps       atomic.Int64 // kernel sleeps (processes leaving the run queues)
@@ -119,16 +110,9 @@ func New(machine *hw.Machine, slice int64) *Sched {
 		slice = DefaultSlice
 	}
 	ncpu := machine.NCPU()
-	topo := machine.Topo
-	if topo.NCPU != ncpu || topo.Nodes < 1 {
-		// Machines built outside NewMachineNUMA carry a zero Topology;
-		// normalize to flat so the locality paths degenerate cleanly.
-		topo = hw.NewTopology(ncpu, 1)
-	}
 	s := &Sched{
 		machine: machine,
 		slice:   slice,
-		topo:    topo,
 		queues:  make([]*runQueue, ncpu),
 		cpuProc: make([]atomic.Pointer[proc.Proc], ncpu),
 		idle:    make([]atomic.Uint64, (ncpu+63)/64),
@@ -138,23 +122,6 @@ func New(machine *hw.Machine, slice int64) *Sched {
 		s.queues[i].maxPrio.Store(noPrio)
 		s.queues[i].oldest.Store(noSeq)
 		s.queues[i].minBand.Store(noBand)
-	}
-	s.scanOrder = make([][]int, ncpu)
-	cpn := topo.CPUsPerNode()
-	for cpu := 0; cpu < ncpu; cpu++ {
-		order := make([]int, 0, ncpu-1)
-		for _, n := range topo.NodeOrder(topo.NodeOf(cpu)) {
-			lo, hi := n*cpn, (n+1)*cpn
-			if hi > ncpu {
-				hi = ncpu
-			}
-			for c := lo; c < hi; c++ {
-				if c != cpu {
-					order = append(order, c)
-				}
-			}
-		}
-		s.scanOrder[cpu] = order
 	}
 	for cpu := 0; cpu < ncpu; cpu++ {
 		s.setIdle(cpu)
@@ -248,21 +215,10 @@ func (s *Sched) mustBeOffCPU(p *proc.Proc, op string) {
 // ─── ready / dispatch ────────────────────────────────────────────────────
 
 // Ready makes p runnable, dispatching it immediately if a CPU is idle.
-// On a NUMA machine the idle claim prefers p's home node — where it last
-// ran, or for a never-dispatched group member, where a group-mate is
-// already running, so new members start next to the group's working set.
 func (s *Sched) Ready(p *proc.Proc) {
 	p.SetState(proc.SReady)
 	if g := p.ShareGrp(); g != nil && g.Gang() {
 		s.sawGang.Store(true)
-	}
-	if !s.topo.Flat() {
-		if node := s.homeNode(p); node >= 0 {
-			if cpu := s.claimIdleOn(node); cpu >= 0 {
-				s.dispatch(p, cpu)
-				return
-			}
-		}
 	}
 	if cpu := s.claimIdle(); cpu >= 0 {
 		s.dispatch(p, cpu)
@@ -274,56 +230,13 @@ func (s *Sched) Ready(p *proc.Proc) {
 	s.kickIdle()
 }
 
-// homeNode returns the node p should land on: its last CPU's node when it
-// has run before, else the node of a running share-group mate (the frames
-// a new member will fault on are the ones its siblings already touched),
-// else -1.
-func (s *Sched) homeNode(p *proc.Proc) int {
-	if last := int(p.LastCPU.Load()); last >= 0 && last < len(s.queues) {
-		return s.topo.NodeOf(last)
-	}
-	if grp := p.ShareGrp(); grp != nil {
-		for i := range s.cpuProc {
-			if r := s.cpuProc[i].Load(); r != nil && r.ShareGrp() == grp {
-				return s.topo.NodeOf(i)
-			}
-		}
-	}
-	return -1
-}
-
-// claimIdleOn claims an idle CPU on the given node, or returns -1.
-func (s *Sched) claimIdleOn(node int) int {
-	cpn := s.topo.CPUsPerNode()
-	lo, hi := node*cpn, (node+1)*cpn
-	if hi > len(s.queues) {
-		hi = len(s.queues)
-	}
-	for cpu := lo; cpu < hi; cpu++ {
-		if s.claimThis(cpu) {
-			return cpu
-		}
-	}
-	return -1
-}
-
 // enqueue places p on its last CPU's queue (cache affinity). A fresh
-// process with no dispatch history spreads round-robin — within its home
-// node's block when a group-mate pins one.
+// process with no dispatch history spreads round-robin.
 func (s *Sched) enqueue(p *proc.Proc) {
 	s.mustBeOffCPU(p, "enqueue")
 	cpu := int(p.LastCPU.Load())
 	if cpu < 0 || cpu >= len(s.queues) {
-		if node := s.homeNode(p); node >= 0 && !s.topo.Flat() {
-			cpn := s.topo.CPUsPerNode()
-			lo, n := node*cpn, cpn
-			if lo+n > len(s.queues) {
-				n = len(s.queues) - lo
-			}
-			cpu = lo + int(s.rr.Add(1))%n
-		} else {
-			cpu = int(s.rr.Add(1)) % len(s.queues)
-		}
+		cpu = int(s.rr.Add(1)) % len(s.queues)
 	}
 	q := s.queues[cpu]
 	seq := s.readySeq.Add(1)
@@ -442,8 +355,11 @@ func (s *Sched) pickNext(cpu int) *proc.Proc {
 	own.mu.Lock()
 	li, lscore, lband, lseq := s.bestOf(own)
 	steal := false
-	for _, i := range s.scanOrder[cpu] {
-		h := s.queues[i].maxPrio.Load()
+	for i, q := range s.queues {
+		if i == cpu {
+			continue
+		}
+		h := q.maxPrio.Load()
 		if h == noPrio {
 			continue
 		}
@@ -465,12 +381,12 @@ func (s *Sched) pickNext(cpu int) *proc.Proc {
 			// so banding biases the work-stealing scan too, not just queue
 			// order — one hot group cannot hide behind per-CPU affinity.
 			if fair {
-				if rb := s.queues[i].minBand.Load(); rb != noBand && rb < lband {
+				if rb := q.minBand.Load(); rb != noBand && rb < lband {
 					steal = true
 					break
 				}
 			}
-			if o := s.queues[i].oldest.Load(); o != noSeq && o+s.ageSlack() < lseq {
+			if o := q.oldest.Load(); o != noSeq && o+s.ageSlack() < lseq {
 				steal = true
 				break
 			}
@@ -492,21 +408,15 @@ func (s *Sched) pickNext(cpu int) *proc.Proc {
 }
 
 // pickStealing is the slow pick path: peek every queue (own first, then
-// node-mates, then remote nodes nearest-first, one lock at a time), choose
-// the globally best candidate — highest score, then oldest ready stamp —
-// and re-verify and pop it. On a NUMA machine a remote candidate's age is
-// handicapped by ageSlack before comparison: equal-score ties go to the
-// thief's own node, but a remote process more than ageSlack enqueues older
-// still wins, so the machine-wide starvation bound survives the locality
-// bias (it merely widens by one slack).
+// the others in CPU order, one lock at a time), choose the globally best
+// candidate — highest score, then lowest band, then oldest ready stamp —
+// and re-verify and pop it.
 func (s *Sched) pickStealing(cpu int) *proc.Proc {
 	s.StealScans.Add(1)
-	slack := s.ageSlack()
-	myNode := s.topo.NodeOf(cpu)
 	for attempt := 0; attempt < 4; attempt++ {
 		bestQ, bestScore := -1, math.MinInt
 		bestBand := int32(noBand)
-		bestEff := uint64(noSeq)
+		bestSeq := uint64(noSeq)
 		scan := func(i int) {
 			q := s.queues[i]
 			if i != cpu && q.maxPrio.Load() == noPrio {
@@ -518,18 +428,16 @@ func (s *Sched) pickStealing(cpu int) *proc.Proc {
 			if idx < 0 {
 				return
 			}
-			eff := seq
-			if s.topo.NodeOf(i) != myNode {
-				eff += slack
-			}
 			if sc > bestScore || (sc == bestScore &&
-				(band < bestBand || (band == bestBand && eff < bestEff))) {
-				bestQ, bestScore, bestBand, bestEff = i, sc, band, eff
+				(band < bestBand || (band == bestBand && seq < bestSeq))) {
+				bestQ, bestScore, bestBand, bestSeq = i, sc, band, seq
 			}
 		}
 		scan(cpu)
-		for _, i := range s.scanOrder[cpu] {
-			scan(i)
+		for i := range s.queues {
+			if i != cpu {
+				scan(i)
+			}
 		}
 		if bestQ < 0 {
 			return nil
@@ -548,11 +456,6 @@ func (s *Sched) pickStealing(cpu int) *proc.Proc {
 			s.LocalPicks.Add(1)
 		} else {
 			s.Steals.Add(1)
-			if s.topo.NodeOf(bestQ) == myNode {
-				s.LocalSteals.Add(1)
-			} else {
-				s.RemoteSteals.Add(1)
-			}
 		}
 		return p
 	}

@@ -120,52 +120,6 @@ func ResidentFaultStorm(cfg kernel.Config, members, touchesEach int) Metrics {
 	return m
 }
 
-// PrivateRefaultStorm is the NUMA-locality variant of ResidentFaultStorm:
-// `workers` forked (fully private) processes each map their own window,
-// touch it resident, then re-fault it with strided stores through a window
-// twice the TLB. The data is single-owner, so frame placement is the whole
-// story: a locality-aware allocator serves every fill and every re-fault
-// from the worker's home node, while node-blind round-robin spreads the
-// frames machine-wide and pays the remote-access penalty on every touch.
-// Ops = re-fault touches.
-func PrivateRefaultStorm(cfg kernel.Config, workers, touchesEach int) Metrics {
-	const window = 128 // pages; 2x the TLB, so resident touches still fault
-	var fast, slow int64
-	total := int64(workers * touchesEach)
-	m := runMeasured(cfg, total, func(c *kernel.Context, s *session) {
-		s.start()
-		for w := 0; w < workers; w++ {
-			_, err := c.Fork("refaulter", func(cc *kernel.Context) {
-				va, err := cc.Mmap(window)
-				if err != nil {
-					panic(err)
-				}
-				for i := 0; i < window; i++ {
-					cc.Store32(va+hw.VAddr(i*pageSize), uint32(i))
-				}
-				p := 0
-				for i := 0; i < touchesEach; i++ {
-					p = (p + 67) % window // coprime stride: spreads the window
-					cc.Store32(va+hw.VAddr(p*pageSize), uint32(i))
-				}
-			})
-			if err != nil {
-				panic(err)
-			}
-		}
-		for w := 0; w < workers; w++ {
-			if _, _, err := c.Wait(); err != nil {
-				panic(err)
-			}
-		}
-		s.stop()
-		fast = c.S.Machine.Mem.FastFills.Load()
-		slow = c.S.Machine.Mem.SlowFills.Load()
-	})
-	m.FastFills, m.SlowFills = fast, slow
-	return m
-}
-
 // CreateStorm hammers process creation and teardown: `creators` forked
 // processes each fork-and-wait perCreator no-op children. Creation
 // allocates an image's worth of frames and exit frees them, all four
