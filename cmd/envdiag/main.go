@@ -104,15 +104,14 @@ func mach() {
 	header("Figure 3 — Mach process environment (task + threads)")
 	sys := irix.New(irix.Config{NCPU: 2})
 	sys.Start("task", func(c *irix.Ctx) {
-		task := irix.NewTask(c)
-		var sum atomic.Int32
 		for i := 0; i < 3; i++ {
-			task.ThreadCreate(func(cc *irix.Ctx, arg int64) {
+			c.ThreadCreate("thread", func(cc *irix.Ctx, arg int64) {
 				cc.Add32(irix.DataBase, uint32(arg))
-				sum.Add(int32(arg))
 			}, int64(i+1))
 		}
-		task.Join(3)
+		for i := 0; i < 3; i++ {
+			c.Wait()
+		}
 		v, _ := c.Load32(irix.DataBase)
 		fmt.Printf("  3 threads in one task: shared sum = %d (ASID %d for all)\n", v, c.P.ASID)
 		fmt.Println("  sharing: EVERYTHING, always — no selectivity; each thread still needs")

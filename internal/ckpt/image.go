@@ -283,18 +283,3 @@ func (im *Image) Normalize() {
 		sort.Slice(r.Resid, func(a, b int) bool { return r.Resid[a].Index < r.Resid[b].Index })
 	}
 }
-
-// ResidentPages counts the pages carried in the image (image weight in
-// pages; the encoded size adds headers and tables).
-func (im *Image) ResidentPages() int {
-	n := 0
-	for _, r := range im.Regions {
-		n += len(r.Resid)
-	}
-	for _, m := range im.Members {
-		if m.PRDA != nil {
-			n++
-		}
-	}
-	return n
-}

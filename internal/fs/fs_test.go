@@ -401,7 +401,7 @@ func TestManyFilesStress(t *testing.T) {
 
 func TestOpenCreatDoesNotTruncateExisting(t *testing.T) {
 	// open(O_CREAT) without O_TRUNC must keep an existing file's
-	// contents — the bug class this guards was found by cmd/vsh.
+	// contents — the bug class this guards was found by a demo shell.
 	f := New()
 	c := rootCred(f)
 	th := newNopThread()

@@ -23,7 +23,6 @@ type Costs struct {
 	ContextSwitch int64 // dispatch a different process on a CPU
 	IPI           int64 // one inter-processor interrupt (TLB shootdown)
 	SemaSleep     int64 // block on a kernel semaphore
-	SemaWakeup    int64 // wake a kernel semaphore sleeper
 	ProcCreate    int64 // proc-table entry, u-area, kernel stack
 	ThreadCreate  int64 // Mach baseline: kernel stack + thread context only
 	RegionDup     int64 // per-page cost of duplicating a page table (fork)
@@ -45,7 +44,6 @@ func DefaultCosts() Costs {
 		ContextSwitch: 1000,
 		IPI:           400,
 		SemaSleep:     300,
-		SemaWakeup:    250,
 		ProcCreate:    4000,
 		ThreadCreate:  800,
 		RegionDup:     16,

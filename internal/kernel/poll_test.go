@@ -1,6 +1,6 @@
 package kernel
 
-// Tests for poll(2)/select(2), per-descriptor non-blocking mode, and the
+// Tests for poll(2), per-descriptor non-blocking mode, and the
 // SitePollSleep chaos site: readiness scanning, EINTR-not-restarted
 // semantics, and same-seed → same-injection-log determinism.
 
@@ -172,28 +172,6 @@ func TestPollTimedEINTR(t *testing.T) {
 			}
 		}
 		c.Wait()
-	})
-	waitIdle(t, s)
-}
-
-func TestSelectSplitsReadWrite(t *testing.T) {
-	s := NewSystem(testConfig())
-	s.Start("main", func(c *Context) {
-		r, w, err := c.Pipe()
-		if err != nil {
-			t.Fatalf("pipe: %v", err)
-		}
-		c.WriteString(w, vm.DataBase, "z")
-		rr, ww, err := c.Select([]int{r}, []int{w}, 0)
-		if err != nil {
-			t.Fatalf("select: %v", err)
-		}
-		if len(rr) != 1 || rr[0] != r {
-			t.Errorf("readable = %v, want [%d]", rr, r)
-		}
-		if len(ww) != 1 || ww[0] != w {
-			t.Errorf("writable = %v, want [%d]", ww, w)
-		}
 	})
 	waitIdle(t, s)
 }

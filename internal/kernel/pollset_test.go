@@ -549,10 +549,10 @@ func TestPollUnchangedSetTouchesNoStream(t *testing.T) {
 	waitIdle(t, s)
 }
 
-// TestSelectSameDescriptorBothSets: a descriptor in select's read set and
-// its write set is two entries of one poll set, and each direction is
-// reported on its own.
-func TestSelectSameDescriptorBothSets(t *testing.T) {
+// TestPollSameDescriptorBothDirections: a socket named twice in one poll
+// set, once for PollIn and once for PollOut, is reported on each entry for
+// that entry's direction alone.
+func TestPollSameDescriptorBothDirections(t *testing.T) {
 	s := NewSystem(testConfig())
 	s.Start("main", func(c *Context) {
 		lfd, _ := c.NetListen("both")
@@ -562,11 +562,19 @@ func TestSelectSameDescriptorBothSets(t *testing.T) {
 			return
 		}
 		b, _ := c.NetAccept(lfd)
+		set := []PollFd{{Fd: b, Events: PollIn}, {Fd: b, Events: PollOut}}
 		check := func(when string, wantR, wantW bool) {
 			t.Helper()
-			r, w, err := c.Select([]int{b}, []int{b}, 0)
-			if err != nil || (len(r) == 1) != wantR || (len(w) == 1) != wantW {
-				t.Errorf("%s: select = (%v, %v, %v), want readable %v writable %v", when, r, w, err, wantR, wantW)
+			var want [2]uint16
+			if wantR {
+				want[0] = PollIn
+			}
+			if wantW {
+				want[1] = PollOut
+			}
+			if _, err := c.Poll(set, 0); err != nil || set[0].Revents != want[0] || set[1].Revents != want[1] {
+				t.Errorf("%s: poll = %v, revents %#x %#x, want %#x %#x",
+					when, err, set[0].Revents, set[1].Revents, want[0], want[1])
 			}
 		}
 		check("idle", false, true)
@@ -582,9 +590,8 @@ func TestSelectSameDescriptorBothSets(t *testing.T) {
 		check("outbound full", false, false)
 		c.WriteString(a, vm.DataBase, "y")
 		check("outbound full, peer wrote", true, false)
-		allocs := testing.AllocsPerRun(20, func() { c.Select([]int{b}, []int{b}, 0) })
-		if allocs > 1 { // the one ready descriptor's result slice
-			t.Errorf("%.0f allocations per select, want the result slice only", allocs)
+		if allocs := testing.AllocsPerRun(20, func() { c.Poll(set, 0) }); allocs != 0 {
+			t.Errorf("%.0f allocations per poll of the unchanged set, want 0", allocs)
 		}
 	})
 	waitIdle(t, s)

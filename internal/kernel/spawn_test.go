@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strings"
@@ -113,6 +114,94 @@ func TestCreationChargesPinned(t *testing.T) {
 		if got[i] != w {
 			t.Errorf("%s: simcyc %d, caller cycles %d; pinned %d and %d", w.name, got[i].simcyc, got[i].cycles, w.simcyc, w.cycles)
 		}
+	}
+}
+
+// TestThreadCreationCheaperThanFork is the §3 claim: thread creation is
+// roughly an order of magnitude cheaper than fork — the traditional fork
+// that walks the page tables at spawn, so this boots the EagerDup ablation.
+// (The lazy default collapses exactly this gap for untouched children;
+// benchtab E1c measures that directly.)
+func TestThreadCreationCheaperThanFork(t *testing.T) {
+	s := NewSystem(Config{NCPU: 4, MemFrames: 8192, TimeSlice: 300, EagerDup: true})
+	s.Start("main", func(c *Context) {
+		const n = 16
+		start := c.S.Machine.TotalCycles()
+		for i := 0; i < n; i++ {
+			c.ThreadCreate("thread", func(*Context, int64) {}, 0)
+		}
+		for i := 0; i < n; i++ {
+			c.Wait()
+		}
+		threadCost := c.S.Machine.TotalCycles() - start
+
+		start = c.S.Machine.TotalCycles()
+		for i := 0; i < n; i++ {
+			c.Fork("forked", func(*Context) {})
+			c.Wait()
+		}
+		forkCost := c.S.Machine.TotalCycles() - start
+
+		if forkCost < 4*threadCost {
+			t.Errorf("fork/thread cycle ratio too small: fork=%d thread=%d", forkCost, threadCost)
+		}
+	})
+	waitIdle(t, s)
+}
+
+// TestCreationChargesReachEveryCost: every entry of hw.Costs is charged by
+// something the kernel does. One fixed script — fork, sproc(PR_SALL) and a
+// umask change the member reconciles, thread_create, a zero fill, a COW
+// break, a munmap shootdown and one sleep — runs once per entry, with that
+// entry raised to 1<<40, and the machine's cycles must reach it.
+func TestCreationChargesReachEveryCost(t *testing.T) {
+	const huge = 1 << 40
+	costs := reflect.TypeOf(hw.Costs{})
+	for i := 0; i < costs.NumField(); i++ {
+		name := costs.Field(i).Name
+		t.Run(name, func(t *testing.T) {
+			s := NewSystem(Config{NCPU: 2, MemFrames: 8192, TimeSlice: 500})
+			reflect.ValueOf(&s.Machine.Cost).Elem().Field(i).SetInt(huge)
+			s.Start("script", func(c *Context) {
+				// A descriptor for the fork to copy.
+				if _, err := c.Open("/f", fs.ORead|fs.OWrite|fs.OCreat, 0o644); err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				c.Store32(vm.DataBase, 1) // zero fill
+				c.Fork("cow", func(cc *Context) {
+					cc.Load32(vm.DataBase)     // first touch of the lazy image
+					cc.Store32(vm.DataBase, 2) // COW break
+				})
+				c.Wait()
+				c.Load32(vm.DataBase) // refill: the fork flushed the page
+				pid, err := c.Sproc("member", func(cc *Context, _ int64) {
+					cc.Blockproc(0) // the sleep
+					cc.Getpid()     // reconciles the creator's umask
+				}, proc.PRSALL, 0)
+				if err != nil {
+					t.Errorf("sproc: %v", err)
+					return
+				}
+				waitAsleep(c, []int{pid})
+				c.Umask(0o077)
+				c.Unblockproc(pid)
+				c.Wait()
+				c.ThreadCreate("thread", func(*Context, int64) {}, 0)
+				c.Wait()
+				va, err := c.Mmap(1)
+				if err != nil {
+					t.Errorf("mmap: %v", err)
+					return
+				}
+				c.Store32(va, 1)
+				c.Munmap(va) // a shootdown: an IPI to the other CPU
+			})
+			waitIdle(t, s)
+			if got := s.Machine.TotalCycles(); got < huge {
+				t.Errorf("with Costs.%s = %d the script ran %d cycles: nothing charges the entry", name, huge, got)
+			}
+		})
 	}
 }
 
@@ -242,22 +331,49 @@ func TestShareMaskTable(t *testing.T) {
 // TestRestoreFailureLeavesCallerWaitable: a restore that fails inside the
 // respawn of a later member must not leave a never-started child on the
 // caller's child list — wait(2) would sleep on it forever. The member built
-// before the failure exits at once and is reaped; then ECHILD.
+// before the failure exits at once and is reaped; then ECHILD. An image
+// whose geometry does not fit the address space fails before any member is
+// built.
 func TestRestoreFailureLeavesCallerWaitable(t *testing.T) {
 	enc, _, _ := runCkptWorkload(t, 2, 1, false)
+	shm := func(img *ckpt.Image) *ckpt.RegionImage {
+		for i := range img.Regions {
+			if img.Regions[i].Type == ckpt.RShm {
+				return &img.Regions[i]
+			}
+		}
+		t.Fatal("image has no shm region")
+		return nil
+	}
 	for _, tc := range []struct {
 		name   string
-		damage func(img *ckpt.Image) // makes the last member's respawn fail
+		damage func(img *ckpt.Image) // makes the restore fail
 		errno  Errno
+		reaped int // members built before the failure
 	}{
 		{"vanished file", func(img *ckpt.Image) {
 			last := &img.Members[2]
 			last.Mask &^= uint32(proc.PRSFDS) // a private table, reopened by path
 			last.Fds = []ckpt.FdImage{{Fd: 3, Path: "/no/such/file"}}
-		}, ENOENT},
+		}, ENOENT, 1},
 		{"stack collision", func(img *ckpt.Image) {
 			img.Members[2].StackBase = img.Members[1].StackBase
-		}, EINVAL},
+		}, EINVAL, 1},
+		{"descriptor at the ceiling", func(img *ckpt.Image) {
+			last := &img.Members[2]
+			last.Mask &^= uint32(proc.PRSFDS)
+			last.Fds = []ckpt.FdImage{{Fd: proc.NOFILE, Path: "/"}}
+		}, EMFILE, 1},
+		{"region past 4 GiB", func(img *ckpt.Image) {
+			shm(img).Base += 1 << 32
+			img.Normalize()
+		}, EINVAL, 0},
+		{"unaligned region", func(img *ckpt.Image) {
+			shm(img).Base += 8
+		}, EINVAL, 0},
+		{"stack past 4 GiB", func(img *ckpt.Image) {
+			img.Members[2].StackBase += 1 << 32
+		}, EINVAL, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			img, err := ckpt.Decode(enc)
@@ -280,11 +396,11 @@ func TestRestoreFailureLeavesCallerWaitable(t *testing.T) {
 					}
 					reaped++
 				}
-				if reaped != 1 {
-					t.Errorf("reaped %d children, want the 1 built before the failure", reaped)
+				if reaped != tc.reaped {
+					t.Errorf("reaped %d children, want the %d built before the failure", reaped, tc.reaped)
 				}
-				if n := GroupOf(c.P).Size(); n != 1 {
-					t.Errorf("group has %d members after the failed restore, want the caller alone", n)
+				if g := GroupOf(c.P); g != nil && g.Size() != 1 {
+					t.Errorf("group has %d members after the failed restore, want the caller alone", g.Size())
 				}
 			})
 			done := make(chan struct{})

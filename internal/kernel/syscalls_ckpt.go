@@ -445,6 +445,19 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 	if img.PageSize != hw.PageSize {
 		return -1, fmt.Errorf("kernel: image page size %d, machine uses %d", img.PageSize, hw.PageSize)
 	}
+	// The geometry is checked before anything is built from it: a base past
+	// 4 GiB would be truncated to a 32-bit address, and a page count is a
+	// page table's length.
+	for _, ri := range img.Regions {
+		if !inAddressSpace(ri.Base, ri.Pages) {
+			return -1, fmt.Errorf("kernel: image region at %#x, %d pages, is not a page-aligned range below 4 GiB", ri.Base, ri.Pages)
+		}
+	}
+	for _, m := range img.Members {
+		if !inAddressSpace(m.StackBase, m.StackPages) {
+			return -1, fmt.Errorf("kernel: image stack of %q at %#x, %d pages, is not a page-aligned range below 4 GiB", m.Name, m.StackBase, m.StackPages)
+		}
+	}
 	mach := c.S.Machine
 	cpu := c.cpu()
 	cpuIdx := int(p.CPU.Load())
@@ -645,6 +658,13 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 	return len(spawned), nil
 }
 
+// inAddressSpace reports whether pages pages from base are a page-aligned
+// range of the 32-bit virtual address space.
+func inAddressSpace(base uint64, pages int) bool {
+	const top = 1 << 32
+	return base%hw.PageSize == 0 && base < top && uint64(pages) <= (top-base)/hw.PageSize
+}
+
 // restoreFds replaces a process's descriptor table with the image's:
 // path-backed files are reopened (never created or truncated — restore
 // reacquires, it does not author) and repositioned; anonymous stream
@@ -657,6 +677,9 @@ func (c *Context) restoreFds(p *proc.Proc, fds []ckpt.FdImage) error {
 	for _, fi := range fds {
 		if fi.Stream || fi.Path == "" {
 			continue
+		}
+		if fi.Fd >= p.FdCeiling() {
+			return fmt.Errorf("kernel: restore fd %d: %w", fi.Fd, fs.ErrFdFull)
 		}
 		f, err := c.S.FS.Open(cred, fi.Path, fi.Flags&^(fs.OCreat|fs.OTrunc), 0)
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/fs"
 )
 
-// This file implements poll(2) and select(2) over the waitable-descriptor
+// This file implements poll(2) over the waitable-descriptor
 // abstraction (fs.Pollable): readiness is level-triggered state published
 // by the streams themselves, so poll is a pure consumer. A process keeps
 // its interest set between calls: one long-lived waiter stays subscribed
@@ -46,10 +46,8 @@ type pollSet struct {
 	standing int            // slots that hold a file
 	nval     int            // entries of the current set that are not open
 
-	// Scratch: one batch of the current call's differences, and
-	// select(2)'s poll set.
+	// Scratch: one batch of the current call's differences.
 	changes [pollBatch]pollChange
-	sel     []PollFd
 }
 
 // pollSlot is one descriptor's standing registration. Its dirty bit lives
@@ -334,35 +332,4 @@ func (c *Context) Poll(fds []PollFd, timeout int) (int, error) {
 		}
 		return n, nil
 	})
-}
-
-// Select is the select(2) veneer: readable and writable descriptor sets
-// expressed as one poll set. It is pure delegation — the call dispatches
-// (and is accounted) as poll — and returns the subsets actually ready. A
-// descriptor in both sets is two entries of the poll set and is reported
-// in each direction it is ready for.
-func (c *Context) Select(readfds, writefds []int, timeout int) (r, w []int, err error) {
-	ps := c.pollState()
-	fds := ps.sel[:0]
-	for _, fd := range readfds {
-		fds = append(fds, PollFd{Fd: fd, Events: fs.PollIn})
-	}
-	for _, fd := range writefds {
-		fds = append(fds, PollFd{Fd: fd, Events: fs.PollOut})
-	}
-	ps.sel = fds[:0]
-	if _, err := c.Poll(fds, timeout); err != nil {
-		return nil, nil, err
-	}
-	for i, pf := range fds {
-		if pf.Revents == 0 {
-			continue
-		}
-		if i < len(readfds) {
-			r = append(r, pf.Fd)
-		} else {
-			w = append(w, pf.Fd)
-		}
-	}
-	return r, w, nil
 }

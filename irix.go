@@ -22,9 +22,10 @@
 //
 // The subsystem packages live under internal/: hw (machine), klock (kernel
 // locks incl. the shared read lock), vm (regions), fs, proc, sched, ipc,
-// threads (the Mach baseline), uspin (busy-wait sync), core (the shared
-// address block — the paper's contribution) and kernel (the syscall
-// layer). This package re-exports the programming surface.
+// uspin (busy-wait sync), core (the shared address block — the paper's
+// contribution) and kernel (the syscall layer, whose ThreadCreate is the
+// Mach baseline: a process that shares everything). This package
+// re-exports the programming surface.
 package irix
 
 import (
@@ -34,7 +35,6 @@ import (
 	"repro/internal/ipc"
 	"repro/internal/kernel"
 	"repro/internal/proc"
-	"repro/internal/threads"
 	"repro/internal/uspin"
 	"repro/internal/vm"
 )
@@ -62,8 +62,6 @@ type (
 	// PollFd is one entry of a Poll set: descriptor, requested events,
 	// and the kernel-filled result mask.
 	PollFd = kernel.PollFd
-	// Task is a Mach-style task (the lightweight-process baseline).
-	Task = threads.Task
 	// FaultError reports an unresolvable memory access (caught SIGSEGV).
 	FaultError = kernel.FaultError
 	// Errno is a System V errno value; every syscall failure carries one.
@@ -263,20 +261,7 @@ type System struct {
 
 // New boots a system. The zero Config gives 4 CPUs, 64 MiB of memory and
 // default limits. It panics on an invalid configuration (negative CPU or
-// memory counts, out-of-range fault rates); use NewChecked for the error.
+// memory counts, out-of-range fault rates).
 func New(cfg Config) *System {
 	return &System{kernel.NewSystem(cfg)}
 }
-
-// NewChecked is New returning configuration errors instead of panicking.
-func NewChecked(cfg Config) (*System, error) {
-	s, err := kernel.NewSystemChecked(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &System{s}, nil
-}
-
-// NewTask adopts the calling process as the bootstrap thread of a
-// Mach-style task (the lightweight-process baseline of paper §2).
-func NewTask(c *Ctx) *Task { return threads.NewTask(c) }

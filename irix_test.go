@@ -142,13 +142,16 @@ func TestPublicAPISignalsAndPipes(t *testing.T) {
 
 func TestPublicAPIMachTask(t *testing.T) {
 	runSys(t, irix.Config{}, func(c *irix.Ctx) {
-		task := irix.NewTask(c)
 		for i := 0; i < 3; i++ {
-			task.ThreadCreate(func(w *irix.Ctx, arg int64) {
+			if _, err := c.ThreadCreate("thread", func(w *irix.Ctx, arg int64) {
 				w.Add32(irix.DataBase, uint32(arg+1))
-			}, int64(i))
+			}, int64(i)); err != nil {
+				t.Errorf("ThreadCreate: %v", err)
+			}
 		}
-		task.Join(3)
+		for i := 0; i < 3; i++ {
+			c.Wait()
+		}
 		if v, _ := c.Load32(irix.DataBase); v != 6 {
 			t.Errorf("task sum = %d", v)
 		}
