@@ -1,11 +1,14 @@
 GO ?= go
 
 # Tier-1 gate: the whole tree must build, pass lint, every test must pass,
-# and the seeded chaos soak must hold the conservation invariants.
+# and the seeded chaos soak must hold the conservation invariants. bench/ is
+# a module of its own, which ./... never builds, so it is vetted and tested
+# by name: a kernel API change that breaks the benchmark fails here.
 .PHONY: tier1
 tier1: lint
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) -C bench vet . && $(GO) -C bench test -count=1 .
 	$(GO) test -short -run 'Chaos' -count=1 ./internal/workload/
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/hw/
 	$(GO) test -run xxx -bench . -benchtime 1x .

@@ -81,71 +81,91 @@ func BenchmarkMemBulk4K(b *testing.B) {
 
 // Host-side cost of one whole checkpoint round trip — Ckpt, Encode, Decode,
 // Restore into a fresh system — of a 256-page group with two parked
-// members. simcyc/op is the two calls' simulated cost, which host-side
-// work on this path must not move.
+// members, for the two shapes of BenchmarkCkptChecksum: "sparse" has one
+// written word a page, "dense" random bytes in every page, where the
+// write-back's zero-line test never skips a line. simcyc/op is the two
+// calls' simulated cost, which host-side work on this path must not move.
 func BenchmarkCkptRoundTrip(b *testing.B) {
 	const pages = 256
-	b.ReportAllocs()
-	sys := kernel.NewSystem(cfg())
-	sys.Start("driver", func(c *kernel.Context) {
-		va, err := c.Mmap(pages)
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		for pg := 0; pg < pages; pg++ {
-			c.Store32(va+hw.VAddr(pg*hw.PageSize), uint32(pg)+1)
-		}
-		var pids []int
-		for i := 0; i < 2; i++ {
-			pid, err := c.Sproc("parked", func(cc *kernel.Context, _ int64) { cc.Blockproc(0) }, proc.PRSALL, int64(i))
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			pids = append(pids, pid)
-		}
-		var simcyc int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			start := c.P.Cycles.Load()
-			img, info, err := c.Ckpt(kernel.CkptOpts{Passes: 1})
-			if err != nil {
-				b.Error(err)
-				break
-			}
-			simcyc += c.P.Cycles.Load() - start
-			b.SetBytes(int64(info.ImageBytes))
-			dec, err := ckpt.Decode(img.Encode())
-			if err != nil {
-				b.Error(err)
-				break
-			}
-			sys2 := kernel.NewSystem(cfg())
-			sys2.Start("adoptive", func(c2 *kernel.Context) {
-				start := c2.P.Cycles.Load()
-				n, err := c2.Restore(dec, func(*kernel.Context, int64) {})
+	rng := rand.New(rand.NewSource(1988))
+	for _, shape := range []struct {
+		name string
+		fill func(c *kernel.Context, pg hw.VAddr, i int) error
+	}{
+		{"sparse", func(c *kernel.Context, pg hw.VAddr, i int) error { return c.Store32(pg, uint32(i)+1) }},
+		{"dense", func(c *kernel.Context, pg hw.VAddr, _ int) error {
+			data := make([]byte, hw.PageSize)
+			rng.Read(data)
+			return c.StoreBytes(pg, data)
+		}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			sys := kernel.NewSystem(cfg())
+			sys.Start("driver", func(c *kernel.Context) {
+				va, err := c.Mmap(pages)
 				if err != nil {
 					b.Error(err)
 					return
 				}
-				simcyc += c2.P.Cycles.Load() - start
-				for ; n > 0; n-- {
-					c2.Wait()
+				for pg := 0; pg < pages; pg++ {
+					if err := shape.fill(c, va+hw.VAddr(pg*hw.PageSize), pg); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+				var pids []int
+				for i := 0; i < 2; i++ {
+					pid, err := c.Sproc("parked", func(cc *kernel.Context, _ int64) { cc.Blockproc(0) }, proc.PRSALL, int64(i))
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					pids = append(pids, pid)
+				}
+				var simcyc int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					start := c.P.Cycles.Load()
+					img, info, err := c.Ckpt(kernel.CkptOpts{Passes: 1})
+					if err != nil {
+						b.Error(err)
+						break
+					}
+					simcyc += c.P.Cycles.Load() - start
+					b.SetBytes(int64(info.ImageBytes))
+					dec, err := ckpt.Decode(img.Encode())
+					if err != nil {
+						b.Error(err)
+						break
+					}
+					sys2 := kernel.NewSystem(cfg())
+					sys2.Start("adoptive", func(c2 *kernel.Context) {
+						start := c2.P.Cycles.Load()
+						n, err := c2.Restore(dec, func(*kernel.Context, int64) {})
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						simcyc += c2.P.Cycles.Load() - start
+						for ; n > 0; n-- {
+							c2.Wait()
+						}
+					})
+					sys2.WaitIdle()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(simcyc)/float64(b.N), "simcyc/op")
+				for _, pid := range pids {
+					c.Unblockproc(pid)
+				}
+				for range pids {
+					c.Wait()
 				}
 			})
-			sys2.WaitIdle()
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(simcyc)/float64(b.N), "simcyc/op")
-		for _, pid := range pids {
-			c.Unblockproc(pid)
-		}
-		for range pids {
-			c.Wait()
-		}
-	})
-	sys.WaitIdle()
+			sys.WaitIdle()
+		})
+	}
 }
 
 // Host-side cost of the image checksum per KiB of a 768-page image, for the

@@ -551,6 +551,11 @@ func (m *Memory) CopyFrameFor(src PFN, cpu int, acct *FrameAcct) (PFN, error) {
 // has not yet stored it into a PTE, so no other CPU can name the frame and
 // the PTE store that follows is what publishes the bytes. A published
 // frame is written with WriteBytes. Bytes past len(src) keep their value.
+//
+// Only the lines the result can differ from the frame in are written: those
+// whose bytes of src hold a non-zero byte, which are marked, and those the
+// map already marks. A line of zero source bytes the map does not mark is
+// zero already, so a restored frame is as sparse as the one captured.
 func (m *Memory) FillFrame(pfn PFN, src []byte) {
 	if len(src) > PageSize {
 		panic("hw: FillFrame crosses page boundary")
@@ -558,19 +563,46 @@ func (m *Memory) FillFrame(pfn PFN, src []byte) {
 	if len(src) == 0 {
 		return
 	}
-	m.mark(pfn, byteLines(0, uint32(len(src))))
+	// A whole line's first eight bytes are tested alone, then the other 56
+	// at once: dense data is decided by one load a line, zeros by one test.
+	var nonZero uint64
+	le := binary.LittleEndian
+	whole := len(src) &^ (1<<lineShift - 1)
+	for i := 0; i < whole; i += 1 << lineShift {
+		l := (*[1 << lineShift]byte)(src[i:])
+		if le.Uint64(l[0:]) != 0 || le.Uint64(l[8:])|le.Uint64(l[16:])|le.Uint64(l[24:])|
+			le.Uint64(l[32:])|le.Uint64(l[40:])|le.Uint64(l[48:])|le.Uint64(l[56:]) != 0 {
+			nonZero |= 1 << (i >> lineShift)
+		}
+	}
+	for _, c := range src[whole:] {
+		if c != 0 {
+			nonZero |= 1 << (whole >> lineShift)
+			break
+		}
+	}
+	m.mark(pfn, nonZero)
+	f := m.frame(pfn)
+	for lm := m.lines[pfn].Load() & byteLines(0, uint32(len(src))); lm != 0; {
+		var lo, hi int
+		lo, hi, lm = nextRun(lm)
+		fillWords(f[lo:hi], src[lo<<2:min(hi<<2, len(src))])
+	}
+}
+
+// fillWords stores s into d from its first byte with plain stores.
+func fillWords(d []uint32, s []byte) {
 	// Two words a turn, both sides cut to the pair count, so the body runs
 	// without bounds checks; at most seven bytes are left for the tail.
-	f := m.frame(pfn)
-	n := len(src) >> 3
-	tail := src[n<<3:]
-	for d := f[:2*n]; len(d) >= 2 && len(src) >= 8; d, src = d[2:], src[8:] {
-		v := binary.LittleEndian.Uint64(src)
+	n := len(s) >> 3
+	tail := s[n<<3:]
+	for d := d[:2*n]; len(d) >= 2 && len(s) >= 8; d, s = d[2:], s[8:] {
+		v := binary.LittleEndian.Uint64(s)
 		d[0], d[1] = uint32(v), uint32(v>>32)
 	}
 	for i, c := range tail {
 		w, shift := 2*n+i>>2, uint(i&3)*8
-		f[w] = f[w]&^(0xff<<shift) | uint32(c)<<shift
+		d[w] = d[w]&^(0xff<<shift) | uint32(c)<<shift
 	}
 }
 

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -125,6 +126,101 @@ func TestBulkFillFrameMatchesWriteBytes(t *testing.T) {
 		m.ReadBytes(want, 0, b)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("FillFrame(len=%d) differs from WriteBytes at offset 0", n)
+		}
+	}
+}
+
+// FillFrame writes and marks only the lines the result can differ in. On a
+// fresh frame the map afterwards is exactly the lines of src that hold a
+// non-zero byte, for every length of an all-zero page, one word, every
+// other line and a dense page. On a frame some lines of which are already
+// written (one of them back to zero), those lines stay marked and take
+// src's bytes, zeros included, and bytes past len(src) keep their value.
+// -short takes every seventh length and the whole page, which still meets
+// every offset in a line and in a word.
+func TestBulkFillFrameMarksOnlyWrittenLines(t *testing.T) {
+	const lineBytes = 1 << lineShift
+	step := 1
+	if testing.Short() {
+		step = 7
+	}
+	var lens []int
+	for n := 0; n < PageSize; n += step {
+		lens = append(lens, n)
+	}
+	lens = append(lens, PageSize)
+	shapes := []struct {
+		name string
+		src  []byte
+	}{
+		{"all zero", make([]byte, PageSize)},
+		{"one word", make([]byte, PageSize)},
+		{"alternating lines", make([]byte, PageSize)},
+		{"dense", make([]byte, PageSize)},
+	}
+	binary.LittleEndian.PutUint32(shapes[1].src[4*700:], 0xdeadbeef)
+	for i := range shapes[2].src {
+		if i/lineBytes%2 == 0 {
+			shapes[2].src[i] = byte(i%251 + 1)
+		}
+	}
+	for i := range shapes[3].src {
+		shapes[3].src[i] = byte(i*7 + i>>8 + 1)
+	}
+	nonZeroLines := func(b []byte) uint64 {
+		var lm uint64
+		for i, c := range b {
+			if c != 0 {
+				lm |= 1 << (i / lineBytes)
+			}
+		}
+		return lm
+	}
+	// The written frame: lines 0, 3 and 63 hold 0xEE bytes, line 10 a word
+	// stored back to zero.
+	before, lines := make([]byte, PageSize), []int{0, 3, 63}
+	for _, line := range lines {
+		for i := line * lineBytes; i < (line+1)*lineBytes; i++ {
+			before[i] = 0xEE
+		}
+	}
+	const written = 1<<0 | 1<<3 | 1<<10 | 1<<63
+
+	m := NewMemory(1)
+	got, want := make([]byte, PageSize), make([]byte, PageSize)
+	for _, shape := range shapes {
+		for _, fresh := range []bool{true, false} {
+			for _, n := range lens {
+				pfn, err := m.Alloc()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantLines := nonZeroLines(shape.src[:n])
+				clear(want)
+				if !fresh {
+					for _, line := range lines {
+						m.WriteBytes(pfn, uint32(line*lineBytes), before[line*lineBytes:(line+1)*lineBytes])
+					}
+					m.StoreWord(pfn, 10<<lineWordsShift, 1)
+					m.StoreWord(pfn, 10<<lineWordsShift, 0)
+					wantLines |= written
+					copy(want, before)
+				}
+				m.FillFrame(pfn, shape.src[:n])
+				copy(want, shape.src[:n])
+				m.ReadBytes(pfn, 0, got)
+				if lm := m.lines[pfn].Load(); lm != wantLines {
+					t.Fatalf("%s, fresh %v, FillFrame(len=%d): line map %#x, want %#x", shape.name, fresh, n, lm, wantLines)
+				}
+				if !bytes.Equal(got, want) {
+					i := 0
+					for got[i] == want[i] {
+						i++
+					}
+					t.Fatalf("%s, fresh %v, FillFrame(len=%d): byte %d = %#x, want %#x", shape.name, fresh, n, i, got[i], want[i])
+				}
+				m.DecRef(pfn)
+			}
 		}
 	}
 }

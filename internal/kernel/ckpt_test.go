@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -499,5 +501,119 @@ func TestCkptAllocsDoNotScaleWithPages(t *testing.T) {
 	}
 	if big > 100 {
 		t.Errorf("Ckpt of 256 pages made %v allocations, want at most 100", big)
+	}
+}
+
+// TestCkptRestoreChargesPinned fixes what a checkpoint and a restore cost on
+// the sim meter, in BenchmarkCkptRoundTrip's shape: a driver with two
+// parked members and 256 pages of one written word each, plus one page of
+// random bytes. Each row is the call's in-kernel latency as Stats()
+// reports it and what the caller's own cycle counter moved by. A restore
+// charges per page, whatever the page holds, so these rows do not move
+// when the write-back skips a page's zero lines. The restored group, its
+// members parked again, re-checkpoints to an image that diffs empty.
+func TestCkptRestoreChargesPinned(t *testing.T) {
+	const pages = 256
+	type row struct {
+		name           string
+		simcyc, cycles int64
+	}
+	var got []row
+	measure := func(c *Context, name string, sys Sysno, call func() error) {
+		sim, cyc := sysSimCyc(c.S, sys), c.P.Cycles.Load()
+		if err := call(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		got = append(got, row{name, sysSimCyc(c.S, sys) - sim, c.P.Cycles.Load() - cyc})
+	}
+	park := func(cc *Context, _ int64) { cc.Blockproc(0) }
+	// parked waits for the caller's fellow members to park and names them.
+	parked := func(c *Context) []int {
+		var pids []int
+		for _, m := range GroupOf(c.P).Members() {
+			if m != c.P {
+				pids = append(pids, m.PID)
+			}
+		}
+		waitAsleep(c, pids)
+		return pids
+	}
+	release := func(c *Context) {
+		pids := parked(c)
+		for _, pid := range pids {
+			c.Unblockproc(pid)
+		}
+		for range pids {
+			c.Wait()
+		}
+	}
+
+	var img *ckpt.Image
+	s := NewSystem(testConfig())
+	s.Start("driver", func(c *Context) {
+		va, err := c.Mmap(pages + 1)
+		if err != nil {
+			t.Errorf("mmap: %v", err)
+			return
+		}
+		for pg := 0; pg < pages; pg++ {
+			c.Store32(va+hw.VAddr(pg*hw.PageSize), uint32(pg)+1)
+		}
+		dense := make([]byte, hw.PageSize)
+		rand.New(rand.NewSource(1988)).Read(dense)
+		if err := c.StoreBytes(va+pages*hw.PageSize, dense); err != nil {
+			t.Errorf("store the dense page: %v", err)
+			return
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := c.Sproc("parked", park, proc.PRSALL, int64(i)); err != nil {
+				t.Errorf("sproc %d: %v", i, err)
+				return
+			}
+		}
+		parked(c)
+		measure(c, "ckpt", SysCkpt, func() (err error) {
+			img, _, err = c.Ckpt(CkptOpts{Passes: 1})
+			return err
+		})
+		release(c)
+	})
+	waitIdle(t, s)
+	if img == nil {
+		t.Fatal("no image")
+	}
+	dec, err := ckpt.Decode(img.Encode())
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+
+	s2 := NewSystem(testConfig())
+	s2.Start("adoptive", func(c *Context) {
+		measure(c, "restore", SysRestore, func() error {
+			_, err := c.Restore(dec, park)
+			return err
+		})
+		parked(c)
+		re, _, err := c.Ckpt(CkptOpts{Passes: 1})
+		if err != nil {
+			t.Errorf("re-checkpoint: %v", err)
+		} else if d := ckpt.Diff(dec, re, ckpt.DiffOpts{IgnorePIDs: true}); len(d) != 0 {
+			t.Errorf("the restored group re-checkpoints to a different image: %s", strings.Join(d, "; "))
+		}
+		release(c)
+	})
+	waitIdle(t, s2)
+
+	want := []row{
+		{"ckpt", 4272, 4212},
+		{"restore", 12272, 12212},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("measured %d calls, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		if got[i] != w {
+			t.Errorf("%s: %d simcyc in the kernel, %d on the caller's counter; pinned %d and %d", w.name, got[i].simcyc, got[i].cycles, w.simcyc, w.cycles)
+		}
 	}
 }

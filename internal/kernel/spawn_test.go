@@ -414,6 +414,49 @@ func TestRestoreFailureLeavesCallerWaitable(t *testing.T) {
 	}
 }
 
+// TestRestoreFailureKeepsCallerState: a restore refused for its geometry
+// changes nothing about the caller. The image's creator stack is moved 64
+// pages down, so the caller's stack does not match it; restore fails with
+// EINVAL, and the caller keeps its open descriptor, its umask and its name
+// rather than the image's.
+func TestRestoreFailureKeepsCallerState(t *testing.T) {
+	enc, _, _ := runCkptWorkload(t, 2, 1, false)
+	img, err := ckpt.Decode(enc)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	img.Members[0].StackBase -= 64 * hw.PageSize
+	const umask = 0o077
+	if img.Attr.Umask == umask {
+		t.Fatalf("image umask is %#o already; the test cannot tell it from the caller's", umask)
+	}
+	s := NewSystem(testConfig())
+	s.Start("blank", func(c *Context) {
+		fd, err := c.Open("/kept", fs.ORead|fs.OWrite|fs.OCreat, 0o644)
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		c.Umask(umask)
+		if _, err := c.Restore(img, func(*Context, int64) {}); !errors.Is(err, EINVAL) {
+			t.Errorf("restore = %v, want EINVAL", err)
+		}
+		if _, err := c.Lseek(fd, 0, fs.SeekSet); err != nil {
+			t.Errorf("lseek on the caller's descriptor after the failed restore: %v", err)
+		}
+		if got := c.Umask(umask); got != umask {
+			t.Errorf("umask after the failed restore = %#o, want the caller's %#o", got, umask)
+		}
+		if c.P.Name != "blank" {
+			t.Errorf("caller name after the failed restore = %q, want %q", c.P.Name, "blank")
+		}
+		if _, _, err := c.Wait(); !errors.Is(err, ECHILD) {
+			t.Errorf("wait = %v, want ECHILD: nothing was built", err)
+		}
+	})
+	waitIdle(t, s)
+}
+
 // goid names the calling goroutine, as a goroutine dump does.
 func goid() string {
 	var b [64]byte

@@ -458,6 +458,12 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 			return -1, fmt.Errorf("kernel: image stack of %q at %#x, %d pages, is not a page-aligned range below 4 GiB", m.Name, m.StackBase, m.StackPages)
 		}
 	}
+	// The caller takes the creator's place, so its stack must be where the
+	// creator's was; checked here, before the caller's state is touched.
+	creator := &img.Members[0]
+	if p.Stack == nil || uint64(p.Stack.Base) != creator.StackBase {
+		return -1, fmt.Errorf("kernel: restore caller stack at %#x, image creator stack at %#x (stack geometry must match)", stackBaseOf(p), creator.StackBase)
+	}
 	mach := c.S.Machine
 	cpu := c.cpu()
 	cpuIdx := int(p.CPU.Load())
@@ -465,7 +471,6 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 	// The caller adopts the creator's identity and descriptor table BEFORE
 	// the share block exists, so the block's shadow state is built from
 	// restored values rather than synchronized after the fact.
-	creator := &img.Members[0]
 	p.Mu.Lock()
 	p.Umask = img.Attr.Umask
 	p.Ulimit = img.Attr.Ulimit
@@ -477,9 +482,6 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 	p.Name = creator.Name
 	p.Arg = creator.Arg
 	p.Prio.Store(creator.Prio)
-	if p.Stack == nil || uint64(p.Stack.Base) != creator.StackBase {
-		return -1, fmt.Errorf("kernel: restore caller stack at %#x, image creator stack at %#x (stack geometry must match)", stackBaseOf(p), creator.StackBase)
-	}
 
 	sa := c.shareGroup()
 	p.SetShMask(proc.Mask(creator.Mask))
