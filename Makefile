@@ -85,6 +85,13 @@ lint-ckpt:
 		exit 1; \
 	fi
 
+# Fuzz: mutate checkpoint images past the seed corpus (which every plain
+# go test already runs) — whatever Decode accepts must validate and
+# re-encode to the bytes it was given. Not part of tier1.
+.PHONY: fuzz
+fuzz:
+	$(GO) test -run xxx -fuzz FuzzDecodeRoundTrip -fuzztime 30s ./internal/ckpt/
+
 .PHONY: vet
 vet:
 	$(GO) vet ./...

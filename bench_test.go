@@ -57,8 +57,10 @@ func BenchmarkMemBulk4K(b *testing.B) {
 		m.DecRef(cp)
 	})
 	// The restore write-back: a page into a slot with no frame yet, so
-	// every op allocates, fills and publishes. The region is replaced,
-	// off the clock, each time its slots run out.
+	// every op allocates, fills and publishes. The page is buf's packed
+	// form. The region is replaced, off the clock, each time its slots run
+	// out.
+	lines, packed := packPage(buf)
 	b.Run("WritePage", func(b *testing.B) {
 		const slots = 256
 		wm := hw.NewMemory(slots)
@@ -72,7 +74,7 @@ func BenchmarkMemBulk4K(b *testing.B) {
 				reg = vm.NewRegion(wm, vm.RShm, slots)
 				b.StartTimer()
 			}
-			if _, err := reg.WritePage(i%slots, buf, -1, nil); err != nil {
+			if _, err := reg.WritePage(i%slots, lines, packed, -1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -168,9 +170,26 @@ func BenchmarkCkptRoundTrip(b *testing.B) {
 	}
 }
 
+// packPage is page's packed form, as vm.ReadPage gives it: the lines that
+// hold a non-zero byte, in order, and their mask.
+func packPage(page []byte) (lines uint64, packed []byte) {
+	for i := 0; i < len(page); i += hw.LineSize {
+		l := page[i : i+hw.LineSize]
+		for _, c := range l {
+			if c != 0 {
+				lines |= 1 << (i / hw.LineSize)
+				packed = append(packed, l...)
+				break
+			}
+		}
+	}
+	return lines, packed
+}
+
 // Host-side cost of the image checksum per KiB of a 768-page image, for the
 // two shapes of traffic: "sparse" is ckpt_restore's, one written word a
-// page, and "dense" is a page of data in every page. Decode checks the
+// page (one line of it in the image), and "dense" is a page of data in
+// every page. Decode checks the
 // trailer before it parses anything, so decoding an image whose trailer is
 // spoiled times the checksum alone.
 func BenchmarkCkptChecksum(b *testing.B) {
@@ -188,7 +207,8 @@ func BenchmarkCkptChecksum(b *testing.B) {
 			for i := 0; i < pages; i++ {
 				pg := make([]byte, hw.PageSize)
 				shape.fill(pg, i)
-				reg.Resid = append(reg.Resid, ckpt.PageImage{Index: i, Data: pg})
+				lines, packed := packPage(pg)
+				reg.Resid = append(reg.Resid, ckpt.PageImage{Index: i, Lines: lines, Data: packed})
 			}
 			im := &ckpt.Image{Version: ckpt.Version, PageSize: hw.PageSize, Regions: []ckpt.RegionImage{reg}}
 			enc := im.Encode()

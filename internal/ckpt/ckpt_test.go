@@ -20,6 +20,19 @@ func samplePage(size int, fill byte) []byte {
 	return p
 }
 
+// packPage is page at index in canonical form: the lines holding a
+// non-zero byte, in order, and their mask.
+func packPage(index int, page []byte) PageImage {
+	pg := PageImage{Index: index}
+	for i := 0; i < len(page); i += LineSize {
+		if l := page[i : i+LineSize]; !zeroLine((*[LineSize]byte)(l)) {
+			pg.Lines |= 1 << (i / LineSize)
+			pg.Data = append(pg.Data, l...)
+		}
+	}
+	return pg
+}
+
 func sampleImage() *Image {
 	const ps = 64
 	return &Image{
@@ -31,11 +44,11 @@ func sampleImage() *Image {
 		},
 		Regions: []RegionImage{
 			{Base: 0x1000, Pages: 4, Type: RText, Resid: []PageImage{
-				{Index: 0, Data: samplePage(ps, 1)},
+				packPage(0, samplePage(ps, 1)),
 			}},
 			{Base: 0x8000, Pages: 16, Type: RData, Resid: []PageImage{
-				{Index: 2, Data: samplePage(ps, 3)},
-				{Index: 9, Data: samplePage(ps, 5)},
+				packPage(2, samplePage(ps, 3)),
+				packPage(9, samplePage(ps, 5)),
 			}},
 		},
 		Members: []MemberImage{
@@ -47,7 +60,7 @@ func sampleImage() *Image {
 				}},
 			{PID: 2, Name: "worker", Mask: 0x3f, Prio: 1, Arg: 11,
 				StackBase: 0x90000, StackPages: 8,
-				PRDA: samplePage(ps, 8)},
+				PRDA: &PageImage{Lines: 1, Data: samplePage(ps, 8)}},
 		},
 	}
 }
@@ -118,7 +131,7 @@ func TestDiffAbsentEqualsZero(t *testing.T) {
 	a, b := sampleImage(), sampleImage()
 	// A zero page recorded in one image and absent from the other is the
 	// same logical state — a restore materializes it back to zeros.
-	b.Regions[1].Resid = append(b.Regions[1].Resid, PageImage{Index: 12, Data: make([]byte, b.PageSize)})
+	b.Regions[1].Resid = append(b.Regions[1].Resid, PageImage{Index: 12})
 	b.Normalize()
 	if diffs := Diff(a, b, DiffOpts{}); len(diffs) != 0 {
 		t.Fatalf("zero page vs absent page reported as difference: %v", diffs)
@@ -164,9 +177,10 @@ func bigImage(npages int) *Image {
 	im.PageSize = 4096
 	im.Regions = []RegionImage{{Base: 0x30000000, Pages: npages, Type: RShm}}
 	for i := 0; i < npages; i++ {
-		im.Regions[0].Resid = append(im.Regions[0].Resid, PageImage{Index: i, Data: samplePage(4096, byte(i))})
+		im.Regions[0].Resid = append(im.Regions[0].Resid, packPage(i, samplePage(4096, byte(i))))
 	}
-	im.Members[1].PRDA = samplePage(4096, 8)
+	im.Members[1].PRDA = new(PageImage)
+	*im.Members[1].PRDA = packPage(0, samplePage(4096, 8))
 	return im
 }
 
@@ -195,10 +209,10 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 }
 
 // The format is pinned, not just self-consistent: this is the SHA-256 of
-// sampleImage's encoding as the byte-append encoder before EncodedSize
-// produced it. A change here is a format change and needs a Version bump.
+// sampleImage's encoding in format version 2, the line-packed page record.
+// A change here is a format change and needs a Version bump.
 func TestEncodeGolden(t *testing.T) {
-	const want = "6a81ce2edbf32e330cdd2306af7316fbed49e1fb4a174e2311fd36614ee7097d"
+	const want = "d552f38bf9ef6dba6dc4575e864422bfc13d364baf3e8a6d37ddb1fe4b14e40e"
 	if got := fmt.Sprintf("%x", sha256.Sum256(sampleImage().Encode())); got != want {
 		t.Fatalf("sampleImage encodes to %s, want %s", got, want)
 	}
@@ -259,35 +273,35 @@ func TestDecodeRejectsOversizedCounts(t *testing.T) {
 }
 
 // sparseImage is bigImage with one written word a page: the shape of a
-// group whose members each touched a word of every page.
+// group whose members each touched a word of every page, one line a page.
 func sparseImage(npages int) *Image {
 	im := bigImage(npages)
-	for _, pg := range im.Regions[0].Resid {
-		clear(pg.Data[4:])
+	for i := range im.Regions[0].Resid {
+		pg := samplePage(4096, byte(i))
+		clear(pg[4:])
+		im.Regions[0].Resid[i] = packPage(i, pg)
 	}
 	return im
 }
 
-// pageData is the body offset of page j's bytes in a bigImage or
-// sparseImage encoding: the header, the one region's record, j pages before
-// it, and its own index.
-func pageData(j int) int {
-	return headerFixed + attrFixed + 4 + regionFixed + j*(4+4096) + 4
+// pageData is the body offset of page j's packed bytes in a bigImage or
+// sparseImage encoding, whose pages pack pageBytes each: the header, the
+// one region's record, j pages before it, and its own index and mask.
+func pageData(j, pageBytes int) int {
+	return headerFixed + attrFixed + 4 + regionFixed + j*(pageFixed+pageBytes) + pageFixed
 }
 
-// The trailer is crc64.Checksum's value however the body was cut and
-// whatever runs of zeros it holds: every chunk count the splitter can pick,
-// at the lengths where its choice changes, and with one P (the serial
-// call); over dense bodies, sparse ones with zero runs of random length and
-// offset, runs shorter than a grain, runs across every chunk boundary, an
-// all-zero body, bodies shorter than a grain, and a sparse image's body.
+// The trailer is crc64.Checksum's value however the body was cut: every
+// chunk count the splitter can pick, at the lengths where its choice
+// changes, and with one P (the serial call); over dense bodies, bodies with
+// zero runs of random length and offset, runs across every chunk boundary,
+// an all-zero body, short bodies, and a sparse image's body.
 //
 // Mutations, each of which fails this test (checked by hand when written):
-// the zero-grain fold applied one time more or fewer than the run's grains;
-// the grain tables built for x^(8·(sumGrain-1)) or x^(8·2·sumGrain); the
-// fold applied to the checksum instead of the raw register (without the ^
-// on both sides).
+// crcCombine given the first chunk's length instead of chunk i's; the chunk
+// size rounded down instead of up.
 func TestChecksumMatchesSerial(t *testing.T) {
+	const grain = 256 // bytes: the scale of the short bodies and zero runs
 	rnd := rand.New(rand.NewSource(1988))
 	dense := func(n int) []byte {
 		b := make([]byte, n)
@@ -308,7 +322,7 @@ func TestChecksumMatchesSerial(t *testing.T) {
 		for n := 2; n <= sumChunks; n++ {
 			size := (len(b) + n - 1) / n
 			for i := 1; i < n; i++ {
-				clear(b[i*size-3*sumGrain/2 : i*size+3*sumGrain/2+7])
+				clear(b[i*size-3*grain/2 : i*size+3*grain/2+7])
 			}
 		}
 		return b
@@ -323,12 +337,12 @@ func TestChecksumMatchesSerial(t *testing.T) {
 	}
 	sparse := sparseImage(768).Encode()
 	bodies = append(bodies,
-		body{"dense, shorter than a grain", dense(sumGrain - 1)},
-		body{"zero, shorter than a grain", make([]byte, sumGrain-1)},
-		body{"zero, one grain", make([]byte, sumGrain)},
+		body{"dense, shorter than a grain", dense(grain - 1)},
+		body{"zero, shorter than a grain", make([]byte, grain-1)},
+		body{"zero, one grain", make([]byte, grain)},
 		body{"all zero", make([]byte, 2*sumChunkMin+5)},
-		body{"random zero runs", zeroRuns(dense(2*sumChunkMin+5), 300, 8*sumGrain)},
-		body{"zero runs shorter than a grain", zeroRuns(dense(2*sumChunkMin+5), 3000, sumGrain-1)},
+		body{"random zero runs", zeroRuns(dense(2*sumChunkMin+5), 300, 8*grain)},
+		body{"zero runs shorter than a grain", zeroRuns(dense(2*sumChunkMin+5), 3000, grain-1)},
 		body{"zero runs across chunk boundaries", acrossBoundaries(dense(2*sumChunkMin + 5))},
 		body{"one word a page", sparse[:len(sparse)-8]},
 	)
@@ -350,24 +364,28 @@ func TestChecksumMatchesSerial(t *testing.T) {
 	}
 }
 
-// A damaged byte fails Decode with the checksum error wherever in a
-// chunked body it sits — first byte, either side of every chunk boundary,
-// last byte — and, in a sparse image, inside a run of zeros the checksum
-// folds rather than reads.
+// A damaged byte fails Decode with the checksum error wherever in the body
+// it sits — first byte, either side of every chunk boundary, last byte —
+// in a dense image, chunked four ways, and a sparse one, summed serially:
+// inside a page's packed lines and in its line mask.
 func TestDecodeRejectsCorruptionInAnyChunk(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for i, im := range []*Image{bigImage(768), sparseImage(768)} { // 3 MiB: four chunks
-		enc := im.Encode()
+	for _, tc := range []struct {
+		im        *Image
+		pageBytes int
+	}{{bigImage(768), 4096}, {sparseImage(768), LineSize}} { // dense: 3 MiB, four chunks
+		enc := tc.im.Encode()
 		body := len(enc) - 8
 		if _, err := Decode(enc); err != nil {
 			t.Fatal(err)
 		}
-		if mid := pageData(383); i == 1 && !IsZero(enc[mid+4:mid+4096]) {
-			t.Fatal("sparse page 383 holds more than its first word: pageData is off")
+		if idx := binary.LittleEndian.Uint32(enc[pageData(383, tc.pageBytes)-pageFixed:]); idx != 383 {
+			t.Fatalf("the record pageData(383) names is page %d: pageData is off", idx)
 		}
 		size := (body + 3) / 4
 		for _, at := range []int{len(magic), size - 1, size, 2*size - 1, 2 * size, 3*size - 1, 3 * size, body - 1,
-			pageData(0) + 2048, pageData(383) + 2048, pageData(767) + 2048} {
+			pageData(0, tc.pageBytes) + tc.pageBytes/2, pageData(383, tc.pageBytes) + tc.pageBytes/2,
+			pageData(767, tc.pageBytes) + tc.pageBytes/2, pageData(383, tc.pageBytes) - 8} {
 			enc[at] ^= 0x10
 			if _, err := Decode(enc); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 				t.Errorf("byte %d of %d flipped: Decode = %v, want the checksum error", at, body, err)
@@ -377,21 +395,90 @@ func TestDecodeRejectsCorruptionInAnyChunk(t *testing.T) {
 	}
 }
 
-func TestIsZero(t *testing.T) {
-	for _, n := range []int{0, 1, 64, 4096, 4097, 10000} {
-		p := make([]byte, n)
-		if !IsZero(p) {
-			t.Errorf("IsZero(%d zero bytes) = false", n)
+// reseal rewrites b's trailer to the checksum of the rest, so a damaged
+// body reaches the parser.
+func reseal(b []byte) []byte {
+	if len(b) >= 8 {
+		body := b[:len(b)-8]
+		binary.LittleEndian.PutUint64(b[len(body):], crc64.Checksum(body, crcTable))
+	}
+	return b
+}
+
+// Validate and Decode refuse a page that is not in canonical form, one case
+// per rule; the damaged image is encoded anyway and resealed, so Decode
+// meets each one past the checksum.
+func TestValidateRejectsNonCanonicalPage(t *testing.T) {
+	cases := []struct {
+		name   string
+		break_ func(*Image)
+	}{
+		{"data longer than the mask's lines", func(im *Image) {
+			pg := &im.Regions[1].Resid[0]
+			pg.Data = append(pg.Data, samplePage(LineSize, 1)...)
+		}},
+		{"data shorter than the mask's lines", func(im *Image) {
+			pg := &im.Regions[1].Resid[0]
+			pg.Data = pg.Data[:LineSize-4]
+		}},
+		{"an all-zero packed line", func(im *Image) {
+			clear(im.Regions[1].Resid[1].Data)
+		}},
+		{"an all-zero packed PRDA line", func(im *Image) {
+			clear(im.Members[1].PRDA.Data)
+		}},
+		{"a mask bit past the page's last line", func(im *Image) {
+			pg := &im.Regions[0].Resid[0]
+			pg.Lines |= 1 << 1
+			pg.Data = append(pg.Data, samplePage(LineSize, 2)...)
+		}},
+		{"the last mask bit of a one-line page", func(im *Image) {
+			pg := &im.Regions[0].Resid[0]
+			pg.Lines = 1<<63 | 1
+			pg.Data = append(pg.Data, samplePage(LineSize, 2)...)
+		}},
+		{"page size not a multiple of the line", func(im *Image) { im.PageSize = 100 }},
+		{"page size of more than 64 lines", func(im *Image) { im.PageSize = 65 * LineSize }},
+	}
+	for _, tc := range cases {
+		im := sampleImage()
+		tc.break_(im)
+		if err := im.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
 		}
-		for _, at := range []int{0, n / 2, n - 1} {
-			if n == 0 {
-				break
-			}
-			p[at] = 1
-			if IsZero(p) {
-				t.Errorf("IsZero missed a set byte %d of %d", at, n)
-			}
-			p[at] = 0
+		if _, err := Decode(reseal(im.Encode())); err == nil {
+			t.Errorf("%s: Decode accepted it", tc.name)
 		}
 	}
+}
+
+// Any input Decode accepts passes Validate and re-encodes to the bytes it
+// was given. Each input is tried as it is and resealed, so a mutation of
+// the body reaches the parser instead of stopping at the checksum. The
+// seeds: a sparse image, a dense one, one with PRDA pages, and truncated,
+// bit-flipped and flipped-then-resealed variants of each.
+func FuzzDecodeRoundTrip(f *testing.F) {
+	for _, im := range []*Image{sparseImage(4), bigImage(2), sampleImage()} {
+		enc := im.Encode()
+		f.Add(enc)
+		f.Add(enc[:len(enc)-9])
+		flipped := bytes.Clone(enc)
+		flipped[len(flipped)/2] ^= 0x10
+		f.Add(flipped)
+		f.Add(reseal(bytes.Clone(flipped)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, reseal(bytes.Clone(data))} {
+			im, err := Decode(in)
+			if err != nil {
+				continue
+			}
+			if err := im.Validate(); err != nil {
+				t.Fatalf("Decode accepted an image Validate refuses: %v", err)
+			}
+			if !bytes.Equal(im.Encode(), in) {
+				t.Fatal("a decoded image re-encodes to other bytes")
+			}
+		}
+	})
 }

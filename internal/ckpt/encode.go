@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
+	"math/bits"
 	"runtime"
 	"sync"
 )
@@ -12,9 +13,12 @@ import (
 // Binary image format: little-endian, fixed-width integers, length-
 // prefixed strings and lists, in canonical order (regions ascending by
 // base, pages ascending by index, members in creation order), closed by a
-// CRC64 of everything before it. Two checkpoints of identical logical
-// state therefore encode byte-identically — the determinism contract the
-// restore-and-diff and double-checkpoint tests pin.
+// CRC64 of everything before it. A page record is its index (u32), its
+// line mask (u64) and the mask's lines, LineSize bytes each; a member's
+// PRDA is a presence byte and, when present, a page record. Two
+// checkpoints of identical logical state therefore encode byte-identically
+// — the determinism contract the restore-and-diff and double-checkpoint
+// tests pin.
 
 var magic = [8]byte{'S', 'G', 'C', 'K', 'P', 'T', 0, '\n'}
 
@@ -23,13 +27,10 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // The trailer is crc64.Checksum(body, crcTable), whichever way it is
 // computed. A body of two chunks or more is summed a chunk per goroutine —
 // one per P, at most sumChunks — and the parts folded with crcCombine; a
-// smaller body, or a single P, is summed in one piece. Either way a piece
-// is walked in sumGrain-byte grains, and a run of all-zero grains is folded
-// into the register by multiplication instead of fed through the table.
+// smaller body, or a single P, is summed in one piece.
 const (
 	sumChunkMin = 256 << 10 // bytes; below two of these a body is summed serially
 	sumChunks   = 8
-	sumGrain    = 256 // bytes tested for zero at a time
 )
 
 func checksum(body []byte) uint64 {
@@ -39,7 +40,7 @@ func checksum(body []byte) uint64 {
 // checksumChunks sums body as n (at most sumChunks) near-equal chunks.
 func checksumChunks(body []byte, n int) uint64 {
 	if n < 2 {
-		return sum(body)
+		return crc64.Checksum(body, crcTable)
 	}
 	size := (len(body) + n - 1) / n
 	chunk := func(i int) []byte {
@@ -51,69 +52,16 @@ func checksumChunks(body []byte, n int) uint64 {
 	for i := 1; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			sums[i] = sum(chunk(i))
+			sums[i] = crc64.Checksum(chunk(i), crcTable)
 		}(i)
 	}
-	crc := sum(chunk(0))
+	crc := crc64.Checksum(chunk(0), crcTable)
 	wg.Wait()
 	for i := 1; i < n; i++ {
 		crc = crcCombine(crc, sums[i], len(chunk(i)))
 	}
 	return crc
 }
-
-// sum is crc64.Checksum(p, crcTable). A zero byte multiplies the raw
-// register (the checksum before its final complement) by x^8 mod P and adds
-// nothing, so a run of k zero grains multiplies it by x^(8·sumGrain), k
-// times; every other byte goes through crc64.Update. A damaged byte makes
-// its grain non-zero, so nothing is skipped that was not zero.
-func sum(p []byte) uint64 {
-	var crc uint64
-	for len(p) > 0 {
-		dense, zeros := 0, 0 // p[:dense] holds no zero grain; p[dense:dense+zeros] only zero grains
-		for dense+sumGrain <= len(p) && !IsZero(p[dense:dense+sumGrain]) {
-			dense += sumGrain
-		}
-		for dense+zeros+sumGrain <= len(p) && IsZero(p[dense+zeros:][:sumGrain]) {
-			zeros += sumGrain
-		}
-		if zeros == 0 {
-			dense = len(p) // what is left is shorter than a grain
-		}
-		crc = crc64.Update(crc, crcTable, p[:dense])
-		crc = ^foldZeroGrains(^crc, zeros/sumGrain)
-		p = p[dense+zeros:]
-	}
-	return crc
-}
-
-// foldZeroGrains multiplies the raw register r by x^(8·sumGrain) mod P k
-// times, a byte of r per table.
-func foldZeroGrains(r uint64, k int) uint64 {
-	if k == 0 {
-		return r
-	}
-	t := grainTables()
-	for ; k > 0; k-- {
-		r = t[0][byte(r)] ^ t[1][byte(r>>8)] ^ t[2][byte(r>>16)] ^ t[3][byte(r>>24)] ^
-			t[4][byte(r>>32)] ^ t[5][byte(r>>40)] ^ t[6][byte(r>>48)] ^ t[7][byte(r>>56)]
-	}
-	return r
-}
-
-// grainTables holds x^(8·sumGrain) mod P split by the byte it multiplies:
-// the product is linear in r, so it is the XOR of one entry per byte of r.
-// 16 KiB, built on the first zero grain.
-var grainTables = sync.OnceValue(func() *[8][256]uint64 {
-	shift := xPow8n(sumGrain)
-	t := new([8][256]uint64)
-	for k := range t {
-		for b := range t[k] {
-			t[k][b] = mulModP(uint64(b)<<(8*k), shift)
-		}
-	}
-	return t
-})
 
 // crcCombine returns the checksum of A‖B from those of A and B and B's
 // length: appending len(B) bytes multiplies A's remainder by x^(8·len(B))
@@ -171,9 +119,10 @@ func (w *writer) str(s string) {
 	w.u32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
 }
-func (w *writer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
+func (w *writer) page(pg PageImage) {
+	w.u32(uint32(pg.Index))
+	w.u64(pg.Lines)
+	w.buf = append(w.buf, pg.Data...)
 }
 
 // Encoded sizes of the fixed-width parts of each record, shared by
@@ -182,7 +131,8 @@ const (
 	headerFixed = 8 + 4 + 4                     // magic, version, page size
 	attrFixed   = 2 + 8 + 2 + 2 + 4 + 8 + 4 + 1 // GroupAttr
 	regionFixed = 8 + 4 + 1 + 4                 // base, pages, type, resident count
-	memberFixed = 4 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 4
+	pageFixed   = 4 + 8                         // index, line mask
+	memberFixed = 4 + 4 + 4 + 4 + 8 + 8 + 4 + 1 + 4
 	fdFixed     = 4 + 4 + 4 + 1 + 8 + 1
 )
 
@@ -193,12 +143,15 @@ func (im *Image) EncodedSize() int {
 	for i := range im.Regions {
 		n += regionFixed
 		for _, pg := range im.Regions[i].Resid {
-			n += 4 + len(pg.Data)
+			n += pageFixed + len(pg.Data)
 		}
 	}
 	for i := range im.Members {
 		m := &im.Members[i]
-		n += memberFixed + len(m.Name) + len(m.PRDA)
+		n += memberFixed + len(m.Name)
+		if m.PRDA != nil {
+			n += pageFixed + len(m.PRDA.Data)
+		}
 		for _, fd := range m.Fds {
 			n += fdFixed + len(fd.Path)
 		}
@@ -229,8 +182,7 @@ func (im *Image) Encode() []byte {
 		w.u8(r.Type)
 		w.u32(uint32(len(r.Resid)))
 		for _, pg := range r.Resid {
-			w.u32(uint32(pg.Index))
-			w.buf = append(w.buf, pg.Data...)
+			w.page(pg)
 		}
 	}
 
@@ -243,7 +195,10 @@ func (im *Image) Encode() []byte {
 		w.i64(m.Arg)
 		w.u64(m.StackBase)
 		w.u32(uint32(m.StackPages))
-		w.bytes(m.PRDA)
+		w.boolean(m.PRDA != nil)
+		if m.PRDA != nil {
+			w.page(*m.PRDA)
+		}
 		w.u32(uint32(len(m.Fds)))
 		for _, fd := range m.Fds {
 			w.u32(uint32(fd.Fd))
@@ -320,8 +275,14 @@ func (r *reader) u64() uint64 {
 	}
 	return binary.LittleEndian.Uint64(b)
 }
-func (r *reader) i64() int64    { return int64(r.u64()) }
-func (r *reader) boolean() bool { return r.u8() != 0 }
+func (r *reader) i64() int64 { return int64(r.u64()) }
+func (r *reader) boolean() bool {
+	b := r.u8()
+	if r.err == nil && b > 1 {
+		r.err = fmt.Errorf("ckpt: boolean byte %d at offset %d", b, r.off-1)
+	}
+	return b == 1
+}
 func (r *reader) count(limit int, what string) int {
 	n := int(r.u32())
 	if r.err == nil && (n < 0 || n > limit) {
@@ -340,19 +301,20 @@ func (r *reader) str() string {
 	}
 	return string(b)
 }
-func (r *reader) bytes() []byte {
-	n := r.count(1<<24, "byte-slice byte")
-	b := r.need(n)
-	if n == 0 {
-		return nil
-	}
-	return b
+
+// page reads a page record: its index, its line mask, and as many lines as
+// the mask names. Whether that is a canonical page is Validate's question.
+func (r *reader) page() PageImage {
+	pg := PageImage{Index: int(r.u32()), Lines: r.u64()}
+	pg.Data = r.need(bits.OnesCount64(pg.Lines) * LineSize)
+	return pg
 }
 
-// Decode parses a canonical image, verifying magic and checksum. The
-// result passes Validate when the encoder's input did. It does not alias
-// data: the body is copied once, every page and PRDA of the image is cut
-// from that one slab, and strings are copied out of it.
+// Decode parses a canonical image, verifying magic and checksum, and
+// returns it only if it passes Validate, so every image it accepts
+// re-encodes to the bytes it was given. It does not alias data: the body is
+// copied once, every page and PRDA of the image is cut from that one slab,
+// and strings are copied out of it.
 func Decode(data []byte) (*Image, error) {
 	if len(data) < len(magic)+8 {
 		return nil, fmt.Errorf("ckpt: image too short (%d bytes)", len(data))
@@ -375,9 +337,6 @@ func Decode(data []byte) (*Image, error) {
 	if r.err == nil && im.Version != Version {
 		return nil, fmt.Errorf("ckpt: image version %d, want %d", im.Version, Version)
 	}
-	if r.err == nil && (im.PageSize <= 0 || im.PageSize > 1<<20) {
-		return nil, fmt.Errorf("ckpt: implausible page size %d", im.PageSize)
-	}
 
 	im.Attr.Umask = r.u16()
 	im.Attr.Ulimit = r.i64()
@@ -394,9 +353,9 @@ func Decode(data []byte) (*Image, error) {
 		reg.Base = r.u64()
 		reg.Pages = int(r.u32())
 		reg.Type = r.u8()
-		reg.Resid = make([]PageImage, r.list(1<<24, 4+im.PageSize, "page"))
+		reg.Resid = make([]PageImage, r.list(1<<24, pageFixed, "page"))
 		for j := range reg.Resid {
-			reg.Resid[j] = PageImage{Index: int(r.u32()), Data: r.need(im.PageSize)}
+			reg.Resid[j] = r.page()
 		}
 	}
 
@@ -410,7 +369,10 @@ func Decode(data []byte) (*Image, error) {
 		m.Arg = r.i64()
 		m.StackBase = r.u64()
 		m.StackPages = int(r.u32())
-		m.PRDA = r.bytes()
+		if r.boolean() {
+			prda := r.page()
+			m.PRDA = &prda
+		}
 		m.Fds = make([]FdImage, r.list(1<<16, fdFixed, "descriptor"))
 		for j := range m.Fds {
 			m.Fds[j] = FdImage{
@@ -428,6 +390,9 @@ func Decode(data []byte) (*Image, error) {
 	}
 	if r.off != len(body) {
 		return nil, fmt.Errorf("ckpt: %d trailing bytes", len(body)-r.off)
+	}
+	if err := im.Validate(); err != nil {
+		return nil, err
 	}
 	return im, nil
 }

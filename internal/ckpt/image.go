@@ -16,12 +16,18 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
 // Version is the image format version encoded in the header.
-const Version = 1
+const Version = 2
+
+// LineSize is the grain of a page's contents: a page is at most 64 lines,
+// and an image holds only the lines that hold a non-zero byte.
+const LineSize = 64
 
 // Region types, mirroring the vm package's numbering (the kernel converts
 // both ways; ckpt keeps its own constants so it does not import vm).
@@ -48,10 +54,15 @@ type GroupAttr struct {
 	Gang       bool
 }
 
-// PageImage is one resident page's contents at its index within a region.
+// PageImage is one resident page's contents at its index within a region,
+// in canonical packed form: bit i of Lines is set iff line i holds a
+// non-zero byte, and Data is exactly those lines, in order. A page is whole:
+// the lines Lines leaves out are zero. Two pages hold the same bytes iff
+// their Lines and Data are equal, so equal logical states encode equally.
 type PageImage struct {
 	Index int
-	Data  []byte // exactly Image.PageSize bytes
+	Lines uint64
+	Data  []byte // bits.OnesCount64(Lines) lines of LineSize bytes, none all zero
 }
 
 // RegionImage is one shared region: base virtual address, geometry, and
@@ -90,7 +101,7 @@ type MemberImage struct {
 	Arg        int64
 	StackBase  uint64
 	StackPages int
-	PRDA       []byte // PRDA page contents; nil when never touched
+	PRDA       *PageImage // PRDA page contents (Index 0); nil when never touched
 	Fds        []FdImage
 }
 
@@ -110,8 +121,8 @@ func (im *Image) Validate() error {
 	if im.Version != Version {
 		return fmt.Errorf("ckpt: image version %d, want %d", im.Version, Version)
 	}
-	if im.PageSize <= 0 {
-		return fmt.Errorf("ckpt: non-positive page size %d", im.PageSize)
+	if im.PageSize <= 0 || im.PageSize%LineSize != 0 || im.PageSize/LineSize > 64 {
+		return fmt.Errorf("ckpt: page size %d is not 1 to 64 lines of %d bytes", im.PageSize, LineSize)
 	}
 	if len(im.Members) == 0 {
 		return fmt.Errorf("ckpt: image has no members")
@@ -134,8 +145,8 @@ func (im *Image) Validate() error {
 			if pg.Index >= r.Pages {
 				return fmt.Errorf("ckpt: region %#x page %d beyond %d-page extent", r.Base, pg.Index, r.Pages)
 			}
-			if len(pg.Data) != im.PageSize {
-				return fmt.Errorf("ckpt: region %#x page %d holds %d bytes, want %d", r.Base, pg.Index, len(pg.Data), im.PageSize)
+			if err := im.checkPage(pg); err != nil {
+				return fmt.Errorf("ckpt: region %#x page %d: %w", r.Base, pg.Index, err)
 			}
 		}
 	}
@@ -148,8 +159,13 @@ func (im *Image) Validate() error {
 		if m.StackPages <= 0 {
 			return fmt.Errorf("ckpt: member %d (%q) has %d stack pages", i, m.Name, m.StackPages)
 		}
-		if m.PRDA != nil && len(m.PRDA) != im.PageSize {
-			return fmt.Errorf("ckpt: member %d PRDA holds %d bytes, want %d", i, len(m.PRDA), im.PageSize)
+		if pg := m.PRDA; pg != nil {
+			if pg.Index != 0 {
+				return fmt.Errorf("ckpt: member %d PRDA at page %d, want 0", i, pg.Index)
+			}
+			if err := im.checkPage(*pg); err != nil {
+				return fmt.Errorf("ckpt: member %d PRDA: %w", i, err)
+			}
 		}
 		if m.Mask&1 == 0 { // PRSADDR: the restorable contract
 			return fmt.Errorf("ckpt: member %d (%q) does not share the address space", i, m.Name)
@@ -165,6 +181,32 @@ func (im *Image) Validate() error {
 	return nil
 }
 
+// checkPage accepts a canonical page: no mask bit past the page's last
+// line, Data exactly the masked lines, none all zero. An image whose masks
+// disagree with its bytes would diff unequal to its own restore.
+func (im *Image) checkPage(pg PageImage) error {
+	if n := im.PageSize / LineSize; n < 64 && pg.Lines>>n != 0 {
+		return fmt.Errorf("line mask %#x names a line past the page's %d", pg.Lines, n)
+	}
+	if want := bits.OnesCount64(pg.Lines) * LineSize; len(pg.Data) != want {
+		return fmt.Errorf("holds %d bytes, its line mask %d", len(pg.Data), want)
+	}
+	for d := pg.Data; len(d) > 0; d = d[LineSize:] {
+		if zeroLine((*[LineSize]byte)(d)) {
+			return fmt.Errorf("packs an all-zero line")
+		}
+	}
+	return nil
+}
+
+// zeroLine reports whether every byte of l is zero: the first eight bytes
+// alone, then the other 56 at once, so a dense line costs one load.
+func zeroLine(l *[LineSize]byte) bool {
+	le := binary.LittleEndian
+	return le.Uint64(l[0:]) == 0 && le.Uint64(l[8:])|le.Uint64(l[16:])|le.Uint64(l[24:])|
+		le.Uint64(l[32:])|le.Uint64(l[40:])|le.Uint64(l[48:])|le.Uint64(l[56:]) == 0
+}
+
 // DiffOpts selects what a comparison ignores.
 type DiffOpts struct {
 	// IgnorePIDs drops member PIDs from the comparison: a restored group
@@ -173,10 +215,11 @@ type DiffOpts struct {
 }
 
 // Diff compares two images and returns a human-readable line per
-// difference, empty when equivalent. An absent page and an all-zero page
-// compare equal (both restore to demand-zero), so a round trip through
-// restore — which materializes zero pages a copy pass recorded — still
-// diffs clean.
+// difference, empty when equivalent. Pages are compared by mask and packed
+// bytes, which for canonical pages is comparing contents. An absent page
+// and an all-zero page (an empty mask) compare equal (both restore to
+// demand-zero), so a round trip through restore — which materializes zero
+// pages a copy pass recorded — still diffs clean.
 func Diff(a, b *Image, opts DiffOpts) []string {
 	var out []string
 	miss := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
@@ -197,7 +240,7 @@ func Diff(a, b *Image, opts DiffOpts) []string {
 				i, ra.Base, ra.Pages, ra.Type, rb.Base, rb.Pages, rb.Type)
 			continue
 		}
-		diffPages(ra, rb, a.PageSize, miss)
+		diffPages(ra, rb, miss)
 	}
 	if len(a.Members) != len(b.Members) {
 		miss("member count %d vs %d", len(a.Members), len(b.Members))
@@ -214,7 +257,7 @@ func Diff(a, b *Image, opts DiffOpts) []string {
 		if ma.StackBase != mb.StackBase || ma.StackPages != mb.StackPages {
 			miss("member %d stack %#x/%d vs %#x/%d", i, ma.StackBase, ma.StackPages, mb.StackBase, mb.StackPages)
 		}
-		if !pagesEqual(ma.PRDA, mb.PRDA) {
+		if !samePage(prdaOf(ma), prdaOf(mb)) {
 			miss("member %d PRDA contents differ", i)
 		}
 		if len(ma.Fds) != len(mb.Fds) {
@@ -232,22 +275,22 @@ func Diff(a, b *Image, opts DiffOpts) []string {
 
 // diffPages compares two equal-geometry regions' resident sets, treating
 // absent pages as zero.
-func diffPages(ra, rb *RegionImage, pageSize int, miss func(string, ...any)) {
+func diffPages(ra, rb *RegionImage, miss func(string, ...any)) {
 	ia, ib := 0, 0
 	for ia < len(ra.Resid) || ib < len(rb.Resid) {
 		switch {
 		case ib >= len(rb.Resid) || (ia < len(ra.Resid) && ra.Resid[ia].Index < rb.Resid[ib].Index):
-			if !IsZero(ra.Resid[ia].Data) {
+			if ra.Resid[ia].Lines != 0 {
 				miss("region %#x page %d present only in first image (non-zero)", ra.Base, ra.Resid[ia].Index)
 			}
 			ia++
 		case ia >= len(ra.Resid) || rb.Resid[ib].Index < ra.Resid[ia].Index:
-			if !IsZero(rb.Resid[ib].Data) {
+			if rb.Resid[ib].Lines != 0 {
 				miss("region %#x page %d present only in second image (non-zero)", ra.Base, rb.Resid[ib].Index)
 			}
 			ib++
 		default:
-			if !pagesEqual(ra.Resid[ia].Data, rb.Resid[ib].Data) {
+			if !samePage(ra.Resid[ia], rb.Resid[ib]) {
 				miss("region %#x page %d contents differ", ra.Base, ra.Resid[ia].Index)
 			}
 			ia++
@@ -256,21 +299,17 @@ func diffPages(ra, rb *RegionImage, pageSize int, miss func(string, ...any)) {
 	}
 }
 
-// pagesEqual compares two pages where nil means all-zero.
-func pagesEqual(a, b []byte) bool {
-	if a == nil {
-		return IsZero(b)
-	}
-	if b == nil {
-		return IsZero(a)
-	}
-	return bytes.Equal(a, b)
+// samePage compares two canonical pages' contents.
+func samePage(a, b PageImage) bool {
+	return a.Lines == b.Lines && bytes.Equal(a.Data, b.Data)
 }
 
-// IsZero reports whether every byte of p is zero: the first one is, and
-// each equals its successor.
-func IsZero(p []byte) bool {
-	return len(p) == 0 || p[0] == 0 && bytes.Equal(p[:len(p)-1], p[1:])
+// prdaOf is m's PRDA page, all zero when never touched.
+func prdaOf(m MemberImage) PageImage {
+	if m.PRDA == nil {
+		return PageImage{}
+	}
+	return *m.PRDA
 }
 
 // Normalize sorts regions by base and each region's pages by index —

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -54,6 +55,7 @@ type frameArray [WordsPerPage]uint32
 const (
 	lineShift      = 6 // log2 of a line's bytes
 	lineWordsShift = lineShift - 2
+	LineSize       = 1 << lineShift // bytes a line-map bit covers
 )
 
 // Frame-cache geometry: a CPU refills its cache with refillBatch frames at a
@@ -546,63 +548,56 @@ func (m *Memory) CopyFrameFor(src PFN, cpu int, acct *FrameAcct) (PFN, error) {
 	return dst, nil
 }
 
-// FillFrame stores src (at most one page) into pfn from byte 0 with plain
-// word stores, under the ownership rule above: the caller allocated pfn and
-// has not yet stored it into a PTE, so no other CPU can name the frame and
-// the PTE store that follows is what publishes the bytes. A published
-// frame is written with WriteBytes. Bytes past len(src) keep their value.
-//
-// Only the lines the result can differ from the frame in are written: those
-// whose bytes of src hold a non-zero byte, which are marked, and those the
-// map already marks. A line of zero source bytes the map does not mark is
-// zero already, so a restored frame is as sparse as the one captured.
-func (m *Memory) FillFrame(pfn PFN, src []byte) {
-	if len(src) > PageSize {
-		panic("hw: FillFrame crosses page boundary")
-	}
-	if len(src) == 0 {
-		return
-	}
-	// A whole line's first eight bytes are tested alone, then the other 56
-	// at once: dense data is decided by one load a line, zeros by one test.
-	var nonZero uint64
-	le := binary.LittleEndian
-	whole := len(src) &^ (1<<lineShift - 1)
-	for i := 0; i < whole; i += 1 << lineShift {
-		l := (*[1 << lineShift]byte)(src[i:])
-		if le.Uint64(l[0:]) != 0 || le.Uint64(l[8:])|le.Uint64(l[16:])|le.Uint64(l[24:])|
-			le.Uint64(l[32:])|le.Uint64(l[40:])|le.Uint64(l[48:])|le.Uint64(l[56:]) != 0 {
-			nonZero |= 1 << (i >> lineShift)
-		}
-	}
-	for _, c := range src[whole:] {
-		if c != 0 {
-			nonZero |= 1 << (whole >> lineShift)
-			break
-		}
-	}
-	m.mark(pfn, nonZero)
+// FillFrame makes pfn hold the page whose packed form (ReadFrame's) is
+// (lines, packed), with plain stores under the ownership rule above: the
+// caller allocated pfn and no PTE names it yet, so the PTE store that
+// follows publishes the bytes (a published frame takes WriteFrame). The
+// mask's runs are marked and stored whole; a line marked outside the mask
+// is cleared, and every other line is zero already.
+func (m *Memory) FillFrame(pfn PFN, lines uint64, packed []byte) {
 	f := m.frame(pfn)
-	for lm := m.lines[pfn].Load() & byteLines(0, uint32(len(src))); lm != 0; {
+	for lm := m.lines[pfn].Load() &^ lines; lm != 0; {
 		var lo, hi int
 		lo, hi, lm = nextRun(lm)
-		fillWords(f[lo:hi], src[lo<<2:min(hi<<2, len(src))])
+		clear(f[lo:hi])
+	}
+	m.mark(pfn, lines)
+	for lm := lines; lm != 0; {
+		var lo, hi int
+		lo, hi, lm = nextRun(lm)
+		n := (hi - lo) << 2
+		fillWords(f[lo:hi], packed[:n])
+		packed = packed[n:]
 	}
 }
 
-// fillWords stores s into d from its first byte with plain stores.
+// WriteFrame is FillFrame for a published frame the caller owns: the
+// mask's runs go in with WriteBytes, and a line marked outside the mask
+// gets atomic zero stores; no other line is stored to or marked.
+func (m *Memory) WriteFrame(pfn PFN, lines uint64, packed []byte) {
+	f := m.frame(pfn)
+	for lm := m.lines[pfn].Load() &^ lines; lm != 0; {
+		var lo, hi int
+		lo, hi, lm = nextRun(lm)
+		for i := lo; i < hi; i++ {
+			atomic.StoreUint32(&f[i], 0)
+		}
+	}
+	for lm := lines; lm != 0; {
+		var lo, hi int
+		lo, hi, lm = nextRun(lm)
+		n := (hi - lo) << 2
+		m.WriteBytes(pfn, uint32(lo<<2), packed[:n])
+		packed = packed[n:]
+	}
+}
+
+// fillWords stores s (whole lines) into d with plain stores, two words a
+// turn, both sides cut to the pair count so the body has no bounds checks.
 func fillWords(d []uint32, s []byte) {
-	// Two words a turn, both sides cut to the pair count, so the body runs
-	// without bounds checks; at most seven bytes are left for the tail.
-	n := len(s) >> 3
-	tail := s[n<<3:]
-	for d := d[:2*n]; len(d) >= 2 && len(s) >= 8; d, s = d[2:], s[8:] {
+	for d := d[:len(s)>>2]; len(d) >= 2 && len(s) >= 8; d, s = d[2:], s[8:] {
 		v := binary.LittleEndian.Uint64(s)
 		d[0], d[1] = uint32(v), uint32(v>>32)
-	}
-	for i, c := range tail {
-		w, shift := 2*n+i>>2, uint(i&3)*8
-		d[w] = d[w]&^(0xff<<shift) | uint32(c)<<shift
 	}
 }
 
@@ -680,25 +675,46 @@ func (m *Memory) ReadBytes(pfn PFN, off uint32, dst []byte) {
 	}
 }
 
-// ReadFrame copies all of pfn into dst, which must be one page long: the
-// read-side twin of CopyFrameFor's line walk. Marked runs are copied with
-// ReadBytes's atomic word loads, and the bytes of unmarked lines, which are
-// all zero, are cleared in dst. A line first marked after the map is loaded
-// is a store ordered after the read, as in CopyFrameFor.
-func (m *Memory) ReadFrame(pfn PFN, dst []byte) {
-	if len(dst) != PageSize {
-		panic("hw: ReadFrame wants a whole page")
-	}
-	done := 0 // dst[:done] is written
+// ReadFrame appends the lines of pfn that hold a non-zero byte to dst, in
+// order, and returns their mask with the longer slice: the page's packed
+// form. Marked runs are read with ReadBytes's atomic loads and a marked
+// line that reads all zero is dropped, so equal contents read to equal
+// forms whatever the maps hold. A line first marked after the map is
+// loaded is a store ordered after the read, as in CopyFrameFor.
+func (m *Memory) ReadFrame(pfn PFN, dst []byte) (uint64, []byte) {
+	var lines uint64
 	for lm := m.lines[pfn].Load(); lm != 0; {
 		var lo, hi int
 		lo, hi, lm = nextRun(lm)
-		clear(dst[done : lo<<2])
-		m.ReadBytes(pfn, uint32(lo<<2), dst[lo<<2:hi<<2])
-		done = hi << 2
+		at := len(dst)
+		dst = slices.Grow(dst, (hi-lo)<<2)[:at+(hi-lo)<<2]
+		m.ReadBytes(pfn, uint32(lo<<2), dst[at:])
+		kept := at
+		for line := lo >> lineWordsShift; at < len(dst); line, at = line+1, at+LineSize {
+			if zeroLine((*[LineSize]byte)(dst[at:])) {
+				continue
+			}
+			if kept != at {
+				copy(dst[kept:], dst[at:at+LineSize])
+			}
+			kept += LineSize
+			lines |= 1 << line
+		}
+		dst = dst[:kept]
 	}
-	clear(dst[done:])
+	return lines, dst
 }
+
+// zeroLine reports whether every byte of l is zero: the first eight bytes
+// alone, then the other 56 at once, so a dense line costs one load.
+func zeroLine(l *[LineSize]byte) bool {
+	le := binary.LittleEndian
+	return le.Uint64(l[0:]) == 0 && le.Uint64(l[8:])|le.Uint64(l[16:])|le.Uint64(l[24:])|
+		le.Uint64(l[32:])|le.Uint64(l[40:])|le.Uint64(l[48:])|le.Uint64(l[56:]) == 0
+}
+
+// Lines returns pfn's line map: bit i set = line i may be non-zero.
+func (m *Memory) Lines(pfn PFN) uint64 { return m.lines[pfn].Load() }
 
 // putLowBytes fills dst (shorter than a word) from v's low bytes upward.
 func putLowBytes(dst []byte, v uint32) {

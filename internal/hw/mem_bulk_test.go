@@ -3,6 +3,7 @@ package hw
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -98,9 +99,37 @@ func TestBulkBytesMatchByteReference(t *testing.T) {
 	}
 }
 
-// FillFrame is WriteBytes at offset 0 for a frame nobody else can name yet:
-// every length's bytes land where WriteBytes puts them and the bytes past
-// the range keep their value.
+// packPage is page's packed form by a byte-at-a-time scan: the lines that
+// hold a non-zero byte, in order, and their mask.
+func packPage(page []byte) (uint64, []byte) {
+	var lines uint64
+	var packed []byte
+	for i := 0; i < PageSize; i += LineSize {
+		l := page[i : i+LineSize]
+		if !bytes.Equal(l, make([]byte, LineSize)) {
+			lines |= 1 << (i / LineSize)
+			packed = append(packed, l...)
+		}
+	}
+	return lines, packed
+}
+
+// unpackPage is the page a packed form holds.
+func unpackPage(lines uint64, packed []byte) []byte {
+	page := make([]byte, PageSize)
+	for i := 0; i < PageSize/LineSize; i++ {
+		if lines&(1<<i) != 0 {
+			copy(page[i*LineSize:], packed[:LineSize])
+			packed = packed[LineSize:]
+		}
+	}
+	return page
+}
+
+// FillFrame is WriteBytes of a whole page for a frame nobody else can name
+// yet: for every length n, the page whose first n bytes are src and the
+// rest zero, packed, fills a frame of background bytes to what WriteBytes
+// of the whole page leaves.
 func TestBulkFillFrameMatchesWriteBytes(t *testing.T) {
 	m := NewMemory(2)
 	got, _ := m.Alloc()
@@ -114,41 +143,32 @@ func TestBulkFillFrameMatchesWriteBytes(t *testing.T) {
 		lens = append(lens, n, PageSize-n)
 	}
 	a, b := make([]byte, PageSize), make([]byte, PageSize)
+	page := make([]byte, PageSize)
 	for _, n := range lens {
 		for w := uint32(0); w < WordsPerPage; w++ {
 			bg := 0xA5A5A5A5 ^ w*0x01010101
 			m.StoreWord(got, w, bg)
 			m.StoreWord(want, w, bg)
 		}
-		m.FillFrame(got, src[:n])
-		m.WriteBytes(want, 0, src[:n])
+		clear(page)
+		copy(page, src[:n])
+		lines, packed := packPage(page)
+		m.FillFrame(got, lines, packed)
+		m.WriteBytes(want, 0, page)
 		m.ReadBytes(got, 0, a)
 		m.ReadBytes(want, 0, b)
 		if !bytes.Equal(a, b) {
-			t.Fatalf("FillFrame(len=%d) differs from WriteBytes at offset 0", n)
+			t.Fatalf("FillFrame of a page of %d source bytes differs from WriteBytes of the page", n)
 		}
 	}
 }
 
-// FillFrame writes and marks only the lines the result can differ in. On a
-// fresh frame the map afterwards is exactly the lines of src that hold a
-// non-zero byte, for every length of an all-zero page, one word, every
-// other line and a dense page. On a frame some lines of which are already
-// written (one of them back to zero), those lines stay marked and take
-// src's bytes, zeros included, and bytes past len(src) keep their value.
-// -short takes every seventh length and the whole page, which still meets
-// every offset in a line and in a word.
-func TestBulkFillFrameMarksOnlyWrittenLines(t *testing.T) {
-	const lineBytes = 1 << lineShift
-	step := 1
-	if testing.Short() {
-		step = 7
-	}
-	var lens []int
-	for n := 0; n < PageSize; n += step {
-		lens = append(lens, n)
-	}
-	lens = append(lens, PageSize)
+// frameShapes are the pages the packed-form tests put through a frame: all
+// zero, one word, every other line, and dense.
+func frameShapes() []struct {
+	name string
+	src  []byte
+} {
 	shapes := []struct {
 		name string
 		src  []byte
@@ -160,27 +180,50 @@ func TestBulkFillFrameMarksOnlyWrittenLines(t *testing.T) {
 	}
 	binary.LittleEndian.PutUint32(shapes[1].src[4*700:], 0xdeadbeef)
 	for i := range shapes[2].src {
-		if i/lineBytes%2 == 0 {
+		if i/LineSize%2 == 0 {
 			shapes[2].src[i] = byte(i%251 + 1)
 		}
 	}
 	for i := range shapes[3].src {
 		shapes[3].src[i] = byte(i*7 + i>>8 + 1)
 	}
-	nonZeroLines := func(b []byte) uint64 {
-		var lm uint64
-		for i, c := range b {
-			if c != 0 {
-				lm |= 1 << (i / lineBytes)
-			}
+	return shapes
+}
+
+// nonZeroLines is the mask of the lines of page that hold a non-zero byte.
+func nonZeroLines(page []byte) uint64 {
+	var lm uint64
+	for i, c := range page {
+		if c != 0 {
+			lm |= 1 << (i / LineSize)
 		}
-		return lm
 	}
+	return lm
+}
+
+// FillFrame writes and marks only the lines the result can differ in. On a
+// fresh frame the map afterwards is exactly the lines of the page that
+// hold a non-zero byte, for every prefix length of an all-zero page, one
+// word, every other line and a dense page (the rest of the page zero). On
+// a frame some lines of which are already written (one of them back to
+// zero), those lines stay marked and hold the page's bytes, zeros
+// included: the page is whole. -short takes every seventh length and the
+// whole page, which still meets every offset in a line and in a word.
+func TestBulkFillFrameMarksOnlyWrittenLines(t *testing.T) {
+	step := 1
+	if testing.Short() {
+		step = 7
+	}
+	var lens []int
+	for n := 0; n < PageSize; n += step {
+		lens = append(lens, n)
+	}
+	lens = append(lens, PageSize)
 	// The written frame: lines 0, 3 and 63 hold 0xEE bytes, line 10 a word
 	// stored back to zero.
 	before, lines := make([]byte, PageSize), []int{0, 3, 63}
 	for _, line := range lines {
-		for i := line * lineBytes; i < (line+1)*lineBytes; i++ {
+		for i := line * LineSize; i < (line+1)*LineSize; i++ {
 			before[i] = 0xEE
 		}
 	}
@@ -188,26 +231,26 @@ func TestBulkFillFrameMarksOnlyWrittenLines(t *testing.T) {
 
 	m := NewMemory(1)
 	got, want := make([]byte, PageSize), make([]byte, PageSize)
-	for _, shape := range shapes {
+	for _, shape := range frameShapes() {
 		for _, fresh := range []bool{true, false} {
 			for _, n := range lens {
 				pfn, err := m.Alloc()
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantLines := nonZeroLines(shape.src[:n])
 				clear(want)
+				copy(want, shape.src[:n])
+				wantLines := nonZeroLines(want)
 				if !fresh {
 					for _, line := range lines {
-						m.WriteBytes(pfn, uint32(line*lineBytes), before[line*lineBytes:(line+1)*lineBytes])
+						m.WriteBytes(pfn, uint32(line*LineSize), before[line*LineSize:(line+1)*LineSize])
 					}
 					m.StoreWord(pfn, 10<<lineWordsShift, 1)
 					m.StoreWord(pfn, 10<<lineWordsShift, 0)
 					wantLines |= written
-					copy(want, before)
 				}
-				m.FillFrame(pfn, shape.src[:n])
-				copy(want, shape.src[:n])
+				mask, packed := packPage(want)
+				m.FillFrame(pfn, mask, packed)
 				m.ReadBytes(pfn, 0, got)
 				if lm := m.lines[pfn].Load(); lm != wantLines {
 					t.Fatalf("%s, fresh %v, FillFrame(len=%d): line map %#x, want %#x", shape.name, fresh, n, lm, wantLines)
@@ -222,6 +265,75 @@ func TestBulkFillFrameMarksOnlyWrittenLines(t *testing.T) {
 				m.DecRef(pfn)
 			}
 		}
+	}
+}
+
+// ReadFrame then FillFrame into a fresh frame reproduces every byte, over
+// random frames of each shape: all zero, one word, alternating lines,
+// dense, and with marked lines written back to zero. ReadFrame's mask is
+// exactly the non-zero lines, its packed bytes are ReadBytes's lines, in
+// order, appended after what the destination held, and the fresh frame's
+// map is that mask and no more. WriteFrame of the same form over a frame
+// of background bytes leaves the same page, marked at the mask and at the
+// lines the background marked.
+func TestBulkFrameLinesRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1988))
+	m := NewMemory(3)
+	page, got := make([]byte, PageSize), make([]byte, PageSize)
+	prefix, shapes := []byte("kept"), frameShapes()
+	for round := 0; round < 200; round++ {
+		src, err := m.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		shape := shapes[round%len(shapes)].src
+		m.WriteBytes(src, 0, shape)
+		for k := rng.Intn(8); k > 0; k-- { // random words, some of them zero
+			v := rng.Uint32()
+			if rng.Intn(3) == 0 {
+				v = 0
+			}
+			m.StoreWord(src, uint32(rng.Intn(WordsPerPage)), v)
+		}
+		if round%5 == 4 { // a marked line written back to zero
+			line := rng.Intn(64)
+			m.WriteBytes(src, uint32(line*LineSize), make([]byte, LineSize))
+		}
+		m.ReadBytes(src, 0, page)
+		wantLines, wantPacked := packPage(page)
+
+		lines, out := m.ReadFrame(src, append([]byte(nil), prefix...))
+		if lines != wantLines || !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], wantPacked) {
+			t.Fatalf("round %d: ReadFrame = mask %#x, %d bytes; want mask %#x, %d bytes after the prefix", round, lines, len(out), wantLines, len(prefix)+len(wantPacked))
+		}
+		packed := out[len(prefix):]
+
+		fresh, _ := m.Alloc()
+		m.FillFrame(fresh, lines, packed)
+		m.ReadBytes(fresh, 0, got)
+		if !bytes.Equal(got, page) {
+			t.Fatalf("round %d: FillFrame of ReadFrame's form does not reproduce the frame", round)
+		}
+		if lm := m.lines[fresh].Load(); lm != lines {
+			t.Fatalf("round %d: the fresh frame's map is %#x, the non-zero lines %#x", round, lm, lines)
+		}
+		m.DecRef(fresh)
+
+		over, _ := m.Alloc()
+		bg := make([]byte, PageSize)
+		rng.Read(bg[:rng.Intn(PageSize)])
+		m.WriteBytes(over, 0, bg)
+		bgLines := m.lines[over].Load()
+		m.WriteFrame(over, lines, packed)
+		m.ReadBytes(over, 0, got)
+		if !bytes.Equal(got, page) {
+			t.Fatalf("round %d: WriteFrame over background bytes does not reproduce the frame", round)
+		}
+		if lm := m.lines[over].Load(); lm != lines|bgLines {
+			t.Fatalf("round %d: WriteFrame left map %#x, want the mask %#x and the background's %#x", round, lm, lines, bgLines)
+		}
+		m.DecRef(over)
+		m.DecRef(src)
 	}
 }
 

@@ -138,22 +138,22 @@ func TestLineMapMatchesFullClear(t *testing.T) {
 				m.WriteBytes(pfn, uint32(off), buf[:n])
 				setBytes(pfn, off, buf[:n])
 			case 7:
-				_, n := span()
-				desc = fmt.Sprintf("FillFrame(len=%d)", n)
-				rng.Read(buf[:n])
-				// Random bytes leave no line zero, and FillFrame skips only
-				// zero lines: zero a random subset of them, sometimes all.
+				desc = "FillFrame"
+				rng.Read(buf)
+				// Random bytes leave no line zero, and a packed page holds
+				// only non-zero lines: zero a random subset, sometimes all.
 				if rng.Intn(4) == 0 {
-					clear(buf[:n])
+					clear(buf)
 				} else {
-					for i := 0; i < n; i += 64 {
+					for i := 0; i < PageSize; i += LineSize {
 						if rng.Intn(2) == 0 {
-							clear(buf[i:min(i+64, n)])
+							clear(buf[i : i+LineSize])
 						}
 					}
 				}
-				m.FillFrame(pfn, buf[:n])
-				setBytes(pfn, 0, buf[:n])
+				lines, packed := packPage(buf)
+				m.FillFrame(pfn, lines, packed)
+				setBytes(pfn, 0, buf)
 			case 8:
 				desc = "CopyFrameOn"
 				got, err := m.CopyFrameOn(pfn, cpu)
@@ -346,9 +346,10 @@ func TestLineMapStormRace(t *testing.T) {
 
 // ReadFrame against ReadBytes of the whole page over the line-map states a
 // frame passes through: never written, one line, several runs (the first
-// and last line among them), every line, and freed and granted again. The
-// destination holds garbage before each read, so a line ReadFrame neither
-// copies nor clears shows as a difference.
+// and last line among them), a line written back to zero, every line, and
+// freed and granted again. The destination holds garbage before each read,
+// which ReadFrame must append after and leave alone, and its packed form
+// must unpack to ReadBytes's page with a mask of exactly the non-zero lines.
 func TestReadFrameMatchesReadBytes(t *testing.T) {
 	m := NewMemory(2)
 	m.AttachCaches(1)
@@ -356,15 +357,19 @@ func TestReadFrameMatchesReadBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := make([]byte, PageSize), make([]byte, PageSize)
+	want := make([]byte, PageSize)
+	garbage := bytes.Repeat([]byte{0xa5}, 13)
 	check := func(state string) {
 		t.Helper()
 		m.ReadBytes(pfn, 0, want)
-		for i := range got {
-			got[i] = 0xa5
+		lines, out := m.ReadFrame(pfn, append(make([]byte, 0, 2*PageSize), garbage...))
+		if !bytes.Equal(out[:len(garbage)], garbage) {
+			t.Errorf("%s: ReadFrame wrote over what the destination held", state)
 		}
-		m.ReadFrame(pfn, got)
-		if !bytes.Equal(got, want) {
+		if wantLines := nonZeroLines(want); lines != wantLines {
+			t.Errorf("%s (line map %#x): ReadFrame mask %#x, non-zero lines %#x", state, m.lines[pfn].Load(), lines, wantLines)
+		}
+		if got := unpackPage(lines, out[len(garbage):]); !bytes.Equal(got, want) {
 			i := 0
 			for got[i] == want[i] {
 				i++
@@ -382,6 +387,8 @@ func TestReadFrameMatchesReadBytes(t *testing.T) {
 		m.WriteBytes(pfn, uint32(span[0]), page[span[0]:span[0]+span[1]])
 	}
 	check("several runs")
+	m.WriteBytes(pfn, 64*30, make([]byte, 64))
+	check("several runs, one written back to zero")
 	m.WriteBytes(pfn, 0, page)
 	check("every line")
 	m.DecRefOn(pfn, 0)
@@ -395,9 +402,10 @@ func TestReadFrameMatchesReadBytes(t *testing.T) {
 
 // ReadFrame while writers mark and store lines nobody has written yet. Each
 // round grants a frame, and writers fill it a line at a time, each line by
-// one writer, in a random line order, while a reader copies it over and
-// over into a buffer of garbage: every word of every copy must hold its
-// value before the round (zero) or the round's. Once the writers are done a
+// one writer, in a random line order, while a reader reads it over and
+// over, appending to a buffer of garbage, and unpacks what it appended:
+// every word of every copy must hold its value before the round (zero) or
+// the round's. Once the writers are done a
 // copy must hold every value. The RWMutex stands in for the shootdown that
 // precedes the free, as in TestLineMapStormRace.
 func TestReadFrameStormRace(t *testing.T) {
@@ -439,15 +447,13 @@ func TestReadFrameStormRace(t *testing.T) {
 			rwg.Add(1)
 			go func() { // the reader
 				defer rwg.Done()
-				buf := make([]byte, PageSize)
+				garbage := bytes.Repeat([]byte{0xff}, 8)
+				buf := make([]byte, 0, PageSize+len(garbage))
 				for !stop.Load() {
 					tlb.RLock()
 					if mp := pte.Load(); mp != nil {
-						for i := range buf {
-							buf[i] = 0xff
-						}
-						m.ReadFrame(mp.pfn, buf)
-						words(buf, mp.round, true)
+						lines, out := m.ReadFrame(mp.pfn, append(buf[:0], garbage...))
+						words(unpackPage(lines, out[len(garbage):]), mp.round, true)
 						reads.Add(1)
 					}
 					tlb.RUnlock()
@@ -456,7 +462,6 @@ func TestReadFrameStormRace(t *testing.T) {
 			}()
 
 			rng := rand.New(rand.NewSource(int64(procs)))
-			final := make([]byte, PageSize)
 			for r := 0; r < rounds && !stop.Load(); r++ {
 				pfn, err := m.Alloc()
 				if err != nil {
@@ -491,8 +496,7 @@ func TestReadFrameStormRace(t *testing.T) {
 					}(g)
 				}
 				wg.Wait()
-				m.ReadFrame(pfn, final)
-				words(final, r, false)
+				words(unpackPage(m.ReadFrame(pfn, nil)), r, false)
 				tlb.Lock() // shoot down, then free
 				pte.Store(nil)
 				tlb.Unlock()

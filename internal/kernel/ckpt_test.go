@@ -425,11 +425,11 @@ func TestCkptStats(t *testing.T) {
 	}
 }
 
-// ckptGolden is the SHA-256 of the image runCkptWorkload(3 members) produced
-// at the commit before the capture pipeline was rebuilt around slabs and
-// EncodedSize (identical for 0, 1 and 2 pre-copy passes). "Byte-identical
-// images" is checked against it, not assumed.
-const ckptGolden = "bfb9f0ca471b0f087d8b63a2347d26eec99dbb03b6c4be1e9864921aae408a38"
+// ckptGolden is the SHA-256 of the image runCkptWorkload(3 members) produces
+// in format version 2, whose pages hold only their non-zero lines
+// (identical for 0, 1 and 2 pre-copy passes). "Byte-identical images" is
+// checked against it, not assumed.
+const ckptGolden = "36732ee124c60e30cd6f2f2fe8603ade3e1eabd91ef7cacb6135e26b0a42bdbe"
 
 func TestCkptImageGolden(t *testing.T) {
 	for _, passes := range []int{0, 1, 2} {
@@ -488,12 +488,27 @@ func ckptAllocs(t *testing.T, npages int) (size int, enc []byte, allocs float64)
 // A checkpoint's allocations are per region and per pass (one slab, one
 // index, one page list), not per page: sixteen times the pages must cost
 // the same number of allocations, and EncodedSize must agree with Encode on
-// a kernel-produced image.
+// a kernel-produced image. Each page holds one written word, so it takes a
+// record head and one line: the image is at most 256 of those past the
+// records it holds whatever the shared window holds.
 func TestCkptAllocsDoNotScaleWithPages(t *testing.T) {
 	_, _, small := ckptAllocs(t, 16)
 	size, enc, big := ckptAllocs(t, 256)
-	if size != len(enc) || size < 256*hw.PageSize {
+	if size != len(enc) {
 		t.Errorf("EncodedSize() = %d, len(Encode()) = %d for a 256-page image", size, len(enc))
+	}
+	img, err := ckpt.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range img.Regions {
+		if img.Regions[i].Type == uint8(vm.RShm) {
+			img.Regions[i].Resid = nil
+		}
+	}
+	const pageRecord = 4 + 8 + ckpt.LineSize // index, line mask, one line
+	if fixed := img.EncodedSize(); size > fixed+256*pageRecord {
+		t.Errorf("a 256-page image of one word a page encodes to %d bytes, want at most %d (%d fixed, %d a page)", size, fixed+256*pageRecord, fixed, pageRecord)
 	}
 	t.Logf("allocations: %v for 16 pages, %v for 256", small, big)
 	if big > small+4 {
@@ -616,4 +631,147 @@ func TestCkptRestoreChargesPinned(t *testing.T) {
 			t.Errorf("%s: %d simcyc in the kernel, %d on the caller's counter; pinned %d and %d", w.name, got[i].simcyc, got[i].cycles, w.simcyc, w.cycles)
 		}
 	}
+}
+
+// ckptGroup boots a system whose driver runs setup, sprocs one parked
+// member and checkpoints the quiescent group, and returns the image.
+func ckptGroup(t *testing.T, setup func(c *Context) error) *ckpt.Image {
+	t.Helper()
+	var img *ckpt.Image
+	s := NewSystem(testConfig())
+	s.Start("driver", func(c *Context) {
+		if err := setup(c); err != nil {
+			t.Errorf("setup: %v", err)
+			return
+		}
+		pid, err := c.Sproc("parked", func(cc *Context, _ int64) { cc.Blockproc(0) }, proc.PRSALL, 0)
+		if err != nil {
+			t.Errorf("sproc: %v", err)
+			return
+		}
+		waitAsleep(c, []int{pid})
+		if img, _, err = c.Ckpt(CkptOpts{Passes: 1}); err != nil {
+			t.Errorf("ckpt: %v", err)
+		}
+		c.Unblockproc(pid)
+		c.Wait()
+	})
+	waitIdle(t, s)
+	if img == nil {
+		t.Fatal("no image")
+	}
+	return img
+}
+
+// Two groups whose memory holds the same bytes encode to the same image,
+// byte for byte, though one of them wrote a line and zeroed it again: in
+// a shared page with other lines, in a shared page whose other line is its
+// only one, and in the PRDA.
+func TestCkptCanonicalLines(t *testing.T) {
+	image := func(scrub bool) []byte {
+		return ckptGroup(t, func(c *Context) error {
+			va, err := c.Mmap(2)
+			if err != nil {
+				return err
+			}
+			stores := [][2]hw.VAddr{
+				{va, 0xfeed},
+				{va + hw.PageSize + 3*hw.LineSize, 0xbeef},
+				{vm.PRDABase, 0xcafe},
+			}
+			if scrub {
+				for _, at := range []hw.VAddr{va + 40*hw.LineSize + 8, va + hw.PageSize + 7*hw.LineSize, vm.PRDABase + 2*hw.LineSize} {
+					stores = append(stores, [2]hw.VAddr{at, 0xdead}, [2]hw.VAddr{at, 0})
+				}
+			}
+			for _, st := range stores {
+				if err := c.Store32(st[0], uint32(st[1])); err != nil {
+					return err
+				}
+			}
+			return nil
+		}).Encode()
+	}
+	clean, scrubbed := image(false), image(true)
+	if !bytes.Equal(clean, scrubbed) {
+		t.Fatalf("the same bytes encode differently (%d and %d bytes) when a line was written back to zero", len(clean), len(scrubbed))
+	}
+}
+
+// A restore over a caller whose data pages are resident and dense, where
+// the image has one of them absent and the other as one line: every word
+// of both reads back as the image says, and the restored group
+// re-checkpoints to an image that diffs empty.
+func TestRestoreOverDenseCallerPage(t *testing.T) {
+	const (
+		absent, oneLine = 5, 6 // data pages
+		line, value     = 9, 0x5eed
+	)
+	page := func(idx int) hw.VAddr { return vm.DataBase + hw.VAddr(idx*hw.PageSize) }
+	img := ckptGroup(t, func(c *Context) error {
+		return c.Store32(page(oneLine)+line*hw.LineSize, value)
+	})
+	for _, ri := range img.Regions {
+		if ri.Base != uint64(vm.DataBase) {
+			continue
+		}
+		for _, pg := range ri.Resid {
+			if pg.Index == absent || pg.Index == oneLine && pg.Lines != 1<<line {
+				t.Fatalf("image data page %d has line mask %#x; the test wants page %d absent and page %d one line", pg.Index, pg.Lines, absent, oneLine)
+			}
+		}
+	}
+	dec, err := ckpt.Decode(img.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	park := func(cc *Context, _ int64) { cc.Blockproc(0) }
+	s := NewSystem(testConfig())
+	s.Start("adoptive", func(c *Context) {
+		dense := make([]byte, hw.PageSize)
+		rand.New(rand.NewSource(1988)).Read(dense)
+		for _, idx := range []int{absent, oneLine} {
+			if err := c.StoreBytes(page(idx), dense); err != nil {
+				t.Errorf("store the dense page %d: %v", idx, err)
+				return
+			}
+		}
+		n, err := c.Restore(dec, park)
+		if err != nil {
+			t.Errorf("restore: %v", err)
+			return
+		}
+		for _, idx := range []int{absent, oneLine} {
+			for w := 0; w < hw.WordsPerPage; w++ {
+				want := uint32(0)
+				if idx == oneLine && w == line*hw.LineSize/4 {
+					want = value
+				}
+				if got, err := c.Load32(page(idx) + hw.VAddr(4*w)); err != nil || got != want {
+					t.Errorf("data page %d word %d reads %#x (%v) after the restore, want %#x", idx, w, got, err, want)
+					break
+				}
+			}
+		}
+		var pids []int
+		for _, m := range GroupOf(c.P).Members() {
+			if m != c.P {
+				pids = append(pids, m.PID)
+			}
+		}
+		waitAsleep(c, pids)
+		re, _, err := c.Ckpt(CkptOpts{Passes: 1})
+		if err != nil {
+			t.Errorf("re-checkpoint: %v", err)
+		} else if d := ckpt.Diff(dec, re, ckpt.DiffOpts{IgnorePIDs: true}); len(d) != 0 {
+			t.Errorf("the restored group re-checkpoints to a different image: %s", strings.Join(d, "; "))
+		}
+		for _, pid := range pids {
+			c.Unblockproc(pid)
+		}
+		for i := 0; i < n; i++ {
+			c.Wait()
+		}
+	})
+	waitIdle(t, s)
 }

@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 
 	"repro/internal/ckpt"
@@ -48,9 +49,16 @@ var (
 	ErrCkptQuiesce = errors.New("kernel: share group failed to quiesce")     // EAGAIN
 )
 
-// zeroPage is the shared read-only page restore writes over a frame that is
-// resident in the caller but demand-zero in the image.
-var zeroPage [hw.PageSize]byte
+// The image's lines are the line map's: a page captured by vm.ReadPage is
+// stored as is. (The constant overflows unless the two sizes agree.)
+const _ = uint(ckpt.LineSize-hw.LineSize) + uint(hw.LineSize-ckpt.LineSize)
+
+// capture is one page's newest copy in a checkpoint being built; ok is
+// false until a pass has found the page resident.
+type capture struct {
+	ckpt.PageImage
+	ok bool
+}
 
 // quiesceMaxIters bounds the freeze protocol's wait for every member to
 // reach a safepoint or a sleep; a group that stays runnable past it (a
@@ -125,7 +133,7 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 	// page within its pregion; keyed by pregion so a region detached
 	// mid-flight simply drops out when the list is re-snapshotted at
 	// stop-the-world.
-	pages := map[*vm.PRegion][][]byte{}
+	pages := map[*vm.PRegion][]capture{}
 	tracked := map[*vm.PRegion]bool{}
 	armed := map[*vm.Region]bool{}
 	frozen := map[*proc.Proc]bool{}
@@ -154,25 +162,29 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 	}()
 
 	// copyInto cuts a pass's copies of one region from one slab, sized by
-	// the region's resident count; only a region its members are still
-	// faulting into can outgrow that, and then gets a page at a time.
+	// the lines the pages' line maps mark; only a page its members store
+	// into meanwhile can outgrow that, and then the slab grows by append.
 	// idxs is ascending (allPages, TakeDirty).
 	copyInto := func(pr *vm.PRegion, idxs []int) int {
 		dst := pages[pr]
 		if len(idxs) > 0 && idxs[len(idxs)-1] >= len(dst) {
-			dst = append(dst, make([][]byte, idxs[len(idxs)-1]+1-len(dst))...)
+			dst = append(dst, make([]capture, idxs[len(idxs)-1]+1-len(dst))...)
 			pages[pr] = dst
 		}
-		var slab []byte
-		n := 0
-		for k, idx := range idxs {
-			if len(slab) == 0 {
-				want := min(len(idxs)-k, pr.Reg.Resident()-n)
-				slab = make([]byte, max(want, 1)*hw.PageSize)
+		marked := 0
+		for _, idx := range idxs {
+			if pfn := pr.Reg.Frame(idx); pfn != hw.NoPFN {
+				marked += bits.OnesCount64(mach.Mem.Lines(pfn))
 			}
-			if pr.Reg.ReadPage(idx, slab[:hw.PageSize]) {
-				dst[idx] = slab[:hw.PageSize:hw.PageSize]
-				slab = slab[hw.PageSize:]
+		}
+		slab := make([]byte, 0, marked*hw.LineSize)
+		n := 0
+		for _, idx := range idxs {
+			at := len(slab)
+			lines, out, ok := pr.Reg.ReadPage(idx, slab)
+			if ok {
+				slab = out
+				dst[idx] = capture{ckpt.PageImage{Index: idx, Lines: lines, Data: slab[at:len(slab):len(slab)]}, true}
 				n++
 			}
 		}
@@ -334,15 +346,15 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 		captured := pages[pr]
 		captured = captured[:min(len(captured), ri.Pages)]
 		nres := 0
-		for _, data := range captured {
-			if data != nil {
+		for _, pg := range captured {
+			if pg.ok {
 				nres++
 			}
 		}
 		ri.Resid = make([]ckpt.PageImage, 0, nres)
-		for idx, data := range captured {
-			if data != nil {
-				ri.Resid = append(ri.Resid, ckpt.PageImage{Index: idx, Data: data})
+		for _, pg := range captured {
+			if pg.ok {
+				ri.Resid = append(ri.Resid, pg.PageImage)
 			}
 		}
 		img.Regions = append(img.Regions, ri)
@@ -380,16 +392,16 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 
 // capturePRDA copies a member's PRDA page contents, nil when the page was
 // never touched (demand-zero, restored as such).
-func capturePRDA(m *proc.Proc) []byte {
+func capturePRDA(m *proc.Proc) *ckpt.PageImage {
 	pr := m.Private.Find(vm.PRDABase)
 	if pr == nil {
 		return nil
 	}
-	buf := make([]byte, hw.PageSize)
-	if !pr.Reg.ReadPage(0, buf) {
+	lines, data, ok := pr.Reg.ReadPage(0, nil)
+	if !ok {
 		return nil
 	}
-	return buf
+	return &ckpt.PageImage{Lines: lines, Data: data}
 }
 
 // captureFds records a member's descriptor table: path, flags and offset
@@ -589,19 +601,16 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 		}
 		resid := ri.Resid // ascending by index (Validate), walked in step with idx
 		for idx := 0; idx < pr.Reg.Pages(); idx++ {
-			var data []byte
+			var pg ckpt.PageImage // a page the image lacks is all zero
 			if len(resid) > 0 && resid[0].Index == idx {
-				data, resid = resid[0].Data, resid[1:]
-			} else {
-				if pr.Reg.Frame(idx) == hw.NoPFN || pr.Reg.Type == vm.RText {
-					continue
-				}
-				data = zeroPage[:] // zero out a resident ghost
+				pg, resid = resid[0], resid[1:]
+			} else if pr.Reg.Frame(idx) == hw.NoPFN {
+				continue // demand-zero on both sides
 			}
-			if pr.Reg.Type == vm.RText && ckpt.IsZero(data) {
+			if pr.Reg.Type == vm.RText && pg.Lines == 0 {
 				continue
 			}
-			lazyPages, err := pr.Reg.WritePage(idx, data, cpuIdx, acct)
+			lazyPages, err := pr.Reg.WritePage(idx, pg.Lines, pg.Data, cpuIdx, acct)
 			if err != nil {
 				return -1, err
 			}
@@ -615,18 +624,17 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 		if i >= len(img.Members) {
 			break
 		}
-		data := img.Members[i].PRDA
 		pr := mp.Private.Find(vm.PRDABase)
 		if pr == nil {
 			continue
 		}
-		if data == nil {
-			if pr.Reg.Frame(0) == hw.NoPFN {
-				continue
-			}
-			data = zeroPage[:]
+		var pg ckpt.PageImage
+		if prda := img.Members[i].PRDA; prda != nil {
+			pg = *prda
+		} else if pr.Reg.Frame(0) == hw.NoPFN {
+			continue
 		}
-		if _, err := pr.Reg.WritePage(0, data, cpuIdx, acct); err != nil {
+		if _, err := pr.Reg.WritePage(0, pg.Lines, pg.Data, cpuIdx, acct); err != nil {
 			return -1, err
 		}
 		written++

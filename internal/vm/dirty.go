@@ -132,17 +132,17 @@ func (r *Region) UntrackDirty() {
 	r.dirty.Store(nil)
 }
 
-// ReadPage copies the contents of page idx into buf, which is one page long,
-// and reports whether the page was resident. This is the serialization
-// surface of the checkpoint image builder: contents flow out through the
-// region, never through raw PTE words, so the image layer stays independent
-// of the PTE encoding. Only the lines the frame's line map marks are copied;
-// the rest of buf is cleared.
-func (r *Region) ReadPage(idx int, buf []byte) bool {
+// ReadPage appends the packed form of page idx to dst (hw.ReadFrame: the
+// lines holding a non-zero byte, in order, and their mask) and reports
+// whether the page was resident. This is the serialization surface of the
+// checkpoint image builder: contents flow out through the region, never
+// through raw PTE words, so the image layer stays independent of the PTE
+// encoding.
+func (r *Region) ReadPage(idx int, dst []byte) (lines uint64, packed []byte, ok bool) {
 	pfn := r.Frame(idx)
 	if pfn == hw.NoPFN {
-		return false
+		return 0, dst, false
 	}
-	r.mem.ReadFrame(pfn, buf)
-	return true
+	lines, packed = r.mem.ReadFrame(pfn, dst)
+	return lines, packed, true
 }

@@ -104,20 +104,24 @@ func TestTrackDirtyGrow(t *testing.T) {
 }
 
 // TestReadPage checks the serialization surface: contents out through the
-// region API, absence reported for unfilled slots.
+// region API in packed form, appended to what the buffer held, and absence
+// reported for unfilled slots.
 func TestReadPage(t *testing.T) {
 	m := mem(8)
 	r := NewRegion(m, RData, 2)
 	pfn, _, _, _ := r.Fill(0, true)
-	m.StoreWord(pfn, 16, 0xdeadbeef) // word 16 = byte offset 64
-	buf := make([]byte, hw.PageSize)
-	if !r.ReadPage(0, buf) {
+	m.StoreWord(pfn, 16, 0xdeadbeef) // word 16 = byte offset 64, line 1
+	lines, buf, ok := r.ReadPage(0, []byte{7})
+	if !ok {
 		t.Fatal("ReadPage missed a resident page")
 	}
-	if buf[64] != 0xef || buf[65] != 0xbe || buf[66] != 0xad || buf[67] != 0xde {
-		t.Fatalf("ReadPage contents wrong: % x", buf[64:68])
+	if lines != 1<<1 || len(buf) != 1+hw.LineSize || buf[0] != 7 {
+		t.Fatalf("ReadPage = mask %#x, %d bytes; want line 1 alone after the byte already there", lines, len(buf))
 	}
-	if r.ReadPage(1, buf) {
+	if buf[1] != 0xef || buf[2] != 0xbe || buf[3] != 0xad || buf[4] != 0xde {
+		t.Fatalf("ReadPage contents wrong: % x", buf[1:5])
+	}
+	if _, _, ok := r.ReadPage(1, nil); ok {
 		t.Fatal("ReadPage claimed an absent page resident")
 	}
 }

@@ -374,41 +374,39 @@ func (r *Region) fillSlow(idx int, write bool, cpu int, acct *hw.FrameAcct) (pfn
 	return cp, true, FillCopied, lazyPages, nil
 }
 
-// WritePage makes page idx hold data (at most one page, from byte 0; bytes
-// past len(data) keep their value) — ReadPage's counterpart, the surface
+// WritePage makes page idx hold the page whose packed form is (lines,
+// packed), as ReadPage gives it — ReadPage's counterpart, the surface
 // restore writes a checkpoint image back through. A page that needs a new
-// frame anyway — an absent slot, or a copy-on-write alias that a whole page
-// of data would overwrite entirely — gets one allocated, filled with plain
-// stores while no PTE names it (hw.FillFrame) and only then published, so
-// nothing about who else may be running has to be argued. Any other page is
-// resolved as a store fault would (text: a load fault, text is never
-// writable) and written in place with atomic word stores. Frames are
-// charged to acct; lazyPages is the deferred duplication walked on the way,
-// for the caller to charge as FillAccounted's.
-func (r *Region) WritePage(idx int, data []byte, cpu int, acct *hw.FrameAcct) (lazyPages int, err error) {
-	if len(data) > hw.PageSize {
-		data = data[:hw.PageSize]
-	}
+// frame anyway — an absent slot, or a copy-on-write alias the page
+// overwrites entirely — gets one allocated, filled with plain stores while
+// no PTE names it (hw.FillFrame) and only then published, so nothing about
+// who else may be running has to be argued. Any other page is resolved as a
+// store fault would (text: a load fault, text is never writable) and
+// written in place with atomic word stores (hw.WriteFrame), which touch
+// only the mask's lines and the lines already marked. Frames are charged to
+// acct; lazyPages is the deferred duplication walked on the way, for the
+// caller to charge as FillAccounted's.
+func (r *Region) WritePage(idx int, lines uint64, packed []byte, cpu int, acct *hw.FrameAcct) (lazyPages int, err error) {
 	if n := r.Pages(); idx < 0 || idx >= n {
 		return 0, outOfRange(r, idx, n)
 	}
 	stripe, lazyPages := r.lockStripeResolved(idx)
-	fresh, err := r.writeFresh(idx, data, cpu, acct)
+	fresh, err := r.writeFresh(idx, lines, packed, cpu, acct)
 	stripe.Unlock()
 	if fresh || err != nil {
 		return lazyPages, err
 	}
 	pfn, _, _, walked, err := r.FillAccounted(idx, r.Type != RText, cpu, acct)
 	if err == nil {
-		r.mem.WriteBytes(pfn, 0, data)
+		r.mem.WriteFrame(pfn, lines, packed)
 	}
 	return lazyPages + walked, err
 }
 
 // writeFresh is WritePage's new-frame case, called with idx's stripe held
 // and no lazy duplication pending. It reports false, having done nothing,
-// when the slot holds a frame data can be written into in place.
-func (r *Region) writeFresh(idx int, data []byte, cpu int, acct *hw.FrameAcct) (bool, error) {
+// when the slot holds a frame the page can be written into in place.
+func (r *Region) writeFresh(idx int, lines uint64, packed []byte, cpu int, acct *hw.FrameAcct) (bool, error) {
 	t := r.table.Load()
 	if idx >= len(t.slots) {
 		return false, outOfRange(r, idx, len(t.slots))
@@ -416,7 +414,7 @@ func (r *Region) writeFresh(idx int, data []byte, cpu int, acct *hw.FrameAcct) (
 	slot := &t.slots[idx]
 	w := slot.Load()
 	old := hw.PFN(w & ptePFNMask)
-	if w&ptePresent != 0 && (r.Type == RText || len(data) < hw.PageSize || w&pteWritable != 0 || r.mem.Ref(old) == 1) {
+	if w&ptePresent != 0 && (r.Type == RText || w&pteWritable != 0 || r.mem.Ref(old) == 1) {
 		return false, nil
 	}
 	r.mem.SlowFills.AddOn(cpu, 1)
@@ -424,7 +422,7 @@ func (r *Region) writeFresh(idx int, data []byte, cpu int, acct *hw.FrameAcct) (
 	if err != nil {
 		return false, err
 	}
-	r.mem.FillFrame(pfn, data)
+	r.mem.FillFrame(pfn, lines, packed)
 	writable := r.Type != RText
 	if writable {
 		r.everWritable.Store(true)

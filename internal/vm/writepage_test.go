@@ -13,15 +13,42 @@ import (
 )
 
 // fillThenWrite is what restore did before WritePage existed — resolve the
-// page as a fault would, then store the bytes into whatever frame came
+// page as a fault would, then store the whole page into whatever frame came
 // back — and is the reference WritePage is held to.
-func fillThenWrite(r *Region, idx int, data []byte, cpu int, acct *hw.FrameAcct) (int, error) {
+func fillThenWrite(r *Region, idx int, page []byte, cpu int, acct *hw.FrameAcct) (int, error) {
 	pfn, _, _, lazyPages, err := r.FillAccounted(idx, r.Type != RText, cpu, acct)
 	if err != nil {
 		return lazyPages, err
 	}
-	r.mem.WriteBytes(pfn, 0, data)
+	r.mem.WriteBytes(pfn, 0, page)
 	return lazyPages, nil
+}
+
+// packPage is page's packed form, as ReadPage gives it: the lines holding a
+// non-zero byte, in order, and their mask.
+func packPage(page []byte) (uint64, []byte) {
+	var lines uint64
+	var packed []byte
+	for i := 0; i < hw.PageSize; i += hw.LineSize {
+		if l := page[i : i+hw.LineSize]; !bytes.Equal(l, make([]byte, hw.LineSize)) {
+			lines |= 1 << (i / hw.LineSize)
+			packed = append(packed, l...)
+		}
+	}
+	return lines, packed
+}
+
+// readPage is page idx of r whole, and whether it is resident.
+func readPage(r *Region, idx int) ([]byte, bool) {
+	lines, packed, ok := r.ReadPage(idx, nil)
+	page := make([]byte, hw.PageSize)
+	for i := 0; i < hw.PageSize/hw.LineSize; i++ {
+		if lines&(1<<i) != 0 {
+			copy(page[i*hw.LineSize:], packed[:hw.LineSize])
+			packed = packed[hw.LineSize:]
+		}
+	}
+	return page, ok
 }
 
 // wpWorld is one side of the differential: the region written, the regions
@@ -161,7 +188,6 @@ func (w *wpWorld) observe(lazyPages int, err error) string {
 		w.acct.Used(), w.acct.Charges.Load(), w.acct.Uncharges.Load(), w.acct.QuotaHits.Load())
 	fmt.Fprintf(&b, "mem inUse=%d allocs=%d frees=%d fastFills=%d slowFills=%d\n",
 		w.m.InUse(), w.m.Allocs.Load(), w.m.Frees.Load(), w.m.FastFills.Load(), w.m.SlowFills.Load())
-	buf := make([]byte, hw.PageSize)
 	for ri, r := range append([]*Region{w.target}, w.others...) {
 		if r.Pages() > wpPages {
 			continue // the memory hog
@@ -172,7 +198,8 @@ func (w *wpWorld) observe(lazyPages int, err error) string {
 		}
 		b.WriteByte('\n')
 		for idx := 0; idx < r.Pages(); idx++ {
-			if !r.ReadPage(idx, buf) {
+			buf, ok := readPage(r, idx)
+			if !ok {
 				continue
 			}
 			pfn := r.Frame(idx)
@@ -185,10 +212,12 @@ func (w *wpWorld) observe(lazyPages int, err error) string {
 }
 
 // WritePage against the fill-then-write pair it replaced, over every slot
-// state and every shape of data: the same bytes read back through every
+// state and every shape of page: the same bytes read back through every
 // region that could alias the page, the same residency, frame refcounts,
 // ownership, writable and dirty bits, account charges, deferred-walk count
-// and error.
+// and error. A page is whole, so each shape is the page its data begins
+// (the rest zero) or the first page of it: the reference writes that page,
+// WritePage takes its packed form.
 func TestWritePageMatchesFillThenWrite(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1988))
 	random := func(n int) []byte {
@@ -208,27 +237,62 @@ func TestWritePageMatchesFillThenWrite(t *testing.T) {
 		{"longer than a page", random(hw.PageSize + 5)},
 	}
 	pattern := random(hw.PageSize)
-	type writer func(r *Region, idx int, data []byte, cpu int, acct *hw.FrameAcct) (int, error)
-	run := func(t *testing.T, build func(*testing.T, *wpWorld), data []byte, write writer) string {
+	run := func(t *testing.T, build func(*testing.T, *wpWorld), write func(w *wpWorld) (int, error)) string {
 		w := &wpWorld{m: mem(32), acct: &hw.FrameAcct{}, idx: 2, pattern: pattern}
 		w.m.AttachCaches(1)
 		build(t, w)
-		return w.observe(write(w.target, w.idx, data, 0, w.acct))
+		return w.observe(write(w))
 	}
 	for _, st := range wpStates {
 		for _, d := range datas {
 			t.Run(st.name+"/"+d.name, func(t *testing.T) {
-				ref := d.data
-				if len(ref) > hw.PageSize {
-					ref = ref[:hw.PageSize] // WriteBytes panics; WritePage clips like ReadPage
-				}
-				got := run(t, st.build, d.data, (*Region).WritePage)
-				want := run(t, st.build, ref, fillThenWrite)
+				page := make([]byte, hw.PageSize)
+				copy(page, d.data)
+				lines, packed := packPage(page)
+				got := run(t, st.build, func(w *wpWorld) (int, error) {
+					return w.target.WritePage(w.idx, lines, packed, 0, w.acct)
+				})
+				want := run(t, st.build, func(w *wpWorld) (int, error) {
+					return fillThenWrite(w.target, w.idx, page, 0, w.acct)
+				})
 				if got != want {
 					t.Errorf("WritePage left\n%s\nfill-then-write left\n%s", got, want)
 				}
 			})
 		}
+	}
+}
+
+// WritePage in place touches only the page's lines and the lines the frame
+// marked: a resident, sole-owned page with two lines written (one of them
+// in the new page, one not) takes a page of three lines and is marked at
+// those four, no more, where a whole-page WriteBytes would mark all 64. The
+// line outside the new page reads zero, and the page reads back whole.
+func TestWritePageInPlaceMarksOnlyMaskLines(t *testing.T) {
+	m := mem(4)
+	r := NewRegion(m, RData, 1)
+	pfn, _, _, err := r.Fill(0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.StoreWord(pfn, 5<<4, 0xaaaa)  // line 5, in the new page
+	m.StoreWord(pfn, 40<<4, 0xbbbb) // line 40, not
+	page := make([]byte, hw.PageSize)
+	for _, line := range []int{5, 6, 63} {
+		copy(page[line*hw.LineSize:], bytes.Repeat([]byte{byte(line)}, hw.LineSize))
+	}
+	lines, packed := packPage(page)
+	if _, err := r.WritePage(0, lines, packed, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if r.Frame(0) != pfn {
+		t.Fatal("WritePage replaced a sole-owned resident frame instead of writing it in place")
+	}
+	if got, want := m.Lines(pfn), uint64(1<<5|1<<6|1<<40|1<<63); got != want {
+		t.Errorf("line map after the in-place write = %#x, want %#x", got, want)
+	}
+	if got, _ := readPage(r, 0); !bytes.Equal(got, page) {
+		t.Error("the page does not read back as written")
 	}
 }
 
@@ -279,7 +343,8 @@ func TestWritePageStormRace(t *testing.T) {
 			acct := &hw.FrameAcct{}
 			partner := NewRegion(m, RData, pages)
 			for pg := pages / 2; pg < pages; pg += 2 {
-				if _, err := partner.WritePage(pg, pageOf(pg, oldGen), 0, acct); err != nil {
+				lines, packed := packPage(pageOf(pg, oldGen))
+				if _, err := partner.WritePage(pg, lines, packed, 0, acct); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -290,10 +355,11 @@ func TestWritePageStormRace(t *testing.T) {
 			bg.Add(3)
 			go func() { // reader: whole pages
 				defer bg.Done()
-				buf, words := make([]byte, hw.PageSize), make([]uint32, hw.WordsPerPage)
+				words := make([]uint32, hw.WordsPerPage)
 				for !stop.Load() {
 					for pg := 0; pg < pages; pg += 2 {
-						if !r.ReadPage(pg, buf) {
+						buf, ok := readPage(r, pg)
+						if !ok {
 							continue
 						}
 						for i := range words {
@@ -340,7 +406,8 @@ func TestWritePageStormRace(t *testing.T) {
 					defer wr.Done()
 					for gen := 1; gen <= gens; gen++ {
 						for pg := 2 * w; pg < pages; pg += 2 * writers {
-							if _, err := r.WritePage(pg, pageOf(pg, gen), w, acct); err != nil {
+							lines, packed := packPage(pageOf(pg, gen))
+							if _, err := r.WritePage(pg, lines, packed, w, acct); err != nil {
 								t.Errorf("WritePage(%d) generation %d: %v", pg, gen, err)
 								return
 							}
@@ -353,15 +420,14 @@ func TestWritePageStormRace(t *testing.T) {
 			stop.Store(true)
 			bg.Wait()
 
-			buf := make([]byte, hw.PageSize)
 			for pg := 0; pg < pages; pg += 2 {
-				if !r.ReadPage(pg, buf) || !bytes.Equal(buf, pageOf(pg, gens)) {
+				if buf, ok := readPage(r, pg); !ok || !bytes.Equal(buf, pageOf(pg, gens)) {
 					t.Errorf("page %d does not hold its last generation", pg)
 				}
 				if pfn := r.Frame(pg); m.Ref(pfn) != 1 {
 					t.Errorf("page %d frame ref = %d after WritePage, want a sole owner", pg, m.Ref(pfn))
 				}
-				if pg >= pages/2 && (!partner.ReadPage(pg, buf) || !bytes.Equal(buf, pageOf(pg, oldGen))) {
+				if buf, ok := readPage(partner, pg); pg >= pages/2 && (!ok || !bytes.Equal(buf, pageOf(pg, oldGen))) {
 					t.Errorf("partner's page %d changed under the copy's WritePage", pg)
 				}
 			}
