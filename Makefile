@@ -12,6 +12,9 @@ tier1: lint
 	$(GO) test -short -run 'Chaos' -count=1 ./internal/workload/
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/hw/
 	$(GO) test -run xxx -bench . -benchtime 1x .
+# The -race pass selects tests by name. A test that must run under the race
+# detector is named …StormRace, …SelfCheck or …Model, or takes a name that
+# an alternation below already matches; a new alternation is a last resort.
 	$(GO) test -race -short -run 'FaultStorm|COWBreak|StormRace|WritePage|ChecksumMatches|Bulk|WriteBytesEdges|CopyFrameUnder|Decode|Allocs|Spawn|CreationCharges|RestoreFailure|ShareMaskTable|Carve|Poll|PublishedReadiness|InterestSet|StandingWaiter|Netserver|SelfCheck|SgtopRuns|BenchtabPreforkRuns|SleepProtocolModel|PostInterruptsSleep|SemaStaleWake|EnvdiagRuns|KtraceRuns|QuickstartRuns|ParallelRuns|AsyncioRuns|MakeparRuns|NonVMMember|FailedPipe|EagerSyncCharges|FdUpdate|FdFlagSurvives|Space' -count=1 ./internal/percpu/ ./internal/hw/ ./internal/ckpt/ ./internal/vm/ ./internal/workload/ ./internal/uspin/ ./internal/ipc/ ./internal/core/ ./internal/kernel/ ./internal/fs/ ./internal/sched/ ./internal/klock/ ./internal/proc/ ./examples/netserver/ ./examples/asyncio/ ./examples/makepar/ ./examples/parallel/ ./examples/quickstart/ ./cmd/sgtop/ ./cmd/benchtab/ ./cmd/envdiag/ ./cmd/ktrace/
 
 # Chaos: the full seeded fault-injection soak (deterministic per seed).

@@ -51,6 +51,11 @@ func (va VAddr) PageBase() VAddr { return va &^ VAddr(PageMask) }
 // frameArray is the word storage of one page frame.
 type frameArray [WordsPerPage]uint32
 
+// spare holds all-zero frame storage that idle machines gave back
+// (ReleaseFree) for any Memory's take to mint from. It is a sync.Pool so
+// storage no boot claims goes back to the heap within two collections.
+var spare sync.Pool
+
 // The line map divides a frame into 64 lines of 64 bytes, one bit each.
 const (
 	lineShift      = 6 // log2 of a line's bytes
@@ -100,6 +105,10 @@ type framePool struct {
 // stores, so an unmarked line is all zero, and a free frame is all zero with
 // an empty map.
 //
+// A frame's storage is minted by take, from spare when it can be, and is
+// released only from the pool's free list by an idle machine
+// (ReleaseFree), so it is always all zero when it passes between machines.
+//
 // Besides the frame's own words (count, line map, owner), an allocation or
 // a free writes only its CPU's words and the reservations, inUse and the
 // charged account's used: the statistics are per-CPU counters, and inUse,
@@ -109,7 +118,7 @@ type framePool struct {
 // caches header and FI that every allocation reads.
 type Memory struct {
 	capacity int
-	frames   []atomic.Pointer[frameArray] // frame storage, published once per frame
+	frames   []atomic.Pointer[frameArray] // frame storage, nil until minted and once released
 	refs     []atomic.Int32               // per-frame reference counts
 	lines    []atomic.Uint64              // per-frame line map: bit i = line i may hold a non-zero word
 	owners   []atomic.Pointer[FrameAcct]  // charging principal per frame (nil = unowned)
@@ -160,9 +169,10 @@ type Memory struct {
 	pool framePool
 }
 
-// NewMemory creates a physical memory of capacity page frames. Frame
-// storage itself is allocated on demand, but the frame and refcount tables
-// are preallocated so lookups never need the pool lock.
+// NewMemory creates a physical memory of capacity page frames. The frame
+// and refcount tables are preallocated so lookups never need the pool
+// lock; a frame's storage is minted when the pool first hands it out, or
+// again after an idle machine released it, from spare when it can be.
 func NewMemory(capacity int) *Memory {
 	if capacity <= 0 {
 		panic("hw: memory capacity must be positive")
@@ -334,8 +344,8 @@ func (m *Memory) grant(pfn PFN, acct *FrameAcct) PFN {
 // OwnerOf returns the frame account charged for pfn, or nil.
 func (m *Memory) OwnerOf(pfn PFN) *FrameAcct { return m.owners[pfn].Load() }
 
-// take removes up to want free frames from the pool, minting storage for
-// never-used frames when the recycled list runs out.
+// take removes up to want free frames from the pool, never-used ones when
+// the recycled list runs out, and mints storage for each that has none.
 func (m *Memory) take(want int) []PFN {
 	p := &m.pool
 	p.mu.Lock()
@@ -347,12 +357,35 @@ func (m *Memory) take(want int) []PFN {
 		p.free = p.free[:n-k]
 	}
 	for len(out) < want && p.fresh < m.capacity {
-		pfn := PFN(p.fresh)
+		out = append(out, PFN(p.fresh))
 		p.fresh++
-		m.frames[pfn].Store(new(frameArray))
-		out = append(out, pfn)
+	}
+	for _, pfn := range out {
+		if m.frames[pfn].Load() == nil {
+			f, _ := spare.Get().(*frameArray)
+			if f == nil {
+				f = new(frameArray)
+			}
+			m.frames[pfn].Store(f)
+		}
 	}
 	return out
+}
+
+// ReleaseFree gives the storage of every frame on the pool's free list to
+// spare, for the next take of this or any Memory. Only an idle machine
+// calls it (System.WaitIdle): a pool frame is all zero with an empty map
+// (grant checks it), no PTE names it, and only take hands it out again,
+// minting under the same lock. Frames parked in caches keep theirs.
+func (m *Memory) ReleaseFree() {
+	p := &m.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, pfn := range p.free {
+		if f := m.frames[pfn].Swap(nil); f != nil {
+			spare.Put(f)
+		}
+	}
 }
 
 // scavenge pulls up to want free frames out of another CPU's cache — the
@@ -471,9 +504,10 @@ func (m *Memory) DecRefOn(pfn PFN, cpu int) int32 {
 // Ref returns the current reference count of pfn.
 func (m *Memory) Ref(pfn PFN) int32 { return m.refs[pfn].Load() }
 
-// frame returns the word slice backing pfn without taking any lock: the
-// storage pointer is published atomically exactly once, when the frame is
-// first minted, and frames are never reallocated.
+// frame returns the word slice backing pfn without taking any lock: take
+// publishes the storage pointer atomically before the frame leaves the
+// pool, and only ReleaseFree, on an idle machine, takes it back from a
+// frame on the pool's free list, which nobody names.
 func (m *Memory) frame(pfn PFN) []uint32 {
 	return m.frames[pfn].Load()[:]
 }

@@ -2,16 +2,22 @@ package hw
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // TestDryPoolStormRace hammers a memory smaller than its CPUs' caches can
-// hold from eight CPUs at once, so the pool is dry most of the time and
-// frames move by refills, drains and scavenges of other caches. The
-// reservation counter must guarantee progress and exact conservation:
-// every frame ends in the pool's free list, never used, or in a cache.
+// hold from eight CPUs at once, so the pool is dry much of the time and
+// frames move by refills, drains and scavenges of other caches, while a
+// ninth goroutine keeps draining the caches and giving the pool's free
+// storage back to spare. The reservation counter must guarantee progress
+// and exact conservation: every frame ends in the pool's free list, never
+// used, or in a cache. Every frame held is written, and every grant must
+// read all zero, whichever storage take minted it from.
 func TestDryPoolStormRace(t *testing.T) {
 	const (
 		ncpu   = 8
@@ -23,15 +29,35 @@ func TestDryPoolStormRace(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			m := NewMemory(frames)
 			m.AttachCaches(ncpu)
+			var done atomic.Bool
+			released := make(chan struct{})
+			go func() {
+				defer close(released)
+				for !done.Load() {
+					m.ReclaimCaches() // so the pool has frames to release
+					m.ReleaseFree()
+					runtime.Gosched()
+				}
+			}()
 			var wg sync.WaitGroup
 			for cpu := 0; cpu < ncpu; cpu++ {
 				wg.Add(1)
 				go func(cpu int) {
 					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(cpu)))
 					var held []PFN
 					for i := 0; i < iters; i++ {
+						if i%16 == 0 {
+							runtime.Gosched() // let the releaser in at GOMAXPROCS=1
+						}
+						for _, p := range held {
+							m.StoreWord(p, uint32(rng.Intn(WordsPerPage)), uint32(i+1))
+						}
 						if len(held) < 8 {
 							if pfn, err := m.AllocOn(cpu); err == nil {
+								if !refFrameZero(m, pfn) {
+									t.Errorf("CPU %d was granted frame %d holding a non-zero word", cpu, pfn)
+								}
 								held = append(held, pfn)
 								continue
 							}
@@ -47,6 +73,8 @@ func TestDryPoolStormRace(t *testing.T) {
 				}(cpu)
 			}
 			wg.Wait()
+			done.Store(true)
+			<-released
 			if m.InUse() != 0 {
 				t.Fatalf("InUse = %d after all frees", m.InUse())
 			}
@@ -57,7 +85,63 @@ func TestDryPoolStormRace(t *testing.T) {
 			if total := pooled + m.CachedFrames(); total != frames {
 				t.Fatalf("pool free+fresh+cached = %d, want %d", total, frames)
 			}
+			m.ReleaseFree()
+			for _, pfn := range m.pool.free {
+				if m.frames[pfn].Load() != nil {
+					t.Fatalf("frame %d on the pool's free list keeps its storage after ReleaseFree", pfn)
+				}
+			}
 		})
+	}
+}
+
+// TestReleasedStorageIsReused: the storage of the frames one memory frees
+// and releases is what the next memory's allocations get, all zero, and a
+// frame still held keeps its storage and what was written to it. One P and
+// no collection keep every array put into spare within reach of a Get.
+func TestReleasedStorageIsReused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for spare.Get() != nil {
+	}
+	const n = 64
+	a := NewMemory(n)
+	var pfns []PFN
+	for i := range n {
+		pfn, err := a.Alloc()
+		if err != nil {
+			t.Fatalf("Alloc: %v", err)
+		}
+		a.StoreWord(pfn, uint32(i*16), uint32(i+1))
+		pfns = append(pfns, pfn)
+	}
+	kept, keptArr := pfns[0], a.frames[pfns[0]].Load()
+	freed := map[*frameArray]bool{}
+	for _, p := range pfns[1:] {
+		freed[a.frames[p].Load()] = true
+		a.DecRef(p)
+	}
+	a.ReleaseFree()
+	if a.frames[kept].Load() != keptArr || a.LoadWord(kept, 0) != 1 {
+		t.Fatalf("held frame %d lost its storage or its word across ReleaseFree", kept)
+	}
+	b := NewMemory(n - 1)
+	for range n - 1 {
+		pfn, err := b.Alloc()
+		if err != nil {
+			t.Fatalf("Alloc: %v", err)
+		}
+		f := b.frames[pfn].Load()
+		if !freed[f] {
+			t.Fatalf("frame %d of the second memory got storage the first did not release", pfn)
+		}
+		delete(freed, f)
+		if *f != (frameArray{}) {
+			t.Fatalf("frame %d of the second memory reads non-zero", pfn)
+		}
 	}
 }
 

@@ -552,6 +552,45 @@ func TestSpawnCarrierReuse(t *testing.T) {
 	waitIdle(t, s)
 }
 
+// TestSpawnAfterIdleReadsZero: the frame storage WaitIdle gives back reads
+// all zero wherever it is minted again, for a later process of the same
+// System and for a System booted after it, though every line of it was
+// written before.
+func TestSpawnAfterIdleReadsZero(t *testing.T) {
+	const pages = 64
+	run := func(s *System, name string, body func(c *Context, va hw.VAddr)) {
+		s.Start(name, func(c *Context) {
+			va, err := c.Mmap(pages)
+			if err != nil {
+				t.Errorf("%s: mmap: %v", name, err)
+				return
+			}
+			body(c, va)
+		})
+		waitIdle(t, s)
+	}
+	dirty := func(c *Context, va hw.VAddr) {
+		for off := hw.VAddr(0); off < pages*hw.PageSize; off += hw.LineSize {
+			if err := c.Store32(va+off, 0xdead0000|uint32(off>>6)); err != nil {
+				t.Errorf("store at %#x: %v", va+off, err)
+				return
+			}
+		}
+	}
+	zero := func(c *Context, va hw.VAddr) {
+		for off := hw.VAddr(0); off < pages*hw.PageSize; off += 4 {
+			if v, err := c.Load32(va + off); err != nil || v != 0 {
+				t.Errorf("%s: word at %#x reads %#x (%v), want 0", c.P.Name, va+off, v, err)
+				return
+			}
+		}
+	}
+	a := NewSystem(testConfig())
+	run(a, "dirty", dirty)
+	run(a, "same-system", zero)
+	run(NewSystem(testConfig()), "next-system", zero)
+}
+
 // TestSpawnCarrierDropsSystem: a parked carrier must not pin the last System
 // it ran — one that kept hold of the life it last ran would keep a finished
 // System's simulated memory live until its next process.

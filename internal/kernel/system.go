@@ -474,7 +474,9 @@ func (s *System) reap(p *proc.Proc, status int) {
 // WaitIdle blocks until every process has exited (test and example
 // teardown). With no process left every CPU must be idle and every run
 // queue empty; anything else is a scheduler bug and panics here, naming
-// what is still on a CPU.
+// what is still on a CPU. It then gives the storage of the memory pool's
+// free frames, all zero, to whichever System mints frames next, this one
+// included (hw.Memory.ReleaseFree).
 func (s *System) WaitIdle() {
 	s.wg.Wait()
 	if idle, queued := s.Sched.IdleCPUs(), s.Sched.RunqLen(); idle != len(s.Machine.CPUs) || queued != 0 {
@@ -486,6 +488,7 @@ func (s *System) WaitIdle() {
 		}
 		panic(msg)
 	}
+	s.Machine.Mem.ReleaseFree()
 }
 
 // String summarizes the system.
