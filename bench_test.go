@@ -315,8 +315,9 @@ func BenchmarkPollScan(b *testing.B) {
 }
 
 // Host-side cost of one creation joined — the call, the child's dispatch on
-// its carrier, its exit, and the parent's wait(2) — for the three ways the
-// paper's §7 compares. The child stores one word (its first fault) and
+// its carrier, its exit, and the parent's wait(2) — for the ways the paper's
+// §7 compares: fork, sproc into the parent's space, sproc without PR_SADDR
+// (a lazy duplicate of the whole image, as fork's) and thread_create. The child stores one word (its first fault) and
 // exits, so what is timed is the kernel's creation path and the host's
 // cost of giving a process a goroutine to live on.
 func BenchmarkCreateJoin(b *testing.B) {
@@ -328,6 +329,7 @@ func BenchmarkCreateJoin(b *testing.B) {
 	}{
 		{"fork", func(c *kernel.Context) (int, error) { return c.Fork("f", child) }},
 		{"sproc(PR_SALL)", func(c *kernel.Context) (int, error) { return c.Sproc("s", entry, proc.PRSALL, 0) }},
+		{"sproc(no PR_SADDR)", func(c *kernel.Context) (int, error) { return c.Sproc("s", entry, proc.PRSALL&^proc.PRSADDR, 0) }},
 		{"thread", func(c *kernel.Context) (int, error) { return c.ThreadCreate("t", entry, 0) }},
 	} {
 		b.Run(kind.name, func(b *testing.B) {

@@ -44,8 +44,10 @@ type ShAddr struct {
 	ASID  hw.ASID      // the shared virtual space's identifier
 
 	// updater is the process inside UpdateVM, whose CPU pays for the
-	// bracket's shootdowns.
+	// bracket's shootdowns; shootVM is sa.shoot, bound once (a method
+	// value allocates).
 	updater *proc.Proc
+	shootVM vm.Shoot
 
 	// gen is the shared-list generation: bumped by every UpdateVM, it
 	// validates the members' last-hit pregion caches — a fault whose
@@ -194,6 +196,7 @@ func NewWithOptions(creator *proc.Proc, opts Options) *ShAddr {
 		memberStack: map[*proc.Proc]memberStack{},
 		opts:        opts,
 	}
+	sa.shootVM = sa.shoot
 
 	// Move sharable pregions to the shared list; only the PRDA stays
 	// private, and the creator's mapping arena becomes the group's.

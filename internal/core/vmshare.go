@@ -25,7 +25,7 @@ func (sa *ShAddr) UpdateVM(p *proc.Proc, change func(sp *vm.Space, shoot vm.Shoo
 	defer sa.Acc.Unlock()
 	sa.gen.Add(1) // on entry too: a translation resolved before now is not installed after change's flush
 	sa.updater = p
-	err := change(&sa.space, sa.shoot)
+	err := change(&sa.space, sa.shootVM)
 	sa.touchRegions()
 	return err
 }

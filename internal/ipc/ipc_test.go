@@ -356,19 +356,18 @@ func TestShmRegistry(t *testing.T) {
 	if r.Shmget(11, 4, mk) != id {
 		t.Fatal("same key, different segment")
 	}
-	seg, err := r.Shm(id)
-	if err != nil || seg.Reg.Pages() != 4 {
-		t.Fatalf("Shm = (%v,%v)", seg, err)
+	reg, err := r.ShmAttach(id)
+	if err != nil || reg.Pages() != 4 || reg.Refs() != 2 {
+		t.Fatalf("ShmAttach = (%v,%v)", reg, err)
 	}
 	// Two attachments write/read the same frames.
-	seg.Reg.Attach()
-	pfn, _, _, _ := seg.Reg.Fill(0, true)
+	pfn, _, _, _ := reg.Fill(0, true)
 	mem.StoreWord(pfn, 0, 31337)
-	pfn2, _, _, _ := seg.Reg.Fill(0, false)
+	pfn2, _, _, _ := reg.Fill(0, false)
 	if pfn2 != pfn || mem.LoadWord(pfn2, 0) != 31337 {
 		t.Fatal("attachments do not share frames")
 	}
-	seg.Reg.Detach()
+	reg.Detach()
 	if mem.InUse() == 0 {
 		t.Fatal("segment died while registry holds it")
 	}
@@ -378,7 +377,7 @@ func TestShmRegistry(t *testing.T) {
 	if mem.InUse() != 0 {
 		t.Fatal("segment frames leaked after remove")
 	}
-	if _, err := r.Shm(id); err != ErrNoEntry {
+	if _, err := r.ShmAttach(id); err != ErrNoEntry {
 		t.Fatal("removed segment still visible")
 	}
 	if err := r.ShmRemove(id); err != ErrNoEntry {

@@ -274,15 +274,18 @@ func (r *Registry) Shmget(key, pages int, newRegion func(pages int) *vm.Region) 
 	return seg.ID
 }
 
-// Shm looks up a segment by id.
-func (r *Registry) Shm(id int) (*ShmSeg, error) {
+// ShmAttach looks up segment id and attaches its region for the caller, both
+// under the registry lock: a remove between the two could make the last
+// detach, after which vm.NewRegion may mint the region for someone else.
+func (r *Registry) ShmAttach(id int) (*vm.Region, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.shms[id]
 	if !ok {
 		return nil, ErrNoEntry
 	}
-	return s, nil
+	s.Reg.Attach()
+	return s.Reg, nil
 }
 
 // ShmRemove deletes the segment id (shmctl IPC_RMID); its region is

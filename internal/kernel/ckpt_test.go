@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -393,6 +394,78 @@ func TestCkptBusy(t *testing.T) {
 	st := s.Stats()
 	if st.Ckpts != 0 || st.Restores != 0 {
 		t.Errorf("stats counted ckpts=%d restores=%d for failed attempts", st.Ckpts, st.Restores)
+	}
+}
+
+// TestCkptUnmapStormRace: members map, store and unmap shared regions, and
+// a process outside the group does the same in its own space, while the
+// group is checkpointed with pre-copy passes, at several host parallelism
+// levels. A region can leave the group's list between a snapshot and its
+// tracking, and regions die and are minted again under the checkpointer,
+// which must keep what it snapshotted alive: a region it armed or filled
+// past its last detach trips vm.NewRegion's reuse checks, or reads as a
+// fresh mapping that is not zero. The system drains with every frame free.
+func TestCkptUnmapStormRace(t *testing.T) {
+	levels := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		levels = append(levels, n)
+	}
+	for _, procs := range levels {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const members, ckpts = 3, 40
+			s := NewSystem(testConfig())
+			base := s.Machine.Mem.InUse()
+			var stop atomic.Bool
+			churn := func(cc *Context, pages int) {
+				for stamp := uint32(1); !stop.Load(); stamp++ {
+					va, err := cc.Mmap(pages)
+					if err != nil {
+						t.Errorf("%s: mmap: %v", cc.P.Name, err)
+						return
+					}
+					if v, err := cc.Load32(va); err != nil || v != 0 {
+						t.Errorf("%s: fresh mapping reads %#x (%v), want 0", cc.P.Name, v, err)
+					}
+					cc.Store32(va, stamp)
+					if err := cc.Munmap(va); err != nil {
+						t.Errorf("%s: munmap: %v", cc.P.Name, err)
+						return
+					}
+				}
+			}
+			s.Start("driver", func(c *Context) {
+				if _, err := c.Fork("outsider", func(cc *Context) { churn(cc, 2) }); err != nil {
+					t.Errorf("fork: %v", err)
+					return
+				}
+				for i := 0; i < members; i++ {
+					if _, err := c.Sproc("unmapper", func(cc *Context, arg int64) { churn(cc, 1+int(arg)) }, proc.PRSALL, int64(i)); err != nil {
+						t.Errorf("sproc %d: %v", i, err)
+						stop.Store(true)
+						break
+					}
+				}
+				for i := 0; i < ckpts && !stop.Load(); i++ {
+					if _, _, err := c.Ckpt(CkptOpts{Passes: 3, PassGap: 1024}); err != nil && !errors.Is(err, ErrCkptQuiesce) {
+						t.Errorf("ckpt %d: %v", i, err)
+					}
+				}
+				stop.Store(true)
+				for {
+					if _, _, err := c.Wait(); err != nil {
+						break
+					}
+				}
+			})
+			waitIdle(t, s)
+			if used := s.Machine.Mem.InUse(); used != base {
+				t.Errorf("%d frames in use after the storm, %d before", used, base)
+			}
+			if s.Stats().Ckpts == 0 {
+				t.Error("no checkpoint completed")
+			}
+		})
 	}
 }
 

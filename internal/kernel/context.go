@@ -102,10 +102,10 @@ func (c *Context) deliverPending() bool {
 // freezePark is the checkpoint safepoint slow path: the process has a
 // pending freeze gate, so park on it until the initiator thaws the group.
 // The loop re-checks after waking — a new checkpoint may have installed a
-// fresh gate while this one was opening. Both safepoints that call this
-// (the top of access and the kernel entry) precede any lock
-// acquisition, so a parked member never holds a kernel lock, and every
-// user-visible store passes through access first, so no store is in
+// fresh gate while this one was opening. The safepoints that call this
+// (the top of access, the kernel entry, and exit before reap) precede any
+// lock acquisition, so a parked member never holds a kernel lock, and
+// every user-visible store passes through access first, so no store is in
 // flight past a safepoint the member already crossed.
 func (c *Context) freezePark() {
 	p := c.P

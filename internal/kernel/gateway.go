@@ -201,7 +201,8 @@ func (c *Context) exitSys(d *sysDesc, start int64, eno Errno, completed bool) {
 }
 
 // sysAccount charges one completed syscall to the CPU it finished on and to
-// the calling process's own profile.
+// the calling process's own profile, which its first call makes (only p's
+// goroutine calls this for p).
 func (s *System) sysAccount(n Sysno, p *proc.Proc, cycles int64) {
 	i := int(p.CPU.Load())
 	if i < 0 || i >= len(s.sysacct)-1 {
@@ -210,9 +211,11 @@ func (s *System) sysAccount(n Sysno, p *proc.Proc, cycles int64) {
 	a := s.sysacct[i]
 	a.count[n].Add(1)
 	a.simcyc[n].Add(cycles)
-	if pc := p.SysCount; pc != nil {
-		pc[n].Add(1)
+	if p.SysCount.Load() == nil {
+		prof := make([]atomic.Int64, NSys)
+		p.SysCount.Store(&prof)
 	}
+	(*p.SysCount.Load())[n].Add(1)
 }
 
 // SyscallCountsByCPU returns the per-CPU call-count matrix: row i is CPU
@@ -233,14 +236,16 @@ func (s *System) SyscallCountsByCPU() [][]int64 {
 
 // ProcSyscalls returns a process's own per-syscall call counts (nonzero
 // entries only, ordered by number) — the per-member profile sgtop
-// aggregates over a share group.
+// aggregates over a share group. It is nil for a process that has made no
+// syscall. Safe from any goroutine.
 func ProcSyscalls(p *proc.Proc) []SyscallStat {
-	if p.SysCount == nil {
+	pc := p.SysCount.Load()
+	if pc == nil {
 		return nil
 	}
 	var out []SyscallStat
 	for n := Sysno(0); n < NSys; n++ {
-		if c := p.SysCount[n].Load(); c > 0 {
+		if c := (*pc)[n].Load(); c > 0 {
 			out = append(out, SyscallStat{Num: n, Name: SysName(n), Count: c})
 		}
 	}

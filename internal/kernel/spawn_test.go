@@ -679,25 +679,64 @@ func TestSpawnCarrierStormRace(t *testing.T) {
 }
 
 // spawnStorm is one driver's share: each step creates a child one way, and
-// the child stores, execs, or sleeps until the driver kills it.
+// the child stores, execs, or sleeps until it is killed. The parent keeps a
+// shadow of its eight data pages. Each storing child first maps, checks
+// zero, stores and unmaps two pages — handing regions back mid-storm — then
+// stores its page and loads another it did not store, which must read the
+// shadow: what the parent's page held at creation, the latest store
+// for a child that shares it (nothing else stores while the child runs).
+// After the join the parent's own pages must read the shadow, updated with
+// a sharing child's store and not a copy's. A page table reused with a
+// stale entry would read another process's frame.
 func spawnStorm(t *testing.T, c *Context, rng *rand.Rand, steps int) {
+	page := func(i int) hw.VAddr { return vm.DataBase + hw.VAddr(i*hw.PageSize) }
+	var shadow [8]uint32
+	for i := range shadow {
+		shadow[i] = 0x5a000000 | uint32(i)
+		c.Store32(page(i), shadow[i])
+	}
 	for step := 0; step < steps; step++ {
 		stamp := uint32(step + 1)
+		kind := rng.Intn(6)
+		mine, other := int(stamp%8), (int(stamp)+1+rng.Intn(7))%8
+		want := shadow[other]
+		if kind == 4 {
+			want = 0 // the exec'd image's pages are fresh
+		}
 		body := func(cc *Context) {
-			cc.Store32(vm.DataBase+hw.VAddr(int(stamp%8)*hw.PageSize), stamp)
+			va, err := cc.Mmap(2)
+			if err != nil {
+				t.Errorf("step %d: mmap: %v", step, err)
+				return
+			}
+			for off := hw.VAddr(0); off < 2*hw.PageSize; off += hw.PageSize {
+				if v, err := cc.Load32(va + off); err != nil || v != 0 {
+					t.Errorf("step %d: fresh mapping reads %#x (%v), want 0", step, v, err)
+				}
+				cc.Store32(va+off, stamp)
+			}
+			if err := cc.Munmap(va); err != nil {
+				t.Errorf("step %d: munmap: %v", step, err)
+			}
+			cc.Store32(page(mine), stamp)
+			if v, err := cc.Load32(page(other)); err != nil || v != want {
+				t.Errorf("step %d: %s reads %#x on page %d (%v), want %#x", step, cc.P.Name, v, other, err, want)
+			}
 		}
 		entry := func(cc *Context, _ int64) { body(cc) }
-		kill := false
+		kill, shares := false, false
 		var pid int
 		var err error
-		switch rng.Intn(6) {
+		switch kind {
 		case 0:
 			pid, err = c.Fork("f", body)
 		case 1:
+			shares = true
 			pid, err = c.Sproc("s", entry, proc.PRSALL, 0)
 		case 2:
 			pid, err = c.Sproc("s", entry, proc.PRSALL&^proc.PRSADDR, 0)
 		case 3:
+			shares = true
 			pid, err = c.ThreadCreate("t", entry, 0)
 		case 4:
 			pid, err = c.Sproc("execer", func(cc *Context, _ int64) { cc.Exec("image", body) }, proc.PRSALL, 0)
@@ -713,14 +752,23 @@ func spawnStorm(t *testing.T, c *Context, rng *rand.Rand, steps int) {
 			t.Errorf("step %d: create: %v", step, err)
 			return
 		}
-		want := 0
+		wantStatus := 0
 		if kill {
 			c.Kill(pid, proc.SIGKILL)
-			want = 128 + proc.SIGKILL
+			wantStatus = 128 + proc.SIGKILL
 		}
-		if got, status, err := c.Wait(); err != nil || got != pid || status != want {
-			t.Errorf("step %d: wait = pid %d status %d (%v), want pid %d status %d", step, got, status, err, pid, want)
+		if got, status, err := c.Wait(); err != nil || got != pid || status != wantStatus {
+			t.Errorf("step %d: wait = pid %d status %d (%v), want pid %d status %d", step, got, status, err, pid, wantStatus)
 			return
+		}
+		if shares {
+			shadow[mine] = stamp
+		}
+		for i, w := range shadow {
+			if v, err := c.Load32(page(i)); err != nil || v != w {
+				t.Errorf("step %d: parent reads %#x on page %d (%v), want %#x", step, v, i, err, w)
+				return
+			}
 		}
 	}
 }

@@ -140,18 +140,36 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 	var gate *proc.FreezeGate
 	var info CkptInfo
 
+	// snapshot attaches every region it lists, under the read lock: a member
+	// may unmap one meanwhile, and only the cleanup below, once tracking is
+	// disarmed, may make the last detach that hands it to vm.NewRegion.
+	var held []*vm.Region
+	snapshot := func() (regs []*vm.PRegion) {
+		sa.ViewVM(p, func(sp *vm.Space) {
+			regs = sp.Regions()
+			for _, pr := range regs {
+				pr.Reg.Attach()
+				held = append(held, pr.Reg)
+			}
+		})
+		return regs
+	}
+
 	// The cleanup runs on every exit — success, EAGAIN abort, or a kill
 	// unwinding the initiator mid-checkpoint: disarm tracking, flush the
-	// cleared writable bits' stale TLB entries, then thaw. Thaw order
-	// matters: clear every member's freeze pointer before opening the
-	// gate, so a member that races past Freeze() cannot re-park on a gate
-	// that will never open again.
+	// cleared writable bits' stale TLB entries, drop the snapshots'
+	// attachments, then thaw. Thaw order matters: clear every member's
+	// freeze pointer before opening the gate, so a member that races past
+	// Freeze() cannot re-park on a gate that will never open again.
 	defer func() {
 		for r := range armed {
 			r.UntrackDirty()
 		}
 		if len(armed) > 0 {
 			mach.ShootdownSpace(cpu, sa.ASID)
+		}
+		for _, r := range held {
+			r.Detach()
 		}
 		for m := range frozen {
 			m.ClearFreeze(gate)
@@ -213,7 +231,7 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 	// Pre-copy: arm dirty tracking on the current region list, flush so
 	// the cleared writable bits take effect, then copy pass by pass while
 	// the members keep running.
-	regs := sharedRegions(sa, p)
+	regs := snapshot()
 	if opts.Passes > 0 {
 		for _, pr := range regs {
 			if err := materialize(pr); err != nil {
@@ -313,7 +331,7 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 	// drop out), harvest the final delta, and capture the member and
 	// attribute state no store can now be racing.
 	stwStart := p.Cycles.Load()
-	regsNow := sharedRegions(sa, p)
+	regsNow := snapshot()
 	for _, pr := range regsNow {
 		if err := materialize(pr); err != nil {
 			return nil, info, err

@@ -135,12 +135,11 @@ func (c *Context) Shmget(key, pages int) int {
 // shared list, immediately visible to the whole group.
 func (c *Context) Shmat(id int) (hw.VAddr, error) {
 	return invoke(c, sysShmat, func() (hw.VAddr, error) {
-		seg, err := c.S.IPC.Shm(id)
+		reg, err := c.S.IPC.ShmAttach(id)
 		if err != nil {
 			return 0, err
 		}
-		seg.Reg.Attach()
-		return c.attach(seg.Reg), nil
+		return c.attach(reg), nil
 	})
 }
 

@@ -112,7 +112,7 @@ func (c *Context) spawn(spec spawnSpec) (*proc.Proc, error) {
 	child.FdMax = p.FdMax
 	child.Prio.Store(p.Prio.Load())
 	child.SigMask = p.SigMask
-	child.Handlers = p.Handlers
+	child.InheritHandlers(p)
 	child.Cdir, child.Rdir = p.Cdir.Hold(), p.Rdir.Hold()
 	if ownFds && !spec.reopenFds {
 		child.Fd, child.FdFlags = p.DupFdTable()
@@ -319,7 +319,8 @@ func (c *Context) startMember(spec spawnSpec, entry func(*Context, int64)) (int,
 	if err != nil {
 		return -1, err
 	}
-	c.S.startProc(child, func(cc *Context) { entry(cc, spec.arg) })
+	arg := spec.arg // not spec: the closure would move all of it to the heap
+	c.S.startProc(child, func(cc *Context) { entry(cc, arg) })
 	return child.PID, nil
 }
 
@@ -536,9 +537,7 @@ func (c *Context) Exec(name string, main Main) error {
 				p.FdFlags[fd] = 0
 			}
 		}
-		for i := range p.Handlers {
-			p.Handlers[i] = nil
-		}
+		p.ResetHandlers()
 		p.Mu.Unlock()
 
 		c.S.newImage(p)

@@ -234,10 +234,8 @@ func (s *System) allocPID() int {
 	return s.nextPID
 }
 
-// register adds p to the process table and arms its per-process syscall
-// profile (read back through ProcSyscalls).
+// register adds p to the process table.
 func (s *System) register(p *proc.Proc) {
-	p.SysCount = make([]atomic.Int64, NSys)
 	s.mu.Lock()
 	s.procs[p.PID] = p
 	s.mu.Unlock()
@@ -325,31 +323,46 @@ type processExec struct {
 	main Main
 }
 
-// startProc hands p's life to a carrier, an idle one if there is one: wait
-// for dispatch, run images until the process exits, then reap.
+// startProc hands p's life to a carrier, an idle one if there is one.
 func (s *System) startProc(p *proc.Proc, main Main) {
 	s.wg.Add(1)
-	life := func() {
-		// Done follows Exit, so WaitIdle returns only after the last
-		// process has given its CPU back.
-		defer s.wg.Done()
-		<-p.RunGate
-		status := 0
-		img := main
-		for img != nil {
-			next, st := s.runImage(p, img)
-			img, status = next, st
-		}
-		s.reap(p, status)
-		s.Sched.Exit(p)
-	}
+	l := life{s: s, p: p, main: main}
 	select {
-	case lives <- life: // a parked carrier takes it
+	case lives <- l: // a parked carrier takes it
 	default:
 		carriersStarted.Add(1)
-		go carrier(life)
+		go carrier(l)
 	}
 	s.Sched.Ready(p)
+}
+
+// life is a process's life as a carrier is handed it — a value, not a
+// closure, so handing one over allocates nothing.
+type life struct {
+	s    *System
+	p    *proc.Proc
+	main Main
+}
+
+// live waits for dispatch, runs images until the process exits, then reaps.
+func (l life) live() {
+	s, p := l.s, l.p
+	// Done follows Exit, so WaitIdle returns only after the last process
+	// has given its CPU back.
+	defer s.wg.Done()
+	<-p.RunGate
+	status := 0
+	img := l.main
+	for img != nil {
+		next, st := s.runImage(p, img)
+		img, status = next, st
+	}
+	// A safepoint: a checkpoint may be reading the image (capturePRDA).
+	if p.FreezePending() {
+		(&Context{S: s, P: p}).freezePark()
+	}
+	s.reap(p, status)
+	s.Sched.Exit(p)
 }
 
 // maxIdleCarriers bounds the goroutines (and their grown stacks) kept parked
@@ -357,9 +370,9 @@ func (s *System) startProc(p *proc.Proc, main Main) {
 const maxIdleCarriers = 64
 
 var (
-	lives           = make(chan func()) // startProc's hand-off to a parked carrier, any System's
-	idleCarriers    atomic.Int32        // carriers parked on lives, or about to
-	carriersStarted atomic.Int64        // goroutines ever started by startProc
+	lives           = make(chan life) // startProc's hand-off to a parked carrier, any System's
+	idleCarriers    atomic.Int32      // carriers parked on lives, or about to
+	carriersStarted atomic.Int64      // goroutines ever started by startProc
 )
 
 // carrier is the goroutine a simulated process lives on. A goroutine born
@@ -367,17 +380,17 @@ var (
 // every creation, as often as the runtime's per-GC guess at that size
 // decides; a carrier keeps its grown stack, parks on the hand-off channel
 // and is given the next process's life. It recovers nothing, and parked it
-// holds no reference to the process or System it last ran: life is cleared
+// holds no reference to the process or System it last ran: l is cleared
 // before it parks.
-func carrier(life func()) {
+func carrier(l life) {
 	for {
-		life()
-		life = nil
+		l.live()
+		l = life{}
 		if idleCarriers.Add(1) > maxIdleCarriers {
 			idleCarriers.Add(-1)
 			return
 		}
-		life = <-lives
+		l = <-lives
 		idleCarriers.Add(-1)
 	}
 }

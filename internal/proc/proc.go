@@ -184,10 +184,10 @@ type Proc struct {
 	frz       atomic.Pointer[FreezeGate]
 	frzParked atomic.Pointer[FreezeGate]
 
-	// SysCount is the per-process syscall profile: call counts indexed by
-	// the kernel's syscall number. The kernel sizes and owns it (proc does
-	// not know the table size); nil means no accounting.
-	SysCount []atomic.Int64
+	// SysCount is the per-process syscall profile, counts by the kernel's
+	// syscall number: nil until the process's own first counted syscall
+	// makes it, sized to the kernel's table; diagnostics read it anywhere.
+	SysCount atomic.Pointer[[]atomic.Int64]
 
 	// Scheduling.
 	Cycles     atomic.Int64 // simulated cycles charged to this process
@@ -210,10 +210,11 @@ type Proc struct {
 	blockCnt   int32
 	blockSleep bool
 
-	// Signals.
+	// Signals. handlers is nil while every action is the default; only
+	// signal.go touches it, and SetHandler installs a changed copy.
 	SigPending atomic.Uint32
 	SigMask    uint32
-	Handlers   [NSig]Handler
+	handlers   *[NSig]Handler
 	Killed     atomic.Bool // SIGKILL latched
 
 	// LastSleep records the reason of the most recent scheduler block

@@ -98,7 +98,9 @@ func (p *Proc) SignalAction(sig int) (h Handler, fatal bool) {
 		return nil, true // SIGKILL cannot be caught or ignored
 	}
 	p.Mu.Lock()
-	h = p.Handlers[sig]
+	if t := p.handlers; t != nil {
+		h = t[sig]
+	}
 	p.Mu.Unlock()
 	if h != nil {
 		return h, false
@@ -111,7 +113,19 @@ func (p *Proc) SetHandler(sig int, h Handler) {
 	if sig <= 0 || sig >= NSig || sig == SIGKILL {
 		return
 	}
+	t := new([NSig]Handler)
 	p.Mu.Lock()
-	p.Handlers[sig] = h
+	if p.handlers != nil {
+		*t = *p.handlers
+	}
+	t[sig] = h
+	p.handlers = t
 	p.Mu.Unlock()
 }
+
+// InheritHandlers shares parent's table, never written in place, with p, a
+// child not yet running. The caller holds parent.Mu.
+func (p *Proc) InheritHandlers(parent *Proc) { p.handlers = parent.handlers }
+
+// ResetHandlers restores every default action (exec). The caller holds p.Mu.
+func (p *Proc) ResetHandlers() { p.handlers = nil }

@@ -596,7 +596,7 @@ func (s *Sched) score(p *proc.Proc) int {
 // A blocked process is off every run queue — it costs the dispatcher
 // nothing until its wake token arrives.
 func (s *Sched) Block(p *proc.Proc, reason string) {
-	s.sleep(p, "Block", reason, s.machine.Cost.SemaSleep, p.WaitWake)
+	s.sleep(p, "Block", reason, s.machine.Cost.SemaSleep, nil)
 }
 
 // Park is the checkpoint-freeze sleep: release the CPU and wait until the
@@ -605,22 +605,29 @@ func (s *Sched) Block(p *proc.Proc, reason string) {
 // banked token here would lose a wakeup another subsystem deposited for
 // the sleep the member returns to after the thaw. It charges nothing.
 func (s *Sched) Park(p *proc.Proc, gate <-chan struct{}) {
-	s.sleep(p, "Park", "ckpt-freeze", 0, func() { <-gate })
+	s.sleep(p, "Park", "ckpt-freeze", 0, gate)
 }
 
 // sleep is the one way a process gives up its CPU to wait: settle the
-// quantum, charge cost, release the CPU, wait, and queue for a CPU again.
-// op names the caller for the self-check.
-func (s *Sched) sleep(p *proc.Proc, op, reason string, cost int64, wait func()) {
+// quantum, charge cost, release the CPU, wait until gate closes — or, for a
+// nil gate, until p's wake token arrives — and queue for a CPU again. op
+// names the caller for the self-check.
+func (s *Sched) sleep(p *proc.Proc, op, reason string, cost int64, gate <-chan struct{}) {
 	cpu := s.mustHoldCPU(p, op)
 	s.flushUsage(p)
-	p.LastSleep.Store(reason)
+	if p.LastSleep.Load() != reason {
+		p.LastSleep.Store(reason) // boxing a string allocates: skip a repeat
+	}
 	s.machine.CPUs[cpu].Charge(cost)
 	s.Sleeps.Add(1)
 	s.machine.Trace.Record(trace.EvBlock, int32(p.PID), int32(cpu), 0, 0)
 	s.releaseCPU(p)
 	p.SetState(proc.SSleep)
-	wait()
+	if gate == nil {
+		p.WaitWake()
+	} else {
+		<-gate
+	}
 	s.machine.Trace.Record(trace.EvUnblock, int32(p.PID), -1, 0, 0)
 	s.Ready(p)
 	<-p.RunGate

@@ -1,0 +1,6 @@
+//go:build !race
+
+package vm
+
+// raceEnabled reports that the race detector is on (race_on_test.go).
+const raceEnabled = false

@@ -18,6 +18,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -81,8 +82,8 @@ func pteEncode(pfn hw.PFN, writable bool) uint64 {
 
 // pteTable is an immutable-length page table: the slot values mutate
 // atomically, but the slice itself is only ever swapped wholesale (Grow,
-// Shrink) under every stripe, so a reader holding a *pteTable can index it
-// freely within len(slots).
+// Shrink, under every stripe; NewRegion, on a parked region), so a reader
+// holding a *pteTable can index it freely within len(slots).
 type pteTable struct {
 	slots []atomic.Uint64
 }
@@ -152,12 +153,55 @@ type Region struct {
 	stripes [regionStripes]sync.Mutex
 }
 
-// NewRegion creates a region of npages demand-zero pages.
+// spare parks dead regions (retire) for NewRegion: a sync.Pool, as for hw's
+// frame storage, per type so a table mostly returns to a region of its size
+// (a restored image's unknown type shares one; any pool is correct).
+var spare [RPRDA + 1]sync.Pool
+
+func spareFor(typ RegionType) *sync.Pool { return &spare[uint(typ)%uint(len(spare))] }
+
+// NewRegion creates a region of npages demand-zero pages, the one way a
+// region is minted (Dup, DupLazy), from spare when it can. As hw's grant
+// checks a frame, it checks a parked region always: an armed dirty map or a
+// set slot means something used it past its last detach.
 func NewRegion(mem *hw.Memory, typ RegionType, npages int) *Region {
-	r := &Region{Type: typ, mem: mem}
+	r, _ := spareFor(typ).Get().(*Region)
+	if r == nil {
+		r = new(Region)
+	}
+	if r.dirty.Load() != nil {
+		panic("vm: recycled region is tracking dirty pages")
+	}
+	t := r.table.Load()
+	if t == nil || cap(t.slots) < npages {
+		t = &pteTable{slots: make([]atomic.Uint64, npages)}
+	} else {
+		if len(t.slots) != npages {
+			t = &pteTable{slots: t.slots[:npages]} // a table's length never changes
+		}
+		for i := range t.slots {
+			if w := t.slots[i].Load(); w != 0 {
+				panic(fmt.Sprintf("vm: recycled page table holds %#x in slot %d", w, i))
+			}
+		}
+	}
+	r.Type, r.mem = typ, mem
 	r.refs.Store(1)
-	r.table.Store(&pteTable{slots: make([]atomic.Uint64, npages)})
+	r.table.Store(t)
 	return r
+}
+
+// retire parks a region at its last Detach, every slot zeroed, unless a
+// lazy link or an armed dirty map can still name it; no reader can (DESIGN
+// §16). mem is cleared so a parked region pins no machine.
+func (r *Region) retire() {
+	if r.lazySrc.Load() != nil || len(r.lazyKids) != 0 || r.lazyPend.Load() != 0 || r.dirty.Load() != nil {
+		return
+	}
+	r.mem = nil
+	r.resident.Store(0)
+	r.everWritable.Store(false)
+	spareFor(r.Type).Put(r)
 }
 
 // lockAll takes every stripe (in index order; all callers use this helper,
@@ -199,8 +243,9 @@ func (r *Region) Refs() int32 { return r.refs.Load() }
 // Attach bumps the attachment count (a new pregion references the region).
 func (r *Region) Attach() { r.refs.Add(1) }
 
-// Detach drops one attachment; the last detach frees every resident frame.
-// It returns the remaining count.
+// Detach drops one attachment; the last frees every resident frame, zeroes
+// every slot and parks the region for NewRegion (retire), so nothing may
+// use it after. It returns the remaining count.
 func (r *Region) Detach() int32 {
 	n := r.refs.Add(-1)
 	if n < 0 {
@@ -211,6 +256,7 @@ func (r *Region) Detach() int32 {
 		// was ever aliased, so there is nothing to free and the source
 		// keeps its writable bits — the O(1) exit half of the O(1) spawn.
 		if src := r.lazySrc.Load(); src != nil && src.dropKid(r) {
+			r.retire()
 			return 0
 		}
 		// Pending clones of this region alias into its frames; they must
@@ -226,6 +272,7 @@ func (r *Region) Detach() int32 {
 		}
 		r.resident.Store(0)
 		r.unlockAll()
+		r.retire()
 	}
 	return n
 }
@@ -496,9 +543,8 @@ func (r *Region) Dup() *Region {
 	r.lockAllResolved()
 	defer r.unlockAll()
 	t := r.table.Load()
-	d := &Region{Type: r.Type, mem: r.mem}
-	d.refs.Store(1)
-	dt := &pteTable{slots: make([]atomic.Uint64, len(t.slots))}
+	d := NewRegion(r.mem, r.Type, len(t.slots))
+	dt := d.table.Load()
 	clearSrc := r.everWritable.Load()
 	n := int64(0)
 	for i := range t.slots {
@@ -514,18 +560,17 @@ func (r *Region) Dup() *Region {
 		dt.slots[i].Store(pteEncode(pfn, false))
 		n++
 	}
-	d.table.Store(dt)
 	d.resident.Store(n)
 	return d
 }
 
 // DupLazy creates a copy-on-write duplicate in O(1) of the region size:
-// only the region header is cloned — the clone's table is empty and the
-// source merely records the clone on its pending list. The PTE aliasing,
-// frame refcount bumps, and source writable-bit clearing that Dup does at
-// spawn time are deferred to the first slow-path fault on either region
-// (materialize), riding the striped fill locks; a clone that exits
-// untouched unlinks in O(1) and the walk never happens at all.
+// the clone is minted empty (NewRegion) and the source merely records it on
+// its pending list. The PTE aliasing, frame refcount bumps, and source
+// writable-bit clearing that Dup does at spawn time are deferred to the
+// first slow-path fault on either region (materialize), riding the striped
+// fill locks; a clone that exits untouched unlinks in O(1) and the walk
+// never happens at all.
 //
 // The caller owes the same source-space TLB flush as Dup when the source
 // has ever held a writable PTE (EverWritable): that flush cannot be
@@ -543,9 +588,7 @@ func (r *Region) DupLazy() *Region {
 	}
 	r.lockAll()
 	defer r.unlockAll()
-	d := &Region{Type: r.Type, mem: r.mem}
-	d.refs.Store(1)
-	d.table.Store(&pteTable{slots: make([]atomic.Uint64, len(r.table.Load().slots))})
+	d := NewRegion(r.mem, r.Type, r.Pages())
 	if r.resident.Load() == 0 {
 		// Nothing resident: the clone is an ordinary demand-zero region
 		// and needs no link back to the source.
@@ -569,11 +612,11 @@ func (r *Region) DupLazy() *Region {
 func (r *Region) materialize() int {
 	walked := 0
 	for r.lazyPend.Load() != 0 {
-		if src := r.lazySrc.Load(); src != nil {
-			walked += src.resolveKids()
-			continue
+		src := r.lazySrc.Load()
+		if src == nil {
+			src = r
 		}
-		walked += r.resolveKids()
+		walked += src.resolveKids(r)
 	}
 	return walked
 }
@@ -587,14 +630,17 @@ func (r *Region) materialize() int {
 // refuses to reinstall one while the duplication is pending, so no
 // shootdown happens here. Lock order is source-then-clone, and a clone
 // never resolves while it has a pending source, so the order is acyclic.
-func (r *Region) resolveKids() int {
+// via is the region whose materialize asked: r, or a clone whose source
+// pointer, loaded before a concurrent resolution, may name a region since
+// retired and minted again — then it resolves nothing here.
+func (r *Region) resolveKids(via *Region) int {
 	r.lockAll()
 	kids := r.lazyKids
-	r.lazyKids = nil
-	if len(kids) == 0 {
+	if len(kids) == 0 || via != r && via.lazySrc.Load() != r {
 		r.unlockAll()
 		return 0
 	}
+	r.lazyKids = nil
 	for _, k := range kids {
 		k.lockAll()
 	}
@@ -642,7 +688,7 @@ func (r *Region) dropKid(k *Region) bool {
 		if kid != k {
 			continue
 		}
-		r.lazyKids = append(r.lazyKids[:i], r.lazyKids[i+1:]...)
+		r.lazyKids = slices.Delete(r.lazyKids, i, i+1) // clears the vacated slot: it pins no dead clone
 		k.lazySrc.Store(nil)
 		k.lazyPend.Add(-1)
 		r.lazyPend.Add(-1)

@@ -2,6 +2,8 @@ package vm
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -295,5 +297,60 @@ func TestQuickCOWNoLeaks(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeadRegionIsMintedReset: a region's last detach parks its header and
+// table, and the NewRegion of its type that takes them hands out a region as
+// fresh as a new one — the new size and memory, every slot empty, nothing
+// resident, never writable, nothing pending — on the parked table's storage
+// when it has room, behind a new slice header when the length differs (a
+// table's length never changes). Both ways in are driven: a written
+// region's detach, and an untouched lazy clone's, which dropKid unlinks.
+func TestDeadRegionIsMintedReset(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := range spare {
+		for spare[i].Get() != nil {
+		}
+	}
+	m1, m2 := mem(16), mem(16)
+	src := NewRegion(m1, RData, 8)
+	src.Fill(3, true)
+	dead := map[string]*Region{"written": NewRegion(m1, RData, 8), "untouched clone": src.DupLazy()}
+	dead["written"].Fill(5, true)
+	for how, r := range dead {
+		hdr := r.table.Load()
+		table := &hdr.slots[0]
+		r.Detach()
+		got := NewRegion(m2, RData, 4)
+		if got != r {
+			t.Errorf("%s: NewRegion minted a new region, want the dead one back", how)
+			continue
+		}
+		if got.mem != m2 || got.Pages() != 4 || got.Refs() != 1 {
+			t.Errorf("%s: minted %d pages refs %d on memory %p, want 4 pages refs 1 on %p", how, got.Pages(), got.Refs(), got.mem, m2)
+		}
+		if got.Resident() != 0 || got.EverWritable() || got.Lazy() || got.Tracking() || got.lazySrc.Load() != nil {
+			t.Errorf("%s: minted region resident %d, ever writable %v, lazy %v, tracking %v", how, got.Resident(), got.EverWritable(), got.Lazy(), got.Tracking())
+		}
+		if &got.table.Load().slots[0] != table {
+			t.Errorf("%s: minted a new table, want the parked one reused", how)
+		}
+		if got.table.Load() == hdr || len(hdr.slots) != 8 {
+			t.Errorf("%s: the parked table's header was resliced in place to %d slots", how, len(hdr.slots))
+		}
+		for i := 0; i < got.Pages(); i++ {
+			if got.Frame(i) != hw.NoPFN {
+				t.Errorf("%s: slot %d of a minted region names frame %d", how, i, got.Frame(i))
+			}
+		}
+	}
+	src.Detach()
+	if m1.InUse() != 0 {
+		t.Errorf("%d frames still in use", m1.InUse())
 	}
 }
