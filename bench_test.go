@@ -2,8 +2,8 @@
 // the hw.Memory bulk data path, one checkpoint round trip, the image
 // checksum, one poll(2) over a C10k member's set, one process creation
 // joined, a token hand-off among more spinners than CPUs, one memory
-// access that hits the TLB, and descriptor updates contending for one
-// share block's s_fupdsema.
+// access that hits the TLB or faults, and descriptor updates contending for
+// one share block's s_fupdsema.
 // Wall-clock
 // ns/op is the host cost; where a bench reports "simcyc/op" it is the
 // simulated cycle cost, which host-side work must not move. The paper's
@@ -393,8 +393,11 @@ func BenchmarkQuiescentSpin(b *testing.B) {
 
 // BenchmarkAccessHit is one user-mode memory access whose translation is in
 // the TLB: the safepoint, the charge, and the load, store or add run on the
-// frame under the TLB's lock (Context.access). One CPU and a slice that never
-// ends, so no op yields.
+// frame under the TLB's lock (Context.access). "miss" is the access a fault
+// serves, with what it takes to make one: map a page, store into it, unmap
+// it — one zero-fill fault whose TLB fill runs the store, and one batched
+// release of the dead region's frame. One CPU and a slice that never ends,
+// so no op yields.
 func BenchmarkAccessHit(b *testing.B) {
 	conf := cfg()
 	conf.NCPU, conf.TimeSlice = 1, 1<<40
@@ -405,6 +408,18 @@ func BenchmarkAccessHit(b *testing.B) {
 		{"load", func(c *kernel.Context, _ int) { c.Load32(DataBase) }},
 		{"store", func(c *kernel.Context, i int) { c.Store32(DataBase, uint32(i)) }},
 		{"add", func(c *kernel.Context, _ int) { c.Add32(DataBase, 1) }},
+		{"miss", func(c *kernel.Context, i int) {
+			va, err := c.Mmap(1)
+			if err == nil {
+				err = c.Store32(va, uint32(i))
+			}
+			if err == nil {
+				err = c.Munmap(va)
+			}
+			if err != nil {
+				b.Error(err)
+			}
+		}},
 	} {
 		b.Run(kind.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -93,8 +93,12 @@ type ShAddr struct {
 	// Resource-principal state (setshares(2)/getusage(2)): the fair-share
 	// CPU account the scheduler charges at quantum boundaries, the frame
 	// account every member's page fills charge, and the member ceiling
-	// sproc enforces (0 = unlimited).
+	// sproc enforces (0 = unlimited). Every zero fill and free on every CPU
+	// writes the frame account's used, so the pad keeps it out of the
+	// 128-byte line pair (the adjacent-line prefetcher's unit) of the
+	// options and the rest of the header, which every fault reads.
 	cpuAcct   *proc.CPUAcct
+	_         [128]byte
 	frameAcct hw.FrameAcct
 	memberCap atomic.Int32
 
@@ -119,7 +123,8 @@ func (sa *ShAddr) touchRegions() {
 	sa.nregions.Store(int32(sa.space.Len()))
 }
 
-// Generation returns the shared-list generation (tests, diagnostics).
+// Generation returns the shared-list generation (the fault path's install
+// check, tests, diagnostics).
 func (sa *ShAddr) Generation() uint64 { return sa.gen.Load() }
 
 // Options selects implementation variants, used by the ablation

@@ -9,14 +9,14 @@ import "testing"
 var benchSink uint32
 
 // BenchmarkFaultCycle is one page's life in vm_fault_mix: a frame is
-// granted, one word of it is written, its translation is inserted and hit,
-// and the frame dies.
+// granted, its translation is filled and the store that faulted runs under
+// the same lock, a later access hits it, and the frame dies.
 func BenchmarkFaultCycle(b *testing.B) {
 	m := NewMemory(64)
 	m.AttachCaches(1)
 	var tlb TLB
 	for i := 0; i < TLBSize; i++ {
-		tlb.Insert(uint32(0x1000+i), 1, PFN(i), true)
+		tlb.Fill(uint32(0x1000+i), 1, PFN(i), true, false, nil, func(PFN) {})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -24,20 +24,19 @@ func BenchmarkFaultCycle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.StoreWord(pfn, 7, uint32(i))
 		vpn := uint32(0x1000 + i%TLBSize)
-		tlb.Insert(vpn, 1, pfn, true)
+		tlb.Fill(vpn, 1, pfn, true, true, nil, func(got PFN) { m.StoreWord(got, 7, uint32(i)) })
 		tlb.Access(vpn, 1, true, func(got PFN) { benchSink += uint32(got) })
 		m.DecRefOn(pfn, 0)
 	}
 }
 
 // BenchmarkTLBMissInsert is a refill into a full TLB: a probe that misses,
-// then an insert that evicts the round-robin victim.
+// then a fill that evicts the round-robin victim and runs the access.
 func BenchmarkTLBMissInsert(b *testing.B) {
 	var tlb TLB
 	for i := 0; i < TLBSize; i++ {
-		tlb.Insert(uint32(i), 1, PFN(i), true)
+		tlb.Fill(uint32(i), 1, PFN(i), true, false, nil, func(PFN) {})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,7 +44,7 @@ func BenchmarkTLBMissInsert(b *testing.B) {
 		if tlb.Access(vpn, 1, true, func(PFN) {}) {
 			b.Fatal("cold key hit")
 		}
-		tlb.Insert(vpn, 1, PFN(i), true)
+		tlb.Fill(vpn, 1, PFN(i), true, true, nil, func(got PFN) { benchSink += uint32(got) })
 	}
 }
 

@@ -111,7 +111,9 @@ type framePool struct {
 //
 // Besides the frame's own words (count, line map, owner), an allocation or
 // a free writes only its CPU's words and the reservations, inUse and the
-// charged account's used: the statistics are per-CPU counters, and inUse,
+// charged account's used; a dying region's frames (DecRefs) write inUse
+// and the pool once a batch, not once a frame. The statistics are per-CPU
+// counters, and inUse,
 // which every grant and release must agree on, has a cache line to itself,
 // so its bouncing does not evict the table headers every access reads. The
 // pool, which every refill and drain writes, sits last, a line past the
@@ -457,26 +459,8 @@ func (m *Memory) DecRef(pfn PFN) int32 { return m.DecRefOn(pfn, -1) }
 // any lock and parked in cpu's cache for reuse, draining a batch back to
 // the pool when the cache overfills.
 func (m *Memory) DecRefOn(pfn PFN, cpu int) int32 {
-	n := m.refs[pfn].Add(-1)
-	if n < 0 {
-		panic("hw: DecRef on free frame")
-	}
-	if n > 0 {
+	if n := m.unref(pfn, cpu); n > 0 {
 		return n
-	}
-	// Frame is dead: uncharge its owning account (whoever releases it),
-	// then zero what was written to it now, outside every lock, so the next
-	// Alloc pays nothing and no other CPU stalls behind the clear. Nobody
-	// can name a dead frame, so nobody marks it between the swap and the
-	// clear: it goes back all zero with an empty map.
-	if acct := m.owners[pfn].Swap(nil); acct != nil {
-		acct.uncharge(cpu)
-	}
-	f := m.frame(pfn)
-	for lm := m.lines[pfn].Swap(0); lm != 0; {
-		var lo, hi int
-		lo, hi, lm = nextRun(lm)
-		clear(f[lo:hi])
 	}
 	m.Frees.AddOn(cpu, 1)
 	m.inUse.Add(-1)
@@ -498,6 +482,49 @@ func (m *Memory) DecRefOn(pfn PFN, cpu int) int32 {
 		return 0
 	}
 	m.releaseToPool([]PFN{pfn})
+	return 0
+}
+
+// DecRefs is DecRef on each frame of pfns in turn, except that the frames
+// that die go back to the pool together, in pfns' order: one inUse update
+// and one pool hold for the call. It collects them in pfns' own array.
+func (m *Memory) DecRefs(pfns []PFN) {
+	dead := pfns[:0]
+	for _, pfn := range pfns {
+		if m.unref(pfn, -1) == 0 {
+			dead = append(dead, pfn)
+		}
+	}
+	if len(dead) > 0 {
+		m.Frees.AddOn(-1, int64(len(dead)))
+		m.inUse.Add(-int64(len(dead)))
+		m.releaseToPool(dead)
+	}
+}
+
+// unref drops one reference to pfn and returns the count left. At zero the
+// frame is dead: its owning account is uncharged (whoever releases it), and
+// what was written to it is zeroed now, outside every lock, so the next
+// Alloc pays nothing and no other CPU stalls behind the clear. Nobody can
+// name a dead frame, so nobody marks it between the swap and the clear: it
+// goes back all zero with an empty map.
+func (m *Memory) unref(pfn PFN, cpu int) int32 {
+	n := m.refs[pfn].Add(-1)
+	if n < 0 {
+		panic("hw: DecRef on free frame")
+	}
+	if n > 0 {
+		return n
+	}
+	if acct := m.owners[pfn].Swap(nil); acct != nil {
+		acct.uncharge(cpu)
+	}
+	f := m.frame(pfn)
+	for lm := m.lines[pfn].Swap(0); lm != 0; {
+		var lo, hi int
+		lo, hi, lm = nextRun(lm)
+		clear(f[lo:hi])
+	}
 	return 0
 }
 

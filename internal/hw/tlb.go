@@ -37,8 +37,8 @@ type TLBEntry struct {
 // one down), so the structure is locked.
 //
 // The machine is the R2000's: 64 entries, fully associative, a new
-// translation takes the lowest invalid slot, else the round-robin victim.
-// Only the search is the host's: a valid entry is found through an
+// translation (Fill) takes the lowest invalid slot, else the round-robin
+// victim. Only the search is the host's: a valid entry is found through an
 // open-addressed index of its slot keyed by (vpn, space), not by comparing
 // all 64, and an invalid slot is not in the index at all.
 type TLB struct {
@@ -94,10 +94,11 @@ func (t *TLB) drop(slot int, pos uint8) {
 
 // Access probes the TLB for (vpn, space) and, when the entry is there and
 // allows the access, runs op on its frame before the lock is dropped; it
-// reports whether op ran. A frame number leaves the TLB no other way, so a
-// flush waits out a touch in flight and no later touch finds the entry: the
-// shootdown is synchronous (paper §6.2). A store that finds a write-protected
-// entry is a hit that traps. op must not use this TLB.
+// reports whether op ran. A frame number leaves the TLB no other way (Fill
+// runs its op under the lock too), so a flush waits out a touch in flight and
+// no later touch finds the entry: the shootdown is synchronous (paper §6.2).
+// A store that finds a write-protected entry is a hit that traps. op must not
+// use this TLB.
 func (t *TLB) Access(vpn uint32, space ASID, write bool, op func(PFN)) bool {
 	t.mu.Lock()
 	slot, _ := t.find(vpn, space)
@@ -114,10 +115,16 @@ func (t *TLB) Access(vpn uint32, space ASID, write bool, op func(PFN)) bool {
 	return ok
 }
 
-// Insert adds a translation, evicting the round-robin victim if needed. Any
-// existing entry for (vpn, space) is replaced, so an upgrade to writable
-// after a copy-on-write copy takes effect immediately.
-func (t *TLB) Insert(vpn uint32, space ASID, pfn PFN, writable bool) {
+// Fill is the end of a miss handler: it installs a translation, replacing
+// any entry for (vpn, space) and otherwise taking the lowest invalid slot or
+// the round-robin victim, then asks valid (nil = always) whether the
+// translation still stands and, if it does and allows the access, runs op on
+// pfn, all under one hold of the lock; it reports whether op ran. A refused
+// translation is dropped again before the lock is released, so no access
+// ever finds it; a write-protected one stays for the trap. Replacing an
+// entry makes an upgrade to writable after a copy-on-write copy take effect
+// at once. Neither valid nor op may use this TLB.
+func (t *TLB) Fill(vpn uint32, space ASID, pfn PFN, writable, write bool, valid func() bool, op func(PFN)) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	slot, pos := t.find(vpn, space)
@@ -136,6 +143,15 @@ func (t *TLB) Insert(vpn uint32, space ASID, pfn PFN, writable bool) {
 		t.index[pos] = uint8(slot + 1)
 	}
 	t.entries[slot] = TLBEntry{VPN: vpn, Space: space, Frame: pfn, Writable: writable}
+	if valid != nil && !valid() {
+		t.drop(slot, pos)
+		return false
+	}
+	if write && !writable {
+		return false
+	}
+	op(pfn)
+	return true
 }
 
 // FlushSpace invalidates every entry belonging to the given address space.

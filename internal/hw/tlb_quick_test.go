@@ -93,8 +93,10 @@ func (t *refTLB) ValidCount() int {
 
 // The indexed TLB is the linear one slot for slot: after every operation
 // the same entry sits in the same slot (so the same victim was chosen on
-// every eviction), the replacement cursor, ValidCount and Hits/Misses
-// agree, every Access and Resident answered alike, and the index holds
+// every eviction, and a refused Fill left what an insert and a flush of its
+// page leave), the replacement cursor, ValidCount and Hits/Misses
+// agree, every Access and Resident answered alike, every Fill ran op exactly
+// when its translation stood and allowed the access, and the index holds
 // exactly the valid slots, each where its key's probe finds it. 256 pages
 // in 3 spaces against 64 entries keep the TLB full and evicting; a hot
 // subset keeps replacements-in-place and hits frequent.
@@ -114,13 +116,21 @@ func TestQuickTLBAgainstModel(t *testing.T) {
 			var desc string
 			switch op := rng.Intn(100); {
 			case op < 45:
-				desc = "Insert"
+				desc = "Fill"
 				if ref.ValidCount() == TLBSize && !ref.Resident(vpn, space) {
 					evictions++
 				}
-				pfn, w := PFN(rng.Intn(1<<20)), rng.Intn(2) == 0
-				tlb.Insert(vpn, space, pfn, w)
+				pfn, w, write, stands := PFN(rng.Intn(1<<20)), rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(4) != 0
+				gp := NoPFN
+				ran := tlb.Fill(vpn, space, pfn, w, write, func() bool { return stands }, func(p PFN) { gp = p })
 				ref.Insert(vpn, space, pfn, w)
+				if !stands {
+					ref.FlushPage(vpn, space) // a refused fill is an insert dropped again
+				}
+				if want := stands && (w || !write); ran != want || ran && gp != pfn {
+					t.Fatalf("seed %d op %d: Fill(%#x, %d, %d, writable %v, write %v, stands %v) ran %v on frame %d",
+						seed, n, vpn, space, pfn, w, write, stands, ran, gp)
+				}
 			case op < 75:
 				desc = "Access"
 				write, gp := rng.Intn(2) == 0, NoPFN

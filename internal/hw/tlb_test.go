@@ -5,9 +5,15 @@ import (
 	"time"
 )
 
+// insert installs a translation as a load's fault does when nothing refuses
+// it.
+func insert(tlb *TLB, vpn uint32, space ASID, pfn PFN, writable bool) {
+	tlb.Fill(vpn, space, pfn, writable, false, nil, func(PFN) {})
+}
+
 func TestTLBInsertLookup(t *testing.T) {
 	var tlb TLB
-	tlb.Insert(10, 1, 42, true)
+	insert(&tlb, 10, 1, 42, true)
 	pfn := NoPFN
 	got := func(p PFN) { pfn = p }
 	if !tlb.Access(10, 1, true, got) || pfn != 42 {
@@ -26,7 +32,7 @@ func TestTLBInsertLookup(t *testing.T) {
 
 func TestTLBReplaceUpgradesWritable(t *testing.T) {
 	var tlb TLB
-	tlb.Insert(7, 1, 5, false)
+	insert(&tlb, 7, 1, 5, false)
 	pfn := NoPFN
 	got := func(p PFN) { pfn = p }
 	if tlb.Access(7, 1, true, got) {
@@ -35,7 +41,7 @@ func TestTLBReplaceUpgradesWritable(t *testing.T) {
 	if tlb.Hits.Load() != 1 {
 		t.Fatalf("a protection trap is a hit: hits=%d misses=%d", tlb.Hits.Load(), tlb.Misses.Load())
 	}
-	tlb.Insert(7, 1, 9, true) // COW copy installed a new writable frame
+	insert(&tlb, 7, 1, 9, true) // COW copy installed a new writable frame
 	if !tlb.Access(7, 1, true, got) || pfn != 9 {
 		t.Fatalf("store after replace: op saw frame %d", pfn)
 	}
@@ -47,15 +53,32 @@ func TestTLBReplaceUpgradesWritable(t *testing.T) {
 // A flush issued while an access is in flight returns only after it: the
 // frame number op was handed cannot outlive the entry that named it.
 func TestTLBFlushWaitsOutAccess(t *testing.T) {
+	flushWaitsOut(t, func(tlb *TLB, op func(PFN)) {
+		insert(tlb, 3, 1, 8, true)
+		go tlb.Access(3, 1, true, op)
+	})
+}
+
+// The same holds for the access a fault serves: a flush waits out the op of
+// a Fill that installed the entry it drops.
+func TestTLBFlushWaitsOutFill(t *testing.T) {
+	flushWaitsOut(t, func(tlb *TLB, op func(PFN)) {
+		go tlb.Fill(3, 1, 8, true, true, func() bool { return true }, op)
+	})
+}
+
+// flushWaitsOut starts a touch of (3, 1) with start, holds its op, and checks
+// that each kind of flush returns only once op has finished and leaves no
+// entry behind.
+func flushWaitsOut(t *testing.T, start func(tlb *TLB, op func(PFN))) {
 	for name, flush := range map[string]func(*TLB){
 		"FlushPage":  func(tlb *TLB) { tlb.FlushPage(3, 1) },
 		"FlushSpace": func(tlb *TLB) { tlb.FlushSpace(1) },
 	} {
 		var tlb TLB
-		tlb.Insert(3, 1, 8, true)
 		inOp, release, flushed := make(chan struct{}), make(chan struct{}), make(chan struct{})
 		touched := false
-		go tlb.Access(3, 1, true, func(PFN) {
+		start(&tlb, func(PFN) {
 			close(inOp)
 			<-release
 			touched = true
@@ -81,10 +104,30 @@ func TestTLBFlushWaitsOutAccess(t *testing.T) {
 	}
 }
 
+// A fill whose translation no longer stands runs nothing and leaves nothing:
+// not the new entry, and not the one it replaced.
+func TestTLBRefusedFillLeavesNoEntry(t *testing.T) {
+	var tlb TLB
+	insert(&tlb, 5, 1, 7, false)
+	ran := false
+	if tlb.Fill(5, 1, 9, true, true, func() bool { return false }, func(PFN) { ran = true }) || ran {
+		t.Fatal("a refused fill ran op")
+	}
+	if tlb.Resident(5, 1) || tlb.ValidCount() != 0 {
+		t.Fatalf("a refused fill left %d entries", tlb.ValidCount())
+	}
+	if tlb.Fill(6, 1, 9, false, true, nil, func(PFN) { ran = true }) || ran {
+		t.Fatal("a store ran through a write-protected fill")
+	}
+	if !tlb.Resident(6, 1) {
+		t.Fatal("a write-protected fill left no entry for the trap")
+	}
+}
+
 func TestTLBEviction(t *testing.T) {
 	var tlb TLB
 	for i := 0; i < TLBSize+8; i++ {
-		tlb.Insert(uint32(i), 1, PFN(i), false)
+		insert(&tlb, uint32(i), 1, PFN(i), false)
 	}
 	if n := tlb.ValidCount(); n != TLBSize {
 		t.Fatalf("ValidCount = %d, want %d", n, TLBSize)
@@ -97,9 +140,9 @@ func TestTLBEviction(t *testing.T) {
 
 func TestTLBFlushSpace(t *testing.T) {
 	var tlb TLB
-	tlb.Insert(1, 1, 10, false)
-	tlb.Insert(2, 1, 11, false)
-	tlb.Insert(3, 2, 12, false)
+	insert(&tlb, 1, 1, 10, false)
+	insert(&tlb, 2, 1, 11, false)
+	insert(&tlb, 3, 2, 12, false)
 	tlb.FlushSpace(1)
 	if tlb.Resident(1, 1) || tlb.Resident(2, 1) {
 		t.Fatal("space 1 entries survived flush")
@@ -118,8 +161,8 @@ func TestTLBFlushSpace(t *testing.T) {
 
 func TestTLBFlushPage(t *testing.T) {
 	var tlb TLB
-	tlb.Insert(1, 1, 10, false)
-	tlb.Insert(2, 1, 11, false)
+	insert(&tlb, 1, 1, 10, false)
+	insert(&tlb, 2, 1, 11, false)
 	tlb.FlushPage(1, 1)
 	if tlb.Resident(1, 1) {
 		t.Fatal("page survived FlushPage")
@@ -132,8 +175,8 @@ func TestTLBFlushPage(t *testing.T) {
 func TestMachineShootdown(t *testing.T) {
 	m := NewMachine(4, 16)
 	for _, c := range m.CPUs {
-		c.TLB.Insert(1, 1, 3, true)
-		c.TLB.Insert(2, 2, 4, true)
+		insert(&c.TLB, 1, 1, 3, true)
+		insert(&c.TLB, 2, 2, 4, true)
 	}
 	init := m.CPUs[0]
 	m.ShootdownSpace(init, 1)

@@ -13,12 +13,16 @@ package kernel
 //     core.TestUpdateBumpsGenerationOnEntry (the storm 0 of 30: the fill has
 //     to be installed between the flush and the bump on exit);
 //   - Context.fault reads the generation after ResolveShared, not before
-//     (an update that began since the fill goes unseen): TestAccessStormRace,
-//     6 runs of 6 — the late install is most of the hole;
-//   - Context.fault installs into the TLB of the CPU the fault began on
-//     (some other member is running there by now and can use the entry
-//     before it is validated): TestFaultInstallsWhereItResumes (the storm 2
-//     of 30);
+//     (an update that began since the fill goes unseen by hw.TLB.Fill's
+//     check): TestAccessStormRace, 10 runs of 10 — the late install is most
+//     of the hole;
+//   - hw.TLB.Fill runs op without checking valid (the fill is installed
+//     and touched behind an update's flush): TestAccessStormRace, 30 runs of
+//     30; running op before the check, and dropping the entry after it,
+//     also 30 of 30 — the refused store alone lands in a freed frame;
+//   - Context.fault fills the TLB of the CPU the fault began on (some other
+//     member is running there by now and can use the entry before it is
+//     validated): TestFaultInstallsWhereItResumes (the storm 0 of 10);
 //   - core.ReclaimQuota frees before it flushes:
 //     TestReclaimQuotaKeepsRacingStoreStormRace, 6 runs of 6.
 

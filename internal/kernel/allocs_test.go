@@ -11,9 +11,10 @@ import (
 // create+wait makes, per creation kind: a dead child's region headers and
 // page tables serve the next child's (vm's spare), a child that makes no
 // syscall gets no syscall profile, and neither a sleep nor a shared-space
-// update makes a method value. Each ceiling is the count measured when it
-// was set, plus one; what is left is the process itself (proc.New), its
-// Context, its image's pregions and list, and fork's descriptor table.
+// update makes a method value, and fork copies the parent's descriptors into
+// the table proc.New made. Each ceiling is the count measured when it was
+// set, plus one; what is left is the process itself (proc.New), its
+// Context, and its image's pregions and list.
 func TestCreateJoinAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -25,7 +26,7 @@ func TestCreateJoinAllocs(t *testing.T) {
 		create  func(c *Context) (int, error)
 		ceiling float64
 	}{
-		{"fork", func(c *Context) (int, error) { return c.Fork("f", child) }, 20},
+		{"fork", func(c *Context) (int, error) { return c.Fork("f", child) }, 18},
 		{"sproc(PR_SALL)", func(c *Context) (int, error) { return c.Sproc("s", entry, proc.PRSALL, 0) }, 13},
 		{"sproc(no PR_SADDR)", func(c *Context) (int, error) { return c.Sproc("s", entry, proc.PRSALL&^proc.PRSADDR, 0) }, 22},
 		{"thread", func(c *Context) (int, error) { return c.ThreadCreate("t", entry, 0) }, 13},

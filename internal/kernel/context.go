@@ -125,9 +125,10 @@ func (c *Context) freezePark() {
 // no frame number outlives the entry that named it and a shootdown that has
 // returned has waited out every touch. A miss takes the fault path — the
 // private pregion list, then the group's shared list under the shared read
-// lock (paper §6.2) — and probes again. The freeze check on entry is the
-// memory-access checkpoint safepoint: it runs before the access is charged or
-// resolved, so a member parked here has not yet landed its store.
+// lock (paper §6.2) — which ends in the access itself; a fault that could not
+// serve it probes again. The freeze check on entry is the memory-access
+// checkpoint safepoint: it runs before the access is charged or resolved, so
+// a member parked here has not yet landed its store.
 func (c *Context) access(va hw.VAddr, write bool, op func(hw.PFN)) error {
 	if c.P.FreezePending() {
 		c.freezePark()
@@ -140,8 +141,8 @@ func (c *Context) access(va hw.VAddr, write bool, op func(hw.PFN)) error {
 		}
 		return err
 	}
-	for ok := c.cpu().TLB.Access(va.VPN(), c.P.ASID, write, op); !ok; ok = c.reprobe(va, write, op) {
-		if err := c.fault(va, write); err != nil {
+	for !c.cpu().TLB.Access(va.VPN(), c.P.ASID, write, op) {
+		if done, err := c.fault(va, write, op); done || err != nil {
 			return err
 		}
 	}
@@ -149,7 +150,7 @@ func (c *Context) access(va hw.VAddr, write bool, op func(hw.PFN)) error {
 }
 
 // reprobe is a further TLB.Access for an access whose first probe was already
-// counted — after a fill, or to confirm a spin's hint: its hit is not a second.
+// counted — a spin's confirmation of its hint: its hit is not a second.
 func (c *Context) reprobe(va hw.VAddr, write bool, op func(hw.PFN)) bool {
 	tlb := &c.cpu().TLB
 	ok := tlb.Access(va.VPN(), c.P.ASID, write, op)
@@ -195,21 +196,24 @@ func (c *Context) frameAcct() *hw.FrameAcct {
 	return nil
 }
 
-// fault is the TLB-miss / protection-fault handler: it resolves va and
+// fault is the TLB-miss / protection-fault handler: it resolves va, then
 // installs the translation in the TLB of the CPU the process is on after the
-// fill (the read lock can sleep and the process resume elsewhere), for access
-// to probe again. A shared fill is installed against the update generation,
-// read before ResolveShared: core.UpdateVM bumps it on entry and its flush
-// takes this TLB's lock, so an entry installed behind the flush sees the
-// generation moved and is dropped — nothing resolved before an update is
-// installed after it — and access faults once more, behind the update.
+// fill (the read lock can sleep and the process resume elsewhere) and runs op
+// on the frame under the same hold of that TLB's lock (hw.TLB.Fill); it
+// reports whether op ran. A shared fill is checked there against the update
+// generation, read before ResolveShared: core.UpdateVM bumps it on entry, so
+// a fill that sees it unmoved was resolved before any update began, and such
+// an update frees nothing before its flush, which needs this TLB's lock and
+// so waits out op and drops the entry. A fill that sees it moved is dropped
+// unused — nothing resolved before an update is installed after it — and
+// access faults once more, behind the update.
 //
 // A fill refused by the group's frame quota does not surface immediately: the
 // group's own all-zero pages are reclaimed first and the fill retried, so a
 // group running against its cap degrades (refault + rezero) before it fails —
 // the same reclaim-before-ENOMEM contract the allocator's cache drain gives
 // machine-wide exhaustion, scoped to one group.
-func (c *Context) fault(va hw.VAddr, write bool) error {
+func (c *Context) fault(va hw.VAddr, write bool, op func(hw.PFN)) (bool, error) {
 	c.cpu().Faults.Add(1)
 	c.S.Machine.Trace.Record(trace.EvFault, int32(c.P.PID), c.P.CPU.Load(), uint64(va), 0)
 
@@ -241,7 +245,7 @@ func (c *Context) fault(va hw.VAddr, write bool) error {
 		}
 		lazyPages += lazy
 		if !found {
-			return c.segv(va, write, nil)
+			return false, c.segv(va, write, nil)
 		}
 		if err == nil {
 			break
@@ -250,7 +254,7 @@ func (c *Context) fault(va hw.VAddr, write bool) error {
 			grp.ReclaimQuota(c.P) > 0 {
 			continue
 		}
-		return c.segv(va, write, err)
+		return false, c.segv(va, write, err)
 	}
 
 	cpu := c.cpu() // nothing below sleeps or yields
@@ -269,11 +273,11 @@ func (c *Context) fault(va hw.VAddr, write bool) error {
 		cpu.Charge(int64(lazyPages) * c.S.Machine.Cost.RegionDup)
 		c.S.Machine.Trace.Record(trace.EvLazyBreak, int32(c.P.PID), int32(cpu.ID), uint64(va), uint32(lazyPages))
 	}
-	cpu.TLB.Insert(va.VPN(), c.P.ASID, pfn, writable)
-	if sa != nil && sa.Generation() != gen {
-		cpu.TLB.FlushPage(va.VPN(), c.P.ASID)
+	var valid func() bool
+	if sa != nil {
+		valid = func() bool { return sa.Generation() == gen }
 	}
-	return nil
+	return cpu.TLB.Fill(va.VPN(), c.P.ASID, pfn, writable, write, valid, op), nil
 }
 
 // segv delivers the address fault: a process with a SIGSEGV handler gets

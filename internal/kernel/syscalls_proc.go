@@ -115,7 +115,7 @@ func (c *Context) spawn(spec spawnSpec) (*proc.Proc, error) {
 	child.InheritHandlers(p)
 	child.Cdir, child.Rdir = p.Cdir.Hold(), p.Rdir.Hold()
 	if ownFds && !spec.reopenFds {
-		child.Fd, child.FdFlags = p.DupFdTable()
+		child.InheritFds(p)
 	}
 	if spec.chargeFds {
 		nfds = p.OpenFdCount()

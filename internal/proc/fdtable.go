@@ -65,7 +65,7 @@ func (p *Proc) GrowFd(n int) {
 	if n <= len(p.Fd) {
 		return
 	}
-	if n > cap(p.Fd) {
+	if n > cap(p.Fd) || n > cap(p.FdFlags) {
 		fds := make([]*fs.File, len(p.Fd), max(n, min(2*cap(p.Fd), p.FdCeiling())))
 		flags := make([]uint8, len(p.Fd), cap(fds))
 		copy(fds, p.Fd)
@@ -116,17 +116,31 @@ func (p *Proc) LowerFdHint(fd int) {
 }
 
 // DupFdTable returns a copy of the descriptor table with every open file's
-// reference count bumped — the fork(2) path. The caller holds p.Mu.
+// reference count bumped. The caller holds p.Mu.
 func (p *Proc) DupFdTable() ([]*fs.File, []uint8) {
-	fds := make([]*fs.File, len(p.Fd))
-	flags := make([]uint8, len(p.FdFlags))
-	copy(flags, p.FdFlags)
-	for i, f := range p.Fd {
-		if f != nil {
-			fds[i] = f.Hold()
-		}
+	var c Proc
+	c.InheritFds(p)
+	return c.Fd, c.FdFlags
+}
+
+// InheritFds makes p's descriptor table a copy of parent's with every open
+// file's reference count bumped — the fork(2) path. It copies into the
+// table New made for p when parent's fits, so forking a process with at
+// most NFdInit slots makes no table. The caller holds parent.Mu, and p is
+// not running yet.
+func (p *Proc) InheritFds(parent *Proc) {
+	n := len(parent.Fd)
+	if n > cap(p.Fd) || n > cap(p.FdFlags) {
+		p.Fd, p.FdFlags = make([]*fs.File, n), make([]uint8, n)
 	}
-	return fds, flags
+	p.Fd, p.FdFlags = p.Fd[:n], p.FdFlags[:n]
+	copy(p.FdFlags, parent.FdFlags)
+	for i, f := range parent.Fd {
+		if f != nil {
+			f = f.Hold()
+		}
+		p.Fd[i] = f
+	}
 }
 
 // CloseAllFds releases every descriptor (exit path). The caller holds p.Mu.

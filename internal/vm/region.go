@@ -263,18 +263,33 @@ func (r *Region) Detach() int32 {
 		// materialize before the frames are released.
 		r.materialize()
 		r.lockAll()
-		t := r.table.Load()
-		for i := range t.slots {
-			if w := t.slots[i].Load(); w&ptePresent != 0 {
-				r.mem.DecRef(hw.PFN(w & ptePFNMask))
-				t.slots[i].Store(0)
-			}
-		}
+		r.release(r.table.Load().slots)
 		r.resident.Store(0)
 		r.unlockAll()
 		r.retire()
 	}
 	return n
+}
+
+// release empties every present slot of slots and drops its frame's
+// reference, collecting the frames on the stack so the dead ones go back to
+// the pool a batch at a time (hw.DecRefs), and returns how many it emptied.
+// The caller holds every stripe.
+func (r *Region) release(slots []atomic.Uint64) int {
+	var batch [64]hw.PFN
+	n, freed := 0, 0
+	for i := range slots {
+		if w := slots[i].Load(); w&ptePresent != 0 {
+			slots[i].Store(0)
+			batch[n] = hw.PFN(w & ptePFNMask)
+			if n++; n == len(batch) {
+				r.mem.DecRefs(batch[:])
+				freed, n = freed+n, 0
+			}
+		}
+	}
+	r.mem.DecRefs(batch[:n])
+	return freed + n
 }
 
 // Frame returns the frame backing page idx, or NoPFN if not yet filled.
@@ -726,14 +741,7 @@ func (r *Region) Shrink(n int) int {
 	if n < 0 || n > len(t.slots) {
 		panic("vm: Shrink out of range")
 	}
-	freed := 0
-	for i := len(t.slots) - n; i < len(t.slots); i++ {
-		if w := t.slots[i].Load(); w&ptePresent != 0 {
-			r.mem.DecRef(hw.PFN(w & ptePFNMask))
-			t.slots[i].Store(0)
-			freed++
-		}
-	}
+	freed := r.release(t.slots[len(t.slots)-n:])
 	r.resident.Add(int64(-freed))
 	r.table.Store(&pteTable{slots: t.slots[:len(t.slots)-n]})
 	return freed
