@@ -50,11 +50,11 @@ func BenchmarkMemBulk4K(b *testing.B) {
 	run("WriteBytes/aligned", func() { m.WriteBytes(pfn, 0, buf) })
 	run("WriteBytes/off-by-one", func() { m.WriteBytes(pfn, 1, buf[:hw.PageSize-1]) })
 	run("CopyFrame", func() {
-		cp, err := m.CopyFrame(pfn)
+		cp, err := m.CopyFrameOn(pfn, -1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.DecRef(cp)
+		m.DecRefs([]hw.PFN{cp})
 	})
 	// The restore write-back: a page into a slot with no frame yet, so
 	// every op allocates, fills and publishes. The page is buf's packed

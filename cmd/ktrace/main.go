@@ -136,12 +136,15 @@ func faultDemo() {
 			// A sleeping poll(2) released by a forked writer: the pollsleep
 			// site injects spurious wakeups into the wait, and an injected
 			// EINTR at the gateway is poll's contract, so retry it.
-			c.Fork("writer", func(k *irix.Ctx) {
+			_, err := c.Fork("writer", func(k *irix.Ctx) {
 				for j := 0; j < 100; j++ {
 					k.Getpid()
 				}
 				k.WriteString(wfd, irix.DataBase, "x")
 			})
+			if err != nil {
+				continue // an injected fork failure: nobody would write the pipe
+			}
 			set := []irix.PollFd{{Fd: rfd, Events: irix.PollIn}}
 			for {
 				if _, err := c.Poll(set, -1); err == nil || irix.ErrnoOf(err) != irix.EINTR {

@@ -7,8 +7,8 @@
 // The package is deliberately a leaf: it imports nothing from the kernel,
 // vm, or hw layers, and it never sees a page-table entry or a physical
 // frame number — the kernel serializes regions exclusively through the vm
-// package's page-read API and hands this package plain bytes (the
-// lint-ckpt rule in the Makefile pins that boundary). Everything in an
+// package's page-read API and hands this package plain bytes (internal/lint
+// pins that boundary). Everything in an
 // image is virtual-address- and content-level state, so two checkpoints
 // of identical logical states encode to identical bytes regardless of
 // frame placement, CPU interleaving, or pass count.

@@ -28,9 +28,6 @@ func New() *FS {
 // Root returns the filesystem root (unheld; callers Hold what they keep).
 func (f *FS) Root() *Inode { return f.root }
 
-// LiveInodes returns the number of inodes with storage (diagnostics).
-func (f *FS) LiveInodes() int64 { return f.liveInodes.Load() }
-
 func (f *FS) newInode(mode uint16, uid, gid uint16) *Inode {
 	f.mu.Lock()
 	f.nextIno++

@@ -155,9 +155,9 @@ func TestUnlinkOpenFileKeepsData(t *testing.T) {
 	if string(buf[:n]) != "still here" {
 		t.Fatalf("open unlinked file lost data: %q", buf[:n])
 	}
-	live := f.LiveInodes()
+	live := f.liveInodes.Load()
 	file.Release()
-	if f.LiveInodes() != live-1 {
+	if f.liveInodes.Load() != live-1 {
 		t.Fatal("inode storage not reclaimed after last close")
 	}
 }

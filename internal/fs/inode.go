@@ -138,17 +138,6 @@ func (ip *Inode) Truncate() {
 	ip.mu.Unlock()
 }
 
-// entries returns a snapshot of a directory's names (tests, envdiag).
-func (ip *Inode) Entries() []string {
-	ip.mu.Lock()
-	defer ip.mu.Unlock()
-	out := make([]string, 0, len(ip.dir))
-	for name := range ip.dir {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Access checks rwx permission for (uid, gid). want is a bitmask of 4
 // (read), 2 (write), 1 (execute/search). Uid 0 bypasses checks, as root
 // does.

@@ -45,9 +45,6 @@ func (va VAddr) VPN() uint32 { return uint32(va) >> PageShift }
 // Offset returns the byte offset of va within its page.
 func (va VAddr) Offset() uint32 { return uint32(va) & PageMask }
 
-// PageBase returns the address of the first byte of va's page.
-func (va VAddr) PageBase() VAddr { return va &^ VAddr(PageMask) }
-
 // frameArray is the word storage of one page frame.
 type frameArray [WordsPerPage]uint32
 
@@ -451,13 +448,10 @@ func (m *Memory) IncRef(pfn PFN) {
 	}
 }
 
-// DecRef decrements the reference count of pfn, releasing the frame to the
-// pool when it reaches zero. It returns the remaining count.
-func (m *Memory) DecRef(pfn PFN) int32 { return m.DecRefOn(pfn, -1) }
-
-// DecRefOn is DecRef with CPU affinity: a frame that dies is zeroed outside
-// any lock and parked in cpu's cache for reuse, draining a batch back to
-// the pool when the cache overfills.
+// DecRefOn decrements the reference count of pfn and returns the count
+// left. A frame that dies is zeroed outside any lock and parked in cpu's
+// cache for reuse, draining a batch back to the pool when the cache
+// overfills; with no cache (cpu < 0) it goes straight back to the pool.
 func (m *Memory) DecRefOn(pfn PFN, cpu int) int32 {
 	if n := m.unref(pfn, cpu); n > 0 {
 		return n
@@ -485,9 +479,9 @@ func (m *Memory) DecRefOn(pfn PFN, cpu int) int32 {
 	return 0
 }
 
-// DecRefs is DecRef on each frame of pfns in turn, except that the frames
-// that die go back to the pool together, in pfns' order: one inUse update
-// and one pool hold for the call. It collects them in pfns' own array.
+// DecRefs is DecRefOn(pfn, -1) on each frame of pfns in turn, except that
+// the frames that die go back to the pool together, in pfns' order: one
+// inUse update and one pool hold for the call. It collects them in pfns' own array.
 func (m *Memory) DecRefs(pfns []PFN) {
 	dead := pfns[:0]
 	for _, pfn := range pfns {
@@ -572,11 +566,9 @@ func nextRun(lm uint64) (lo, hi int, rest uint64) {
 	return first << lineWordsShift, (first + n) << lineWordsShift, lm &^ ((1<<n - 1) << first)
 }
 
-// CopyFrame allocates a new frame holding a copy of src (the copy-on-write
-// copy path) and returns it with reference count one.
-func (m *Memory) CopyFrame(src PFN) (PFN, error) { return m.CopyFrameOn(src, -1) }
-
-// CopyFrameOn is CopyFrame allocating from cpu's frame cache.
+// CopyFrameOn allocates a new frame from cpu's frame cache holding a copy
+// of src (the copy-on-write copy path) and returns it with reference count
+// one.
 func (m *Memory) CopyFrameOn(src PFN, cpu int) (PFN, error) {
 	return m.CopyFrameFor(src, cpu, nil)
 }

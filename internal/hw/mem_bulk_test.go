@@ -262,7 +262,7 @@ func TestBulkFillFrameMarksOnlyWrittenLines(t *testing.T) {
 					}
 					t.Fatalf("%s, fresh %v, FillFrame(len=%d): byte %d = %#x, want %#x", shape.name, fresh, n, i, got[i], want[i])
 				}
-				m.DecRef(pfn)
+				m.DecRefs([]PFN{pfn})
 			}
 		}
 	}
@@ -317,7 +317,7 @@ func TestBulkFrameLinesRoundTrip(t *testing.T) {
 		if lm := m.lines[fresh].Load(); lm != lines {
 			t.Fatalf("round %d: the fresh frame's map is %#x, the non-zero lines %#x", round, lm, lines)
 		}
-		m.DecRef(fresh)
+		m.DecRefs([]PFN{fresh})
 
 		over, _ := m.Alloc()
 		bg := make([]byte, PageSize)
@@ -332,8 +332,8 @@ func TestBulkFrameLinesRoundTrip(t *testing.T) {
 		if lm := m.lines[over].Load(); lm != lines|bgLines {
 			t.Fatalf("round %d: WriteFrame left map %#x, want the mask %#x and the background's %#x", round, lm, lines, bgLines)
 		}
-		m.DecRef(over)
-		m.DecRef(src)
+		m.DecRefs([]PFN{over})
+		m.DecRefs([]PFN{src})
 	}
 }
 
@@ -449,7 +449,7 @@ func TestCopyFrameUnderConcurrentSourceWriter(t *testing.T) {
 
 	for i := 0; i < 200 && !stop.Load(); i++ {
 		lo := stored.Load()
-		cp, err := m.CopyFrame(src)
+		cp, err := m.CopyFrameOn(src, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,6 +466,6 @@ func TestCopyFrameUnderConcurrentSourceWriter(t *testing.T) {
 		tlb.Lock() // shoot down, then free
 		pte.Store(nil)
 		tlb.Unlock()
-		m.DecRef(cp)
+		m.DecRefs([]PFN{cp})
 	}
 }

@@ -293,7 +293,7 @@ func TestLineMapStormRace(t *testing.T) {
 						for w := range before {
 							before[w] = m.LoadWord(mp.pfn, uint32(w))
 						}
-						cp, err := m.CopyFrame(mp.pfn)
+						cp, err := m.CopyFrameOn(mp.pfn, -1)
 						if err != nil {
 							fail("CopyFrame: %v", err)
 						} else {
@@ -303,7 +303,7 @@ func TestLineMapStormRace(t *testing.T) {
 									break
 								}
 							}
-							m.DecRef(cp)
+							m.DecRefs([]PFN{cp})
 						}
 					}
 					tlb.RUnlock()
@@ -318,7 +318,7 @@ func TestLineMapStormRace(t *testing.T) {
 					tlb.Lock() // shoot down, then free
 					pte[i].Store(nil)
 					tlb.Unlock()
-					m.DecRef(old.pfn)
+					m.DecRefs([]PFN{old.pfn})
 				}
 				if r >= rounds {
 					continue // the last lap only drains
@@ -500,7 +500,7 @@ func TestReadFrameStormRace(t *testing.T) {
 				tlb.Lock() // shoot down, then free
 				pte.Store(nil)
 				tlb.Unlock()
-				m.DecRef(pfn)
+				m.DecRefs([]PFN{pfn})
 			}
 			stop.Store(true)
 			rwg.Wait()

@@ -36,9 +36,7 @@ func TestFreeListRecyclesZeroed(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.StoreWord(pfn, 5, 0xdeadbeef)
-	if n := m.DecRef(pfn); n != 0 {
-		t.Fatalf("DecRef = %d, want 0", n)
-	}
+	m.DecRefs([]PFN{pfn})
 	if m.InUse() != 0 {
 		t.Fatalf("InUse = %d, want 0", m.InUse())
 	}
@@ -62,12 +60,14 @@ func TestRefCountLifecycle(t *testing.T) {
 	if r := m.Ref(pfn); r != 3 {
 		t.Fatalf("Ref = %d, want 3", r)
 	}
-	if n := m.DecRef(pfn); n != 2 {
-		t.Fatalf("DecRef = %d, want 2", n)
+	for want := int32(2); want >= 0; want-- {
+		m.DecRefs([]PFN{pfn})
+		if r := m.Ref(pfn); r != want {
+			t.Fatalf("Ref after DecRefs = %d, want %d", r, want)
+		}
 	}
-	m.DecRef(pfn)
-	if n := m.DecRef(pfn); n != 0 {
-		t.Fatalf("final DecRef = %d, want 0", n)
+	if m.InUse() != 0 {
+		t.Fatalf("InUse = %d after the last reference went, want 0", m.InUse())
 	}
 }
 
@@ -76,7 +76,7 @@ func TestCopyFrameIsDeepAndCounted(t *testing.T) {
 	src, _ := m.Alloc()
 	m.StoreWord(src, 0, 123)
 	m.StoreWord(src, WordsPerPage-1, 456)
-	dst, err := m.CopyFrame(src)
+	dst, err := m.CopyFrameOn(src, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,5 @@ func TestVAddrHelpers(t *testing.T) {
 	}
 	if va.Offset() != 0x678 {
 		t.Fatalf("Offset = %#x", va.Offset())
-	}
-	if va.PageBase() != 0x1234_5000 {
-		t.Fatalf("PageBase = %#x", va.PageBase())
 	}
 }

@@ -122,7 +122,7 @@ func TestReleasedStorageIsReused(t *testing.T) {
 	freed := map[*frameArray]bool{}
 	for _, p := range pfns[1:] {
 		freed[a.frames[p].Load()] = true
-		a.DecRef(p)
+		a.DecRefs([]PFN{p})
 	}
 	a.ReleaseFree()
 	if a.frames[kept].Load() != keptArr || a.LoadWord(kept, 0) != 1 {

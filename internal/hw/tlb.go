@@ -184,10 +184,3 @@ func (t *TLB) Resident(vpn uint32, space ASID) bool {
 	slot, _ := t.find(vpn, space)
 	return slot >= 0
 }
-
-// ValidCount returns the number of valid entries (for tests and sgtop).
-func (t *TLB) ValidCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return bits.OnesCount64(t.valid)
-}

@@ -176,7 +176,7 @@ func TestPipeConcurrentStream(t *testing.T) {
 }
 
 func TestSocketPairDuplex(t *testing.T) {
-	a, b := SocketPair()
+	a, b := socketPair(nil, nil)
 	th := newGoThread()
 	a.Write(th, []byte("ping"), false)
 	buf := make([]byte, 8)

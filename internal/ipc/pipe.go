@@ -65,13 +65,6 @@ func NewPipe() *Pipe {
 	return p
 }
 
-// WakeCounts returns the sleeper wakeups issued on the reader and writer
-// queues — the thundering-herd tests assert these stay proportional to
-// transitions, not to sleepers × chunks.
-func (p *Pipe) WakeCounts() (readers, writers int64) {
-	return p.rq.SleeperWakes(), p.wq.SleeperWakes()
-}
-
 // readyRead returns the reader end's readiness mask. Caller holds p.mu.
 // EOF counts as readable: a read returns immediately (with 0 bytes).
 func (p *Pipe) readyRead() uint16 {
@@ -333,12 +326,10 @@ func (d *duplexEnd) PollUnregister(w *fs.PollWaiter, tag uint32) {
 	d.in.mu.Unlock()
 }
 
-// SocketPair creates a connected pair of duplex byte streams, modelling
-// socketpair(2) on a UNIX-domain stream socket.
-func SocketPair() (a, b fs.Stream) { return socketPair(nil, nil) }
-
-// socketPair is SocketPair with both underlying pipes wired to a fault
-// plan and poll-stats aggregator (Connect passes the namespace's through).
+// socketPair creates a connected pair of duplex byte streams, modelling
+// socketpair(2) on a UNIX-domain stream socket, with both underlying pipes
+// wired to a fault plan and poll-stats aggregator (Connect passes the
+// namespace's through).
 func socketPair(fi *faultinject.Plan, ps *PollStats) (a, b fs.Stream) {
 	p1, p2 := NewPipe(), NewPipe()
 	p2.mu = p1.mu

@@ -107,7 +107,7 @@ func TestPublishedReadinessMatchesLockedState(t *testing.T) {
 				add(NewPipe().Ends())
 			case k == 1 && len(open) < 12:
 				op = "socketpair"
-				add(SocketPair())
+				add(socketPair(nil, nil))
 			case k == 2:
 				if lis == nil {
 					op = "listen"

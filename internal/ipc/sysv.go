@@ -145,16 +145,6 @@ func (s *SemSet) Op(t klock.Thread, idx, delta int) error {
 	return nil
 }
 
-// Val returns the current value of semaphore idx.
-func (s *SemSet) Val(idx int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if idx < 0 || idx >= len(s.vals) {
-		return -1
-	}
-	return s.vals[idx]
-}
-
 // ShmSeg is a System V shared-memory segment: a region attachable into any
 // address space. The registry holds one region attachment so the segment
 // survives while detached from every process.

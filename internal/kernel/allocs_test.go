@@ -56,3 +56,40 @@ func TestCreateJoinAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestPrivateMapUnmapAllocs pins the host heap objects of a private
+// one-page mmap, store and munmap at one: the pregion the mapping lists.
+// The update bracket binds its Shoot once per process, not per call, and
+// munmap searches the private and group spaces without listing them. One
+// CPU and a slice that never ends, so no op yields.
+func TestPrivateMapUnmapAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	conf := testConfig()
+	conf.NCPU, conf.TimeSlice = 1, 1<<40
+	s := NewSystem(conf)
+	var allocs float64
+	s.Start("mapper", func(c *Context) {
+		op := func() {
+			va, err := c.Mmap(1)
+			if err == nil {
+				err = c.Store32(va, 1)
+			}
+			if err == nil {
+				err = c.Munmap(va)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			op()
+		}
+		allocs = testing.AllocsPerRun(256, op)
+	})
+	waitIdle(t, s)
+	if allocs > 1 {
+		t.Errorf("%.0f heap objects per private mmap+store+munmap, want 1 (the pregion)", allocs)
+	}
+}

@@ -24,9 +24,11 @@ type Context struct {
 	// (syscalls_poll.go; made by the first poll, withdrawn when the image
 	// ends), and the kernel-side bounce buffer of read(2) and write(2)
 	// (every stream and inode copies out of or into it before the call
-	// returns).
-	poll *pollSet
-	xfer []byte
+	// returns). shoot is shootPrivate, bound by the first private-space
+	// update.
+	poll  *pollSet
+	xfer  []byte
+	shoot vm.Shoot
 }
 
 // ErrFault is the base of address faults surfaced to programs that catch
@@ -468,14 +470,6 @@ func spinAdvance(i int, quiescent bool) (next int, drips int64) {
 func (c *Context) StackBase() hw.VAddr {
 	if c.P.Stack != nil {
 		return c.P.Stack.Base
-	}
-	return 0
-}
-
-// StackTop returns the first address above this process's stack region.
-func (c *Context) StackTop() hw.VAddr {
-	if c.P.Stack != nil {
-		return c.P.Stack.End()
 	}
 	return 0
 }

@@ -106,7 +106,7 @@ func TestNonVMMemberFaultsOnSiblingMmap(t *testing.T) {
 			if v, _ := cc.Load32(own); v != 0 {
 				t.Errorf("private mapping reads %#x, want a zero page", v)
 			}
-			if n := cc.ResidentPages(); n != 1 {
+			if n := residentPages(cc); n != 1 {
 				t.Errorf("%d resident pages in the member's image, want the one it touched", n)
 			}
 			if err := cc.Munmap(own); err != nil {

@@ -61,7 +61,8 @@ var errInjected = errors.New("kernel: injected fault")
 //     transparently restarts the body, as SA_RESTART would;
 //   - EAGAIN from a retryable call (sfRetry) re-runs the body after an
 //     escalating backoff charge.
-func invoke[T any](c *Context, d *sysDesc, body func() (T, error)) (T, error) {
+func invoke[T any](c *Context, n Sysno, body func() (T, error)) (T, error) {
+	d := &sysTable[n]
 	start := c.enterSys(d)
 	var eno Errno
 	completed := false
@@ -150,14 +151,14 @@ func (c *Context) injectEnter(d *sysDesc) Errno {
 }
 
 // invoke0 dispatches a syscall with no result value.
-func invoke0(c *Context, d *sysDesc, body func() error) error {
-	_, err := invoke(c, d, func() (struct{}, error) { return struct{}{}, body() })
+func invoke0(c *Context, n Sysno, body func() error) error {
+	_, err := invoke(c, n, func() (struct{}, error) { return struct{}{}, body() })
 	return err
 }
 
 // invoke1 dispatches a syscall that cannot fail.
-func invoke1[T any](c *Context, d *sysDesc, body func() T) T {
-	ret, _ := invoke(c, d, func() (T, error) { return body(), nil })
+func invoke1[T any](c *Context, n Sysno, body func() T) T {
+	ret, _ := invoke(c, n, func() (T, error) { return body(), nil })
 	return ret
 }
 
@@ -216,22 +217,6 @@ func (s *System) sysAccount(n Sysno, p *proc.Proc, cycles int64) {
 		p.SysCount.Store(&prof)
 	}
 	(*p.SysCount.Load())[n].Add(1)
-}
-
-// SyscallCountsByCPU returns the per-CPU call-count matrix: row i is CPU
-// i's counts indexed by syscall number; the last row is the overflow slot
-// for calls finishing with no CPU context. The conservation stress test
-// sums this matrix against the driver's own issue counts.
-func (s *System) SyscallCountsByCPU() [][]int64 {
-	out := make([][]int64, len(s.sysacct))
-	for i, a := range s.sysacct {
-		row := make([]int64, NSys)
-		for n := range row {
-			row[n] = a.count[n].Load()
-		}
-		out[i] = row
-	}
-	return out
 }
 
 // ProcSyscalls returns a process's own per-syscall call counts (nonzero

@@ -56,8 +56,11 @@ func TestForkWaitStatus(t *testing.T) {
 	s.Start("parent", func(c *Context) {
 		pid, err := c.Fork("child", func(cc *Context) {
 			childPid.Store(int64(cc.Getpid()))
-			if cc.Getppid() != 1 {
-				t.Errorf("child ppid = %d", cc.Getppid())
+			cc.P.Mu.Lock()
+			ppid := cc.P.PPID
+			cc.P.Mu.Unlock()
+			if ppid != 1 {
+				t.Errorf("child ppid = %d", ppid)
 			}
 			cc.Exit(42)
 		})

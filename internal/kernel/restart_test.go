@@ -16,25 +16,26 @@ import (
 )
 
 func TestRestartTable(t *testing.T) {
+	has := func(n Sysno, flag uint8) bool { return sysTable[n].flags&flag != 0 }
 	restartable := []Sysno{SysRead, SysWrite, SysMsgsnd, SysMsgrcv, SysSemop, SysNetAccept, SysNetConnect}
 	for _, n := range restartable {
-		if !SysRestartable(n) {
-			t.Errorf("SysRestartable(%s) = false, want true", SysName(n))
+		if !has(n, sfRestart) {
+			t.Errorf("%s is not restartable, want restartable", SysName(n))
 		}
 	}
 	notRestartable := []Sysno{SysWait, SysPause, SysOpen, SysFork, SysExit}
 	for _, n := range notRestartable {
-		if SysRestartable(n) {
-			t.Errorf("SysRestartable(%s) = true, want false", SysName(n))
+		if has(n, sfRestart) {
+			t.Errorf("%s is restartable, want not", SysName(n))
 		}
 	}
 	for _, n := range []Sysno{SysFork, SysSproc, SysThreadCreate} {
-		if !SysRetryable(n) {
-			t.Errorf("SysRetryable(%s) = false, want true", SysName(n))
+		if !has(n, sfRetry) {
+			t.Errorf("%s is not retryable, want retryable", SysName(n))
 		}
 	}
-	if SysRetryable(SysRead) {
-		t.Error("SysRetryable(read) = true, want false")
+	if has(SysRead, sfRetry) {
+		t.Error("read is retryable, want not")
 	}
 }
 

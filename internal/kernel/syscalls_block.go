@@ -51,7 +51,7 @@ const blockprocReason = "blockproc(2)"
 // without sleeping; a deliverable signal breaks the sleep with EINTR
 // (deliberately not restartable — like pause(2), EINTR is the contract).
 func (c *Context) Blockproc(pid int) error {
-	return invoke0(c, sysBlockproc, func() error {
+	return invoke0(c, SysBlockproc, func() error {
 		if pid != 0 && pid != c.P.PID {
 			return ErrBadBlockPid
 		}
@@ -80,7 +80,7 @@ func (c *Context) Blockproc(pid int) error {
 // blocked is the normal fast case: the count saturates at
 // proc.BlockCntMax and the next blockproc consumes it.
 func (c *Context) Unblockproc(pid int) error {
-	return invoke0(c, sysUnblockproc, func() error {
+	return invoke0(c, SysUnblockproc, func() error {
 		target, ok := c.S.Lookup(pid)
 		if !ok {
 			return ErrNoProc
@@ -102,7 +102,7 @@ func (c *Context) Unblockproc(pid int) error {
 // drifted. cnt must be in [0, proc.BlockCntMax]; a sleeping target is
 // released (its count is no longer negative).
 func (c *Context) Setblockproccnt(pid, cnt int) error {
-	return invoke0(c, sysSetblockproccnt, func() error {
+	return invoke0(c, SysSetblockproccnt, func() error {
 		if cnt < 0 || cnt > proc.BlockCntMax {
 			return fmt.Errorf("kernel: setblockproccnt: count %d out of range [0,%d]", cnt, proc.BlockCntMax)
 		}

@@ -34,7 +34,7 @@ import (
 // creator role (identity, descriptor table, PRDA, stack geometry), a fresh
 // share block is built around it, the shared regions are reconciled to the
 // image's geometry, page contents are written back through vm.WritePage
-// (never through raw PTE words — the lint-ckpt boundary), and the
+// (never through raw PTE words — the boundary internal/lint pins), and the
 // remaining members are respawned at their recorded stack addresses with
 // their recorded entry arguments. Respawned members begin their entry
 // functions from the top: the simulation checkpoints memory and kernel
@@ -101,7 +101,7 @@ func (c *Context) Ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 		img  *ckpt.Image
 		info CkptInfo
 	}
-	r, err := invoke(c, sysCkpt, func() (result, error) {
+	r, err := invoke(c, SysCkpt, func() (result, error) {
 		img, info, err := c.ckpt(opts)
 		return result{img, info}, err
 	})
@@ -459,7 +459,7 @@ func captureFds(m *proc.Proc) []ckpt.FdImage {
 // Restore is not atomic against failure: an error partway (a vanished
 // file, the process limit) leaves the caller with whatever was rebuilt.
 func (c *Context) Restore(img *ckpt.Image, entry func(*Context, int64)) (int, error) {
-	return invoke(c, sysRestore, func() (int, error) {
+	return invoke(c, SysRestore, func() (int, error) {
 		return c.restore(img, entry)
 	})
 }

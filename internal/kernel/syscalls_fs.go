@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"sort"
-
 	"repro/internal/fs"
 	"repro/internal/hw"
 	"repro/internal/proc"
@@ -79,7 +77,7 @@ func (c *Context) closeFd(fd int) error {
 // descriptor. When the caller shares descriptors, every sharing member
 // sees the new file as immediately available (paper §4).
 func (c *Context) Open(path string, flags int, mode uint16) (int, error) {
-	return invoke(c, sysOpen, func() (int, error) {
+	return invoke(c, SysOpen, func() (int, error) {
 		f, err := c.S.FS.Open(c.cred(), path, flags, mode)
 		if err != nil {
 			return -1, err
@@ -102,7 +100,7 @@ func (c *Context) Creat(path string, mode uint16) (int, error) {
 // Close releases descriptor fd, propagating the closure to sharing
 // members.
 func (c *Context) Close(fd int) error {
-	return invoke0(c, sysClose, func() error {
+	return invoke0(c, SysClose, func() error {
 		c.pollForget(fd)
 		return c.closeFd(fd)
 	})
@@ -111,7 +109,7 @@ func (c *Context) Close(fd int) error {
 // Dup duplicates fd into the lowest free slot; both descriptors share one
 // open-file entry and offset.
 func (c *Context) Dup(fd int) (int, error) {
-	return invoke(c, sysDup, func() (int, error) {
+	return invoke(c, SysDup, func() (int, error) {
 		p := c.P
 		p.Mu.Lock()
 		f, err := p.GetFd(fd)
@@ -132,7 +130,7 @@ func (c *Context) Dup(fd int) (int, error) {
 // descriptors share one open-file entry; the change propagates to sharing
 // members like any descriptor-table update.
 func (c *Context) Dup2(fd, target int) (int, error) {
-	return invoke(c, sysDup2, func() (int, error) {
+	return invoke(c, SysDup2, func() (int, error) {
 		p := c.P
 		if target < 0 || target >= p.FdCeiling() {
 			return -1, fs.ErrBadFd
@@ -160,7 +158,7 @@ func (c *Context) Dup2(fd, target int) (int, error) {
 // lives in the fd-flag table, so it reaches descriptor-sharing members with
 // the descriptor update protocol.
 func (c *Context) setFdFlag(fd int, bit uint8, on bool) error {
-	return invoke0(c, sysFcntl, func() error {
+	return invoke0(c, SysFcntl, func() error {
 		p := c.P
 		_, err := c.updateFds(func() (int, error) {
 			if _, err := p.GetFd(fd); err != nil {
@@ -221,7 +219,7 @@ func (c *Context) xferBuf(n int) []byte {
 // Read reads up to n bytes from fd into the process's memory at va,
 // returning the count. The transfer faults pages in as needed.
 func (c *Context) Read(fd int, va hw.VAddr, n int) (int, error) {
-	return invoke(c, sysRead, func() (int, error) {
+	return invoke(c, SysRead, func() (int, error) {
 		f, nb, err := c.fdFileNb(fd)
 		if err != nil {
 			return -1, err
@@ -240,7 +238,7 @@ func (c *Context) Read(fd int, va hw.VAddr, n int) (int, error) {
 
 // Write writes n bytes from the process's memory at va to fd.
 func (c *Context) Write(fd int, va hw.VAddr, n int) (int, error) {
-	return invoke(c, sysWrite, func() (int, error) {
+	return invoke(c, SysWrite, func() (int, error) {
 		f, nb, err := c.fdFileNb(fd)
 		if err != nil {
 			return -1, err
@@ -258,7 +256,7 @@ func (c *Context) Write(fd int, va hw.VAddr, n int) (int, error) {
 
 // Lseek repositions fd's offset.
 func (c *Context) Lseek(fd int, off int64, whence int) (int64, error) {
-	return invoke(c, sysLseek, func() (int64, error) {
+	return invoke(c, SysLseek, func() (int64, error) {
 		f, err := c.fdFile(fd)
 		if err != nil {
 			return -1, err
@@ -269,7 +267,7 @@ func (c *Context) Lseek(fd int, off int64, whence int) (int64, error) {
 
 // Mkdir creates a directory.
 func (c *Context) Mkdir(path string, mode uint16) error {
-	return invoke0(c, sysMkdir, func() error {
+	return invoke0(c, SysMkdir, func() error {
 		_, err := c.S.FS.Mkdir(c.cred(), path, mode)
 		return err
 	})
@@ -277,43 +275,22 @@ func (c *Context) Mkdir(path string, mode uint16) error {
 
 // Unlink removes a directory entry.
 func (c *Context) Unlink(path string) error {
-	return invoke0(c, sysUnlink, func() error {
+	return invoke0(c, SysUnlink, func() error {
 		return c.S.FS.Unlink(c.cred(), path)
 	})
 }
 
 // Link creates a hard link.
 func (c *Context) Link(oldpath, newpath string) error {
-	return invoke0(c, sysLink, func() error {
+	return invoke0(c, SysLink, func() error {
 		return c.S.FS.Link(c.cred(), oldpath, newpath)
 	})
 }
 
 // Stat describes the file at path.
 func (c *Context) Stat(path string) (fs.Stat, error) {
-	return invoke(c, sysStat, func() (fs.Stat, error) {
+	return invoke(c, SysStat, func() (fs.Stat, error) {
 		return c.S.FS.StatPath(c.cred(), path)
-	})
-}
-
-// ReadDir lists the names in the directory at path, sorted.
-func (c *Context) ReadDir(path string) ([]string, error) {
-	return invoke(c, sysReadDir, func() ([]string, error) {
-		cr := c.cred()
-		ip, err := c.S.FS.Lookup(cr, path)
-		if err != nil {
-			return nil, err
-		}
-		if !ip.IsDir() {
-			return nil, fs.ErrNotDir
-		}
-		if err := ip.Access(cr.Uid, cr.Gid, 4); err != nil {
-			return nil, err
-		}
-		names := ip.Entries()
-		sort.Strings(names)
-		c.charge(int64(len(names)))
-		return names, nil
 	})
 }
 
@@ -321,7 +298,7 @@ func (c *Context) ReadDir(path string) ([]string, error) {
 // every sharing member of the group ("the ability to change the working
 // directory ... of an entire set of processes at once", paper §4).
 func (c *Context) Chdir(path string) error {
-	return invoke0(c, sysChdir, func() error {
+	return invoke0(c, SysChdir, func() error {
 		dir, err := c.S.FS.Lookup(c.cred(), path)
 		if err != nil {
 			return err
@@ -347,7 +324,7 @@ func (c *Context) Chdir(path string) error {
 // Chroot changes the root directory (uid 0 only), propagating with
 // PR_SDIR.
 func (c *Context) Chroot(path string) error {
-	return invoke0(c, sysChroot, func() error {
+	return invoke0(c, SysChroot, func() error {
 		cr := c.cred()
 		if cr.Uid != 0 {
 			return ErrPerm
@@ -373,7 +350,7 @@ func (c *Context) Chroot(path string) error {
 // Umask sets the file-creation mask and returns the previous value,
 // propagating with PR_SUMASK.
 func (c *Context) Umask(mask uint16) uint16 {
-	return invoke1(c, sysUmask, func() uint16 {
+	return invoke1(c, SysUmask, func() uint16 {
 		p := c.P
 		p.Mu.Lock()
 		old := p.Umask
@@ -387,7 +364,7 @@ func (c *Context) Umask(mask uint16) uint16 {
 // Ulimit gets (cmd 1) or sets (cmd 2) the maximum file size, propagating
 // with PR_SULIMIT.
 func (c *Context) Ulimit(cmd int, newLimit int64) (int64, error) {
-	return invoke(c, sysUlimit, func() (int64, error) {
+	return invoke(c, SysUlimit, func() (int64, error) {
 		p := c.P
 		switch cmd {
 		case 1:
@@ -415,7 +392,7 @@ func (c *Context) Ulimit(cmd int, newLimit int64) (int64, error) {
 // Setuid changes the effective uid (uid 0 or a no-op change), propagating
 // with PR_SID.
 func (c *Context) Setuid(uid uint16) error {
-	return invoke0(c, sysSetuid, func() error {
+	return invoke0(c, SysSetuid, func() error {
 		p := c.P
 		p.Mu.Lock()
 		if p.Uid != 0 && p.Uid != uid {
@@ -431,7 +408,7 @@ func (c *Context) Setuid(uid uint16) error {
 
 // Setgid changes the effective gid, propagating with PR_SID.
 func (c *Context) Setgid(gid uint16) error {
-	return invoke0(c, sysSetgid, func() error {
+	return invoke0(c, SysSetgid, func() error {
 		p := c.P
 		p.Mu.Lock()
 		if p.Uid != 0 && p.Gid != gid {
@@ -447,7 +424,7 @@ func (c *Context) Setgid(gid uint16) error {
 
 // Getuid returns the effective uid.
 func (c *Context) Getuid() uint16 {
-	return invoke1(c, sysGetuid, func() uint16 {
+	return invoke1(c, SysGetuid, func() uint16 {
 		c.P.Mu.Lock()
 		defer c.P.Mu.Unlock()
 		return c.P.Uid

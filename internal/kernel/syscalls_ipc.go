@@ -10,7 +10,7 @@ import (
 // Pipe creates a pipe, returning the read and write descriptors. With
 // shared descriptors both ends appear in every sharing member's table.
 func (c *Context) Pipe() (int, int, error) {
-	fds, err := invoke(c, sysPipe, func() ([2]int, error) {
+	fds, err := invoke(c, SysPipe, func() ([2]int, error) {
 		p := ipc.NewPipe()
 		p.FI = c.S.faults
 		p.PS = c.S.pollStats
@@ -39,14 +39,14 @@ func (c *Context) Pipe() (int, int, error) {
 // Msgget returns the message queue id for key, creating the queue if
 // needed (key 0: private queue).
 func (c *Context) Msgget(key int) int {
-	return invoke1(c, sysMsgget, func() int {
+	return invoke1(c, SysMsgget, func() int {
 		return c.S.IPC.Msgget(key)
 	})
 }
 
 // Msgsnd sends n bytes at va as a message of the given type.
 func (c *Context) Msgsnd(id int, typ int64, va hw.VAddr, n int) error {
-	return invoke0(c, sysMsgsnd, func() error {
+	return invoke0(c, SysMsgsnd, func() error {
 		q, err := c.S.IPC.Msgq(id)
 		if err != nil {
 			return err
@@ -69,7 +69,7 @@ type msgrcvRet struct {
 // Msgrcv receives the next message of the given type (0: any) into va,
 // returning its length and type.
 func (c *Context) Msgrcv(id int, typ int64, va hw.VAddr, max int) (int, int64, error) {
-	r, err := invoke(c, sysMsgrcv, func() (msgrcvRet, error) {
+	r, err := invoke(c, SysMsgrcv, func() (msgrcvRet, error) {
 		q, err := c.S.IPC.Msgq(id)
 		if err != nil {
 			return msgrcvRet{n: -1}, err
@@ -92,7 +92,7 @@ func (c *Context) Msgrcv(id int, typ int64, va hw.VAddr, max int) (int, int64, e
 
 // Semget returns the id of the n-semaphore set for key.
 func (c *Context) Semget(key, n int) int {
-	return invoke1(c, sysSemget, func() int {
+	return invoke1(c, SysSemget, func() int {
 		return c.S.IPC.Semget(key, n)
 	})
 }
@@ -100,7 +100,7 @@ func (c *Context) Semget(key, n int) int {
 // Semop applies delta to semaphore idx of set id, sleeping as required —
 // the kernel-interaction synchronization cost of the System V model.
 func (c *Context) Semop(id, idx, delta int) error {
-	return invoke0(c, sysSemop, func() error {
+	return invoke0(c, SysSemop, func() error {
 		s, err := c.S.IPC.Sem(id)
 		if err != nil {
 			return err
@@ -109,21 +109,10 @@ func (c *Context) Semop(id, idx, delta int) error {
 	})
 }
 
-// Semval returns the value of semaphore idx of set id.
-func (c *Context) Semval(id, idx int) (int, error) {
-	return invoke(c, sysSemval, func() (int, error) {
-		s, err := c.S.IPC.Sem(id)
-		if err != nil {
-			return -1, err
-		}
-		return s.Val(idx), nil
-	})
-}
-
 // Shmget returns the id of the shared-memory segment for key, creating a
 // segment of the given size if needed.
 func (c *Context) Shmget(key, pages int) int {
-	return invoke1(c, sysShmget, func() int {
+	return invoke1(c, SysShmget, func() int {
 		return c.S.IPC.Shmget(key, pages, func(n int) *vm.Region {
 			return vm.NewRegion(c.S.Machine.Mem, vm.RShm, n)
 		})
@@ -134,7 +123,7 @@ func (c *Context) Shmget(key, pages int) int {
 // the attach address. For a VM-sharing member the attachment lands on the
 // shared list, immediately visible to the whole group.
 func (c *Context) Shmat(id int) (hw.VAddr, error) {
-	return invoke(c, sysShmat, func() (hw.VAddr, error) {
+	return invoke(c, SysShmat, func() (hw.VAddr, error) {
 		reg, err := c.S.IPC.ShmAttach(id)
 		if err != nil {
 			return 0, err
@@ -143,18 +132,9 @@ func (c *Context) Shmat(id int) (hw.VAddr, error) {
 	})
 }
 
-// Shmdt detaches the segment mapped at va. The segment itself survives in
-// the registry until removed. Munmap performs the full detach protocol
-// (update lock + shootdown for shared attachments); the registry's own
-// region reference keeps the frames alive. Pure delegation: the call
-// dispatches (and is accounted) as munmap.
-func (c *Context) Shmdt(va hw.VAddr) error {
-	return c.Munmap(va)
-}
-
 // ShmRemove deletes a segment from the registry (shmctl IPC_RMID).
 func (c *Context) ShmRemove(id int) error {
-	return invoke0(c, sysShmRemove, func() error {
+	return invoke0(c, SysShmRemove, func() error {
 		return c.S.IPC.ShmRemove(id)
 	})
 }
@@ -164,7 +144,7 @@ func (c *Context) ShmRemove(id int) error {
 // other stream, so it can be polled alongside connections. Its open flags
 // are zero: read(2)/write(2) on a listening socket reject with EBADF.
 func (c *Context) NetListen(name string) (int, error) {
-	return invoke(c, sysNetListen, func() (int, error) {
+	return invoke(c, SysNetListen, func() (int, error) {
 		l, err := c.S.Net.Listen(name)
 		if err != nil {
 			return -1, err
@@ -185,7 +165,7 @@ func (c *Context) NetListen(name string) (int, error) {
 // lfd an empty backlog returns EAGAIN instead of sleeping — the poll-
 // driven accept loop's mode.
 func (c *Context) NetAccept(lfd int) (int, error) {
-	return invoke(c, sysNetAccept, func() (int, error) {
+	return invoke(c, SysNetAccept, func() (int, error) {
 		f, nb, err := c.fdFileNb(lfd)
 		if err != nil {
 			return -1, err
@@ -205,7 +185,7 @@ func (c *Context) NetAccept(lfd int) (int, error) {
 // NetConnect connects to the listener at name, returning a descriptor for
 // the client side of the stream.
 func (c *Context) NetConnect(name string) (int, error) {
-	return invoke(c, sysNetConnect, func() (int, error) {
+	return invoke(c, SysNetConnect, func() (int, error) {
 		s, err := c.S.Net.Connect(c.P, name)
 		if err != nil {
 			return -1, err

@@ -282,7 +282,7 @@ func pollLoad(f *fs.File, pf *PollFd) int {
 // Poll is deliberately not restartable: a caught signal surfaces as EINTR
 // (like pause(2)), so serving loops can re-examine shutdown state.
 func (c *Context) Poll(fds []PollFd, timeout int) (int, error) {
-	return invoke(c, sysPoll, func() (int, error) {
+	return invoke(c, SysPoll, func() (int, error) {
 		p := c.P
 		ps := c.pollReconcile(fds)
 		w := ps.w

@@ -23,17 +23,8 @@ var (
 
 // Getpid returns the process id.
 func (c *Context) Getpid() int {
-	return invoke1(c, sysGetpid, func() int {
+	return invoke1(c, SysGetpid, func() int {
 		return c.P.PID
-	})
-}
-
-// Getppid returns the parent's process id.
-func (c *Context) Getppid() int {
-	return invoke1(c, sysGetppid, func() int {
-		c.P.Mu.Lock()
-		defer c.P.Mu.Unlock()
-		return c.P.PPID
 	})
 }
 
@@ -242,9 +233,13 @@ func (c *Context) shareGroup() *core.ShAddr {
 // stale writable entry can exist and the flush is skipped.
 func (c *Context) cowImage() (img vm.Space) {
 	c.updateVM(func(sp *vm.Space, shoot vm.Shoot) error {
-		spaces := c.spaces(sp)
 		var flush bool
-		if img, flush = spaces[0].Dup(c.S.cfg.EagerDup, spaces[1:]...); flush {
+		if sp == &c.P.Private {
+			img, flush = sp.Dup(c.S.cfg.EagerDup)
+		} else {
+			img, flush = c.P.Private.Dup(c.S.cfg.EagerDup, sp)
+		}
+		if flush {
 			shoot(0, vm.WholeSpace)
 		}
 		return nil
@@ -262,7 +257,7 @@ func (c *Context) cowImage() (img vm.Space) {
 // the child's program is passed explicitly instead. This is the one
 // deliberate interface divergence from fork(2).
 func (c *Context) Fork(name string, childMain Main) (int, error) {
-	return invoke(c, sysFork, func() (int, error) {
+	return invoke(c, SysFork, func() (int, error) {
 		child, err := c.spawn(spawnSpec{
 			name: name,
 			cost: c.S.Machine.Cost.ProcCreate, chargeFds: true, kind: trace.CreateFork,
@@ -329,7 +324,7 @@ func (c *Context) startMember(spec spawnSpec, entry func(*Context, int64)) (int,
 // child starts at entry with arg as its only argument, on a fresh stack
 // carved from the shared space.
 func (c *Context) Sproc(name string, entry func(*Context, int64), shmask proc.Mask, arg int64) (int, error) {
-	return invoke(c, sysSproc, func() (int, error) {
+	return invoke(c, SysSproc, func() (int, error) {
 		shmask = c.inheritMask(shmask)
 		return c.startMember(spawnSpec{
 			name: name, arg: arg, join: true, mask: shmask,
@@ -345,7 +340,7 @@ func (c *Context) Sproc(name string, entry func(*Context, int64), shmask proc.Ma
 // full share mask, which is exactly the paper's argument: a thread is a
 // process that shares everything.
 func (c *Context) ThreadCreate(name string, entry func(*Context, int64), arg int64) (int, error) {
-	return invoke(c, sysThread, func() (int, error) {
+	return invoke(c, SysThreadCreate, func() (int, error) {
 		spec := spawnSpec{
 			name: name, arg: arg, join: true, mask: c.inheritMask(proc.PRSALL),
 			cost: c.S.Machine.Cost.ThreadCreate, kind: trace.CreateThread,
@@ -386,7 +381,7 @@ func (o PrctlOpt) String() string {
 
 // Prctl queries and controls share-group features (paper §5.2).
 func (c *Context) Prctl(option PrctlOpt, value int64) (int64, error) {
-	return invoke(c, sysPrctl, func() (int64, error) {
+	return invoke(c, SysPrctl, func() (int64, error) {
 		switch option {
 		case PRMaxProcs:
 			return int64(c.S.cfg.MaxProcs), nil
@@ -444,7 +439,7 @@ func (c *Context) GetStackSize() int64 {
 // decisions about the process group as a whole"). Both dispatch as
 // prctl(2) and fail outside a share group.
 func (c *Context) groupPrctl(what string, apply func(*core.ShAddr)) error {
-	return invoke0(c, sysPrctl, func() error {
+	return invoke0(c, SysPrctl, func() error {
 		sa := groupOf(c.P)
 		if sa == nil {
 			return fmt.Errorf("kernel: prctl: %s outside a share group", what)
@@ -476,7 +471,7 @@ func (c *Context) SetGroupPrio(prio int32) error {
 // view of the shared space into a copy-on-write private image, the same
 // transition fork performs.
 func (c *Context) Unshare(mask proc.Mask) error {
-	return invoke0(c, sysUnshare, func() error {
+	return invoke0(c, SysUnshare, func() error {
 		p := c.P
 		sa := groupOf(p)
 		if sa == nil {
@@ -513,7 +508,7 @@ func (c *Context) Unshare(mask proc.Mask) error {
 // with processExec, and the gateway's deferred exit path closes the trace
 // span during the unwind.
 func (c *Context) Exec(name string, main Main) error {
-	return invoke0(c, sysExec, func() error {
+	return invoke0(c, SysExec, func() error {
 		p := c.P
 
 		// Leave the share group before overlaying (paper §5.1). Leave flushes
@@ -551,7 +546,7 @@ func (c *Context) Exec(name string, main Main) error {
 // processExit; the gateway's deferred exit path closes the trace span
 // during the unwind.
 func (c *Context) Exit(status int) {
-	invoke1(c, sysExit, func() struct{} {
+	invoke1(c, SysExit, func() struct{} {
 		panic(processExit{status: status})
 	})
 }
@@ -560,7 +555,7 @@ func (c *Context) Exit(status int) {
 // status. It returns ErrNoChildren when no children remain and
 // ErrInterrupt when a signal breaks the sleep.
 func (c *Context) Wait() (int, int, error) {
-	r, err := invoke(c, sysWait, func() ([2]int, error) {
+	r, err := invoke(c, SysWait, func() ([2]int, error) {
 		p := c.P
 		for {
 			p.Mu.Lock()
@@ -595,7 +590,7 @@ func (c *Context) Wait() (int, int, error) {
 
 // Kill posts sig to the process with the given pid.
 func (c *Context) Kill(pid, sig int) error {
-	return invoke0(c, sysKill, func() error {
+	return invoke0(c, SysKill, func() error {
 		target, ok := c.S.Lookup(pid)
 		if !ok {
 			return ErrNoProc
@@ -616,16 +611,16 @@ func (c *Context) Kill(pid, sig int) error {
 
 // Signal installs handler for sig (nil restores the default action).
 func (c *Context) Signal(sig int, handler proc.Handler) {
-	invoke1(c, sysSignal, func() struct{} {
+	invoke1(c, SysSignal, func() struct{} {
 		c.P.SetHandler(sig, handler)
 		return struct{}{}
 	})
 }
 
-// Sigmask replaces the signal mask, returning the old one. SIGKILL cannot
+// sigmask replaces the signal mask, returning the old one. SIGKILL cannot
 // be masked.
-func (c *Context) Sigmask(mask uint32) uint32 {
-	return invoke1(c, sysSigmask, func() uint32 {
+func (c *Context) sigmask(mask uint32) uint32 {
+	return invoke1(c, SysSigmask, func() uint32 {
 		c.P.Mu.Lock()
 		old := c.P.SigMask
 		c.P.SigMask = mask &^ (1 << proc.SIGKILL)
@@ -638,7 +633,7 @@ func (c *Context) Sigmask(mask uint32) uint32 {
 // entry returns immediately, and one posted between the check and the
 // sleep leaves its wake token banked — the classic pause(2) race is closed.
 func (c *Context) Pause() error {
-	return invoke0(c, sysPause, func() error {
+	return invoke0(c, SysPause, func() error {
 		for !c.P.SignalPending() {
 			c.P.Block("pause(2)")
 		}

@@ -70,7 +70,7 @@ type GroupUsage struct {
 // system arms fair-share dispatch; a system in which setshares is never
 // called schedules exactly as the share-blind baseline.
 func (c *Context) Setshares(lim GroupLimits) error {
-	return invoke0(c, sysSetshares, func() error {
+	return invoke0(c, SysSetshares, func() error {
 		sa := groupOf(c.P)
 		if sa == nil {
 			return fmt.Errorf("kernel: setshares outside a share group")
@@ -92,7 +92,7 @@ func (c *Context) Setshares(lim GroupLimits) error {
 // Getusage returns the caller's group entitlement and delivery record
 // (getusage(2)). Fails with EINVAL outside a share group.
 func (c *Context) Getusage() (GroupUsage, error) {
-	return invoke(c, sysGetusage, func() (GroupUsage, error) {
+	return invoke(c, SysGetusage, func() (GroupUsage, error) {
 		sa := groupOf(c.P)
 		if sa == nil {
 			return GroupUsage{}, fmt.Errorf("kernel: getusage outside a share group")

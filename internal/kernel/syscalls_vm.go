@@ -40,11 +40,14 @@ func (c *Context) updateVM(change func(sp *vm.Space, shoot vm.Shoot) error) erro
 	if sa := c.vmGroup(); sa != nil {
 		return sa.UpdateVM(c.P, change)
 	}
+	if c.shoot == nil {
+		c.shoot = c.shootPrivate // bound at the first update, not per call: a method value is a heap object
+	}
 	return change(&c.P.Private, c.shoot)
 }
 
-// shoot is the vm.Shoot of a space only the caller runs in.
-func (c *Context) shoot(vpn uint32, npages int) {
+// shootPrivate is the vm.Shoot of a space only the caller runs in.
+func (c *Context) shootPrivate(vpn uint32, npages int) {
 	c.S.Machine.ShootdownRange(c.cpu(), vpn, npages, c.P.ASID)
 }
 
@@ -58,20 +61,10 @@ func (c *Context) viewVM(view func(sp *vm.Space)) {
 	view(&c.P.Private)
 }
 
-// spaces lists what the caller's address space is made of given sp, the
-// space updateVM or viewVM handed out, in the order a fault searches it:
-// the private list, then — for a VM-sharing member — the group's.
-func (c *Context) spaces(sp *vm.Space) []*vm.Space {
-	if sp == &c.P.Private {
-		return []*vm.Space{sp}
-	}
-	return []*vm.Space{&c.P.Private, sp}
-}
-
 // Brk returns the current program break (first address past the data
 // region).
 func (c *Context) Brk() hw.VAddr {
-	return invoke1(c, sysBrk, func() (end hw.VAddr) {
+	return invoke1(c, SysBrk, func() (end hw.VAddr) {
 		c.viewVM(func(sp *vm.Space) {
 			if d := sp.Find(vm.DataBase); d != nil {
 				end = d.End()
@@ -89,7 +82,7 @@ func (c *Context) Brk() hw.VAddr {
 // (paper §6.2) — only the tail, so a small shrink leaves the members' other
 // cached translations alone.
 func (c *Context) Sbrk(delta int64) (hw.VAddr, error) {
-	return invoke(c, sysSbrk, func() (old hw.VAddr, err error) {
+	return invoke(c, SysSbrk, func() (old hw.VAddr, err error) {
 		pages := int((max(delta, -delta) + hw.PageSize - 1) / hw.PageSize)
 		err = c.updateVM(func(sp *vm.Space, shoot vm.Shoot) error {
 			d := sp.Find(vm.DataBase)
@@ -132,7 +125,7 @@ func (c *Context) attach(reg *vm.Region) (base hw.VAddr) {
 // Mmap creates an anonymous demand-zero mapping of npages pages and
 // returns its base address.
 func (c *Context) Mmap(npages int) (hw.VAddr, error) {
-	return invoke(c, sysMmap, func() (hw.VAddr, error) {
+	return invoke(c, SysMmap, func() (hw.VAddr, error) {
 		if npages <= 0 {
 			return 0, fmt.Errorf("kernel: mmap of %d pages", npages)
 		}
@@ -149,7 +142,7 @@ func (c *Context) Mmap(npages int) (hw.VAddr, error) {
 // handler scans before the shared list, at a range of the group's arena, so
 // no group mapping can collide with it.
 func (c *Context) MmapPrivate(npages int) (hw.VAddr, error) {
-	return invoke(c, sysMmapPrivate, func() (base hw.VAddr, err error) {
+	return invoke(c, SysMmapPrivate, func() (base hw.VAddr, err error) {
 		if npages <= 0 {
 			return 0, fmt.Errorf("kernel: mmap of %d pages", npages)
 		}
@@ -167,27 +160,17 @@ func (c *Context) MmapPrivate(npages int) (hw.VAddr, error) {
 // pregion is unlisted, every CPU's TLB is flushed, and only then are the
 // physical pages freed.
 func (c *Context) Munmap(va hw.VAddr) error {
-	return invoke0(c, sysMunmap, func() error {
+	return invoke0(c, SysMunmap, func() error {
 		return c.updateVM(func(sp *vm.Space, shoot vm.Shoot) error {
-			for _, s := range c.spaces(sp) {
+			// The private list first, then the group's: sp is the private
+			// list itself for a process sharing no address space, and
+			// only a miss searches it twice.
+			for _, s := range [2]*vm.Space{&c.P.Private, sp} {
 				if pr := s.Find(va); pr != nil && pr.Base == va {
 					return s.Unmap(pr, shoot)
 				}
 			}
 			return ErrNoRegion
 		})
-	})
-}
-
-// ResidentPages reports the number of resident pages in the caller's
-// visible image (diagnostics).
-func (c *Context) ResidentPages() int {
-	return invoke1(c, sysResident, func() (n int) {
-		c.viewVM(func(sp *vm.Space) {
-			for _, s := range c.spaces(sp) {
-				n += s.Resident()
-			}
-		})
-		return n
 	})
 }

@@ -24,7 +24,6 @@ const (
 	SysUnlink
 	SysLink
 	SysStat
-	SysReadDir
 	SysChdir
 	SysChroot
 	SysUmask
@@ -39,7 +38,6 @@ const (
 	SysMmap
 	SysMmapPrivate
 	SysMunmap
-	SysResident
 
 	// IPC (syscalls_ipc.go).
 	SysPipe
@@ -48,7 +46,6 @@ const (
 	SysMsgrcv
 	SysSemget
 	SysSemop
-	SysSemval
 	SysShmget
 	SysShmat
 	SysShmRemove
@@ -59,7 +56,6 @@ const (
 
 	// Processes and signals (syscalls_proc.go).
 	SysGetpid
-	SysGetppid
 	SysFork
 	SysSproc
 	SysThreadCreate
@@ -138,141 +134,107 @@ type sysDesc struct {
 	flags uint8
 }
 
-// The descriptor table. Syscall bodies reference these package-level
-// descriptors when dispatching through invoke.
-var (
-	sysOpen        = &sysDesc{SysOpen, "open", ClassFS, 0, sfInjEINTR}
-	sysClose       = &sysDesc{SysClose, "close", ClassFS, 0, 0}
-	sysDup         = &sysDesc{SysDup, "dup", ClassFS, 0, 0}
-	sysDup2        = &sysDesc{SysDup2, "dup2", ClassFS, 0, 0}
-	sysFcntl       = &sysDesc{SysFcntl, "fcntl", ClassFS, 0, 0}
-	sysRead        = &sysDesc{SysRead, "read", ClassFS, 0, sfRestart | sfInjEINTR}
-	sysWrite       = &sysDesc{SysWrite, "write", ClassFS, 0, sfRestart | sfInjEINTR}
-	sysLseek       = &sysDesc{SysLseek, "lseek", ClassFS, 0, 0}
-	sysMkdir       = &sysDesc{SysMkdir, "mkdir", ClassFS, 0, 0}
-	sysUnlink      = &sysDesc{SysUnlink, "unlink", ClassFS, 0, 0}
-	sysLink        = &sysDesc{SysLink, "link", ClassFS, 0, 0}
-	sysStat        = &sysDesc{SysStat, "stat", ClassFS, 0, 0}
-	sysReadDir     = &sysDesc{SysReadDir, "readdir", ClassFS, 0, 0}
-	sysChdir       = &sysDesc{SysChdir, "chdir", ClassFS, 0, 0}
-	sysChroot      = &sysDesc{SysChroot, "chroot", ClassFS, 0, 0}
-	sysUmask       = &sysDesc{SysUmask, "umask", ClassFS, 0, 0}
-	sysUlimit      = &sysDesc{SysUlimit, "ulimit", ClassFS, 0, 0}
-	sysSetuid      = &sysDesc{SysSetuid, "setuid", ClassFS, 0, 0}
-	sysSetgid      = &sysDesc{SysSetgid, "setgid", ClassFS, 0, 0}
-	sysGetuid      = &sysDesc{SysGetuid, "getuid", ClassFS, 0, 0}
-	sysBrk         = &sysDesc{SysBrk, "brk", ClassVM, 0, sfInjENOMEM}
-	sysSbrk        = &sysDesc{SysSbrk, "sbrk", ClassVM, 0, sfInjENOMEM}
-	sysMmap        = &sysDesc{SysMmap, "mmap", ClassVM, 0, sfInjENOMEM}
-	sysMmapPrivate = &sysDesc{SysMmapPrivate, "mmap_priv", ClassVM, 0, sfInjENOMEM}
-	sysMunmap      = &sysDesc{SysMunmap, "munmap", ClassVM, 0, 0}
-	sysResident    = &sysDesc{SysResident, "resident", ClassVM, 0, 0}
-	sysPipe        = &sysDesc{SysPipe, "pipe", ClassIPC, 0, 0}
-	sysMsgget      = &sysDesc{SysMsgget, "msgget", ClassIPC, 0, 0}
-	sysMsgsnd      = &sysDesc{SysMsgsnd, "msgsnd", ClassIPC, 0, sfRestart | sfInjEINTR}
-	sysMsgrcv      = &sysDesc{SysMsgrcv, "msgrcv", ClassIPC, 0, sfRestart | sfInjEINTR}
-	sysSemget      = &sysDesc{SysSemget, "semget", ClassIPC, 0, 0}
-	sysSemop       = &sysDesc{SysSemop, "semop", ClassIPC, 0, sfRestart | sfInjEINTR}
-	sysSemval      = &sysDesc{SysSemval, "semval", ClassIPC, 0, 0}
-	sysShmget      = &sysDesc{SysShmget, "shmget", ClassIPC, 0, sfInjENOMEM}
-	sysShmat       = &sysDesc{SysShmat, "shmat", ClassIPC, 0, sfInjENOMEM}
-	sysShmRemove   = &sysDesc{SysShmRemove, "shmrm", ClassIPC, 0, 0}
-	sysNetListen   = &sysDesc{SysNetListen, "netlisten", ClassIPC, 0, 0}
-	sysNetAccept   = &sysDesc{SysNetAccept, "netaccept", ClassIPC, 0, sfRestart | sfInjEINTR}
-	sysNetConnect  = &sysDesc{SysNetConnect, "netconnect", ClassIPC, 0, sfRestart}
+// sysTable is the descriptor table, indexed by number; syscall bodies
+// dispatch through invoke by number. It is a keyed literal, so a number
+// given twice does not compile, and init checks that every number has its
+// descriptor.
+var sysTable = [NSys]sysDesc{
+	SysOpen:        {SysOpen, "open", ClassFS, 0, sfInjEINTR},
+	SysClose:       {SysClose, "close", ClassFS, 0, 0},
+	SysDup:         {SysDup, "dup", ClassFS, 0, 0},
+	SysDup2:        {SysDup2, "dup2", ClassFS, 0, 0},
+	SysFcntl:       {SysFcntl, "fcntl", ClassFS, 0, 0},
+	SysRead:        {SysRead, "read", ClassFS, 0, sfRestart | sfInjEINTR},
+	SysWrite:       {SysWrite, "write", ClassFS, 0, sfRestart | sfInjEINTR},
+	SysLseek:       {SysLseek, "lseek", ClassFS, 0, 0},
+	SysMkdir:       {SysMkdir, "mkdir", ClassFS, 0, 0},
+	SysUnlink:      {SysUnlink, "unlink", ClassFS, 0, 0},
+	SysLink:        {SysLink, "link", ClassFS, 0, 0},
+	SysStat:        {SysStat, "stat", ClassFS, 0, 0},
+	SysChdir:       {SysChdir, "chdir", ClassFS, 0, 0},
+	SysChroot:      {SysChroot, "chroot", ClassFS, 0, 0},
+	SysUmask:       {SysUmask, "umask", ClassFS, 0, 0},
+	SysUlimit:      {SysUlimit, "ulimit", ClassFS, 0, 0},
+	SysSetuid:      {SysSetuid, "setuid", ClassFS, 0, 0},
+	SysSetgid:      {SysSetgid, "setgid", ClassFS, 0, 0},
+	SysGetuid:      {SysGetuid, "getuid", ClassFS, 0, 0},
+	SysBrk:         {SysBrk, "brk", ClassVM, 0, sfInjENOMEM},
+	SysSbrk:        {SysSbrk, "sbrk", ClassVM, 0, sfInjENOMEM},
+	SysMmap:        {SysMmap, "mmap", ClassVM, 0, sfInjENOMEM},
+	SysMmapPrivate: {SysMmapPrivate, "mmap_priv", ClassVM, 0, sfInjENOMEM},
+	SysMunmap:      {SysMunmap, "munmap", ClassVM, 0, 0},
+	SysPipe:        {SysPipe, "pipe", ClassIPC, 0, 0},
+	SysMsgget:      {SysMsgget, "msgget", ClassIPC, 0, 0},
+	SysMsgsnd:      {SysMsgsnd, "msgsnd", ClassIPC, 0, sfRestart | sfInjEINTR},
+	SysMsgrcv:      {SysMsgrcv, "msgrcv", ClassIPC, 0, sfRestart | sfInjEINTR},
+	SysSemget:      {SysSemget, "semget", ClassIPC, 0, 0},
+	SysSemop:       {SysSemop, "semop", ClassIPC, 0, sfRestart | sfInjEINTR},
+	SysShmget:      {SysShmget, "shmget", ClassIPC, 0, sfInjENOMEM},
+	SysShmat:       {SysShmat, "shmat", ClassIPC, 0, sfInjENOMEM},
+	SysShmRemove:   {SysShmRemove, "shmrm", ClassIPC, 0, 0},
+	SysNetListen:   {SysNetListen, "netlisten", ClassIPC, 0, 0},
+	SysNetAccept:   {SysNetAccept, "netaccept", ClassIPC, 0, sfRestart | sfInjEINTR},
+	SysNetConnect:  {SysNetConnect, "netconnect", ClassIPC, 0, sfRestart},
 
 	// poll is not sfRestart: like pause(2), returning EINTR after a
 	// caught signal is its contract — the serving loops use the break to
 	// re-examine shutdown flags before re-entering the wait.
-	sysPoll    = &sysDesc{SysPoll, "poll", ClassIPC, 0, sfInjEINTR}
-	sysGetpid  = &sysDesc{SysGetpid, "getpid", ClassProc, 0, 0}
-	sysGetppid = &sysDesc{SysGetppid, "getppid", ClassProc, 0, 0}
-	sysFork    = &sysDesc{SysFork, "fork", ClassProc, 0, sfRetry | sfInjEAGAIN | sfInjENOMEM}
-	sysSproc   = &sysDesc{SysSproc, "sproc", ClassProc, 0, sfRetry | sfInjEAGAIN | sfInjENOMEM}
-	sysThread  = &sysDesc{SysThreadCreate, "thread_create", ClassProc, 0, sfRetry | sfInjEAGAIN | sfInjENOMEM}
-	sysPrctl   = &sysDesc{SysPrctl, "prctl", ClassProc, 0, 0}
-	sysUnshare = &sysDesc{SysUnshare, "unshare", ClassProc, 0, 0}
-	sysExec    = &sysDesc{SysExec, "exec", ClassProc, 0, sfInjENOMEM}
-	sysExit    = &sysDesc{SysExit, "exit", ClassProc, 0, 0}
-	sysWait    = &sysDesc{SysWait, "wait", ClassProc, 0, sfInjEINTR}
-	sysKill    = &sysDesc{SysKill, "kill", ClassProc, 0, 0}
-	sysSignal  = &sysDesc{SysSignal, "signal", ClassProc, 0, 0}
-	sysSigmask = &sysDesc{SysSigmask, "sigmask", ClassProc, 0, 0}
-	sysPause   = &sysDesc{SysPause, "pause", ClassProc, 0, 0}
+	SysPoll:         {SysPoll, "poll", ClassIPC, 0, sfInjEINTR},
+	SysGetpid:       {SysGetpid, "getpid", ClassProc, 0, 0},
+	SysFork:         {SysFork, "fork", ClassProc, 0, sfRetry | sfInjEAGAIN | sfInjENOMEM},
+	SysSproc:        {SysSproc, "sproc", ClassProc, 0, sfRetry | sfInjEAGAIN | sfInjENOMEM},
+	SysThreadCreate: {SysThreadCreate, "thread_create", ClassProc, 0, sfRetry | sfInjEAGAIN | sfInjENOMEM},
+	SysPrctl:        {SysPrctl, "prctl", ClassProc, 0, 0},
+	SysUnshare:      {SysUnshare, "unshare", ClassProc, 0, 0},
+	SysExec:         {SysExec, "exec", ClassProc, 0, sfInjENOMEM},
+	SysExit:         {SysExit, "exit", ClassProc, 0, 0},
+	SysWait:         {SysWait, "wait", ClassProc, 0, sfInjEINTR},
+	SysKill:         {SysKill, "kill", ClassProc, 0, 0},
+	SysSignal:       {SysSignal, "signal", ClassProc, 0, 0},
+	SysSigmask:      {SysSigmask, "sigmask", ClassProc, 0, 0},
+	SysPause:        {SysPause, "pause", ClassProc, 0, 0},
 
 	// setshares/getusage are not sfRestart: they never block, so an
 	// injected EINTR surfaces to the caller — the fault-injection tests
 	// depend on seeing it.
-	sysSetshares = &sysDesc{SysSetshares, "setshares", ClassProc, 0, sfInjEINTR}
-	sysGetusage  = &sysDesc{SysGetusage, "getusage", ClassProc, 0, sfInjEINTR}
+	SysSetshares: {SysSetshares, "setshares", ClassProc, 0, sfInjEINTR},
+	SysGetusage:  {SysGetusage, "getusage", ClassProc, 0, sfInjEINTR},
 
 	// blockproc is not sfRestart: like pause(2) and wait(2), returning
 	// EINTR after a caught signal is its contract — the hybrid uspin
 	// primitives depend on it to withdraw their waiter registration.
-	sysBlockproc       = &sysDesc{SysBlockproc, "blockproc", ClassProc, 0, sfInjEINTR}
-	sysUnblockproc     = &sysDesc{SysUnblockproc, "unblockproc", ClassProc, 0, 0}
-	sysSetblockproccnt = &sysDesc{SysSetblockproccnt, "setblockproccnt", ClassProc, 0, 0}
+	SysBlockproc:       {SysBlockproc, "blockproc", ClassProc, 0, sfInjEINTR},
+	SysUnblockproc:     {SysUnblockproc, "unblockproc", ClassProc, 0, 0},
+	SysSetblockproccnt: {SysSetblockproccnt, "setblockproccnt", ClassProc, 0, 0},
 
 	// ckpt is sfRetry: losing the one-initiator-at-a-time race, failing to
 	// quiesce the group in bounded passes, and the injected pass-boundary
 	// fault all surface as EAGAIN with the group thawed and unchanged, so
 	// the gateway's escalating backoff can re-run the call safely.
-	sysCkpt    = &sysDesc{SysCkpt, "ckpt", ClassProc, 0, sfRetry | sfInjEAGAIN}
-	sysRestore = &sysDesc{SysRestore, "restore", ClassProc, 0, sfInjENOMEM}
-)
+	SysCkpt:    {SysCkpt, "ckpt", ClassProc, 0, sfRetry | sfInjEAGAIN},
+	SysRestore: {SysRestore, "restore", ClassProc, 0, sfInjENOMEM},
+}
 
-// sysTable indexes the descriptors by number for name and class lookups.
-var sysTable = func() [NSys]*sysDesc {
-	var t [NSys]*sysDesc
-	for _, d := range []*sysDesc{
-		sysOpen, sysClose, sysDup, sysDup2, sysFcntl, sysRead, sysWrite,
-		sysLseek, sysMkdir, sysUnlink, sysLink, sysStat, sysReadDir,
-		sysChdir, sysChroot, sysUmask, sysUlimit, sysSetuid, sysSetgid,
-		sysGetuid, sysBrk, sysSbrk, sysMmap, sysMmapPrivate, sysMunmap,
-		sysResident, sysPipe, sysMsgget, sysMsgsnd, sysMsgrcv, sysSemget,
-		sysSemop, sysSemval, sysShmget, sysShmat, sysShmRemove,
-		sysNetListen, sysNetAccept, sysNetConnect, sysPoll, sysGetpid, sysGetppid,
-		sysFork, sysSproc, sysThread, sysPrctl, sysUnshare, sysExec,
-		sysExit, sysWait, sysKill, sysSignal, sysSigmask, sysPause,
-		sysSetshares, sysGetusage,
-		sysBlockproc, sysUnblockproc, sysSetblockproccnt,
-		sysCkpt, sysRestore,
-	} {
-		if t[d.num] != nil {
-			panic("kernel: duplicate syscall number " + d.name)
+func init() {
+	for n := Sysno(1); n < NSys; n++ {
+		if sysTable[n].num != n {
+			panic(fmt.Sprintf("kernel: syscall %d has no descriptor at its index", n))
 		}
-		t[d.num] = d
 	}
-	return t
-}()
+}
 
 // SysName returns the name of a syscall number ("open"), for trace and
 // profile rendering.
 func SysName(n Sysno) string {
-	if n < NSys && sysTable[n] != nil {
+	if n > sysNone && n < NSys {
 		return sysTable[n].name
 	}
 	return fmt.Sprintf("sys(%d)", uint8(n))
 }
 
-// SysRestartable reports whether the gateway transparently restarts n
-// after an EINTR whose signal was caught (SA_RESTART semantics). wait(2)
-// and pause(2) are deliberately not restartable: returning EINTR after a
-// caught signal is their UNIX contract.
-func SysRestartable(n Sysno) bool {
-	return n < NSys && sysTable[n] != nil && sysTable[n].flags&sfRestart != 0
-}
-
-// SysRetryable reports whether the gateway retries n with backoff after a
-// transient EAGAIN (process-creation calls whose limit check precedes any
-// side effect).
-func SysRetryable(n Sysno) bool {
-	return n < NSys && sysTable[n] != nil && sysTable[n].flags&sfRetry != 0
-}
-
 // SysClass returns the profiling class of a syscall number.
 func SysClass(n Sysno) Class {
-	if n < NSys && sysTable[n] != nil {
+	if n > sysNone && n < NSys {
 		return sysTable[n].class
 	}
 	return ClassNone

@@ -20,11 +20,20 @@ import (
 // imageRegions lists every pregion of the caller's address space.
 func imageRegions(c *Context) (regs []*vm.PRegion) {
 	c.viewVM(func(sp *vm.Space) {
-		for _, s := range c.spaces(sp) {
-			regs = append(regs, s.Regions()...)
+		regs = append(regs, c.P.Private.Regions()...)
+		if sp != &c.P.Private {
+			regs = append(regs, sp.Regions()...)
 		}
 	})
 	return regs
+}
+
+// residentPages counts the resident pages of the caller's address space.
+func residentPages(c *Context) (n int) {
+	for _, pr := range imageRegions(c) {
+		n += pr.Reg.Resident()
+	}
+	return n
 }
 
 // A PR_SADDR member unmaps its own MmapPrivate range: a load there then

@@ -213,10 +213,3 @@ func (s *Sema) Count() int {
 	defer s.mu.Unlock()
 	return s.count
 }
-
-// Waiting returns the number of sleeping threads.
-func (s *Sema) Waiting() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.waiters)
-}

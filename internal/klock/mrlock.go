@@ -79,13 +79,6 @@ func (l *MRLock) slotOf(cpu int) int {
 	return cpu & (mrSlots - 1)
 }
 
-// RLock acquires the lock for scanning with no CPU affinity (slot 0).
-// Multiple readers may hold it. Pair with RUnlock.
-func (l *MRLock) RLock(t Thread) { l.RLockOn(t, 0) }
-
-// RUnlock releases a read hold taken by RLock.
-func (l *MRLock) RUnlock() { l.RUnlockOn(0) }
-
 // RLockOn acquires the lock for scanning, counting the hold on cpu's slot,
 // and returns the slot the caller must pass to RUnlockOn. The fast path —
 // no update pending — is one increment of a CPU-private word and one load:

@@ -115,14 +115,6 @@ func (p *Proc) LowerFdHint(fd int) {
 	}
 }
 
-// DupFdTable returns a copy of the descriptor table with every open file's
-// reference count bumped. The caller holds p.Mu.
-func (p *Proc) DupFdTable() ([]*fs.File, []uint8) {
-	var c Proc
-	c.InheritFds(p)
-	return c.Fd, c.FdFlags
-}
-
 // InheritFds makes p's descriptor table a copy of parent's with every open
 // file's reference count bumped — the fork(2) path. It copies into the
 // table New made for p when parent's fits, so forking a process with at

@@ -95,16 +95,13 @@ func TestFdTable(t *testing.T) {
 	if _, err := p.GetFd(1000); err != fs.ErrBadFd {
 		t.Fatalf("GetFd oob: %v", err)
 	}
-	// Dup the table: refcounts bump.
-	fds, _ := p.DupFdTable()
-	if file.Ref() != 4 { // two fds + two dup'd copies
+	// A child inherits the table: refcounts bump.
+	child := New(2, "child")
+	child.InheritFds(p)
+	if file.Ref() != 4 { // two fds + the child's two copies
 		t.Fatalf("ref = %d, want 4", file.Ref())
 	}
-	for _, d := range fds {
-		if d != nil {
-			d.Release()
-		}
-	}
+	child.CloseAllFds()
 	// Clear without release, then close all.
 	cleared, _ := p.ClearFd(1)
 	cleared.Release()

@@ -121,13 +121,12 @@ type shard struct {
 // Ring is the sharded event buffer. A nil *Ring is a valid, disabled ring:
 // every method is a cheap no-op, so instrumentation sites need no guards.
 type Ring struct {
-	shards  []shard // shards[0..n-1] per CPU, shards[n] for cpu < 0
-	seq     atomic.Uint64
-	enabled atomic.Bool
+	shards []shard // shards[0..n-1] per CPU, shards[n] for cpu < 0
+	seq    atomic.Uint64
 }
 
-// New creates a single-CPU ring holding up to size events per shard,
-// enabled. Use NewMP for a multiprocessor ring.
+// New creates a single-CPU ring holding up to size events per shard. Use
+// NewMP for a multiprocessor ring.
 func New(size int) *Ring { return NewMP(size, 1) }
 
 // NewMP creates a ring with one shard per CPU plus an overflow shard for
@@ -143,25 +142,13 @@ func NewMP(size, ncpu int) *Ring {
 	for i := range r.shards {
 		r.shards[i].buf = make([]Event, size)
 	}
-	r.enabled.Store(true)
 	return r
 }
 
-// SetEnabled turns recording on or off (draining stays possible).
-func (r *Ring) SetEnabled(on bool) {
-	if r == nil {
-		return
-	}
-	r.enabled.Store(on)
-}
-
-// Enabled reports whether the ring records.
-func (r *Ring) Enabled() bool { return r != nil && r.enabled.Load() }
-
 // Record appends an event to the shard of the CPU it happened on. Safe on a
-// nil or disabled ring.
+// nil ring.
 func (r *Ring) Record(kind Kind, pid int32, cpu int32, arg uint64, aux uint32) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	seq := r.seq.Add(1)

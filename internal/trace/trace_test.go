@@ -8,10 +8,6 @@ import (
 func TestNilRingIsSafe(t *testing.T) {
 	var r *Ring
 	r.Record(EvFault, 1, 0, 0x1000, 0)
-	r.SetEnabled(true)
-	if r.Enabled() {
-		t.Fatal("nil ring enabled")
-	}
 	if ev, dropped := r.Snapshot(); ev != nil || dropped != 0 {
 		t.Fatal("nil ring returned events")
 	}
@@ -56,21 +52,6 @@ func TestWrapAroundKeepsNewest(t *testing.T) {
 		if ev[i].Seq != ev[i-1].Seq+1 {
 			t.Fatal("sequence gap inside window")
 		}
-	}
-}
-
-func TestDisableStopsRecording(t *testing.T) {
-	r := New(8)
-	r.Record(EvExit, 1, -1, 0, 0)
-	r.SetEnabled(false)
-	r.Record(EvExit, 2, -1, 0, 0)
-	if r.Len() != 1 {
-		t.Fatalf("len = %d", r.Len())
-	}
-	r.SetEnabled(true)
-	r.Record(EvExit, 3, -1, 0, 0)
-	if r.CountKind(EvExit) != 2 {
-		t.Fatalf("count = %d", r.CountKind(EvExit))
 	}
 }
 

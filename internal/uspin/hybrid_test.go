@@ -159,9 +159,6 @@ func TestBarrierZeroN(t *testing.T) {
 		if err := b.Enter(c); !errors.Is(err, ErrZeroBarrier) {
 			t.Errorf("Enter(N=0) = %v, want ErrZeroBarrier", err)
 		}
-		if err := b.EnterSpin(c); !errors.Is(err, ErrZeroBarrier) {
-			t.Errorf("EnterSpin(N=0) = %v, want ErrZeroBarrier", err)
-		}
 	})
 }
 

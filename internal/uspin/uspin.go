@@ -500,14 +500,7 @@ func (b Barrier) Init(c *kernel.Context) error {
 // the generation word, then a blockproc sleep with the last arrival
 // performing the unblockproc fan-out. Returns ErrZeroBarrier for N == 0
 // and ErrIntr (EINTR) when a caught signal interrupts the wait.
-func (b Barrier) Enter(c *kernel.Context) error { return b.enter(c, true) }
-
-// EnterSpin is Enter with pure busy-waiting — the paper's original
-// discipline, kept for the spin-only experiment arm. The release path
-// still wakes hybrid sleepers, so modes can mix within one barrier.
-func (b Barrier) EnterSpin(c *kernel.Context) error { return b.enter(c, false) }
-
-func (b Barrier) enter(c *kernel.Context, hybrid bool) error {
+func (b Barrier) Enter(c *kernel.Context) error {
 	if b.N == 0 {
 		return ErrZeroBarrier
 	}
@@ -531,10 +524,6 @@ func (b Barrier) enter(c *kernel.Context, hybrid bool) error {
 		return b.wakeSleepers(c)
 	}
 	advanced := func(g uint32) bool { return g != gen }
-	if !hybrid {
-		_, err := c.SpinWait32(b.VA+4, advanced)
-		return err
-	}
 	_, done, err := c.SpinWaitBounded(b.VA+4, advanced, spinRounds)
 	if err != nil || done {
 		return err
@@ -651,8 +640,8 @@ func (ct Counter) Value(c *kernel.Context) (uint32, error) {
 
 // Word is a shared signalling word: phase flags, readiness counts, and
 // other one-word conditions programs busy-wait on. It exists so user
-// programs never hand-roll raw Context.SpinWait32 loops (enforced by a
-// make-lint rule): routing every user-level wait through uspin keeps the
+// programs never hand-roll raw Context.SpinWait32 loops (internal/lint
+// enforces it): routing every user-level wait through uspin keeps the
 // spin policy — signal interruption, the preemptible drip charge — in one
 // place.
 type Word struct {

@@ -66,9 +66,6 @@ func (r *Region) noteDirty(idx int) {
 	}
 }
 
-// Tracking reports whether checkpoint dirty tracking is armed.
-func (r *Region) Tracking() bool { return r.dirty.Load() != nil }
-
 // TrackDirty arms dirty tracking: every writable PTE bit is cleared so the
 // next store through the region faults into the slow path, which records
 // the page in a fresh bitmap before re-installing the writable mapping.

@@ -1,7 +1,7 @@
 // The resident-fault fast path. This file is the lock-free half of the
-// region fault handler and is kept separate so the build can enforce its
-// one structural invariant mechanically: `make lint` rejects any mutex
-// acquisition in this file. The common fault — page already resident,
+// region fault handler and is kept separate so its one structural
+// invariant is checked mechanically: internal/lint rejects any lock or sync
+// primitive in this file. The common fault — page already resident,
 // permission adequate — must complete with three atomic loads, no lock, and
 // no store but its own CPU's FastFills shard (paper §6.2's hot path; the
 // slow cases live in region.go).

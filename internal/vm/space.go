@@ -196,7 +196,7 @@ func (s *Space) Dup(eager bool, more ...*Space) (img Space, flush bool) {
 }
 
 // dupFrom maps a duplicate of every pregion of src in img — through MapAt,
-// never by appending to the list (lint-pregion checks it stays that way) —
+// never by appending to the list (internal/lint checks it stays that way) —
 // and reports whether any of them has ever held a writable PTE.
 func (img *Space) dupFrom(src *Space, eager bool) (flush bool) {
 	for _, pr := range src.list {

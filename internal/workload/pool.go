@@ -148,16 +148,6 @@ func poolPipe(c *kernel.Context, s *session, workers, items, grain int) {
 	}
 }
 
-// Speedup runs the sproc pool at each worker count in ws and returns the
-// wall-time metrics, for the E7 scaling curve.
-func Speedup(cfg kernel.Config, ws []int, items, grain int) []Metrics {
-	out := make([]Metrics, len(ws))
-	for i, w := range ws {
-		out[i] = Pool(cfg, PoolSproc, w, items, grain)
-	}
-	return out
-}
-
 // GangBarrier measures E10, the paper's §8 scheduling extension: one share
 // group of `members` processes alternates grain units of computation with
 // spin-barrier rounds while `load` independent compute processes contend

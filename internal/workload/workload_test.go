@@ -164,7 +164,10 @@ func TestPoolModes(t *testing.T) {
 }
 
 func TestSpeedupCurve(t *testing.T) {
-	ms := Speedup(small(), []int{1, 2, 4}, 64, 2000)
+	var ms []Metrics
+	for _, w := range []int{1, 2, 4} {
+		ms = append(ms, Pool(small(), PoolSproc, w, 64, 2000))
+	}
 	if len(ms) != 3 {
 		t.Fatalf("got %d points", len(ms))
 	}
