@@ -120,7 +120,9 @@ func mach() {
 	sys.WaitIdle()
 }
 
-// irixModel — Figure 4: share groups with per-child share masks.
+// irixModel — Figure 4: share groups with per-child share masks. The
+// members report through the creator once it has reaped them, so the
+// figure prints in the same order every run.
 func irixModel() {
 	header("Figure 4 — IRIX programming model (share groups)")
 	sys := irix.New(irix.Config{NCPU: 4})
@@ -135,13 +137,14 @@ func irixModel() {
 			}
 		}, irix.PRSALL, 0)
 		// Member B: shares only descriptors — its memory stays private.
+		var maskB string
+		var fdSeenByB bool
 		c.Sproc("B", func(cc *irix.Ctx, _ int64) {
 			cc.Store32(irix.DataBase, 22) // lands in B's COW copy
 			cc.P.Mu.Lock()
 			_, errFd := cc.P.GetFd(fd)
 			cc.P.Mu.Unlock()
-			fmt.Printf("  member B (mask %s): sees creator's fd: %v; its stores stay private\n",
-				cc.P.ShMask(), errFd == nil)
+			maskB, fdSeenByB = cc.P.ShMask().String(), errFd == nil
 			for step.Load() < 1 {
 				cc.Getpid()
 			}
@@ -152,12 +155,13 @@ func irixModel() {
 			}
 		}
 		v, _ := c.Load32(irix.DataBase)
-		fmt.Printf("  member A (mask %s): store visible to creator (read %d)\n", irix.PRSALL, v)
-		fmt.Println("  sharing: SELECTED PER CHILD by the sproc share mask, with strict")
-		fmt.Println("  inheritance; normal UNIX semantics (signals, wait, exec) retained")
 		step.Store(1)
 		c.Wait()
 		c.Wait()
+		fmt.Printf("  member A (mask %s): store visible to creator (read %d)\n", irix.PRSALL, v)
+		fmt.Printf("  member B (mask %s): sees creator's fd: %v; its stores stay private\n", maskB, fdSeenByB)
+		fmt.Println("  sharing: SELECTED PER CHILD by the sproc share mask, with strict")
+		fmt.Println("  inheritance; normal UNIX semantics (signals, wait, exec) retained")
 	})
 	sys.WaitIdle()
 }

@@ -9,9 +9,15 @@ import (
 
 // TestEnvdiagRuns runs all five process models end to end under a deadline
 // and checks each figure's heading and the result it demonstrates: what
-// crossed a pipe, a segment, a socket, a task, and a share mask.
+// crossed a pipe, a segment, a socket, a task, and a share mask. Four runs
+// must print the same bytes.
 func TestEnvdiagRuns(t *testing.T) {
 	got := cmdtest.Run(t, main)
+	for run := 2; run <= 4; run++ {
+		if again := cmdtest.Run(t, main); !bytes.Equal(again, got) {
+			t.Fatalf("run %d printed\n%s\nrun 1 printed\n%s", run, again, got)
+		}
+	}
 	for _, want := range []string{
 		"Figure 1 — Version 7 process environment",
 		`got "hello through the kernel queue" via pipe`,

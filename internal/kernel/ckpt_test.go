@@ -43,20 +43,21 @@ func shmBaseOf(t *testing.T, img *ckpt.Image) hw.VAddr {
 // asleep behind the share block's update lock has not got to its blockproc
 // yet, and stays SSleep until its goroutine is next scheduled.
 func waitAsleep(c *Context, pids []int) {
-	for {
-		asleep := true
-		for _, pid := range pids {
-			p, ok := c.S.Lookup(pid)
-			if !ok || p.State() != proc.SSleep || p.LastSleep.Load() != blockprocReason {
-				asleep = false
-				break
-			}
-		}
-		if asleep {
-			return
-		}
-		c.Getpid() // a kernel crossing: burns cycles, lets members run
+	for _, pid := range pids {
+		settle(c, pid, proc.SSleep, blockprocReason)
 	}
+}
+
+// parkedMembers waits for the caller's fellow members to park in
+// blockproc and names them.
+func parkedMembers(c *Context) (pids []int) {
+	for _, m := range GroupOf(c.P).Members() {
+		if m != c.P {
+			pids = append(pids, m.PID)
+		}
+	}
+	waitAsleep(c, pids)
+	return pids
 }
 
 // runCkptWorkload boots a fresh system, has a driver spawn `members`
@@ -336,16 +337,13 @@ func TestCkptRestoreContinueMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// A member sharing nothing (mask without PR_SADDR) makes the group
+// uncheckpointable, EINVAL: its private image is not captured. ckpt(2)
+// outside a group and restore(2) inside one are EINVAL too, in the charge
+// table's `ckpt solo` and `restore pair` rows.
 func TestCkptErrors(t *testing.T) {
 	s := NewSystem(testConfig())
-	s.Start("loner", func(c *Context) {
-		if _, _, err := c.Ckpt(CkptOpts{}); err == nil {
-			t.Error("ckpt outside a share group succeeded")
-		} else if ErrnoOf(err) != EINVAL {
-			t.Errorf("ckpt outside group: errno %v, want EINVAL", ErrnoOf(err))
-		}
-		// A member sharing nothing (mask without PR_SADDR) makes the
-		// group uncheckpointable: its private image is not captured.
+	s.Start("creator", func(c *Context) {
 		pid, err := c.Sproc("private", func(cc *Context, _ int64) {
 			cc.Blockproc(0)
 		}, proc.PRSFDS, 0)
@@ -356,10 +354,6 @@ func TestCkptErrors(t *testing.T) {
 		waitAsleep(c, []int{pid})
 		if _, _, err := c.Ckpt(CkptOpts{}); ErrnoOf(err) != EINVAL {
 			t.Errorf("ckpt with non-PRSADDR member: %v, want EINVAL", err)
-		}
-		// Restore from inside a group is rejected outright.
-		if _, err := c.Restore(&ckpt.Image{}, func(*Context, int64) {}); ErrnoOf(err) != EINVAL {
-			t.Errorf("restore inside group: %v, want EINVAL", err)
 		}
 		c.Unblockproc(pid)
 		c.Wait()
@@ -406,11 +400,7 @@ func TestCkptBusy(t *testing.T) {
 // past its last detach trips vm.NewRegion's reuse checks, or reads as a
 // fresh mapping that is not zero. The system drains with every frame free.
 func TestCkptUnmapStormRace(t *testing.T) {
-	levels := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		levels = append(levels, n)
-	}
-	for _, procs := range levels {
+	for _, procs := range hostLevels() {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			const members, ckpts = 3, 40
@@ -592,120 +582,6 @@ func TestCkptAllocsDoNotScaleWithPages(t *testing.T) {
 	}
 }
 
-// TestCkptRestoreChargesPinned fixes what a checkpoint and a restore cost on
-// the sim meter, in BenchmarkCkptRoundTrip's shape: a driver with two
-// parked members and 256 pages of one written word each, plus one page of
-// random bytes. Each row is the call's in-kernel latency as Stats()
-// reports it and what the caller's own cycle counter moved by. A restore
-// charges per page, whatever the page holds, so these rows do not move
-// when the write-back skips a page's zero lines. The restored group, its
-// members parked again, re-checkpoints to an image that diffs empty.
-func TestCkptRestoreChargesPinned(t *testing.T) {
-	const pages = 256
-	type row struct {
-		name           string
-		simcyc, cycles int64
-	}
-	var got []row
-	measure := func(c *Context, name string, sys Sysno, call func() error) {
-		sim, cyc := sysSimCyc(c.S, sys), c.P.Cycles.Load()
-		if err := call(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		got = append(got, row{name, sysSimCyc(c.S, sys) - sim, c.P.Cycles.Load() - cyc})
-	}
-	park := func(cc *Context, _ int64) { cc.Blockproc(0) }
-	// parked waits for the caller's fellow members to park and names them.
-	parked := func(c *Context) []int {
-		var pids []int
-		for _, m := range GroupOf(c.P).Members() {
-			if m != c.P {
-				pids = append(pids, m.PID)
-			}
-		}
-		waitAsleep(c, pids)
-		return pids
-	}
-	release := func(c *Context) {
-		pids := parked(c)
-		for _, pid := range pids {
-			c.Unblockproc(pid)
-		}
-		for range pids {
-			c.Wait()
-		}
-	}
-
-	var img *ckpt.Image
-	s := NewSystem(testConfig())
-	s.Start("driver", func(c *Context) {
-		va, err := c.Mmap(pages + 1)
-		if err != nil {
-			t.Errorf("mmap: %v", err)
-			return
-		}
-		for pg := 0; pg < pages; pg++ {
-			c.Store32(va+hw.VAddr(pg*hw.PageSize), uint32(pg)+1)
-		}
-		dense := make([]byte, hw.PageSize)
-		rand.New(rand.NewSource(1988)).Read(dense)
-		if err := c.StoreBytes(va+pages*hw.PageSize, dense); err != nil {
-			t.Errorf("store the dense page: %v", err)
-			return
-		}
-		for i := 0; i < 2; i++ {
-			if _, err := c.Sproc("parked", park, proc.PRSALL, int64(i)); err != nil {
-				t.Errorf("sproc %d: %v", i, err)
-				return
-			}
-		}
-		parked(c)
-		measure(c, "ckpt", SysCkpt, func() (err error) {
-			img, _, err = c.Ckpt(CkptOpts{Passes: 1})
-			return err
-		})
-		release(c)
-	})
-	waitIdle(t, s)
-	if img == nil {
-		t.Fatal("no image")
-	}
-	dec, err := ckpt.Decode(img.Encode())
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-
-	s2 := NewSystem(testConfig())
-	s2.Start("adoptive", func(c *Context) {
-		measure(c, "restore", SysRestore, func() error {
-			_, err := c.Restore(dec, park)
-			return err
-		})
-		parked(c)
-		re, _, err := c.Ckpt(CkptOpts{Passes: 1})
-		if err != nil {
-			t.Errorf("re-checkpoint: %v", err)
-		} else if d := ckpt.Diff(dec, re, ckpt.DiffOpts{IgnorePIDs: true}); len(d) != 0 {
-			t.Errorf("the restored group re-checkpoints to a different image: %s", strings.Join(d, "; "))
-		}
-		release(c)
-	})
-	waitIdle(t, s2)
-
-	want := []row{
-		{"ckpt", 4272, 4212},
-		{"restore", 12272, 12212},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("measured %d calls, want %d: %+v", len(got), len(want), got)
-	}
-	for i, w := range want {
-		if got[i] != w {
-			t.Errorf("%s: %d simcyc in the kernel, %d on the caller's counter; pinned %d and %d", w.name, got[i].simcyc, got[i].cycles, w.simcyc, w.cycles)
-		}
-	}
-}
-
 // ckptGroup boots a system whose driver runs setup, sprocs one parked
 // member and checkpoints the quiescent group, and returns the image.
 func ckptGroup(t *testing.T, setup func(c *Context) error) *ckpt.Image {
@@ -826,13 +702,7 @@ func TestRestoreOverDenseCallerPage(t *testing.T) {
 				}
 			}
 		}
-		var pids []int
-		for _, m := range GroupOf(c.P).Members() {
-			if m != c.P {
-				pids = append(pids, m.PID)
-			}
-		}
-		waitAsleep(c, pids)
+		pids := parkedMembers(c)
 		re, _, err := c.Ckpt(CkptOpts{Passes: 1})
 		if err != nil {
 			t.Errorf("re-checkpoint: %v", err)

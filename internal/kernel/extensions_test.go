@@ -96,16 +96,6 @@ func TestUnshareVM(t *testing.T) {
 	}
 }
 
-func TestUnshareOutsideGroupFails(t *testing.T) {
-	s := NewSystem(testConfig())
-	s.Start("plain", func(c *Context) {
-		if err := c.Unshare(proc.PRSALL); err == nil {
-			t.Error("unshare outside a group succeeded")
-		}
-	})
-	waitIdle(t, s)
-}
-
 func TestPrctlGangAndGroupPrio(t *testing.T) {
 	s := NewSystem(testConfig())
 	s.Start("creator", func(c *Context) {

@@ -235,11 +235,7 @@ func TestEagerSyncChargesEveryFdUpdate(t *testing.T) {
 // table it was born with. Deferred and eager propagation both; at the end
 // no table and no block holds a reference to any file seen.
 func TestFdUpdateProtocol(t *testing.T) {
-	levels := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		levels = append(levels, n)
-	}
-	for _, procs := range levels {
+	for _, procs := range hostLevels() {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for seed := int64(1); seed <= 3; seed++ {

@@ -14,7 +14,7 @@ import (
 // trap machinery itself — it hands the gateway its descriptor and a
 // closure, and the gateway uniformly performs, in order:
 //
-//   entry:  charge the trap cost (plus the descriptor's cost hint),
+//   entry:  charge the trap cost,
 //           run the §6.3 single-test share-group synchronization check,
 //           record the trace.EvSyscallEnter span open;
 //   body:   the actual semantics;
@@ -174,7 +174,7 @@ func (c *Context) enterSys(d *sysDesc) int64 {
 		c.freezePark()
 	}
 	start := c.P.Cycles.Load()
-	c.charge(c.S.Machine.Cost.SyscallEntry + d.cost)
+	c.charge(c.S.Machine.Cost.SyscallEntry)
 	if c.P.Flag.Load()&proc.FSyncAny != 0 {
 		if sa := c.P.ShareGrp(); sa != nil {
 			c.cpu().Charge(c.S.Machine.Cost.AttrSync)

@@ -1,8 +1,9 @@
 package kernel
 
-// Tests for what one poll(2) call costs and leaves behind: the cycles it
-// charges on the sim meter, the host allocations of a warm call, and the
-// stream registrations that must all be gone when it returns.
+// Tests for what one poll(2) call leaves behind: the host allocations of a
+// warm call, and the stream registrations that must all be gone when it
+// returns. What it charges on the sim meter is in the charge table
+// (charges_test.go).
 
 import (
 	"errors"
@@ -28,85 +29,11 @@ func pollPipes(c *Context, n int) (set []PollFd, wfds []int, err error) {
 	return set, wfds, nil
 }
 
-// TestPollChargesPinned fixes what a poll(2) call costs on the sim meter —
-// syscall entry and exit, one (n+7)/8 table walk per scan, and the sleep —
-// for sets of 1, 8, 9 and 1 000 descriptors, by each way a call can go:
-// something ready at the first scan, nothing ready with timeout 0, and one
-// sleep ended by a child's write. One simulated CPU and a time slice no
-// call outlasts: the child runs exactly while the caller sleeps. The host
-// side of a warm call is held to a constant number of allocations.
-func TestPollChargesPinned(t *testing.T) {
-	t.Run("simcyc", pollSimcycPinned)
-	t.Run("allocs", pollAllocsConstant)
-}
-
-func pollSimcycPinned(t *testing.T) {
-	type row struct{ simcyc, cycles int64 }
-	want := map[int][3]row{
-		1:    {{161, 101}, {161, 101}, {162, 102}},
-		8:    {{161, 101}, {161, 101}, {162, 102}},
-		9:    {{162, 102}, {162, 102}, {164, 104}},
-		1000: {{285, 225}, {285, 225}, {410, 350}},
-	}
-	cfg := Config{NCPU: 1, MemFrames: 8192, TimeSlice: 1 << 40, MaxFiles: 2100}
-	for _, n := range []int{1, 8, 9, 1000} {
-		s := NewSystem(cfg)
-		s.Start("poller", func(c *Context) {
-			set, wfds, err := pollPipes(c, n)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			last := wfds[n-1]
-			measure := func(timeout int) (row, int) {
-				sim, cyc := sysSimCyc(c.S, SysPoll), c.P.Cycles.Load()
-				got, err := c.Poll(set, timeout)
-				if err != nil {
-					t.Errorf("n=%d poll(%d): %v", n, timeout, err)
-				}
-				return row{sysSimCyc(c.S, SysPoll) - sim, c.P.Cycles.Load() - cyc}, got
-			}
-			var got [3]row
-			var ready int
-
-			// The last entry is the ready one, so the subscribing scan
-			// covers the whole set.
-			c.WriteString(last, vm.DataBase, "x")
-			if got[0], ready = measure(-1); ready != 1 {
-				t.Errorf("n=%d ready at entry: %d ready, want 1", n, ready)
-			}
-			c.Read(set[n-1].Fd, vm.DataBase, 1)
-
-			if got[1], ready = measure(0); ready != 0 {
-				t.Errorf("n=%d idle, timeout 0: %d ready, want 0", n, ready)
-			}
-
-			sleeps := s.Stats().PollSleeps
-			c.Fork("writer", func(cc *Context) { cc.WriteString(last, vm.DataBase, "x") })
-			if got[2], ready = measure(-1); ready != 1 {
-				t.Errorf("n=%d after a sleep: %d ready, want 1", n, ready)
-			}
-			if d := s.Stats().PollSleeps - sleeps; d != 1 {
-				t.Errorf("n=%d: the sleeping call slept %d times, want 1", n, d)
-			}
-			c.Wait()
-
-			for i, name := range []string{"ready at entry", "idle, timeout 0", "one sleep then ready"} {
-				if got[i] != want[n][i] {
-					t.Errorf("n=%d %s: simcyc %d, caller cycles %d; pinned %d and %d",
-						n, name, got[i].simcyc, got[i].cycles, want[n][i].simcyc, want[n][i].cycles)
-				}
-			}
-		})
-		waitIdle(t, s)
-	}
-}
-
-// pollAllocsConstant: a warm call over 1 024 descriptors allocates the same
+// TestPollAllocsConstant: a warm call over 1 024 descriptors allocates the same
 // few objects a call over one does — the waiter and the call's closures —
 // whether it only scans (timeout 0) or subscribes to the whole set before
 // finding its last entry ready.
-func pollAllocsConstant(t *testing.T) {
+func TestPollAllocsConstant(t *testing.T) {
 	const n = 1024
 	s := NewSystem(Config{NCPU: 1, MemFrames: 8192, TimeSlice: 1 << 40, MaxFiles: 2*n + 16})
 	s.Start("poller", func(c *Context) {

@@ -205,11 +205,7 @@ func interestSetHistory(t *testing.T, c *Context, seed int64) {
 // acknowledged: one lost wakeup leaves a poller asleep on a readable stream
 // and the system never goes idle.
 func TestPollStormRace(t *testing.T) {
-	levels := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		levels = append(levels, n)
-	}
-	for _, procs := range levels {
+	for _, procs := range hostLevels() {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			pollStorm(t)

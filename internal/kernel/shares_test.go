@@ -9,21 +9,6 @@ import (
 	"repro/internal/proc"
 )
 
-// The typed control plane rejects callers outside a share group with
-// EINVAL: there is no principal to attach entitlements to.
-func TestSetsharesOutsideGroup(t *testing.T) {
-	s := NewSystem(testConfig())
-	s.Start("loner", func(c *Context) {
-		if err := c.Setshares(GroupLimits{CPUShares: 4}); !errors.Is(err, EINVAL) {
-			t.Errorf("setshares outside group: %v, want EINVAL", err)
-		}
-		if _, err := c.Getusage(); !errors.Is(err, EINVAL) {
-			t.Errorf("getusage outside group: %v, want EINVAL", err)
-		}
-	})
-	waitIdle(t, s)
-}
-
 // Round trip: setshares writes the group's entitlement record, getusage
 // reads it back next to the delivery counters, and the leave-unchanged
 // convention (negative fields) really leaves fields unchanged.

@@ -52,11 +52,7 @@ func (k *modelChild) gone() bool {
 // signal was there to deliver, pause(2) returns only after a post, ECHILD
 // comes exactly when no child remains, and no wake is lost (the run ends).
 func TestSleepProtocolModel(t *testing.T) {
-	levels := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		levels = append(levels, n)
-	}
-	for _, procs := range levels {
+	for _, procs := range hostLevels() {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for seed := int64(1); seed <= 4; seed++ {

@@ -4,6 +4,7 @@ package kernel
 // the attribute syscalls are driven from.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -22,100 +23,6 @@ import (
 	"repro/internal/proc"
 	"repro/internal/vm"
 )
-
-// sysSimCyc returns the simulated cycles Stats() attributes to one syscall.
-func sysSimCyc(s *System, n Sysno) int64 {
-	for _, st := range s.Stats().Syscalls {
-		if st.Num == n {
-			return st.SimCyc
-		}
-	}
-	return 0
-}
-
-// TestCreationChargesPinned fixes what every creating call costs on the sim
-// meter, in one scenario — the standard image, three open descriptors, a
-// 3-member checkpoint — so "the single builder charges what the five
-// hand-written paths charged" is checked by go test, not only by the bench.
-// Each row is the call's in-kernel latency as Stats() reports it and what
-// the caller's own cycle counter moved by. The numbers are the ones the
-// five separate paths produced before they were merged.
-func TestCreationChargesPinned(t *testing.T) {
-	type row struct {
-		name           string
-		sys            Sysno
-		simcyc, cycles int64
-	}
-	var got []row
-	measure := func(c *Context, name string, sys Sysno, call func() error) {
-		sim, cyc := sysSimCyc(c.S, sys), c.P.Cycles.Load()
-		if err := call(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		got = append(got, row{name, sys, sysSimCyc(c.S, sys) - sim, c.P.Cycles.Load() - cyc})
-	}
-	noop := func(*Context, int64) {}
-
-	s := NewSystem(testConfig())
-	s.Start("driver", func(c *Context) {
-		for _, path := range []string{"/a", "/b", "/c"} {
-			if _, err := c.Open(path, fs.ORead|fs.OWrite|fs.OCreat, 0o644); err != nil {
-				t.Errorf("open %s: %v", path, err)
-				return
-			}
-		}
-		// Each child is reaped before the next call, so every sproc finds
-		// the same recycled stack range and the same one-member group.
-		create := func(name string, sys Sysno, call func() (int, error)) {
-			measure(c, name, sys, func() error { _, err := call(); return err })
-			c.Wait()
-		}
-		create("fork", SysFork, func() (int, error) { return c.Fork("f", func(*Context) {}) })
-		create("sproc(PR_SALL)", SysSproc, func() (int, error) { return c.Sproc("s", noop, proc.PRSALL, 0) })
-		create("sproc(PR_SFDS)", SysSproc, func() (int, error) { return c.Sproc("s", noop, proc.PRSFDS, 0) })
-		create("sproc(0)", SysSproc, func() (int, error) { return c.Sproc("s", noop, 0, 0) })
-		create("thread_create", SysThreadCreate, func() (int, error) { return c.ThreadCreate("t", noop, 0) })
-		create("fork by a member", SysFork, func() (int, error) { return c.Fork("f", func(*Context) {}) })
-	})
-	waitIdle(t, s)
-
-	enc, _, _ := runCkptWorkload(t, 2, 1, false)
-	img, err := ckpt.Decode(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	s2 := NewSystem(testConfig())
-	s2.Start("blank", func(c *Context) {
-		measure(c, "restore of 3 members", SysRestore, func() error {
-			_, err := c.Restore(img, noop)
-			return err
-		})
-		for {
-			if _, _, err := c.Wait(); err != nil {
-				break
-			}
-		}
-	})
-	waitIdle(t, s2)
-
-	want := []row{
-		{"fork", SysFork, 4440, 4380},
-		{"sproc(PR_SALL)", SysSproc, 4184, 4124},
-		{"sproc(PR_SFDS)", SysSproc, 4504, 4444},
-		{"sproc(0)", SysSproc, 4480, 4420},
-		{"thread_create", SysThreadCreate, 960, 900},
-		{"fork by a member", SysFork, 4440, 4380},
-		{"restore of 3 members", SysRestore, 8192, 8132},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("measured %d calls, want %d: %+v", len(got), len(want), got)
-	}
-	for i, w := range want {
-		if got[i] != w {
-			t.Errorf("%s: simcyc %d, caller cycles %d; pinned %d and %d", w.name, got[i].simcyc, got[i].cycles, w.simcyc, w.cycles)
-		}
-	}
-}
 
 // TestThreadCreationCheaperThanFork is the §3 claim: thread creation is
 // roughly an order of magnitude cheaper than fork — the traditional fork
@@ -150,56 +57,17 @@ func TestThreadCreationCheaperThanFork(t *testing.T) {
 }
 
 // TestCreationChargesReachEveryCost: every entry of hw.Costs is charged by
-// something the kernel does. One fixed script — fork, sproc(PR_SALL) and a
-// umask change the member reconciles, thread_create, a zero fill, a COW
-// break, a munmap shootdown and one sleep — runs once per entry, with that
-// entry raised to 1<<40, and the machine's cycles must reach it.
+// something the charge script does — with the entry zeroed, the charge
+// table moves.
 func TestCreationChargesReachEveryCost(t *testing.T) {
-	const huge = 1 << 40
+	base := chargeTable(t, nil)
 	costs := reflect.TypeOf(hw.Costs{})
-	for i := 0; i < costs.NumField(); i++ {
+	for i := range costs.NumField() {
 		name := costs.Field(i).Name
 		t.Run(name, func(t *testing.T) {
-			s := NewSystem(Config{NCPU: 2, MemFrames: 8192, TimeSlice: 500})
-			reflect.ValueOf(&s.Machine.Cost).Elem().Field(i).SetInt(huge)
-			s.Start("script", func(c *Context) {
-				// A descriptor for the fork to copy.
-				if _, err := c.Open("/f", fs.ORead|fs.OWrite|fs.OCreat, 0o644); err != nil {
-					t.Errorf("open: %v", err)
-					return
-				}
-				c.Store32(vm.DataBase, 1) // zero fill
-				c.Fork("cow", func(cc *Context) {
-					cc.Load32(vm.DataBase)     // first touch of the lazy image
-					cc.Store32(vm.DataBase, 2) // COW break
-				})
-				c.Wait()
-				c.Load32(vm.DataBase) // refill: the fork flushed the page
-				pid, err := c.Sproc("member", func(cc *Context, _ int64) {
-					cc.Blockproc(0) // the sleep
-					cc.Getpid()     // reconciles the creator's umask
-				}, proc.PRSALL, 0)
-				if err != nil {
-					t.Errorf("sproc: %v", err)
-					return
-				}
-				waitAsleep(c, []int{pid})
-				c.Umask(0o077)
-				c.Unblockproc(pid)
-				c.Wait()
-				c.ThreadCreate("thread", func(*Context, int64) {}, 0)
-				c.Wait()
-				va, err := c.Mmap(1)
-				if err != nil {
-					t.Errorf("mmap: %v", err)
-					return
-				}
-				c.Store32(va, 1)
-				c.Munmap(va) // a shootdown: an IPI to the other CPU
-			})
-			waitIdle(t, s)
-			if got := s.Machine.TotalCycles(); got < huge {
-				t.Errorf("with Costs.%s = %d the script ran %d cycles: nothing charges the entry", name, huge, got)
+			zero := func(c *hw.Costs) { reflect.ValueOf(c).Elem().Field(i).SetInt(0) }
+			if bytes.Equal(chargeTable(t, zero), base) {
+				t.Errorf("with Costs.%s = 0 the charge table is unchanged: nothing the script does charges it", name)
 			}
 		})
 	}
@@ -640,11 +508,7 @@ func TestSpawnCarrierDropsSystem(t *testing.T) {
 // one pool of carriers, at several host parallelism levels. Every System drains,
 // with no process left, every frame free and every lazy clone accounted for.
 func TestSpawnCarrierStormRace(t *testing.T) {
-	levels := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		levels = append(levels, n)
-	}
-	for _, procs := range levels {
+	for _, procs := range hostLevels() {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			const systems, drivers, steps = 4, 3, 60

@@ -123,14 +123,11 @@ const (
 )
 
 // sysDesc is one descriptor of the gateway table: the identity of a system
-// call plus its dispatch-cost hint and degradation policy. Cost is charged
-// by the gateway at entry on top of the machine's SyscallEntry cost; 0
-// means the call has no fixed cost beyond the trap itself.
+// call plus its degradation policy.
 type sysDesc struct {
 	num   Sysno
 	name  string
 	class Class
-	cost  int64
 	flags uint8
 }
 
@@ -139,80 +136,80 @@ type sysDesc struct {
 // given twice does not compile, and init checks that every number has its
 // descriptor.
 var sysTable = [NSys]sysDesc{
-	SysOpen:        {SysOpen, "open", ClassFS, 0, sfInjEINTR},
-	SysClose:       {SysClose, "close", ClassFS, 0, 0},
-	SysDup:         {SysDup, "dup", ClassFS, 0, 0},
-	SysDup2:        {SysDup2, "dup2", ClassFS, 0, 0},
-	SysFcntl:       {SysFcntl, "fcntl", ClassFS, 0, 0},
-	SysRead:        {SysRead, "read", ClassFS, 0, sfRestart | sfInjEINTR},
-	SysWrite:       {SysWrite, "write", ClassFS, 0, sfRestart | sfInjEINTR},
-	SysLseek:       {SysLseek, "lseek", ClassFS, 0, 0},
-	SysMkdir:       {SysMkdir, "mkdir", ClassFS, 0, 0},
-	SysUnlink:      {SysUnlink, "unlink", ClassFS, 0, 0},
-	SysLink:        {SysLink, "link", ClassFS, 0, 0},
-	SysStat:        {SysStat, "stat", ClassFS, 0, 0},
-	SysChdir:       {SysChdir, "chdir", ClassFS, 0, 0},
-	SysChroot:      {SysChroot, "chroot", ClassFS, 0, 0},
-	SysUmask:       {SysUmask, "umask", ClassFS, 0, 0},
-	SysUlimit:      {SysUlimit, "ulimit", ClassFS, 0, 0},
-	SysSetuid:      {SysSetuid, "setuid", ClassFS, 0, 0},
-	SysSetgid:      {SysSetgid, "setgid", ClassFS, 0, 0},
-	SysGetuid:      {SysGetuid, "getuid", ClassFS, 0, 0},
-	SysBrk:         {SysBrk, "brk", ClassVM, 0, sfInjENOMEM},
-	SysSbrk:        {SysSbrk, "sbrk", ClassVM, 0, sfInjENOMEM},
-	SysMmap:        {SysMmap, "mmap", ClassVM, 0, sfInjENOMEM},
-	SysMmapPrivate: {SysMmapPrivate, "mmap_priv", ClassVM, 0, sfInjENOMEM},
-	SysMunmap:      {SysMunmap, "munmap", ClassVM, 0, 0},
-	SysPipe:        {SysPipe, "pipe", ClassIPC, 0, 0},
-	SysMsgget:      {SysMsgget, "msgget", ClassIPC, 0, 0},
-	SysMsgsnd:      {SysMsgsnd, "msgsnd", ClassIPC, 0, sfRestart | sfInjEINTR},
-	SysMsgrcv:      {SysMsgrcv, "msgrcv", ClassIPC, 0, sfRestart | sfInjEINTR},
-	SysSemget:      {SysSemget, "semget", ClassIPC, 0, 0},
-	SysSemop:       {SysSemop, "semop", ClassIPC, 0, sfRestart | sfInjEINTR},
-	SysShmget:      {SysShmget, "shmget", ClassIPC, 0, sfInjENOMEM},
-	SysShmat:       {SysShmat, "shmat", ClassIPC, 0, sfInjENOMEM},
-	SysShmRemove:   {SysShmRemove, "shmrm", ClassIPC, 0, 0},
-	SysNetListen:   {SysNetListen, "netlisten", ClassIPC, 0, 0},
-	SysNetAccept:   {SysNetAccept, "netaccept", ClassIPC, 0, sfRestart | sfInjEINTR},
-	SysNetConnect:  {SysNetConnect, "netconnect", ClassIPC, 0, sfRestart},
+	SysOpen:        {SysOpen, "open", ClassFS, sfInjEINTR},
+	SysClose:       {SysClose, "close", ClassFS, 0},
+	SysDup:         {SysDup, "dup", ClassFS, 0},
+	SysDup2:        {SysDup2, "dup2", ClassFS, 0},
+	SysFcntl:       {SysFcntl, "fcntl", ClassFS, 0},
+	SysRead:        {SysRead, "read", ClassFS, sfRestart | sfInjEINTR},
+	SysWrite:       {SysWrite, "write", ClassFS, sfRestart | sfInjEINTR},
+	SysLseek:       {SysLseek, "lseek", ClassFS, 0},
+	SysMkdir:       {SysMkdir, "mkdir", ClassFS, 0},
+	SysUnlink:      {SysUnlink, "unlink", ClassFS, 0},
+	SysLink:        {SysLink, "link", ClassFS, 0},
+	SysStat:        {SysStat, "stat", ClassFS, 0},
+	SysChdir:       {SysChdir, "chdir", ClassFS, 0},
+	SysChroot:      {SysChroot, "chroot", ClassFS, 0},
+	SysUmask:       {SysUmask, "umask", ClassFS, 0},
+	SysUlimit:      {SysUlimit, "ulimit", ClassFS, 0},
+	SysSetuid:      {SysSetuid, "setuid", ClassFS, 0},
+	SysSetgid:      {SysSetgid, "setgid", ClassFS, 0},
+	SysGetuid:      {SysGetuid, "getuid", ClassFS, 0},
+	SysBrk:         {SysBrk, "brk", ClassVM, sfInjENOMEM},
+	SysSbrk:        {SysSbrk, "sbrk", ClassVM, sfInjENOMEM},
+	SysMmap:        {SysMmap, "mmap", ClassVM, sfInjENOMEM},
+	SysMmapPrivate: {SysMmapPrivate, "mmap_priv", ClassVM, sfInjENOMEM},
+	SysMunmap:      {SysMunmap, "munmap", ClassVM, 0},
+	SysPipe:        {SysPipe, "pipe", ClassIPC, 0},
+	SysMsgget:      {SysMsgget, "msgget", ClassIPC, 0},
+	SysMsgsnd:      {SysMsgsnd, "msgsnd", ClassIPC, sfRestart | sfInjEINTR},
+	SysMsgrcv:      {SysMsgrcv, "msgrcv", ClassIPC, sfRestart | sfInjEINTR},
+	SysSemget:      {SysSemget, "semget", ClassIPC, 0},
+	SysSemop:       {SysSemop, "semop", ClassIPC, sfRestart | sfInjEINTR},
+	SysShmget:      {SysShmget, "shmget", ClassIPC, sfInjENOMEM},
+	SysShmat:       {SysShmat, "shmat", ClassIPC, sfInjENOMEM},
+	SysShmRemove:   {SysShmRemove, "shmrm", ClassIPC, 0},
+	SysNetListen:   {SysNetListen, "netlisten", ClassIPC, 0},
+	SysNetAccept:   {SysNetAccept, "netaccept", ClassIPC, sfRestart | sfInjEINTR},
+	SysNetConnect:  {SysNetConnect, "netconnect", ClassIPC, sfRestart},
 
 	// poll is not sfRestart: like pause(2), returning EINTR after a
 	// caught signal is its contract — the serving loops use the break to
 	// re-examine shutdown flags before re-entering the wait.
-	SysPoll:         {SysPoll, "poll", ClassIPC, 0, sfInjEINTR},
-	SysGetpid:       {SysGetpid, "getpid", ClassProc, 0, 0},
-	SysFork:         {SysFork, "fork", ClassProc, 0, sfRetry | sfInjEAGAIN | sfInjENOMEM},
-	SysSproc:        {SysSproc, "sproc", ClassProc, 0, sfRetry | sfInjEAGAIN | sfInjENOMEM},
-	SysThreadCreate: {SysThreadCreate, "thread_create", ClassProc, 0, sfRetry | sfInjEAGAIN | sfInjENOMEM},
-	SysPrctl:        {SysPrctl, "prctl", ClassProc, 0, 0},
-	SysUnshare:      {SysUnshare, "unshare", ClassProc, 0, 0},
-	SysExec:         {SysExec, "exec", ClassProc, 0, sfInjENOMEM},
-	SysExit:         {SysExit, "exit", ClassProc, 0, 0},
-	SysWait:         {SysWait, "wait", ClassProc, 0, sfInjEINTR},
-	SysKill:         {SysKill, "kill", ClassProc, 0, 0},
-	SysSignal:       {SysSignal, "signal", ClassProc, 0, 0},
-	SysSigmask:      {SysSigmask, "sigmask", ClassProc, 0, 0},
-	SysPause:        {SysPause, "pause", ClassProc, 0, 0},
+	SysPoll:         {SysPoll, "poll", ClassIPC, sfInjEINTR},
+	SysGetpid:       {SysGetpid, "getpid", ClassProc, 0},
+	SysFork:         {SysFork, "fork", ClassProc, sfRetry | sfInjEAGAIN | sfInjENOMEM},
+	SysSproc:        {SysSproc, "sproc", ClassProc, sfRetry | sfInjEAGAIN | sfInjENOMEM},
+	SysThreadCreate: {SysThreadCreate, "thread_create", ClassProc, sfRetry | sfInjEAGAIN | sfInjENOMEM},
+	SysPrctl:        {SysPrctl, "prctl", ClassProc, 0},
+	SysUnshare:      {SysUnshare, "unshare", ClassProc, 0},
+	SysExec:         {SysExec, "exec", ClassProc, sfInjENOMEM},
+	SysExit:         {SysExit, "exit", ClassProc, 0},
+	SysWait:         {SysWait, "wait", ClassProc, sfInjEINTR},
+	SysKill:         {SysKill, "kill", ClassProc, 0},
+	SysSignal:       {SysSignal, "signal", ClassProc, 0},
+	SysSigmask:      {SysSigmask, "sigmask", ClassProc, 0},
+	SysPause:        {SysPause, "pause", ClassProc, 0},
 
 	// setshares/getusage are not sfRestart: they never block, so an
 	// injected EINTR surfaces to the caller — the fault-injection tests
 	// depend on seeing it.
-	SysSetshares: {SysSetshares, "setshares", ClassProc, 0, sfInjEINTR},
-	SysGetusage:  {SysGetusage, "getusage", ClassProc, 0, sfInjEINTR},
+	SysSetshares: {SysSetshares, "setshares", ClassProc, sfInjEINTR},
+	SysGetusage:  {SysGetusage, "getusage", ClassProc, sfInjEINTR},
 
 	// blockproc is not sfRestart: like pause(2) and wait(2), returning
 	// EINTR after a caught signal is its contract — the hybrid uspin
 	// primitives depend on it to withdraw their waiter registration.
-	SysBlockproc:       {SysBlockproc, "blockproc", ClassProc, 0, sfInjEINTR},
-	SysUnblockproc:     {SysUnblockproc, "unblockproc", ClassProc, 0, 0},
-	SysSetblockproccnt: {SysSetblockproccnt, "setblockproccnt", ClassProc, 0, 0},
+	SysBlockproc:       {SysBlockproc, "blockproc", ClassProc, sfInjEINTR},
+	SysUnblockproc:     {SysUnblockproc, "unblockproc", ClassProc, 0},
+	SysSetblockproccnt: {SysSetblockproccnt, "setblockproccnt", ClassProc, 0},
 
 	// ckpt is sfRetry: losing the one-initiator-at-a-time race, failing to
 	// quiesce the group in bounded passes, and the injected pass-boundary
 	// fault all surface as EAGAIN with the group thawed and unchanged, so
 	// the gateway's escalating backoff can re-run the call safely.
-	SysCkpt:    {SysCkpt, "ckpt", ClassProc, 0, sfRetry | sfInjEAGAIN},
-	SysRestore: {SysRestore, "restore", ClassProc, 0, sfInjENOMEM},
+	SysCkpt:    {SysCkpt, "ckpt", ClassProc, sfRetry | sfInjEAGAIN},
+	SysRestore: {SysRestore, "restore", ClassProc, sfInjENOMEM},
 }
 
 func init() {

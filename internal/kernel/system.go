@@ -467,9 +467,12 @@ func (s *System) reap(p *proc.Proc, status int) {
 	s.Machine.Trace.Record(trace.EvExit, int32(p.PID), -1, uint64(status), 0)
 	close(p.Exited)
 
-	// Notify the parent.
+	// Notify the parent. An exiting parent orphans p under p.Mu.
+	p.Mu.Lock()
+	ppid := p.PPID
+	p.Mu.Unlock()
 	s.mu.Lock()
-	parent := s.procs[p.PPID]
+	parent := s.procs[ppid]
 	s.mu.Unlock()
 	if parent != nil {
 		parent.Post(proc.SIGCLD)

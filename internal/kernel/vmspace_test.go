@@ -195,11 +195,7 @@ func TestSprocInForkOfMemberCarvesPastInheritedStacks(t *testing.T) {
 // word a member wrote must read back until it unmaps the range itself, and
 // when the group is gone every frame is free again.
 func TestUpdateVMStormRace(t *testing.T) {
-	levels := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		levels = append(levels, n)
-	}
-	for _, procs := range levels {
+	for _, procs := range hostLevels() {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			const updaters, faulters, steps, window = 3, 2, 120, 24
