@@ -1,7 +1,7 @@
 GO ?= go
 
 # Tier-1 gate: the whole tree must build, pass vet, every test must pass,
-# and the seeded chaos soak must hold the conservation invariants. go test
+# and the seeded chaos soak must pass System.WaitIdle's idle laws. go test
 # ./... runs the structural checks (internal/lint) with the rest. bench/ is
 # a module of its own, which ./... never builds, so it is vetted and tested
 # by name: a kernel API change that breaks the benchmark fails here.

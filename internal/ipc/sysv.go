@@ -145,10 +145,10 @@ func (s *SemSet) Op(t klock.Thread, idx, delta int) error {
 	return nil
 }
 
-// ShmSeg is a System V shared-memory segment: a region attachable into any
+// shmSeg is a System V shared-memory segment: a region attachable into any
 // address space. The registry holds one region attachment so the segment
 // survives while detached from every process.
-type ShmSeg struct {
+type shmSeg struct {
 	ID  int
 	Key int
 	Reg *vm.Region
@@ -163,7 +163,7 @@ type Registry struct {
 	msgKey map[int]int
 	sems   map[int]*SemSet
 	semKey map[int]int
-	shms   map[int]*ShmSeg
+	shms   map[int]*shmSeg
 	shmKey map[int]int
 }
 
@@ -172,7 +172,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		msgqs: map[int]*MsgQueue{}, msgKey: map[int]int{},
 		sems: map[int]*SemSet{}, semKey: map[int]int{},
-		shms: map[int]*ShmSeg{}, shmKey: map[int]int{},
+		shms: map[int]*shmSeg{}, shmKey: map[int]int{},
 	}
 }
 
@@ -256,7 +256,7 @@ func (r *Registry) Shmget(key, pages int, newRegion func(pages int) *vm.Region) 
 		}
 	}
 	r.nextID++
-	seg := &ShmSeg{ID: r.nextID, Key: key, Reg: newRegion(pages)}
+	seg := &shmSeg{ID: r.nextID, Key: key, Reg: newRegion(pages)}
 	r.shms[seg.ID] = seg
 	if key != 0 {
 		r.shmKey[key] = seg.ID
@@ -276,6 +276,18 @@ func (r *Registry) ShmAttach(id int) (*vm.Region, error) {
 	}
 	s.Reg.Attach()
 	return s.Reg, nil
+}
+
+// ShmResident sums the resident pages of the registered segments: the
+// frames an idle system may still hold (System.WaitIdle).
+func (r *Registry) ShmResident() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, seg := range r.shms {
+		n += seg.Reg.Resident()
+	}
+	return n
 }
 
 // ShmRemove deletes the segment id (shmctl IPC_RMID); its region is

@@ -405,7 +405,6 @@ func TestCkptUnmapStormRace(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			const members, ckpts = 3, 40
 			s := NewSystem(testConfig())
-			base := s.Machine.Mem.InUse()
 			var stop atomic.Bool
 			churn := func(cc *Context, pages int) {
 				for stamp := uint32(1); !stop.Load(); stamp++ {
@@ -449,9 +448,6 @@ func TestCkptUnmapStormRace(t *testing.T) {
 				}
 			})
 			waitIdle(t, s)
-			if used := s.Machine.Mem.InUse(); used != base {
-				t.Errorf("%d frames in use after the storm, %d before", used, base)
-			}
 			if s.Stats().Ckpts == 0 {
 				t.Error("no checkpoint completed")
 			}

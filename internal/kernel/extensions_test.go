@@ -91,9 +91,6 @@ func TestUnshareVM(t *testing.T) {
 		}
 	})
 	waitIdle(t, s)
-	if used := s.Machine.Mem.InUse(); used != 0 {
-		t.Fatalf("%d frames leaked", used)
-	}
 }
 
 func TestPrctlGangAndGroupPrio(t *testing.T) {

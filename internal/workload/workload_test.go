@@ -3,12 +3,27 @@ package workload
 import (
 	"testing"
 
+	"repro/internal/hw"
 	"repro/internal/kernel"
 )
 
 // small returns a test-sized machine configuration.
 func small() kernel.Config {
 	return kernel.Config{NCPU: 4, MemFrames: 16384, TimeSlice: 1000}
+}
+
+// checkDrainedAcct checks the frame-account law on a group whose members
+// have all exited: charges - uncharges == used == 0. The account dies with
+// the group, out of WaitIdle's reach, so a test must keep it to check it.
+func checkDrainedAcct(t *testing.T, name string, fa *hw.FrameAcct) {
+	t.Helper()
+	ch, un, used := fa.Charges.Load(), fa.Uncharges.Load(), fa.Used()
+	if ch-un != used {
+		t.Errorf("%s: account law broken: charges %d - uncharges %d != used %d", name, ch, un, used)
+	}
+	if used != 0 {
+		t.Errorf("%s: %d frames still charged after teardown", name, used)
+	}
 }
 
 func TestCreationOrdering(t *testing.T) {
