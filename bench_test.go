@@ -1,9 +1,9 @@
-// Host micro-benchmarks of eight paths nothing else times in isolation:
+// Host micro-benchmarks of ten paths nothing else times in isolation:
 // the hw.Memory bulk data path, one checkpoint round trip, the image
 // checksum, one poll(2) over a C10k member's set, one process creation
-// joined, a token hand-off among more spinners than CPUs, one memory
-// access that hits the TLB or faults, and descriptor updates contending for
-// one share block's s_fupdsema.
+// joined, one boot, one connection's life, a token hand-off among more
+// spinners than CPUs, one memory access that hits the TLB or faults, and
+// descriptor updates contending for one share block's s_fupdsema.
 // Wall-clock
 // ns/op is the host cost; where a bench reports "simcyc/op" it is the
 // simulated cycle cost, which host-side work must not move. The paper's
@@ -354,6 +354,59 @@ func BenchmarkCreateJoin(b *testing.B) {
 			sys.WaitIdle()
 		})
 	}
+}
+
+// Host cost of one boot at the default 16 384 frames: NewSystem, one
+// process that stores one word (its first fault, so the pool hands out a
+// frame and mints its bank of records) and exits, and WaitIdle. B/op is
+// what a boot holds; the frame records of frames it never hands out are
+// not in it.
+func BenchmarkBoot(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys := kernel.NewSystem(cfg())
+		sys.Start("init", func(c *kernel.Context) { c.Store32(DataBase, 1) })
+		sys.WaitIdle()
+	}
+}
+
+// Host cost of one connection's life on one CPU: connect, accept, and the
+// close of both descriptors. B/op is what an open connection allocates:
+// one socket-pair object and two open files, with no inode and no sleeper
+// list (nothing sleeps).
+func BenchmarkOpenConnection(b *testing.B) {
+	conf := cfg()
+	conf.NCPU, conf.TimeSlice = 1, 1<<40
+	b.ReportAllocs()
+	sys := kernel.NewSystem(conf)
+	sys.Start("server", func(c *kernel.Context) {
+		fail := func(what string, err error) bool {
+			if err != nil {
+				b.Errorf("%s: %v", what, err)
+			}
+			return err != nil
+		}
+		lfd, err := c.NetListen("conn")
+		if fail("listen", err) {
+			return
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cfd, err := c.NetConnect("conn")
+			if fail("connect", err) {
+				return
+			}
+			sfd, err := c.NetAccept(lfd)
+			if fail("accept", err) {
+				return
+			}
+			if fail("close", c.Close(cfd)) || fail("close", c.Close(sfd)) {
+				return
+			}
+		}
+		b.StopTimer()
+	})
+	sys.WaitIdle()
 }
 
 // Host cost of simulated time while every CPU spins: five members pass a

@@ -53,13 +53,10 @@ type File struct {
 	// convention). Empty for anonymous endpoints (pipes, sockets), which a
 	// checkpoint records structurally but cannot reopen.
 	Path string
-
-	Reads  atomic.Int64
-	Writes atomic.Int64
 }
 
-// NewFile wraps an inode (already held by the caller on the file's behalf)
-// in an open-file entry with reference count one.
+// NewFile wraps an inode (already held by the caller on the file's behalf,
+// or nil for a stream) in an open-file entry with reference count one.
 func NewFile(ip *Inode, stream Stream, flags int) *File {
 	f := &File{Inode: ip, Stream: stream, Flags: flags}
 	f.ref.Store(1)
@@ -106,7 +103,6 @@ func (f *File) Read(t klock.Thread, p []byte, nonblock bool) (int, error) {
 	if f.Flags&ORead == 0 {
 		return 0, ErrBadFd
 	}
-	f.Reads.Add(1)
 	if f.Stream != nil {
 		return f.Stream.Read(t, p, nonblock)
 	}
@@ -127,7 +123,6 @@ func (f *File) Write(t klock.Thread, p []byte, ulimit int64, nonblock bool) (int
 	if f.Flags&OWrite == 0 {
 		return 0, ErrBadFd
 	}
-	f.Writes.Add(1)
 	if f.Stream != nil {
 		return f.Stream.Write(t, p, nonblock)
 	}

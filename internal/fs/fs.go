@@ -259,8 +259,3 @@ func (f *FS) StatPath(c Cred, path string) (Stat, error) {
 		Nlink: atomic.LoadInt32(&ip.Nlink), Size: ip.Size(),
 	}, nil
 }
-
-// MkInode creates a detached inode of the given mode (pipes, sockets).
-func (f *FS) MkInode(mode uint16, uid, gid uint16) *Inode {
-	return f.newInode(mode, uid, gid)
-}

@@ -6,25 +6,17 @@ import (
 )
 
 // TestHotFieldsOwnCacheLine: inUse, the reservation every allocation and
-// free writes, is at least a cache line away from the frame-table headers
-// every memory access reads before it and from the caches header every
-// allocation reads after it; the pool, which every refill and drain writes,
-// is a line past the caches header and FI, which every allocation reads.
-// Deleting any of the three pads fails.
+// free writes, is at least a cache line away from the bank directory's
+// header every memory access reads before it and from the caches header
+// every allocation reads after it; the pool, which every refill and drain
+// writes, is a line past the caches header and FI, which every allocation
+// reads. Deleting any of the three pads fails.
 func TestHotFieldsOwnCacheLine(t *testing.T) {
 	const line = 64
 	var m Memory
 	use, useEnd := unsafe.Offsetof(m.inUse), unsafe.Offsetof(m.inUse)+unsafe.Sizeof(m.inUse)
-	before := map[string]uintptr{
-		"frames": unsafe.Offsetof(m.frames) + unsafe.Sizeof(m.frames),
-		"refs":   unsafe.Offsetof(m.refs) + unsafe.Sizeof(m.refs),
-		"lines":  unsafe.Offsetof(m.lines) + unsafe.Sizeof(m.lines),
-		"owners": unsafe.Offsetof(m.owners) + unsafe.Sizeof(m.owners),
-	}
-	for name, end := range before {
-		if use < end+line {
-			t.Errorf("inUse at byte %d, %d bytes after the %s header ends; want >= %d", use, int(use)-int(end), name, line)
-		}
+	if end := unsafe.Offsetof(m.banks) + unsafe.Sizeof(m.banks); use < end+line {
+		t.Errorf("inUse at byte %d, %d bytes after the bank directory's header ends; want >= %d", use, int(use)-int(end), line)
 	}
 	if start := unsafe.Offsetof(m.caches); start < useEnd+line {
 		t.Errorf("caches at byte %d, %d bytes after inUse ends; want >= %d", start, int(start)-int(useEnd), line)
@@ -38,5 +30,21 @@ func TestHotFieldsOwnCacheLine(t *testing.T) {
 		if pool < end+line {
 			t.Errorf("pool at byte %d, %d bytes after the %s header ends; want >= %d", pool, int(pool)-int(end), name, line)
 		}
+	}
+}
+
+// TestFrameRecordsShareNoLine: a frame's record is 32 bytes and a bank
+// starts on a cache line, so no record straddles two lines and an
+// allocation or a free touches one line of frame metadata.
+func TestFrameRecordsShareNoLine(t *testing.T) {
+	if n := unsafe.Sizeof(frameMeta{}); n != 32 {
+		t.Errorf("frame record is %d bytes, want 32", n)
+	}
+	m := NewMemory(1)
+	if _, err := m.Alloc(); err != nil {
+		t.Fatal(err)
+	}
+	if at := uintptr(unsafe.Pointer(m.banks[0].Load())); at%64 != 0 {
+		t.Errorf("bank at %#x, not on a cache line", at)
 	}
 }

@@ -77,6 +77,26 @@ type frameCache struct {
 	_    [64]byte // keep neighbouring caches off the same cache line
 }
 
+// frameMeta is one frame's record: everything of a frame but its words
+// that an allocation, a free or an access reads or writes. It is 32 bytes,
+// so a bank's records sit two to a cache line and none straddles one.
+type frameMeta struct {
+	data  atomic.Pointer[frameArray] // storage, nil until minted and once released
+	owner atomic.Pointer[FrameAcct]  // charging principal (nil = unowned)
+	lines atomic.Uint64              // line map: bit i = line i may hold a non-zero word
+	refs  atomic.Int32               // reference count
+}
+
+// Record banks: take mints a frame's record with the bank of bankSize
+// records that holds it, the first time it hands out a frame of that bank.
+const (
+	bankShift = 10
+	bankSize  = 1 << bankShift
+)
+
+// frameBank is the records of bankSize consecutive frames.
+type frameBank [bankSize]frameMeta
+
 // framePool is the free stock behind the caches: a recycled free list plus
 // the never-used frames [fresh, capacity).
 type framePool struct {
@@ -90,12 +110,14 @@ type framePool struct {
 // duplication (paper §6.2): a frame is writable through a mapping only
 // while its count is exactly one.
 //
-// The hot paths are deliberately lock-free or per-CPU: the frame and
-// refcount tables are preallocated at NewMemory so word access and
-// IncRef/DecRef/Ref never take a lock, and allocation is served from
-// per-CPU free-frame caches (AttachCaches) that refill from and drain to
-// the one pool in batches. Only the batch refill/drain path takes the pool
-// lock.
+// The hot paths are deliberately lock-free or per-CPU: a frame's record
+// (storage pointer, owner, line map, reference count) sits in a bank that
+// take mints, with the frames, the first time it hands out a frame of that
+// bank, and publishes before the frame leaves the pool, so word access and
+// IncRef/DecRef/Ref never take a lock; NewMemory makes only the bank
+// directory. Allocation is served from per-CPU free-frame caches
+// (AttachCaches) that refill from and drain to the one pool in batches.
+// Only the batch refill/drain path takes the pool lock.
 //
 // Zeroing and copying cost what was written, not the page: every writer of
 // frame storage marks the lines it covers in the frame's line map before it
@@ -106,21 +128,18 @@ type framePool struct {
 // released only from the pool's free list by an idle machine
 // (ReleaseFree), so it is always all zero when it passes between machines.
 //
-// Besides the frame's own words (count, line map, owner), an allocation or
-// a free writes only its CPU's words and the reservations, inUse and the
-// charged account's used; a dying region's frames (DecRefs) write inUse
-// and the pool once a batch, not once a frame. The statistics are per-CPU
-// counters, and inUse,
-// which every grant and release must agree on, has a cache line to itself,
-// so its bouncing does not evict the table headers every access reads. The
-// pool, which every refill and drain writes, sits last, a line past the
-// caches header and FI that every allocation reads.
+// Besides the frame's own record, one cache line, an allocation or a free
+// writes only its CPU's words and the reservations, inUse and the charged
+// account's used; a dying region's frames (DecRefs) write inUse and the
+// pool once a batch, not once a frame. The statistics are per-CPU
+// counters, and inUse, which every grant and release must agree on, has a
+// cache line to itself, so its bouncing does not evict the bank
+// directory's header every access reads. The pool, which every refill and
+// drain writes, sits last, a line past the caches header and FI that every
+// allocation reads.
 type Memory struct {
 	capacity int
-	frames   []atomic.Pointer[frameArray] // frame storage, nil until minted and once released
-	refs     []atomic.Int32               // per-frame reference counts
-	lines    []atomic.Uint64              // per-frame line map: bit i = line i may hold a non-zero word
-	owners   []atomic.Pointer[FrameAcct]  // charging principal per frame (nil = unowned)
+	banks    []atomic.Pointer[frameBank] // bank i: frames [i*bankSize, (i+1)*bankSize); nil until take mints it
 
 	_     [64]byte
 	inUse atomic.Int64 // referenced frames (reservation counter)
@@ -168,21 +187,26 @@ type Memory struct {
 	pool framePool
 }
 
-// NewMemory creates a physical memory of capacity page frames. The frame
-// and refcount tables are preallocated so lookups never need the pool
-// lock; a frame's storage is minted when the pool first hands it out, or
-// again after an idle machine released it, from spare when it can be.
+// NewMemory creates a physical memory of capacity page frames. It makes
+// the bank directory alone: a frame's record is minted with its bank when
+// the pool first hands out a frame of that bank, and its storage when the
+// pool first hands out the frame, or again after an idle machine released
+// it, from spare when it can be.
 func NewMemory(capacity int) *Memory {
 	if capacity <= 0 {
 		panic("hw: memory capacity must be positive")
 	}
 	return &Memory{
 		capacity: capacity,
-		frames:   make([]atomic.Pointer[frameArray], capacity),
-		refs:     make([]atomic.Int32, capacity),
-		lines:    make([]atomic.Uint64, capacity),
-		owners:   make([]atomic.Pointer[FrameAcct], capacity),
+		banks:    make([]atomic.Pointer[frameBank], (capacity+bankSize-1)>>bankShift),
 	}
+}
+
+// meta returns pfn's record without taking any lock: take publishes a
+// frame's bank atomically before the frame leaves the pool, and a bank is
+// never taken back.
+func (m *Memory) meta(pfn PFN) *frameMeta {
+	return &m.banks[pfn>>bankShift].Load()[pfn&(bankSize-1)]
 }
 
 // AttachCaches equips the memory with ncpu per-CPU free-frame caches.
@@ -332,19 +356,22 @@ func (m *Memory) AllocFor(cpu int, acct *FrameAcct) (PFN, error) {
 // grant finalizes an allocation: reference count one, ownership tag. A mark
 // on a free frame is a store through a translation that outlived its flush.
 func (m *Memory) grant(pfn PFN, acct *FrameAcct) PFN {
-	if m.lines[pfn].Load() != 0 {
+	md := m.meta(pfn)
+	if md.lines.Load() != 0 {
 		panic(fmt.Sprintf("hw: frame %d was written while it was free", pfn))
 	}
-	m.refs[pfn].Store(1)
-	m.owners[pfn].Store(acct)
+	md.refs.Store(1)
+	md.owner.Store(acct)
 	return pfn
 }
 
 // OwnerOf returns the frame account charged for pfn, or nil.
-func (m *Memory) OwnerOf(pfn PFN) *FrameAcct { return m.owners[pfn].Load() }
+func (m *Memory) OwnerOf(pfn PFN) *FrameAcct { return m.meta(pfn).owner.Load() }
 
 // take removes up to want free frames from the pool, never-used ones when
-// the recycled list runs out, and mints storage for each that has none.
+// the recycled list runs out, and mints storage for each that has none,
+// and the bank of records for each never-used one whose bank is not minted
+// yet.
 func (m *Memory) take(want int) []PFN {
 	p := &m.pool
 	p.mu.Lock()
@@ -360,12 +387,16 @@ func (m *Memory) take(want int) []PFN {
 		p.fresh++
 	}
 	for _, pfn := range out {
-		if m.frames[pfn].Load() == nil {
+		b := &m.banks[pfn>>bankShift]
+		if b.Load() == nil {
+			b.Store(new(frameBank))
+		}
+		if md := m.meta(pfn); md.data.Load() == nil {
 			f, _ := spare.Get().(*frameArray)
 			if f == nil {
 				f = new(frameArray)
 			}
-			m.frames[pfn].Store(f)
+			md.data.Store(f)
 		}
 	}
 	return out
@@ -381,7 +412,7 @@ func (m *Memory) ReleaseFree() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, pfn := range p.free {
-		if f := m.frames[pfn].Swap(nil); f != nil {
+		if f := m.meta(pfn).data.Swap(nil); f != nil {
 			spare.Put(f)
 		}
 	}
@@ -443,7 +474,7 @@ func (m *Memory) releaseToPool(frames []PFN) {
 
 // IncRef increments the reference count of pfn (copy-on-write duplication).
 func (m *Memory) IncRef(pfn PFN) {
-	if m.refs[pfn].Add(1) <= 1 {
+	if m.meta(pfn).refs.Add(1) <= 1 {
 		panic("hw: IncRef on free frame")
 	}
 }
@@ -503,18 +534,19 @@ func (m *Memory) DecRefs(pfns []PFN) {
 // name a dead frame, so nobody marks it between the swap and the clear: it
 // goes back all zero with an empty map.
 func (m *Memory) unref(pfn PFN, cpu int) int32 {
-	n := m.refs[pfn].Add(-1)
+	md := m.meta(pfn)
+	n := md.refs.Add(-1)
 	if n < 0 {
 		panic("hw: DecRef on free frame")
 	}
 	if n > 0 {
 		return n
 	}
-	if acct := m.owners[pfn].Swap(nil); acct != nil {
+	if acct := md.owner.Swap(nil); acct != nil {
 		acct.uncharge(cpu)
 	}
-	f := m.frame(pfn)
-	for lm := m.lines[pfn].Swap(0); lm != 0; {
+	f := md.words()
+	for lm := md.lines.Swap(0); lm != 0; {
 		var lo, hi int
 		lo, hi, lm = nextRun(lm)
 		clear(f[lo:hi])
@@ -523,22 +555,23 @@ func (m *Memory) unref(pfn PFN, cpu int) int32 {
 }
 
 // Ref returns the current reference count of pfn.
-func (m *Memory) Ref(pfn PFN) int32 { return m.refs[pfn].Load() }
+func (m *Memory) Ref(pfn PFN) int32 { return m.meta(pfn).refs.Load() }
 
-// frame returns the word slice backing pfn without taking any lock: take
-// publishes the storage pointer atomically before the frame leaves the
-// pool, and only ReleaseFree, on an idle machine, takes it back from a
-// frame on the pool's free list, which nobody names.
-func (m *Memory) frame(pfn PFN) []uint32 {
-	return m.frames[pfn].Load()[:]
-}
+// frame returns the word slice backing pfn without taking any lock.
+func (m *Memory) frame(pfn PFN) []uint32 { return m.meta(pfn).words() }
 
-// mark sets mask's bits in pfn's line map. Every writer of frame storage
-// calls it before its first store, so whoever can see a written word can
-// see its line's mark. A line stays marked until the frame dies, so the
-// steady state is the load and the test.
-func (m *Memory) mark(pfn PFN, mask uint64) {
-	l := &m.lines[pfn]
+// words returns the frame's storage: take publishes the pointer atomically
+// before the frame leaves the pool, and only ReleaseFree, on an idle
+// machine, takes it back from a frame on the pool's free list, which
+// nobody names.
+func (md *frameMeta) words() []uint32 { return md.data.Load()[:] }
+
+// mark sets mask's bits in the frame's line map. Every writer of frame
+// storage calls it before its first store, so whoever can see a written
+// word can see its line's mark. A line stays marked until the frame dies,
+// so the steady state is the load and the test.
+func (md *frameMeta) mark(mask uint64) {
+	l := &md.lines
 	for {
 		old := l.Load()
 		if old&mask == mask || l.CompareAndSwap(old, old|mask) {
@@ -586,9 +619,10 @@ func (m *Memory) CopyFrameFor(src PFN, cpu int, acct *FrameAcct) (PFN, error) {
 	// Only the lines marked in the source can differ from the all-zero
 	// frame just granted. A line first marked after the snapshot is a store
 	// ordered after the copy, as one that lands behind the cursor is.
-	lm := m.lines[src].Load()
-	m.lines[dst].Store(lm)
-	s, d := m.frame(src), m.frame(dst)
+	sm, dm := m.meta(src), m.meta(dst)
+	lm := sm.lines.Load()
+	dm.lines.Store(lm)
+	s, d := sm.words(), dm.words()
 	for lm != 0 {
 		var lo, hi int
 		lo, hi, lm = nextRun(lm)
@@ -608,13 +642,14 @@ func (m *Memory) CopyFrameFor(src PFN, cpu int, acct *FrameAcct) (PFN, error) {
 // mask's runs are marked and stored whole; a line marked outside the mask
 // is cleared, and every other line is zero already.
 func (m *Memory) FillFrame(pfn PFN, lines uint64, packed []byte) {
-	f := m.frame(pfn)
-	for lm := m.lines[pfn].Load() &^ lines; lm != 0; {
+	md := m.meta(pfn)
+	f := md.words()
+	for lm := md.lines.Load() &^ lines; lm != 0; {
 		var lo, hi int
 		lo, hi, lm = nextRun(lm)
 		clear(f[lo:hi])
 	}
-	m.mark(pfn, lines)
+	md.mark(lines)
 	for lm := lines; lm != 0; {
 		var lo, hi int
 		lo, hi, lm = nextRun(lm)
@@ -628,8 +663,9 @@ func (m *Memory) FillFrame(pfn PFN, lines uint64, packed []byte) {
 // mask's runs go in with WriteBytes, and a line marked outside the mask
 // gets atomic zero stores; no other line is stored to or marked.
 func (m *Memory) WriteFrame(pfn PFN, lines uint64, packed []byte) {
-	f := m.frame(pfn)
-	for lm := m.lines[pfn].Load() &^ lines; lm != 0; {
+	md := m.meta(pfn)
+	f := md.words()
+	for lm := md.lines.Load() &^ lines; lm != 0; {
 		var lo, hi int
 		lo, hi, lm = nextRun(lm)
 		for i := lo; i < hi; i++ {
@@ -658,8 +694,9 @@ func fillWords(d []uint32, s []byte) {
 // quota-reclaim scan uses it to find pages that can be dropped losslessly).
 // Only marked lines can hold anything else.
 func (m *Memory) FrameZero(pfn PFN) bool {
-	f := m.frame(pfn)
-	for lm := m.lines[pfn].Load(); lm != 0; {
+	md := m.meta(pfn)
+	f := md.words()
+	for lm := md.lines.Load(); lm != 0; {
 		var lo, hi int
 		lo, hi, lm = nextRun(lm)
 		for i := lo; i < hi; i++ {
@@ -678,22 +715,25 @@ func (m *Memory) LoadWord(pfn PFN, word uint32) uint32 {
 
 // StoreWord atomically stores v at the given word offset of pfn.
 func (m *Memory) StoreWord(pfn PFN, word uint32, v uint32) {
-	m.mark(pfn, wordLine(word))
-	atomic.StoreUint32(&m.frame(pfn)[word], v)
+	md := m.meta(pfn)
+	md.mark(wordLine(word))
+	atomic.StoreUint32(&md.words()[word], v)
 }
 
 // CASWord performs an atomic compare-and-swap on a word of pfn. This models
 // the hardware interlocked operation that user-level spinlocks are built on
 // (paper §3: "some form of hardware supported lock is usually best").
 func (m *Memory) CASWord(pfn PFN, word uint32, old, new uint32) bool {
-	m.mark(pfn, wordLine(word))
-	return atomic.CompareAndSwapUint32(&m.frame(pfn)[word], old, new)
+	md := m.meta(pfn)
+	md.mark(wordLine(word))
+	return atomic.CompareAndSwapUint32(&md.words()[word], old, new)
 }
 
 // AddWord atomically adds delta to a word of pfn and returns the new value.
 func (m *Memory) AddWord(pfn PFN, word uint32, delta uint32) uint32 {
-	m.mark(pfn, wordLine(word))
-	return atomic.AddUint32(&m.frame(pfn)[word], delta)
+	md := m.meta(pfn)
+	md.mark(wordLine(word))
+	return atomic.AddUint32(&md.words()[word], delta)
 }
 
 // ReadBytes copies len(dst) bytes from pfn starting at byte offset off, one
@@ -736,7 +776,7 @@ func (m *Memory) ReadBytes(pfn PFN, off uint32, dst []byte) {
 // loaded is a store ordered after the read, as in CopyFrameFor.
 func (m *Memory) ReadFrame(pfn PFN, dst []byte) (uint64, []byte) {
 	var lines uint64
-	for lm := m.lines[pfn].Load(); lm != 0; {
+	for lm := m.meta(pfn).lines.Load(); lm != 0; {
 		var lo, hi int
 		lo, hi, lm = nextRun(lm)
 		at := len(dst)
@@ -767,7 +807,7 @@ func zeroLine(l *[LineSize]byte) bool {
 }
 
 // Lines returns pfn's line map: bit i set = line i may be non-zero.
-func (m *Memory) Lines(pfn PFN) uint64 { return m.lines[pfn].Load() }
+func (m *Memory) Lines(pfn PFN) uint64 { return m.meta(pfn).lines.Load() }
 
 // putLowBytes fills dst (shorter than a word) from v's low bytes upward.
 func putLowBytes(dst []byte, v uint32) {
@@ -787,8 +827,9 @@ func (m *Memory) WriteBytes(pfn PFN, off uint32, src []byte) {
 	if len(src) == 0 {
 		return
 	}
-	m.mark(pfn, byteLines(off, uint32(len(src))))
-	f := m.frame(pfn)
+	md := m.meta(pfn)
+	md.mark(byteLines(off, uint32(len(src))))
+	f := md.words()
 	w := off >> 2
 	if sub := off & 3; sub != 0 {
 		n := min(int(4-sub), len(src))

@@ -252,7 +252,7 @@ func TestBulkFillFrameMarksOnlyWrittenLines(t *testing.T) {
 				mask, packed := packPage(want)
 				m.FillFrame(pfn, mask, packed)
 				m.ReadBytes(pfn, 0, got)
-				if lm := m.lines[pfn].Load(); lm != wantLines {
+				if lm := m.meta(pfn).lines.Load(); lm != wantLines {
 					t.Fatalf("%s, fresh %v, FillFrame(len=%d): line map %#x, want %#x", shape.name, fresh, n, lm, wantLines)
 				}
 				if !bytes.Equal(got, want) {
@@ -314,7 +314,7 @@ func TestBulkFrameLinesRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, page) {
 			t.Fatalf("round %d: FillFrame of ReadFrame's form does not reproduce the frame", round)
 		}
-		if lm := m.lines[fresh].Load(); lm != lines {
+		if lm := m.meta(fresh).lines.Load(); lm != lines {
 			t.Fatalf("round %d: the fresh frame's map is %#x, the non-zero lines %#x", round, lm, lines)
 		}
 		m.DecRefs([]PFN{fresh})
@@ -323,13 +323,13 @@ func TestBulkFrameLinesRoundTrip(t *testing.T) {
 		bg := make([]byte, PageSize)
 		rng.Read(bg[:rng.Intn(PageSize)])
 		m.WriteBytes(over, 0, bg)
-		bgLines := m.lines[over].Load()
+		bgLines := m.meta(over).lines.Load()
 		m.WriteFrame(over, lines, packed)
 		m.ReadBytes(over, 0, got)
 		if !bytes.Equal(got, page) {
 			t.Fatalf("round %d: WriteFrame over background bytes does not reproduce the frame", round)
 		}
-		if lm := m.lines[over].Load(); lm != lines|bgLines {
+		if lm := m.meta(over).lines.Load(); lm != lines|bgLines {
 			t.Fatalf("round %d: WriteFrame left map %#x, want the mask %#x and the background's %#x", round, lm, lines, bgLines)
 		}
 		m.DecRefs([]PFN{over})

@@ -100,7 +100,7 @@ func TestLineMapMatchesFullClear(t *testing.T) {
 					}
 					break
 				}
-				if lm := m.lines[got].Load(); lm != 0 || !refFrameZero(m, got) {
+				if lm := m.meta(got).lines.Load(); lm != 0 || !refFrameZero(m, got) {
 					t.Fatalf("seed %d step %d: frame %d granted with line map %#x and full-scan zero = %v", seed, step, got, lm, refFrameZero(m, got))
 				}
 				granted(got, step, desc)
@@ -180,14 +180,14 @@ func TestLineMapMatchesFullClear(t *testing.T) {
 							break
 						}
 					}
-					if lm := m.lines[pfn].Load(); lm != 0 || !refFrameZero(m, pfn) {
+					if lm := m.meta(pfn).lines.Load(); lm != 0 || !refFrameZero(m, pfn) {
 						t.Fatalf("seed %d step %d: freed frame %d has line map %#x and full-scan zero = %v", seed, step, pfn, lm, refFrameZero(m, pfn))
 					}
 				}
 			}
 			for _, p := range live {
 				// Plain loads (nothing else is running), one comparison a frame.
-				if got := m.frames[p].Load(); *got != ref[p] {
+				if got := m.meta(p).data.Load(); *got != ref[p] {
 					w := 0
 					for got[w] == ref[p][w] {
 						w++
@@ -197,7 +197,7 @@ func TestLineMapMatchesFullClear(t *testing.T) {
 				}
 				if got, want := m.FrameZero(p), ref[p] == (frameArray{}); got != want {
 					t.Fatalf("seed %d step %d, after %s on frame %d: FrameZero(%d) = %v, the full scan says %v (line map %#x)",
-						seed, step, desc, pfn, p, got, want, m.lines[p].Load())
+						seed, step, desc, pfn, p, got, want, m.meta(p).lines.Load())
 				}
 			}
 		}
@@ -367,14 +367,14 @@ func TestReadFrameMatchesReadBytes(t *testing.T) {
 			t.Errorf("%s: ReadFrame wrote over what the destination held", state)
 		}
 		if wantLines := nonZeroLines(want); lines != wantLines {
-			t.Errorf("%s (line map %#x): ReadFrame mask %#x, non-zero lines %#x", state, m.lines[pfn].Load(), lines, wantLines)
+			t.Errorf("%s (line map %#x): ReadFrame mask %#x, non-zero lines %#x", state, m.meta(pfn).lines.Load(), lines, wantLines)
 		}
 		if got := unpackPage(lines, out[len(garbage):]); !bytes.Equal(got, want) {
 			i := 0
 			for got[i] == want[i] {
 				i++
 			}
-			t.Errorf("%s (line map %#x): ReadFrame byte %d = %#x, ReadBytes %#x", state, m.lines[pfn].Load(), i, got[i], want[i])
+			t.Errorf("%s (line map %#x): ReadFrame byte %d = %#x, ReadBytes %#x", state, m.meta(pfn).lines.Load(), i, got[i], want[i])
 		}
 	}
 	check("never written")

@@ -87,7 +87,7 @@ func TestDryPoolStormRace(t *testing.T) {
 			}
 			m.ReleaseFree()
 			for _, pfn := range m.pool.free {
-				if m.frames[pfn].Load() != nil {
+				if m.meta(pfn).data.Load() != nil {
 					t.Fatalf("frame %d on the pool's free list keeps its storage after ReleaseFree", pfn)
 				}
 			}
@@ -118,14 +118,14 @@ func TestReleasedStorageIsReused(t *testing.T) {
 		a.StoreWord(pfn, uint32(i*16), uint32(i+1))
 		pfns = append(pfns, pfn)
 	}
-	kept, keptArr := pfns[0], a.frames[pfns[0]].Load()
+	kept, keptArr := pfns[0], a.meta(pfns[0]).data.Load()
 	freed := map[*frameArray]bool{}
 	for _, p := range pfns[1:] {
-		freed[a.frames[p].Load()] = true
+		freed[a.meta(p).data.Load()] = true
 		a.DecRefs([]PFN{p})
 	}
 	a.ReleaseFree()
-	if a.frames[kept].Load() != keptArr || a.LoadWord(kept, 0) != 1 {
+	if a.meta(kept).data.Load() != keptArr || a.LoadWord(kept, 0) != 1 {
 		t.Fatalf("held frame %d lost its storage or its word across ReleaseFree", kept)
 	}
 	b := NewMemory(n - 1)
@@ -134,7 +134,7 @@ func TestReleasedStorageIsReused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Alloc: %v", err)
 		}
-		f := b.frames[pfn].Load()
+		f := b.meta(pfn).data.Load()
 		if !freed[f] {
 			t.Fatalf("frame %d of the second memory got storage the first did not release", pfn)
 		}

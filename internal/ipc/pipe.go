@@ -9,9 +9,9 @@
 // Blocking uses targeted wait lists (klock.WaitList): every wakeup is
 // addressed to a specific thread, so a wakeup can never be stolen by a
 // waiter whose condition is still false. Byte streams route all blocking
-// and wakeups through per-direction event queues (pollable.go) and
-// implement fs.Pollable, so the same transitions that release sleepers
-// also drive poll(2).
+// and wakeups through the readiness protocol of pollable.go and implement
+// fs.Pollable, so the same transitions that release sleepers also drive
+// poll(2).
 package ipc
 
 import (
@@ -27,129 +27,147 @@ import (
 // classic UNIX).
 const PipeCap = 10240
 
-// Pipe is a bounded kernel byte queue with blocking reads and writes.
-type Pipe struct {
-	// mu guards buf, readers, writers and both queues. It points at the
-	// pipe's own lock, or — for the two pipes of a socket pair — at the
-	// first one's, so an endpoint's poller subscribes to and withdraws
-	// from both directions under one hold (socketPair).
-	mu      *sync.Mutex
-	lock    sync.Mutex
+// flow is one direction of a byte stream: the bytes in flight, the ends
+// open on each side, the published readiness word and the threads asleep
+// on it. The stream that holds it — a Pipe, or a socket pair for both of
+// its flows — guards every field with its mutex, and hands the flow what
+// else it needs as an owner.
+type flow struct {
 	buf     []byte
 	readers int32
 	writers int32
-	rq      evQueue // reader-side events: data arrived, writers gone
-	wq      evQueue // writer-side events: space appeared, readers gone
 
 	// ready is the published readiness word: readyRead() in the low half,
-	// readyWrite() in the high half. publish recomputes it under mu after
-	// every change to buf, readers or writers and before the change is
-	// announced on a queue, so Ready() is a load (see fs.Pollable).
+	// readyWrite() in the high half. publish recomputes it under the
+	// owner's mutex after every change to buf, readers or writers and
+	// before the change is announced, so Ready() is a load (see
+	// fs.Pollable).
 	ready atomic.Uint32
 
-	// FI, when armed, injects spurious wakeups (SiteIPCSleep) and short
-	// reads/writes (SiteIPCData). The kernel sets it at pipe creation.
-	FI *faultinject.Plan
-	// PS, when set, aggregates readiness-notification counters for
-	// Stats(). The kernel sets it at pipe creation.
-	PS *PollStats
-
-	BytesMoved atomic.Int64
+	asleep *sleepers // nil until a thread first sleeps on the flow
 }
 
-// NewPipe creates a pipe with one reader and one writer end open.
-func NewPipe() *Pipe {
-	p := &Pipe{readers: 1, writers: 1}
-	p.mu = &p.lock
-	p.publish()
-	return p
+// sleepers are the threads blocked in a flow's reads and writes, made at
+// its first sleep: a flow whose operations never block, as a polled
+// connection's, never makes them. Readers and writers wait apart, since a
+// full flow can still hold readers left asleep when the baton passed.
+type sleepers struct{ readers, writers klock.WaitList }
+
+// list returns the writers' or the readers' list, or nil when no thread
+// has slept on the flow yet.
+func (s *sleepers) list(write bool) *klock.WaitList {
+	switch {
+	case s == nil:
+		return nil
+	case write:
+		return &s.writers
+	}
+	return &s.readers
 }
 
-// readyRead returns the reader end's readiness mask. Caller holds p.mu.
+// sleepList returns the list a thread about to sleep joins, making the
+// flow's sleepers on the first sleep. Owner's mutex held.
+func (f *flow) sleepList(write bool) *klock.WaitList {
+	if f.asleep == nil {
+		f.asleep = new(sleepers)
+	}
+	return f.asleep.list(write)
+}
+
+// owner is what a flow's operations need from the stream that holds it:
+// the mutex guarding the flow, the fault plan and readiness counters, and
+// the poll registrations watching the flow's reading and writing ends.
+type owner struct {
+	mu           *sync.Mutex
+	fi           *faultinject.Plan
+	ps           *PollStats
+	rpoll, wpoll *pollerList
+}
+
+// readyRead returns the reader end's readiness mask. Owner's mutex held.
 // EOF counts as readable: a read returns immediately (with 0 bytes).
-func (p *Pipe) readyRead() uint16 {
+func (f *flow) readyRead() uint16 {
 	var m uint16
-	if len(p.buf) > 0 {
+	if len(f.buf) > 0 {
 		m |= fs.PollIn
 	}
-	if p.writers == 0 {
+	if f.writers == 0 {
 		m |= fs.PollIn | fs.PollHup
 	}
 	return m
 }
 
-// readyWrite returns the writer end's readiness mask. Caller holds p.mu.
-// A readerless pipe reports PollErr (the write will raise EPIPE), which
+// readyWrite returns the writer end's readiness mask. Owner's mutex held.
+// A readerless flow reports PollErr (the write will raise EPIPE), which
 // poll reports regardless of the requested event set.
-func (p *Pipe) readyWrite() uint16 {
-	if p.readers == 0 {
+func (f *flow) readyWrite() uint16 {
+	if f.readers == 0 {
 		return fs.PollErr
 	}
-	if len(p.buf) < PipeCap {
+	if len(f.buf) < PipeCap {
 		return fs.PollOut
 	}
 	return 0
 }
 
-// publish stores the readiness word. Caller holds p.mu.
-func (p *Pipe) publish() {
-	p.ready.Store(uint32(p.readyRead()) | uint32(p.readyWrite())<<16)
+// publish stores the readiness word. Owner's mutex held.
+func (f *flow) publish() {
+	f.ready.Store(uint32(f.readyRead()) | uint32(f.readyWrite())<<16)
 }
 
 // read implements the reader end: block while empty (unless all writers
 // are gone: EOF), then drain up to len(b) bytes. A pending signal breaks
-// the sleep with ErrIntr; with nonblock an empty pipe returns ErrAgain
+// the sleep with ErrIntr; with nonblock an empty flow returns ErrAgain
 // instead of sleeping. An armed fault plan occasionally returns fewer
 // bytes than are available (short read — always at least one).
-func (p *Pipe) read(t klock.Thread, b []byte, nonblock bool) (int, error) {
-	p.mu.Lock()
-	for len(p.buf) == 0 {
-		if p.writers == 0 {
-			p.mu.Unlock()
+func (f *flow) read(o owner, t klock.Thread, b []byte, nonblock bool) (int, error) {
+	o.mu.Lock()
+	for len(f.buf) == 0 {
+		if f.writers == 0 {
+			o.mu.Unlock()
 			return 0, nil // EOF
 		}
 		if nonblock {
-			p.mu.Unlock()
+			o.mu.Unlock()
 			return 0, fs.ErrAgain
 		}
-		if err := p.rq.waitOn(p.FI, p.mu, t, "pipe read"); err != nil {
-			p.mu.Unlock()
+		if err := sleepOn(o.fi, o.mu, f.sleepList(false), t, "pipe read"); err != nil {
+			o.mu.Unlock()
 			return 0, err
 		}
 	}
-	wasFull := len(p.buf) == PipeCap
-	n := copy(b, p.buf)
+	wasFull := len(f.buf) == PipeCap
+	n := copy(b, f.buf)
 	if n > 1 {
-		if hit, draw := p.FI.Decide(faultinject.SiteIPCData, uint32(n)); hit {
+		if hit, draw := o.fi.Decide(faultinject.SiteIPCData, uint32(n)); hit {
 			n = 1 + int(draw%uint64(n))
-			p.FI.Note(faultinject.SiteIPCData, faultinject.FaultShortIO, uint32(n))
+			o.fi.Note(faultinject.SiteIPCData, faultinject.FaultShortIO, uint32(n))
 		}
 	}
-	if n == len(p.buf) {
+	if n == len(f.buf) {
 		// Drained: rewind to the start of the backing array, so the next
 		// fill reuses it instead of allocating past its end.
-		p.buf = p.buf[:0]
+		f.buf = f.buf[:0]
 	} else {
-		p.buf = p.buf[n:]
+		f.buf = f.buf[n:]
 	}
-	p.publish()
-	p.BytesMoved.Add(int64(n))
+	f.publish()
 	if wasFull && n > 0 {
 		// Full→unfull transition: space appeared, release one writer.
-		p.wq.wake(p.PS, false)
+		transition(o.ps, f.asleep.list(true), *o.wpoll, false)
 	}
-	if len(p.buf) > 0 {
+	if len(f.buf) > 0 {
 		// Data is left over; pass the baton to the next sleeping reader
 		// (a targeted wake replaced the historical broadcast, so leftover
 		// condition must be handed on explicitly).
-		p.rq.baton(p.PS)
+		baton(o.ps, f.asleep.list(false))
 	}
-	p.mu.Unlock()
+	o.mu.Unlock()
 	return n, nil
 }
 
 // write implements the writer end: block while full; EPIPE when no
-// readers remain; with nonblock a full pipe returns ErrAgain (or a short
+// readers remain; with nonblock a full flow returns ErrAgain (or a short
 // count if some bytes already moved). A signal that lands before any byte
 // moved surfaces as ErrIntr; after a partial transfer it surfaces as a
 // short write (UNIX write(2) semantics). An armed fault plan also forces
@@ -158,25 +176,25 @@ func (p *Pipe) read(t klock.Thread, b []byte, nonblock bool) (int, error) {
 // Readers are woken once per empty→nonempty transition — at most once per
 // buffer-drain cycle — not once per appended chunk: the thundering-herd
 // fix. A targeted wake suffices because read passes the baton on.
-func (p *Pipe) write(t klock.Thread, b []byte, nonblock bool) (int, error) {
+func (f *flow) write(o owner, t klock.Thread, b []byte, nonblock bool) (int, error) {
 	total := 0
-	p.mu.Lock()
+	o.mu.Lock()
 	for len(b) > 0 {
-		if p.readers == 0 {
-			p.mu.Unlock()
+		if f.readers == 0 {
+			o.mu.Unlock()
 			return total, fs.ErrPipe
 		}
-		space := PipeCap - len(p.buf)
+		space := PipeCap - len(f.buf)
 		if space == 0 {
 			if nonblock {
-				p.mu.Unlock()
+				o.mu.Unlock()
 				if total > 0 {
 					return total, nil
 				}
 				return 0, fs.ErrAgain
 			}
-			if err := p.wq.waitOn(p.FI, p.mu, t, "pipe write"); err != nil {
-				p.mu.Unlock()
+			if err := sleepOn(o.fi, o.mu, f.sleepList(true), t, "pipe write"); err != nil {
+				o.mu.Unlock()
 				if total > 0 {
 					return total, nil
 				}
@@ -184,48 +202,70 @@ func (p *Pipe) write(t klock.Thread, b []byte, nonblock bool) (int, error) {
 			}
 			continue
 		}
-		n := space
-		if n > len(b) {
-			n = len(b)
-		}
-		wasEmpty := len(p.buf) == 0
-		p.buf = append(p.buf, b[:n]...)
-		p.publish()
+		n := min(space, len(b))
+		wasEmpty := len(f.buf) == 0
+		f.buf = append(f.buf, b[:n]...)
+		f.publish()
 		b = b[n:]
 		total += n
 		if wasEmpty {
-			p.rq.wake(p.PS, false)
+			transition(o.ps, f.asleep.list(false), *o.rpoll, false)
 		}
 		if len(b) > 0 {
-			if hit, _ := p.FI.Decide(faultinject.SiteIPCData, uint32(total)); hit {
-				p.FI.Note(faultinject.SiteIPCData, faultinject.FaultShortIO, uint32(total))
+			if hit, _ := o.fi.Decide(faultinject.SiteIPCData, uint32(total)); hit {
+				o.fi.Note(faultinject.SiteIPCData, faultinject.FaultShortIO, uint32(total))
 				break
 			}
 		}
 	}
-	if PipeCap-len(p.buf) > 0 {
+	if PipeCap-len(f.buf) > 0 {
 		// Space is left over; hand it to the next sleeping writer, if any.
-		p.wq.baton(p.PS)
+		baton(o.ps, f.asleep.list(true))
 	}
-	p.mu.Unlock()
+	o.mu.Unlock()
 	return total, nil
 }
 
-// closeEnd closes one end — a terminal transition: broadcast both
-// directions so every sleeper observes EOF/EPIPE and every poller sees
+// closeEnd closes one end — a terminal transition: broadcast to both
+// sides so every sleeper observes EOF/EPIPE and every poller sees
 // PollHup/PollErr.
-func (p *Pipe) closeEnd(read bool) {
-	p.mu.Lock()
+func (f *flow) closeEnd(o owner, read bool) {
+	o.mu.Lock()
 	if read {
-		p.readers--
+		f.readers--
 	} else {
-		p.writers--
+		f.writers--
 	}
-	p.publish()
-	p.rq.wake(p.PS, true)
-	p.wq.wake(p.PS, true)
-	p.mu.Unlock()
+	f.publish()
+	transition(o.ps, f.asleep.list(false), *o.rpoll, true)
+	transition(o.ps, f.asleep.list(true), *o.wpoll, true)
+	o.mu.Unlock()
 }
+
+// Pipe is a bounded kernel byte queue with blocking reads and writes.
+type Pipe struct {
+	mu sync.Mutex
+	flow
+	rpoll pollerList // poll registrations on the reader end
+	wpoll pollerList // poll registrations on the writer end
+
+	// FI, when armed, injects spurious wakeups (SiteIPCSleep) and short
+	// reads/writes (SiteIPCData). The kernel sets it at pipe creation.
+	FI *faultinject.Plan
+	// PS, when set, aggregates readiness-notification counters for
+	// Stats(). The kernel sets it at pipe creation.
+	PS *PollStats
+}
+
+// NewPipe creates a pipe with one reader and one writer end open.
+func NewPipe() *Pipe {
+	p := &Pipe{flow: flow{readers: 1, writers: 1}}
+	p.publish()
+	return p
+}
+
+// owner returns the pipe as its flow's owner.
+func (p *Pipe) owner() owner { return owner{&p.mu, p.FI, p.PS, &p.rpoll, &p.wpoll} }
 
 // pipeEnd adapts one end of a pipe to fs.Stream and fs.Pollable.
 type pipeEnd struct {
@@ -237,19 +277,19 @@ func (e *pipeEnd) Read(t klock.Thread, b []byte, nonblock bool) (int, error) {
 	if !e.read {
 		return 0, fs.ErrBadFd
 	}
-	return e.p.read(t, b, nonblock)
+	return e.p.read(e.p.owner(), t, b, nonblock)
 }
 
 func (e *pipeEnd) Write(t klock.Thread, b []byte, nonblock bool) (int, error) {
 	if e.read {
 		return 0, fs.ErrBadFd
 	}
-	return e.p.write(t, b, nonblock)
+	return e.p.write(e.p.owner(), t, b, nonblock)
 }
 
-func (e *pipeEnd) Close() { e.p.closeEnd(e.read) }
+func (e *pipeEnd) Close() { e.p.closeEnd(e.p.owner(), e.read) }
 
-// Ready implements fs.Pollable for the end's own direction.
+// Ready implements fs.Pollable for the end's own side.
 func (e *pipeEnd) Ready() uint16 {
 	r := e.p.ready.Load()
 	if e.read {
@@ -258,25 +298,25 @@ func (e *pipeEnd) Ready() uint16 {
 	return uint16(r >> 16)
 }
 
-// PollRegister implements fs.Pollable: subscribe on the end's queue.
+// pollers returns the registrations standing on the end.
+func (e *pipeEnd) pollers() *pollerList {
+	if e.read {
+		return &e.p.rpoll
+	}
+	return &e.p.wpoll
+}
+
+// PollRegister implements fs.Pollable: subscribe on the end.
 func (e *pipeEnd) PollRegister(w *fs.PollWaiter, tag uint32) {
 	e.p.mu.Lock()
-	if e.read {
-		e.p.rq.register(w, tag)
-	} else {
-		e.p.wq.register(w, tag)
-	}
+	e.pollers().register(w, tag)
 	e.p.mu.Unlock()
 }
 
 // PollUnregister implements fs.Pollable.
 func (e *pipeEnd) PollUnregister(w *fs.PollWaiter, tag uint32) {
 	e.p.mu.Lock()
-	if e.read {
-		e.p.rq.unregister(w, tag)
-	} else {
-		e.p.wq.unregister(w, tag)
-	}
+	e.pollers().unregister(w, tag)
 	e.p.mu.Unlock()
 }
 
@@ -285,55 +325,91 @@ func (p *Pipe) Ends() (r, w fs.Stream) {
 	return &pipeEnd{p: p, read: true}, &pipeEnd{p: p, read: false}
 }
 
-// duplexEnd is one endpoint of a connected stream pair: it reads from one
-// pipe and writes to the other (the socketpair model).
-type duplexEnd struct {
-	in  *Pipe
-	out *Pipe
+// sockPair is a connected pair of duplex byte streams, modelling
+// socketpair(2) on a UNIX-domain stream socket, in one allocation: both
+// flows, both endpoints, and the one mutex that guards them all, so an
+// endpoint's reads, writes and poll registrations serialize with its
+// peer's. flows[i] carries what endpoint i writes and the other reads.
+type sockPair struct {
+	mu    sync.Mutex
+	fi    *faultinject.Plan
+	ps    *PollStats
+	flows [2]flow
+	ends  [2]sockEnd
 }
 
-func (d *duplexEnd) Read(t klock.Thread, b []byte, nonblock bool) (int, error) {
-	return d.in.read(t, b, nonblock)
-}
-func (d *duplexEnd) Write(t klock.Thread, b []byte, nonblock bool) (int, error) {
-	return d.out.write(t, b, nonblock)
-}
-func (d *duplexEnd) Close() {
-	d.in.closeEnd(true)
-	d.out.closeEnd(false)
+// sockEnd is one endpoint of a socket pair and the poll registrations
+// standing on it. A registration is one entry, notified by the endpoint's
+// inbound read side and its outbound write side.
+type sockEnd struct {
+	pair    *sockPair
+	pollers pollerList
 }
 
-// Ready implements fs.Pollable: a duplex endpoint is readable by its
-// inbound pipe and writable by its outbound one.
-func (d *duplexEnd) Ready() uint16 {
-	return uint16(d.in.ready.Load()) | uint16(d.out.ready.Load()>>16)
+// socketPair creates a connected pair of duplex byte streams wired to a
+// fault plan and poll-stats aggregator (Connect passes the namespace's
+// through).
+func socketPair(fi *faultinject.Plan, ps *PollStats) (a, b fs.Stream) {
+	p := &sockPair{fi: fi, ps: ps}
+	for i := range p.flows {
+		p.flows[i].readers, p.flows[i].writers = 1, 1
+		p.flows[i].publish()
+		p.ends[i].pair = p
+	}
+	return &p.ends[0], &p.ends[1]
 }
 
-// PollRegister implements fs.Pollable: subscribe to both directions,
-// under the pair's one mutex.
-func (d *duplexEnd) PollRegister(w *fs.PollWaiter, tag uint32) {
-	d.in.mu.Lock()
-	d.in.rq.register(w, tag)
-	d.out.wq.register(w, tag)
-	d.in.mu.Unlock()
+// side returns the endpoint's index in its pair.
+func (e *sockEnd) side() int {
+	if e == &e.pair.ends[0] {
+		return 0
+	}
+	return 1
+}
+
+// outflow returns the flow endpoint from writes and the other reads, with
+// the pair as its owner.
+func (p *sockPair) outflow(from int) (*flow, owner) {
+	return &p.flows[from], owner{&p.mu, p.fi, p.ps, &p.ends[1-from].pollers, &p.ends[from].pollers}
+}
+
+func (e *sockEnd) Read(t klock.Thread, b []byte, nonblock bool) (int, error) {
+	f, o := e.pair.outflow(1 - e.side())
+	return f.read(o, t, b, nonblock)
+}
+
+func (e *sockEnd) Write(t klock.Thread, b []byte, nonblock bool) (int, error) {
+	f, o := e.pair.outflow(e.side())
+	return f.write(o, t, b, nonblock)
+}
+
+// Close closes the endpoint's reading end of its inbound flow, then its
+// writing end of the outbound one.
+func (e *sockEnd) Close() {
+	s := e.side()
+	in, oi := e.pair.outflow(1 - s)
+	in.closeEnd(oi, true)
+	out, oo := e.pair.outflow(s)
+	out.closeEnd(oo, false)
+}
+
+// Ready implements fs.Pollable: an endpoint is readable by its inbound
+// flow and writable by its outbound one.
+func (e *sockEnd) Ready() uint16 {
+	s := e.side()
+	return uint16(e.pair.flows[1-s].ready.Load()) | uint16(e.pair.flows[s].ready.Load()>>16)
+}
+
+// PollRegister implements fs.Pollable.
+func (e *sockEnd) PollRegister(w *fs.PollWaiter, tag uint32) {
+	e.pair.mu.Lock()
+	e.pollers.register(w, tag)
+	e.pair.mu.Unlock()
 }
 
 // PollUnregister implements fs.Pollable.
-func (d *duplexEnd) PollUnregister(w *fs.PollWaiter, tag uint32) {
-	d.in.mu.Lock()
-	d.in.rq.unregister(w, tag)
-	d.out.wq.unregister(w, tag)
-	d.in.mu.Unlock()
-}
-
-// socketPair creates a connected pair of duplex byte streams, modelling
-// socketpair(2) on a UNIX-domain stream socket, with both underlying pipes
-// wired to a fault plan and poll-stats aggregator (Connect passes the
-// namespace's through).
-func socketPair(fi *faultinject.Plan, ps *PollStats) (a, b fs.Stream) {
-	p1, p2 := NewPipe(), NewPipe()
-	p2.mu = p1.mu
-	p1.FI, p2.FI = fi, fi
-	p1.PS, p2.PS = ps, ps
-	return &duplexEnd{in: p1, out: p2}, &duplexEnd{in: p2, out: p1}
+func (e *sockEnd) PollUnregister(w *fs.PollWaiter, tag uint32) {
+	e.pair.mu.Lock()
+	e.pollers.unregister(w, tag)
+	e.pair.mu.Unlock()
 }

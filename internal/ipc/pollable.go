@@ -2,12 +2,11 @@ package ipc
 
 // This file is the waitable-descriptor substrate: every byte stream the
 // kernel exposes (pipe ends, socket-pair endpoints, listeners) routes both
-// its blocking *and* its wakeups through one evQueue per direction, and
+// its blocking *and* its wakeups through transition and baton, and
 // publishes every readiness transition — write makes readable, read makes
 // writable, close makes EOF/EPIPE, a connection joins the backlog — to the
-// sleepers and the poll(2) registrations on that queue. Streams no longer
-// touch their wait lists directly; the queue is the single place wake
-// policy lives:
+// sleepers and the poll(2) registrations it concerns. Those two functions
+// are the single place wake policy lives:
 //
 //   - Sleepers are woken one at a time on an ordinary transition (the
 //     FIFO baton: the woken thread re-wakes the next sleeper if any of the
@@ -24,7 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/faultinject"
 	"repro/internal/fs"
 	"repro/internal/klock"
 )
@@ -38,14 +36,9 @@ type PollStats struct {
 	PollerWakes  atomic.Int64 // wake tokens deposited for pollers
 }
 
-// evQueue is one direction's event wait queue: the threads blocked in a
-// read/write/accept on the stream plus the poll(2) registrations watching
-// it. Every field is guarded by the owning stream's mutex.
-type evQueue struct {
-	sleepers klock.WaitList
-	pollers  []poller
-	wakes    atomic.Int64 // sleeper wakeups issued (thundering-herd audit)
-}
+// pollerList is the poll(2) registrations watching one stream end, guarded
+// by the owning stream's mutex.
+type pollerList []poller
 
 // poller is one poll(2) registration: the waiter and the tag it asked to
 // be notified with. The tag rides here, so a registration costs the waiter
@@ -56,50 +49,49 @@ type poller struct {
 }
 
 // register subscribes w under tag. Owner's mutex held.
-func (q *evQueue) register(w *fs.PollWaiter, tag uint32) {
-	q.pollers = append(q.pollers, poller{w, tag})
+func (l *pollerList) register(w *fs.PollWaiter, tag uint32) {
+	*l = append(*l, poller{w, tag})
 }
 
 // unregister withdraws w's registration under tag (no-op if absent).
 // Owner's mutex held.
-func (q *evQueue) unregister(w *fs.PollWaiter, tag uint32) {
-	for i, x := range q.pollers {
+func (l *pollerList) unregister(w *fs.PollWaiter, tag uint32) {
+	ps := *l
+	for i, x := range ps {
 		if x == (poller{w, tag}) {
-			last := len(q.pollers) - 1
-			q.pollers[i] = q.pollers[last]
-			q.pollers[last] = poller{}
-			q.pollers = q.pollers[:last]
+			last := len(ps) - 1
+			ps[i] = ps[last]
+			ps[last] = poller{}
+			*l = ps[:last]
 			return
 		}
 	}
 }
 
-// wake publishes one readiness transition on the queue: release sleepers —
-// all of them when broadcast (terminal transitions: every sleeper's
-// condition holds), otherwise exactly one (the baton) — and notify every
-// registered poller. PollerWakes counts the notifications that deposited a
-// wake token, not the registrations: a standing waiter whose thread is not
-// asleep in poll takes its mark and costs no wake. Owner's mutex held.
-func (q *evQueue) wake(ps *PollStats, broadcast bool) {
+// transition publishes one readiness transition: release sleepers — all of
+// them when broadcast (terminal transitions: every sleeper's condition
+// holds), otherwise exactly one (the baton) — and notify every registered
+// poller. sleepers may be nil: no thread ever slept on that side.
+// PollerWakes counts the notifications that deposited a wake token, not the
+// registrations: a standing waiter whose thread is not asleep in poll takes
+// its mark and costs no wake. Owner's mutex held.
+func transition(ps *PollStats, sleepers *klock.WaitList, pollers pollerList, broadcast bool) {
 	if ps != nil {
 		ps.Transitions.Add(1)
 	}
-	n := 0
-	if broadcast {
-		n = q.sleepers.Len()
-		q.sleepers.WakeAll()
-	} else if q.sleepers.Len() > 0 {
-		n = 1
-		q.sleepers.WakeOne()
-	}
-	if n > 0 {
-		q.wakes.Add(int64(n))
-		if ps != nil {
+	if sleepers != nil {
+		n := 0
+		if broadcast {
+			n = sleepers.WakeAll()
+		} else if sleepers.WakeOne() {
+			n = 1
+		}
+		if ps != nil && n > 0 {
 			ps.SleeperWakes.Add(int64(n))
 		}
 	}
 	woken := 0
-	for _, r := range q.pollers {
+	for _, r := range pollers {
 		if r.w.Notify(r.tag) {
 			woken++
 		}
@@ -112,52 +104,31 @@ func (q *evQueue) wake(ps *PollStats, broadcast bool) {
 // baton hands a leftover condition to the next sleeper without
 // republishing a transition: pollers are level-triggered and were already
 // notified when the condition appeared, so only a sleeper that consumed
-// part of it needs to pass the remainder on. Owner's mutex held.
-func (q *evQueue) baton(ps *PollStats) {
-	if q.sleepers.Len() == 0 {
-		return
-	}
-	q.sleepers.WakeOne()
-	q.wakes.Add(1)
-	if ps != nil {
+// part of it needs to pass the remainder on. sleepers may be nil. Owner's
+// mutex held.
+func baton(ps *PollStats, sleepers *klock.WaitList) {
+	if sleepers != nil && sleepers.WakeOne() && ps != nil {
 		ps.SleeperWakes.Add(1)
 	}
 }
 
-// waitOn blocks t on the queue until the next transition (or a signal, or
-// an injected spurious wake). Called with mu held and the condition false;
-// the caller loops.
-func (q *evQueue) waitOn(fi *faultinject.Plan, mu *sync.Mutex, t klock.Thread, reason string) error {
-	return sleepOn(fi, mu, &q.sleepers, t, reason)
-}
-
 // PollRegistrations returns the number of poll(2) registrations standing
-// on the queues of stream s (0 for a stream that is not one of this
-// package's): what a process that has exited, exec'd or been killed must
-// have left behind on every stream it ever polled.
+// on stream s (0 for a stream that is not one of this package's): what a
+// process that has exited, exec'd or been killed must have left behind on
+// every stream it ever polled.
 func PollRegistrations(s fs.Stream) int {
-	count := func(mu *sync.Mutex, qs ...*evQueue) (n int) {
+	count := func(mu *sync.Mutex, l *pollerList) int {
 		mu.Lock()
 		defer mu.Unlock()
-		for _, q := range qs {
-			n += len(q.pollers)
-		}
-		return n
+		return len(*l)
 	}
 	switch e := s.(type) {
 	case *pipeEnd:
-		if e.read {
-			return count(e.p.mu, &e.p.rq)
-		}
-		return count(e.p.mu, &e.p.wq)
-	case *duplexEnd:
-		return count(e.in.mu, &e.in.rq, &e.out.wq)
+		return count(&e.p.mu, e.pollers())
+	case *sockEnd:
+		return count(&e.pair.mu, &e.pollers)
 	case *Listener:
-		return count(&e.mu, &e.q)
+		return count(&e.mu, &e.pollers)
 	}
 	return 0
 }
-
-// SleeperWakes returns the number of sleeper wakeups the queue has issued
-// (the wake-count assertions of the thundering-herd tests).
-func (q *evQueue) SleeperWakes() int64 { return q.wakes.Load() }

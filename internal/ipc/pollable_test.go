@@ -25,15 +25,18 @@ func (g *pollThread) Unblock() {
 	}
 }
 
-// waitSleepers blocks until q has exactly n sleeping threads (the only way
-// a test can know a reader goroutine has actually gone down on the queue).
-func waitSleepers(t *testing.T, mu *sync.Mutex, q *evQueue, n int) {
+// waitSleepers blocks until p has exactly n sleeping readers (the only way
+// a test can know a reader goroutine has actually gone down on the pipe).
+func waitSleepers(t *testing.T, p *Pipe, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		mu.Lock()
-		got := q.sleepers.Len()
-		mu.Unlock()
+		p.mu.Lock()
+		got := 0
+		if l := p.asleep.list(false); l != nil {
+			got = l.Len()
+		}
+		p.mu.Unlock()
 		if got == n {
 			return
 		}
@@ -50,6 +53,7 @@ func waitSleepers(t *testing.T, mu *sync.Mutex, q *evQueue, n int) {
 // broadcast woke every sleeper to fight over one chunk.
 func TestPipeSingleWakePerTransition(t *testing.T) {
 	p := NewPipe()
+	p.PS = &PollStats{}
 	r, w := p.Ends()
 	const nReaders = 3
 	results := make(chan int, nReaders)
@@ -61,24 +65,24 @@ func TestPipeSingleWakePerTransition(t *testing.T) {
 			results <- n
 		}()
 	}
-	waitSleepers(t, p.mu, &p.rq, nReaders)
+	waitSleepers(t, p, nReaders)
 
 	th := newGoThread()
 	w.Write(th, []byte("x"), false)
 	if n := <-results; n != 1 {
 		t.Fatalf("woken reader got %d bytes", n)
 	}
-	if rw, _ := p.WakeCounts(); rw != 1 {
+	if rw := p.PS.SleeperWakes.Load(); rw != 1 {
 		t.Errorf("one write to %d sleepers issued %d reader wakes, want exactly 1", nReaders, rw)
 	}
 	// The other readers must still be asleep — no byte arrived for them.
-	waitSleepers(t, p.mu, &p.rq, nReaders-1)
+	waitSleepers(t, p, nReaders-1)
 
 	w.Write(th, []byte("y"), false)
 	<-results
 	w.Write(th, []byte("z"), false)
 	<-results
-	if rw, _ := p.WakeCounts(); rw != nReaders {
+	if rw := p.PS.SleeperWakes.Load(); rw != nReaders {
 		t.Errorf("%d single-byte writes issued %d reader wakes, want %d (one per transition)",
 			nReaders, rw, nReaders)
 	}
@@ -102,7 +106,7 @@ func TestPipeReadBatonPassing(t *testing.T) {
 			results <- n
 		}()
 	}
-	waitSleepers(t, p.mu, &p.rq, nReaders)
+	waitSleepers(t, p, nReaders)
 
 	th := newGoThread()
 	if n, err := w.Write(th, []byte("abc"), false); n != 3 || err != nil {
@@ -113,7 +117,7 @@ func TestPipeReadBatonPassing(t *testing.T) {
 			t.Fatalf("reader got %d bytes, want 1", n)
 		}
 	}
-	if rw, _ := p.WakeCounts(); rw != nReaders {
+	if rw := p.PS.SleeperWakes.Load(); rw != nReaders {
 		t.Errorf("baton chain issued %d wakes, want %d (every wake productive)", rw, nReaders)
 	}
 	if tr := p.PS.Transitions.Load(); tr != 1 {
@@ -136,7 +140,7 @@ func TestPipeCloseBroadcast(t *testing.T) {
 			results <- n
 		}()
 	}
-	waitSleepers(t, p.mu, &p.rq, nReaders)
+	waitSleepers(t, p, nReaders)
 	w.Close()
 	for i := 0; i < nReaders; i++ {
 		if n := <-results; n != 0 {
@@ -223,9 +227,9 @@ func pollWait(p fs.Pollable, g *pollThread, w *fs.PollWaiter, want uint16, aslee
 // TestReadinessConservationStormRace hammers a socket pair with concurrent
 // writers, readers, and pollers (run under -race in tier 1) at GOMAXPROCS
 // 1, 2 and NumCPU, and audits the readiness layer twice over. Conservation:
-// every byte written is read, every sleeper wake the queues issued is in
-// the aggregate counter, and every poller notification the queues published
-// was delivered to a registered waiter. Liveness: no poller is left asleep
+// every byte written is read, the aggregate counts exactly the wakes the
+// sleeping threads were sent, and every poller notification the pair
+// published was delivered to a registered waiter. Liveness: no poller is left asleep
 // while its stream is ready — in the storm, where the last transition (the
 // close) must reach every poller, and in a ping-pong where every single
 // transition is the only one that will ever come.
@@ -250,9 +254,6 @@ func TestReadinessConservationStormRace(t *testing.T) {
 func readinessPingPong(t *testing.T) {
 	const rounds = 5000
 	a, b := socketPair(nil, nil)
-	if d := a.(*duplexEnd); d.in.mu != d.out.mu {
-		t.Fatal("the two pipes of a socket pair do not share one mutex; duplexEnd.PollRegister holds only one")
-	}
 	var asleep [2]atomic.Bool
 	side := func(s fs.Stream, serve bool, asleep *atomic.Bool) error {
 		g, th := newPollThread(), newGoThread()
@@ -328,12 +329,15 @@ func readinessStorm(t *testing.T) {
 		}(&asleep[i])
 	}
 
+	// Every stream operation sleeps on a thread that counts the wakeups it
+	// is sent.
+	var woken atomic.Int64
 	var writerWG sync.WaitGroup
 	for i := 0; i < nWriters; i++ {
 		writerWG.Add(1)
 		go func(seed byte) {
 			defer writerWG.Done()
-			g := newGoThread()
+			g := &countedThread{newGoThread(), &woken}
 			buf := make([]byte, 37) // deliberately misaligned with PipeCap
 			for k := range buf {
 				buf[k] = seed
@@ -359,7 +363,7 @@ func readinessStorm(t *testing.T) {
 	readerWG.Add(1)
 	go func() {
 		defer readerWG.Done()
-		g := newGoThread()
+		g := &countedThread{newGoThread(), &woken}
 		buf := make([]byte, 101)
 		for {
 			n, err := b.Read(g, buf, false)
@@ -399,14 +403,20 @@ func readinessStorm(t *testing.T) {
 		notified += w.Notified.Load()
 	}
 	if pw := ps.PollerWakes.Load(); pw != notified {
-		t.Errorf("conservation: queues published %d poller wakes, waiters received %d", pw, notified)
+		t.Errorf("conservation: the pair published %d poller wakes, waiters received %d", pw, notified)
 	}
-	var queueWakes int64
-	for _, p := range []*Pipe{a.(*duplexEnd).in, a.(*duplexEnd).out} {
-		r, w := p.WakeCounts()
-		queueWakes += r + w
+	if sw := ps.SleeperWakes.Load(); sw != woken.Load() {
+		t.Errorf("conservation: sleepers were sent %d wakes, aggregate says %d", woken.Load(), sw)
 	}
-	if sw := ps.SleeperWakes.Load(); sw != queueWakes {
-		t.Errorf("conservation: queues issued %d sleeper wakes, aggregate says %d", queueWakes, sw)
-	}
+}
+
+// countedThread is a goThread that counts the wakeups it is sent.
+type countedThread struct {
+	*goThread
+	woken *atomic.Int64
+}
+
+func (g *countedThread) Unblock() {
+	g.woken.Add(1)
+	g.goThread.Unblock()
 }

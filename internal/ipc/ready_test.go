@@ -18,8 +18,9 @@ func stateMask(s fs.Stream) uint16 {
 			return e.p.readyRead()
 		}
 		return e.p.readyWrite()
-	case *duplexEnd:
-		return e.in.readyRead() | e.out.readyWrite()
+	case *sockEnd:
+		s := e.side()
+		return e.pair.flows[1-s].readyRead() | e.pair.flows[s].readyWrite()
 	case *Listener:
 		return e.readyMask()
 	}
@@ -32,9 +33,9 @@ func lockedMask(s fs.Stream) uint16 {
 	var mu *sync.Mutex
 	switch e := s.(type) {
 	case *pipeEnd:
-		mu = e.p.mu
-	case *duplexEnd:
-		mu = e.in.mu // the pair's one mutex
+		mu = &e.p.mu
+	case *sockEnd:
+		mu = &e.pair.mu
 	case *Listener:
 		mu = &e.mu
 	}

@@ -20,8 +20,8 @@ var (
 // Listener accepts stream connections on a name — an abstract-namespace
 // UNIX-domain listening socket. It lives behind a descriptor like any
 // other stream (the kernel installs it in the fd table), implements
-// fs.Pollable (PollIn = backlog non-empty), and blocks through its event
-// queue like the pipes do. Its fs.Stream Read/Write reject with EBADF:
+// fs.Pollable (PollIn = backlog non-empty), and blocks and wakes through
+// transition and baton like the pipes do. Its fs.Stream Read/Write reject with EBADF:
 // a listening socket moves no data.
 type Listener struct {
 	name    string
@@ -30,12 +30,14 @@ type Listener struct {
 	ps      *PollStats
 	mu      sync.Mutex
 	pending []fs.Stream
-	q       evQueue
 	closed  bool
+
+	sleepers klock.WaitList // threads blocked in accept
+	pollers  pollerList
 
 	// ready is the published readiness mask: publish recomputes it under
 	// mu after every change to pending or closed and before the change is
-	// announced on q, so Ready() is a load (see fs.Pollable).
+	// announced, so Ready() is a load (see fs.Pollable).
 	ready atomic.Uint32
 }
 
@@ -68,7 +70,7 @@ func (l *Listener) Accept(t klock.Thread, nonblock bool) (fs.Stream, error) {
 			l.publish()
 			if len(l.pending) > 0 {
 				// Backlog left over: hand it to the next sleeping acceptor.
-				l.q.baton(l.ps)
+				baton(l.ps, &l.sleepers)
 			}
 			l.mu.Unlock()
 			return s, nil
@@ -81,7 +83,7 @@ func (l *Listener) Accept(t klock.Thread, nonblock bool) (fs.Stream, error) {
 			l.mu.Unlock()
 			return nil, fs.ErrAgain
 		}
-		if err := l.q.waitOn(l.fi, &l.mu, t, "accept: wait for connection"); err != nil {
+		if err := sleepOn(l.fi, &l.mu, &l.sleepers, t, "accept: wait for connection"); err != nil {
 			l.mu.Unlock()
 			return nil, err
 		}
@@ -94,7 +96,7 @@ func (l *Listener) Close() {
 	l.mu.Lock()
 	l.closed = true
 	l.publish()
-	l.q.wake(l.ps, true)
+	transition(l.ps, &l.sleepers, l.pollers, true)
 	l.mu.Unlock()
 	l.net.mu.Lock()
 	delete(l.net.listeners, l.name)
@@ -117,14 +119,14 @@ func (l *Listener) Ready() uint16 { return uint16(l.ready.Load()) }
 // PollRegister implements fs.Pollable.
 func (l *Listener) PollRegister(w *fs.PollWaiter, tag uint32) {
 	l.mu.Lock()
-	l.q.register(w, tag)
+	l.pollers.register(w, tag)
 	l.mu.Unlock()
 }
 
 // PollUnregister implements fs.Pollable.
 func (l *Listener) PollUnregister(w *fs.PollWaiter, tag uint32) {
 	l.mu.Lock()
-	l.q.unregister(w, tag)
+	l.pollers.unregister(w, tag)
 	l.mu.Unlock()
 }
 
@@ -141,17 +143,16 @@ func NewNetNames() *NetNames {
 	return &NetNames{listeners: map[string]*Listener{}}
 }
 
-// SetFault arms the namespace with a fault plan: accepts and the pipes of
-// subsequently connected stream pairs inherit it. Call at boot.
+// SetFault arms the namespace with a fault plan: accepts and subsequently
+// connected stream pairs inherit it. Call at boot.
 func (n *NetNames) SetFault(fi *faultinject.Plan) {
 	n.mu.Lock()
 	n.fi = fi
 	n.mu.Unlock()
 }
 
-// SetPollStats wires the namespace's readiness counters: listeners and the
-// pipes of subsequently connected stream pairs publish into ps. Call at
-// boot.
+// SetPollStats wires the namespace's readiness counters: listeners and
+// subsequently connected stream pairs publish into ps. Call at boot.
 func (n *NetNames) SetPollStats(ps *PollStats) {
 	n.mu.Lock()
 	n.ps = ps
@@ -189,7 +190,7 @@ func (n *NetNames) Connect(t klock.Thread, name string) (fs.Stream, error) {
 	}
 	l.pending = append(l.pending, server)
 	l.publish()
-	l.q.wake(ps, false)
+	transition(ps, &l.sleepers, l.pollers, false)
 	l.mu.Unlock()
 	return client, nil
 }

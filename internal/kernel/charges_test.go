@@ -330,7 +330,21 @@ func sysCases(img *ckpt.Image) [NSys]sysCase {
 	handle := func(c *Context) { c.Signal(proc.SIGUSR1, func(int) {}) }
 	msg := func(c *Context) int { id := c.Msgget(1); c.Msgsnd(id, 1, buf, 8); return id }
 	dialed := func(c *Context) int { lfd, _ := c.NetListen("svc"); c.NetConnect("svc"); return lfd }
-	zombie := func(c *Context) { pid, _ := c.Fork("child", func(*Context) {}); settle(c, pid, proc.SZomb, "") }
+	// A child wait(2) reaps without sleeping: reap marks it SZomb before it
+	// closes Exited, which is what wait reads, so settle on Exited itself.
+	zombie := func(c *Context) {
+		pid, _ := c.Fork("child", func(*Context) {})
+		child, _ := c.S.Lookup(pid)
+		for {
+			select {
+			case <-child.Exited:
+				return
+			default:
+			}
+			c.Getpid()
+			runtime.Gosched()
+		}
+	}
 	type run = func(func() error)
 	return [NSys]sysCase{
 		SysOpen:    func(c *Context, m run) { m(func() error { return noErr(c.Open("/f", rw, 0o644)) }) },

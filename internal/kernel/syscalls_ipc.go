@@ -15,10 +15,8 @@ func (c *Context) Pipe() (int, int, error) {
 		p.FI = c.S.faults
 		p.PS = c.S.pollStats
 		rs, ws := p.Ends()
-		ri := c.S.FS.MkInode(fs.ModeFIFO|0o600, 0, 0)
-		wi := c.S.FS.MkInode(fs.ModeFIFO|0o600, 0, 0)
-		rf := fs.NewFile(ri.Hold(), rs, fs.ORead)
-		wf := fs.NewFile(wi.Hold(), ws, fs.OWrite)
+		rf := fs.NewFile(nil, rs, fs.ORead)
+		wf := fs.NewFile(nil, ws, fs.OWrite)
 		rfd, err := c.installFd(rf)
 		if err != nil {
 			rf.Release()
@@ -149,8 +147,7 @@ func (c *Context) NetListen(name string) (int, error) {
 		if err != nil {
 			return -1, err
 		}
-		ino := c.S.FS.MkInode(fs.ModeSock|0o600, 0, 0)
-		f := fs.NewFile(ino.Hold(), l, 0)
+		f := fs.NewFile(nil, l, 0)
 		fd, err := c.installFd(f)
 		if err != nil {
 			f.Release()
@@ -196,8 +193,7 @@ func (c *Context) NetConnect(name string) (int, error) {
 
 // streamFd wraps a duplex stream in an open file and installs it.
 func (c *Context) streamFd(s fs.Stream) (int, error) {
-	ino := c.S.FS.MkInode(fs.ModeSock|0o600, 0, 0)
-	f := fs.NewFile(ino.Hold(), s, fs.ORead|fs.OWrite)
+	f := fs.NewFile(nil, s, fs.ORead|fs.OWrite)
 	fd, err := c.installFd(f)
 	if err != nil {
 		f.Release()
