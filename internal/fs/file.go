@@ -37,30 +37,58 @@ type Stream interface {
 }
 
 // File is an open-file table entry: an inode (or stream), the open flags,
-// and the shared offset. Descriptors in per-process fd tables point here;
-// dup, fork and share-group descriptor sharing all alias the same entry,
-// so the offset is shared, exactly as on V.3.
+// and, for a file opened by name, the shared offset. Descriptors in
+// per-process fd tables point here; dup, fork and share-group descriptor
+// sharing all alias the same entry, so the offset is shared, exactly as on
+// V.3.
 type File struct {
-	mu     sync.Mutex
 	Inode  *Inode // held reference; nil only for anonymous streams
 	Stream Stream // nil for regular files
 	Flags  int
-	offset int64
 	ref    atomic.Int32
+	named  *named // nil for a stream
+}
 
-	// Path is the name the file was opened by, recorded so a checkpoint
-	// can note how to reacquire the descriptor at restore (the CRIU
-	// convention). Empty for anonymous endpoints (pipes, sockets), which a
-	// checkpoint records structurally but cannot reopen.
-	Path string
+// named is the part of an open file only a file opened by name has: the
+// shared offset under its lock, and the path, recorded so a checkpoint can
+// note how to reacquire the descriptor at restore (the CRIU convention).
+// A stream end (pipe, socket) has none of it; a checkpoint records it
+// structurally but cannot reopen it.
+type named struct {
+	mu     sync.Mutex
+	offset int64
+	path   string
+}
+
+// namedFile is a File and its named part in one allocation.
+type namedFile struct {
+	File
+	n named
 }
 
 // NewFile wraps an inode (already held by the caller on the file's behalf,
 // or nil for a stream) in an open-file entry with reference count one.
+// Only a file with no stream gets an offset.
 func NewFile(ip *Inode, stream Stream, flags int) *File {
-	f := &File{Inode: ip, Stream: stream, Flags: flags}
+	var f *File
+	if stream == nil {
+		nf := &namedFile{}
+		nf.named = &nf.n
+		f = &nf.File
+	} else {
+		f = &File{}
+	}
+	f.Inode, f.Stream, f.Flags = ip, stream, flags
 	f.ref.Store(1)
 	return f
+}
+
+// Path returns the name the file was opened by: empty for a stream.
+func (f *File) Path() string {
+	if f.named == nil {
+		return ""
+	}
+	return f.named.path
 }
 
 // Hold takes a reference (dup, fork, share-block copy).
@@ -90,11 +118,14 @@ func (f *File) Release() {
 // Ref returns the current reference count.
 func (f *File) Ref() int32 { return f.ref.Load() }
 
-// Offset returns the current file offset.
+// Offset returns the current file offset: zero for a stream.
 func (f *File) Offset() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.offset
+	if f.named == nil {
+		return 0
+	}
+	f.named.mu.Lock()
+	defer f.named.mu.Unlock()
+	return f.named.offset
 }
 
 // Read reads from the file at the shared offset, advancing it. nonblock
@@ -109,10 +140,11 @@ func (f *File) Read(t klock.Thread, p []byte, nonblock bool) (int, error) {
 	if f.Inode.IsDir() {
 		return 0, ErrIsDir
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := f.Inode.ReadAt(p, f.offset)
-	f.offset += int64(n)
+	nm := f.named
+	nm.mu.Lock()
+	defer nm.mu.Unlock()
+	n := f.Inode.ReadAt(p, nm.offset)
+	nm.offset += int64(n)
 	return n, nil
 }
 
@@ -129,9 +161,10 @@ func (f *File) Write(t klock.Thread, p []byte, ulimit int64, nonblock bool) (int
 	if f.Inode.IsDir() {
 		return 0, ErrIsDir
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	off := f.offset
+	nm := f.named
+	nm.mu.Lock()
+	defer nm.mu.Unlock()
+	off := nm.offset
 	if f.Flags&OAppend != 0 {
 		off = f.Inode.Size()
 	}
@@ -139,7 +172,7 @@ func (f *File) Write(t klock.Thread, p []byte, ulimit int64, nonblock bool) (int
 	if err != nil {
 		return 0, err
 	}
-	f.offset = off + int64(n)
+	nm.offset = off + int64(n)
 	return n, nil
 }
 
@@ -148,14 +181,15 @@ func (f *File) Seek(off int64, whence int) (int64, error) {
 	if f.Stream != nil {
 		return 0, ErrInval
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	nm := f.named
+	nm.mu.Lock()
+	defer nm.mu.Unlock()
 	var base int64
 	switch whence {
 	case SeekSet:
 		base = 0
 	case SeekCur:
-		base = f.offset
+		base = nm.offset
 	case SeekEnd:
 		base = f.Inode.Size()
 	default:
@@ -164,8 +198,8 @@ func (f *File) Seek(off int64, whence int) (int64, error) {
 	if base+off < 0 {
 		return 0, ErrInval
 	}
-	f.offset = base + off
-	return f.offset, nil
+	nm.offset = base + off
+	return nm.offset, nil
 }
 
 // Open opens (optionally creating) the file at path under cred c.
@@ -201,6 +235,6 @@ func (f *FS) Open(c Cred, path string, flags int, mode uint16) (*File, error) {
 		ip.Truncate()
 	}
 	file := NewFile(ip.Hold(), nil, flags)
-	file.Path = path
+	file.named.path = path
 	return file, nil
 }

@@ -45,20 +45,27 @@ func (va VAddr) VPN() uint32 { return uint32(va) >> PageShift }
 // Offset returns the byte offset of va within its page.
 func (va VAddr) Offset() uint32 { return uint32(va) & PageMask }
 
-// frameArray is the word storage of one page frame.
-type frameArray [WordsPerPage]uint32
-
-// spare holds all-zero frame storage that idle machines gave back
-// (ReleaseFree) for any Memory's take to mint from. It is a sync.Pool so
-// storage no boot claims goes back to the heap within two collections.
-var spare sync.Pool
-
 // The line map divides a frame into 64 lines of 64 bytes, one bit each.
 const (
 	lineShift      = 6 // log2 of a line's bytes
 	lineWordsShift = lineShift - 2
 	LineSize       = 1 << lineShift // bytes a line-map bit covers
+	lineWords      = LineSize / 4
 )
+
+// line is the storage of one line of a frame.
+type line [lineWords]uint32
+
+// lineTable is a frame's storage: one slot per line, nil until the line is
+// first marked. A line, once there, is never replaced while its frame
+// lives, so a word's address is stable and no store can be lost to a move.
+type lineTable [PageSize / LineSize]atomic.Pointer[line]
+
+// spare holds line tables, every line in them all zero, that idle machines
+// gave back (ReleaseFree) for any Memory's first mark of a frame to mint
+// from. It is a sync.Pool so tables no boot claims go back to the heap
+// within two collections.
+var spare sync.Pool
 
 // Frame-cache geometry: a CPU refills its cache with refillBatch frames at a
 // time and gives half back to the pool when it accumulates more than
@@ -81,10 +88,10 @@ type frameCache struct {
 // that an allocation, a free or an access reads or writes. It is 32 bytes,
 // so a bank's records sit two to a cache line and none straddles one.
 type frameMeta struct {
-	data  atomic.Pointer[frameArray] // storage, nil until minted and once released
-	owner atomic.Pointer[FrameAcct]  // charging principal (nil = unowned)
-	lines atomic.Uint64              // line map: bit i = line i may hold a non-zero word
-	refs  atomic.Int32               // reference count
+	data  atomic.Pointer[lineTable] // storage, nil until the first mark and once released
+	owner atomic.Pointer[FrameAcct] // charging principal (nil = unowned)
+	lines atomic.Uint64             // line map: bit i = line i exists and may hold a non-zero word
+	refs  atomic.Int32              // reference count
 }
 
 // Record banks: take mints a frame's record with the bank of bankSize
@@ -112,20 +119,24 @@ type framePool struct {
 //
 // The hot paths are deliberately lock-free or per-CPU: a frame's record
 // (storage pointer, owner, line map, reference count) sits in a bank that
-// take mints, with the frames, the first time it hands out a frame of that
-// bank, and publishes before the frame leaves the pool, so word access and
-// IncRef/DecRef/Ref never take a lock; NewMemory makes only the bank
-// directory. Allocation is served from per-CPU free-frame caches
+// take mints the first time it hands out a frame of that bank, and
+// publishes before the frame leaves the pool, and storage is minted by CAS,
+// so word access and IncRef/DecRef/Ref never take a lock; NewMemory makes
+// only the bank directory. Allocation is served from per-CPU free-frame caches
 // (AttachCaches) that refill from and drain to the one pool in batches.
 // Only the batch refill/drain path takes the pool lock.
 //
-// Zeroing and copying cost what was written, not the page: every writer of
-// frame storage marks the lines it covers in the frame's line map before it
-// stores, so an unmarked line is all zero, and a free frame is all zero with
-// an empty map.
+// A frame holds what was written to it, not the page, and zeroing and
+// copying cost the same: every writer of frame storage marks the lines it
+// covers in the frame's line map before it stores, and the first mark of a
+// line mints it, so a marked line exists, an unmarked line is all zero,
+// and a free frame is all zero with an empty map. A read of a line never
+// minted returns zero without minting it.
 //
-// A frame's storage is minted by take, from spare when it can be, and is
-// released only from the pool's free list by an idle machine
+// A frame's storage is a table of line slots minted at its first mark,
+// from spare when it can be. A dying frame zeroes its marked lines and
+// keeps them, so a frame reused for the same writes allocates nothing. A
+// table is released only from the pool's free list by an idle machine
 // (ReleaseFree), so it is always all zero when it passes between machines.
 //
 // Besides the frame's own record, one cache line, an allocation or a free
@@ -189,9 +200,8 @@ type Memory struct {
 
 // NewMemory creates a physical memory of capacity page frames. It makes
 // the bank directory alone: a frame's record is minted with its bank when
-// the pool first hands out a frame of that bank, and its storage when the
-// pool first hands out the frame, or again after an idle machine released
-// it, from spare when it can be.
+// the pool first hands out a frame of that bank, and its storage line by
+// line as the lines are first written.
 func NewMemory(capacity int) *Memory {
 	if capacity <= 0 {
 		panic("hw: memory capacity must be positive")
@@ -369,9 +379,8 @@ func (m *Memory) grant(pfn PFN, acct *FrameAcct) PFN {
 func (m *Memory) OwnerOf(pfn PFN) *FrameAcct { return m.meta(pfn).owner.Load() }
 
 // take removes up to want free frames from the pool, never-used ones when
-// the recycled list runs out, and mints storage for each that has none,
-// and the bank of records for each never-used one whose bank is not minted
-// yet.
+// the recycled list runs out, and mints the bank of records for each
+// never-used one whose bank is not minted yet.
 func (m *Memory) take(want int) []PFN {
 	p := &m.pool
 	p.mu.Lock()
@@ -387,33 +396,25 @@ func (m *Memory) take(want int) []PFN {
 		p.fresh++
 	}
 	for _, pfn := range out {
-		b := &m.banks[pfn>>bankShift]
-		if b.Load() == nil {
+		if b := &m.banks[pfn>>bankShift]; b.Load() == nil {
 			b.Store(new(frameBank))
-		}
-		if md := m.meta(pfn); md.data.Load() == nil {
-			f, _ := spare.Get().(*frameArray)
-			if f == nil {
-				f = new(frameArray)
-			}
-			md.data.Store(f)
 		}
 	}
 	return out
 }
 
 // ReleaseFree gives the storage of every frame on the pool's free list to
-// spare, for the next take of this or any Memory. Only an idle machine
-// calls it (System.WaitIdle): a pool frame is all zero with an empty map
-// (grant checks it), no PTE names it, and only take hands it out again,
-// minting under the same lock. Frames parked in caches keep theirs.
+// spare, for the next first mark in this or any Memory. Only an idle
+// machine calls it (System.WaitIdle): a pool frame is all zero with an
+// empty map (grant checks it), no PTE names it, and only take hands it out
+// again, under the same lock. Frames parked in caches keep theirs.
 func (m *Memory) ReleaseFree() {
 	p := &m.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, pfn := range p.free {
-		if f := m.meta(pfn).data.Swap(nil); f != nil {
-			spare.Put(f)
+		if t := m.meta(pfn).data.Swap(nil); t != nil {
+			spare.Put(t)
 		}
 	}
 }
@@ -532,7 +533,8 @@ func (m *Memory) DecRefs(pfns []PFN) {
 // what was written to it is zeroed now, outside every lock, so the next
 // Alloc pays nothing and no other CPU stalls behind the clear. Nobody can
 // name a dead frame, so nobody marks it between the swap and the clear: it
-// goes back all zero with an empty map.
+// goes back all zero with an empty map, keeping its lines for its next
+// writer.
 func (m *Memory) unref(pfn PFN, cpu int) int32 {
 	md := m.meta(pfn)
 	n := md.refs.Add(-1)
@@ -545,39 +547,67 @@ func (m *Memory) unref(pfn PFN, cpu int) int32 {
 	if acct := md.owner.Swap(nil); acct != nil {
 		acct.uncharge(cpu)
 	}
-	f := md.words()
-	for lm := md.lines.Swap(0); lm != 0; {
-		var lo, hi int
-		lo, hi, lm = nextRun(lm)
-		clear(f[lo:hi])
+	if lm := md.lines.Swap(0); lm != 0 {
+		clearLines(md.data.Load(), lm)
 	}
 	return 0
+}
+
+// clearLines zeroes the lines of t that lm names, with plain stores, for a
+// frame nobody else can store to; every line lm names exists.
+func clearLines(t *lineTable, lm uint64) {
+	for ; lm != 0; lm &= lm - 1 {
+		clear(t[bits.TrailingZeros64(lm)].Load()[:])
+	}
 }
 
 // Ref returns the current reference count of pfn.
 func (m *Memory) Ref(pfn PFN) int32 { return m.meta(pfn).refs.Load() }
 
-// frame returns the word slice backing pfn without taking any lock.
-func (m *Memory) frame(pfn PFN) []uint32 { return m.meta(pfn).words() }
-
-// words returns the frame's storage: take publishes the pointer atomically
-// before the frame leaves the pool, and only ReleaseFree, on an idle
-// machine, takes it back from a frame on the pool's free list, which
-// nobody names.
-func (md *frameMeta) words() []uint32 { return md.data.Load()[:] }
-
-// mark sets mask's bits in the frame's line map. Every writer of frame
-// storage calls it before its first store, so whoever can see a written
-// word can see its line's mark. A line stays marked until the frame dies,
-// so the steady state is the load and the test.
+// mark sets mask's bits in the frame's line map, minting first the
+// storage of each line it names that the frame lacks. Every writer of
+// frame storage calls it before its first store, so whoever can see a
+// written word can see its line's mark. A line stays marked until the
+// frame dies, so the steady state is the load and the test.
 func (md *frameMeta) mark(mask uint64) {
-	l := &md.lines
-	for {
-		old := l.Load()
-		if old&mask == mask || l.CompareAndSwap(old, old|mask) {
-			return
+	if md.lines.Load()&mask != mask {
+		md.mint(mask)
+	}
+}
+
+// mint is mark's path for a line not yet marked: it makes the frame's
+// table if it has none, and each line of mask the table lacks, before it
+// sets their bits, so a set bit means the line exists. Racing minters
+// agree by CAS on nil: a loser drops its copy (a table back to spare) and
+// uses the winner's, so a line is never replaced while the frame lives and
+// word access needs no lock.
+func (md *frameMeta) mint(mask uint64) {
+	t := md.data.Load()
+	if t == nil {
+		nt, _ := spare.Get().(*lineTable)
+		if nt == nil {
+			nt = new(lineTable)
+		}
+		if md.data.CompareAndSwap(nil, nt) {
+			t = nt
+		} else {
+			spare.Put(nt)
+			t = md.data.Load()
 		}
 	}
+	l := &md.lines
+	for need := mask &^ l.Load(); need != 0; need &= need - 1 {
+		if s := &t[bits.TrailingZeros64(need)]; s.Load() == nil {
+			s.CompareAndSwap(nil, new(line))
+		}
+	}
+	for old := l.Load(); old&mask != mask && !l.CompareAndSwap(old, old|mask); old = l.Load() {
+	}
+}
+
+// word returns the storage of a word of a line that exists.
+func (t *lineTable) word(w uint32) *uint32 {
+	return &t[w>>lineWordsShift].Load()[w&(lineWords-1)]
 }
 
 // wordLine is the line-map bit of the line holding the given word.
@@ -588,15 +618,6 @@ func wordLine(word uint32) uint64 { return 1 << (word >> lineWordsShift) }
 func byteLines(off, n uint32) uint64 {
 	first, last := off>>lineShift, (off+n-1)>>lineShift
 	return ^uint64(0) >> (63 - (last - first)) << first
-}
-
-// nextRun splits the lowest run of adjacent marked lines off a non-empty
-// line map and returns the word range [lo, hi) it covers, so a fully
-// written frame is one run.
-func nextRun(lm uint64) (lo, hi int, rest uint64) {
-	first := bits.TrailingZeros64(lm)
-	n := bits.TrailingZeros64(^(lm >> first))
-	return first << lineWordsShift, (first + n) << lineWordsShift, lm &^ ((1<<n - 1) << first)
 }
 
 // CopyFrameOn allocates a new frame from cpu's frame cache holding a copy
@@ -620,73 +641,75 @@ func (m *Memory) CopyFrameFor(src PFN, cpu int, acct *FrameAcct) (PFN, error) {
 	// frame just granted. A line first marked after the snapshot is a store
 	// ordered after the copy, as one that lands behind the cursor is.
 	sm, dm := m.meta(src), m.meta(dst)
-	lm := sm.lines.Load()
-	dm.lines.Store(lm)
-	s, d := sm.words(), dm.words()
-	for lm != 0 {
-		var lo, hi int
-		lo, hi, lm = nextRun(lm)
-		sw, dw := s[lo:hi], d[lo:hi]
-		for i := range sw {
-			dw[i] = atomic.LoadUint32(&sw[i])
+	if lm := sm.lines.Load(); lm != 0 {
+		dm.mark(lm)
+		s, d := sm.data.Load(), dm.data.Load()
+		for ; lm != 0; lm &= lm - 1 {
+			i := bits.TrailingZeros64(lm)
+			copyLine(d[i].Load(), s[i].Load())
 		}
 	}
 	m.Copies.AddOn(cpu, 1)
 	return dst, nil
 }
 
+// copyLine copies s into d, loading s's words atomically and storing d's
+// plainly, four words a turn: one word a turn ran a dense frame's copy at
+// half the speed.
+func copyLine(d, s *line) {
+	for j := 0; j <= lineWords-4; j += 4 {
+		a, b, c, e := atomic.LoadUint32(&s[j]), atomic.LoadUint32(&s[j+1]), atomic.LoadUint32(&s[j+2]), atomic.LoadUint32(&s[j+3])
+		d[j], d[j+1], d[j+2], d[j+3] = a, b, c, e
+	}
+}
+
 // FillFrame makes pfn hold the page whose packed form (ReadFrame's) is
 // (lines, packed), with plain stores under the ownership rule above: the
 // caller allocated pfn and no PTE names it yet, so the PTE store that
 // follows publishes the bytes (a published frame takes WriteFrame). The
-// mask's runs are marked and stored whole; a line marked outside the mask
+// mask's lines are marked and stored whole; a line marked outside the mask
 // is cleared, and every other line is zero already.
 func (m *Memory) FillFrame(pfn PFN, lines uint64, packed []byte) {
 	md := m.meta(pfn)
-	f := md.words()
-	for lm := md.lines.Load() &^ lines; lm != 0; {
-		var lo, hi int
-		lo, hi, lm = nextRun(lm)
-		clear(f[lo:hi])
+	if stale := md.lines.Load() &^ lines; stale != 0 {
+		clearLines(md.data.Load(), stale)
 	}
 	md.mark(lines)
-	for lm := lines; lm != 0; {
-		var lo, hi int
-		lo, hi, lm = nextRun(lm)
-		n := (hi - lo) << 2
-		fillWords(f[lo:hi], packed[:n])
-		packed = packed[n:]
+	t := md.data.Load()
+	for lm := lines; lm != 0; lm &= lm - 1 {
+		fillLine(t[bits.TrailingZeros64(lm)].Load(), (*[LineSize]byte)(packed))
+		packed = packed[LineSize:]
 	}
 }
 
 // WriteFrame is FillFrame for a published frame the caller owns: the
-// mask's runs go in with WriteBytes, and a line marked outside the mask
-// gets atomic zero stores; no other line is stored to or marked.
+// mask's lines are marked and stored whole with atomic stores, and a line
+// marked outside the mask gets atomic zero stores; no other line is stored
+// to or marked.
 func (m *Memory) WriteFrame(pfn PFN, lines uint64, packed []byte) {
 	md := m.meta(pfn)
-	f := md.words()
-	for lm := md.lines.Load() &^ lines; lm != 0; {
-		var lo, hi int
-		lo, hi, lm = nextRun(lm)
-		for i := lo; i < hi; i++ {
-			atomic.StoreUint32(&f[i], 0)
+	if stale := md.lines.Load() &^ lines; stale != 0 {
+		t := md.data.Load()
+		for ; stale != 0; stale &= stale - 1 {
+			l := t[bits.TrailingZeros64(stale)].Load()
+			for i := range l {
+				atomic.StoreUint32(&l[i], 0)
+			}
 		}
 	}
-	for lm := lines; lm != 0; {
-		var lo, hi int
-		lo, hi, lm = nextRun(lm)
-		n := (hi - lo) << 2
-		m.WriteBytes(pfn, uint32(lo<<2), packed[:n])
-		packed = packed[n:]
+	md.mark(lines)
+	t := md.data.Load()
+	for lm := lines; lm != 0; lm &= lm - 1 {
+		writeLine(t[bits.TrailingZeros64(lm)].Load(), 0, packed[:LineSize])
+		packed = packed[LineSize:]
 	}
 }
 
-// fillWords stores s (whole lines) into d with plain stores, two words a
-// turn, both sides cut to the pair count so the body has no bounds checks.
-func fillWords(d []uint32, s []byte) {
-	for d := d[:len(s)>>2]; len(d) >= 2 && len(s) >= 8; d, s = d[2:], s[8:] {
-		v := binary.LittleEndian.Uint64(s)
-		d[0], d[1] = uint32(v), uint32(v>>32)
+// fillLine stores s into l with plain stores, two words a turn.
+func fillLine(l *line, s *[LineSize]byte) {
+	for i := 0; i < lineWords; i += 2 {
+		v := binary.LittleEndian.Uint64(s[i<<2:])
+		l[i], l[i+1] = uint32(v), uint32(v>>32)
 	}
 }
 
@@ -695,12 +718,12 @@ func fillWords(d []uint32, s []byte) {
 // Only marked lines can hold anything else.
 func (m *Memory) FrameZero(pfn PFN) bool {
 	md := m.meta(pfn)
-	f := md.words()
-	for lm := md.lines.Load(); lm != 0; {
-		var lo, hi int
-		lo, hi, lm = nextRun(lm)
-		for i := lo; i < hi; i++ {
-			if atomic.LoadUint32(&f[i]) != 0 {
+	lm := md.lines.Load() // before the table: a marked line's table exists
+	t := md.data.Load()
+	for ; lm != 0; lm &= lm - 1 {
+		l := t[bits.TrailingZeros64(lm)].Load()
+		for i := range l {
+			if atomic.LoadUint32(&l[i]) != 0 {
 				return false
 			}
 		}
@@ -708,16 +731,22 @@ func (m *Memory) FrameZero(pfn PFN) bool {
 	return true
 }
 
-// LoadWord atomically loads the 32-bit word at the given word offset of pfn.
+// LoadWord atomically loads the 32-bit word at the given word offset of
+// pfn; a word of a line never minted is zero.
 func (m *Memory) LoadWord(pfn PFN, word uint32) uint32 {
-	return atomic.LoadUint32(&m.frame(pfn)[word])
+	if t := m.meta(pfn).data.Load(); t != nil {
+		if l := t[word>>lineWordsShift].Load(); l != nil {
+			return atomic.LoadUint32(&l[word&(lineWords-1)])
+		}
+	}
+	return 0
 }
 
 // StoreWord atomically stores v at the given word offset of pfn.
 func (m *Memory) StoreWord(pfn PFN, word uint32, v uint32) {
 	md := m.meta(pfn)
 	md.mark(wordLine(word))
-	atomic.StoreUint32(&md.words()[word], v)
+	atomic.StoreUint32(md.data.Load().word(word), v)
 }
 
 // CASWord performs an atomic compare-and-swap on a word of pfn. This models
@@ -726,35 +755,53 @@ func (m *Memory) StoreWord(pfn PFN, word uint32, v uint32) {
 func (m *Memory) CASWord(pfn PFN, word uint32, old, new uint32) bool {
 	md := m.meta(pfn)
 	md.mark(wordLine(word))
-	return atomic.CompareAndSwapUint32(&md.words()[word], old, new)
+	return atomic.CompareAndSwapUint32(md.data.Load().word(word), old, new)
 }
 
 // AddWord atomically adds delta to a word of pfn and returns the new value.
 func (m *Memory) AddWord(pfn PFN, word uint32, delta uint32) uint32 {
 	md := m.meta(pfn)
 	md.mark(wordLine(word))
-	return atomic.AddUint32(&md.words()[word], delta)
+	return atomic.AddUint32(md.data.Load().word(word), delta)
 }
 
 // ReadBytes copies len(dst) bytes from pfn starting at byte offset off, one
-// atomic word load per word touched (bytes sit little-endian in their word).
-// The range must lie within one page.
+// atomic word load per word touched (bytes sit little-endian in their word);
+// a line never minted reads zero. The range must lie within one page.
 func (m *Memory) ReadBytes(pfn PFN, off uint32, dst []byte) {
 	if int(off)+len(dst) > PageSize {
 		panic("hw: ReadBytes crosses page boundary")
 	}
-	f := m.frame(pfn)
+	t := m.meta(pfn).data.Load()
+	for len(dst) > 0 {
+		sub := off & (LineSize - 1)
+		n := min(len(dst), int(LineSize-sub))
+		var l *line
+		if t != nil {
+			l = t[off>>lineShift].Load()
+		}
+		if l == nil {
+			clear(dst[:n])
+		} else {
+			readLine(l, sub, dst[:n])
+		}
+		dst, off = dst[n:], off+uint32(n)
+	}
+}
+
+// readLine is ReadBytes within one line, from byte off of l.
+func readLine(l *line, off uint32, dst []byte) {
 	w := off >> 2
 	if sub := off & 3; sub != 0 && len(dst) > 0 {
 		n := min(int(4-sub), len(dst))
-		putLowBytes(dst[:n], atomic.LoadUint32(&f[w])>>(sub*8))
+		putLowBytes(dst[:n], atomic.LoadUint32(&l[w])>>(sub*8))
 		dst = dst[n:]
 		w++
 	}
-	// The frame is cut to the word count once and the body moves two words
+	// The line is cut to the word count once and the body moves two words
 	// a turn, so it runs without a bounds check per word.
 	n := uint32(len(dst) >> 2)
-	s := f[w : w+n]
+	s := l[w : w+n]
 	for ; len(s) >= 2 && len(dst) >= 8; s, dst = s[2:], dst[8:] {
 		binary.LittleEndian.PutUint32(dst, atomic.LoadUint32(&s[0]))
 		binary.LittleEndian.PutUint32(dst[4:], atomic.LoadUint32(&s[1]))
@@ -764,36 +811,31 @@ func (m *Memory) ReadBytes(pfn PFN, off uint32, dst []byte) {
 		dst = dst[4:]
 	}
 	if len(dst) > 0 {
-		putLowBytes(dst, atomic.LoadUint32(&f[w+n]))
+		putLowBytes(dst, atomic.LoadUint32(&l[w+n]))
 	}
 }
 
 // ReadFrame appends the lines of pfn that hold a non-zero byte to dst, in
 // order, and returns their mask with the longer slice: the page's packed
-// form. Marked runs are read with ReadBytes's atomic loads and a marked
+// form. Marked lines are read with ReadBytes's atomic loads and a marked
 // line that reads all zero is dropped, so equal contents read to equal
 // forms whatever the maps hold. A line first marked after the map is
 // loaded is a store ordered after the read, as in CopyFrameFor.
 func (m *Memory) ReadFrame(pfn PFN, dst []byte) (uint64, []byte) {
+	md := m.meta(pfn)
+	lm := md.lines.Load()
+	t := md.data.Load()
 	var lines uint64
-	for lm := m.meta(pfn).lines.Load(); lm != 0; {
-		var lo, hi int
-		lo, hi, lm = nextRun(lm)
+	for ; lm != 0; lm &= lm - 1 {
+		i := bits.TrailingZeros64(lm)
 		at := len(dst)
-		dst = slices.Grow(dst, (hi-lo)<<2)[:at+(hi-lo)<<2]
-		m.ReadBytes(pfn, uint32(lo<<2), dst[at:])
-		kept := at
-		for line := lo >> lineWordsShift; at < len(dst); line, at = line+1, at+LineSize {
-			if zeroLine((*[LineSize]byte)(dst[at:])) {
-				continue
-			}
-			if kept != at {
-				copy(dst[kept:], dst[at:at+LineSize])
-			}
-			kept += LineSize
-			lines |= 1 << line
+		dst = slices.Grow(dst, LineSize)[:at+LineSize]
+		readLine(t[i].Load(), 0, dst[at:])
+		if zeroLine((*[LineSize]byte)(dst[at:])) {
+			dst = dst[:at]
+			continue
 		}
-		dst = dst[:kept]
+		lines |= 1 << i
 	}
 	return lines, dst
 }
@@ -829,20 +871,30 @@ func (m *Memory) WriteBytes(pfn PFN, off uint32, src []byte) {
 	}
 	md := m.meta(pfn)
 	md.mark(byteLines(off, uint32(len(src))))
-	f := md.words()
+	t := md.data.Load()
+	for len(src) > 0 {
+		sub := off & (LineSize - 1)
+		n := min(len(src), int(LineSize-sub))
+		writeLine(t[off>>lineShift].Load(), sub, src[:n])
+		src, off = src[n:], off+uint32(n)
+	}
+}
+
+// writeLine is WriteBytes within one line, from byte off of l.
+func writeLine(l *line, off uint32, src []byte) {
 	w := off >> 2
 	if sub := off & 3; sub != 0 {
 		n := min(int(4-sub), len(src))
-		mergeBytes(&f[w], sub, src[:n])
+		mergeBytes(&l[w], sub, src[:n])
 		src = src[n:]
 		w++
 	}
 	for ; len(src) >= 4; src = src[4:] {
-		atomic.StoreUint32(&f[w], binary.LittleEndian.Uint32(src))
+		atomic.StoreUint32(&l[w], binary.LittleEndian.Uint32(src))
 		w++
 	}
 	if len(src) > 0 {
-		mergeBytes(&f[w], 0, src)
+		mergeBytes(&l[w], 0, src)
 	}
 }
 

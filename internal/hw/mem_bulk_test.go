@@ -13,24 +13,24 @@ import (
 // refReadBytes and refWriteBytes are the byte-at-a-time bulk primitives the
 // word-wide ones replaced, kept as the reference of the differential test.
 func refReadBytes(m *Memory, pfn PFN, off uint32, dst []byte) {
-	f := m.frame(pfn)
 	for i := range dst {
 		b := off + uint32(i)
-		w := atomic.LoadUint32(&f[b>>2])
-		dst[i] = byte(w >> ((b & 3) * 8))
+		dst[i] = byte(wordAt(m, pfn, b>>2) >> ((b & 3) * 8))
 	}
 }
 
 func refWriteBytes(m *Memory, pfn PFN, off uint32, src []byte) {
-	f := m.frame(pfn)
 	for i := range src {
 		b := off + uint32(i)
 		w := b >> 2
 		shift := (b & 3) * 8
+		md := m.meta(pfn)
+		md.mark(wordLine(w))
+		p := md.data.Load().word(w)
 		for {
-			old := atomic.LoadUint32(&f[w])
+			old := atomic.LoadUint32(p)
 			new := old&^(0xff<<shift) | uint32(src[i])<<shift
-			if atomic.CompareAndSwapUint32(&f[w], old, new) {
+			if atomic.CompareAndSwapUint32(p, old, new) {
 				break
 			}
 		}

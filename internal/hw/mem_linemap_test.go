@@ -11,24 +11,59 @@ import (
 	"testing"
 )
 
+// pageWords is a frame's words as one value, so a frame compares in one go.
+type pageWords [WordsPerPage]uint32
+
+// wordAt reads word w of pfn straight from its line table, zero where the
+// frame has no table or the line no storage.
+func wordAt(m *Memory, pfn PFN, w uint32) uint32 {
+	t := m.meta(pfn).data.Load()
+	if t == nil {
+		return 0
+	}
+	l := t[w>>lineWordsShift].Load()
+	if l == nil {
+		return 0
+	}
+	return atomic.LoadUint32(&l[w&(lineWords-1)])
+}
+
+// frameWords is every word of pfn by wordAt.
+func frameWords(m *Memory, pfn PFN) (f pageWords) {
+	for w := range f {
+		f[w] = wordAt(m, pfn, uint32(w))
+	}
+	return f
+}
+
+// unmintedMarks is the lines pfn's map marks that have no storage: the
+// stronger line-map invariant says none.
+func unmintedMarks(m *Memory, pfn PFN) uint64 {
+	md := m.meta(pfn)
+	lm := md.lines.Load()
+	t := md.data.Load()
+	var bad uint64
+	for i := range PageSize / LineSize {
+		if lm&(1<<i) != 0 && (t == nil || t[i].Load() == nil) {
+			bad |= 1 << i
+		}
+	}
+	return bad
+}
+
 // refFrameZero is the full scan FrameZero was before the line map: all
 // 1 024 words, whatever the map says.
 func refFrameZero(m *Memory, pfn PFN) bool {
-	f := m.frame(pfn)
-	for i := range f {
-		if atomic.LoadUint32(&f[i]) != 0 {
-			return false
-		}
-	}
-	return true
+	return frameWords(m, pfn) == pageWords{}
 }
 
 // The line map against a memory without one: the reference keeps a plain
 // 4 KiB array per frame (as words, bytes little-endian in them, so a frame
 // compares in one go), clears all of it on free and copies all of it on
-// copy. After every step every live frame reads equal to its reference,
-// all 1 024 words, and FrameZero says what that scan found; every frame
-// just granted or freed is all zero by refFrameZero, with an empty map.
+// copy. After every step every line a live frame marks has storage, the
+// frame reads equal to its reference, all 1 024 words, and FrameZero says
+// what that scan found; every frame just granted or freed is all zero by
+// refFrameZero, with an empty map.
 func TestLineMapMatchesFullClear(t *testing.T) {
 	const (
 		capacity = 8
@@ -38,7 +73,7 @@ func TestLineMapMatchesFullClear(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := NewMemory(capacity)
 		m.AttachCaches(2)
-		var ref [capacity]frameArray
+		var ref [capacity]pageWords
 		var refs [capacity]int
 		var live []PFN
 		granted := func(pfn PFN, step int, by string) {
@@ -173,7 +208,7 @@ func TestLineMapMatchesFullClear(t *testing.T) {
 					t.Fatalf("seed %d step %d: DecRefOn = %d, want %d", seed, step, got, refs[pfn])
 				}
 				if refs[pfn] == 0 {
-					ref[pfn] = frameArray{}
+					ref[pfn] = pageWords{}
 					for i, p := range live {
 						if p == pfn {
 							live = append(live[:i], live[i+1:]...)
@@ -186,8 +221,11 @@ func TestLineMapMatchesFullClear(t *testing.T) {
 				}
 			}
 			for _, p := range live {
-				// Plain loads (nothing else is running), one comparison a frame.
-				if got := m.meta(p).data.Load(); *got != ref[p] {
+				if bad := unmintedMarks(m, p); bad != 0 {
+					t.Fatalf("seed %d step %d, after %s on frame %d: frame %d marks lines %#x that have no storage", seed, step, desc, pfn, p, bad)
+				}
+				// One comparison a frame (nothing else is running).
+				if got := frameWords(m, p); got != ref[p] {
 					w := 0
 					for got[w] == ref[p][w] {
 						w++
@@ -195,7 +233,7 @@ func TestLineMapMatchesFullClear(t *testing.T) {
 					t.Fatalf("seed %d step %d, after %s on frame %d: frame %d word %d reads %#x, reference holds %#x",
 						seed, step, desc, pfn, p, w, got[w], ref[p][w])
 				}
-				if got, want := m.FrameZero(p), ref[p] == (frameArray{}); got != want {
+				if got, want := m.FrameZero(p), ref[p] == (pageWords{}); got != want {
 					t.Fatalf("seed %d step %d, after %s on frame %d: FrameZero(%d) = %v, the full scan says %v (line map %#x)",
 						seed, step, desc, pfn, p, got, want, m.meta(p).lines.Load())
 				}

@@ -17,7 +17,7 @@ import (
 // storage back to spare. The reservation counter must guarantee progress
 // and exact conservation: every frame ends in the pool's free list, never
 // used, or in a cache. Every frame held is written, and every grant must
-// read all zero, whichever storage take minted it from.
+// read all zero, whichever table its first write minted it from.
 func TestDryPoolStormRace(t *testing.T) {
 	const (
 		ncpu   = 8
@@ -95,10 +95,11 @@ func TestDryPoolStormRace(t *testing.T) {
 	}
 }
 
-// TestReleasedStorageIsReused: the storage of the frames one memory frees
-// and releases is what the next memory's allocations get, all zero, and a
-// frame still held keeps its storage and what was written to it. One P and
-// no collection keep every array put into spare within reach of a Get.
+// TestReleasedStorageIsReused: the line tables of the frames one memory
+// frees and releases are what the next memory's first writes get, all
+// zero, and a frame still held keeps its table and what was written to it.
+// One P and no collection keep every table put into spare within reach of
+// a Get.
 func TestReleasedStorageIsReused(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -118,14 +119,14 @@ func TestReleasedStorageIsReused(t *testing.T) {
 		a.StoreWord(pfn, uint32(i*16), uint32(i+1))
 		pfns = append(pfns, pfn)
 	}
-	kept, keptArr := pfns[0], a.meta(pfns[0]).data.Load()
-	freed := map[*frameArray]bool{}
+	kept, keptTab := pfns[0], a.meta(pfns[0]).data.Load()
+	freed := map[*lineTable]bool{}
 	for _, p := range pfns[1:] {
 		freed[a.meta(p).data.Load()] = true
 		a.DecRefs([]PFN{p})
 	}
 	a.ReleaseFree()
-	if a.meta(kept).data.Load() != keptArr || a.LoadWord(kept, 0) != 1 {
+	if a.meta(kept).data.Load() != keptTab || a.LoadWord(kept, 0) != 1 {
 		t.Fatalf("held frame %d lost its storage or its word across ReleaseFree", kept)
 	}
 	b := NewMemory(n - 1)
@@ -134,12 +135,16 @@ func TestReleasedStorageIsReused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Alloc: %v", err)
 		}
+		if b.meta(pfn).data.Load() != nil {
+			t.Fatalf("frame %d of the second memory has storage before its first write", pfn)
+		}
+		b.StoreWord(pfn, 0, 0)
 		f := b.meta(pfn).data.Load()
 		if !freed[f] {
 			t.Fatalf("frame %d of the second memory got storage the first did not release", pfn)
 		}
 		delete(freed, f)
-		if *f != (frameArray{}) {
+		if !refFrameZero(b, pfn) {
 			t.Fatalf("frame %d of the second memory reads non-zero", pfn)
 		}
 	}

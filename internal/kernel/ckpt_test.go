@@ -545,7 +545,7 @@ func ckptAllocs(t *testing.T, npages int) (size int, enc []byte, allocs float64)
 }
 
 // A checkpoint's allocations are per region and per pass (one slab, one
-// index, one page list), not per page: sixteen times the pages must cost
+// page list) and per call (one index), not per page: sixteen times the pages must cost
 // the same number of allocations, and EncodedSize must agree with Encode on
 // a kernel-produced image. Each page holds one written word, so it takes a
 // record head and one line: the image is at most 256 of those past the
@@ -575,6 +575,48 @@ func TestCkptAllocsDoNotScaleWithPages(t *testing.T) {
 	}
 	if big > 100 {
 		t.Errorf("Ckpt of 256 pages made %v allocations, want at most 100", big)
+	}
+}
+
+// putCaptures against the form it replaced, one slot per page index that a
+// pass's copy overwrites: after every pass the captures are the filled
+// slots in index order, each holding its newest copy. Passes are random
+// ascending sets, of pages already captured and sometimes of new ones; a
+// pass of captured pages alone updates the captures in place.
+func TestPutCapturesModel(t *testing.T) {
+	const span = 40
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 300 {
+		var slots [span]ckpt.PageImage
+		var filled [span]bool
+		var got []ckpt.PageImage
+		for pass := range 5 {
+			var copies []ckpt.PageImage
+			fresh := false
+			for idx := range span {
+				if filled[idx] && rng.Intn(3) == 0 || !filled[idx] && rng.Intn(12) == 0 {
+					copies = append(copies, ckpt.PageImage{Index: idx, Lines: uint64(trial)<<8 | uint64(pass)})
+					fresh = fresh || !filled[idx]
+				}
+			}
+			for _, pg := range copies {
+				slots[pg.Index], filled[pg.Index] = pg, true
+			}
+			before := got
+			got = putCaptures(got, copies)
+			var want []ckpt.PageImage
+			for idx, pg := range slots {
+				if filled[idx] {
+					want = append(want, pg)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d pass %d: captures %v, want %v", trial, pass, got, want)
+			}
+			if !fresh && len(before) > 0 && &got[0] != &before[0] {
+				t.Fatalf("trial %d pass %d: a pass of captured pages alone made a new slice", trial, pass)
+			}
+		}
 	}
 }
 

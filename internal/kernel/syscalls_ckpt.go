@@ -1,10 +1,12 @@
 package kernel
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 
 	"repro/internal/ckpt"
 	"repro/internal/faultinject"
@@ -53,12 +55,27 @@ var (
 // stored as is. (The constant overflows unless the two sizes agree.)
 const _ = uint(ckpt.LineSize-hw.LineSize) + uint(hw.LineSize-ckpt.LineSize)
 
-// capture is one page's newest copy in a checkpoint being built; ok is
-// false until a pass has found the page resident.
-type capture struct {
-	ckpt.PageImage
-	ok bool
+// putCaptures puts a pass's copies into a region's older ones, both
+// ascending by page index, and returns the result: a page in both takes
+// the pass's copy in place, and a page old lacks, one first found resident
+// after the first pass, is inserted.
+func putCaptures(old, pass []ckpt.PageImage) []ckpt.PageImage {
+	if len(old) == 0 {
+		return pass
+	}
+	for _, pg := range pass {
+		i, found := slices.BinarySearchFunc(old, pg.Index, cmpIndex)
+		if found {
+			old[i] = pg
+		} else {
+			old = slices.Insert(old, i, pg)
+		}
+	}
+	return old
 }
+
+// cmpIndex orders a page's copy against a page index.
+func cmpIndex(c ckpt.PageImage, idx int) int { return cmp.Compare(c.Index, idx) }
 
 // quiesceMaxIters bounds the freeze protocol's wait for every member to
 // reach a safepoint or a sleep; a group that stays runnable past it (a
@@ -129,11 +146,11 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 	cpuIdx := int(p.CPU.Load())
 	pl := c.S.faults
 
-	// pages accumulates the newest copy of every captured page, indexed by
-	// page within its pregion; keyed by pregion so a region detached
+	// pages accumulates the newest copy of every captured page, ascending
+	// by page within its pregion; keyed by pregion so a region detached
 	// mid-flight simply drops out when the list is re-snapshotted at
 	// stop-the-world.
-	pages := map[*vm.PRegion][]capture{}
+	pages := map[*vm.PRegion][]ckpt.PageImage{}
 	tracked := map[*vm.PRegion]bool{}
 	armed := map[*vm.Region]bool{}
 	frozen := map[*proc.Proc]bool{}
@@ -179,42 +196,41 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 		}
 	}()
 
-	// copyInto cuts a pass's copies of one region from one slab, sized by
-	// the lines the pages' line maps mark; only a page its members store
-	// into meanwhile can outgrow that, and then the slab grows by append.
-	// idxs is ascending (allPages, TakeDirty).
+	// copyInto cuts a pass's copies of one region's resident pages from
+	// one slab, sized by the lines the pages' line maps mark; only a page
+	// its members store into meanwhile can outgrow that, and then the slab
+	// grows by append. idxs is ascending (allPages, TakeDirty), so the
+	// pass's copies are too, and they go into the region's by putCaptures.
 	copyInto := func(pr *vm.PRegion, idxs []int) int {
-		dst := pages[pr]
-		if len(idxs) > 0 && idxs[len(idxs)-1] >= len(dst) {
-			dst = append(dst, make([]capture, idxs[len(idxs)-1]+1-len(dst))...)
-			pages[pr] = dst
-		}
-		marked := 0
+		marked, resident := 0, 0
 		for _, idx := range idxs {
 			if pfn := pr.Reg.Frame(idx); pfn != hw.NoPFN {
 				marked += bits.OnesCount64(mach.Mem.Lines(pfn))
+				resident++
 			}
 		}
 		slab := make([]byte, 0, marked*hw.LineSize)
-		n := 0
+		pass := make([]ckpt.PageImage, 0, resident)
 		for _, idx := range idxs {
 			at := len(slab)
 			lines, out, ok := pr.Reg.ReadPage(idx, slab)
 			if ok {
 				slab = out
-				dst[idx] = capture{ckpt.PageImage{Index: idx, Lines: lines, Data: slab[at:len(slab):len(slab)]}, true}
-				n++
+				pass = append(pass, ckpt.PageImage{Index: idx, Lines: lines, Data: slab[at:len(slab):len(slab)]})
 			}
 		}
-		c.charge(int64(n) * mach.Cost.RegionDup)
-		return n
+		pages[pr] = putCaptures(pages[pr], pass)
+		c.charge(int64(len(pass)) * mach.Cost.RegionDup)
+		return len(pass)
 	}
+	// allPages is every index of pr, in one slice the call reuses: each
+	// list is spent by the copyInto it is passed to.
+	var all []int
 	allPages := func(pr *vm.PRegion) []int {
-		idxs := make([]int, pr.Reg.Pages())
-		for i := range idxs {
-			idxs[i] = i
+		for i := len(all); i < pr.Reg.Pages(); i++ {
+			all = append(all, i)
 		}
-		return idxs
+		return all[:pr.Reg.Pages()]
 	}
 	// A lazy-dup clone's contents live in its parent's table until a first
 	// touch materializes it; nudge one fill through so ReadPage sees the
@@ -361,20 +377,10 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 			Pages: pr.Reg.Pages(),
 			Type:  uint8(pr.Reg.Type),
 		}
+		// A region that shrank since a pass drops the pages past its end.
 		captured := pages[pr]
-		captured = captured[:min(len(captured), ri.Pages)]
-		nres := 0
-		for _, pg := range captured {
-			if pg.ok {
-				nres++
-			}
-		}
-		ri.Resid = make([]ckpt.PageImage, 0, nres)
-		for _, pg := range captured {
-			if pg.ok {
-				ri.Resid = append(ri.Resid, pg.PageImage)
-			}
-		}
+		n, _ := slices.BinarySearchFunc(captured, ri.Pages, cmpIndex)
+		ri.Resid = captured[:n]
 		img.Regions = append(img.Regions, ri)
 	}
 	for _, m := range members {
@@ -437,7 +443,7 @@ func captureFds(m *proc.Proc) []ckpt.FdImage {
 		// descriptor is; the restore reopens without them, so capturing
 		// them would make a round-tripped image differ from its source.
 		fi := ckpt.FdImage{
-			Fd: fd, Path: f.Path, Flags: f.Flags &^ (fs.OCreat | fs.OTrunc), FdFlags: m.FdFlags[fd],
+			Fd: fd, Path: f.Path(), Flags: f.Flags &^ (fs.OCreat | fs.OTrunc), FdFlags: m.FdFlags[fd],
 			Stream: f.Stream != nil,
 		}
 		if f.Stream == nil {
