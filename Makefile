@@ -13,13 +13,8 @@ tier1: lint
 	$(GO) test -short -run 'Chaos' -count=1 ./internal/workload/
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/hw/
 	$(GO) test -run xxx -bench . -benchtime 1x .
-# The -race pass selects tests by name. A test that must run under the race
-# detector is named …StormRace, …SelfCheck or …Model, or takes a name that
-# an alternation below already matches; a new alternation is a last resort.
-# internal/lint (TestRacePassSelectsTests) fails on an alternation that
-# matches no test of the packages listed, and on a test named by the rule
-# that the regex does not select.
-	$(GO) test -race -short -run 'FaultStorm|COWBreak|StormRace|WritePage|ChecksumMatches|Bulk|WriteBytesEdges|CopyFrameUnder|Decode|Allocs|Spawn|CreationCharges|RestoreFailure|ShareMaskTable|Carve|Poll|PublishedReadiness|InterestSet|StandingWaiter|Netserver|SelfCheck|SgtopRuns|BenchtabPreforkRuns|Model|PostInterruptsSleep|SemaStaleWake|EnvdiagRuns|KtraceRuns|QuickstartRuns|ParallelRuns|AsyncioRuns|MakeparRuns|NonVMMember|FailedPipe|EagerSyncCharges|FdUpdate|FdFlagSurvives|Space' -count=1 ./internal/percpu/ ./internal/hw/ ./internal/ckpt/ ./internal/vm/ ./internal/workload/ ./internal/uspin/ ./internal/ipc/ ./internal/core/ ./internal/kernel/ ./internal/fs/ ./internal/sched/ ./internal/klock/ ./internal/proc/ ./examples/netserver/ ./examples/asyncio/ ./examples/makepar/ ./examples/parallel/ ./examples/quickstart/ ./cmd/sgtop/ ./cmd/benchtab/ ./cmd/envdiag/ ./cmd/ktrace/
+# The race pass runs every test of the tree, at its -short size.
+	$(GO) test -race -short -count=1 ./...
 
 # Chaos: the full seeded fault-injection soak (deterministic per seed).
 .PHONY: chaos
@@ -43,11 +38,11 @@ fuzz:
 vet:
 	$(GO) vet ./...
 
-# Race-detector pass over the de-serialized MP substrates and everything
-# that drives them; slower than tier1 but catches sharding bugs.
+# Race-detector pass over the whole tree at full size; slower than tier1's
+# -short pass.
 .PHONY: race
 race:
-	$(GO) test -race ./internal/percpu/... ./internal/hw/... ./internal/ckpt/... ./internal/vm/... ./internal/klock/... ./internal/core/... ./internal/sched/... ./internal/trace/... ./internal/workload/... ./internal/kernel/... ./internal/uspin/... ./internal/ipc/... ./internal/fs/...
+	$(GO) test -race -count=1 ./...
 
 .PHONY: bench
 bench:

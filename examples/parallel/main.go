@@ -52,7 +52,7 @@ func main() {
 		fmt.Println("simulated CPU cycle distribution:")
 		for _, cpu := range c.S.Machine.CPUs {
 			fmt.Printf("  cpu%d: %12d cycles, %d context switches\n",
-				cpu.ID, cpu.Cycles.Load(), cpu.Switches.Load())
+				cpu.ID, cpu.Cycles.Load(), cpu.Count(irix.ContextSwitch))
 		}
 	})
 

@@ -7,72 +7,110 @@ import (
 	"repro/internal/trace"
 )
 
-// Costs is the cycle cost model. Every kernel and memory operation charges
-// cycles to the CPU it runs on, so experiments can report simulated cycles
-// alongside wall-clock time. The defaults are scaled from the R2000 era
-// (roughly 16 MHz, cache-less memory at a few cycles per access); only the
-// ratios matter for reproducing the paper's shapes.
-type Costs struct {
-	MemAccess     int64 // one user load/store that hits the TLB
-	TLBRefill     int64 // software TLB refill (fast path, no fault)
-	PageFault     int64 // full fault: trap, pregion scan, validate
-	PageZero      int64 // demand zero-fill of one page
-	PageCopy      int64 // copy-on-write copy of one page
-	SyscallEntry  int64 // trap into the kernel
-	SyscallExit   int64 // return to user mode
-	ContextSwitch int64 // dispatch a different process on a CPU
-	IPI           int64 // one inter-processor interrupt (TLB shootdown)
-	SemaSleep     int64 // block on a kernel semaphore
-	ProcCreate    int64 // proc-table entry, u-area, kernel stack
-	ThreadCreate  int64 // Mach baseline: kernel stack + thread context only
-	RegionDup     int64 // per-page cost of duplicating a page table (fork)
-	LazyDup       int64 // per-region cost of a lazy COW clone at spawn
-	FDTableCopy   int64 // per-descriptor cost of copying the fd table
-	AttrSync      int64 // reconciling one dirty shared attribute on entry
+// Cost names one entry of the cycle cost table. Every kernel and memory
+// operation charges the CPU it runs on through one (CPU.Charge), so each
+// simulated cycle is an entry's price times a count, and the CPU keeps the
+// count. Only this package mints a Cost: a charge cannot name a number that
+// is not in the table.
+type Cost struct{ i uint8 }
+
+// The cost table. Its prices are scaled from the R2000 era (roughly 16 MHz,
+// cache-less memory at a few cycles per access); only the ratios matter for
+// reproducing the paper's shapes.
+var (
+	MemAccess     = entry("MemAccess", 1)        // one user load/store that hits the TLB
+	TLBRefill     = entry("TLBRefill", 20)       // software TLB refill (fast path, no fault)
+	PageFault     = entry("PageFault", 500)      // full fault: trap, pregion scan, validate
+	PageZero      = entry("PageZero", 1024)      // demand zero-fill of one page
+	PageCopy      = entry("PageCopy", 2048)      // copy-on-write copy of one page
+	SyscallEntry  = entry("SyscallEntry", 100)   // trap into the kernel
+	SyscallExit   = entry("SyscallExit", 60)     // return to user mode
+	ContextSwitch = entry("ContextSwitch", 1000) // dispatch a different process on a CPU
+	IPI           = entry("IPI", 400)            // one inter-processor interrupt (TLB shootdown)
+	SemaSleep     = entry("SemaSleep", 300)      // block on a kernel semaphore
+	ProcCreate    = entry("ProcCreate", 4000)    // proc-table entry, u-area, kernel stack
+	ThreadCreate  = entry("ThreadCreate", 800)   // Mach baseline: kernel stack + thread context only
+	RegionDup     = entry("RegionDup", 16)       // per-page cost of duplicating a page table (fork)
+	LazyDup       = entry("LazyDup", 64)         // per-region cost of a lazy COW clone at spawn
+	FDTableCopy   = entry("FDTableCopy", 8)      // per-descriptor cost of copying the fd table
+	AttrSync      = entry("AttrSync", 150)       // reconciling one dirty shared attribute on entry
+	PageCapture   = entry("PageCapture", 16)     // one page a checkpoint captures or a restore writes back
+	PollScan      = entry("PollScan", 1)         // one bitmap word (8 descriptors) of a poll(2) scan
+	UserCopy      = entry("UserCopy", 1)         // one 64-byte line of a user bulk copy past its first access
+	KernelCopy    = entry("KernelCopy", 1)       // one 64-byte line of a message's kernel copy; each copy pays one more
+	SpinDrip      = entry("SpinDrip", 1)         // one drip of a cached spin: spinPollsPerCycle polls
+	FreezePoll    = entry("FreezePoll", 32)      // one poll of a checkpoint's freeze for its members
+	PassGapStep   = entry("PassGapStep", 512)    // one step of the idle gap between pre-copy passes
+	CkptDelay     = entry("CkptDelay", 1)        // one cycle of an injected checkpoint pass delay
+	RetryBackoff  = entry("RetryBackoff", 64)    // the EAGAIN retry backoff's base, charged 2^retry times
+	DispatchStall = entry("DispatchStall", 1000) // an injected stall at dispatch
+)
+
+// costTable holds every entry's name and price, in the order the entries
+// were minted.
+var costTable []costEntry
+
+// maxCosts bounds the table, so a CPU holds its counts in place, beside
+// Cycles, and a charge's count add does not chase a pointer.
+const maxCosts = 32
+
+type costEntry struct {
+	name   string
+	cycles int64
 }
 
-// DefaultCosts returns the standard cost table.
-func DefaultCosts() Costs {
-	return Costs{
-		MemAccess:     1,
-		TLBRefill:     20,
-		PageFault:     500,
-		PageZero:      1024,
-		PageCopy:      2048,
-		SyscallEntry:  100,
-		SyscallExit:   60,
-		ContextSwitch: 1000,
-		IPI:           400,
-		SemaSleep:     300,
-		ProcCreate:    4000,
-		ThreadCreate:  800,
-		RegionDup:     16,
-		LazyDup:       64,
-		FDTableCopy:   8,
-		AttrSync:      150,
+func entry(name string, cycles int64) Cost {
+	if len(costTable) == maxCosts {
+		panic("hw: the cost table holds at most maxCosts entries")
 	}
+	costTable = append(costTable, costEntry{name, cycles})
+	return Cost{uint8(len(costTable) - 1)}
+}
+
+// String returns the entry's name.
+func (c Cost) String() string { return costTable[c.i].name }
+
+// Price returns the cycles one unit of the entry charges.
+func (c Cost) Price() int64 { return costTable[c.i].cycles }
+
+// AllCosts returns every entry of the table, in table order.
+func AllCosts() []Cost {
+	all := make([]Cost, len(costTable))
+	for i := range all {
+		all[i] = Cost{uint8(i)}
+	}
+	return all
 }
 
 // CPU is one processor of the machine: an ID, a private software-managed
-// TLB, and a cycle accumulator.
+// TLB, a cycle accumulator and, for each cost entry, how many units of it
+// the accumulator holds.
 type CPU struct {
 	ID     int
 	TLB    TLB
 	Cycles atomic.Int64
+	counts [maxCosts]atomic.Int64 // by entry
 
-	Switches atomic.Int64 // context switches dispatched here
-	Faults   atomic.Int64 // page faults taken here
+	Faults atomic.Int64 // page faults taken here
 }
 
-// Charge adds n cycles to the CPU's accumulator.
-func (c *CPU) Charge(n int64) { c.Cycles.Add(n) }
+// Charge adds n units of cost to the CPU: n times its price to Cycles and n
+// to its count. It returns the cycles added.
+func (c *CPU) Charge(cost Cost, n int64) int64 {
+	cyc := n * cost.Price()
+	c.Cycles.Add(cyc)
+	c.counts[cost.i].Add(n)
+	return cyc
+}
+
+// Count returns the units of cost charged to the CPU so far.
+func (c *CPU) Count(cost Cost) int64 { return c.counts[cost.i].Load() }
 
 // Machine is the simulated multiprocessor: NCPU processors sharing one
 // physical memory.
 type Machine struct {
 	CPUs []*CPU
 	Mem  *Memory
-	Cost Costs
 
 	// Trace is the kernel event ring; nil disables tracing (the zero
 	// cost path — every Record on a nil ring is a no-op).
@@ -105,7 +143,6 @@ func NewMachine(ncpu, memFrames int) *Machine {
 	m := &Machine{
 		CPUs: make([]*CPU, ncpu),
 		Mem:  NewMemory(memFrames),
-		Cost: DefaultCosts(),
 	}
 	m.Mem.AttachCaches(ncpu)
 	for i := range m.CPUs {
@@ -137,10 +174,10 @@ func (m *Machine) shootdown(initiator *CPU, space ASID, npages int, vpn uint32, 
 		flush(&c.TLB)
 		if c != initiator {
 			c.TLB.Shootdowns.Add(1)
-			if initiator != nil {
-				initiator.Charge(m.Cost.IPI)
-			}
 		}
+	}
+	if initiator != nil {
+		initiator.Charge(IPI, int64(len(m.CPUs)-1))
 	}
 }
 

@@ -65,10 +65,11 @@ func refFrameZero(m *Memory, pfn PFN) bool {
 // what that scan found; every frame just granted or freed is all zero by
 // refFrameZero, with an empty map.
 func TestLineMapMatchesFullClear(t *testing.T) {
-	const (
-		capacity = 8
-		steps    = 6000
-	)
+	const capacity = 8
+	steps := 6000
+	if testing.Short() {
+		steps = 100 // sequential: the race detector has nothing to see
+	}
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := NewMemory(capacity)

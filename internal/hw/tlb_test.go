@@ -189,8 +189,8 @@ func TestMachineShootdown(t *testing.T) {
 		}
 	}
 	// Initiator pays IPI cost for each of the 3 remote CPUs.
-	if got := init.Cycles.Load(); got != 3*m.Cost.IPI {
-		t.Fatalf("initiator cycles = %d, want %d", got, 3*m.Cost.IPI)
+	if got := init.Cycles.Load(); got != 3*IPI.Price() {
+		t.Fatalf("initiator cycles = %d, want %d", got, 3*IPI.Price())
 	}
 	if m.CPUs[1].TLB.Shootdowns.Load() != 1 {
 		t.Fatal("remote CPU did not record shootdown")

@@ -119,6 +119,8 @@ func TestPipeCloseWakesSleepers(t *testing.T) {
 	}
 }
 
+// TestPipeWrongDirection: a stream that cannot move data one way answers
+// EBADF — a pipe end the other way, a listening socket both ways.
 func TestPipeWrongDirection(t *testing.T) {
 	p := NewPipe()
 	r, w := p.Ends()
@@ -128,6 +130,17 @@ func TestPipeWrongDirection(t *testing.T) {
 	}
 	if _, err := w.Read(th, make([]byte, 1), false); err != fs.ErrBadFd {
 		t.Fatalf("read on write end: %v", err)
+	}
+	l, err := NewNetNames().Listen("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := l.Read(th, make([]byte, 1), false); err != fs.ErrBadFd {
+		t.Fatalf("read on a listening socket: %v", err)
+	}
+	if _, err := l.Write(th, []byte("x"), false); err != fs.ErrBadFd {
+		t.Fatalf("write on a listening socket: %v", err)
 	}
 }
 

@@ -49,16 +49,20 @@ func TestBlockprocWakeRoundTrip(t *testing.T) {
 	s := NewSystem(testConfig())
 	var woke atomic.Bool
 	s.Start("parent", func(c *Context) {
-		gateVA := vm.DataBase
 		pid, _ := c.Sproc("sleeper", func(cc *Context, _ int64) {
-			cc.Store32(gateVA, 1)
 			if err := cc.Blockproc(0); err != nil {
 				t.Errorf("blockproc: %v", err)
 				return
 			}
 			woke.Store(true)
 		}, proc.PRSALL, 0)
-		c.SpinWait32(gateVA, func(v uint32) bool { return v == 1 })
+		// Unblock only once the sleeper is down, its count gone negative:
+		// a wake that came first would be banked, and the blockproc it
+		// paid for would not sleep.
+		sleeper, _ := c.S.Lookup(pid)
+		for sleeper.BlockCnt() >= 0 {
+			runtime.Gosched()
+		}
 		if err := c.Unblockproc(pid); err != nil {
 			t.Errorf("unblockproc: %v", err)
 		}

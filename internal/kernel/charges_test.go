@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/faultinject"
 	"repro/internal/fs"
 	"repro/internal/hw"
 	"repro/internal/proc"
@@ -42,7 +43,7 @@ func TestChargeTableModel(t *testing.T) {
 	for _, procs := range hostLevels() {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			got := chargeTable(t, nil)
+			got := chargeTable(t)
 			if want == nil {
 				if err := os.WriteFile(chargesGolden, got, 0o644); err != nil {
 					t.Fatal(err)
@@ -63,30 +64,22 @@ func TestChargeTableModel(t *testing.T) {
 }
 
 // chargeLog collects the rows of one section; the script's processes add
-// to it from their own goroutines. costs, if set, edits the cost table of
-// every system the section boots.
+// to it from their own goroutines.
 type chargeLog struct {
-	t     *testing.T
-	costs func(*hw.Costs)
-	mu    sync.Mutex
-	rows  []string
-}
-
-func (l *chargeLog) boot(cfg Config) *System {
-	s := NewSystem(cfg)
-	if l.costs != nil {
-		l.costs(&s.Machine.Cost)
-	}
-	return s
+	t    *testing.T
+	mu   sync.Mutex
+	rows []string
 }
 
 // measure runs call as c and records its row: the gateway's latency for
 // syscall sys (- for none), what the caller's cycle counter and its CPU's
 // moved by, their difference — what the kernel charged the CPU straight:
-// faults, IPIs, syscall exit, the entry sync — and the errno. The row is
-// written by a deferred function, so a call that never returns (exit(2),
-// exec(2)) is recorded as it unwinds. No event of the script yields its
-// CPU, so the process must finish on the CPU it began on.
+// faults, IPIs, syscall exit, the entry sync — the errno, and what the CPU
+// was charged by entry, each count of which times the entry's price must sum
+// to the CPU's cycles. The row is written by a deferred function, so a call
+// that never returns (exit(2), exec(2)) is recorded as it unwinds. No event
+// of the script yields its CPU, so the process must finish on the CPU it
+// began on.
 func (l *chargeLog) measure(c *Context, name string, sys Sysno, call func() error) {
 	// The gateway's account of sys, summed over the CPUs.
 	sysSimCyc := func() (cyc int64) {
@@ -95,8 +88,12 @@ func (l *chargeLog) measure(c *Context, name string, sys Sysno, call func() erro
 		}
 		return cyc
 	}
-	cpu := c.cpu()
+	cpu, costs := c.cpu(), hw.AllCosts()
 	sim, own, cyc := sysSimCyc(), c.P.Cycles.Load(), cpu.Cycles.Load()
+	counts := make([]int64, len(costs))
+	for i, cost := range costs {
+		counts[i] = cpu.Count(cost)
+	}
 	var err error
 	defer func() {
 		if now := c.cpu(); now != cpu {
@@ -107,16 +104,32 @@ func (l *chargeLog) measure(c *Context, name string, sys Sysno, call func() erro
 			simcyc = fmt.Sprint(sysSimCyc() - sim)
 		}
 		caller, onCPU := c.P.Cycles.Load()-own, cpu.Cycles.Load()-cyc
+		var charged []string
+		var explained int64
+		for i, cost := range costs {
+			if n := cpu.Count(cost) - counts[i]; n != 0 {
+				charged = append(charged, fmt.Sprintf("%v:%d", cost, n))
+				explained += n * cost.Price()
+			}
+		}
+		if explained != onCPU {
+			l.t.Errorf("%s: the CPU moved by %d cycles, its counts %v explain %d", name, onCPU, charged, explained)
+		}
 		l.mu.Lock()
-		l.rows = append(l.rows, fmt.Sprintf("%-38s %6s %6d %6d %6d  %v", name, simcyc, caller, onCPU, onCPU-caller, ErrnoOf(err)))
+		l.rows = append(l.rows, fmt.Sprintf("%-38s %6s %6d %6d %6d  %v  %s", name, simcyc, caller, onCPU, onCPU-caller, ErrnoOf(err), strings.Join(charged, " ")))
 		l.mu.Unlock()
 	}()
 	err = call()
 }
 
-// chargeTable runs every section of the script, with the cost table
-// edited by costs if it is set, and renders the table.
-func chargeTable(t *testing.T, costs func(*hw.Costs)) []byte {
+// chargeSection is one section of a charge script: a heading and what it runs.
+type chargeSection struct {
+	name, config string
+	run          func(*chargeLog)
+}
+
+// chargeTable runs every section of the script and renders the table.
+func chargeTable(t *testing.T) []byte {
 	var b bytes.Buffer
 	b.WriteString(`# What each event of the charge script costs on the sim meter.
 # Regenerate: go test ./internal/kernel -run TestChargeTableModel -update
@@ -125,28 +138,32 @@ func chargeTable(t *testing.T, costs func(*hw.Costs)) []byte {
 # fault), caller (the process's cycle counter), cpu (its CPU's counter),
 # kernel (cpu - caller: faults, IPIs, syscall exit and the entry sync,
 # charged to the CPU straight), and the errno the call returned.
+# Last, the CPU's count of each cost entry it was charged (entry:count);
+# cpu is the sum of count × the entry's price (hw's cost table).
 `)
-	for _, sec := range []struct {
-		name, config string
-		run          func(*chargeLog)
-	}{
+	renderCharges(&b, t, []chargeSection{
 		{"fault", "NCPU 4, TimeSlice 1<<40; the driver, a fork child, a member", faultCharges},
 		{"create", "NCPU 4, TimeSlice 500; standard image, three open descriptors", createCharges},
 		{"ckpt", "NCPU 4, TimeSlice 500; two parked members, 256 one-word pages and a dense one", ckptCharges},
 		{"poll", "NCPU 1, TimeSlice 1<<40; n pipes, the last one made ready", pollCharges},
 		{"sys", "NCPU 4, TimeSlice 1<<40; a fresh system a row", sysCharges},
-	} {
-		l := &chargeLog{t: t, costs: costs}
-		sec.run(l)
-		fmt.Fprintf(&b, "\n## %s: %s\n%s\n", sec.name, sec.config, strings.Join(l.rows, "\n"))
-	}
+	})
 	return b.Bytes()
+}
+
+// renderCharges runs each section and writes its rows under its heading.
+func renderCharges(b *bytes.Buffer, t *testing.T, secs []chargeSection) {
+	for _, sec := range secs {
+		l := &chargeLog{t: t}
+		sec.run(l)
+		fmt.Fprintf(b, "\n## %s: %s\n%s\n", sec.name, sec.config, strings.Join(l.rows, "\n"))
+	}
 }
 
 // faultCharges: one event of each fault class, and the munmap whose
 // shootdown interrupts the three other CPUs.
 func faultCharges(l *chargeLog) {
-	s := l.boot(Config{NCPU: 4, MemFrames: 8192, TimeSlice: 1 << 40})
+	s := NewSystem(Config{NCPU: 4, MemFrames: 8192, TimeSlice: 1 << 40})
 	s.Start("driver", func(c *Context) {
 		const va = vm.DataBase
 		l.measure(c, "zero fill", sysNone, func() error { return c.Store32(va, 1) })
@@ -180,7 +197,7 @@ func faultCharges(l *chargeLog) {
 // one-member group; then the restore of a three-member image.
 func createCharges(l *chargeLog) {
 	noop := func(*Context, int64) {}
-	s := l.boot(testConfig())
+	s := NewSystem(testConfig())
 	s.Start("driver", func(c *Context) {
 		for _, path := range []string{"/a", "/b", "/c"} {
 			c.Open(path, fs.ORead|fs.OWrite|fs.OCreat, 0o644)
@@ -199,7 +216,7 @@ func createCharges(l *chargeLog) {
 	waitIdle(l.t, s)
 
 	img := ckptImage(l.t)
-	s = l.boot(testConfig())
+	s = NewSystem(testConfig())
 	s.Start("blank", func(c *Context) {
 		l.measure(c, "restore of 3 members", SysRestore, func() error { return noErr(c.Restore(img, noop)) })
 		for range 2 {
@@ -233,7 +250,7 @@ func ckptCharges(l *chargeLog) {
 	}
 
 	var img *ckpt.Image
-	s := l.boot(testConfig())
+	s := NewSystem(testConfig())
 	s.Start("driver", func(c *Context) {
 		va, _ := c.Mmap(pages + 1)
 		for pg := 0; pg < pages; pg++ {
@@ -261,7 +278,7 @@ func ckptCharges(l *chargeLog) {
 		l.t.Fatalf("decode: %v", err)
 	}
 
-	s = l.boot(testConfig())
+	s = NewSystem(testConfig())
 	s.Start("adoptive", func(c *Context) {
 		l.measure(c, "restore", SysRestore, func() error { return noErr(c.Restore(dec, park)) })
 		parkedMembers(c)
@@ -281,7 +298,7 @@ func ckptCharges(l *chargeLog) {
 // the caller sleeps.
 func pollCharges(l *chargeLog) {
 	for _, n := range []int{1, 8, 9, 1000} {
-		s := l.boot(Config{NCPU: 1, MemFrames: 8192, TimeSlice: 1 << 40, MaxFiles: 2100})
+		s := NewSystem(Config{NCPU: 1, MemFrames: 8192, TimeSlice: 1 << 40, MaxFiles: 2100})
 		s.Start("poller", func(c *Context) {
 			set, wfds, _ := pollPipes(c, n)
 			last := wfds[n-1]
@@ -310,6 +327,93 @@ func pollCharges(l *chargeLog) {
 		})
 		waitIdle(l.t, s)
 	}
+}
+
+// offScriptTable runs what charges the entries the golden script never
+// does: long copies, spins, a paced checkpoint that must wait for a running
+// member to park, and what only fault injection charges.
+func offScriptTable(t *testing.T) []byte {
+	var b bytes.Buffer
+	renderCharges(&b, t, []chargeSection{
+		{"copy and spin", "NCPU 1, TimeSlice 1<<40", copySpinCharges},
+		{"paced ckpt", "NCPU 1, TimeSlice 500; a member looping on getpid", pacedCkptCharges},
+		{"injected", "NCPU 1, TimeSlice 500; one site armed at rate 1000 a row", injectedCharges},
+	})
+	return b.Bytes()
+}
+
+// copySpinCharges: a page stored and loaded in bulk, and one round of a
+// bounded spin on a word nobody writes.
+func copySpinCharges(l *chargeLog) {
+	s := NewSystem(Config{NCPU: 1, MemFrames: 1024, TimeSlice: 1 << 40})
+	s.Start("driver", func(c *Context) {
+		page := make([]byte, hw.PageSize)
+		c.Store32(vm.DataBase, 0)
+		l.measure(c, "store a page", sysNone, func() error { return c.StoreBytes(vm.DataBase, page) })
+		l.measure(c, "load a page", sysNone, func() error { return c.LoadBytes(vm.DataBase, page) })
+		l.measure(c, "spin one round", sysNone, func() error {
+			_, _, err := c.SpinWaitBounded(vm.DataBase, func(v uint32) bool { return v != 0 }, 1)
+			return err
+		})
+	})
+	waitIdle(l.t, s)
+}
+
+// pacedCkptCharges: a two-pass checkpoint with a gap between its passes,
+// whose freeze must wait until the member, runnable behind the driver,
+// reaches a safepoint.
+func pacedCkptCharges(l *chargeLog) {
+	s := NewSystem(Config{NCPU: 1, MemFrames: 1024, TimeSlice: 500})
+	s.Start("driver", func(c *Context) {
+		const stop = vm.DataBase
+		c.Store32(stop, 0)
+		c.Sproc("looper", func(cc *Context, _ int64) {
+			for v, err := cc.Load32(stop); v == 0 && err == nil; v, err = cc.Load32(stop) {
+				cc.Getpid()
+			}
+		}, proc.PRSALL, 0)
+		l.measure(c, "ckpt, 2 passes 1024 cycles apart", SysCkpt, func() error {
+			_, _, err := c.Ckpt(CkptOpts{Passes: 2, PassGap: 1024})
+			return err
+		})
+		c.Store32(stop, 1)
+		c.Wait()
+	})
+	waitIdle(l.t, s)
+}
+
+// injectedCharges: a checkpoint whose every pass boundary is injected —
+// delays, and aborts the gateway retries with its backoff — and a fork and
+// wait whose every dispatch stalls.
+func injectedCharges(l *chargeLog) {
+	inject := func(site faultinject.Site, run func(c *Context, arm func())) {
+		s := NewSystem(Config{NCPU: 1, MemFrames: 1024, TimeSlice: 500})
+		pl := faultinject.New(1988, 0)
+		s.ArmFaults(pl)
+		s.Start("driver", func(c *Context) { run(c, func() { pl.SetRate(site, 1000) }) })
+		waitIdle(l.t, s)
+	}
+	inject(faultinject.SiteCkpt, func(c *Context, arm func()) {
+		c.Sproc("parked", func(cc *Context, _ int64) { cc.Blockproc(0) }, proc.PRSALL, 0)
+		parked := parkedMembers(c)
+		arm()
+		l.measure(c, "ckpt, every pass boundary injected", SysCkpt, func() error {
+			_, _, err := c.Ckpt(CkptOpts{Passes: 2})
+			return err
+		})
+		c.Unblockproc(parked[0])
+		c.Wait()
+	})
+	inject(faultinject.SiteDispatch, func(c *Context, arm func()) {
+		arm()
+		l.measure(c, "fork and wait, every dispatch stalled", sysNone, func() error {
+			if _, err := c.Fork("child", func(*Context) {}); err != nil {
+				return err
+			}
+			_, _, err := c.Wait()
+			return err
+		})
+	})
 }
 
 func noErr[T any](_ T, err error) error { return err }
@@ -429,7 +533,7 @@ func sysCharges(l *chargeLog) {
 			l.t.Fatalf("no case for %s", SysName(n))
 		}
 		for _, members := range []int{1, 2, 4} {
-			s := l.boot(Config{NCPU: 4, MemFrames: 1024, TimeSlice: 1 << 40})
+			s := NewSystem(Config{NCPU: 4, MemFrames: 1024, TimeSlice: 1 << 40})
 			s.Start("driver", func(d *Context) {
 				d.Fork("caller", func(c *Context) {
 					c.Store32(vm.DataBase, 1) // the buffer page, resident

@@ -58,10 +58,15 @@ func (e *FaultError) Unwrap() error { return e.Cause }
 // cpu returns the CPU the process is currently executing on.
 func (c *Context) cpu() *hw.CPU { return c.S.Sched.CurrentCPU(c.P) }
 
-// charge accounts n cycles to the current CPU and takes the preemption
-// check when the time slice runs out. It also latches SIGKILL promptly.
-func (c *Context) charge(n int64) {
-	c.cpu().Charge(n)
+// charge charges n units of cost to the current CPU and spends the cycles
+// from the process's slice.
+func (c *Context) charge(cost hw.Cost, n int64) { c.spend(c.cpu().Charge(cost, n)) }
+
+// spend accounts cycles the current CPU has been charged to the process and
+// takes the preemption check when the time slice runs out: one check for
+// all of them, however many entries they were charged at. It also latches
+// SIGKILL promptly.
+func (c *Context) spend(n int64) {
 	c.P.Cycles.Add(n)
 	if c.P.SliceLeft.Add(-n) <= 0 {
 		c.S.Sched.Yield(c.P)
@@ -135,7 +140,7 @@ func (c *Context) access(va hw.VAddr, write bool, op func(hw.PFN)) error {
 	if c.P.FreezePending() {
 		c.freezePark()
 	}
-	c.charge(c.S.Machine.Cost.MemAccess)
+	c.charge(hw.MemAccess, 1)
 	if inPRDA(va) {
 		pfn, err := c.translatePRDA(va, write)
 		if err == nil {
@@ -184,7 +189,9 @@ func (c *Context) translatePRDA(va hw.VAddr, write bool) (hw.PFN, error) {
 		return hw.NoPFN, c.segv(va, write, err)
 	}
 	if res == vm.FillZeroed {
-		c.cpu().Charge(c.S.Machine.Cost.PageFault + c.S.Machine.Cost.PageZero)
+		cpu := c.cpu()
+		cpu.Charge(hw.PageFault, 1)
+		cpu.Charge(hw.PageZero, 1)
 	}
 	return pfn, nil
 }
@@ -262,17 +269,19 @@ func (c *Context) fault(va hw.VAddr, write bool, op func(hw.PFN)) (bool, error) 
 	cpu := c.cpu() // nothing below sleeps or yields
 	switch res {
 	case vm.FillCached:
-		cpu.Charge(c.S.Machine.Cost.TLBRefill)
+		cpu.Charge(hw.TLBRefill, 1)
 	case vm.FillZeroed:
-		cpu.Charge(c.S.Machine.Cost.PageFault + c.S.Machine.Cost.PageZero)
+		cpu.Charge(hw.PageFault, 1)
+		cpu.Charge(hw.PageZero, 1)
 	case vm.FillCopied:
-		cpu.Charge(c.S.Machine.Cost.PageFault + c.S.Machine.Cost.PageCopy)
+		cpu.Charge(hw.PageFault, 1)
+		cpu.Charge(hw.PageCopy, 1)
 	}
 	if lazyPages > 0 {
 		// First touch materialized a lazy duplication: the table walk the
 		// spawn deferred is charged here, to the CPU that needed it, and
 		// recorded so ktrace can show where creation cost actually landed.
-		cpu.Charge(int64(lazyPages) * c.S.Machine.Cost.RegionDup)
+		cpu.Charge(hw.RegionDup, int64(lazyPages))
 		c.S.Machine.Trace.Record(trace.EvLazyBreak, int32(c.P.PID), int32(cpu.ID), uint64(va), uint32(lazyPages))
 	}
 	var valid func() bool
@@ -336,7 +345,7 @@ func (c *Context) LoadBytes(va hw.VAddr, dst []byte) error {
 		if err := c.access(va, false, func(pfn hw.PFN) { c.S.Machine.Mem.ReadBytes(pfn, va.Offset(), dst[:n]) }); err != nil {
 			return err
 		}
-		c.charge(int64(n / 64)) // bulk transfer cost beyond the first access
+		c.charge(hw.UserCopy, int64(n/64)) // bulk transfer cost beyond the first access
 		dst = dst[n:]
 		va += hw.VAddr(n)
 	}
@@ -350,7 +359,7 @@ func (c *Context) StoreBytes(va hw.VAddr, src []byte) error {
 		if err := c.access(va, true, func(pfn hw.PFN) { c.S.Machine.Mem.WriteBytes(pfn, va.Offset(), src[:n]) }); err != nil {
 			return err
 		}
-		c.charge(int64(n / 64))
+		c.charge(hw.UserCopy, int64(n/64))
 		src = src[n:]
 		va += hw.VAddr(n)
 	}
@@ -443,7 +452,7 @@ func (c *Context) spinBatch(va hw.VAddr, pred func(uint32) bool) (uint32, bool, 
 			// Cache spin: near-zero cost per poll, but enough drip
 			// charge that a spinner exhausts its slice and can be
 			// preempted in reasonable time when CPUs are overcommitted.
-			c.charge(drips)
+			c.charge(hw.SpinDrip, drips)
 		}
 		i = next
 		runtime.Gosched()

@@ -169,7 +169,7 @@ func TestFailedPipeLeavesNoDescriptor(t *testing.T) {
 }
 
 // TestEagerSyncChargesEveryFdUpdate: under the eager-push ablation the
-// updater pays Cost.AttrSync per member it brings up to date, for every
+// updater pays hw.AttrSync per member it brings up to date, for every
 // kind of descriptor update — the charge is taken where the push is made,
 // so close, dup2 and fcntl cannot differ from open — and only for members
 // that share descriptors.
@@ -215,7 +215,7 @@ func TestEagerSyncChargesEveryFdUpdate(t *testing.T) {
 		return got
 	}
 	deferred, eager := cost(false), cost(true)
-	push := sharers * hw.DefaultCosts().AttrSync
+	push := sharers * hw.AttrSync.Price()
 	for i, call := range calls {
 		want := deferred[i] + push
 		if i == len(calls)-1 {

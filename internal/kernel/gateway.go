@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/faultinject"
+	"repro/internal/hw"
 	"repro/internal/proc"
 	"repro/internal/trace"
 )
@@ -43,9 +44,8 @@ type sysAcct struct {
 // adversarial fault plan (or a genuinely wedged resource) cannot spin a
 // syscall forever.
 const (
-	maxRestarts  = 16 // EINTR auto-restarts per call (SA_RESTART policy)
-	maxRetries   = 4  // EAGAIN retries per call
-	retryBackoff = 64 // base backoff charge, doubled per retry
+	maxRestarts = 16 // EINTR auto-restarts per call (SA_RESTART policy)
+	maxRetries  = 4  // EAGAIN retries per call, each charged twice the last's backoff
 )
 
 // errInjected is the underlying error of every gateway-injected fault.
@@ -91,14 +91,14 @@ func invoke[T any](c *Context, n Sysno, body func() (T, error)) (T, error) {
 				// default unwinds the call. Then the body re-runs as if
 				// never interrupted.
 				c.DeliverSignals()
-				c.charge(c.S.Machine.Cost.SyscallEntry)
+				c.charge(hw.SyscallEntry, 1)
 				continue
 			}
 		case EAGAIN:
 			if d.flags&sfRetry != 0 && retries < maxRetries {
 				retries++
 				c.S.retries.Add(1)
-				c.charge(retryBackoff << retries)
+				c.charge(hw.RetryBackoff, 1<<retries)
 				continue
 			}
 		}
@@ -174,10 +174,10 @@ func (c *Context) enterSys(d *sysDesc) int64 {
 		c.freezePark()
 	}
 	start := c.P.Cycles.Load()
-	c.charge(c.S.Machine.Cost.SyscallEntry)
+	c.charge(hw.SyscallEntry, 1)
 	if c.P.Flag.Load()&proc.FSyncAny != 0 {
 		if sa := c.P.ShareGrp(); sa != nil {
-			c.cpu().Charge(c.S.Machine.Cost.AttrSync)
+			c.cpu().Charge(hw.AttrSync, 1)
 			c.S.Machine.Trace.Record(trace.EvSync, int32(c.P.PID), c.P.CPU.Load(), uint64(c.P.Flag.Load()), 0)
 			sa.SyncEntry(c.P)
 		}
@@ -192,8 +192,7 @@ func (c *Context) enterSys(d *sysDesc) int64 {
 // span closes with errno 0 and no signal delivery; the unwind carries its
 // own disposition.
 func (c *Context) exitSys(d *sysDesc, start int64, eno Errno, completed bool) {
-	exitCost := c.S.Machine.Cost.SyscallExit
-	c.cpu().Charge(exitCost)
+	exitCost := c.cpu().Charge(hw.SyscallExit, 1)
 	c.S.sysAccount(d.num, c.P, c.P.Cycles.Load()-start+exitCost)
 	c.S.Machine.Trace.Record(trace.EvSyscallExit, int32(c.P.PID), c.P.CPU.Load(), uint64(d.num), uint32(eno))
 	if completed {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/fs"
+	"repro/internal/hw"
 	"repro/internal/proc"
 	"repro/internal/trace"
 )
@@ -170,8 +171,7 @@ func TestSyscallAccountingConservation(t *testing.T) {
 // hwEntryExitFloor is the minimum possible in-kernel latency of any call:
 // the trap and return costs alone.
 func hwEntryExitFloor() int64 {
-	s := NewSystem(Config{NCPU: 1, MemFrames: 64})
-	return s.Machine.Cost.SyscallEntry + s.Machine.Cost.SyscallExit
+	return hw.SyscallEntry.Price() + hw.SyscallExit.Price()
 }
 
 // TestSyscallSpansMatch checks the trace contract: every EvSyscallEnter has

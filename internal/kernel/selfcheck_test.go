@@ -35,6 +35,8 @@ func TestSelfCheckWaitIdle(t *testing.T) {
 			[]string{"frame ledger"}},
 		{"lazy clone neither broken nor dropped", func(t *testing.T, s *System) { s.Machine.Mem.LazyDups.Add(1) },
 			[]string{"lazy clones: 1 dups != 0 breaks + 0 drops"}},
+		{"cycles charged at no entry", func(t *testing.T, s *System) { s.Machine.CPUs[2].Cycles.Add(7) },
+			[]string{"CPU 2: ", "cycles, ", "explained by its cost counts"}},
 		{"syscall enter with no exit", func(t *testing.T, s *System) {
 			s.Machine.Trace.Record(trace.EvSyscallEnter, 99, 0, uint64(SysGetpid), 0)
 		}, []string{"syscall spans"}},

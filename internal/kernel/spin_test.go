@@ -39,7 +39,7 @@ func tlbProbes(s *System) int64 {
 // spinPollsPerCycle virtual polls, and the slice ends exactly where that
 // arithmetic says.
 func TestSpinChargesByVirtualPoll(t *testing.T) {
-	mem := hw.DefaultCosts().MemAccess
+	mem, drip := hw.MemAccess.Price(), hw.SpinDrip.Price()
 	drips := int64(SpinPollBatch / spinPollsPerCycle)
 
 	t.Run("advance", func(t *testing.T) {
@@ -104,11 +104,11 @@ func TestSpinChargesByVirtualPoll(t *testing.T) {
 				}
 			}
 			for d := int64(0); d < drips && cyc < left; d++ {
-				cyc++
+				cyc += drip
 				onDrip = cyc == left
 			}
 		}
-		if left <= 2*mem+drips {
+		if left <= 2*mem+drips*drip {
 			t.Fatalf("slice left at the spin = %d: not even one whole batch", left)
 		}
 		if got := atYield - start; got != cyc || got != left {
@@ -133,7 +133,7 @@ func TestSpinChargesByVirtualPoll(t *testing.T) {
 			if done || err != nil {
 				t.Errorf("SpinWaitBounded = (done %v, %v), want budget expired", done, err)
 			}
-			if got, want := c.P.Cycles.Load()-cyc, rounds*(2*mem+drips); got != want {
+			if got, want := c.P.Cycles.Load()-cyc, rounds*(2*mem+drips*drip); got != want {
 				t.Errorf("%d rounds charged %d cycles, want %d", rounds, got, want)
 			}
 			if got := tlbProbes(s) - probes; got != 2*rounds {

@@ -43,7 +43,7 @@ func quiescentSpinStorm(t *testing.T) {
 	const ring, handoffs = 6, 1000
 	cfg := kernel.Config{NCPU: 4, MemFrames: 8192, TimeSlice: 500}
 	s := kernel.NewSystem(cfg)
-	refresh := 2*hw.DefaultCosts().MemAccess + kernel.SpinPollBatch/kernel.SpinPollsPerCycle
+	refresh := 2*hw.MemAccess.Price() + hw.SpinDrip.Price()*kernel.SpinPollBatch/kernel.SpinPollsPerCycle
 	token := uspin.Word{VA: vm.DataBase}
 	lock := uspin.Mutex{VA: vm.DataBase + 64}
 	counter := lock.VA + uspin.MutexBytes

@@ -220,7 +220,7 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 			}
 		}
 		pages[pr] = putCaptures(pages[pr], pass)
-		c.charge(int64(len(pass)) * mach.Cost.RegionDup)
+		c.charge(hw.PageCapture, int64(len(pass)))
 		return len(pass)
 	}
 	// allPages is every index of pr, in one slice the call reuses: each
@@ -240,7 +240,7 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 			return nil
 		}
 		_, _, _, lazyPages, err := pr.Reg.FillAccounted(0, false, cpuIdx, sa.FrameAcct())
-		c.charge(int64(lazyPages) * mach.Cost.RegionDup)
+		c.charge(hw.RegionDup, int64(lazyPages))
 		return err
 	}
 
@@ -292,7 +292,7 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 				if hit, draw := pl.Decide(faultinject.SiteCkpt, uint32(pass)); hit {
 					if draw>>10&1 == 0 {
 						pl.Note(faultinject.SiteCkpt, faultinject.FaultDelay, uint32(pass))
-						c.charge(int64(256 + draw%2048))
+						c.charge(hw.CkptDelay, int64(256+draw%2048))
 					} else {
 						pl.Note(faultinject.SiteCkpt, faultinject.FaultEAGAIN, uint32(pass))
 						return nil, info, ErrCkptBusy
@@ -303,8 +303,8 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 				break // converged: nothing re-dirtied since the last pass
 			}
 			if pass+1 < opts.Passes && opts.PassGap > 0 {
-				for left := opts.PassGap; left > 0; left -= 512 {
-					c.charge(512)
+				for left := opts.PassGap; left > 0; left -= hw.PassGapStep.Price() {
+					c.charge(hw.PassGapStep, 1)
 					runtime.Gosched()
 				}
 			}
@@ -338,7 +338,7 @@ func (c *Context) ckpt(opts CkptOpts) (*ckpt.Image, CkptInfo, error) {
 		if iter >= quiesceMaxIters {
 			return nil, info, ErrCkptQuiesce
 		}
-		c.charge(32)
+		c.charge(hw.FreezePoll, 1)
 		runtime.Gosched()
 	}
 
@@ -597,7 +597,7 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 			name: m.Name, arg: m.Arg, join: true, mask: proc.Mask(m.Mask),
 			stackAt: hw.VAddr(m.StackBase), stackPages: m.StackPages,
 			reopenFds: true, fdImage: m.Fds,
-			cost: mach.Cost.ProcCreate, kind: trace.CreateSproc,
+			cost: hw.ProcCreate, kind: trace.CreateSproc,
 		})
 		if err != nil {
 			return -1, err
@@ -638,7 +638,7 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 			if err != nil {
 				return -1, err
 			}
-			c.charge(int64(lazyPages) * mach.Cost.RegionDup)
+			c.charge(hw.RegionDup, int64(lazyPages))
 			written++
 		}
 	}
@@ -663,7 +663,7 @@ func (c *Context) restore(img *ckpt.Image, entry func(*Context, int64)) (int, er
 		}
 		written++
 	}
-	c.charge(int64(written) * mach.Cost.RegionDup)
+	c.charge(hw.PageCapture, int64(written))
 
 	// Entitlements last: applying the frame quota before the content
 	// writes would refuse the restore's own fills.

@@ -12,7 +12,7 @@ import (
 // pushes nobody: each member pays at its own next kernel entry.
 func (c *Context) chargePushed(pushed int) {
 	if pushed > 0 {
-		c.charge(int64(pushed) * c.S.Machine.Cost.AttrSync)
+		c.charge(hw.AttrSync, int64(pushed))
 	}
 }
 

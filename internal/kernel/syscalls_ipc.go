@@ -53,7 +53,7 @@ func (c *Context) Msgsnd(id int, typ int64, va hw.VAddr, n int) error {
 		if err := c.LoadBytes(va, buf); err != nil {
 			return err
 		}
-		c.charge(int64(n/64) + 1) // kernel copy
+		c.charge(hw.KernelCopy, int64(n/64)+1)
 		return q.Send(c.P, ipc.Msg{Type: typ, Data: buf})
 	})
 }
@@ -79,7 +79,7 @@ func (c *Context) Msgrcv(id int, typ int64, va hw.VAddr, max int) (int, int64, e
 		if len(m.Data) > max {
 			m.Data = m.Data[:max]
 		}
-		c.charge(int64(len(m.Data)/64) + 1) // kernel copy
+		c.charge(hw.KernelCopy, int64(len(m.Data)/64)+1)
 		if err := c.StoreBytes(va, m.Data); err != nil {
 			return msgrcvRet{n: -1}, err
 		}

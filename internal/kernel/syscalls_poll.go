@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/fs"
+	"repro/internal/hw"
 )
 
 // This file implements poll(2) over the waitable-descriptor
@@ -232,7 +233,7 @@ func (c *Context) pollScan(ps *pollSet, fds []PollFd) int {
 	// One table walk per scan: the classic kernel cost poll pays that a
 	// blocked read does not, charged per 8 descriptors like the bitmap
 	// word walks of the historical implementation.
-	c.charge(int64(len(fds)+7) / 8)
+	c.charge(hw.PollScan, int64(len(fds)+7)/8)
 	w := ps.w
 	w.BeginScan()
 	n := ps.nval

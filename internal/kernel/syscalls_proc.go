@@ -56,9 +56,9 @@ type spawnSpec struct {
 	reopenFds bool
 	fdImage   []ckpt.FdImage
 
-	cost      int64  // fixed charge: Cost.ProcCreate or Cost.ThreadCreate
-	chargeFds bool   // also charge Cost.FDTableCopy per descriptor the caller holds
-	kind      uint32 // trace.Create* kind recorded with EvCreate
+	cost      hw.Cost // fixed charge: hw.ProcCreate or hw.ThreadCreate
+	chargeFds bool    // also charge hw.FDTableCopy per descriptor the caller holds
+	kind      uint32  // trace.Create* kind recorded with EvCreate
 }
 
 // spawn builds a process from spec and enters it in the process table, its
@@ -132,7 +132,7 @@ func (c *Context) spawn(spec spawnSpec) (*proc.Proc, error) {
 	// Virtual memory. A member with PR_SADDR runs in the group's space: its
 	// stack is carved from it and its private list (the PRDA) maps from its
 	// arena. Any other child gets an image of everything the caller sees.
-	charge := spec.cost + int64(nfds)*mach.Cost.FDTableCopy
+	dup, dups := hw.LazyDup, int64(0) // the image duplication's entry and count
 	if sa != nil && spec.mask&proc.PRSADDR != 0 {
 		child.ASID = sa.ASID
 		if err := sa.UpdateVM(p, func(sp *vm.Space, _ vm.Shoot) (err error) {
@@ -172,12 +172,14 @@ func (c *Context) spawn(spec spawnSpec) (*proc.Proc, error) {
 		// where the per-page walk is charged to whichever CPU takes the
 		// first touch, by the fault handler.
 		if c.S.cfg.EagerDup {
-			charge += int64(img.Pages()) * mach.Cost.RegionDup
+			dup, dups = hw.RegionDup, int64(img.Pages())
 		} else {
-			charge += int64(img.Len()) * mach.Cost.LazyDup
+			dups = int64(img.Len())
 		}
 	}
-	c.charge(charge)
+	// The creation's entries are spent together: one slice check.
+	cpu := c.cpu()
+	c.spend(cpu.Charge(spec.cost, 1) + cpu.Charge(hw.FDTableCopy, int64(nfds)) + cpu.Charge(dup, dups))
 
 	p.Mu.Lock()
 	p.Children = append(p.Children, child)
@@ -260,7 +262,7 @@ func (c *Context) Fork(name string, childMain Main) (int, error) {
 	return invoke(c, SysFork, func() (int, error) {
 		child, err := c.spawn(spawnSpec{
 			name: name,
-			cost: c.S.Machine.Cost.ProcCreate, chargeFds: true, kind: trace.CreateFork,
+			cost: hw.ProcCreate, chargeFds: true, kind: trace.CreateFork,
 		})
 		if err != nil {
 			return -1, err
@@ -328,7 +330,7 @@ func (c *Context) Sproc(name string, entry func(*Context, int64), shmask proc.Ma
 		shmask = c.inheritMask(shmask)
 		return c.startMember(spawnSpec{
 			name: name, arg: arg, join: true, mask: shmask,
-			cost: c.S.Machine.Cost.ProcCreate, chargeFds: shmask&proc.PRSFDS != 0, kind: trace.CreateSproc,
+			cost: hw.ProcCreate, chargeFds: shmask&proc.PRSFDS != 0, kind: trace.CreateSproc,
 		}, entry)
 	})
 }
@@ -343,12 +345,12 @@ func (c *Context) ThreadCreate(name string, entry func(*Context, int64), arg int
 	return invoke(c, SysThreadCreate, func() (int, error) {
 		spec := spawnSpec{
 			name: name, arg: arg, join: true, mask: c.inheritMask(proc.PRSALL),
-			cost: c.S.Machine.Cost.ThreadCreate, kind: trace.CreateThread,
+			cost: hw.ThreadCreate, kind: trace.CreateThread,
 		}
 		if spec.mask&proc.PRSADDR == 0 {
 			// No shared space to thread in: the child is built, and
 			// charged, as a process.
-			spec.cost = c.S.Machine.Cost.ProcCreate
+			spec.cost = hw.ProcCreate
 		}
 		return c.startMember(spec, entry)
 	})
@@ -536,7 +538,7 @@ func (c *Context) Exec(name string, main Main) error {
 		p.Mu.Unlock()
 
 		c.S.newImage(p)
-		c.charge(c.S.Machine.Cost.ProcCreate) // image construction
+		c.charge(hw.ProcCreate, 1) // image construction
 		c.S.Machine.Trace.Record(trace.EvCreate, int32(p.PID), c.P.CPU.Load(), uint64(p.PID), trace.CreateExec)
 		panic(processExec{name: name, main: main})
 	})

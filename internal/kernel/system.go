@@ -495,8 +495,9 @@ func (s *System) reap(p *proc.Proc, status int) {
 // the table; the frame ledger, allocs - frees == frames in use; every
 // frame in use a resident page of a shm segment still registered (a
 // segment outlives its processes until IPC_RMID); every lazy clone broken
-// or dropped; and, on a traced system that lost no event, as many syscall
-// enters as exits. It then gives the storage of the memory pool's free
+// or dropped; every CPU's cycles explained by its counts, Σ count × price
+// over the cost table; and, on a traced system that lost no event, as many
+// syscall enters as exits. It then gives the storage of the memory pool's free
 // frames, all zero, to whichever System mints frames next, this one
 // included (hw.Memory.ReleaseFree).
 func (s *System) WaitIdle() {
@@ -524,6 +525,15 @@ func (s *System) WaitIdle() {
 	}
 	if dups, breaks, drops := mem.LazyDups.Load(), mem.LazyBreaks.Load(), mem.LazyDrops.Load(); dups != breaks+drops {
 		broken = append(broken, fmt.Sprintf("lazy clones: %d dups != %d breaks + %d drops", dups, breaks, drops))
+	}
+	for _, cpu := range s.Machine.CPUs {
+		var explained int64
+		for _, c := range hw.AllCosts() {
+			explained += cpu.Count(c) * c.Price()
+		}
+		if cyc := cpu.Cycles.Load(); cyc != explained {
+			broken = append(broken, fmt.Sprintf("CPU %d: %d cycles, %d explained by its cost counts", cpu.ID, cyc, explained))
+		}
 	}
 	if r := s.Machine.Trace; r != nil {
 		var dropped uint64

@@ -393,7 +393,7 @@ var exportAllowList = map[string]string{
 	"ipc.PollRegistrations":      "seam: kernel TestPollLifetime",
 	"klock.MRLock.Readers":       "seam: core TestResolveShared",
 	"klock.MRLock.UpdateHeld":    "seam: kernel TestFaultInstallsWhereItResumes",
-	"proc.Proc.BlockCnt":         "seam: kernel TestBlockprocErrnos, uspin TestKillBlockedWaiter",
+	"proc.Proc.BlockCnt":         "seam: kernel TestBlockprocErrnos, TestBlockprocWakeRoundTrip, uspin TestKillBlockedWaiter",
 }
 
 func TestExportedNamesHaveCallers(t *testing.T) {

@@ -288,15 +288,14 @@ func (s *Sched) dispatch(p *proc.Proc, cpu int) {
 	slice := s.slice
 	if hit, draw := s.FI.Decide(faultinject.SiteDispatch, uint32(p.PID)); hit {
 		// Forced near-immediate preemption: a fraction of the normal slice,
-		// plus an extra context-switch charge as the dispatch stall.
+		// plus a dispatch stall.
 		slice = 1 + int64(draw>>16)%(s.slice/4+1)
-		c.Charge(s.machine.Cost.ContextSwitch)
+		c.Charge(hw.DispatchStall, 1)
 		s.FI.Note(faultinject.SiteDispatch, faultinject.FaultPreempt, uint32(p.PID))
 	}
 	p.SliceLeft.Store(slice)
 	p.RunStamp.Store(p.Cycles.Load())
-	c.Switches.Add(1)
-	c.Charge(s.machine.Cost.ContextSwitch)
+	c.Charge(hw.ContextSwitch, 1)
 	s.Dispatches.Add(1)
 	s.machine.Trace.Record(trace.EvDispatch, int32(p.PID), int32(cpu), 0, 0)
 	p.RunGate <- cpu
@@ -596,7 +595,7 @@ func (s *Sched) score(p *proc.Proc) int {
 // A blocked process is off every run queue — it costs the dispatcher
 // nothing until its wake token arrives.
 func (s *Sched) Block(p *proc.Proc, reason string) {
-	s.sleep(p, "Block", reason, s.machine.Cost.SemaSleep, nil)
+	s.sleep(p, "Block", reason, nil)
 }
 
 // Park is the checkpoint-freeze sleep: release the CPU and wait until the
@@ -605,20 +604,22 @@ func (s *Sched) Block(p *proc.Proc, reason string) {
 // banked token here would lose a wakeup another subsystem deposited for
 // the sleep the member returns to after the thaw. It charges nothing.
 func (s *Sched) Park(p *proc.Proc, gate <-chan struct{}) {
-	s.sleep(p, "Park", "ckpt-freeze", 0, gate)
+	s.sleep(p, "Park", "ckpt-freeze", gate)
 }
 
 // sleep is the one way a process gives up its CPU to wait: settle the
-// quantum, charge cost, release the CPU, wait until gate closes — or, for a
-// nil gate, until p's wake token arrives — and queue for a CPU again. op
-// names the caller for the self-check.
-func (s *Sched) sleep(p *proc.Proc, op, reason string, cost int64, gate <-chan struct{}) {
+// quantum, release the CPU, wait until gate closes — or, for a nil gate, a
+// semaphore sleep charged SemaSleep, until p's wake token arrives — and
+// queue for a CPU again. op names the caller for the self-check.
+func (s *Sched) sleep(p *proc.Proc, op, reason string, gate <-chan struct{}) {
 	cpu := s.mustHoldCPU(p, op)
 	s.flushUsage(p)
 	if p.LastSleep.Load() != reason {
 		p.LastSleep.Store(reason) // boxing a string allocates: skip a repeat
 	}
-	s.machine.CPUs[cpu].Charge(cost)
+	if gate == nil {
+		s.machine.CPUs[cpu].Charge(hw.SemaSleep, 1)
+	}
 	s.Sleeps.Add(1)
 	s.machine.Trace.Record(trace.EvBlock, int32(p.PID), int32(cpu), 0, 0)
 	s.releaseCPU(p)

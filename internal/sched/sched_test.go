@@ -285,7 +285,7 @@ func TestContextSwitchAccounting(t *testing.T) {
 	if got := s.Dispatches.Load(); got < 4 {
 		t.Fatalf("dispatches = %d, want >= 4", got)
 	}
-	if m.CPUs[0].Cycles.Load() < 4*m.Cost.ContextSwitch {
+	if m.CPUs[0].Cycles.Load() < 4*hw.ContextSwitch.Price() {
 		t.Fatal("context switch cycles not charged")
 	}
 }

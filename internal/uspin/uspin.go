@@ -569,7 +569,7 @@ func (b Barrier) sleep(c *kernel.Context, gen uint32) error {
 			return err
 		}
 		if err := c.Blockproc(0); err != nil {
-			return b.abortSleep(c, self, err)
+			return b.abortSleep(c, self, gen, err)
 		}
 		// Woken: either this episode released (the loop exits on the
 		// generation check) or the wake was a stale banked one —
@@ -579,14 +579,23 @@ func (b Barrier) sleep(c *kernel.Context, gen uint32) error {
 
 // abortSleep withdraws a cancelled sleeper. No wake hand-off is needed
 // (unlike the mutex): the release fan-out wakes every registered sleeper
-// individually, so no other sleeper's wake can be riding on this one.
-func (b Barrier) abortSleep(c *kernel.Context, self uint32, cause error) error {
+// individually, so no other sleeper's wake can be riding on this one. If
+// the generation has already moved past gen, the episode released before
+// the cancellation and the wait completed: a signal that broke the sleep
+// in between (a member's SIGCLD as it exits the last episode) does not
+// undo that, so abortSleep returns nil and the unblock stays banked, a
+// stale wake the next sleep absorbs.
+func (b Barrier) abortSleep(c *kernel.Context, self, gen uint32, cause error) error {
 	w := b.tab()
 	if err := w.lockCleanup(c); err != nil {
 		return cause
 	}
 	w.remove(c, self)
+	g, err := c.Load32(b.VA + 4)
 	w.unlock(c)
+	if err == nil && g != gen {
+		return nil
+	}
 	return cause
 }
 

@@ -105,6 +105,10 @@ type (
 	CkptImage = ckpt.Image
 )
 
+// ContextSwitch is the cost-table entry each dispatch charges, so a CPU's
+// Count of it is the context switches it made.
+var ContextSwitch = hw.ContextSwitch
+
 // ErrnoOf extracts the errno from any error a syscall returned (EOK for
 // nil, EINVAL for errors from outside the syscall layer).
 func ErrnoOf(err error) Errno { return kernel.ErrnoOf(err) }
